@@ -19,11 +19,11 @@ from . import carpets
 from .errors import AffinedimError, BudgetExceeded, HypothesisViolated, \
     Inconclusive, NotConverged, NotDominated, NotSeparated
 from .estimators import assouad_two_scale, box_dim, lower_two_scale
-from .geometry import bochi_morris_scan, content_consistency, \
-    hausdorff_content_projection, posc_check, projected_gap, slice_points, \
-    slice_upper_bound, ssc_check, tangent_dimension_scan, \
-    transversality_derivative, transversality_tail_bound
-from .ifs import Ifs, Word, batch_singular_values
+from .geometry import content_consistency, hausdorff_content_projection, \
+    posc_check, projected_gap, slice_points, slice_upper_bound, ssc_check, \
+    tangent_dimension_scan, transversality_derivative, \
+    transversality_tail_bound
+from .ifs import Ifs, batch_singular_values
 from .projective import PI, ProjPoint, classify_irreducibility, \
     furstenberg_directions, is_dominated, strictly_affine
 from .thermo import affinity_dimension, gibbs_spread_by_depth
@@ -331,12 +331,10 @@ def _suite_content(ifs, spec, args):
 
 
 def _suite_trans(ifs, spec, args):
-    mats = [m.linear for m in ifs.maps]
-    arrs = np.stack([m.array for m in mats])
-    a_max = float(batch_singular_values(arrs)[0].max())
+    mats, ts = ifs.lins, ifs.vs
+    a_max = float(batch_singular_values(mats)[0].max())
     if a_max >= 0.5:
         return _skip("trans", "needs max matrix norm < 1/2")
-    ts = [m.v for m in ifs.maps]
     rng = np.random.Generator(np.random.Philox(key=args.seed))
     n = ifs.n_maps
     depth = 30

@@ -6,7 +6,7 @@ diagnostic driven by cylinder weights.  All estimators refuse to count
 below twice the cloud's resolution and report fit residuals.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 import math
 
 import numpy as np

@@ -14,9 +14,8 @@ from .config import word_cap
 from .errors import BudgetExceeded, DegenerateRange, HypothesisViolated, \
     NotDominated, NotSeparated
 from .estimators import PointCloud, box_dim
-from .ifs import Word, batch_singular_values, svf_from_singular_values
-from .projective import PI, ProjPoint, act, furstenberg_directions, \
-    norm_perp
+from .ifs import batch_singular_values
+from .projective import PI, ProjPoint, furstenberg_directions
 from .thermo import affinity_dimension, equilibrium_state
 
 # ---------------------------------------------------------------------------
@@ -42,16 +41,11 @@ class DiameterTable:
         self.lip = 2.0 * float(ifs.diam_upper)
 
     def upper(self, theta):
-        k = int(round((theta % PI) / self.step)) % len(self.thetas)
-        d = abs((theta % PI) - self.thetas[k])
-        d = min(d, PI - d)
-        return float(self.widths[k]) + self.lip * d + self.err
-
-    def lower(self, theta):
-        k = int(round((theta % PI) / self.step)) % len(self.thetas)
-        d = abs((theta % PI) - self.thetas[k])
-        d = min(d, PI - d)
-        return max(float(self.widths[k]) - self.lip * d - self.err, 0.0)
+        """Certified upper bound at an angle or an array of angles."""
+        theta = np.mod(theta, PI)
+        k = np.rint(theta / self.step).astype(int) % len(self.thetas)
+        d = np.abs(theta - self.thetas[k])
+        return self.widths[k] + self.lip * np.minimum(d, PI - d) + self.err
 
 
 def _safe_depth(ifs, depth):
@@ -67,15 +61,19 @@ def _diam_table(ifs):
     return ifs._cache[key]
 
 
-def projected_diameter_bound(ifs, mat, direction):
-    """Certified upper bound for diam(proj_{V_perp} phi_w(X)) via the
-    factorization through the pulled-back projection axis."""
-    table = _diam_table(ifs)
-    u_theta = direction.angle + PI / 2.0
-    u = np.array([math.cos(u_theta), math.sin(u_theta)])
-    au = mat.T @ u
-    nrm = float(np.linalg.norm(au))
-    return nrm * table.upper(math.atan2(au[1], au[0]))
+def _axis(v):
+    """Unit vector u spanning the perpendicular of the direction v."""
+    u_theta = v.angle + PI / 2.0
+    return np.array([math.cos(u_theta), math.sin(u_theta)])
+
+
+def projected_diameter_bound(ifs, mats, direction):
+    """Certified upper bounds for diam(proj_{V_perp} phi_w(X)), one per
+    product A_w of a (k,2,2) stack, via the factorization through the
+    pulled-back projection axis A_w^T u."""
+    au = mats.transpose(0, 2, 1) @ _axis(direction)
+    return np.linalg.norm(au, axis=1) \
+        * _diam_table(ifs).upper(np.arctan2(au[:, 1], au[:, 0]))
 
 
 # ---------------------------------------------------------------------------
@@ -95,10 +93,7 @@ class SscReport:
 
 
 def _first_level_clouds(ifs, depth, cap):
-    cap = word_cap(cap)
-    if ifs.n_maps ** depth > cap:
-        raise BudgetExceeded(cap, ifs.n_maps ** depth)
-    pts, errs = ifs._cylinder_centers(depth)
+    pts, errs = ifs._cylinder_centers(depth, cap)
     per = ifs.n_maps ** (depth - 1)
     groups = [(pts[i * per:(i + 1) * per], errs[i * per:(i + 1) * per])
               for i in range(ifs.n_maps)]
@@ -179,33 +174,12 @@ class PoscReport:
                 "appears_to_hold": self.appears_to_hold}
 
 
-def _proj_stopping(ifs, v, r, cap):
-    """Stopping words by certified projected diameter in direction v,
-    together with their matrices and canonical points."""
-    cap = word_cap(cap)
-    table = _diam_table(ifs)
-    u_theta = v.angle + PI / 2.0
-    u = np.array([math.cos(u_theta), math.sin(u_theta)])
-
-    def bound(mat):
-        au = mat.T @ u
-        return float(np.linalg.norm(au)) * table.upper(math.atan2(au[1], au[0]))
-
-    out = []
-    stack = [((i,), ifs.maps[i - 1].linear.array)
-             for i in range(ifs.n_maps, 0, -1)]
-    while stack:
-        w, mat = stack.pop()
-        if bound(mat) <= r or len(w) > 40:
-            out.append((Word(w), mat))
-            if len(out) > cap:
-                raise BudgetExceeded(cap, len(out))
-            continue
-        for i in range(ifs.n_maps, 0, -1):
-            stack.append((w + (i,), mat @ ifs.maps[i - 1].linear.array))
-        if len(stack) + len(out) > cap:
-            raise BudgetExceeded(cap, None)
-    return out
+def _proj_stopping(ifs, v, r, cap, prune=None):
+    """Cylinders, in lexicographic word order, that stop once the
+    certified projected diameter bound in direction v is at most r."""
+    return ifs.frontier(
+        lambda mats, pts, a1: projected_diameter_bound(ifs, mats, v) <= r,
+        prune, cap, lex=True)
 
 
 def posc_check(ifs, depth=6, v_grid_size=5, x_samples=64, directions=None,
@@ -223,13 +197,9 @@ def posc_check(ifs, depth=6, v_grid_size=5, x_samples=64, directions=None,
         raise ValueError("need at least two maps")
     if directions is None:
         da = furstenberg_directions(ifs, depth=30)
-        total = sum(iv.width for iv in da.intervals)
-        if len(da.intervals) == 1 and total < 1e-6:
-            pass  # singleton-like direction set is fine for the scan
         directions = da.sample_directions(
             per_interval=max(1, v_grid_size // max(len(da.intervals), 1) + 1))
         directions = directions[:max(v_grid_size, 1)]
-    rng = np.random.Generator(np.random.Philox(key=seed))
     xs = ifs.attractor_sample(0.01, mode="chaos-game", seed=seed,
                               count=x_samples).points
     eta_by_depth = {}
@@ -237,37 +207,33 @@ def posc_check(ifs, depth=6, v_grid_size=5, x_samples=64, directions=None,
     for k in range(2, depth + 1):
         eta_k = math.inf
         for v in directions:
-            u_theta = v.angle + PI / 2.0
-            u = np.array([math.cos(u_theta), math.sin(u_theta)])
-            r = _diam_table(ifs).upper(u_theta) * 2.0 ** (-k)
+            u = _axis(v)
+            r = _diam_table(ifs).upper(v.angle + PI / 2.0) * 2.0 ** (-k)
             try:
-                words = _proj_stopping(ifs, v, r, min(word_cap(cap), 4000))
+                found = _proj_stopping(ifs, v, r, min(word_cap(cap), 4000))
             except BudgetExceeded:
                 continue
-            if len(words) < 2:
+            if len(found) < 2:
                 continue
-            # projected images of the x-sample under every stopping word
-            projs = []
-            diams = []
-            for w, mat in words:
-                aff = ifs.compose_word(w)
-                p = xs @ mat.T + aff.v
-                t = p @ u
-                projs.append(t)
-                diams.append(max(t.max() - t.min(), 1e-300))
-            projs = np.stack(projs)
-            centers = 0.5 * (projs.max(axis=1) + projs.min(axis=1))
-            order = np.argsort(centers)
-            n = len(words)
-            for a in range(n):
-                ia = order[a]
-                for b in range(a + 1, min(a + 8, n)):
-                    ib = order[b]
-                    sep = np.abs(projs[ia] - projs[ib]).max()
-                    val = sep / max(diams[ia], diams[ib])
-                    if val < eta_k:
-                        eta_k = val
-                        witness = (v, words[ia][0], words[ib][0])
+            # projected images of the x-sample under every stopping word:
+            # phi_w(x) = A_w x + t_w with t_w = phi_w(c) - A_w c
+            trans = found.pts - found.mats @ ifs.ball_center
+            projs = (xs @ found.mats.transpose(0, 2, 1)
+                     + trans[:, None, :]) @ u
+            hi, lo = projs.max(axis=1), projs.min(axis=1)
+            diams = np.maximum(hi - lo, 1e-300)
+            # pairs up to 7 apart in the order of the projected centres,
+            # first pair first, so ties go to the earliest pair
+            order = np.argsort(0.5 * (hi + lo))
+            a = np.repeat(np.arange(len(found)), 7)
+            b = a + np.tile(np.arange(1, 8), len(found))
+            ia, ib = order[a[b < len(found)]], order[b[b < len(found)]]
+            vals = np.abs(projs[ia] - projs[ib]).max(axis=1) \
+                / np.maximum(diams[ia], diams[ib])
+            j = int(np.argmin(vals))
+            if vals[j] < eta_k:
+                eta_k = vals[j]
+                witness = (v, found.word(ifs, ia[j]), found.word(ifs, ib[j]))
         if math.isfinite(eta_k):
             eta_by_depth[k] = float(eta_k)
     if not eta_by_depth:
@@ -289,35 +255,18 @@ def sigma_count(ifs, v, x, r, cap=None):
     projected cylinder hull meets the interval of radius r around the
     projection of x.  Boundary-ambiguous words are included, so the count
     is an upper bound."""
-    table = _diam_table(ifs)
-    if not 0.0 < r < table.upper(v.angle + PI / 2.0):
+    if not 0.0 < r < _diam_table(ifs).upper(v.angle + PI / 2.0):
         raise ValueError("r outside (0, projected diameter)")
-    cap = word_cap(cap)
-    u_theta = v.angle + PI / 2.0
-    u = np.array([math.cos(u_theta), math.sin(u_theta)])
-    x = np.asarray(x, dtype=float)
-    t0 = float(x @ u)
-    words = []
-    stack = [((i,), ifs.maps[i - 1].linear.array)
-             for i in range(ifs.n_maps, 0, -1)]
-    count = 0
-    while stack:
-        w, mat = stack.pop()
-        aff = ifs.compose_word(Word(w))
-        center = float(aff(ifs.ball_center) @ u)
-        au = mat.T @ u
-        half = float(np.linalg.norm(au)) * ifs.ball_radius
-        if abs(center - t0) > r + half:
-            continue            # children hulls stay inside this hull
-        bound = float(np.linalg.norm(au)) * table.upper(math.atan2(au[1], au[0]))
-        if bound <= r or len(w) > 40:
-            words.append(Word(w))
-            continue
-        for i in range(ifs.n_maps, 0, -1):
-            stack.append((w + (i,), mat @ ifs.maps[i - 1].linear.array))
-        count += 1
-        if count > cap:
-            raise BudgetExceeded(cap, count)
+    u = _axis(v)
+    t0 = float(np.asarray(x, dtype=float) @ u)
+
+    def misses(mats, pts, a1):
+        # children hulls stay inside this hull
+        half = np.linalg.norm(mats.transpose(0, 2, 1) @ u, axis=1) \
+            * ifs.ball_radius
+        return np.abs(pts @ u - t0) > r + half
+
+    words = _proj_stopping(ifs, v, r, cap, prune=misses).words(ifs)
     return len(words), words
 
 
@@ -395,39 +344,14 @@ def weak_tangent(ifs, x, r, resolution=0.01, cap=None):
     mapped through z -> (z - x)/r and clipped to the closed unit ball."""
     if r <= 0 or resolution <= 0:
         raise ValueError("r and resolution must be positive")
-    cap = word_cap(cap)
     x = np.asarray(x, dtype=float)
-    lins = np.stack([m.linear.array for m in ifs.maps])
-    drifts = np.einsum("ipq,q->ip", lins, ifs.ball_center) \
-        + np.stack([m.v for m in ifs.maps]) - ifs.ball_center
-    pts = ifs.ball_center + drifts
-    mats = lins.copy()
-    out = []
-    target = resolution * r
-    for _ in range(80):
-        if len(mats) == 0:
-            break
-        a1 = batch_singular_values(mats)[0]
-        errs = a1 * ifs.ball_radius
-        # prune cylinders that cannot meet the window
-        near = np.linalg.norm(pts - x, axis=1) <= r + errs
-        pts, mats, a1, errs = pts[near], mats[near], a1[near], errs[near]
-        done = errs <= target
-        if done.any():
-            out.append(pts[done])
-        keep = ~done
-        pts, mats = pts[keep], mats[keep]
-        if len(mats) == 0:
-            break
-        if sum(len(o) for o in out) + len(mats) * ifs.n_maps > cap:
-            raise BudgetExceeded(cap, None)
-        pts = (np.einsum("wpq,iq->iwp", mats, drifts)
-               + pts[None, :, :]).reshape(-1, 2)
-        mats = np.einsum("wpq,iqr->iwpr", mats, lins).reshape(-1, 2, 2)
-    if out:
-        pts = np.concatenate(out)
-    else:
-        pts = np.empty((0, 2))
+    rad = ifs.ball_radius
+    # prune cylinders that cannot meet the window
+    pts = ifs.frontier(
+        lambda mats, pts, a1: a1 * rad <= resolution * r,
+        prune=lambda mats, pts, a1:
+            np.linalg.norm(pts - x, axis=1) > r + a1 * rad,
+        cap=cap).pts
     z = (pts - x) / r
     z = z[np.linalg.norm(z, axis=1) <= 1.0 + resolution]
     nrm = np.linalg.norm(z, axis=1)
@@ -661,12 +585,8 @@ class ContentEstimate:
 
 def _projected_hulls(ifs, v, depth, cap=None):
     """Certified projected hull intervals of all depth-n cylinders."""
-    cap = word_cap(cap)
-    if ifs.n_maps ** depth > cap:
-        raise BudgetExceeded(cap, ifs.n_maps ** depth)
-    u_theta = v.angle + PI / 2.0
-    u = np.array([math.cos(u_theta), math.sin(u_theta)])
-    pts, _ = ifs._cylinder_centers(depth)
+    u = _axis(v)
+    pts, _ = ifs._cylinder_centers(depth, cap)
     prods = ifs.level_products(depth, cap)
     halves = np.linalg.norm(np.einsum("wqp,q->wp", prods, u), axis=1) \
         * ifs.ball_radius

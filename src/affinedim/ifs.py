@@ -5,11 +5,12 @@ finite tuples of such maps, finite words over the map alphabet, and
 scale-indexed stopping sets (prefix-free partitions of the cylinder tree).
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 import json
 import math
 
 import numpy as np
+from scipy.spatial import ConvexHull, QhullError
 
 from .config import word_cap
 from .errors import BudgetExceeded, IndexOutOfRange, SingularMatrix
@@ -66,18 +67,10 @@ class Matrix2:
 def singular_values(m):
     """Singular values (alpha1, alpha2) of a Matrix2, alpha1 >= alpha2 > 0.
 
-    Closed form from the eigenvalues of A^T A; alpha1*alpha2 = |det A|.
+    Closed form of `batch_singular_values`; alpha1*alpha2 = |det A|.
     """
-    a, b, c, d = m.a, m.b, m.c, m.d
-    # trace and determinant of A^T A
-    t = a * a + b * b + c * c + d * d
-    det = m.det
-    disc = max(t * t - 4.0 * det * det, 0.0)
-    root = math.sqrt(disc)
-    a1 = math.sqrt(0.5 * (t + root))
-    # alpha2 via |det|/alpha1 keeps the product identity exact
-    a2 = abs(det) / a1
-    return a1, a2
+    a1, a2 = batch_singular_values(m.array[None])
+    return float(a1[0]), float(a2[0])
 
 
 def svf(m, s):
@@ -88,12 +81,7 @@ def svf(m, s):
     """
     if s < 0:
         raise ValueError("s must be nonnegative")
-    a1, a2 = singular_values(m)
-    if s <= 1.0:
-        return a1 ** s
-    if s <= 2.0:
-        return a1 * a2 ** (s - 1.0)
-    return (a1 * a2) ** (0.5 * s)
+    return float(svf_from_singular_values(*singular_values(m), s))
 
 
 def svf_from_singular_values(a1, a2, s):
@@ -108,17 +96,27 @@ def svf_from_singular_values(a1, a2, s):
 
 
 def batch_singular_values(mats):
-    """(alpha1, alpha2) arrays for a (k,2,2) stack of matrices."""
+    """(alpha1, alpha2) arrays for a (k,2,2) stack of matrices, from the
+    eigenvalues of A^T A."""
     a = mats[:, 0, 0]
     b = mats[:, 0, 1]
     c = mats[:, 1, 0]
     d = mats[:, 1, 1]
+    # trace and determinant of A^T A
     t = a * a + b * b + c * c + d * d
     det = a * d - b * c
     disc = np.maximum(t * t - 4.0 * det * det, 0.0)
     a1 = np.sqrt(0.5 * (t + np.sqrt(disc)))
+    # alpha2 via |det|/alpha1 keeps the product identity exact
     a2 = np.abs(det) / a1
     return a1, a2
+
+
+def extend_level(lins, prods):
+    """Products A_i A_w for every letter i and every product A_w of a
+    level, letter-major, so a level in lexicographic word order yields the
+    next one in lexicographic order."""
+    return np.einsum("ipq,wqr->iwpr", lins, prods).reshape(-1, 2, 2)
 
 
 @dataclass(frozen=True)
@@ -218,6 +216,9 @@ class Ifs:
             if not m.is_contractive:
                 raise ValueError(f"map {k + 1} is not contractive")
         self.maps = maps
+        # the map stack: (N,2,2) linear parts and (N,2) translations
+        self.lins = np.stack([m.linear.array for m in maps])
+        self.vs = np.stack([m.v for m in maps])
         if ball_center is None or ball_radius is None:
             ball_center, ball_radius = self._fit_ball()
         self.ball_center = np.asarray(ball_center, dtype=float)
@@ -288,15 +289,9 @@ class Ifs:
         cap = word_cap(cap)
         if self.n_maps ** n > cap:
             raise BudgetExceeded(cap, self.n_maps ** n)
-        cached = self._cache.get("levels", [])
-        if not cached:
-            cached = [np.eye(2)[None]]
-            self._cache["levels"] = cached
-        lins = np.stack([m.linear.array for m in self.maps])
+        cached = self._cache.setdefault("levels", [np.eye(2)[None]])
         while len(cached) <= n:
-            prev = cached[-1]
-            nxt = np.einsum("ipq,wqr->iwpr", lins, prev)
-            cached.append(nxt.reshape(-1, 2, 2))
+            cached.append(extend_level(self.lins, cached[-1]))
         return cached[n]
 
     def level_singular_values(self, n, cap=None):
@@ -341,116 +336,112 @@ class Ifs:
     def diam_upper(self):
         return self.diam_bounds()[1]
 
-    @property
-    def diam_lower(self):
-        return self.diam_bounds()[0]
-
-    def _pruned_cylinders(self, stop_mask, cap=None, max_depth=60):
-        """Vectorized tree walk: expand cylinders breadth-first, emitting
-        those whose alpha1 array passes stop_mask.  Returns the emitted
-        canonical points and their alpha1 values."""
-        cap = word_cap(cap)
-        lins = np.stack([m.linear.array for m in self.maps])
-        vs = np.stack([m.v for m in self.maps])
-        # child of word w by letter i: p_{wi} = p_w + A_w*(phi_i(c) - c)
-        drifts = np.einsum("ipq,q->ip", lins, self.ball_center) + vs \
-            - self.ball_center
-        pts = self.ball_center + drifts
-        mats = lins.copy()
-        out_pts, out_a1 = [], []
-        total = 0
-        for _ in range(max_depth):
-            if len(mats) == 0:
-                break
-            a1 = batch_singular_values(mats)[0]
-            done = stop_mask(a1)
-            if done.any():
-                out_pts.append(pts[done])
-                out_a1.append(a1[done])
-                total += int(done.sum())
-                if total > cap:
-                    raise BudgetExceeded(cap, total)
-            keep = ~done
-            pts, mats = pts[keep], mats[keep]
-            if len(mats) == 0:
-                break
-            if total + len(mats) * self.n_maps > cap:
-                raise BudgetExceeded(cap, total + len(mats) * self.n_maps)
-            pts = (np.einsum("wpq,iq->iwp", mats, drifts)
-                   + pts[None, :, :]).reshape(-1, 2)
-            mats = np.einsum("wpq,iqr->iwpr", mats, lins).reshape(-1, 2, 2)
-        if len(mats):
-            raise BudgetExceeded(cap, None)
-        return np.concatenate(out_pts), np.concatenate(out_a1)
-
-    def _cylinder_centers(self, depth):
-        """Centers and error radii of all depth-n cylinders, vectorized."""
-        lins = np.stack([m.linear.array for m in self.maps])
-        vs = np.stack([m.v for m in self.maps])
+    def _cylinder_centers(self, depth, cap=None):
+        """Centers and error radii of all depth-n cylinders, vectorized,
+        in the lexicographic order of level_products."""
+        mats = self.level_products(depth, cap)
         pts = self.ball_center[None]
-        mats = np.eye(2)[None]
         for _ in range(depth):
             # prepend a letter: phi_i applied after phi_w requires building
             # from the left; p_{iw} = A_i p_w + v_i keeps lexicographic order
-            pts = (np.einsum("ipq,wq->iwp", lins, pts)
-                   + vs[:, None, :]).reshape(-1, 2)
-            mats = np.einsum("ipq,wqr->iwpr", lins, mats).reshape(-1, 2, 2)
-        a1 = batch_singular_values(mats)[0]
-        return pts, a1 * self.ball_radius
+            pts = (np.einsum("ipq,wq->iwp", self.lins, pts)
+                   + self.vs[:, None, :]).reshape(-1, 2)
+        return pts, batch_singular_values(mats)[0] * self.ball_radius
+
+    # -- cylinder frontier --------------------------------------------------
+
+    def frontier(self, stop, prune=None, cap=None, lex=False):
+        """Stopping set of a walk over the cylinder tree.
+
+        The walk is breadth-first from the one-letter words.  Each level
+        computes alpha1 of the products A_w, drops the nodes where
+        prune(mats, pts, a1) holds, emits those where stop(mats, pts, a1)
+        holds and expands the rest by every letter; pts are the canonical
+        points phi_w(ball center).  BudgetExceeded is raised before a level
+        is expanded when emitted + n_maps * unfinished > cap, which for an
+        unpruned walk means the stopping set would exceed cap, and when
+        nodes are still unfinished below the deepest level whose word codes
+        fit in an int64.
+
+        Without lex the cylinders come in emission order: level by level,
+        children letter-major, products by a batched einsum.  With lex they
+        come in lexicographic word order, that of a depth-first walk, and
+        each product A_w A_i is a stacked matmul, which repeats the
+        arithmetic of a node-by-node walk bit for bit.
+        """
+        cap = word_cap(cap)
+        n, c = self.n_maps, self.ball_center
+        # child of word w by letter i: p_{wi} = p_w + A_w (phi_i(c) - c)
+        drifts = np.einsum("ipq,q->ip", self.lins, c) + self.vs - c
+        codes, mats, pts = np.arange(n), self.lins, c + drifts
+        found, emitted = [], 0
+        for depth in range(1, int(63 / math.log2(max(n, 2))) + 1):
+            a1 = batch_singular_values(mats)[0]
+            if prune is not None:
+                keep = ~prune(mats, pts, a1)
+                codes, mats, pts, a1 = codes[keep], mats[keep], pts[keep], \
+                    a1[keep]
+            done = stop(mats, pts, a1)
+            found.append((depth, codes[done], mats[done], pts[done], a1[done]))
+            emitted += len(found[-1][1])
+            live = ~done
+            codes, mats, pts = codes[live], mats[live], pts[live]
+            if emitted + n * len(codes) > cap:
+                raise BudgetExceeded(cap, emitted + n * len(codes))
+            if not len(codes):
+                break
+            codes = (codes[None, :] * n + np.arange(n)[:, None]).reshape(-1)
+            pts = (np.einsum("wpq,iq->iwp", mats, drifts)
+                   + pts[None, :, :]).reshape(-1, 2)
+            if lex:
+                mats = mats[None] @ self.lins[:, None]
+            else:
+                mats = np.einsum("wpq,iqr->iwpr", mats, self.lins)
+            mats = mats.reshape(-1, 2, 2)
+        else:
+            raise BudgetExceeded(cap, None)
+        depths, *parts = zip(*found)
+        lengths = np.repeat(depths, [len(k) for k in parts[0]])
+        parts = [lengths] + [np.concatenate(p) for p in parts]
+        if lex:
+            # the words are prefix-free, so their codes padded to the
+            # longest length are distinct keys in lexicographic order
+            pad = lengths.max(initial=0) - lengths
+            order = np.argsort(parts[1] * np.int64(n) ** pad)
+            parts = [p[order] for p in parts]
+        return Cylinders(*parts)
 
     # -- stopping sets ------------------------------------------------------
 
     def stopping_set(self, r, criterion="by-alpha1", rho=0.1, direction=None,
-                     cap=None, proj_diam=None):
-        """Prefix-free partition of the cylinder tree at scale r.
+                     cap=None):
+        """Prefix-free partition of the cylinder tree at scale r, in
+        lexicographic word order.
 
         criterion:
-          "by-alpha1"    stop when alpha1(A_w)*diam_ub < r
+          "by-alpha1"    stop when alpha1(A_w)*diam_ub <= r
           "by-alpha2-aspect" stop when additionally
                          alpha2(A_w)*diam_ub < rho*alpha1(A_w)
           "by-projected-diameter" stop when the certified projected diameter
                          bound in the given direction drops below r
-                         (proj_diam: callable matrix -> bound)
         Convention: r at or above the diameter bound returns the N one-letter
         words so downstream partition logic stays uniform.
         """
-        cap = word_cap(cap)
         diam = self.diam_upper
         if criterion == "by-projected-diameter":
-            if proj_diam is None:
-                from .geometry import projected_diameter_bound
-                proj_diam = lambda mat: projected_diameter_bound(self, mat, direction)
-            stop = lambda mat: proj_diam(mat) <= r
+            from .geometry import _proj_stopping
+            found = _proj_stopping(self, direction, r, cap)
         elif criterion == "by-alpha1":
-            stop = lambda mat: batch_singular_values(mat[None])[0][0] * diam <= r
+            found = self.frontier(lambda mats, pts, a1: a1 * diam <= r,
+                                  cap=cap, lex=True)
         elif criterion == "by-alpha2-aspect":
-            def stop(mat):
-                a1, a2 = batch_singular_values(mat[None])
-                return a2[0] * diam < rho * a1[0] and a1[0] * diam <= r
+            def stop(mats, pts, a1):
+                a2 = batch_singular_values(mats)[1]
+                return (a2 * diam < rho * a1) & (a1 * diam <= r)
+            found = self.frontier(stop, cap=cap, lex=True)
         else:
             raise ValueError(f"unknown criterion {criterion!r}")
-
-        words = []
-        first_level = [((i,), self.maps[i - 1].linear.array)
-                       for i in range(1, self.n_maps + 1)]
-        if criterion == "by-alpha1" and r >= diam:
-            return StoppingSet(tuple(Word(w) for w, _ in first_level), criterion)
-        stack = list(reversed(first_level))
-        count = 0
-        while stack:
-            w, mat = stack.pop()
-            if stop(mat):
-                words.append(Word(w))
-                count += 1
-                if count > cap:
-                    raise BudgetExceeded(cap)
-                continue
-            for i in range(self.n_maps, 0, -1):
-                child = mat @ self.maps[i - 1].linear.array
-                stack.append((w + (i,), child))
-            if len(stack) + count > cap:
-                raise BudgetExceeded(cap)
-        return StoppingSet(tuple(words), criterion)
+        return StoppingSet(tuple(found.words(self)), criterion)
 
     def attractor_sample(self, resolution, mode="cylinder-centers", seed=0,
                          count=10000, cap=None):
@@ -467,19 +458,18 @@ class Ifs:
             raise ValueError("resolution must be positive")
         if mode == "cylinder-centers":
             r = resolution * self.diam_upper
-            pts, a1 = self._pruned_cylinders(
-                lambda a1: a1 * self.diam_upper <= r, cap=cap)
-            return PointCloud(pts, max(a1.max() * self.ball_radius, 1e-300))
+            found = self.frontier(
+                lambda mats, pts, a1: a1 * self.diam_upper <= r, cap=cap)
+            return PointCloud(found.pts,
+                              max(found.a1.max() * self.ball_radius, 1e-300))
         if mode == "chaos-game":
             rng = np.random.Generator(np.random.Philox(key=seed))
             burn = 64
             idx = rng.integers(0, self.n_maps, size=count + burn)
-            lins = np.stack([m.linear.array for m in self.maps])
-            vs = np.stack([m.v for m in self.maps])
             x = self.ball_center.copy()
             pts = np.empty((count, 2))
             for k, i in enumerate(idx):
-                x = lins[i] @ x + vs[i]
+                x = self.lins[i] @ x + self.vs[i]
                 if k >= burn:
                     pts[k - burn] = x
             return PointCloud(pts, resolution * self.ball_radius)
@@ -514,6 +504,29 @@ class Ifs:
 
 
 @dataclass(frozen=True)
+class Cylinders:
+    """Cylinders phi_w(X) found by `Ifs.frontier`: word lengths, word codes
+    (the lexicographic index of w among the words of its length, as in
+    level_products), products A_w, canonical points phi_w(ball center) and
+    alpha1(A_w)."""
+
+    lengths: np.ndarray
+    codes: np.ndarray
+    mats: np.ndarray
+    pts: np.ndarray
+    a1: np.ndarray
+
+    def __len__(self):
+        return len(self.codes)
+
+    def word(self, ifs, k):
+        return ifs.word_from_flat(int(self.codes[k]), int(self.lengths[k]))
+
+    def words(self, ifs):
+        return [self.word(ifs, k) for k in range(len(self))]
+
+
+@dataclass(frozen=True)
 class StoppingSet:
     """Prefix-free exhaustive set of stopping words at some scale."""
 
@@ -538,9 +551,13 @@ def _cloud_diameter(pts):
         return 0.0
     if len(pts) > 16:
         try:
-            from scipy.spatial import ConvexHull
             pts = pts[ConvexHull(pts).vertices]
-        except Exception:
-            pass
+        except QhullError:
+            # a flat cloud: the point farthest from any point is an end of
+            # the segment, and the point farthest from that end is the
+            # other end, so two O(n) sweeps give the exact diameter of
+            # collinear points
+            end = pts[np.argmax(((pts - pts[0]) ** 2).sum(-1))]
+            return float(np.sqrt(((pts - end) ** 2).sum(-1)).max())
     diff = pts[:, None, :] - pts[None, :, :]
     return float(np.sqrt((diff ** 2).sum(-1)).max())

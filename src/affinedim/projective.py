@@ -14,8 +14,8 @@ import math
 import numpy as np
 
 from .config import word_cap
-from .errors import BudgetExceeded, Inconclusive, NotDominated
-from .ifs import Word, batch_singular_values
+from .errors import Inconclusive, NotDominated
+from .ifs import batch_singular_values
 
 PI = math.pi
 
@@ -135,9 +135,6 @@ def merge_intervals(intervals, tol=MERGE_TOL):
     ivs = sorted(intervals, key=lambda iv: iv.start)
     if not ivs:
         return []
-    if sum(iv.width for iv in ivs) >= PI:
-        # possibly covering; verify by sweeping
-        pass
     # unroll to the real line over [start0, start0 + pi)
     base = ivs[0].start
     segs = []
@@ -224,18 +221,12 @@ def find_invariant_multicone(ifs, max_iters=200, margin=DEFAULT_MARGIN,
     intervals stabilize, then pads and certifies.  Returns the certified
     Multicone or None; None is not a proof that no cone exists.
     """
-    arrs = [m.linear.array for m in ifs.maps]
+    arrs = ifs.lins
     seeds = []
-    words = [()]
-    for _ in range(seed_depth):
-        words = [w + (i,) for w in words for i in range(len(arrs))]
-        for w in words:
-            prod = np.eye(2)
-            for i in w:
-                prod = prod @ arrs[i]
-            a1, a2 = batch_singular_values(prod[None])
-            if a1[0] - a2[0] < 1e-12 * a1[0]:
-                continue
+    for n in range(1, seed_depth + 1):
+        prods = ifs.level_products(n)
+        a1, a2 = batch_singular_values(prods)
+        for prod in prods[~(a1 - a2 < 1e-12 * a1)]:
             u, _, _ = np.linalg.svd(prod)
             theta = math.atan2(u[1, 0], u[0, 0])
             seeds.append(ProjInterval(theta - PI / 8.0, PI / 4.0))
@@ -324,25 +315,17 @@ class IrreducibilityClass:
 
 def strictly_affine(ifs, depth=6, cap=None):
     """Search for a proximal product (two real eigenvalues of different
-    modulus): trace^2 > 4 det together with nonzero trace.  Breadth-first,
-    so the witness word is shortest."""
-    cap = word_cap(cap)
-    frontier = [((), np.eye(2))]
-    count = 0
-    for _ in range(depth):
-        nxt = []
-        for w, mat in frontier:
-            for i in range(1, ifs.n_maps + 1):
-                child = mat @ ifs.maps[i - 1].linear.array
-                tr = child[0, 0] + child[1, 1]
-                det = child[0, 0] * child[1, 1] - child[0, 1] * child[1, 0]
-                if tr * tr > 4.0 * det + 1e-14 and abs(tr) > 1e-14:
-                    return True, Word(w + (i,))
-                nxt.append((w + (i,), child))
-                count += 1
-                if count > cap:
-                    raise BudgetExceeded(cap, count)
-        frontier = nxt
+    modulus): trace^2 > 4 det together with nonzero trace.  Level by level
+    in lexicographic order, so the witness is the least proximal word of
+    the shortest length."""
+    for n in range(1, depth + 1):
+        p = ifs.level_products(n, cap)
+        tr = p[:, 0, 0] + p[:, 1, 1]
+        det = p[:, 0, 0] * p[:, 1, 1] - p[:, 0, 1] * p[:, 1, 0]
+        hits = np.flatnonzero((tr * tr > 4.0 * det + 1e-14)
+                              & (np.abs(tr) > 1e-14))
+        if len(hits):
+            return True, ifs.word_from_flat(int(hits[0]), n)
     return False, None
 
 
@@ -350,7 +333,7 @@ def classify_irreducibility(ifs, tol=1e-8, depth=6):
     """Trichotomy: common invariant line (Reducible); invariant 2-element
     line set with a genuine swap (IrreducibleNotStrongly); otherwise
     StronglyIrreducible, certified through a proximal product."""
-    arrs = [m.linear.array for m in ifs.maps]
+    arrs = ifs.lins
 
     def fixes(arr, p):
         return act(arr, p).dist(p) <= tol
@@ -432,7 +415,7 @@ def furstenberg_directions(ifs, depth=8, multicone=None, cap=None,
         if multicone is None:
             raise NotDominated("no invariant multicone certificate")
     cap = word_cap(cap)
-    invs = [np.linalg.inv(m.linear.array) for m in ifs.maps]
+    invs = np.linalg.inv(ifs.lins)
     u = multicone.complement()
     reached = 0
     for _ in range(depth):
@@ -467,7 +450,7 @@ def furstenberg_measure_sample(ifs, probs=None, n_samples=10000, burn_in=40,
             raise Inconclusive(f"classification is {tag}; stationary "
                                "measure not certified unique")
     rng = np.random.Generator(np.random.Philox(key=seed))
-    invs = np.stack([np.linalg.inv(m.linear.array) for m in ifs.maps])
+    invs = np.linalg.inv(ifs.lins)
     idx = rng.choice(ifs.n_maps, size=(n_samples, burn_in), p=probs)
     v = np.tile([1.0, 0.577], (n_samples, 1))
     v /= np.linalg.norm(v, axis=1, keepdims=True)
@@ -483,7 +466,7 @@ def stationarity_residual(ifs, angles, probs=None, bins=64):
     and its one-step pushforward mix under the inverse maps."""
     if probs is None:
         probs = np.full(ifs.n_maps, 1.0 / ifs.n_maps)
-    invs = [np.linalg.inv(m.linear.array) for m in ifs.maps]
+    invs = np.linalg.inv(ifs.lins)
     edges = np.linspace(0.0, PI, bins + 1)
     hist, _ = np.histogram(angles, bins=edges)
     hist = hist / hist.sum()

@@ -15,9 +15,9 @@ from scipy.optimize import brentq
 
 from .config import word_cap
 from .errors import BudgetExceeded, DegenerateRange, NotConverged, NotDominated
-from .ifs import Word, batch_singular_values, svf_from_singular_values
-from .projective import ProjPoint, act, find_invariant_multicone, \
-    furstenberg_directions, norm_perp
+from .ifs import batch_singular_values, extend_level, \
+    svf_from_singular_values
+from .projective import find_invariant_multicone
 
 
 @dataclass(frozen=True)
@@ -39,19 +39,23 @@ def pressure(ifs, s, n, cap=None):
     return PressureSample(s, n, total / n)
 
 
+def _log_svf(la1, la2, s):
+    """log phi^s from log alpha1 and log alpha2: the three branches of the
+    singular value function in the log domain."""
+    if s <= 1.0:
+        return s * la1
+    if s <= 2.0:
+        return la1 + (s - 1.0) * la2
+    return 0.5 * s * (la1 + la2)
+
+
 def _pressure_fn(ifs, n, cap):
     a1, a2 = ifs.level_singular_values(n, cap)
     la1 = np.log(a1)
     la2 = np.log(a2)
-    ldet = la1 + la2
 
     def p(s):
-        if s <= 1.0:
-            logs = s * la1
-        elif s <= 2.0:
-            logs = la1 + (s - 1.0) * la2
-        else:
-            logs = 0.5 * s * ldet
+        logs = _log_svf(la1, la2, s)
         m = logs.max()
         return (m + math.log(np.exp(logs - m).sum())) / n
     return p
@@ -98,26 +102,6 @@ def affinity_dimension(ifs, tol=1e-10, max_depth=None, budget=200_000,
     return root_hi, (lo, hi)
 
 
-def g_s_eval(ifs, s, word, tail_direction):
-    """Log-weight of the first letter of a word against the tail direction.
-
-    Uses the norm of A^T restricted to the perpendicular of the tail's
-    limit direction; three branches matching the singular value function.
-    """
-    if len(word) < 1:
-        raise ValueError("word must be nonempty")
-    if s < 0:
-        raise ValueError("s must be nonnegative")
-    a = ifs.map_for(word.indices[0]).linear
-    c = norm_perp(a.array, tail_direction)
-    det = abs(a.det)
-    if s <= 1.0:
-        return s * math.log(c)
-    if s <= 2.0:
-        return (2.0 - s) * math.log(c) + (s - 1.0) * math.log(det)
-    return 0.5 * s * math.log(det)
-
-
 @dataclass(frozen=True)
 class EqState:
     """Discretized transfer-operator eigendata on depth-m cylinders.
@@ -153,17 +137,17 @@ def _cylinder_directions(ifs, m, cap=None):
     product A_{w1}^{-1} ... A_{wm}^{-1} applied to a direction in the
     complement of the invariant cone.  For similarity tuples every
     direction carries the same norm, so the zero angle is returned."""
-    a1s, a2s = zip(*(s.linear.singular_values() for s in ifs.maps))
-    if max((a1 - a2) / a1 for a1, a2 in zip(a1s, a2s)) < 1e-12:
+    a1, a2 = batch_singular_values(ifs.lins)
+    if ((a1 - a2) / a1).max() < 1e-12:
         return np.zeros(ifs.n_maps ** m)
     cone = find_invariant_multicone(ifs)
     if cone is None:
         raise NotDominated("transfer operator needs a certified multicone")
     v0 = cone.complement().intervals[0].midpoint.vector
-    invs = np.stack([np.linalg.inv(s.linear.array) for s in ifs.maps])
+    invs = np.linalg.inv(ifs.lins)
     prods = np.eye(2)[None]
     for _ in range(m):
-        prods = np.einsum("ipq,wqr->iwpr", invs, prods).reshape(-1, 2, 2)
+        prods = extend_level(invs, prods)
     vecs = prods @ v0
     vecs /= np.linalg.norm(vecs, axis=1, keepdims=True)
     return np.mod(np.arctan2(vecs[:, 1], vecs[:, 0]), math.pi)
@@ -185,14 +169,9 @@ def transfer_matrix(ifs, s, m, cap=None):
     parent = w_idx // n          # w with last letter dropped
     for i in range(n):
         a = ifs.maps[i].linear
-        c = np.linalg.norm(u @ a.array, axis=1)
-        det = abs(a.det)
-        if s <= 1.0:
-            g = s * np.log(c)
-        elif s <= 2.0:
-            g = (2.0 - s) * np.log(c) + (s - 1.0) * math.log(det)
-        else:
-            g = np.full(size, 0.5 * s * math.log(det))
+        # weight at log alpha1 := log|uA|, log alpha2 := log|det A| - that
+        la1 = np.log(np.linalg.norm(u @ a.array, axis=1))
+        g = _log_svf(la1, math.log(abs(a.det)) - la1, s)
         rows.append(w_idx)
         cols.append(i * n ** (m - 1) + parent)
         vals.append(np.exp(g))

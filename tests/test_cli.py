@@ -72,6 +72,15 @@ class TestExitCodes:
         rep = json.loads((tmp_path / "r.json").read_text())
         assert rep["ssc"]["separated"] == "Overlap"
 
+    def test_check_square4_overlaps(self, tmp_path):
+        # the four tiles of the square touch, so the SSC check reports an
+        # overlap and the command exits with the condition code by design
+        out = tmp_path / "check.json"
+        assert main(["check", "--input", fx("square4.json"),
+                     "--out", str(out)]) == EXIT_CONDITION
+        rep = json.loads(out.read_text())
+        assert rep["ssc"]["separated"] == "Overlap"
+
 
 class TestCommands:
     def test_check_cone_green(self, tmp_path):

@@ -1,12 +1,16 @@
+import itertools
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from affinedim.errors import BudgetExceeded, IndexOutOfRange, SingularMatrix
-from affinedim.ifs import AffineMap, Ifs, Matrix2, Word, \
+from affinedim.geometry import projected_diameter_bound
+from affinedim.ifs import AffineMap, Ifs, Matrix2, Word, _cloud_diameter, \
     batch_singular_values, singular_values, svf
+from affinedim.projective import ProjPoint, strictly_affine
 
 
 def rng(seed=0):
@@ -196,3 +200,109 @@ class TestAttractorSample:
         from scipy.spatial import cKDTree
         d, _ = cKDTree(cover.points).query(chaos.points)
         assert d.max() <= 0.01 * cone_ifs.diam_upper
+
+
+def reference_stopping_words(ifs, stop):
+    """Plain recursive enumeration of the cylinder tree: the words w whose
+    product satisfies stop(A_w) and no proper prefix does, in
+    lexicographic order, each product built node by node as A_w A_i."""
+    words = []
+
+    def visit(word, mat):
+        if stop(mat):
+            words.append(Word(word))
+            return
+        for i, m in enumerate(ifs.maps, start=1):
+            visit(word + (i,), mat @ m.linear.array)
+
+    for i, m in enumerate(ifs.maps, start=1):
+        visit((i,), m.linear.array)
+    return words
+
+
+def reference_witness(ifs, depth=6):
+    """Least proximal word of the shortest length, by brute force."""
+    for n in range(1, depth + 1):
+        for letters in itertools.product(range(1, ifs.n_maps + 1), repeat=n):
+            arr = ifs.word_matrix(letters)
+            tr = arr[0, 0] + arr[1, 1]
+            det = arr[0, 0] * arr[1, 1] - arr[0, 1] * arr[1, 0]
+            if tr * tr > 4.0 * det + 1e-14 and abs(tr) > 1e-14:
+                return Word(letters)
+    return None
+
+
+# (fixture, scale as a fraction of diam_upper, rho); sim3 is conformal,
+# alpha2 = alpha1, so only rho above its diameter lets the aspect stop
+FRONTIER_CASES = [("sim3", 0.003, 2.0), ("cone_ifs", 0.003, 0.02),
+                  ("positive_pair", 0.01, 0.05)]
+
+
+class TestFrontier:
+    @pytest.mark.parametrize("name,frac,rho", FRONTIER_CASES)
+    @pytest.mark.parametrize("criterion", ["by-alpha1", "by-alpha2-aspect",
+                                           "by-projected-diameter"])
+    def test_stopping_set_matches_recursion(self, request, name, frac, rho,
+                                            criterion):
+        ifs = request.getfixturevalue(name)
+        diam = ifs.diam_upper
+        r = frac * diam
+        v = ProjPoint(0.3)
+
+        def stop(mat):
+            a1, a2 = (x[0] for x in batch_singular_values(mat[None]))
+            if criterion == "by-alpha1":
+                return a1 * diam <= r
+            if criterion == "by-alpha2-aspect":
+                return a2 * diam < rho * a1 and a1 * diam <= r
+            return projected_diameter_bound(ifs, mat[None], v)[0] <= r
+
+        ref = reference_stopping_words(ifs, stop)
+        kw = dict(criterion=criterion, rho=rho, direction=v)
+        assert list(ifs.stopping_set(r, **kw).words) == ref
+        assert len(ifs.stopping_set(r, cap=len(ref), **kw)) == len(ref)
+        with pytest.raises(BudgetExceeded):
+            ifs.stopping_set(r, cap=len(ref) - 1, **kw)
+
+    @pytest.mark.parametrize("name", ["sim3", "cone_ifs", "positive_pair"])
+    def test_strictly_affine_witness_is_least_shortest(self, request, name):
+        ifs = request.getfixturevalue(name)
+        ref = reference_witness(ifs)
+        assert strictly_affine(ifs) == (ref is not None, ref)
+
+    def test_deep_walk_raises_instead_of_truncating(self):
+        # the slow map needs about 690 letters to reach the scale, past
+        # the deepest level the walk may enter
+        slow = Ifs([AffineMap(Matrix2(0.99, 0.0, 0.0, 0.99), (0.0, 0.0)),
+                    AffineMap(Matrix2(0.1, 0.0, 0.0, 0.1), (1.0, 0.0))])
+        with pytest.raises(BudgetExceeded):
+            slow.stopping_set(1e-3 * slow.diam_upper)
+
+
+def collinear_ifs(n_maps):
+    """Similarities of ratio 0.3 with translations on the line through 0
+    and (1, 2); the attractor is a Cantor set from 0 to (1, 2)."""
+    return Ifs([AffineMap(Matrix2(0.3, 0.0, 0.0, 0.3), (t, 2.0 * t))
+                for t in np.linspace(0.0, 0.7, n_maps)])
+
+
+class TestFlatClouds:
+    def test_collinear_diameter_bounds(self):
+        lo, hi = collinear_ifs(3).diam_bounds(depth=5)
+        assert lo <= math.sqrt(5.0) <= hi
+        assert hi - lo < 0.05
+
+    def test_collinear_cloud_is_exact_in_linear_memory(self):
+        t = rng(21).uniform(0.0, 1.0, size=2000)
+        pts = np.stack([t, 2.0 * t], axis=1)
+        exact = float(np.sqrt(((pts[t.argmax()] - pts[t.argmin()]) ** 2)
+                              .sum()))
+        tracemalloc.start()
+        try:
+            d = _cloud_diameter(pts)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert d == exact
+        # a pairwise difference array would take 2000^2 * 16 B = 64 MB
+        assert peak < 1_000_000
