@@ -31,7 +31,7 @@ class DiameterTable:
     """
 
     def __init__(self, ifs, n_grid=720, depth=8):
-        pts, errs = ifs._cylinder_centers(min(depth, _safe_depth(ifs, depth)))
+        pts, errs = ifs._cylinder_centers(ifs._fit_depth(depth))
         self.err = 2.0 * float(errs.max())
         self.thetas = np.linspace(0.0, PI, n_grid, endpoint=False)
         dirs = np.stack([np.cos(self.thetas), np.sin(self.thetas)])
@@ -46,12 +46,6 @@ class DiameterTable:
         k = np.rint(theta / self.step).astype(int) % len(self.thetas)
         d = np.abs(theta - self.thetas[k])
         return self.widths[k] + self.lip * np.minimum(d, PI - d) + self.err
-
-
-def _safe_depth(ifs, depth):
-    while ifs.n_maps ** depth > 500_000 and depth > 2:
-        depth -= 1
-    return depth
 
 
 def _diam_table(ifs):
@@ -120,7 +114,7 @@ def ssc_check(ifs, depth=6, cap=None):
         raise ValueError("depth must be >= 2")
     if ifs.n_maps < 2:
         raise ValueError("need at least two maps")
-    depth = _safe_depth(ifs, depth)
+    depth = ifs._fit_depth(depth)
     groups = _first_level_clouds(ifs, depth, cap)
     lo = math.inf
     hi = math.inf
@@ -139,7 +133,7 @@ def ssc_check(ifs, depth=6, cap=None):
         # three successive depths to be called an overlap
         persists = True
         for d2 in (depth, depth + 1, depth + 2):
-            d2 = _safe_depth(ifs, d2)
+            d2 = ifs._fit_depth(d2)
             g2 = _first_level_clouds(ifs, d2, cap)
             hit = False
             for i in range(ifs.n_maps):
@@ -174,12 +168,12 @@ class PoscReport:
                 "appears_to_hold": self.appears_to_hold}
 
 
-def _proj_stopping(ifs, v, r, cap, prune=None):
+def _proj_stopping(ifs, v, r, cap):
     """Cylinders, in lexicographic word order, that stop once the
     certified projected diameter bound in direction v is at most r."""
     return ifs.frontier(
         lambda mats, pts, a1: projected_diameter_bound(ifs, mats, v) <= r,
-        prune, cap, lex=True)
+        cap=cap, lex=True)
 
 
 def posc_check(ifs, depth=6, v_grid_size=5, x_samples=64, directions=None,
@@ -232,8 +226,14 @@ def posc_check(ifs, depth=6, v_grid_size=5, x_samples=64, directions=None,
                 / np.maximum(diams[ia], diams[ib])
             j = int(np.argmin(vals))
             if vals[j] < eta_k:
-                eta_k = vals[j]
-                witness = (v, found.word(ifs, ia[j]), found.word(ifs, ib[j]))
+                # recompute the winning pair from its composed maps; the
+                # differences phi_w(c) - A_w c above carry extra rounding
+                pair = (found.word(ifs, ia[j]), found.word(ifs, ib[j]))
+                t = [(xs @ found.mats[i].T + ifs.compose_word(w).v) @ u
+                     for i, w in zip((ia[j], ib[j]), pair)]
+                eta_k = np.abs(t[0] - t[1]).max() \
+                    / max(np.ptp(t[0]), np.ptp(t[1]), 1e-300)
+                witness = (v,) + pair
         if math.isfinite(eta_k):
             eta_by_depth[k] = float(eta_k)
     if not eta_by_depth:
@@ -266,7 +266,9 @@ def sigma_count(ifs, v, x, r, cap=None):
             * ifs.ball_radius
         return np.abs(pts @ u - t0) > r + half
 
-    words = _proj_stopping(ifs, v, r, cap, prune=misses).words(ifs)
+    words = ifs.frontier(
+        lambda mats, pts, a1: projected_diameter_bound(ifs, mats, v) <= r,
+        misses, cap, lex=True).words(ifs)
     return len(words), words
 
 
@@ -597,7 +599,7 @@ def _projected_hulls(ifs, v, depth, cap=None):
 def hausdorff_content_projection(ifs, v, s, depth=8, cap=None):
     """Content of the projection of X to the line perpendicular to v,
     computed from the depth-n projected cylinder hull cover."""
-    depth = _safe_depth(ifs, depth)
+    depth = ifs._fit_depth(depth)
     lo, hi = _projected_hulls(ifs, v, depth, cap)
     value = interval_content(zip(lo, hi), s)
     return ContentEstimate(s, v, value, depth)

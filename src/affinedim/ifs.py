@@ -153,10 +153,6 @@ class AffineMap:
         return singular_values(self.linear)[0] < 1.0
 
 
-def identity_map():
-    return AffineMap(Matrix2(1.0, 0.0, 0.0, 1.0), (0.0, 0.0))
-
-
 @dataclass(frozen=True)
 class Word:
     """Finite word over the alphabet {1, ..., N}; empty word allowed."""
@@ -256,7 +252,7 @@ class Ifs:
 
     def compose_word(self, word):
         """phi_w = phi_{w1} o ... o phi_{wn}; the empty word gives the identity."""
-        out = identity_map()
+        out = AffineMap(Matrix2(1.0, 0.0, 0.0, 1.0), (0.0, 0.0))
         for letter in word:
             out = out.compose(self.map_for(letter))
         return out
@@ -322,10 +318,7 @@ class Ifs:
         key = ("diam", depth)
         if key in self._cache:
             return self._cache[key]
-        cap = word_cap(cap)
-        while self.n_maps ** depth > min(cap, 500_000) and depth > 2:
-            depth -= 1
-        pts, errs = self._cylinder_centers(depth)
+        pts, errs = self._cylinder_centers(self._fit_depth(depth, cap), cap)
         d = _cloud_diameter(pts)
         e = 2.0 * errs.max()
         bounds = (max(d - e, 0.0), d + e)
@@ -335,6 +328,14 @@ class Ifs:
     @property
     def diam_upper(self):
         return self.diam_bounds()[1]
+
+    def _fit_depth(self, depth, cap=None):
+        """The depth, lowered to at least 2 until a full level fits in
+        min(cap, 500_000) words."""
+        limit = min(word_cap(cap), 500_000)
+        while self.n_maps ** depth > limit and depth > 2:
+            depth -= 1
+        return depth
 
     def _cylinder_centers(self, depth, cap=None):
         """Centers and error radii of all depth-n cylinders, vectorized,

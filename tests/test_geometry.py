@@ -94,6 +94,19 @@ class TestPosc:
         assert not rep.appears_to_hold
         assert rep.trend < -0.05
 
+    def test_word_cap_lowers_the_diameter_table(self, carpet_spec,
+                                                monkeypatch):
+        # 5^8 cylinder centres would exceed the cap; the diameter table
+        # falls back to depth 6 (5^6 <= 20000) instead of raising
+        monkeypatch.setenv("AFFINEDIM_WORD_CAP", "20000")
+        ifs = to_ifs(carpet_spec)
+        rep = posc_check(ifs)
+        assert sorted(rep.eta_by_depth) == [2, 3, 4, 5, 6]
+        assert not rep.appears_to_hold
+        v = ProjPoint(PI / 2.0)
+        n, words = sigma_count(ifs, v, ifs.ball_center, 0.1)
+        assert n == len(words) >= 1
+
 
 class TestSigmaCount:
     def test_counts_and_words(self, cone_ifs):
