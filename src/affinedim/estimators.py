@@ -65,12 +65,28 @@ def grid_count(points, delta, anchor):
 
     Boxes are half-open except the last one along each axis, so points
     sitting exactly on the far edge do not spawn a phantom extra box.
+    Each occupied cell gets one int64 key, and the distinct keys are
+    counted; DegenerateRange is raised when the cells span more keys than
+    an int64 holds.
     """
+    if len(points) == 0:
+        return 0
     scaled = (points - anchor) / delta
     cells = np.floor(scaled).astype(np.int64)
     top = np.maximum(np.ceil(scaled.max(axis=0)).astype(np.int64) - 1, 0)
-    cells = np.minimum(cells, top)
-    return len(np.unique(cells, axis=0))
+    cells = np.minimum(cells, top).reshape(len(points), -1)
+    # rounding can put a point one cell below the anchor, so shift each
+    # axis to start at 0 before the cells are linearised
+    lo = cells.min(axis=0)
+    spans = [int(h) - int(l) + 1 for h, l in zip(cells.max(axis=0), lo)]
+    if math.prod(spans) > np.iinfo(np.int64).max:
+        raise DegenerateRange(f"grid of {spans} cells overflows an int64 key")
+    cells -= lo
+    keys = cells[:, 0]
+    for k in range(1, cells.shape[1]):
+        keys = keys * spans[k] + cells[:, k]
+    keys.sort()
+    return int(np.count_nonzero(keys[1:] != keys[:-1])) + 1
 
 
 def box_dim(cloud, scale_lo=None, scale_hi=None, base=2.0):

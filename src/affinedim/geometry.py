@@ -8,7 +8,7 @@ import math
 
 import numpy as np
 from scipy.optimize import brentq
-from scipy.spatial import cKDTree
+from scipy.spatial import ConvexHull, QhullError, cKDTree
 
 from .config import word_cap
 from .errors import BudgetExceeded, DegenerateRange, HypothesisViolated, \
@@ -35,6 +35,12 @@ class DiameterTable:
         self.err = 2.0 * float(errs.max())
         self.thetas = np.linspace(0.0, PI, n_grid, endpoint=False)
         dirs = np.stack([np.cos(self.thetas), np.sin(self.thetas)])
+        # a linear function is largest on a hull vertex, so only the hull
+        # is projected; a flat cloud has no hull and is projected whole
+        try:
+            pts = pts[ConvexHull(pts).vertices]
+        except QhullError:
+            pass
         proj = pts @ dirs
         self.widths = proj.max(axis=0) - proj.min(axis=0)
         self.step = PI / n_grid
@@ -129,10 +135,10 @@ def ssc_check(ifs, depth=6, cap=None):
     if lo > 0:
         return SscReport("Certified", lo, hi, depth)
     if touching:
-        # persistence test: the intersecting-ball condition must survive
-        # three successive depths to be called an overlap
+        # persistence test: the intersecting-ball condition, just seen at
+        # depth, must survive the next two depths to be called an overlap
         persists = True
-        for d2 in (depth, depth + 1, depth + 2):
+        for d2 in (depth + 1, depth + 2):
             d2 = ifs._fit_depth(d2)
             g2 = _first_level_clouds(ifs, d2, cap)
             hit = False

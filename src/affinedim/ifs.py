@@ -339,15 +339,22 @@ class Ifs:
 
     def _cylinder_centers(self, depth, cap=None):
         """Centers and error radii of all depth-n cylinders, vectorized,
-        in the lexicographic order of level_products."""
+        in the lexicographic order of level_products.  Both arrays are
+        cached by depth and read-only."""
         mats = self.level_products(depth, cap)
-        pts = self.ball_center[None]
-        for _ in range(depth):
-            # prepend a letter: phi_i applied after phi_w requires building
-            # from the left; p_{iw} = A_i p_w + v_i keeps lexicographic order
-            pts = (np.einsum("ipq,wq->iwp", self.lins, pts)
-                   + self.vs[:, None, :]).reshape(-1, 2)
-        return pts, batch_singular_values(mats)[0] * self.ball_radius
+        key = ("centers", depth)
+        if key not in self._cache:
+            pts = self.ball_center[None]
+            for _ in range(depth):
+                # prepend a letter: phi_i applied after phi_w requires
+                # building from the left; p_{iw} = A_i p_w + v_i keeps
+                # lexicographic order
+                pts = (np.einsum("ipq,wq->iwp", self.lins, pts)
+                       + self.vs[:, None, :]).reshape(-1, 2)
+            errs = batch_singular_values(mats)[0] * self.ball_radius
+            pts.flags.writeable = errs.flags.writeable = False
+            self._cache[key] = pts, errs
+        return self._cache[key]
 
     # -- cylinder frontier --------------------------------------------------
 

@@ -5,6 +5,7 @@ import pytest
 
 from affinedim.cli import EXIT_CONDITION, EXIT_INPUT, EXIT_OK, InputError, \
     fixture_path, load_input, main
+from affinedim.ifs import Ifs
 
 from conftest import FIXTURE_DIR
 
@@ -80,6 +81,23 @@ class TestExitCodes:
                      "--out", str(out)]) == EXIT_CONDITION
         rep = json.loads(out.read_text())
         assert rep["ssc"]["separated"] == "Overlap"
+
+    def test_check_square4_builds_each_cloud_once(self, tmp_path,
+                                                  monkeypatch):
+        clouds = {}
+        centers = Ifs._cylinder_centers
+
+        def spy(self, depth, cap=None):
+            out = centers(self, depth, cap)
+            clouds.setdefault(depth, []).append(out[0])
+            return out
+
+        monkeypatch.setattr(Ifs, "_cylinder_centers", spy)
+        main(["check", "--input", fx("square4.json"),
+              "--out", str(tmp_path / "check.json")])
+        assert 6 in clouds
+        for depth, seen in clouds.items():
+            assert all(pts is seen[0] for pts in seen), depth
 
 
 class TestCommands:

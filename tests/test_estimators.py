@@ -29,7 +29,58 @@ def cantor_dust(level=8):
     return PointCloud(pts, 3.0 ** -level)
 
 
+def unique_cells(points, delta, anchor):
+    """Reference count: distinct clamped grid cells, one row per point."""
+    scaled = (points - anchor) / delta
+    cells = np.floor(scaled).astype(np.int64)
+    top = np.maximum(np.ceil(scaled.max(axis=0)).astype(np.int64) - 1, 0)
+    cells = np.minimum(cells, top)
+    return len(np.unique(cells, axis=0))
+
+
 class TestGridCount:
+    @pytest.mark.parametrize("shape", [(3000,), (3000, 1), (3000, 2)])
+    def test_matches_unique_cells_on_random_clouds(self, shape):
+        g = np.random.Generator(np.random.Philox(key=5))
+        for _ in range(3):
+            pts = g.uniform(-1.0, 2.0, size=shape)
+            anchor = pts.min(axis=0)
+            for delta in (1.0, 0.3, 0.07, 0.011, 1e-3, 1e-5):
+                assert grid_count(pts, delta, anchor) \
+                    == unique_cells(pts, delta, anchor)
+
+    def test_far_edge_and_below_anchor_match_unique_cells(self):
+        g = np.random.Generator(np.random.Philox(key=6))
+        pts = g.uniform(size=(400, 2))
+        # points on the far edge, and an ulp below the anchor, where
+        # rounding puts a cell at -1
+        pts[:40, 0] = 1.0
+        pts[40:80, 1] = 1.0
+        pts[80:120] = np.nextafter(0.0, -1.0)
+        pts[120:160, 0] = np.nextafter(0.0, -1.0)
+        for delta in (0.5, 0.25, 0.1, 1.0 / 64, 0.003):
+            assert grid_count(pts, delta, np.zeros(2)) \
+                == unique_cells(pts, delta, np.zeros(2))
+
+    def test_duplicated_points_count_once(self):
+        g = np.random.Generator(np.random.Philox(key=7))
+        base = g.uniform(size=(300, 2))
+        pts = g.permutation(np.repeat(base, 4, axis=0))
+        for delta in (0.2, 0.01, 1e-4):
+            n = grid_count(pts, delta, np.zeros(2))
+            assert n == unique_cells(pts, delta, np.zeros(2))
+            assert n == grid_count(base, delta, np.zeros(2))
+
+    def test_empty_cloud_has_no_boxes(self):
+        assert grid_count(np.zeros((0, 2)), 0.1, np.zeros(2)) == 0
+
+    def test_key_overflow_is_refused(self):
+        pts = np.array([[0.0, 0.0], [1.0, 1.0], [0.5, 0.25]])
+        # 2^31 cells per axis still fit in one int64 key
+        assert grid_count(pts, 2.0 ** -31, np.zeros(2)) == 3
+        with pytest.raises(DegenerateRange):
+            grid_count(pts, 1e-10, np.zeros(2))
+
     def test_counts_occupied_cells(self):
         pts = np.array([[0.05, 0.05], [0.95, 0.95], [0.06, 0.04]])
         assert grid_count(pts, 0.5, np.zeros(2)) == 2

@@ -3,10 +3,12 @@ import math
 
 import numpy as np
 import pytest
+from scipy.spatial import ConvexHull, QhullError
 
+from affinedim import geometry
 from affinedim.carpets import CarpetSpec, fraser_lower, to_ifs
 from affinedim.errors import HypothesisViolated, NotSeparated
-from affinedim.geometry import approximate_square_counts, \
+from affinedim.geometry import DiameterTable, approximate_square_counts, \
     bochi_morris_scan, brute_force_content, content_consistency, \
     grid_carpet_digits, hausdorff_content_projection, interval_content, \
     posc_check, projected_gap, sigma_count, slice_points, slice_root, \
@@ -80,6 +82,40 @@ class TestSsc:
     def test_projection_overlap_fixture_still_separated(self, overlap_ifs):
         # the collision is arranged along one projection direction only
         assert ssc_check(overlap_ifs).separated == "Certified"
+
+    def test_persistence_starts_below_the_checked_depth(self, square4,
+                                                         monkeypatch):
+        depths = []
+        clouds = geometry._first_level_clouds
+
+        def spy(ifs, depth, cap):
+            depths.append(depth)
+            return clouds(ifs, depth, cap)
+
+        monkeypatch.setattr(geometry, "_first_level_clouds", spy)
+        assert ssc_check(square4).separated == "Overlap"
+        assert depths == [6, 7, 8]
+
+
+class TestDiameterTable:
+    @pytest.mark.parametrize("name", ["sim3", "cantor2", "square4",
+                                      "positive_pair", "cone_ifs",
+                                      "overlap_ifs", "carpet_ifs"])
+    def test_hull_widths_match_the_full_cloud(self, name, request):
+        ifs = request.getfixturevalue(name)
+        table = DiameterTable(ifs)
+        pts, _ = ifs._cylinder_centers(ifs._fit_depth(8))
+        if name == "cantor2":
+            # a flat cloud: the table projects the whole cloud
+            with pytest.raises(QhullError):
+                ConvexHull(pts)
+        # project the full cloud a few directions at a time, so the carpet's
+        # 5^8 centres never make a (points x 720) array
+        widths = []
+        for thetas in np.array_split(table.thetas, 30):
+            proj = pts @ np.stack([np.cos(thetas), np.sin(thetas)])
+            widths.append(proj.max(axis=0) - proj.min(axis=0))
+        assert np.array_equal(table.widths, np.concatenate(widths))
 
 
 class TestPosc:

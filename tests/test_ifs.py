@@ -180,6 +180,17 @@ class TestStoppingSets:
             cone_ifs.stopping_set(cone_ifs.diam_upper * 1e-9, cap=1000)
 
 
+class TestCylinderCenters:
+    def test_cached_read_only_and_capped(self, cone_ifs):
+        pts, errs = cone_ifs._cylinder_centers(5)
+        again = cone_ifs._cylinder_centers(5)
+        assert again[0] is pts and again[1] is errs
+        assert not pts.flags.writeable and not errs.flags.writeable
+        # the word cap holds on a cache hit too
+        with pytest.raises(BudgetExceeded):
+            cone_ifs._cylinder_centers(5, cap=3 ** 5 - 1)
+
+
 class TestAttractorSample:
     def test_cylinder_centers_resolution(self, cone_ifs):
         cloud = cone_ifs.attractor_sample(0.002)
