@@ -526,43 +526,50 @@ def tangent_dimension_scan(ifs, n_tangents=8, scales=None, seed=0,
 
 
 def interval_content(intervals, s):
-    """s-content of a finite union of closed intervals via the largest-gap
-    splitting recursion: min(hull^s, content(left) + content(right)).
-    Exact for s <= 1."""
+    """Largest-gap estimate of the s-content of a finite union of closed
+    intervals.
+
+    The merged union is split recursively at its leftmost largest gap, and
+    each block costs min(hull^s, cost(left) + cost(right)).  That is the
+    cost of one cover by block hulls, so it bounds the s-content from
+    above: it is the merged length at s = 1, but for s < 1 it can exceed
+    the exact block DP of `brute_force_content`.
+
+    The split tree is built bottom-up: adjacent blocks merge in ascending
+    gap order, equal gaps right to left, which gives the same blocks with
+    the same operands.
+    """
     if not 0.0 < s <= 1.0:
         raise ValueError("s must be in (0, 1]")
-    ivs = sorted((float(a), float(b)) for a, b in intervals if b > a)
-    if not ivs:
+    if not isinstance(intervals, np.ndarray):
+        intervals = list(intervals)
+    ivs = np.asarray(intervals, dtype=float).reshape(len(intervals), 2)
+    a, b = ivs[ivs[:, 1] > ivs[:, 0]].T
+    if len(a) == 0:
         return 0.0
-    merged = [list(ivs[0])]
-    for a, b in ivs[1:]:
-        if a <= merged[-1][1]:
-            merged[-1][1] = max(merged[-1][1], b)
-        else:
-            merged.append([a, b])
-    starts = np.array([a for a, _ in merged])
-    ends = np.array([b for _, b in merged])
+    order = np.lexsort((b, a))
+    a, b = a[order], b[order]
+    reach = np.maximum.accumulate(b)
+    opens = np.concatenate(([True], a[1:] > reach[:-1]))
+    closes = np.append(opens[1:], True)
+    starts, ends = a[opens], reach[closes]
+    gaps = starts[1:] - ends[:-1]
+    merge_order = np.lexsort((-np.arange(len(gaps)), gaps)).tolist()
 
-    # explicit stack, since the split tree can be deep
-    total = 0.0
-    stack = [(0, len(merged) - 1)]
-    memo = {}
-    order = []
-    while stack:
-        lo, hi = stack.pop()
-        if (lo, hi) in memo:
-            continue
-        if lo == hi:
-            memo[(lo, hi)] = (ends[hi] - starts[lo]) ** s
-            continue
-        gaps = starts[lo + 1:hi + 1] - ends[lo:hi]
-        k = lo + int(np.argmax(gaps))
-        if ((lo, k) in memo) and ((k + 1, hi) in memo):
-            memo[(lo, hi)] = min((ends[hi] - starts[lo]) ** s,
-                                 memo[(lo, k)] + memo[(k + 1, hi)])
-        else:
-            stack.extend([(lo, hi), (lo, k), (k + 1, hi)])
-    return memo[(0, len(merged) - 1)]
+    # cost[i] is the cost of the block whose first interval is i; the
+    # block ending at interval j starts at first[j], the one starting at
+    # i ends at last[i].  Gap k joins the block ending at k to the one
+    # starting at k + 1.
+    starts, ends = starts.tolist(), ends.tolist()
+    cost = [(hi - lo) ** s for lo, hi in zip(starts, ends)]
+    first = list(range(len(starts)))
+    last = list(range(len(starts)))
+    for k in merge_order:
+        lo, hi = first[k], last[k + 1]
+        cost[lo] = min((ends[hi] - starts[lo]) ** s, cost[lo] + cost[k + 1])
+        last[lo] = hi
+        first[hi] = lo
+    return cost[0]
 
 
 def brute_force_content(intervals, s):
@@ -574,8 +581,10 @@ def brute_force_content(intervals, s):
         return 0.0
     best = [0.0] + [math.inf] * n
     for i in range(1, n + 1):
-        for j in range(i):
-            best[i] = min(best[i], best[j] + (ivs[i - 1][1] - ivs[j][0]) ** s)
+        right = -math.inf   # a block's hull ends at its largest end
+        for j in range(i - 1, -1, -1):
+            right = max(right, ivs[j][1])
+            best[i] = min(best[i], best[j] + (right - ivs[j][0]) ** s)
     return best[n]
 
 
@@ -607,7 +616,7 @@ def hausdorff_content_projection(ifs, v, s, depth=8, cap=None):
     computed from the depth-n projected cylinder hull cover."""
     depth = ifs._fit_depth(depth)
     lo, hi = _projected_hulls(ifs, v, depth, cap)
-    value = interval_content(zip(lo, hi), s)
+    value = interval_content(np.column_stack((lo, hi)), s)
     return ContentEstimate(s, v, value, depth)
 
 

@@ -23,6 +23,50 @@ def rng(seed=0):
     return np.random.Generator(np.random.Philox(key=seed))
 
 
+def top_down_content(intervals, s):
+    """The largest-gap recursion as first written, top-down with a memo:
+    the reference that `interval_content` must match bit for bit."""
+    ivs = sorted((float(a), float(b)) for a, b in intervals if b > a)
+    if not ivs:
+        return 0.0
+    merged = [list(ivs[0])]
+    for a, b in ivs[1:]:
+        if a <= merged[-1][1]:
+            merged[-1][1] = max(merged[-1][1], b)
+        else:
+            merged.append([a, b])
+    starts = np.array([a for a, _ in merged])
+    ends = np.array([b for _, b in merged])
+    stack = [(0, len(merged) - 1)]
+    memo = {}
+    while stack:
+        lo, hi = stack.pop()
+        if (lo, hi) in memo:
+            continue
+        if lo == hi:
+            memo[(lo, hi)] = (ends[hi] - starts[lo]) ** s
+            continue
+        gaps = starts[lo + 1:hi + 1] - ends[lo:hi]
+        k = lo + int(np.argmax(gaps))
+        if ((lo, k) in memo) and ((k + 1, hi) in memo):
+            memo[(lo, hi)] = min((ends[hi] - starts[lo]) ** s,
+                                 memo[(lo, k)] + memo[(k + 1, hi)])
+        else:
+            stack.extend([(lo, hi), (lo, k), (k + 1, hi)])
+    return memo[(0, len(merged) - 1)]
+
+
+def merged_length(intervals):
+    """Total length of a union of intervals, by a plain merge."""
+    total, end = 0.0, -math.inf
+    for a, b in sorted(iv for iv in intervals if iv[1] > iv[0]):
+        if a > end:
+            total, end = total + (b - a), b
+        elif b > end:
+            total, end = total + (b - end), b
+    return total
+
+
 def brute_force_square_counts(spec, word, depth, n_scales):
     """Distinct level-(depth + j) approximate squares inside
     Q_depth(word), j = 0..n_scales, by enumerating continuations of the
@@ -276,6 +320,71 @@ class TestContent:
             s = float(g.uniform(0.1, 1.0))
             assert interval_content(ivs, s) \
                 == pytest.approx(brute_force_content(ivs, s), rel=1e-10)
+
+    def test_between_block_dp_and_hull(self):
+        # the largest-gap tree is one family of block covers, so it bounds
+        # the exact block DP from above; at s = 1 both give the length.
+        # A nested interval must not shorten its block's hull:
+        assert brute_force_content([(0.0, 1.0), (0.1, 0.2)], 0.5) == 1.0
+        g = rng(53)
+        excess = 0
+        for _ in range(500):
+            m = int(g.integers(2, 14))
+            lo = g.uniform(size=m)
+            ivs = list(zip(lo, lo + g.uniform(0.0, 0.2, size=m)))
+            s = float(g.uniform(0.1, 1.0))
+            hull = max(b for _, b in ivs) - min(a for a, _ in ivs)
+            exact = brute_force_content(ivs, s)
+            value = interval_content(ivs, s)
+            assert exact <= value + 1e-12
+            assert value <= hull ** s + 1e-12
+            excess += value > exact * (1.0 + 1e-9)
+            length = merged_length(ivs)
+            assert interval_content(ivs, 1.0) \
+                == pytest.approx(length, rel=1e-12)
+            assert brute_force_content(ivs, 1.0) \
+                == pytest.approx(length, rel=1e-12)
+        assert excess > 0
+
+    def test_matches_top_down_recursion(self):
+        g = rng(54)
+        unions = [[], [(0.1, 0.5), (0.1, 0.5)], [(0.0, 1.0), (0.2, 0.3)],
+                  [(0.0, 0.5), (0.5, 1.0), (1.5, 2.0)],
+                  [(0.3, 0.3), (1.0, 2.0)], [(2.0, 1.0), (0.0, 0.5)],
+                  [(0.0, 1.0), (2.0, 3.0), (4.0, 5.0), (6.0, 7.0)]]
+        for _ in range(300):
+            m = int(g.integers(1, 30))
+            # rounded endpoints give equal gaps, duplicates and reversals
+            unions.append(np.round(g.uniform(0, 5, size=(m, 2)), 1).tolist())
+        for ivs in unions:
+            for s in (0.3, 0.5, float(g.uniform(0.05, 1.0)), 1.0):
+                assert interval_content(ivs, s) == top_down_content(ivs, s)
+
+    def test_projected_hulls_match_top_down_recursion(self, cone_ifs,
+                                                      overlap_ifs):
+        for ifs in (cone_ifs, overlap_ifs):
+            for theta in np.linspace(0.0, PI, 6, endpoint=False):
+                lo, hi = geometry._projected_hulls(ifs, ProjPoint(theta), 8)
+                ivs = np.column_stack((lo, hi))
+                for s in (0.37, 0.81, 1.0):
+                    ref = top_down_content(zip(lo, hi), s)
+                    assert interval_content(ivs, s) == ref
+                    # a list of rows, as perfbench's tracer passes it on
+                    assert interval_content(list(ivs), s) == ref
+
+    def test_increasing_gap_chain(self):
+        # every gap exceeds all gaps to its left, so the split tree is a
+        # chain as deep as the union (quadratic for the top-down recursion).
+        # ell and the gaps are multiples of 2^-30 and every end stays below
+        # 2^23, so all endpoints and lengths are exact
+        n = 50_000
+        ell = round(1e-3 * 2 ** 30) / 2 ** 30
+        gaps = 1.0 + np.arange(n - 1) / 256.0
+        lo = np.concatenate(([0.0], np.cumsum(ell + gaps)))
+        ivs = np.column_stack((lo, lo + ell))
+        assert interval_content(ivs, 1.0) == pytest.approx(n * ell, rel=1e-12)
+        assert interval_content(ivs, 0.5) \
+            == pytest.approx(n * ell ** 0.5, rel=1e-9)
 
     def test_projection_content_refines_downward(self, overlap_ifs):
         s, _ = affinity_dimension(overlap_ifs)
