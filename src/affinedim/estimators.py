@@ -156,48 +156,43 @@ def _covering_count(points, center, R, r):
     return grid_count(local, r, center - R)
 
 
+def _two_scale_exponents(cloud, pairs, n_centers, seed):
+    """log N(B(x,R), r) / log(R/r) for every count N >= 1, over the sampled
+    centers x (cloud points) and the scale pairs (R, r)."""
+    if pairs is None:
+        pairs = _default_pairs(cloud)
+    for R, r in pairs:
+        if r < 2.0 * cloud.resolution or R / r < 8.0:
+            raise DegenerateRange(f"bad scale pair ({R}, {r})")
+    rng = np.random.Generator(np.random.Philox(key=seed))
+    idx = rng.choice(len(cloud), size=min(n_centers, len(cloud)), replace=False)
+    out = []
+    for center in cloud.points[idx]:
+        for R, r in pairs:
+            n = _covering_count(cloud.points, center, R, r)
+            if n >= 1:
+                out.append(math.log(n) / math.log(R / r))
+    return out
+
+
 def assouad_two_scale(cloud, pairs=None, n_centers=32, seed=7):
     """Localized covering exponent, maximized over centers and scale pairs.
 
     max over x and (R, r) of log N(B(x,R), r) / log(R/r): a finite-sample
     lower estimate of the Assouad dimension.
     """
-    if pairs is None:
-        pairs = _default_pairs(cloud)
-    for R, r in pairs:
-        if r < 2.0 * cloud.resolution or R / r < 8.0:
-            raise DegenerateRange(f"bad scale pair ({R}, {r})")
-    rng = np.random.Generator(np.random.Philox(key=seed))
-    idx = rng.choice(len(cloud), size=min(n_centers, len(cloud)), replace=False)
-    best = 0.0
-    for center in cloud.points[idx]:
-        for R, r in pairs:
-            n = _covering_count(cloud.points, center, R, r)
-            if n > 1:
-                best = max(best, math.log(n) / math.log(R / r))
-    return best
+    return max(_two_scale_exponents(cloud, pairs, n_centers, seed),
+               default=0.0)
 
 
 def lower_two_scale(cloud, pairs=None, n_centers=32, seed=7):
     """Minimized localized covering exponent: an upper estimate of the
     lower dimension.  Centers are cloud points, as the definition
     quantifies over x in the set itself."""
-    if pairs is None:
-        pairs = _default_pairs(cloud)
-    for R, r in pairs:
-        if r < 2.0 * cloud.resolution or R / r < 8.0:
-            raise DegenerateRange(f"bad scale pair ({R}, {r})")
-    rng = np.random.Generator(np.random.Philox(key=seed))
-    idx = rng.choice(len(cloud), size=min(n_centers, len(cloud)), replace=False)
-    worst = math.inf
-    for center in cloud.points[idx]:
-        for R, r in pairs:
-            n = _covering_count(cloud.points, center, R, r)
-            if n >= 1:
-                worst = min(worst, math.log(max(n, 1)) / math.log(R / r))
-    if not math.isfinite(worst):
+    exponents = _two_scale_exponents(cloud, pairs, n_centers, seed)
+    if not exponents:
         raise DegenerateRange("no usable center/scale pair")
-    return worst
+    return min(exponents)
 
 
 def regularity_diagnostic(cloud, weights, s, radii=None, n_centers=24, seed=3,

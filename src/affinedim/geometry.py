@@ -4,17 +4,18 @@ the transversality derivative of projected distances.
 """
 
 from dataclasses import dataclass
+import itertools
 import math
 
 import numpy as np
 from scipy.optimize import brentq
-from scipy.spatial import ConvexHull, QhullError, cKDTree
+from scipy.spatial import cKDTree
 
 from .config import word_cap
 from .errors import BudgetExceeded, DegenerateRange, HypothesisViolated, \
     NotDominated, NotSeparated
 from .estimators import PointCloud, box_dim
-from .ifs import batch_singular_values
+from .ifs import batch_singular_values, hull_vertices
 from .projective import PI, ProjPoint, furstenberg_directions
 from .thermo import affinity_dimension, equilibrium_state
 
@@ -36,12 +37,8 @@ class DiameterTable:
         self.thetas = np.linspace(0.0, PI, n_grid, endpoint=False)
         dirs = np.stack([np.cos(self.thetas), np.sin(self.thetas)])
         # a linear function is largest on a hull vertex, so only the hull
-        # is projected; a flat cloud has no hull and is projected whole
-        try:
-            pts = pts[ConvexHull(pts).vertices]
-        except QhullError:
-            pass
-        proj = pts @ dirs
+        # is projected
+        proj = hull_vertices(pts) @ dirs
         self.widths = proj.max(axis=0) - proj.min(axis=0)
         self.step = PI / n_grid
         self.lip = 2.0 * float(ifs.diam_upper)
@@ -92,8 +89,8 @@ class SscReport:
                 "delta_upper": self.delta_upper, "depth": self.depth}
 
 
-def _first_level_clouds(ifs, depth, cap):
-    pts, errs = ifs._cylinder_centers(depth, cap)
+def _first_level_clouds(ifs, depth):
+    pts, errs = ifs._cylinder_centers(depth)
     per = ifs.n_maps ** (depth - 1)
     groups = [(pts[i * per:(i + 1) * per], errs[i * per:(i + 1) * per])
               for i in range(ifs.n_maps)]
@@ -109,7 +106,21 @@ def _pair_gap(groups, i, j):
     return float(d[k]), float(ei[k] + ej[idx[k]])
 
 
-def ssc_check(ifs, depth=6, cap=None):
+def _pair_scan(ifs, depth):
+    """(least gap - error, least gap + error, whether some pair of
+    cylinder balls intersects) over the first-level pairs at depth."""
+    groups = _first_level_clouds(ifs, depth)
+    lo = hi = math.inf
+    touching = False
+    for i, j in itertools.combinations(range(ifs.n_maps), 2):
+        d, err = _pair_gap(groups, i, j)
+        lo = min(lo, d - err)
+        hi = min(hi, d + err)
+        touching = touching or d < err
+    return lo, hi, touching
+
+
+def ssc_check(ifs, depth=6):
     """Tri-state strong separation check from cylinder-center clouds.
 
     Certified: every first-level pair has positive certified gap.
@@ -121,37 +132,14 @@ def ssc_check(ifs, depth=6, cap=None):
     if ifs.n_maps < 2:
         raise ValueError("need at least two maps")
     depth = ifs._fit_depth(depth)
-    groups = _first_level_clouds(ifs, depth, cap)
-    lo = math.inf
-    hi = math.inf
-    touching = False
-    for i in range(ifs.n_maps):
-        for j in range(i + 1, ifs.n_maps):
-            d, err = _pair_gap(groups, i, j)
-            lo = min(lo, d - err)
-            hi = min(hi, d + err)
-            if d < err:
-                touching = True
+    lo, hi, touching = _pair_scan(ifs, depth)
     if lo > 0:
         return SscReport("Certified", lo, hi, depth)
-    if touching:
-        # persistence test: the intersecting-ball condition, just seen at
-        # depth, must survive the next two depths to be called an overlap
-        persists = True
-        for d2 in (depth + 1, depth + 2):
-            d2 = ifs._fit_depth(d2)
-            g2 = _first_level_clouds(ifs, d2, cap)
-            hit = False
-            for i in range(ifs.n_maps):
-                for j in range(i + 1, ifs.n_maps):
-                    dd, err = _pair_gap(g2, i, j)
-                    if dd < err:
-                        hit = True
-            if not hit:
-                persists = False
-                break
-        if persists:
-            return SscReport("Overlap", 0.0, max(hi, 0.0), depth)
+    # persistence test: the intersecting-ball condition, just seen at
+    # depth, must survive the next two depths to be called an overlap
+    if touching and all(_pair_scan(ifs, ifs._fit_depth(d))[2]
+                        for d in (depth + 1, depth + 2)):
+        return SscReport("Overlap", 0.0, max(hi, 0.0), depth)
     return SscReport("Unknown", 0.0, max(hi, 0.0), depth)
 
 
@@ -174,7 +162,7 @@ class PoscReport:
                 "appears_to_hold": self.appears_to_hold}
 
 
-def _proj_stopping(ifs, v, r, cap):
+def _proj_stopping(ifs, v, r, cap=None):
     """Cylinders, in lexicographic word order, that stop once the
     certified projected diameter bound in direction v is at most r."""
     return ifs.frontier(
@@ -183,7 +171,7 @@ def _proj_stopping(ifs, v, r, cap):
 
 
 def posc_check(ifs, depth=6, v_grid_size=5, x_samples=64, directions=None,
-               cap=None, seed=0):
+               seed=0):
     """Empirical projective open set condition scan.
 
     For directions V on a grid over the limit-direction intervals and for
@@ -210,7 +198,7 @@ def posc_check(ifs, depth=6, v_grid_size=5, x_samples=64, directions=None,
             u = _axis(v)
             r = _diam_table(ifs).upper(v.angle + PI / 2.0) * 2.0 ** (-k)
             try:
-                found = _proj_stopping(ifs, v, r, min(word_cap(cap), 4000))
+                found = _proj_stopping(ifs, v, r, min(word_cap(), 4000))
             except BudgetExceeded:
                 continue
             if len(found) < 2:
@@ -256,7 +244,7 @@ def posc_check(ifs, depth=6, v_grid_size=5, x_samples=64, directions=None,
 # projected cylinder counting
 
 
-def sigma_count(ifs, v, x, r, cap=None):
+def sigma_count(ifs, v, x, r):
     """Count stopping words (by projected diameter in direction v) whose
     projected cylinder hull meets the interval of radius r around the
     projection of x.  Boundary-ambiguous words are included, so the count
@@ -274,7 +262,7 @@ def sigma_count(ifs, v, x, r, cap=None):
 
     words = ifs.frontier(
         lambda mats, pts, a1: projected_diameter_bound(ifs, mats, v) <= r,
-        misses, cap, lex=True).words(ifs)
+        misses, lex=True).words(ifs)
     return len(words), words
 
 
@@ -308,19 +296,7 @@ def slice_upper_bound(ifs, ssc=None, depth=6):
     delta = ssc.delta_lower
     diam = ifs.diam_upper
     q = delta / (3.0 * diam + 2.0 * delta)
-    best = 0.0
-    for m in range(2, ifs.n_maps + 1):
-        c = 1.0 - (m - 1) * q
-        if c <= 0.0:
-            continue
-
-        def logf(s, m=m, c=c):
-            return (1.0 - s) * math.log(m) + s * math.log(c)
-
-        if logf(1.0) >= 0.0:
-            continue
-        best = max(best, brentq(logf, 0.0, 1.0, xtol=1e-14))
-    return best
+    return max([0.0] + [slice_root(m, q) for m in range(2, ifs.n_maps + 1)])
 
 
 def slice_root(m, q, tol=1e-14):
@@ -347,7 +323,7 @@ class TangentCloud:
         return len(self.cloud)
 
 
-def weak_tangent(ifs, x, r, resolution=0.01, cap=None):
+def weak_tangent(ifs, x, r, resolution=0.01):
     """Magnified window: cylinder-center sample of X inside B(x, r),
     mapped through z -> (z - x)/r and clipped to the closed unit ball."""
     if r <= 0 or resolution <= 0:
@@ -358,8 +334,7 @@ def weak_tangent(ifs, x, r, resolution=0.01, cap=None):
     pts = ifs.frontier(
         lambda mats, pts, a1: a1 * rad <= resolution * r,
         prune=lambda mats, pts, a1:
-            np.linalg.norm(pts - x, axis=1) > r + a1 * rad,
-        cap=cap).pts
+            np.linalg.norm(pts - x, axis=1) > r + a1 * rad).pts
     z = (pts - x) / r
     z = z[np.linalg.norm(z, axis=1) <= 1.0 + resolution]
     nrm = np.linalg.norm(z, axis=1)
@@ -443,7 +418,7 @@ def approximate_square_counts(p, q, digits, word, depth, n_scales):
     return counts
 
 
-def _grid_tangent_scan(p, q, digits, n_tangents, seed, resolution, cap):
+def _grid_tangent_scan(p, q, digits, n_tangents, seed, resolution):
     if resolution <= 0:
         raise ValueError("resolution must be positive")
     # p^J >= 1/resolution, and the deepest window fixes rows only where
@@ -453,7 +428,7 @@ def _grid_tangent_scan(p, q, digits, n_tangents, seed, resolution, cap):
     theta = math.log(p) / math.log(q)
     depth = _least_int(lambda k: q ** k >= p ** (k + n_scales),
                        theta * n_scales / (1.0 - theta))
-    cap = word_cap(cap)
+    cap = word_cap()
     letters = (n_tangents + len(digits)) * depth
     if letters > cap:
         raise BudgetExceeded(cap, letters)
@@ -470,7 +445,7 @@ def _grid_tangent_scan(p, q, digits, n_tangents, seed, resolution, cap):
 
 
 def tangent_dimension_scan(ifs, n_tangents=8, scales=None, seed=0,
-                           resolution=0.002, cap=None):
+                           resolution=0.002):
     """Dimension estimates of weak tangent windows.  The max is a
     tangent-based lower estimate of the Assouad dimension and the min an
     upper estimate of the lower dimension.
@@ -493,7 +468,7 @@ def tangent_dimension_scan(ifs, n_tangents=8, scales=None, seed=0,
         raise ValueError("need at least one tangent")
     grid = grid_carpet_digits(ifs)
     if grid is not None:
-        return _grid_tangent_scan(*grid, n_tangents, seed, resolution, cap)
+        return _grid_tangent_scan(*grid, n_tangents, seed, resolution)
     if scales is None:
         scales = [2.0 ** -k for k in range(2, 6)]
     rng = np.random.Generator(np.random.Philox(key=seed))
@@ -503,7 +478,7 @@ def tangent_dimension_scan(ifs, n_tangents=8, scales=None, seed=0,
     dims = []
     for x in base_cloud.points[idx]:
         r = scales[int(rng.integers(len(scales)))] * ifs.diam_upper
-        tc = weak_tangent(ifs, x, r, resolution, cap)
+        tc = weak_tangent(ifs, x, r, resolution)
         if len(tc) < 16:
             continue
         inner = np.linalg.norm(tc.cloud.points, axis=1) < 0.999
@@ -600,28 +575,28 @@ class ContentEstimate:
                 "value": self.value, "depth": self.depth}
 
 
-def _projected_hulls(ifs, v, depth, cap=None):
+def _projected_hulls(ifs, v, depth):
     """Certified projected hull intervals of all depth-n cylinders."""
     u = _axis(v)
-    pts, _ = ifs._cylinder_centers(depth, cap)
-    prods = ifs.level_products(depth, cap)
+    pts, _ = ifs._cylinder_centers(depth)
+    prods = ifs.level_products(depth)
     halves = np.linalg.norm(np.einsum("wqp,q->wp", prods, u), axis=1) \
         * ifs.ball_radius
     centers = pts @ u
     return centers - halves, centers + halves
 
 
-def hausdorff_content_projection(ifs, v, s, depth=8, cap=None):
+def hausdorff_content_projection(ifs, v, s, depth=8):
     """Content of the projection of X to the line perpendicular to v,
     computed from the depth-n projected cylinder hull cover."""
     depth = ifs._fit_depth(depth)
-    lo, hi = _projected_hulls(ifs, v, depth, cap)
+    lo, hi = _projected_hulls(ifs, v, depth)
     value = interval_content(np.column_stack((lo, hi)), s)
     return ContentEstimate(s, v, value, depth)
 
 
 def content_consistency(ifs, n_cylinders=20, depth=8, seed=0, s=None,
-                        m=6, cap=None):
+                        m=6):
     """Spread of content / eigenfunction over sampled cylinders.
 
     For each sampled depth-m cylinder the content of the projection in
@@ -634,9 +609,9 @@ def content_consistency(ifs, n_cylinders=20, depth=8, seed=0, s=None,
         s, _ = affinity_dimension(ifs)
     if s > 1.0:
         raise ValueError("content comparison needs s <= 1")
-    state = equilibrium_state(ifs, s, m=m, cap=cap)
+    state = equilibrium_state(ifs, s, m=m)
     from .thermo import _cylinder_directions
-    thetas = _cylinder_directions(ifs, m, cap)
+    thetas = _cylinder_directions(ifs, m)
     rng = np.random.Generator(np.random.Philox(key=seed))
     size = ifs.n_maps ** m
     idx = rng.choice(size, size=min(n_cylinders, size), replace=False)
@@ -644,7 +619,7 @@ def content_consistency(ifs, n_cylinders=20, depth=8, seed=0, s=None,
     table = []
     for k in idx:
         v = ProjPoint(thetas[k])
-        est = hausdorff_content_projection(ifs, v, s, depth, cap)
+        est = hausdorff_content_projection(ifs, v, s, depth)
         h = float(state.h[k])
         ratios.append(est.value / h)
         table.append((str(ifs.word_from_flat(int(k), m)), est.value, h))
@@ -733,7 +708,7 @@ def projected_gap(matrices, translations, w, word_i, word_j, depth=30):
 # constant scan for the norm comparison on limit directions
 
 
-def bochi_morris_scan(ifs, depth=8, directions=None, cap=None):
+def bochi_morris_scan(ifs, depth=8, directions=None):
     """Empirical constant D in alpha1(A_w) <= D * norm of A_w^T on the
     perpendicular of limit directions; the reverse inequality is an exact
     norm bound and is asserted on every sample."""
@@ -745,7 +720,7 @@ def bochi_morris_scan(ifs, depth=8, directions=None, cap=None):
     us = np.stack([d.perp.vector for d in directions])
     out = {}
     for n in range(1, depth + 1):
-        prods = ifs.level_products(n, cap)
+        prods = ifs.level_products(n)
         a1 = batch_singular_values(prods)[0]
         # norms of A_w^T u for all words x directions
         norms = np.linalg.norm(np.einsum("wqp,dq->wdp", prods, us), axis=2)

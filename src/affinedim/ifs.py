@@ -279,10 +279,10 @@ class Ifs:
 
     # -- cached level products ---------------------------------------------
 
-    def level_products(self, n, cap=None):
+    def level_products(self, n):
         """All products A_w for |w| = n as a (N^n, 2, 2) array in
         lexicographic word order (first letter most significant)."""
-        cap = word_cap(cap)
+        cap = word_cap()
         if self.n_maps ** n > cap:
             raise BudgetExceeded(cap, self.n_maps ** n)
         cached = self._cache.setdefault("levels", [np.eye(2)[None]])
@@ -290,10 +290,10 @@ class Ifs:
             cached.append(extend_level(self.lins, cached[-1]))
         return cached[n]
 
-    def level_singular_values(self, n, cap=None):
+    def level_singular_values(self, n):
         key = ("svals", n)
         if key not in self._cache:
-            self._cache[key] = batch_singular_values(self.level_products(n, cap))
+            self._cache[key] = batch_singular_values(self.level_products(n))
         return self._cache[key]
 
     def word_from_flat(self, flat, n):
@@ -312,13 +312,13 @@ class Ifs:
 
     # -- certified diameter -------------------------------------------------
 
-    def diam_bounds(self, depth=8, cap=None):
+    def diam_bounds(self, depth=8):
         """Certified (lower, upper) bounds for diam(X) from a cylinder-center
         cloud: cloud diameter -/+ twice the largest error radius."""
         key = ("diam", depth)
         if key in self._cache:
             return self._cache[key]
-        pts, errs = self._cylinder_centers(self._fit_depth(depth, cap), cap)
+        pts, errs = self._cylinder_centers(self._fit_depth(depth))
         d = _cloud_diameter(pts)
         e = 2.0 * errs.max()
         bounds = (max(d - e, 0.0), d + e)
@@ -329,19 +329,19 @@ class Ifs:
     def diam_upper(self):
         return self.diam_bounds()[1]
 
-    def _fit_depth(self, depth, cap=None):
+    def _fit_depth(self, depth):
         """The depth, lowered to at least 2 until a full level fits in
-        min(cap, 500_000) words."""
-        limit = min(word_cap(cap), 500_000)
+        min(word cap, 500_000) words."""
+        limit = min(word_cap(), 500_000)
         while self.n_maps ** depth > limit and depth > 2:
             depth -= 1
         return depth
 
-    def _cylinder_centers(self, depth, cap=None):
+    def _cylinder_centers(self, depth):
         """Centers and error radii of all depth-n cylinders, vectorized,
         in the lexicographic order of level_products.  Both arrays are
         cached by depth and read-only."""
-        mats = self.level_products(depth, cap)
+        mats = self.level_products(depth)
         key = ("centers", depth)
         if key not in self._cache:
             pts = self.ball_center[None]
@@ -366,10 +366,10 @@ class Ifs:
         prune(mats, pts, a1) holds, emits those where stop(mats, pts, a1)
         holds and expands the rest by every letter; pts are the canonical
         points phi_w(ball center).  BudgetExceeded is raised before a level
-        is expanded when emitted + n_maps * unfinished > cap, which for an
-        unpruned walk means the stopping set would exceed cap, and when
-        nodes are still unfinished below the deepest level whose word codes
-        fit in an int64.
+        is expanded when emitted + n_maps * unfinished > cap (the word cap
+        when cap is None), which for an unpruned walk means the stopping
+        set would exceed cap, and when nodes are still unfinished below
+        the deepest level whose word codes fit in an int64.
 
         Without lex the cylinders come in emission order: level by level,
         children letter-major, products by a batched einsum.  With lex they
@@ -377,7 +377,7 @@ class Ifs:
         each product A_w A_i is a stacked matmul, which repeats the
         arithmetic of a node-by-node walk bit for bit.
         """
-        cap = word_cap(cap)
+        cap = word_cap() if cap is None else cap
         n, c = self.n_maps, self.ball_center
         # child of word w by letter i: p_{wi} = p_w + A_w (phi_i(c) - c)
         drifts = np.einsum("ipq,q->ip", self.lins, c) + self.vs - c
@@ -421,8 +421,7 @@ class Ifs:
 
     # -- stopping sets ------------------------------------------------------
 
-    def stopping_set(self, r, criterion="by-alpha1", rho=0.1, direction=None,
-                     cap=None):
+    def stopping_set(self, r, criterion="by-alpha1", rho=0.1, direction=None):
         """Prefix-free partition of the cylinder tree at scale r, in
         lexicographic word order.
 
@@ -438,21 +437,21 @@ class Ifs:
         diam = self.diam_upper
         if criterion == "by-projected-diameter":
             from .geometry import _proj_stopping
-            found = _proj_stopping(self, direction, r, cap)
+            found = _proj_stopping(self, direction, r)
         elif criterion == "by-alpha1":
             found = self.frontier(lambda mats, pts, a1: a1 * diam <= r,
-                                  cap=cap, lex=True)
+                                  lex=True)
         elif criterion == "by-alpha2-aspect":
             def stop(mats, pts, a1):
                 a2 = batch_singular_values(mats)[1]
                 return (a2 * diam < rho * a1) & (a1 * diam <= r)
-            found = self.frontier(stop, cap=cap, lex=True)
+            found = self.frontier(stop, lex=True)
         else:
             raise ValueError(f"unknown criterion {criterion!r}")
         return StoppingSet(tuple(found.words(self)), criterion)
 
     def attractor_sample(self, resolution, mode="cylinder-centers", seed=0,
-                         count=10000, cap=None):
+                         count=10000):
         """Point cloud approximating the attractor.
 
         cylinder-centers: one point per by-alpha1 stopping word at scale
@@ -467,7 +466,7 @@ class Ifs:
         if mode == "cylinder-centers":
             r = resolution * self.diam_upper
             found = self.frontier(
-                lambda mats, pts, a1: a1 * self.diam_upper <= r, cap=cap)
+                lambda mats, pts, a1: a1 * self.diam_upper <= r)
             return PointCloud(found.pts,
                               max(found.a1.max() * self.ball_radius, 1e-300))
         if mode == "chaos-game":
@@ -553,19 +552,25 @@ class StoppingSet:
         return True
 
 
+def hull_vertices(pts):
+    """Vertices of the convex hull of a planar cloud, or the two ends of a
+    flat cloud, which has no hull.  A linear function, and the distance
+    between two points, is largest on these points."""
+    try:
+        return pts[ConvexHull(pts).vertices]
+    except QhullError:
+        # the point farthest from any point is an end of the segment, and
+        # the point farthest from that end is the other end, so two O(n)
+        # sweeps find both ends of collinear points
+        end = pts[np.argmax(((pts - pts[0]) ** 2).sum(-1))]
+        return np.stack([end, pts[np.argmax(((pts - end) ** 2).sum(-1))]])
+
+
 def _cloud_diameter(pts):
     """Diameter of a finite planar point set via its convex hull."""
     if len(pts) < 2:
         return 0.0
     if len(pts) > 16:
-        try:
-            pts = pts[ConvexHull(pts).vertices]
-        except QhullError:
-            # a flat cloud: the point farthest from any point is an end of
-            # the segment, and the point farthest from that end is the
-            # other end, so two O(n) sweeps give the exact diameter of
-            # collinear points
-            end = pts[np.argmax(((pts - pts[0]) ** 2).sum(-1))]
-            return float(np.sqrt(((pts - end) ** 2).sum(-1)).max())
+        pts = hull_vertices(pts)
     diff = pts[:, None, :] - pts[None, :, :]
     return float(np.sqrt((diff ** 2).sum(-1)).max())

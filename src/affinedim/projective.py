@@ -21,6 +21,8 @@ PI = math.pi
 
 MERGE_TOL = 1e-9
 DEFAULT_MARGIN = 1e-6
+# most intervals a level of furstenberg_directions may hold before merging
+MAX_INTERVALS = 3000
 
 
 def _mod_pi(theta):
@@ -275,7 +277,7 @@ def _cone_close(c1, c2, tol):
                for a, b in zip(c1.intervals, c2.intervals))
 
 
-def is_dominated(ifs, depth=6, margin=DEFAULT_MARGIN, cap=None):
+def is_dominated(ifs, depth=6, margin=DEFAULT_MARGIN):
     """Domination report: certificate via multicone search, plus a
     least-squares (C, tau) fit of alpha2/alpha1 <= C tau^n over all words
     up to depth.  The fit is a diagnostic only and never certifies."""
@@ -284,7 +286,7 @@ def is_dominated(ifs, depth=6, margin=DEFAULT_MARGIN, cap=None):
     cone = find_invariant_multicone(ifs, margin=margin)
     logs, ns = [], []
     for n in range(1, depth + 1):
-        a1, a2 = ifs.level_singular_values(n, cap)
+        a1, a2 = ifs.level_singular_values(n)
         ratio = a2 / a1
         logs.extend(np.log(ratio))
         ns.extend([n] * len(ratio))
@@ -313,13 +315,13 @@ class IrreducibilityClass:
     witness: tuple = ()
 
 
-def strictly_affine(ifs, depth=6, cap=None):
+def strictly_affine(ifs, depth=6):
     """Search for a proximal product (two real eigenvalues of different
     modulus): trace^2 > 4 det together with nonzero trace.  Level by level
     in lexicographic order, so the witness is the least proximal word of
     the shortest length."""
     for n in range(1, depth + 1):
-        p = ifs.level_products(n, cap)
+        p = ifs.level_products(n)
         tr = p[:, 0, 0] + p[:, 1, 1]
         det = p[:, 0, 0] * p[:, 1, 1] - p[:, 0, 1] * p[:, 1, 0]
         hits = np.flatnonzero((tr * tr > 4.0 * det + 1e-14)
@@ -400,26 +402,25 @@ class DirectionsApprox:
         return out
 
 
-def furstenberg_directions(ifs, depth=8, multicone=None, cap=None,
-                           max_intervals=3000):
+def furstenberg_directions(ifs, depth=8, multicone=None):
     """Iterate U <- union_i A_i^{-1} U from the closed complement of a
     strongly invariant multicone; the result contains the asymptotic
     weakest-contraction directions at every depth.
 
     The interval count can grow like N^depth before merging, so the
-    iteration stops early once a level would exceed max_intervals and the
-    reached depth is reported instead of the requested one.
+    iteration stops early once a level would exceed MAX_INTERVALS (or the
+    word cap) and the reached depth is reported instead of the requested one.
     """
     if multicone is None:
         multicone = find_invariant_multicone(ifs)
         if multicone is None:
             raise NotDominated("no invariant multicone certificate")
-    cap = word_cap(cap)
+    limit = min(word_cap(), MAX_INTERVALS)
     invs = np.linalg.inv(ifs.lins)
     u = multicone.complement()
     reached = 0
     for _ in range(depth):
-        if len(u.intervals) * ifs.n_maps > min(cap, max_intervals):
+        if len(u.intervals) * ifs.n_maps > limit:
             break
         images = [iv.image(a) for a in invs for iv in u.intervals]
         u = Multicone(tuple(images))

@@ -27,11 +27,11 @@ class PressureSample:
     value: float
 
 
-def pressure(ifs, s, n, cap=None):
+def pressure(ifs, s, n):
     """Exact finite-level pressure (1/n) log sum of phi^s over level n."""
     if s < 0:
         raise ValueError("s must be nonnegative")
-    a1, a2 = ifs.level_singular_values(n, cap)
+    a1, a2 = ifs.level_singular_values(n)
     vals = svf_from_singular_values(a1, a2, s)
     # sum in log space against underflow at large n
     m = vals.max()
@@ -49,8 +49,8 @@ def _log_svf(la1, la2, s):
     return 0.5 * s * (la1 + la2)
 
 
-def _pressure_fn(ifs, n, cap):
-    a1, a2 = ifs.level_singular_values(n, cap)
+def _pressure_fn(ifs, n):
+    a1, a2 = ifs.level_singular_values(n)
     la1 = np.log(a1)
     la2 = np.log(a2)
 
@@ -61,8 +61,7 @@ def _pressure_fn(ifs, n, cap):
     return p
 
 
-def affinity_dimension(ifs, tol=1e-10, max_depth=None, budget=200_000,
-                       cap=None):
+def affinity_dimension(ifs, tol=1e-10, budget=200_000):
     """Root of the finite-level pressure at the largest affordable level.
 
     The level-n pressure dominates the limit, so its root is an upper
@@ -71,14 +70,12 @@ def affinity_dimension(ifs, tol=1e-10, max_depth=None, budget=200_000,
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
-    budget = min(budget, word_cap(cap))
+    budget = min(budget, word_cap())
     n_hi = int(math.floor(math.log(budget) / math.log(max(ifs.n_maps, 2))))
-    if max_depth is not None:
-        n_hi = min(n_hi, max_depth)
     n_hi = max(n_hi, 2)
     n_lo = max(n_hi // 2, 1)
-    p_hi = _pressure_fn(ifs, n_hi, cap)
-    p_lo = _pressure_fn(ifs, n_lo, cap)
+    p_hi = _pressure_fn(ifs, n_hi)
+    p_lo = _pressure_fn(ifs, n_lo)
 
     def solve(p):
         a, b = 0.0, 4.0
@@ -132,7 +129,7 @@ class EqState:
         }
 
 
-def _cylinder_directions(ifs, m, cap=None):
+def _cylinder_directions(ifs, m):
     """Limit direction estimate for each depth-m cylinder w: the inverse
     product A_{w1}^{-1} ... A_{wm}^{-1} applied to a direction in the
     complement of the invariant cone.  For similarity tuples every
@@ -153,14 +150,14 @@ def _cylinder_directions(ifs, m, cap=None):
     return np.mod(np.arctan2(vecs[:, 1], vecs[:, 0]), math.pi)
 
 
-def transfer_matrix(ifs, s, m, cap=None):
+def transfer_matrix(ifs, s, m):
     """Sparse depth-m cylinder discretization of the weighted transfer
     operator: (Lf)(w) = sum_i exp(g_s(i w)) f((i w)|_m)."""
     n = ifs.n_maps
     size = n ** m
-    if size > word_cap(cap):
-        raise BudgetExceeded(word_cap(cap), size)
-    thetas = _cylinder_directions(ifs, m, cap)
+    if size > word_cap():
+        raise BudgetExceeded(word_cap(), size)
+    thetas = _cylinder_directions(ifs, m)
     # g_s(i w) pairs letter i with the direction of cylinder w
     perp = thetas + math.pi / 2.0
     u = np.stack([np.cos(perp), np.sin(perp)], axis=1)
@@ -180,11 +177,11 @@ def transfer_matrix(ifs, s, m, cap=None):
         shape=(size, size))
 
 
-def equilibrium_state(ifs, s, m=6, iters=2000, tol=1e-12, cap=None):
+def equilibrium_state(ifs, s, m=6, iters=2000, tol=1e-12):
     """Power iteration for the discretized transfer operator's leading
     eigendata: eigenfunction h (forward), eigenmeasure nu (adjoint),
     eigenvalue lambda.  Period-2 oscillations are averaged out."""
-    L = transfer_matrix(ifs, s, m, cap)
+    L = transfer_matrix(ifs, s, m)
     size = L.shape[0]
     h = np.ones(size)
     nu = np.full(size, 1.0 / size)
@@ -236,29 +233,29 @@ class GibbsWeights:
                 "weights": dict(zip(words, self.weights.tolist()))}
 
 
-def kaenmaki_weights(ifs, depth, s=None, state=None, cap=None):
+def kaenmaki_weights(ifs, depth, s=None, state=None):
     """Cylinder weights of the equilibrium state at the pressure root:
     proportional to h * nu on depth-`depth` cylinders.  The Gibbs ratio
     weight / phi^s is tracked and its max/min spread reported."""
     if s is None:
         s, _ = affinity_dimension(ifs)
     if state is None or state.depth != depth:
-        state = equilibrium_state(ifs, s, m=depth, cap=cap)
+        state = equilibrium_state(ifs, s, m=depth)
     w = state.h * state.nu
     w = w / w.sum()
-    a1, a2 = ifs.level_singular_values(depth, cap)
+    a1, a2 = ifs.level_singular_values(depth)
     phis = svf_from_singular_values(a1, a2, s)
     ratio = w / phis
     spread = float(ratio.max() / ratio.min())
     return GibbsWeights(depth, w, s, spread)
 
 
-def gibbs_spread_by_depth(ifs, s, depths, cap=None):
+def gibbs_spread_by_depth(ifs, s, depths):
     """Gibbs ratio spread per depth, reusing one equilibrium state per
     depth; feeds the bounded-spread stability check."""
     out = {}
     for d in depths:
-        gw = kaenmaki_weights(ifs, d, s=s, cap=cap)
+        gw = kaenmaki_weights(ifs, d, s=s)
         out[d] = gw.gibbs_spread
     return out
 

@@ -87,8 +87,8 @@ class TestExitCodes:
         clouds = {}
         centers = Ifs._cylinder_centers
 
-        def spy(self, depth, cap=None):
-            out = centers(self, depth, cap)
+        def spy(self, depth):
+            out = centers(self, depth)
             clouds.setdefault(depth, []).append(out[0])
             return out
 

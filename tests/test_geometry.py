@@ -132,9 +132,9 @@ class TestSsc:
         depths = []
         clouds = geometry._first_level_clouds
 
-        def spy(ifs, depth, cap):
+        def spy(ifs, depth):
             depths.append(depth)
-            return clouds(ifs, depth, cap)
+            return clouds(ifs, depth)
 
         monkeypatch.setattr(geometry, "_first_level_clouds", spy)
         assert ssc_check(square4).separated == "Overlap"
@@ -176,8 +176,9 @@ class TestPosc:
 
     def test_word_cap_lowers_the_diameter_table(self, carpet_spec,
                                                 monkeypatch):
-        # 5^8 cylinder centres would exceed the cap; the diameter table
-        # falls back to depth 6 (5^6 <= 20000) instead of raising
+        # 5^8 cylinder centres would exceed the cap; the diameter table,
+        # the SSC clouds and the projected hulls fall back to depth 6
+        # (5^6 <= 20000) instead of raising
         monkeypatch.setenv("AFFINEDIM_WORD_CAP", "20000")
         ifs = to_ifs(carpet_spec)
         rep = posc_check(ifs)
@@ -186,6 +187,8 @@ class TestPosc:
         v = ProjPoint(PI / 2.0)
         n, words = sigma_count(ifs, v, ifs.ball_center, 0.1)
         assert n == len(words) >= 1
+        assert ssc_check(ifs, 8).depth == 6
+        assert hausdorff_content_projection(ifs, v, 0.5, 8).depth == 6
 
 
 class TestSigmaCount:

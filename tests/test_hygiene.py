@@ -1,5 +1,6 @@
 """Source hygiene checks that need no linter: every module of the package
-uses each name it imports."""
+uses each name it imports, and only Ifs.frontier takes a word limit of its
+own."""
 
 import ast
 import os
@@ -35,3 +36,47 @@ def test_checker_finds_an_unused_import():
 def test_no_unused_imports(module):
     with open(os.path.join(SRC_DIR, module)) as fh:
         assert unused_imports(fh.read()) == []
+
+
+# The word cap is one process-wide setting read by every guard; the one
+# explicit limit is the cap of Ifs.frontier, which geometry._proj_stopping
+# forwards for posc_check's short walks.  BudgetExceeded records the cap
+# it reports and sets none.
+BUDGET_PARAMETERS = {"cap", "max_intervals", "max_depth"}
+ALLOWED_BUDGET_PARAMETERS = {"ifs.py": ["frontier(cap)"],
+                             "geometry.py": ["_proj_stopping(cap)"],
+                             "errors.py": ["__init__(cap)"]}
+
+
+def budget_knobs(source):
+    """Every budget parameter a function takes, as "name(parameter)", any
+    parameter of word_cap, and every word_cap call given an argument, as
+    "word_cap(...) at line n"."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            args = node.args
+            for arg in args.posonlyargs + args.args + args.kwonlyargs:
+                if arg.arg in BUDGET_PARAMETERS or node.name == "word_cap":
+                    found.append(f"{node.name}({arg.arg})")
+        elif isinstance(node, ast.Call):
+            name = getattr(node.func, "id", getattr(node.func, "attr", None))
+            if name == "word_cap" and (node.args or node.keywords):
+                found.append(f"word_cap(...) at line {node.lineno}")
+    return sorted(found)
+
+
+def test_checker_finds_budget_knobs():
+    src = ("def f(x, cap=None):\n    return word_cap(cap)\n"
+           "def word_cap(override=None):\n    return override\n"
+           "def g(y, *, max_depth=3):\n    return config.word_cap()\n")
+    assert budget_knobs(src) == ["f(cap)", "g(max_depth)",
+                                 "word_cap(...) at line 2",
+                                 "word_cap(override)"]
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_one_word_cap(module):
+    with open(os.path.join(SRC_DIR, module)) as fh:
+        assert budget_knobs(fh.read()) \
+            == ALLOWED_BUDGET_PARAMETERS.get(module, [])

@@ -175,20 +175,23 @@ class TestStoppingSets:
         lengths = {len(w) for w in ss.words}
         assert len(lengths) > 1
 
-    def test_budget_guard(self, cone_ifs):
+    def test_budget_guard(self, cone_ifs, monkeypatch):
+        r = cone_ifs.diam_upper * 1e-9
+        monkeypatch.setenv("AFFINEDIM_WORD_CAP", "1000")
         with pytest.raises(BudgetExceeded):
-            cone_ifs.stopping_set(cone_ifs.diam_upper * 1e-9, cap=1000)
+            cone_ifs.stopping_set(r)
 
 
 class TestCylinderCenters:
-    def test_cached_read_only_and_capped(self, cone_ifs):
+    def test_cached_read_only_and_capped(self, cone_ifs, monkeypatch):
         pts, errs = cone_ifs._cylinder_centers(5)
         again = cone_ifs._cylinder_centers(5)
         assert again[0] is pts and again[1] is errs
         assert not pts.flags.writeable and not errs.flags.writeable
         # the word cap holds on a cache hit too
+        monkeypatch.setenv("AFFINEDIM_WORD_CAP", str(3 ** 5 - 1))
         with pytest.raises(BudgetExceeded):
-            cone_ifs._cylinder_centers(5, cap=3 ** 5 - 1)
+            cone_ifs._cylinder_centers(5)
 
 
 class TestAttractorSample:
@@ -253,8 +256,8 @@ class TestFrontier:
     @pytest.mark.parametrize("name,frac,rho", FRONTIER_CASES)
     @pytest.mark.parametrize("criterion", ["by-alpha1", "by-alpha2-aspect",
                                            "by-projected-diameter"])
-    def test_stopping_set_matches_recursion(self, request, name, frac, rho,
-                                            criterion):
+    def test_stopping_set_matches_recursion(self, request, monkeypatch,
+                                            name, frac, rho, criterion):
         ifs = request.getfixturevalue(name)
         diam = ifs.diam_upper
         r = frac * diam
@@ -271,9 +274,11 @@ class TestFrontier:
         ref = reference_stopping_words(ifs, stop)
         kw = dict(criterion=criterion, rho=rho, direction=v)
         assert list(ifs.stopping_set(r, **kw).words) == ref
-        assert len(ifs.stopping_set(r, cap=len(ref), **kw)) == len(ref)
+        monkeypatch.setenv("AFFINEDIM_WORD_CAP", str(len(ref)))
+        assert len(ifs.stopping_set(r, **kw)) == len(ref)
+        monkeypatch.setenv("AFFINEDIM_WORD_CAP", str(len(ref) - 1))
         with pytest.raises(BudgetExceeded):
-            ifs.stopping_set(r, cap=len(ref) - 1, **kw)
+            ifs.stopping_set(r, **kw)
 
     @pytest.mark.parametrize("name", ["sim3", "cone_ifs", "positive_pair"])
     def test_strictly_affine_witness_is_least_shortest(self, request, name):
