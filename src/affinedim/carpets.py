@@ -6,11 +6,10 @@ from dataclasses import dataclass
 import json
 import math
 
-from scipy.optimize import brentq
-
 from .errors import PlacementFailed
 from .ifs import AffineMap, Ifs, Matrix2, svf
 from .geometry import ssc_check
+from .roots import brentq
 
 
 @dataclass(frozen=True)

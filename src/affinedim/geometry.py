@@ -4,12 +4,11 @@ the transversality derivative of projected distances.
 """
 
 from dataclasses import dataclass
+import functools
 import itertools
 import math
 
 import numpy as np
-from scipy.optimize import brentq
-from scipy.spatial import cKDTree
 
 from .config import word_cap
 from .errors import BudgetExceeded, DegenerateRange, HypothesisViolated, \
@@ -17,6 +16,7 @@ from .errors import BudgetExceeded, DegenerateRange, HypothesisViolated, \
 from .estimators import PointCloud, box_dim
 from .ifs import batch_singular_values, hull_vertices
 from .projective import PI, ProjPoint, furstenberg_directions
+from .roots import brentq
 from .thermo import affinity_dimension, equilibrium_state
 
 # ---------------------------------------------------------------------------
@@ -97,13 +97,61 @@ def _first_level_clouds(ifs, depth):
     return groups
 
 
-def _pair_gap(groups, i, j):
+def _block_boxes(pts, n):
+    """Bounding boxes (lo, hi) of the blocks of n^k consecutive points, one
+    pair of (len(pts) / n^k, 2) arrays for each k, from single points to
+    the whole cloud."""
+    boxes = [(pts, pts)]
+    while len(boxes[-1][0]) > 1:
+        lo, hi = (b.reshape(-1, n, 2) for b in boxes[-1])
+        # n elementwise passes are several times faster than one reduction
+        # over the short middle axis
+        boxes.append((functools.reduce(np.minimum, lo.transpose(1, 0, 2)),
+                      functools.reduce(np.maximum, hi.transpose(1, 0, 2))))
+    return boxes
+
+
+def _lengths(v):
+    """Euclidean lengths of the rows of a (k, 2) array, as
+    sqrt(x*x + y*y): the arithmetic of a k-d tree's distances."""
+    return np.sqrt(v[:, 0] * v[:, 0] + v[:, 1] * v[:, 1])
+
+
+def _pair_gap(groups, i, j, n):
+    """Least distance between the clouds of groups i and j, and the sum of
+    the error radii at the closest pair: among ties, the first point of
+    cloud i, then the first point of cloud j.
+
+    Exact branch and bound over cylinders.  The clouds are in
+    lexicographic order, so each block of n^k consecutive points is one
+    cylinder.  Pairs of blocks are refined one level at a time into their
+    n^2 child pairs, and a pair is dropped when the distance between its
+    bounding boxes exceeds the least distance between the first points of
+    the pairs seen.  Rounding is monotone, so the box distance never
+    exceeds a computed point distance and the closest pair is never
+    dropped.
+    """
     pi, ei = groups[i]
     pj, ej = groups[j]
-    tree = cKDTree(pj)
-    d, idx = tree.query(pi)
-    k = int(np.argmin(d))
-    return float(d[k]), float(ei[k] + ej[idx[k]])
+    boxes_i, boxes_j = _block_boxes(pi, n), _block_boxes(pj, n)
+    a = b = np.zeros(1, dtype=np.int64)
+    best = math.inf
+    r = np.arange(n)
+    for k in range(len(boxes_i) - 2, -1, -1):
+        shape = (len(a), n, n)
+        a = np.broadcast_to((a * n)[:, None, None] + r[:, None], shape).ravel()
+        b = np.broadcast_to((b * n)[:, None, None] + r, shape).ravel()
+        (lo_i, hi_i), (lo_j, hi_j) = boxes_i[k], boxes_j[k]
+        lower = _lengths(np.maximum(
+            np.maximum(lo_j[b] - hi_i[a], lo_i[a] - hi_j[b]), 0.0))
+        d = _lengths(pi[a * n ** k] - pj[b * n ** k])
+        best = min(best, float(d.min()))
+        keep = lower <= best
+        a, b, d = a[keep], b[keep], d[keep]
+    # at the last level the blocks are single points
+    ties = np.flatnonzero(d == best)
+    t = ties[np.argmin(a[ties] * len(pj) + b[ties])]
+    return best, float(ei[a[t]] + ej[b[t]])
 
 
 def _pair_scan(ifs, depth):
@@ -113,7 +161,7 @@ def _pair_scan(ifs, depth):
     lo = hi = math.inf
     touching = False
     for i, j in itertools.combinations(range(ifs.n_maps), 2):
-        d, err = _pair_gap(groups, i, j)
+        d, err = _pair_gap(groups, i, j, ifs.n_maps)
         lo = min(lo, d - err)
         hi = min(hi, d + err)
         touching = touching or d < err

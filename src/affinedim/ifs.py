@@ -10,7 +10,6 @@ import json
 import math
 
 import numpy as np
-from scipy.spatial import ConvexHull, QhullError
 
 from .config import word_cap
 from .errors import BudgetExceeded, IndexOutOfRange, SingularMatrix
@@ -497,16 +496,29 @@ class Ifs:
 
     @classmethod
     def from_json(cls, data):
+        """The system of a to_json dict or string.  Raises ValueError
+        unless it has at least two maps, every entry is a finite number and
+        every linear part is nonsingular."""
         if isinstance(data, str):
             data = json.loads(data)
-        maps = [
-            AffineMap(Matrix2(m["a"], m["b"], m["c"], m["d"]),
-                      (m["tx"], m["ty"]))
-            for m in data["maps"]
-        ]
+        if len(data["maps"]) < 2:
+            raise ValueError("need at least two maps")
+        maps = []
+        for k, m in enumerate(data["maps"], 1):
+            entries = [m[key] for key in ("a", "b", "c", "d", "tx", "ty")]
+            if not all(map(math.isfinite, entries)):
+                raise ValueError(f"map {k} has a non-finite entry")
+            try:
+                lin = Matrix2(*entries[:4])
+            except SingularMatrix as e:
+                raise ValueError(f"map {k} is singular: {e}") from None
+            maps.append(AffineMap(lin, entries[4:]))
         ball = data.get("ball")
         if ball:
-            return cls(maps, (ball["cx"], ball["cy"]), ball["r"])
+            entries = [ball[key] for key in ("cx", "cy", "r")]
+            if not all(map(math.isfinite, entries)):
+                raise ValueError("the ball has a non-finite entry")
+            return cls(maps, entries[:2], entries[2])
         return cls(maps)
 
 
@@ -553,17 +565,39 @@ class StoppingSet:
 
 
 def hull_vertices(pts):
-    """Vertices of the convex hull of a planar cloud, or the two ends of a
-    flat cloud, which has no hull.  A linear function, and the distance
-    between two points, is largest on these points."""
-    try:
-        return pts[ConvexHull(pts).vertices]
-    except QhullError:
-        # the point farthest from any point is an end of the segment, and
-        # the point farthest from that end is the other end, so two O(n)
-        # sweeps find both ends of collinear points
-        end = pts[np.argmax(((pts - pts[0]) ** 2).sum(-1))]
-        return np.stack([end, pts[np.argmax(((pts - end) ** 2).sum(-1))]])
+    """Vertices of the convex hull of a planar cloud in clockwise order:
+    the two ends of a flat cloud, the one point of a cloud of copies.  A
+    linear function, and the distance between two points, is largest on
+    these points.
+
+    Quickhull with an explicit stack.  The lexicographically least and
+    greatest points are vertices; each edge a->b with points strictly to
+    its left gets the farthest of them as a new vertex c, and the edges
+    a->c and c->b keep only the points left of them.
+    """
+    x, y = pts[:, 0], pts[:, 1]
+    first = np.flatnonzero(x == x.min())
+    first = first[np.argmin(y[first])]
+    last = np.flatnonzero(x == x.max())
+    last = last[np.argmax(y[last])]
+    if (pts[first] == pts[last]).all():
+        return pts[[first]]
+    out = []
+    everything = np.arange(len(pts))
+    stack = [(last, first, everything), (first, last, everything)]
+    while stack:
+        a, b, cand = stack.pop()
+        edge = pts[b] - pts[a]
+        off = pts[cand] - pts[a]
+        cross = edge[0] * off[:, 1] - edge[1] * off[:, 0]
+        left = cross > 0.0
+        if not left.any():
+            out.append(a)
+            continue
+        c = cand[np.argmax(cross)]
+        cand = cand[left]
+        stack += [(c, b, cand), (a, c, cand)]
+    return pts[out]
 
 
 def _cloud_diameter(pts):

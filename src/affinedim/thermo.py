@@ -10,14 +10,13 @@ from dataclasses import dataclass
 import math
 
 import numpy as np
-from scipy import sparse
-from scipy.optimize import brentq
 
 from .config import word_cap
 from .errors import BudgetExceeded, DegenerateRange, NotConverged, NotDominated
 from .ifs import batch_singular_values, extend_level, \
     svf_from_singular_values
 from .projective import find_invariant_multicone
+from .roots import brentq
 
 
 @dataclass(frozen=True)
@@ -150,6 +149,37 @@ def _cylinder_directions(ifs, m):
     return np.mod(np.arctan2(vecs[:, 1], vecs[:, 0]), math.pi)
 
 
+@dataclass(frozen=True)
+class TransferOperator:
+    """Sparse operator with N entries in each row: (L f)(w) sums
+    vals[i, w] * f[cols[i, w]] over the letters i.  The sums run in
+    ascending letter order and the adjoint's in ascending w, the orders of
+    a compressed-row matrix and of its transpose."""
+
+    cols: np.ndarray
+    vals: np.ndarray
+
+    @property
+    def shape(self):
+        size = self.cols.shape[1]
+        return size, size
+
+    @property
+    def nnz(self):
+        return self.vals.size
+
+    def __matmul__(self, f):
+        out = np.zeros(self.shape[0])
+        for cols, vals in zip(self.cols, self.vals):
+            out += vals * f[cols]
+        return out
+
+    def adjoint(self, g):
+        """L^T g: entry c sums vals[i, w] * g[w] over cols[i, w] == c."""
+        return np.bincount(self.cols.T.ravel(), (self.vals * g).T.ravel(),
+                           minlength=self.shape[1])
+
+
 def transfer_matrix(ifs, s, m):
     """Sparse depth-m cylinder discretization of the weighted transfer
     operator: (Lf)(w) = sum_i exp(g_s(i w)) f((i w)|_m)."""
@@ -161,20 +191,16 @@ def transfer_matrix(ifs, s, m):
     # g_s(i w) pairs letter i with the direction of cylinder w
     perp = thetas + math.pi / 2.0
     u = np.stack([np.cos(perp), np.sin(perp)], axis=1)
-    rows, cols, vals = [], [], []
-    w_idx = np.arange(size)
-    parent = w_idx // n          # w with last letter dropped
+    cols, vals = [], []
+    parent = np.arange(size) // n    # w with last letter dropped
     for i in range(n):
         a = ifs.maps[i].linear
         # weight at log alpha1 := log|uA|, log alpha2 := log|det A| - that
         la1 = np.log(np.linalg.norm(u @ a.array, axis=1))
         g = _log_svf(la1, math.log(abs(a.det)) - la1, s)
-        rows.append(w_idx)
         cols.append(i * n ** (m - 1) + parent)
         vals.append(np.exp(g))
-    return sparse.csr_matrix(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(size, size))
+    return TransferOperator(np.stack(cols), np.stack(vals))
 
 
 def equilibrium_state(ifs, s, m=6, iters=2000, tol=1e-12):
@@ -192,7 +218,7 @@ def equilibrium_state(ifs, s, m=6, iters=2000, tol=1e-12):
         h2 = L @ h
         lam_h = h2.max()
         h_new = h2 / lam_h
-        nu2 = L.T @ nu
+        nu2 = L.adjoint(nu)
         lam_nu = nu2.sum()
         nu_new = nu2 / lam_nu
         lam = 0.5 * (lam_h + lam_nu)

@@ -73,6 +73,30 @@ class TestExitCodes:
         rep = json.loads((tmp_path / "r.json").read_text())
         assert rep["ssc"]["separated"] == "Overlap"
 
+    @pytest.mark.parametrize("maps, message", [
+        ('[{"a": 0.4, "b": 0, "c": 0, "d": 0.4, "tx": 0, "ty": 0}]',
+         "need at least two maps"),
+        ('[{"a": 0.4, "b": 0, "c": 0, "d": 0.4, "tx": 0, "ty": 0},'
+         ' {"a": NaN, "b": 0, "c": 0, "d": 0.4, "tx": 0.5, "ty": 0}]',
+         "map 2 has a non-finite entry"),
+        ('[{"a": 0.4, "b": 0, "c": 0, "d": 0.4, "tx": 0, "ty": 0},'
+         ' {"a": 0.4, "b": 0.2, "c": 0.4, "d": 0.2, "tx": 0.5, "ty": 0}]',
+         "map 2 is singular"),
+        ('[{"a": 0.4, "b": 0, "c": 0, "d": 0.4, "tx": 0, "ty": 0},'
+         ' {"a": 0.4, "b": Infinity, "c": 0, "d": 0.4, "tx": 0.5, "ty": 0}]',
+         "map 2 has a non-finite entry"),
+    ], ids=["one-map", "nan", "singular", "infinity"])
+    @pytest.mark.parametrize("command", ["check", "dims"])
+    def test_invalid_maps_are_input_errors(self, tmp_path, capsys, maps,
+                                           message, command):
+        p = tmp_path / "bad.json"
+        p.write_text('{"maps": ' + maps + '}')
+        with pytest.raises(InputError, match=message):
+            load_input(str(p))
+        assert main([command, "--input", str(p)]) == EXIT_INPUT
+        err = capsys.readouterr().err
+        assert err.startswith("error: invalid spec") and message in err
+
     def test_check_square4_overlaps(self, tmp_path):
         # the four tiles of the square touch, so the SSC check reports an
         # overlap and the command exits with the condition code by design

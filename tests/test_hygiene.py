@@ -1,9 +1,11 @@
 """Source hygiene checks that need no linter: every module of the package
-uses each name it imports, and only Ifs.frontier takes a word limit of its
-own."""
+uses each name it imports, only Ifs.frontier takes a word limit of its
+own, and importing the package loads numpy but not scipy."""
 
 import ast
 import os
+import subprocess
+import sys
 
 import pytest
 
@@ -80,3 +82,16 @@ def test_one_word_cap(module):
     with open(os.path.join(SRC_DIR, module)) as fh:
         assert budget_knobs(fh.read()) \
             == ALLOWED_BUDGET_PARAMETERS.get(module, [])
+
+
+def test_import_loads_no_scipy():
+    # a fresh interpreter: the test session itself imports scipy
+    code = ("import sys, affinedim, affinedim.cli; "
+            "print(sorted(m for m in sys.modules "
+            "if m == 'scipy' or m.startswith('scipy.')))")
+    src = os.path.abspath(os.path.join(SRC_DIR, os.pardir))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True,
+                         env=dict(os.environ, PYTHONPATH=path))
+    assert out.stdout.strip() == "[]"

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.sparse import csr_matrix
 
 from affinedim.errors import NotDominated
 from affinedim.ifs import Word, svf
@@ -86,6 +87,23 @@ class TestTransferOperator:
         state = equilibrium_state(cone_ifs, s, m=m)
         resid = np.abs(L @ state.h - state.eigenvalue * state.h).max()
         assert resid <= 1e-8 * state.h.max()
+
+    @pytest.mark.parametrize("name", ["carpet_ifs", "cone_ifs"])
+    def test_matches_a_compressed_row_matrix(self, name, request):
+        # the product and its adjoint sum in the order of scipy's
+        # csr_matrix and its transpose, so they agree bit for bit
+        ifs = request.getfixturevalue(name)
+        s, _ = affinity_dimension(ifs)
+        L = transfer_matrix(ifs, s, 5)
+        size = L.shape[0]
+        rows = np.broadcast_to(np.arange(size), L.cols.shape)
+        ref = csr_matrix((L.vals.ravel(), (rows.ravel(), L.cols.ravel())),
+                         shape=L.shape)
+        assert L.nnz == ref.nnz == ifs.n_maps * size
+        g = np.random.Generator(np.random.Philox(key=43))
+        for f in [np.ones(size)] + [g.uniform(size=size) for _ in range(3)]:
+            assert np.array_equal(L @ f, ref @ f)
+            assert np.array_equal(L.adjoint(f), ref.T @ f)
 
     def test_needs_cone_for_true_affine(self):
         from affinedim.ifs import AffineMap, Ifs, Matrix2
