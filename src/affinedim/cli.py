@@ -83,13 +83,18 @@ def load_input(path):
         raise InputError(f"malformed JSON in {path}: {e}")
     try:
         if "maps" in data:
-            return Ifs.from_json(data), None
-        if "p" in data and "q" in data and "digits" in data:
+            ifs, spec = Ifs.from_json(data), None
+        elif "p" in data and "q" in data and "digits" in data:
             spec = carpets.CarpetSpec.from_json(data)
-            return carpets.to_ifs(spec), spec
+            ifs = carpets.to_ifs(spec)
+        else:
+            raise InputError(
+                f"{path}: expected a 'maps' list or a p/q/digits carpet")
+        if ifs.n_maps < 2:
+            raise ValueError("need at least two maps")
     except (KeyError, TypeError, ValueError) as e:
         raise InputError(f"invalid spec in {path}: {e}")
-    raise InputError(f"{path}: expected a 'maps' list or a p/q/digits carpet")
+    return ifs, spec
 
 
 def write_report(report, out, default_name):

@@ -4,7 +4,6 @@ the transversality derivative of projected distances.
 """
 
 from dataclasses import dataclass
-import functools
 import itertools
 import math
 
@@ -97,18 +96,51 @@ def _first_level_clouds(ifs, depth):
     return groups
 
 
-def _block_boxes(pts, n):
-    """Bounding boxes (lo, hi) of the blocks of n^k consecutive points, one
-    pair of (len(pts) / n^k, 2) arrays for each k, from single points to
-    the whole cloud."""
+# pairs of blocks expanded at once in `_pair_gap`; the live pairs stay
+# within a few times this per level whatever the clouds look like
+_PAIR_CHUNK = 1 << 14
+
+
+def _spread_bits(v):
+    """The low 32 bits of a uint64 array moved to the even bit places."""
+    for shift, mask in ((16, 0x0000FFFF0000FFFF), (8, 0x00FF00FF00FF00FF),
+                        (4, 0x0F0F0F0F0F0F0F0F), (2, 0x3333333333333333),
+                        (1, 0x5555555555555555)):
+        v = (v | (v << np.uint64(shift))) & np.uint64(mask)
+    return v
+
+
+def _morton_order(pts):
+    """The permutation that sorts points along the Morton curve of a
+    2^32 x 2^32 grid over their bounding box."""
+    keys = np.zeros(len(pts), dtype=np.uint64)
+    for axis in (0, 1):
+        x = pts[:, axis]
+        lo, hi = x.min(), x.max()
+        cells = ((x - lo) / ((hi - lo) or 1.0) * float(2 ** 32 - 1))
+        keys |= _spread_bits(cells.astype(np.uint64)) << np.uint64(axis)
+    return np.argsort(keys, kind="stable")
+
+
+def _block_boxes(pts):
+    """Bounding boxes (lo, hi) of the blocks of 2^k consecutive points, one
+    pair of arrays for each k, from single points to the whole cloud; the
+    last block of a level may be short."""
     boxes = [(pts, pts)]
     while len(boxes[-1][0]) > 1:
-        lo, hi = (b.reshape(-1, n, 2) for b in boxes[-1])
-        # n elementwise passes are several times faster than one reduction
-        # over the short middle axis
-        boxes.append((functools.reduce(np.minimum, lo.transpose(1, 0, 2)),
-                      functools.reduce(np.maximum, hi.transpose(1, 0, 2))))
+        lo, hi = boxes[-1]
+        if len(lo) % 2:
+            lo, hi = (np.concatenate([x, x[-1:]]) for x in (lo, hi))
+        boxes.append((np.minimum(lo[0::2], lo[1::2]),
+                      np.maximum(hi[0::2], hi[1::2])))
     return boxes
+
+
+def _block_tree(pts, errs):
+    """A cloud as `_pair_gap` reads it: the block boxes of its points in
+    Morton order, that order, and the error radii."""
+    order = _morton_order(pts)
+    return _block_boxes(pts[order]), order, errs
 
 
 def _lengths(v):
@@ -117,51 +149,69 @@ def _lengths(v):
     return np.sqrt(v[:, 0] * v[:, 0] + v[:, 1] * v[:, 1])
 
 
-def _pair_gap(groups, i, j, n):
-    """Least distance between the clouds of groups i and j, and the sum of
-    the error radii at the closest pair: among ties, the first point of
-    cloud i, then the first point of cloud j.
+def _pair_gap(trees, i, j):
+    """Least distance between the clouds of block trees i and j, which
+    hold the same number of points, and the sum of the error radii at the
+    closest pair: among ties, the first point of cloud i, then the first
+    point of cloud j.
 
-    Exact branch and bound over cylinders.  The clouds are in
-    lexicographic order, so each block of n^k consecutive points is one
-    cylinder.  Pairs of blocks are refined one level at a time into their
-    n^2 child pairs, and a pair is dropped when the distance between its
-    bounding boxes exceeds the least distance between the first points of
-    the pairs seen.  Rounding is monotone, so the box distance never
-    exceeds a computed point distance and the closest pair is never
-    dropped.
+    Exact branch and bound over the blocks of the Morton-sorted clouds,
+    which are spatially compact however the cylinders of the clouds
+    overlap.  Pairs of blocks are refined one level at a time into their
+    four child pairs, a bounded number of pairs at a time and depth first,
+    and a pair is dropped when the distance between its bounding boxes
+    exceeds the least distance between the first points of the pairs
+    seen.  Rounding is monotone, so the box distance never exceeds a
+    computed point distance and no closest pair is dropped.
     """
-    pi, ei = groups[i]
-    pj, ej = groups[j]
-    boxes_i, boxes_j = _block_boxes(pi, n), _block_boxes(pj, n)
-    a = b = np.zeros(1, dtype=np.int64)
+    (boxes_i, order_i, ei), (boxes_j, order_j, ej) = trees[i], trees[j]
+    pi, pj = boxes_i[0][0], boxes_j[0][0]
     best = math.inf
-    r = np.arange(n)
-    for k in range(len(boxes_i) - 2, -1, -1):
-        shape = (len(a), n, n)
-        a = np.broadcast_to((a * n)[:, None, None] + r[:, None], shape).ravel()
-        b = np.broadcast_to((b * n)[:, None, None] + r, shape).ravel()
+    found = (math.inf, 0, 0)
+    r = np.arange(2)
+    # one pair above the whole-cloud boxes, whose child pairs hold them
+    root = np.zeros(1, dtype=np.int64)
+    stack = [(len(boxes_i), root, root)]
+    while stack:
+        k, a, b = stack.pop()
+        if len(a) > _PAIR_CHUNK:
+            stack.append((k, a[_PAIR_CHUNK:], b[_PAIR_CHUNK:]))
+            a, b = a[:_PAIR_CHUNK], b[:_PAIR_CHUNK]
+        k -= 1
         (lo_i, hi_i), (lo_j, hi_j) = boxes_i[k], boxes_j[k]
+        shape = (len(a), 2, 2)
+        a = np.broadcast_to((2 * a)[:, None, None] + r[:, None], shape).ravel()
+        b = np.broadcast_to((2 * b)[:, None, None] + r, shape).ravel()
+        real = (a < len(lo_i)) & (b < len(lo_j))
+        a, b = a[real], b[real]
         lower = _lengths(np.maximum(
             np.maximum(lo_j[b] - hi_i[a], lo_i[a] - hi_j[b]), 0.0))
-        d = _lengths(pi[a * n ** k] - pj[b * n ** k])
+        d = _lengths(pi[a << k] - pj[b << k])
         best = min(best, float(d.min()))
         keep = lower <= best
         a, b, d = a[keep], b[keep], d[keep]
-    # at the last level the blocks are single points
-    ties = np.flatnonzero(d == best)
-    t = ties[np.argmin(a[ties] * len(pj) + b[ties])]
-    return best, float(ei[a[t]] + ej[b[t]])
+        if not len(a):
+            continue
+        if k:
+            stack.append((k, a, b))
+            continue
+        # single points: the least gap of this batch and its first pair
+        ties = np.flatnonzero(d == d.min())
+        t = ties[np.argmin(order_i[a[ties]] * len(pj) + order_j[b[ties]])]
+        found = min(found, (float(d[t]), int(order_i[a[t]]),
+                            int(order_j[b[t]])))
+    gap, x, y = found
+    return gap, float(ei[x] + ej[y])
 
 
 def _pair_scan(ifs, depth):
     """(least gap - error, least gap + error, whether some pair of
     cylinder balls intersects) over the first-level pairs at depth."""
-    groups = _first_level_clouds(ifs, depth)
+    trees = [_block_tree(*g) for g in _first_level_clouds(ifs, depth)]
     lo = hi = math.inf
     touching = False
     for i, j in itertools.combinations(range(ifs.n_maps), 2):
-        d, err = _pair_gap(groups, i, j, ifs.n_maps)
+        d, err = _pair_gap(trees, i, j)
         lo = min(lo, d - err)
         hi = min(hi, d + err)
         touching = touching or d < err

@@ -497,12 +497,10 @@ class Ifs:
     @classmethod
     def from_json(cls, data):
         """The system of a to_json dict or string.  Raises ValueError
-        unless it has at least two maps, every entry is a finite number and
-        every linear part is nonsingular."""
+        unless every entry is a finite number and every linear part is
+        nonsingular."""
         if isinstance(data, str):
             data = json.loads(data)
-        if len(data["maps"]) < 2:
-            raise ValueError("need at least two maps")
         maps = []
         for k, m in enumerate(data["maps"], 1):
             entries = [m[key] for key in ("a", "b", "c", "d", "tx", "ty")]

@@ -97,6 +97,16 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("error: invalid spec") and message in err
 
+    @pytest.mark.parametrize("command", ["check", "dims"])
+    def test_one_digit_carpet_is_an_input_error(self, tmp_path, capsys,
+                                                command):
+        p = tmp_path / "one.json"
+        p.write_text('{"p": 2, "q": 3, "digits": [[0, 0]]}')
+        with pytest.raises(InputError, match="need at least two maps"):
+            load_input(str(p))
+        assert main([command, "--input", str(p)]) == EXIT_INPUT
+        assert "need at least two maps" in capsys.readouterr().err
+
     def test_check_square4_overlaps(self, tmp_path):
         # the four tiles of the square touch, so the SSC check reports an
         # overlap and the command exits with the condition code by design

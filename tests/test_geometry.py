@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -166,6 +167,19 @@ def brute_force_gap(groups, i, j):
     return float(d[a, b]), float(ei[a] + ej[b])
 
 
+def pair_gap(groups, i, j):
+    return geometry._pair_gap([geometry._block_tree(*g) for g in groups],
+                              i, j)
+
+
+def overlapping_line(n):
+    """n maps of ratios 0.9 to 0.95 by 0.05 with nearby translations on a
+    line: the first-level cylinders overlap all the way down, so a bound
+    over cylinder blocks keeps nearly every pair."""
+    return Ifs([AffineMap(Matrix2(0.9 + 0.0125 * i, 0.0, 0.0, 0.05),
+                          (0.02 * i, 0.0)) for i in range(n)])
+
+
 class TestPairGap:
     @pytest.mark.parametrize("name", FIXTURES)
     def test_matches_kdtree_at_every_depth(self, name, request):
@@ -173,13 +187,11 @@ class TestPairGap:
         for depth in range(2, 9):
             groups = geometry._first_level_clouds(ifs, ifs._fit_depth(depth))
             for i, j in itertools.combinations(range(ifs.n_maps), 2):
-                assert geometry._pair_gap(groups, i, j, ifs.n_maps) \
-                    == kdtree_gap(groups, i, j)
+                assert pair_gap(groups, i, j) == kdtree_gap(groups, i, j)
 
     def test_ties_across_the_first_cloud_match_kdtree(self):
         g = rng(5)
-        for n, k in ((2, 8), (3, 5), (5, 3)):
-            size = n ** k
+        for size in (2 ** 8, 3 ** 5, 5 ** 3):
             for _ in range(10):
                 # binary fractions keep the differences exact, so four
                 # points of cloud 0 at one offset from points of cloud 1
@@ -188,7 +200,7 @@ class TestPairGap:
                 hits = g.permutation(size)[:8]
                 pts[0, hits[:4]] = pts[1, hits[4:]] + [3.0 / 1024, 4.0 / 1024]
                 groups = [(p, g.uniform(size=size)) for p in pts]
-                assert geometry._pair_gap(groups, 0, 1, n) \
+                assert pair_gap(groups, 0, 1) \
                     == kdtree_gap(groups, 0, 1) \
                     == brute_force_gap(groups, 0, 1)
                 assert kdtree_gap(groups, 0, 1)[0] == 5.0 / 1024
@@ -197,17 +209,44 @@ class TestPairGap:
         # among equally near points of cloud 1 the k-d tree picks by its
         # own layout, so only its distance is compared here
         g = rng(6)
-        for n, k in ((2, 6), (3, 4), (4, 3), (5, 3)):
-            size = n ** k
+        for size in (2 ** 6, 3 ** 4, 4 ** 3, 5 ** 3):
             for span in (3, 6, 50):
                 for _ in range(10):
                     # a coarse grid: copies, and many pairs at each distance
                     pts = g.integers(0, span, size=(2, size, 2)) * 0.1
                     pts[1, :, 0] += 0.05 * span
                     groups = [(p, g.uniform(size=size)) for p in pts]
-                    gap = geometry._pair_gap(groups, 0, 1, n)
+                    gap = pair_gap(groups, 0, 1)
                     assert gap == brute_force_gap(groups, 0, 1)
                     assert gap[0] == kdtree_gap(groups, 0, 1)[0]
+
+    def test_single_points_and_short_blocks(self):
+        g = rng(7)
+        for size in (1, 2, 3, 7, 33, 300):
+            groups = [(g.uniform(size=(size, 2)), g.uniform(size=size))
+                      for _ in range(2)]
+            assert pair_gap(groups, 0, 1) == brute_force_gap(groups, 0, 1)
+            assert pair_gap(groups, 1, 0) == brute_force_gap(groups, 1, 0)
+
+    def test_overlapping_cylinders_stay_small(self):
+        # 5^7 points a cloud, interleaved along a line: the live pairs, and
+        # so the memory, must stay far below the cloud size squared
+        ifs = overlapping_line(5)
+        groups = geometry._first_level_clouds(ifs, ifs._fit_depth(8))
+        assert len(groups[0][0]) == 5 ** 7
+        tracemalloc.start()
+        try:
+            gap = pair_gap(groups, 0, 1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert gap == kdtree_gap(groups, 0, 1)
+        assert peak < 64 * 2 ** 20
+
+    def test_ssc_check_on_overlapping_cylinders(self):
+        rep = ssc_check(overlapping_line(4))
+        assert rep.separated == "Overlap"
+        assert rep.depth == 6
 
 
 def full_cloud_widths(pts, thetas):
