@@ -23,7 +23,7 @@ from .geometry import content_consistency, hausdorff_content_projection, \
     posc_check, projected_gap, slice_points, slice_upper_bound, ssc_check, \
     tangent_dimension_scan, transversality_derivative, \
     transversality_tail_bound
-from .ifs import Ifs, batch_singular_values
+from .ifs import Ifs, batch_singular_values, mul2
 from .projective import PI, ProjPoint, classify_irreducibility, \
     furstenberg_directions, is_dominated, strictly_affine
 from .thermo import affinity_dimension, gibbs_spread_by_depth
@@ -407,7 +407,7 @@ def cmd_render(args):
     prods = ifs.level_products(depth)
     pts, _ = ifs._cylinder_centers(depth)
     # polygon vertices: affine image of the bounding square, word order
-    offs = np.einsum("wpq,kq->wkp", prods, corners - c)
+    offs = mul2(prods[:, None], (corners - c)[None, :, :, None])[..., 0]
     polys = pts[:, None, :] + offs
 
     allp = polys.reshape(-1, 2)

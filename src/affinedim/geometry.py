@@ -13,7 +13,7 @@ from .config import word_cap
 from .errors import BudgetExceeded, DegenerateRange, HypothesisViolated, \
     NotDominated, NotSeparated
 from .estimators import PointCloud, box_dim
-from .ifs import batch_singular_values, hull_vertices
+from .ifs import batch_singular_values, hull_vertices, mul2
 from .projective import PI, ProjPoint, furstenberg_directions
 from .roots import brentq
 from .thermo import affinity_dimension, equilibrium_state
@@ -678,8 +678,8 @@ def _projected_hulls(ifs, v, depth):
     u = _axis(v)
     pts, _ = ifs._cylinder_centers(depth)
     prods = ifs.level_products(depth)
-    halves = np.linalg.norm(np.einsum("wqp,q->wp", prods, u), axis=1) \
-        * ifs.ball_radius
+    halves = np.linalg.norm(mul2(prods.swapaxes(1, 2), u[:, None])[..., 0],
+                            axis=1) * ifs.ball_radius
     centers = pts @ u
     return centers - halves, centers + halves
 
@@ -821,7 +821,9 @@ def bochi_morris_scan(ifs, depth=8, directions=None):
         prods = ifs.level_products(n)
         a1 = batch_singular_values(prods)[0]
         # norms of A_w^T u for all words x directions
-        norms = np.linalg.norm(np.einsum("wqp,dq->wdp", prods, us), axis=2)
+        norms = np.linalg.norm(
+            mul2(prods.swapaxes(1, 2)[:, None], us[None, :, :, None])[..., 0],
+            axis=2)
         if (norms > a1[:, None] * (1.0 + 1e-10)).any():
             raise AssertionError("norm bound violated; numerical fault")
         out[n] = float((a1[:, None] / norms).max())

@@ -111,11 +111,33 @@ def batch_singular_values(mats):
     return a1, a2
 
 
+def mul2(left, right):
+    """Products left @ right over broadcast stacks of 2x2 matrices (shape
+    (..., 2, 2)) by 2x2 matrices or 2x1 columns (shape (..., 2, k)).
+
+    Each output entry is two whole-array multiplies and an add, written
+    into one output array through strided views.  The final += 0.0 turns
+    a sum of two -0.0 products into +0.0, as a sum accumulated from +0.0
+    gives, so the result equals np.einsum's bit for bit.
+    """
+    shape = np.broadcast_shapes(left.shape[:-2], right.shape[:-2])
+    out = np.empty(shape + (2, right.shape[-1]))
+    tmp = np.empty(shape)
+    for p in range(2):
+        for r in range(right.shape[-1]):
+            entry = out[..., p, r]
+            np.multiply(left[..., p, 0], right[..., 0, r], out=entry)
+            np.multiply(left[..., p, 1], right[..., 1, r], out=tmp)
+            entry += tmp
+    out += 0.0
+    return out
+
+
 def extend_level(lins, prods):
     """Products A_i A_w for every letter i and every product A_w of a
     level, letter-major, so a level in lexicographic word order yields the
     next one in lexicographic order."""
-    return np.einsum("ipq,wqr->iwpr", lins, prods).reshape(-1, 2, 2)
+    return mul2(lins[:, None], prods[None]).reshape(-1, 2, 2)
 
 
 @dataclass(frozen=True)
@@ -348,7 +370,7 @@ class Ifs:
                 # prepend a letter: phi_i applied after phi_w requires
                 # building from the left; p_{iw} = A_i p_w + v_i keeps
                 # lexicographic order
-                pts = (np.einsum("ipq,wq->iwp", self.lins, pts)
+                pts = (mul2(self.lins[:, None], pts[None, :, :, None])[..., 0]
                        + self.vs[:, None, :]).reshape(-1, 2)
             errs = batch_singular_values(mats)[0] * self.ball_radius
             pts.flags.writeable = errs.flags.writeable = False
@@ -371,7 +393,7 @@ class Ifs:
         the deepest level whose word codes fit in an int64.
 
         Without lex the cylinders come in emission order: level by level,
-        children letter-major, products by a batched einsum.  With lex they
+        children letter-major, products by `mul2`.  With lex they
         come in lexicographic word order, that of a depth-first walk, and
         each product A_w A_i is a stacked matmul, which repeats the
         arithmetic of a node-by-node walk bit for bit.
@@ -379,7 +401,7 @@ class Ifs:
         cap = word_cap() if cap is None else cap
         n, c = self.n_maps, self.ball_center
         # child of word w by letter i: p_{wi} = p_w + A_w (phi_i(c) - c)
-        drifts = np.einsum("ipq,q->ip", self.lins, c) + self.vs - c
+        drifts = mul2(self.lins, c[:, None])[..., 0] + self.vs - c
         codes, mats, pts = np.arange(n), self.lins, c + drifts
         found, emitted = [], 0
         for depth in range(1, int(63 / math.log2(max(n, 2))) + 1):
@@ -398,12 +420,12 @@ class Ifs:
             if not len(codes):
                 break
             codes = (codes[None, :] * n + np.arange(n)[:, None]).reshape(-1)
-            pts = (np.einsum("wpq,iq->iwp", mats, drifts)
+            pts = (mul2(mats[None], drifts[:, None, :, None])[..., 0]
                    + pts[None, :, :]).reshape(-1, 2)
             if lex:
                 mats = mats[None] @ self.lins[:, None]
             else:
-                mats = np.einsum("wpq,iqr->iwpr", mats, self.lins)
+                mats = mul2(mats[None], self.lins[:, None])
             mats = mats.reshape(-1, 2, 2)
         else:
             raise BudgetExceeded(cap, None)

@@ -15,7 +15,7 @@ import numpy as np
 
 from .config import word_cap
 from .errors import Inconclusive, NotDominated
-from .ifs import batch_singular_values
+from .ifs import batch_singular_values, mul2
 
 PI = math.pi
 
@@ -457,7 +457,7 @@ def furstenberg_measure_sample(ifs, probs=None, n_samples=10000, burn_in=40,
     v /= np.linalg.norm(v, axis=1, keepdims=True)
     for step in range(burn_in):
         mats = invs[idx[:, step]]
-        v = np.einsum("kpq,kq->kp", mats, v)
+        v = mul2(mats, v[:, :, None])[..., 0]
         v /= np.linalg.norm(v, axis=1, keepdims=True)
     return np.mod(np.arctan2(v[:, 1], v[:, 0]), PI)
 

@@ -38,25 +38,33 @@ def pressure(ifs, s, n):
     return PressureSample(s, n, total / n)
 
 
-def _log_svf(la1, la2, s):
+def _log_svf(la1, la2, s, out=None):
     """log phi^s from log alpha1 and log alpha2: the three branches of the
-    singular value function in the log domain."""
+    singular value function in the log domain, s * la1,
+    la1 + (s - 1) * la2 and (s / 2) * (la1 + la2), written into out when
+    it is given."""
     if s <= 1.0:
-        return s * la1
+        return np.multiply(s, la1, out=out)
     if s <= 2.0:
-        return la1 + (s - 1.0) * la2
-    return 0.5 * s * (la1 + la2)
+        out = np.multiply(s - 1.0, la2, out=out)
+        return np.add(la1, out, out=out)
+    out = np.add(la1, la2, out=out)
+    return np.multiply(0.5 * s, out, out=out)
 
 
 def _pressure_fn(ifs, n):
+    """p(s), the level-n pressure; every call reuses one buffer of the
+    level's size."""
     a1, a2 = ifs.level_singular_values(n)
     la1 = np.log(a1)
     la2 = np.log(a2)
+    buf = np.empty_like(la1)
 
     def p(s):
-        logs = _log_svf(la1, la2, s)
+        logs = _log_svf(la1, la2, s, out=buf)
         m = logs.max()
-        return (m + math.log(np.exp(logs - m).sum())) / n
+        logs -= m
+        return (m + math.log(np.exp(logs, out=logs).sum())) / n
     return p
 
 

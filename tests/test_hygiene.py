@@ -1,6 +1,7 @@
 """Source hygiene checks that need no linter: every module of the package
 uses each name it imports, only Ifs.frontier takes a word limit of its
-own, and importing the package loads numpy but not scipy."""
+own, 2x2 products go through the one kernel ifs.mul2, and importing the
+package loads numpy but not scipy."""
 
 import ast
 import os
@@ -82,6 +83,28 @@ def test_one_word_cap(module):
     with open(os.path.join(SRC_DIR, module)) as fh:
         assert budget_knobs(fh.read()) \
             == ALLOWED_BUDGET_PARAMETERS.get(module, [])
+
+
+def einsum_calls(source):
+    """Line numbers of every call of a function named einsum."""
+    return [node.lineno for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.Call)
+            and getattr(node.func, "attr",
+                        getattr(node.func, "id", None)) == "einsum"]
+
+
+def test_checker_finds_einsum_calls():
+    src = ("import numpy as np\nfrom numpy import einsum\n"
+           "x = np.einsum('ij->i', y)\nz = einsum('i->', x)\n"
+           "# np.einsum in a comment\n")
+    assert einsum_calls(src) == [3, 4]
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_no_einsum(module):
+    # 2x2 products go through ifs.mul2, which equals einsum bit for bit
+    with open(os.path.join(SRC_DIR, module)) as fh:
+        assert einsum_calls(fh.read()) == []
 
 
 def test_import_loads_no_scipy():

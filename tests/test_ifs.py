@@ -9,7 +9,7 @@ import pytest
 from affinedim.errors import BudgetExceeded, IndexOutOfRange, SingularMatrix
 from affinedim.geometry import projected_diameter_bound
 from affinedim.ifs import AffineMap, Ifs, Matrix2, Word, _cloud_diameter, \
-    batch_singular_values, singular_values, svf
+    batch_singular_values, extend_level, mul2, singular_values, svf
 from affinedim.projective import ProjPoint, strictly_affine
 
 
@@ -322,3 +322,113 @@ class TestFlatClouds:
         assert d == exact
         # a pairwise difference array would take 2000^2 * 16 B = 64 MB
         assert peak < 1_000_000
+
+
+FIXTURES = ["sim3", "cantor2", "square4", "positive_pair", "cone_ifs",
+            "overlap_ifs", "carpet_ifs"]
+
+
+def assert_same_bits(got, want):
+    """Equal bit patterns, every NaN counted equal to every NaN; unlike
+    np.array_equal this tells -0.0 from 0.0."""
+    assert got.shape == want.shape
+    nan = np.isnan(want)
+    assert (np.isnan(got) == nan).all()
+    assert (got.view(np.int64)[~nan] == want.view(np.int64)[~nan]).all()
+
+
+def special_stack(g, shape):
+    """Normals with about three entries in four replaced by signed zeros,
+    units, infinities, subnormals or 1e308."""
+    pool = np.array([0.0, -0.0, 1.0, -1.0, np.inf, -np.inf, 1e-320,
+                     -1e-320, 1e308])
+    vals = g.normal(size=shape)
+    pick = g.integers(0, len(pool) + 3, size=shape)
+    special = pick < len(pool)
+    vals[special] = pool[pick[special]]
+    return vals
+
+
+# every einsum mul2 replaced, with the mul2 call that replaced it
+MUL2_SITES = [
+    ("ipq,wqr->iwpr", (3, 2, 2), (50, 2, 2),
+     lambda x, y: mul2(x[:, None], y[None])),
+    ("wpq,iqr->iwpr", (50, 2, 2), (3, 2, 2),
+     lambda x, y: mul2(x[None], y[:, None])),
+    ("ipq,wq->iwp", (3, 2, 2), (50, 2),
+     lambda x, y: mul2(x[:, None], y[None, :, :, None])[..., 0]),
+    ("wpq,iq->iwp", (50, 2, 2), (3, 2),
+     lambda x, y: mul2(x[None], y[:, None, :, None])[..., 0]),
+    ("ipq,q->ip", (50, 2, 2), (2,),
+     lambda x, y: mul2(x, y[:, None])[..., 0]),
+    ("wqp,q->wp", (50, 2, 2), (2,),
+     lambda x, y: mul2(x.swapaxes(1, 2), y[:, None])[..., 0]),
+    ("wqp,dq->wdp", (50, 2, 2), (7, 2),
+     lambda x, y: mul2(x.swapaxes(1, 2)[:, None],
+                       y[None, :, :, None])[..., 0]),
+    ("wpq,kq->wkp", (50, 2, 2), (4, 2),
+     lambda x, y: mul2(x[:, None], y[None, :, :, None])[..., 0]),
+    ("kpq,kq->kp", (50, 2, 2), (50, 2),
+     lambda x, y: mul2(x, y[:, :, None])[..., 0]),
+]
+
+
+class TestMul2:
+    @pytest.mark.parametrize("spec,lshape,rshape,kernel", MUL2_SITES,
+                             ids=[site[0] for site in MUL2_SITES])
+    def test_special_values_match_einsum(self, spec, lshape, rshape, kernel):
+        g = rng(31)
+        for _ in range(20):
+            x, y = special_stack(g, lshape), special_stack(g, rshape)
+            with np.errstate(invalid="ignore", over="ignore"):
+                assert_same_bits(kernel(x, y), np.einsum(spec, x, y))
+
+    def test_sum_of_negative_zeros_is_positive_zero(self):
+        x = np.ones((1, 2, 2))
+        y = np.array([[[-0.0, 1.0], [-0.0, 1.0]]])
+        want = np.einsum("ipq,wqr->iwpr", x, y)
+        plain = x[0, 0, 0] * y[0, 0, 0] + x[0, 0, 1] * y[0, 1, 0]
+        # the plain two-term sum keeps the sign einsum drops
+        assert math.copysign(1.0, plain) == -1.0
+        assert math.copysign(1.0, want[0, 0, 0, 0]) == 1.0
+        assert_same_bits(mul2(x[:, None], y[None]), want)
+
+    @pytest.mark.parametrize("name", FIXTURES)
+    def test_level_chains_match_einsum(self, request, name):
+        ifs = request.getfixturevalue(name)
+        depth = ifs._fit_depth(12)
+        prods = inv_prods = inv_level = np.eye(2)[None]
+        invs = np.linalg.inv(ifs.lins)
+        pts = ifs.ball_center[None]
+        for n in range(1, depth + 1):
+            prods = np.einsum("ipq,wqr->iwpr", ifs.lins, prods) \
+                .reshape(-1, 2, 2)
+            assert_same_bits(ifs.level_products(n), prods)
+            inv_prods = np.einsum("ipq,wqr->iwpr", invs, inv_prods) \
+                .reshape(-1, 2, 2)
+            inv_level = extend_level(invs, inv_level)
+            assert_same_bits(inv_level, inv_prods)
+            pts = (np.einsum("ipq,wq->iwp", ifs.lins, pts)
+                   + ifs.vs[:, None, :]).reshape(-1, 2)
+        assert_same_bits(ifs._cylinder_centers(depth)[0], pts)
+
+    @pytest.mark.parametrize("name", FIXTURES)
+    def test_frontier_expansion_matches_einsum(self, request, name):
+        ifs = request.getfixturevalue(name)
+        calls = []
+
+        def third_level(mats, pts, a1):
+            calls.append(len(mats))
+            return np.full(len(mats), len(calls) == 3)
+
+        found = ifs.frontier(third_level)
+        c = ifs.ball_center
+        drifts = np.einsum("ipq,q->ip", ifs.lins, c) + ifs.vs - c
+        mats, pts = ifs.lins, c + drifts
+        for _ in range(2):
+            pts = (np.einsum("wpq,iq->iwp", mats, drifts)
+                   + pts[None, :, :]).reshape(-1, 2)
+            mats = np.einsum("wpq,iqr->iwpr", mats, ifs.lins) \
+                .reshape(-1, 2, 2)
+        assert_same_bits(found.mats, mats)
+        assert_same_bits(found.pts, pts)

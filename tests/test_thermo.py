@@ -1,4 +1,5 @@
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -6,9 +7,9 @@ from scipy.sparse import csr_matrix
 
 from affinedim.errors import NotDominated
 from affinedim.ifs import Word, svf
-from affinedim.thermo import affinity_dimension, equilibrium_state, \
-    gibbs_spread_by_depth, kaenmaki_weights, letter_marginal, pressure, \
-    transfer_matrix
+from affinedim.thermo import _pressure_fn, affinity_dimension, \
+    equilibrium_state, gibbs_spread_by_depth, kaenmaki_weights, \
+    letter_marginal, pressure, transfer_matrix
 
 
 class TestPressure:
@@ -34,6 +35,41 @@ class TestPressure:
                 pm = pressure(ifs, s, m).value
                 pnm = pressure(ifs, s, n + m).value
                 assert (n + m) * pnm <= n * pn + m * pm + 1e-10
+
+
+def unbuffered_pressure(a1, a2, n, s):
+    """The level-n pressure as three fresh arrays: logs, logs - m, exp."""
+    la1, la2 = np.log(a1), np.log(a2)
+    if s <= 1.0:
+        logs = s * la1
+    elif s <= 2.0:
+        logs = la1 + (s - 1.0) * la2
+    else:
+        logs = 0.5 * s * (la1 + la2)
+    m = logs.max()
+    return (m + math.log(np.exp(logs - m).sum())) / n
+
+
+class TestPressureClosure:
+    ORDER = (1.5, 0.3, 2.7, 1.5, 1.0, 2.0, 0.3)
+
+    def test_fixture_levels(self, cone_ifs, positive_pair):
+        for ifs, n in ((cone_ifs, 6), (positive_pair, 12)):
+            p = _pressure_fn(ifs, n)
+            a1, a2 = ifs.level_singular_values(n)
+            for s in self.ORDER:
+                assert p(s) == unbuffered_pressure(a1, a2, n, s)
+
+    def test_zero_alpha2(self):
+        g = np.random.Generator(np.random.Philox(key=41))
+        a1 = g.uniform(0.1, 1.0, size=1000)
+        a2 = a1 * g.uniform(0.0, 1.0, size=1000)
+        a2[::7] = 0.0
+        ifs = SimpleNamespace(level_singular_values=lambda n: (a1, a2))
+        with np.errstate(divide="ignore"):
+            p = _pressure_fn(ifs, 9)
+            for s in self.ORDER:
+                assert p(s) == unbuffered_pressure(a1, a2, 9, s)
 
 
 class TestAffinityDimension:
