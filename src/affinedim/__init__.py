@@ -8,21 +8,20 @@ from .errors import AffinedimError, BudgetExceeded, DegenerateRange, \
     HypothesisViolated, Inconclusive, IndexOutOfRange, NotConverged, \
     NotDominated, NotSeparated, PlacementFailed, SingularMatrix
 from .estimators import CoverReport, PointCloud, assouad_two_scale, \
-    box_dim, grid_count, lower_two_scale, regularity_diagnostic
+    box_dim, grid_count, lower_two_scale
 from .geometry import ContentEstimate, PoscReport, SscReport, TangentCloud, \
     bochi_morris_scan, brute_force_content, content_consistency, \
     hausdorff_content_projection, interval_content, posc_check, \
     projected_gap, sigma_count, slice_points, slice_root, slice_upper_bound, \
     ssc_check, tangent_dimension_scan, transversality_derivative, \
     transversality_tail_bound, weak_tangent
-from .ifs import AffineMap, Ifs, Matrix2, StoppingSet, Word, \
+from .ifs import AffineMap, Ifs, Matrix2, Word, \
     batch_singular_values, singular_values, svf
 from .projective import DirectionsApprox, IrreducibilityClass, Multicone, \
     ProjInterval, ProjPoint, classify_irreducibility, find_invariant_multicone, \
-    furstenberg_directions, furstenberg_measure_sample, is_dominated, \
-    merge_intervals, stationarity_residual, strictly_affine
+    furstenberg_directions, is_dominated, merge_intervals, strictly_affine
 from .thermo import EqState, GibbsWeights, PressureSample, \
     affinity_dimension, equilibrium_state, gibbs_spread_by_depth, \
-    kaenmaki_weights, letter_marginal, pressure, transfer_matrix
+    kaenmaki_weights, pressure, transfer_matrix
 
 __version__ = "0.1.0"

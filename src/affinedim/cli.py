@@ -26,7 +26,8 @@ from .geometry import content_consistency, hausdorff_content_projection, \
 from .ifs import Ifs, batch_singular_values, mul2
 from .projective import PI, ProjPoint, classify_irreducibility, \
     furstenberg_directions, is_dominated, strictly_affine
-from .thermo import affinity_dimension, gibbs_spread_by_depth
+from .thermo import _cylinder_directions, affinity_dimension, \
+    gibbs_spread_by_depth
 
 EXIT_OK = 0
 EXIT_INPUT = 1
@@ -317,7 +318,6 @@ def _suite_content(ifs, spec, args):
     s_star, _ = affinity_dimension(ifs)
     if s_star > 1.0:
         return _skip("content", f"needs s <= 1, got {s_star}")
-    from .thermo import _cylinder_directions
     try:
         thetas = _cylinder_directions(ifs, 4)
     except NotDominated as e:

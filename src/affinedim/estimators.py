@@ -1,8 +1,7 @@
 """Point-cloud dimension estimators.
 
 Dyadic grid box counting plus localized two-scale covering exponents for
-Assouad-type and lower-type estimates, and an Ahlfors regularity
-diagnostic driven by cylinder weights.  All estimators refuse to count
+Assouad-type and lower-type estimates.  All estimators refuse to count
 below twice the cloud's resolution and report fit residuals.
 """
 
@@ -193,31 +192,3 @@ def lower_two_scale(cloud, pairs=None, n_centers=32, seed=7):
     if not exponents:
         raise DegenerateRange("no usable center/scale pair")
     return min(exponents)
-
-
-def regularity_diagnostic(cloud, weights, s, radii=None, n_centers=24, seed=3,
-                          threshold=50.0):
-    """Ahlfors envelope of a weighted cloud: spread of mu(B(x,r))/r^s.
-
-    weights is an array of per-point masses summing to ~1 (cylinder
-    weights pushed to canonical points).  Returns the max and min ratio
-    over a grid of cloud centers and radii spanning two decades, plus a
-    verdict flag (regular iff max/min <= threshold).
-    """
-    weights = np.asarray(weights, dtype=float)
-    if radii is None:
-        ext = cloud.extent
-        radii = np.geomspace(ext / 4.0, max(4.0 * cloud.resolution, ext / 400.0), 6)
-    rng = np.random.Generator(np.random.Philox(key=seed))
-    idx = rng.choice(len(cloud), size=min(n_centers, len(cloud)), replace=False)
-    ratios = []
-    for center in cloud.points[idx]:
-        d = np.linalg.norm(cloud.points - center, axis=1)
-        for r in radii:
-            mass = weights[d <= r].sum()
-            if mass > 0:
-                ratios.append(mass / r ** s)
-    ratios = np.array(ratios)
-    mx, mn = float(ratios.max()), float(ratios.min())
-    return {"max_ratio": mx, "min_ratio": mn, "spread": mx / mn,
-            "regular": mx / mn <= threshold}

@@ -16,7 +16,8 @@ from .estimators import PointCloud, box_dim
 from .ifs import batch_singular_values, hull_vertices, mul2
 from .projective import PI, ProjPoint, furstenberg_directions
 from .roots import brentq
-from .thermo import affinity_dimension, equilibrium_state
+from .thermo import _cylinder_directions, affinity_dimension, \
+    equilibrium_state
 
 # ---------------------------------------------------------------------------
 # projected diameters
@@ -668,10 +669,6 @@ class ContentEstimate:
     value: float
     depth: int
 
-    def to_json(self):
-        return {"s": self.s, "direction": self.direction.angle,
-                "value": self.value, "depth": self.depth}
-
 
 def _projected_hulls(ifs, v, depth):
     """Certified projected hull intervals of all depth-n cylinders."""
@@ -708,7 +705,6 @@ def content_consistency(ifs, n_cylinders=20, depth=8, seed=0, s=None,
     if s > 1.0:
         raise ValueError("content comparison needs s <= 1")
     state = equilibrium_state(ifs, s, m=m)
-    from .thermo import _cylinder_directions
     thetas = _cylinder_directions(ifs, m)
     rng = np.random.Generator(np.random.Philox(key=seed))
     size = ifs.n_maps ** m
@@ -730,23 +726,18 @@ def content_consistency(ifs, n_cylinders=20, depth=8, seed=0, s=None,
 # transversality
 
 
-def _as_arrays(matrices):
-    out = []
-    for m in matrices:
-        out.append(m.array if hasattr(m, "array") else np.asarray(m, float))
-    return out
-
-
-def _series_terms(arrs, w, word, letter, depth):
-    """Partial sums of indicator(word_n == letter) * (A_{word|n-1} w) over
-    the word extended periodically to the given depth."""
+def _periodic_sum(arrs, vecs, word, depth):
+    """Sum of A_{word|k} vecs[word_{k+1}] over k < depth, with the word
+    extended periodically and A_{word|k} kept as a running product; the
+    letters that are not keys of the dict vecs add nothing."""
     acc = np.zeros(2)
     prod = np.eye(2)
     n = len(word)
     for k in range(depth):
-        if word[k % n] == letter:
-            acc = acc + prod @ w
-        prod = prod @ arrs[word[k % n] - 1]
+        letter = word[k % n]
+        if letter in vecs:
+            acc = acc + prod @ vecs[letter]
+        prod = prod @ arrs[letter - 1]
     return acc
 
 
@@ -759,8 +750,8 @@ def transversality_derivative(matrices, w, word_i, word_j, depth=30):
     (max norm)^depth / (1 - max norm).  Requires max norm < 1/2 and
     distinct first letters.
     """
-    arrs = _as_arrays(matrices)
-    a = max(batch_singular_values(np.stack(arrs))[0])
+    arrs = np.asarray(matrices, dtype=float)
+    a = batch_singular_values(arrs)[0].max()
     if a >= 0.5:
         raise HypothesisViolated(f"max matrix norm {a} >= 1/2")
     wi = tuple(word_i)
@@ -769,15 +760,13 @@ def transversality_derivative(matrices, w, word_i, word_j, depth=30):
         raise ValueError("words must differ in the first letter")
     w = np.asarray(w, dtype=float)
     w = w / np.linalg.norm(w)
-    letter = wi[0]
-    si = _series_terms(arrs, w, wi, letter, depth)
-    sj = _series_terms(arrs, w, wj, letter, depth)
-    return abs(float(w @ (si - sj)))
+    vecs = {wi[0]: w}
+    return abs(float(w @ (_periodic_sum(arrs, vecs, wi, depth)
+                          - _periodic_sum(arrs, vecs, wj, depth))))
 
 
 def transversality_tail_bound(matrices, depth):
-    arrs = _as_arrays(matrices)
-    a = max(batch_singular_values(np.stack(arrs))[0])
+    a = batch_singular_values(np.asarray(matrices, dtype=float))[0].max()
     return a ** depth / (1.0 - a)
 
 
@@ -785,21 +774,12 @@ def projected_gap(matrices, translations, w, word_i, word_j, depth=30):
     """Signed coordinate along w of the difference of the two canonical
     points, with words extended periodically; the finite-difference
     oracle for the derivative above."""
-    arrs = _as_arrays(matrices)
+    arrs = np.asarray(matrices, dtype=float)
     w = np.asarray(w, dtype=float)
     w = w / np.linalg.norm(w)
-    ts = [np.asarray(t, dtype=float) for t in translations]
-
-    def pi_point(word):
-        acc = np.zeros(2)
-        prod = np.eye(2)
-        n = len(word)
-        for k in range(depth):
-            acc = acc + prod @ ts[word[k % n] - 1]
-            prod = prod @ arrs[word[k % n] - 1]
-        return acc
-
-    return float(w @ (pi_point(tuple(word_i)) - pi_point(tuple(word_j))))
+    ts = {k: np.asarray(t, dtype=float) for k, t in enumerate(translations, 1)}
+    return float(w @ (_periodic_sum(arrs, ts, tuple(word_i), depth)
+                      - _periodic_sum(arrs, ts, tuple(word_j), depth)))
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,9 @@
 """Planar affine iterated function systems and their symbolic dynamics.
 
 The central objects are 2x2 invertible matrices, contractive affine maps,
-finite tuples of such maps, finite words over the map alphabet, and
-scale-indexed stopping sets (prefix-free partitions of the cylinder tree).
+finite tuples of such maps, finite words over the map alphabet, and the
+cylinder frontier `Ifs.frontier`, which gives the scale-indexed stopping
+sets (prefix-free partitions of the cylinder tree) for any stop rule.
 """
 
 from dataclasses import dataclass
@@ -13,6 +14,7 @@ import numpy as np
 
 from .config import word_cap
 from .errors import BudgetExceeded, IndexOutOfRange, SingularMatrix
+from .estimators import PointCloud
 
 _DET_EPS = 1e-14
 
@@ -44,15 +46,6 @@ class Matrix2:
     @property
     def det(self):
         return self.a * self.d - self.b * self.c
-
-    @property
-    def transpose(self):
-        return Matrix2(self.a, self.c, self.b, self.d)
-
-    @property
-    def inverse(self):
-        det = self.det
-        return Matrix2(self.d / det, -self.b / det, -self.c / det, self.a / det)
 
     def __matmul__(self, other):
         if isinstance(other, Matrix2):
@@ -195,31 +188,6 @@ class Word:
     def __str__(self):
         return "".join(str(i) for i in self.indices) or "-"
 
-    def concat(self, other):
-        return Word(self.indices + tuple(other))
-
-    def prefix(self, n):
-        return Word(self.indices[:n])
-
-    @property
-    def parent(self):
-        return Word(self.indices[:-1])
-
-    @property
-    def reversed(self):
-        return Word(self.indices[::-1])
-
-    def common_prefix(self, other):
-        n = 0
-        for x, y in zip(self.indices, other.indices):
-            if x != y:
-                break
-            n += 1
-        return Word(self.indices[:n])
-
-    def is_prefix_of(self, other):
-        return other.indices[: len(self.indices)] == self.indices
-
 
 class Ifs:
     """A finite tuple of contractive invertible affine maps with an
@@ -324,12 +292,6 @@ class Ifs:
             flat, rem = divmod(flat, self.n_maps)
             letters.append(rem + 1)
         return Word(tuple(reversed(letters)))
-
-    def flat_from_word(self, word):
-        flat = 0
-        for letter in word:
-            flat = flat * self.n_maps + (letter - 1)
-        return flat
 
     # -- certified diameter -------------------------------------------------
 
@@ -440,37 +402,6 @@ class Ifs:
             parts = [p[order] for p in parts]
         return Cylinders(*parts)
 
-    # -- stopping sets ------------------------------------------------------
-
-    def stopping_set(self, r, criterion="by-alpha1", rho=0.1, direction=None):
-        """Prefix-free partition of the cylinder tree at scale r, in
-        lexicographic word order.
-
-        criterion:
-          "by-alpha1"    stop when alpha1(A_w)*diam_ub <= r
-          "by-alpha2-aspect" stop when additionally
-                         alpha2(A_w)*diam_ub < rho*alpha1(A_w)
-          "by-projected-diameter" stop when the certified projected diameter
-                         bound in the given direction drops below r
-        Convention: r at or above the diameter bound returns the N one-letter
-        words so downstream partition logic stays uniform.
-        """
-        diam = self.diam_upper
-        if criterion == "by-projected-diameter":
-            from .geometry import _proj_stopping
-            found = _proj_stopping(self, direction, r)
-        elif criterion == "by-alpha1":
-            found = self.frontier(lambda mats, pts, a1: a1 * diam <= r,
-                                  lex=True)
-        elif criterion == "by-alpha2-aspect":
-            def stop(mats, pts, a1):
-                a2 = batch_singular_values(mats)[1]
-                return (a2 * diam < rho * a1) & (a1 * diam <= r)
-            found = self.frontier(stop, lex=True)
-        else:
-            raise ValueError(f"unknown criterion {criterion!r}")
-        return StoppingSet(tuple(found.words(self)), criterion)
-
     def attractor_sample(self, resolution, mode="cylinder-centers", seed=0,
                          count=10000):
         """Point cloud approximating the attractor.
@@ -480,8 +411,6 @@ class Ifs:
         resolution*ball_radius of the cloud.  chaos-game: deterministic
         counter-based sampling for a fixed seed.
         """
-        from .estimators import PointCloud
-
         if resolution <= 0:
             raise ValueError("resolution must be positive")
         if mode == "cylinder-centers":
@@ -563,25 +492,6 @@ class Cylinders:
 
     def words(self, ifs):
         return [self.word(ifs, k) for k in range(len(self))]
-
-
-@dataclass(frozen=True)
-class StoppingSet:
-    """Prefix-free exhaustive set of stopping words at some scale."""
-
-    words: tuple
-    criterion: str = "by-alpha1"
-
-    def __len__(self):
-        return len(self.words)
-
-    def is_prefix_free(self):
-        seen = set(w.indices for w in self.words)
-        for w in self.words:
-            for k in range(len(w)):
-                if w.indices[:k] in seen:
-                    return False
-        return True
 
 
 def hull_vertices(pts):

@@ -4,7 +4,7 @@ Lines through the origin are angles in [0, pi); closed projective
 intervals wrap around.  On top of the interval arithmetic sit the
 domination certificate (strongly invariant multicone search), the
 irreducibility classifier, and the limit directions of the inverse
-matrix walk together with its stationary measure sampler.
+matrix walk.
 """
 
 from dataclasses import dataclass
@@ -15,7 +15,7 @@ import numpy as np
 
 from .config import word_cap
 from .errors import Inconclusive, NotDominated
-from .ifs import batch_singular_values, mul2
+from .ifs import batch_singular_values
 
 PI = math.pi
 
@@ -52,7 +52,7 @@ class ProjPoint:
 
 def act(m, v):
     """Image of the line v under the invertible matrix m."""
-    w = m.array @ v.vector if hasattr(m, "array") else np.asarray(m) @ v.vector
+    w = m @ v.vector
     return ProjPoint(math.atan2(w[1], w[0]))
 
 
@@ -61,24 +61,6 @@ def act_angle(arr, theta):
     x = arr[0, 0] * c + arr[0, 1] * s
     y = arr[1, 0] * c + arr[1, 1] * s
     return _mod_pi(math.atan2(y, x))
-
-
-def norm_on_line(m, v):
-    """|m u| for a unit vector u spanning v; lies in [alpha2, alpha1]."""
-    arr = m.array if hasattr(m, "array") else np.asarray(m)
-    return float(np.linalg.norm(arr @ v.vector))
-
-
-def norm_perp(arr, v):
-    """Norm of A^T restricted to the line perpendicular to v.
-
-    Equals the norm of proj_{v_perp} A as an operator, which is the
-    quantity appearing in all projected-diameter bounds.
-    """
-    arr = arr.array if hasattr(arr, "array") else np.asarray(arr)
-    theta = v.angle + PI / 2.0
-    u = np.array([math.cos(theta), math.sin(theta)])
-    return float(np.linalg.norm(arr.T @ u))
 
 
 @dataclass(frozen=True)
@@ -204,10 +186,6 @@ class Multicone:
         if not gaps:
             raise ValueError("complement is empty")
         return Multicone(tuple(gaps))
-
-    @property
-    def total_width(self):
-        return sum(iv.width for iv in self.intervals)
 
     def to_json(self):
         return sorted([iv.start, iv.width] for iv in self.intervals)
@@ -426,56 +404,3 @@ def furstenberg_directions(ifs, depth=8, multicone=None):
         u = Multicone(tuple(images))
         reached += 1
     return DirectionsApprox(reached, u)
-
-
-def furstenberg_measure_sample(ifs, probs=None, n_samples=10000, burn_in=40,
-                               seed=0, check=True):
-    """Empirical stationary distribution of the inverse-matrix random walk
-    on the projective line: angle array of length n_samples.
-
-    The walk v <- A_i^{-1} v / |.| is run for burn_in steps on
-    independent chains with counter-based RNG, so the output depends only
-    on the seed."""
-    if probs is None:
-        probs = np.full(ifs.n_maps, 1.0 / ifs.n_maps)
-    probs = np.asarray(probs, dtype=float)
-    if probs.min() <= 0 or abs(probs.sum() - 1.0) > 1e-9:
-        raise ValueError("probs must be a positive probability vector")
-    if check:
-        found, _ = strictly_affine(ifs)
-        if not found:
-            raise Inconclusive("no proximal product found; stationary "
-                               "measure not certified unique")
-        tag = classify_irreducibility(ifs).tag
-        if tag != "StronglyIrreducible":
-            raise Inconclusive(f"classification is {tag}; stationary "
-                               "measure not certified unique")
-    rng = np.random.Generator(np.random.Philox(key=seed))
-    invs = np.linalg.inv(ifs.lins)
-    idx = rng.choice(ifs.n_maps, size=(n_samples, burn_in), p=probs)
-    v = np.tile([1.0, 0.577], (n_samples, 1))
-    v /= np.linalg.norm(v, axis=1, keepdims=True)
-    for step in range(burn_in):
-        mats = invs[idx[:, step]]
-        v = mul2(mats, v[:, :, None])[..., 0]
-        v /= np.linalg.norm(v, axis=1, keepdims=True)
-    return np.mod(np.arctan2(v[:, 1], v[:, 0]), PI)
-
-
-def stationarity_residual(ifs, angles, probs=None, bins=64):
-    """Total-variation distance between the empirical direction histogram
-    and its one-step pushforward mix under the inverse maps."""
-    if probs is None:
-        probs = np.full(ifs.n_maps, 1.0 / ifs.n_maps)
-    invs = np.linalg.inv(ifs.lins)
-    edges = np.linspace(0.0, PI, bins + 1)
-    hist, _ = np.histogram(angles, bins=edges)
-    hist = hist / hist.sum()
-    pushed = np.zeros(bins)
-    vs = np.stack([np.cos(angles), np.sin(angles)])
-    for p, inv in zip(probs, invs):
-        w = inv @ vs
-        th = np.mod(np.arctan2(w[1], w[0]), PI)
-        h, _ = np.histogram(th, bins=edges)
-        pushed += p * h / h.sum()
-    return 0.5 * float(np.abs(hist - pushed).sum())

@@ -30,12 +30,7 @@ def pressure(ifs, s, n):
     """Exact finite-level pressure (1/n) log sum of phi^s over level n."""
     if s < 0:
         raise ValueError("s must be nonnegative")
-    a1, a2 = ifs.level_singular_values(n)
-    vals = svf_from_singular_values(a1, a2, s)
-    # sum in log space against underflow at large n
-    m = vals.max()
-    total = math.log(m) + math.log(np.sum(vals / m))
-    return PressureSample(s, n, total / n)
+    return PressureSample(s, n, _pressure_fn(ifs, n)(s))
 
 
 def _log_svf(la1, la2, s, out=None):
@@ -120,20 +115,6 @@ class EqState:
     nu: np.ndarray
     eigenvalue: float
     iterations: int
-
-    def word(self, flat, ifs):
-        return ifs.word_from_flat(flat, self.depth)
-
-    def to_json(self, ifs):
-        words = [str(ifs.word_from_flat(k, self.depth))
-                 for k in range(len(self.h))]
-        return {
-            "s": self.s,
-            "depth": self.depth,
-            "eigenvalue": self.eigenvalue,
-            "h": dict(zip(words, self.h.tolist())),
-            "nu": dict(zip(words, self.nu.tolist())),
-        }
 
 
 def _cylinder_directions(ifs, m):
@@ -256,16 +237,6 @@ class GibbsWeights:
     s: float
     gibbs_spread: float
 
-    def weight(self, word, ifs):
-        return float(self.weights[ifs.flat_from_word(word)])
-
-    def to_json(self, ifs):
-        words = [str(ifs.word_from_flat(k, self.depth))
-                 for k in range(len(self.weights))]
-        return {"depth": self.depth, "s": self.s,
-                "gibbs_spread": self.gibbs_spread,
-                "weights": dict(zip(words, self.weights.tolist()))}
-
 
 def kaenmaki_weights(ifs, depth, s=None, state=None):
     """Cylinder weights of the equilibrium state at the pressure root:
@@ -291,19 +262,4 @@ def gibbs_spread_by_depth(ifs, s, depths):
     for d in depths:
         gw = kaenmaki_weights(ifs, d, s=s)
         out[d] = gw.gibbs_spread
-    return out
-
-
-def letter_marginal(gw, ifs, position):
-    """Distribution of the letter at a given position (1-based) under the
-    cylinder weights; shift-invariance makes it position-independent up
-    to the Gibbs spread."""
-    n = ifs.n_maps
-    d = gw.depth
-    if not 1 <= position <= d:
-        raise ValueError("position out of range")
-    idx = np.arange(n ** d)
-    letters = (idx // n ** (d - position)) % n
-    out = np.zeros(n)
-    np.add.at(out, letters, gw.weights)
     return out

@@ -5,7 +5,7 @@ import pytest
 
 from affinedim.errors import DegenerateRange
 from affinedim.estimators import PointCloud, assouad_two_scale, box_dim, \
-    grid_count, lower_two_scale, regularity_diagnostic
+    grid_count, lower_two_scale
 
 
 def grid_square(n=512):
@@ -164,22 +164,3 @@ class TestTwoScale:
     def test_deterministic(self):
         cloud = cantor_dust(6)
         assert assouad_two_scale(cloud) == assouad_two_scale(cloud)
-
-
-class TestRegularity:
-    def test_uniform_grid_is_regular(self):
-        cloud = grid_square(96)
-        w = np.full(len(cloud), 1.0 / len(cloud))
-        out = regularity_diagnostic(cloud, w, 2.0)
-        assert out["spread"] <= 4.0
-        assert out["regular"]
-
-    def test_mass_concentration_is_flagged(self):
-        cloud = grid_square(96)
-        w = np.full(len(cloud), 1e-9)
-        # all the mass on the central grid point; a radius covering the
-        # whole square sees it, a small one almost never does
-        w[len(w) // 2] = 1.0 - (len(w) - 1) * 1e-9
-        out = regularity_diagnostic(cloud, w, 2.0, radii=(0.9, 0.05),
-                                    threshold=50.0)
-        assert not out["regular"]

@@ -1,7 +1,8 @@
 """Source hygiene checks that need no linter: every module of the package
-uses each name it imports, only Ifs.frontier takes a word limit of its
-own, 2x2 products go through the one kernel ifs.mul2, and importing the
-package loads numpy but not scipy."""
+uses each name it imports and imports only at module level, only
+Ifs.frontier takes a word limit of its own, 2x2 products go through the
+one kernel ifs.mul2, and importing the package loads numpy but not
+scipy."""
 
 import ast
 import os
@@ -39,6 +40,28 @@ def test_checker_finds_an_unused_import():
 def test_no_unused_imports(module):
     with open(os.path.join(SRC_DIR, module)) as fh:
         assert unused_imports(fh.read()) == []
+
+
+def function_imports(source):
+    """Line numbers of the import statements inside function bodies."""
+    return sorted({inner.lineno for node in ast.walk(ast.parse(source))
+                   if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+                   for inner in ast.walk(node)
+                   if isinstance(inner, (ast.Import, ast.ImportFrom))})
+
+
+def test_checker_finds_imports_inside_functions():
+    src = ("import os\ndef f():\n    from math import pi\n    return pi\n"
+           "class C:\n    def g(self):\n        def h():\n"
+           "            import sys\n        return h\n")
+    assert function_imports(src) == [3, 8]
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_imports_at_module_level(module):
+    # an import inside a function hides an import cycle from the reader
+    with open(os.path.join(SRC_DIR, module)) as fh:
+        assert function_imports(fh.read()) == []
 
 
 # The word cap is one process-wide setting read by every guard; the one

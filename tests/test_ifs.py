@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from affinedim.errors import BudgetExceeded, IndexOutOfRange, SingularMatrix
-from affinedim.geometry import projected_diameter_bound
+from affinedim.geometry import _proj_stopping, projected_diameter_bound
 from affinedim.ifs import AffineMap, Ifs, Matrix2, Word, _cloud_diameter, \
     batch_singular_values, extend_level, mul2, singular_values, svf
 from affinedim.projective import ProjPoint, strictly_affine
@@ -21,16 +21,6 @@ class TestMatrix2:
     def test_rejects_singular(self):
         with pytest.raises(SingularMatrix):
             Matrix2(1.0, 2.0, 2.0, 4.0)
-
-    def test_inverse_and_product(self):
-        g = rng(11)
-        for _ in range(50):
-            arr = g.normal(size=(2, 2))
-            if abs(np.linalg.det(arr)) < 1e-3:
-                continue
-            m = Matrix2.from_array(arr)
-            assert np.allclose((m @ m.inverse).array, np.eye(2), atol=1e-12)
-            assert np.allclose(m.transpose.array, arr.T)
 
     def test_singular_values_match_svd(self):
         g = rng(12)
@@ -88,18 +78,6 @@ class TestWord:
         with pytest.raises(IndexOutOfRange):
             Word((0, 1))
 
-    def test_prefix_relations(self):
-        w = Word((1, 2, 3, 1))
-        assert w.prefix(2) == Word((1, 2))
-        assert w.parent == Word((1, 2, 3))
-        assert w.reversed == Word((1, 3, 2, 1))
-        assert Word((1, 2)).is_prefix_of(w)
-        assert not Word((2,)).is_prefix_of(w)
-        assert Word((1, 2, 9)).common_prefix(w) == Word((1, 2))
-
-    def test_concat(self):
-        assert Word((1,)).concat(Word((2, 3))) == Word((1, 2, 3))
-
 
 class TestIfs:
     def test_ball_is_invariant(self, cone_ifs):
@@ -124,19 +102,14 @@ class TestIfs:
         prods = cone_ifs.level_products(3)
         assert prods.shape == (27, 2, 2)
         w = Word((2, 1, 3))
-        k = cone_ifs.flat_from_word(w)
+        k = np.ravel_multi_index([letter - 1 for letter in w], (3, 3, 3))
         assert np.allclose(prods[k], cone_ifs.word_matrix(w))
-
-    def test_flat_roundtrip(self, cone_ifs):
-        for flat in range(27):
-            w = cone_ifs.word_from_flat(flat, 3)
-            assert cone_ifs.flat_from_word(w) == flat
 
     def test_canonical_point_error_radius(self, cone_ifs):
         w = Word((1, 3, 2, 2))
         p, err = cone_ifs.canonical_point(w)
         # a deeper refinement of the same cylinder stays inside the radius
-        q, _ = cone_ifs.canonical_point(w.concat(Word((1, 1, 1))))
+        q, _ = cone_ifs.canonical_point(Word(w.indices + (1, 1, 1)))
         assert np.linalg.norm(p - q) <= err
 
     def test_diam_bounds_bracket(self, sim3):
@@ -156,30 +129,46 @@ class TestIfs:
         assert back.ball_radius == cone_ifs.ball_radius
 
 
+def alpha1_stop(ifs, r):
+    """Stop rule of the scale-r stopping set: alpha1(A_w) diam <= r."""
+    diam = ifs.diam_upper
+    return lambda mats, pts, a1: a1 * diam <= r
+
+
+def is_prefix_free(words):
+    seen = {w.indices for w in words}
+    return not any(w.indices[:k] in seen for w in words for k in range(len(w)))
+
+
 class TestStoppingSets:
     def test_uniform_ratio_counts(self, sim3):
         # similarity ratio 1/3: scale diam/27 stops exactly at depth 3
-        ss = sim3.stopping_set(sim3.diam_upper / 27.0)
-        assert len(ss) == 27
-        assert all(len(w) == 3 for w in ss.words)
-        assert ss.is_prefix_free()
+        found = sim3.frontier(alpha1_stop(sim3, sim3.diam_upper / 27.0),
+                              lex=True)
+        words = found.words(sim3)
+        assert len(words) == 27
+        assert all(len(w) == 3 for w in words)
+        assert is_prefix_free(words)
 
     def test_huge_scale_gives_first_level(self, sim3):
-        ss = sim3.stopping_set(10.0 * sim3.diam_upper)
-        assert sorted(str(w) for w in ss.words) == ["1", "2", "3"]
+        found = sim3.frontier(alpha1_stop(sim3, 10.0 * sim3.diam_upper),
+                              lex=True)
+        assert sorted(str(w) for w in found.words(sim3)) == ["1", "2", "3"]
 
     def test_prefix_free_nonuniform(self, cone_ifs):
-        ss = cone_ifs.stopping_set(0.0015 * cone_ifs.diam_upper)
-        assert ss.is_prefix_free()
+        found = cone_ifs.frontier(
+            alpha1_stop(cone_ifs, 0.0015 * cone_ifs.diam_upper), lex=True)
+        words = found.words(cone_ifs)
+        assert is_prefix_free(words)
         # mixed contraction rates produce mixed word lengths
-        lengths = {len(w) for w in ss.words}
+        lengths = {len(w) for w in words}
         assert len(lengths) > 1
 
     def test_budget_guard(self, cone_ifs, monkeypatch):
         r = cone_ifs.diam_upper * 1e-9
         monkeypatch.setenv("AFFINEDIM_WORD_CAP", "1000")
         with pytest.raises(BudgetExceeded):
-            cone_ifs.stopping_set(r)
+            cone_ifs.frontier(alpha1_stop(cone_ifs, r), lex=True)
 
 
 class TestCylinderCenters:
@@ -271,14 +260,24 @@ class TestFrontier:
                 return a2 * diam < rho * a1 and a1 * diam <= r
             return projected_diameter_bound(ifs, mat[None], v)[0] <= r
 
+        def aspect_stop(mats, pts, a1):
+            a2 = batch_singular_values(mats)[1]
+            return (a2 * diam < rho * a1) & (a1 * diam <= r)
+
+        def stopping_set():
+            if criterion == "by-alpha1":
+                return ifs.frontier(alpha1_stop(ifs, r), lex=True)
+            if criterion == "by-alpha2-aspect":
+                return ifs.frontier(aspect_stop, lex=True)
+            return _proj_stopping(ifs, v, r)
+
         ref = reference_stopping_words(ifs, stop)
-        kw = dict(criterion=criterion, rho=rho, direction=v)
-        assert list(ifs.stopping_set(r, **kw).words) == ref
+        assert stopping_set().words(ifs) == ref
         monkeypatch.setenv("AFFINEDIM_WORD_CAP", str(len(ref)))
-        assert len(ifs.stopping_set(r, **kw)) == len(ref)
+        assert len(stopping_set()) == len(ref)
         monkeypatch.setenv("AFFINEDIM_WORD_CAP", str(len(ref) - 1))
         with pytest.raises(BudgetExceeded):
-            ifs.stopping_set(r, **kw)
+            stopping_set()
 
     @pytest.mark.parametrize("name", ["sim3", "cone_ifs", "positive_pair"])
     def test_strictly_affine_witness_is_least_shortest(self, request, name):
@@ -292,7 +291,7 @@ class TestFrontier:
         slow = Ifs([AffineMap(Matrix2(0.99, 0.0, 0.0, 0.99), (0.0, 0.0)),
                     AffineMap(Matrix2(0.1, 0.0, 0.0, 0.1), (1.0, 0.0))])
         with pytest.raises(BudgetExceeded):
-            slow.stopping_set(1e-3 * slow.diam_upper)
+            slow.frontier(alpha1_stop(slow, 1e-3 * slow.diam_upper), lex=True)
 
 
 def collinear_ifs(n_maps):

@@ -6,10 +6,10 @@ import pytest
 from scipy.sparse import csr_matrix
 
 from affinedim.errors import NotDominated
-from affinedim.ifs import Word, svf
+from affinedim.ifs import svf
 from affinedim.thermo import _pressure_fn, affinity_dimension, \
-    equilibrium_state, gibbs_spread_by_depth, kaenmaki_weights, \
-    letter_marginal, pressure, transfer_matrix
+    equilibrium_state, gibbs_spread_by_depth, kaenmaki_weights, pressure, \
+    transfer_matrix
 
 
 class TestPressure:
@@ -163,21 +163,13 @@ class TestGibbsWeights:
         spreads = gibbs_spread_by_depth(positive_pair, s, (4, 5, 6))
         assert spreads[6] <= spreads[5] <= spreads[4]
 
-    def test_weight_lookup(self, sim3):
-        gw = kaenmaki_weights(sim3, 3, s=1.0)
-        assert gw.weight(Word((2, 1, 3)), sim3) \
-            == pytest.approx(3.0 ** -3)
-
     def test_letter_marginal_positions_agree(self, positive_pair):
         s, _ = affinity_dimension(positive_pair)
         gw = kaenmaki_weights(positive_pair, 6, s=s)
-        m1 = letter_marginal(gw, positive_pair, 1)
-        m3 = letter_marginal(gw, positive_pair, 3)
+        # the distribution of the letter at positions 1 and 3 of the word
+        w = gw.weights.reshape((positive_pair.n_maps,) * 6)
+        m1 = w.sum(axis=(1, 2, 3, 4, 5))
+        m3 = w.sum(axis=(0, 1, 3, 4, 5))
         assert m1.sum() == pytest.approx(1.0)
         # shift-invariance up to the Gibbs distortion
         assert np.abs(m1 - m3).max() <= 0.05
-
-    def test_json_keys_are_words(self, sim3):
-        gw = kaenmaki_weights(sim3, 2, s=1.0)
-        data = gw.to_json(sim3)
-        assert set(data["weights"]) == {f"{i}{j}" for i in "123" for j in "123"}
