@@ -6,7 +6,7 @@ from .carpets import CarpetSpec, carpet_affinity, example_fixture, \
     fraser_lower, mackay_assouad, mcmullen_hausdorff, to_ifs, uniform_fibers
 from .errors import AffinedimError, BudgetExceeded, DegenerateRange, \
     HypothesisViolated, Inconclusive, IndexOutOfRange, NotConverged, \
-    NotDominated, NotSeparated, PlacementFailed, SingularMatrix
+    NotDominated, NotSeparated, PlacementFailed
 from .estimators import CoverReport, PointCloud, assouad_two_scale, \
     box_dim, grid_count, lower_two_scale
 from .geometry import ContentEstimate, PoscReport, SscReport, TangentCloud, \
@@ -15,8 +15,7 @@ from .geometry import ContentEstimate, PoscReport, SscReport, TangentCloud, \
     projected_gap, sigma_count, slice_points, slice_root, slice_upper_bound, \
     ssc_check, tangent_dimension_scan, transversality_derivative, \
     transversality_tail_bound, weak_tangent
-from .ifs import AffineMap, Ifs, Matrix2, Word, \
-    batch_singular_values, singular_values, svf
+from .ifs import Ifs, Word, batch_singular_values, svf
 from .projective import DirectionsApprox, IrreducibilityClass, Multicone, \
     ProjInterval, ProjPoint, classify_irreducibility, find_invariant_multicone, \
     furstenberg_directions, is_dominated, merge_intervals, strictly_affine

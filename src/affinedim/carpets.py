@@ -6,8 +6,10 @@ from dataclasses import dataclass
 import json
 import math
 
+import numpy as np
+
 from .errors import PlacementFailed
-from .ifs import AffineMap, Ifs, Matrix2, svf
+from .ifs import Ifs, svf
 from .geometry import ssc_check
 from .roots import brentq
 
@@ -58,10 +60,13 @@ class CarpetSpec:
                    tuple(tuple(d) for d in data["digits"]))
 
 
+def _grid_matrix(spec):
+    return np.array([[1.0 / spec.p, 0.0], [0.0, 1.0 / spec.q]])
+
+
 def to_ifs(spec):
-    lin = Matrix2(1.0 / spec.p, 0.0, 0.0, 1.0 / spec.q)
-    maps = [AffineMap(lin, (j / spec.p, k / spec.q)) for j, k in spec.digits]
-    return Ifs(maps)
+    return Ifs(np.broadcast_to(_grid_matrix(spec), (spec.n_maps, 2, 2)),
+               [(j / spec.p, k / spec.q) for j, k in spec.digits])
 
 
 def mackay_assouad(spec):
@@ -102,18 +107,16 @@ def carpet_affinity(spec):
 
 EXAMPLE_SPEC = CarpetSpec(4, 5, ((0, 0), (0, 2), (0, 4), (2, 0), (3, 3)))
 
-B_EPS_BASE = Matrix2(0.6, 0.3, 0.2, 0.5)
-
-
-def s_eps_root(spec, b, tol=1e-12):
-    """Root of log(N phi^s(diag(1/p,1/q)) + phi^s(B)) = 0 on [0, 2]."""
-    a = Matrix2(1.0 / spec.p, 0.0, 0.0, 1.0 / spec.q)
+def s_eps_root(spec, b):
+    """Root of log(N phi^s(diag(1/p,1/q)) + phi^s(B)) = 0 on [0, 2] for
+    a 2x2 matrix B."""
+    a = _grid_matrix(spec)
     n = spec.n_maps
 
     def f(s):
         return math.log(n * svf(a, s) + svf(b, s))
 
-    return brentq(f, 1e-9, 2.0, xtol=tol)
+    return brentq(f, 1e-9, 2.0, xtol=1e-12)
 
 
 def example_fixture(eps, check_separation=True):
@@ -126,7 +129,7 @@ def example_fixture(eps, check_separation=True):
     if not 0.0 < eps < 0.5:
         raise ValueError("eps must be in (0, 0.5)")
     spec = EXAMPLE_SPEC
-    b = Matrix2(eps * 0.6, eps * 0.3, eps * 0.2, eps * 0.5)
+    b = eps * np.array([[0.6, 0.3], [0.2, 0.5]])
     base = to_ifs(spec)
     # empty cells in column 1; center the extra piece in cell (1, 2)
     placed = None
@@ -135,10 +138,10 @@ def example_fixture(eps, check_separation=True):
         cx, cy = (j + 0.5) / spec.p, (k + 0.5) / spec.q
         fix = (cx, cy)
         # translation so the fixed point sits at the cell center
-        arr = b.array
-        tx = fix[0] - arr[0, 0] * fix[0] - arr[0, 1] * fix[1]
-        ty = fix[1] - arr[1, 0] * fix[0] - arr[1, 1] * fix[1]
-        cand = Ifs(list(base.maps) + [AffineMap(b, (tx, ty))])
+        tx = fix[0] - b[0, 0] * fix[0] - b[0, 1] * fix[1]
+        ty = fix[1] - b[1, 0] * fix[0] - b[1, 1] * fix[1]
+        cand = Ifs(np.concatenate([base.lins, b[None]]),
+                   np.concatenate([base.vs, [(tx, ty)]]))
         if not check_separation:
             placed = cand
             break

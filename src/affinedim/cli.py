@@ -91,15 +91,15 @@ def load_input(path):
         else:
             raise InputError(
                 f"{path}: expected a 'maps' list or a p/q/digits carpet")
-        if ifs.n_maps < 2:
-            raise ValueError("need at least two maps")
     except (KeyError, TypeError, ValueError) as e:
         raise InputError(f"invalid spec in {path}: {e}")
     return ifs, spec
 
 
-def write_report(report, out, default_name):
-    text = json.dumps(report, sort_keys=True, indent=2) + "\n"
+def _write_text(text, out, default_name):
+    """Write text to stdout when out is None, else to the file out, or to
+    default_name inside out when out is a directory; returns the path
+    written, None for stdout."""
     if out is None:
         sys.stdout.write(text)
         return None
@@ -107,6 +107,11 @@ def write_report(report, out, default_name):
     with open(path, "w") as fh:
         fh.write(text)
     return path
+
+
+def write_report(report, out, default_name):
+    return _write_text(json.dumps(report, sort_keys=True, indent=2) + "\n",
+                      out, default_name)
 
 
 # ---------------------------------------------------------------------------
@@ -442,15 +447,7 @@ def cmd_render(args):
                          f'x2="{b[0]}" y2="{b[1]}" stroke="#b22222" '
                          'stroke-width="0.002"/>')
     lines.append("</svg>")
-    text = "\n".join(lines) + "\n"
-
-    out = args.out
-    if out is None:
-        sys.stdout.write(text)
-    else:
-        path = os.path.join(out, "render.svg") if os.path.isdir(out) else out
-        with open(path, "w") as fh:
-            fh.write(text)
+    _write_text("\n".join(lines) + "\n", args.out, "render.svg")
     return EXIT_OK
 
 

@@ -5,10 +5,6 @@ class AffinedimError(Exception):
     """Base class for all toolkit errors."""
 
 
-class SingularMatrix(AffinedimError):
-    """Matrix determinant is below the machine threshold."""
-
-
 class IndexOutOfRange(AffinedimError):
     """A word letter does not index a map of the system."""
 

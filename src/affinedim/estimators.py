@@ -88,11 +88,11 @@ def grid_count(points, delta, anchor):
     return int(np.count_nonzero(keys[1:] != keys[:-1])) + 1
 
 
-def box_dim(cloud, scale_lo=None, scale_hi=None, base=2.0):
+def box_dim(cloud, scale_lo=None, base=2.0):
     """Least-squares box-counting dimension over dyadic scales.
 
-    scale_lo defaults to max(2*resolution, extent/2^10); scale_hi to
-    extent/4.  Scales are geometric between the two; the fit slope of
+    scale_lo defaults to max(6*resolution, extent/2^12); the largest scale
+    is extent/4.  Scales are geometric between the two; the fit slope of
     log N against log(1/delta) is returned with its rms residual.
     """
     if len(cloud) == 0:
@@ -100,8 +100,7 @@ def box_dim(cloud, scale_lo=None, scale_hi=None, base=2.0):
     ext = cloud.extent
     if ext == 0.0:
         return CoverReport((cloud.resolution,) * 1, (1,), 0.0, 0.0)
-    if scale_hi is None:
-        scale_hi = ext / 4.0
+    scale_hi = ext / 4.0
     if scale_lo is None:
         # keep a healthy margin above the cloud's net spacing by default;
         # callers may push down to the hard 2x floor explicitly
@@ -133,13 +132,15 @@ def box_dim(cloud, scale_lo=None, scale_hi=None, base=2.0):
                        dimension, resid)
 
 
-def _default_pairs(cloud, n_pairs=4, ratio=16.0):
+def _default_pairs(cloud):
+    """Up to four scale pairs (16 r, r), r halving from extent/16 down to
+    twice the resolution."""
     ext = cloud.extent
     r_min = 2.0 * cloud.resolution
     pairs = []
-    r = ext / ratio
-    while r >= r_min and len(pairs) < n_pairs:
-        pairs.append((r * ratio, r))
+    r = ext / 16.0
+    while r >= r_min and len(pairs) < 4:
+        pairs.append((r * 16.0, r))
         r /= 2.0
     if not pairs:
         raise DegenerateRange("cloud too coarse for two-scale estimates")
@@ -184,11 +185,11 @@ def assouad_two_scale(cloud, pairs=None, n_centers=32, seed=7):
                default=0.0)
 
 
-def lower_two_scale(cloud, pairs=None, n_centers=32, seed=7):
-    """Minimized localized covering exponent: an upper estimate of the
-    lower dimension.  Centers are cloud points, as the definition
-    quantifies over x in the set itself."""
-    exponents = _two_scale_exponents(cloud, pairs, n_centers, seed)
+def lower_two_scale(cloud, n_centers=32, seed=7):
+    """Minimized localized covering exponent over the default scale pairs:
+    an upper estimate of the lower dimension.  Centers are cloud points,
+    as the definition quantifies over x in the set itself."""
+    exponents = _two_scale_exponents(cloud, None, n_centers, seed)
     if not exponents:
         raise DegenerateRange("no usable center/scale pair")
     return min(exponents)

@@ -22,6 +22,9 @@ from .thermo import _cylinder_directions, affinity_dimension, \
 # ---------------------------------------------------------------------------
 # projected diameters
 
+# angles on the grid of DiameterTable
+DIAM_GRID = 720
+
 
 class DiameterTable:
     """diam(proj_u X) indexed by the angle of the projection axis u.
@@ -31,16 +34,16 @@ class DiameterTable:
     bound between grid nodes.
     """
 
-    def __init__(self, ifs, n_grid=720, depth=8):
+    def __init__(self, ifs, depth=8):
         pts, errs = ifs._cylinder_centers(ifs._fit_depth(depth))
         self.err = 2.0 * float(errs.max())
-        self.thetas = np.linspace(0.0, PI, n_grid, endpoint=False)
+        self.thetas = np.linspace(0.0, PI, DIAM_GRID, endpoint=False)
         dirs = np.stack([np.cos(self.thetas), np.sin(self.thetas)])
         # a linear function is largest on a hull vertex, so only the hull
         # is projected
         proj = hull_vertices(pts) @ dirs
         self.widths = proj.max(axis=0) - proj.min(axis=0)
-        self.step = PI / n_grid
+        self.step = PI / DIAM_GRID
         self.lip = 2.0 * float(ifs.diam_upper)
 
     def upper(self, theta):
@@ -228,8 +231,6 @@ def ssc_check(ifs, depth=6):
     """
     if depth < 2:
         raise ValueError("depth must be >= 2")
-    if ifs.n_maps < 2:
-        raise ValueError("need at least two maps")
     depth = ifs._fit_depth(depth)
     lo, hi, touching = _pair_scan(ifs, depth)
     if lo > 0:
@@ -269,26 +270,27 @@ def _proj_stopping(ifs, v, r, cap=None):
         cap=cap, lex=True)
 
 
-def posc_check(ifs, depth=6, v_grid_size=5, x_samples=64, directions=None,
-               seed=0):
+# directions on the grid over the limit-direction intervals of posc_check
+POSC_DIRECTIONS = 5
+
+
+def posc_check(ifs, depth=6):
     """Empirical projective open set condition scan.
 
-    For directions V on a grid over the limit-direction intervals and for
-    word pairs from projected-diameter stopping sets at dyadic scales,
-    the normalized separation max_x |proj(phi_i x) - proj(phi_j x)| /
-    diam(proj phi_i X) is minimized over (V, pair).  Reported per depth
-    with the log-slope trend; slope near zero is evidence the condition
-    holds, a clearly negative slope is evidence it fails.
+    For POSC_DIRECTIONS directions V on a grid over the limit-direction
+    intervals, for 64 chaos-game points x of seed 0, and for word pairs
+    from projected-diameter stopping sets at dyadic scales, the normalized
+    separation max_x |proj(phi_i x) - proj(phi_j x)| / diam(proj phi_i X)
+    is minimized over (V, pair).  Reported per depth with the log-slope
+    trend; slope near zero is evidence the condition holds, a clearly
+    negative slope is evidence it fails.
     """
-    if ifs.n_maps < 2:
-        raise ValueError("need at least two maps")
-    if directions is None:
-        da = furstenberg_directions(ifs, depth=30)
-        directions = da.sample_directions(
-            per_interval=max(1, v_grid_size // max(len(da.intervals), 1) + 1))
-        directions = directions[:max(v_grid_size, 1)]
-    xs = ifs.attractor_sample(0.01, mode="chaos-game", seed=seed,
-                              count=x_samples).points
+    da = furstenberg_directions(ifs, depth=30)
+    directions = da.sample_directions(
+        per_interval=POSC_DIRECTIONS // max(len(da.intervals), 1) + 1)
+    directions = directions[:POSC_DIRECTIONS]
+    xs = ifs.attractor_sample(0.01, mode="chaos-game", seed=0,
+                              count=64).points
     eta_by_depth = {}
     witness = None
     for k in range(2, depth + 1):
@@ -322,7 +324,7 @@ def posc_check(ifs, depth=6, v_grid_size=5, x_samples=64, directions=None,
                 # recompute the winning pair from its composed maps; the
                 # differences phi_w(c) - A_w c above carry extra rounding
                 pair = (found.word(ifs, ia[j]), found.word(ifs, ib[j]))
-                t = [(xs @ found.mats[i].T + ifs.compose_word(w).v) @ u
+                t = [(xs @ found.mats[i].T + ifs.compose_word(w)[1]) @ u
                      for i, w in zip((ia[j], ib[j]), pair)]
                 eta_k = np.abs(t[0] - t[1]).max() \
                     / max(np.ptp(t[0]), np.ptp(t[1]), 1e-300)
@@ -384,12 +386,12 @@ def slice_points(ifs, v, x, tube_width, resolution):
     return PointCloud(coords[:, None], cloud.resolution)
 
 
-def slice_upper_bound(ifs, ssc=None, depth=6):
-    """Upper bound < 1 for slice dimensions from the separation gap:
-    the root of M^(1-s) (1 - (M-1) q)^s = 1 with q = delta/(3 diam + 2 delta),
-    maximized over the number of first-level branches M."""
-    if ssc is None:
-        ssc = ssc_check(ifs, depth)
+def slice_upper_bound(ifs, depth=6):
+    """Upper bound < 1 for slice dimensions from the separation gap of
+    `ssc_check` at depth: the root of M^(1-s) (1 - (M-1) q)^s = 1 with
+    q = delta/(3 diam + 2 delta), maximized over the number of first-level
+    branches M."""
+    ssc = ssc_check(ifs, depth)
     if ssc.separated != "Certified":
         raise NotSeparated("needs a certified positive separation gap")
     delta = ssc.delta_lower
@@ -398,14 +400,14 @@ def slice_upper_bound(ifs, ssc=None, depth=6):
     return max([0.0] + [slice_root(m, q) for m in range(2, ifs.n_maps + 1)])
 
 
-def slice_root(m, q, tol=1e-14):
+def slice_root(m, q):
     """Root of M^(1-s)(1-(M-1)q)^s = 1 for one branch count; exposed for
     the closed-form cross checks."""
     c = 1.0 - (m - 1) * q
     if c <= 0.0:
         return 0.0
     return brentq(lambda s: (1.0 - s) * math.log(m) + s * math.log(c),
-                  0.0, 1.0, xtol=tol)
+                  0.0, 1.0, xtol=1e-14)
 
 
 # ---------------------------------------------------------------------------
@@ -448,21 +450,19 @@ def grid_carpet_digits(ifs):
     digits (j, k) distinct, as `carpets.to_ifs` builds them; digits are in
     map order.  None for any other family.  Entries are matched to 1e-9."""
     tol = 1e-9
-    lins = [m.linear for m in ifs.maps]
-    if any(abs(a.b) > tol or abs(a.c) > tol for a in lins):
+    diag, off = ifs.lins[:, [0, 1], [0, 1]], ifs.lins[:, [0, 1], [1, 0]]
+    if (np.abs(off) > tol).any():
         return None
-    p, q = round(1.0 / lins[0].a), round(1.0 / lins[0].d)
+    p, q = round(1.0 / diag[0, 0]), round(1.0 / diag[0, 1])
     if not q > p >= 2:
         return None
-    digits = []
-    for m in ifs.maps:
-        a, (tx, ty) = m.linear, m.translation
-        j, k = round(tx * p), round(ty * q)
-        if abs(a.a * p - 1.0) > tol or abs(a.d * q - 1.0) > tol \
-                or abs(tx * p - j) > tol or abs(ty * q - k) > tol \
-                or not (0 <= j < p and 0 <= k < q):
-            return None
-        digits.append((j, k))
+    cells = ifs.vs * (p, q)
+    jk = np.rint(cells)
+    if (np.abs(diag * (p, q) - 1.0) > tol).any() \
+            or (np.abs(cells - jk) > tol).any() \
+            or not ((jk >= 0) & (jk < (p, q))).all():
+        return None
+    digits = [(int(j), int(k)) for j, k in jk]
     if len(set(digits)) != len(digits):
         return None
     return p, q, digits
@@ -543,8 +543,7 @@ def _grid_tangent_scan(p, q, digits, n_tangents, seed, resolution):
     return {"max_dim": max(dims), "min_dim": min(dims), "dims": dims}
 
 
-def tangent_dimension_scan(ifs, n_tangents=8, scales=None, seed=0,
-                           resolution=0.002):
+def tangent_dimension_scan(ifs, n_tangents=8, seed=0, resolution=0.002):
     """Dimension estimates of weak tangent windows.  The max is a
     tangent-based lower estimate of the Assouad dimension and the min an
     upper estimate of the lower dimension.
@@ -556,20 +555,18 @@ def tangent_dimension_scan(ifs, n_tangents=8, scales=None, seed=0,
     counts of `approximate_square_counts`.  The base words are
     `n_tangents` random words of the seed, then the constant word of each
     map, i.e. its fixed point, since only digits that stay in the
-    heaviest column reach the Assouad dimension.  No word is enumerated,
-    and `scales` does not apply.
+    heaviest column reach the Assouad dimension.  No word is enumerated.
 
     Any other family is scanned by box-dimension fits of `weak_tangent`
-    point clouds at randomized base points and at the dyadic `scales` of
-    the diameter; windows whose sample only touches the unit sphere are
-    discarded."""
+    point clouds at randomized base points and at the dyadic scales 2^-2
+    to 2^-5 of the diameter; windows whose sample only touches the unit
+    sphere are discarded."""
     if n_tangents < 1:
         raise ValueError("need at least one tangent")
     grid = grid_carpet_digits(ifs)
     if grid is not None:
         return _grid_tangent_scan(*grid, n_tangents, seed, resolution)
-    if scales is None:
-        scales = [2.0 ** -k for k in range(2, 6)]
+    scales = [2.0 ** -k for k in range(2, 6)]
     rng = np.random.Generator(np.random.Philox(key=seed))
     base_cloud = ifs.attractor_sample(0.005, mode="chaos-game", seed=seed,
                                       count=max(n_tangents * 4, 64))
@@ -690,24 +687,27 @@ def hausdorff_content_projection(ifs, v, s, depth=8):
     return ContentEstimate(s, v, value, depth)
 
 
-def content_consistency(ifs, n_cylinders=20, depth=8, seed=0, s=None,
-                        m=6):
+# depth of the cylinders content_consistency samples
+CONTENT_DEPTH = 6
+
+
+def content_consistency(ifs, n_cylinders=20, depth=8, seed=0):
     """Spread of content / eigenfunction over sampled cylinders.
 
-    For each sampled depth-m cylinder the content of the projection in
-    its own limit direction is compared with the transfer-operator
-    eigenfunction at the cylinder; near-constancy of the ratio is the
-    numerical shadow of the content-eigenfunction identity.
-    Returns the coefficient of variation and the per-cylinder table.
+    For each sampled cylinder of depth CONTENT_DEPTH the content of the
+    projection in its own limit direction is compared with the
+    transfer-operator eigenfunction at the cylinder, both at the affinity
+    dimension s; near-constancy of the ratio is the numerical shadow of the
+    content-eigenfunction identity.  Returns the coefficient of variation
+    and the per-cylinder table.
     """
-    if s is None:
-        s, _ = affinity_dimension(ifs)
+    s, _ = affinity_dimension(ifs)
     if s > 1.0:
         raise ValueError("content comparison needs s <= 1")
-    state = equilibrium_state(ifs, s, m=m)
-    thetas = _cylinder_directions(ifs, m)
+    state = equilibrium_state(ifs, s, m=CONTENT_DEPTH)
+    thetas = _cylinder_directions(ifs, CONTENT_DEPTH)
     rng = np.random.Generator(np.random.Philox(key=seed))
-    size = ifs.n_maps ** m
+    size = ifs.n_maps ** CONTENT_DEPTH
     idx = rng.choice(size, size=min(n_cylinders, size), replace=False)
     ratios = []
     table = []
@@ -716,7 +716,8 @@ def content_consistency(ifs, n_cylinders=20, depth=8, seed=0, s=None,
         est = hausdorff_content_projection(ifs, v, s, depth)
         h = float(state.h[k])
         ratios.append(est.value / h)
-        table.append((str(ifs.word_from_flat(int(k), m)), est.value, h))
+        word = ifs.word_from_flat(int(k), CONTENT_DEPTH)
+        table.append((str(word), est.value, h))
     ratios = np.array(ratios)
     cv = float(ratios.std() / ratios.mean()) if ratios.mean() > 0 else math.inf
     return {"cv": cv, "ratios": ratios, "table": table, "s": s}
@@ -786,13 +787,12 @@ def projected_gap(matrices, translations, w, word_i, word_j, depth=30):
 # constant scan for the norm comparison on limit directions
 
 
-def bochi_morris_scan(ifs, depth=8, directions=None):
+def bochi_morris_scan(ifs, depth=8):
     """Empirical constant D in alpha1(A_w) <= D * norm of A_w^T on the
     perpendicular of limit directions; the reverse inequality is an exact
     norm bound and is asserted on every sample."""
-    if directions is None:
-        da = furstenberg_directions(ifs, depth=30)
-        directions = da.sample_directions(per_interval=3)
+    directions = furstenberg_directions(ifs, depth=30).sample_directions(
+        per_interval=3)
     if len(directions) > 64:
         directions = directions[:: len(directions) // 64 + 1]
     us = np.stack([d.perp.vector for d in directions])

@@ -1,9 +1,12 @@
 """Planar affine iterated function systems and their symbolic dynamics.
 
-The central objects are 2x2 invertible matrices, contractive affine maps,
-finite tuples of such maps, finite words over the map alphabet, and the
-cylinder frontier `Ifs.frontier`, which gives the scale-indexed stopping
-sets (prefix-free partitions of the cylinder tree) for any stop rule.
+An `Ifs` is a family of contractive invertible affine maps
+x -> A_i x + v_i held as two arrays, the (N,2,2) linear parts `lins` and
+the (N,2) translations `vs`; there is no matrix or map object.  On these
+arrays sit the batched 2x2 kernels, finite words over the map alphabet,
+and the cylinder frontier `Ifs.frontier`, which gives the scale-indexed
+stopping sets (prefix-free partitions of the cylinder tree) for any stop
+rule.
 """
 
 from dataclasses import dataclass
@@ -13,67 +16,23 @@ import math
 import numpy as np
 
 from .config import word_cap
-from .errors import BudgetExceeded, IndexOutOfRange, SingularMatrix
+from .errors import BudgetExceeded, IndexOutOfRange
 from .estimators import PointCloud
 
 _DET_EPS = 1e-14
 
 
-@dataclass(frozen=True)
-class Matrix2:
-    """Invertible 2x2 real matrix, row-major entries (a b / c d)."""
-
-    a: float
-    b: float
-    c: float
-    d: float
-
-    def __post_init__(self):
-        scale = max(self.a * self.a + self.b * self.b,
-                    self.c * self.c + self.d * self.d, 1e-300)
-        if abs(self.det) <= _DET_EPS * scale:
-            raise SingularMatrix(f"determinant {self.det} too close to zero")
-
-    @classmethod
-    def from_array(cls, arr):
-        arr = np.asarray(arr, dtype=float)
-        return cls(arr[0, 0], arr[0, 1], arr[1, 0], arr[1, 1])
-
-    @property
-    def array(self):
-        return np.array([[self.a, self.b], [self.c, self.d]], dtype=float)
-
-    @property
-    def det(self):
-        return self.a * self.d - self.b * self.c
-
-    def __matmul__(self, other):
-        if isinstance(other, Matrix2):
-            return Matrix2.from_array(self.array @ other.array)
-        return self.array @ np.asarray(other, dtype=float)
-
-    def singular_values(self):
-        return singular_values(self)
-
-
-def singular_values(m):
-    """Singular values (alpha1, alpha2) of a Matrix2, alpha1 >= alpha2 > 0.
-
-    Closed form of `batch_singular_values`; alpha1*alpha2 = |det A|.
-    """
-    a1, a2 = batch_singular_values(m.array[None])
-    return float(a1[0]), float(a2[0])
-
-
 def svf(m, s):
-    """Singular value function of a matrix at dimension parameter s >= 0.
+    """Singular value function of a 2x2 matrix at dimension parameter
+    s >= 0.
 
     alpha1^s for s in [0,1], alpha1*alpha2^(s-1) for s in (1,2],
     |det|^(s/2) for s > 2; continuous at s=1 and s=2.
     """
     if s < 0:
         raise ValueError("s must be nonnegative")
-    return float(svf_from_singular_values(*singular_values(m), s))
+    a1, a2 = batch_singular_values(np.asarray(m, dtype=float)[None])
+    return float(svf_from_singular_values(a1[0], a2[0], s))
 
 
 def svf_from_singular_values(a1, a2, s):
@@ -134,40 +93,6 @@ def extend_level(lins, prods):
 
 
 @dataclass(frozen=True)
-class AffineMap:
-    """Affine map x -> A x + v on the plane."""
-
-    linear: Matrix2
-    translation: tuple
-
-    def __post_init__(self):
-        object.__setattr__(self, "translation",
-                           (float(self.translation[0]), float(self.translation[1])))
-
-    @property
-    def v(self):
-        return np.array(self.translation, dtype=float)
-
-    def __call__(self, x):
-        x = np.asarray(x, dtype=float)
-        return x @ self.linear.array.T + self.v
-
-    def compose(self, other):
-        """self after other: (self.compose(other))(x) = self(other(x))."""
-        lin = self.linear @ other.linear
-        v = self.linear @ other.v + self.v
-        return AffineMap(lin, tuple(v))
-
-    def fixed_point(self):
-        eye = np.eye(2) - self.linear.array
-        return np.linalg.solve(eye, self.v)
-
-    @property
-    def is_contractive(self):
-        return singular_values(self.linear)[0] < 1.0
-
-
-@dataclass(frozen=True)
 class Word:
     """Finite word over the alphabet {1, ..., N}; empty word allowed."""
 
@@ -190,67 +115,84 @@ class Word:
 
 
 class Ifs:
-    """A finite tuple of contractive invertible affine maps with an
-    invariant bounding ball B: phi_i(B) inside B for every map."""
+    """Contractive invertible affine maps x -> A_i x + v_i, i = 1..N, held
+    as the read-only (N,2,2) stack `lins` of linear parts A_i and (N,2)
+    stack `vs` of translations v_i, with an invariant bounding ball B:
+    phi_i(B) inside B for every map.  The ball is fitted when not given.
 
-    def __init__(self, maps, ball_center=None, ball_radius=None):
-        maps = tuple(maps)
-        if len(maps) < 1:
-            raise ValueError("need at least one map")
-        for k, m in enumerate(maps):
-            if not m.is_contractive:
-                raise ValueError(f"map {k + 1} is not contractive")
-        self.maps = maps
-        # the map stack: (N,2,2) linear parts and (N,2) translations
-        self.lins = np.stack([m.linear.array for m in maps])
-        self.vs = np.stack([m.v for m in maps])
-        if ball_center is None or ball_radius is None:
-            ball_center, ball_radius = self._fit_ball()
+    Raises ValueError for fewer than two maps, a non-finite entry, a
+    linear part with |det| <= 1e-14 * (largest squared row norm), a map
+    that is not contractive, and a ball that is not invariant.
+    """
+
+    def __init__(self, lins, vs, ball_center=None, ball_radius=None):
+        if len(lins) < 2:
+            raise ValueError("need at least two maps")
+        for k, (((a, b), (c, d)), v) in enumerate(zip(lins, vs), 1):
+            if not all(map(math.isfinite, (a, b, c, d, *v))):
+                raise ValueError(f"map {k} has a non-finite entry")
+            det = a * d - b * c
+            if abs(det) <= _DET_EPS * max(a * a + b * b, c * c + d * d,
+                                          1e-300):
+                raise ValueError(f"map {k} is singular: determinant {det} "
+                                 "too close to zero")
+        fit = ball_center is None or ball_radius is None
+        if not fit and not all(map(math.isfinite,
+                                   (*ball_center, ball_radius))):
+            raise ValueError("the ball has a non-finite entry")
+        self.lins = np.array(lins, dtype=float)
+        self.vs = np.array(vs, dtype=float)
+        if self.vs.shape != (len(self.lins), 2):
+            raise ValueError("need one translation (tx, ty) per map")
+        a1 = batch_singular_values(self.lins)[0]
+        expanding = np.flatnonzero(~(a1 < 1.0))
+        if len(expanding):
+            raise ValueError(f"map {expanding[0] + 1} is not contractive")
+        if fit:
+            ball_center, ball_radius = self._fit_ball(a1)
         self.ball_center = np.asarray(ball_center, dtype=float)
         self.ball_radius = float(ball_radius)
-        self._check_ball()
+        self._check_ball(a1)
+        self.lins.flags.writeable = self.vs.flags.writeable = False
         self._cache = {}
 
     @property
     def n_maps(self):
-        return len(self.maps)
+        return len(self.lins)
 
-    def _fit_ball(self):
-        fixed = np.array([m.fixed_point() for m in self.maps])
-        center = fixed.mean(axis=0)
-        r = 0.0
-        for m in self.maps:
-            a1 = singular_values(m.linear)[0]
-            drift = np.linalg.norm(m(center) - center)
-            r = max(r, drift / (1.0 - a1))
+    def _drifts(self, x):
+        """|phi_i(x) - x| for every map, one map at a time: the norm of a
+        stack of vectors rounds differently, and the fitted ball enters
+        every report."""
+        return [np.linalg.norm(x @ lin.T + v - x)
+                for lin, v in zip(self.lins, self.vs)]
+
+    def _fit_ball(self, a1):
+        fixed = np.linalg.solve(np.eye(2) - self.lins, self.vs[..., None])
+        center = fixed[..., 0].mean(axis=0)
+        r = max(d / (1.0 - a) for d, a in zip(self._drifts(center), a1))
         return center, max(r, 1e-12) * 1.0000001
 
-    def _check_ball(self):
+    def _check_ball(self, a1):
         c, r = self.ball_center, self.ball_radius
-        for k, m in enumerate(self.maps):
-            a1 = singular_values(m.linear)[0]
-            if np.linalg.norm(m(c) - c) + a1 * r > r * (1.0 + 1e-9):
-                raise ValueError(f"bounding ball is not invariant under map {k + 1}")
+        for k, (d, a) in enumerate(zip(self._drifts(c), a1), 1):
+            if d + a * r > r * (1.0 + 1e-9):
+                raise ValueError(
+                    f"bounding ball is not invariant under map {k}")
 
     # -- symbolic operations ------------------------------------------------
 
-    def map_for(self, letter):
-        if not 1 <= letter <= self.n_maps:
-            raise IndexOutOfRange(f"letter {letter} out of range 1..{self.n_maps}")
-        return self.maps[letter - 1]
-
     def compose_word(self, word):
-        """phi_w = phi_{w1} o ... o phi_{wn}; the empty word gives the identity."""
-        out = AffineMap(Matrix2(1.0, 0.0, 0.0, 1.0), (0.0, 0.0))
+        """(A_w, t_w) with phi_w(x) = A_w x + t_w for
+        phi_w = phi_{w1} o ... o phi_{wn}; the empty word gives the
+        identity."""
+        lin, v = np.eye(2), np.zeros(2)
         for letter in word:
-            out = out.compose(self.map_for(letter))
-        return out
-
-    def word_matrix(self, word):
-        arr = np.eye(2)
-        for letter in word:
-            arr = arr @ self.map_for(letter).linear.array
-        return arr
+            if not 1 <= letter <= self.n_maps:
+                raise IndexOutOfRange(
+                    f"letter {letter} out of range 1..{self.n_maps}")
+            lin, v = lin @ self.lins[letter - 1], lin @ self.vs[letter - 1] + v
+        return lin, v
 
     def canonical_point(self, word):
         """Image of the ball center under phi_w with a certified error radius.
@@ -260,11 +202,9 @@ class Ifs:
         """
         if len(word) < 1:
             raise ValueError("word must be nonempty")
-        p = self.ball_center.copy()
-        for letter in reversed(word.indices):
-            p = self.map_for(letter)(p)
-        a1 = batch_singular_values(self.word_matrix(word)[None])[0][0]
-        return p, a1 * self.ball_radius
+        lin, v = self.compose_word(word)
+        a1 = batch_singular_values(lin[None])[0][0]
+        return lin @ self.ball_center + v, a1 * self.ball_radius
 
     # -- cached level products ---------------------------------------------
 
@@ -436,39 +376,28 @@ class Ifs:
 
     def to_json(self):
         return {
-            "maps": [
-                {"a": m.linear.a, "b": m.linear.b, "c": m.linear.c,
-                 "d": m.linear.d, "tx": m.translation[0], "ty": m.translation[1]}
-                for m in self.maps
-            ],
-            "ball": {"cx": self.ball_center[0], "cy": self.ball_center[1],
+            "maps": [{"a": a, "b": b, "c": c, "d": d, "tx": tx, "ty": ty}
+                     for (a, b, c, d), (tx, ty)
+                     in zip(self.lins.reshape(-1, 4).tolist(),
+                            self.vs.tolist())],
+            "ball": {"cx": float(self.ball_center[0]),
+                     "cy": float(self.ball_center[1]),
                      "r": self.ball_radius},
         }
 
     @classmethod
     def from_json(cls, data):
-        """The system of a to_json dict or string.  Raises ValueError
-        unless every entry is a finite number and every linear part is
-        nonsingular."""
+        """The system of a to_json dict or string; the ball is fitted when
+        the dict has none."""
         if isinstance(data, str):
             data = json.loads(data)
-        maps = []
-        for k, m in enumerate(data["maps"], 1):
-            entries = [m[key] for key in ("a", "b", "c", "d", "tx", "ty")]
-            if not all(map(math.isfinite, entries)):
-                raise ValueError(f"map {k} has a non-finite entry")
-            try:
-                lin = Matrix2(*entries[:4])
-            except SingularMatrix as e:
-                raise ValueError(f"map {k} is singular: {e}") from None
-            maps.append(AffineMap(lin, entries[4:]))
+        maps = data["maps"]
+        lins = [((m["a"], m["b"]), (m["c"], m["d"])) for m in maps]
+        vs = [(m["tx"], m["ty"]) for m in maps]
         ball = data.get("ball")
         if ball:
-            entries = [ball[key] for key in ("cx", "cy", "r")]
-            if not all(map(math.isfinite, entries)):
-                raise ValueError("the ball has a non-finite entry")
-            return cls(maps, entries[:2], entries[2])
-        return cls(maps)
+            return cls(lins, vs, (ball["cx"], ball["cy"]), ball["r"])
+        return cls(lins, vs)
 
 
 @dataclass(frozen=True)

@@ -20,6 +20,8 @@ from .ifs import batch_singular_values
 PI = math.pi
 
 MERGE_TOL = 1e-9
+# sines of angles below which classify_irreducibility takes two lines as one
+LINE_TOL = 1e-8
 DEFAULT_MARGIN = 1e-6
 # most intervals a level of furstenberg_directions may hold before merging
 MAX_INTERVALS = 3000
@@ -113,9 +115,10 @@ class ProjInterval:
         return ProjInterval(b, min(max(w2, 1e-15), PI - 1e-15))
 
 
-def merge_intervals(intervals, tol=MERGE_TOL):
+def merge_intervals(intervals):
     """Disjoint union of projective intervals, merging overlaps and gaps
-    below tol.  Raises ValueError if the union covers the whole line."""
+    below MERGE_TOL.  Raises ValueError if the union covers the whole
+    line."""
     ivs = sorted(intervals, key=lambda iv: iv.start)
     if not ivs:
         return []
@@ -132,18 +135,18 @@ def merge_intervals(intervals, tol=MERGE_TOL):
     segs.sort()
     merged = []
     for s, e in segs:
-        if merged and s <= merged[-1][1] + tol:
+        if merged and s <= merged[-1][1] + MERGE_TOL:
             merged[-1][1] = max(merged[-1][1], e)
         else:
             merged.append([s, e])
     # wraparound join between last and first
-    if len(merged) > 1 and merged[0][0] + PI <= merged[-1][1] + tol:
+    if len(merged) > 1 and merged[0][0] + PI <= merged[-1][1] + MERGE_TOL:
         merged[0][0] = merged[-1][0] - PI
         merged.pop()
     out = []
     for s, e in merged:
         w = e - s
-        if w >= PI - tol:
+        if w >= PI - MERGE_TOL:
             raise ValueError("interval union covers the projective line")
         out.append(ProjInterval(base + s, max(w, 1e-15)))
     return sorted(out, key=lambda iv: iv.start)
@@ -191,19 +194,19 @@ class Multicone:
         return sorted([iv.start, iv.width] for iv in self.intervals)
 
 
-def find_invariant_multicone(ifs, max_iters=200, margin=DEFAULT_MARGIN,
-                             seed_depth=3):
+def find_invariant_multicone(ifs):
     """Search for a multicone C with A_i C inside the interior of C for
-    every map, with angular slack >= margin.
+    every map, with angular slack >= DEFAULT_MARGIN.
 
     Seeds with quarter-turn intervals around the dominant singular
-    directions of short products, iterates the image-union map until the
-    intervals stabilize, then pads and certifies.  Returns the certified
+    directions of the products of length 1 to 3, iterates the image-union
+    map until the intervals stabilize, at most 200 times, then pads and
+    certifies.  Returns the certified
     Multicone or None; None is not a proof that no cone exists.
     """
     arrs = ifs.lins
     seeds = []
-    for n in range(1, seed_depth + 1):
+    for n in range(1, 4):
         prods = ifs.level_products(n)
         a1, a2 = batch_singular_values(prods)
         for prod in prods[~(a1 - a2 < 1e-12 * a1)]:
@@ -216,7 +219,7 @@ def find_invariant_multicone(ifs, max_iters=200, margin=DEFAULT_MARGIN,
         cone = Multicone(tuple(seeds))
     except ValueError:
         return None
-    for _ in range(max_iters):
+    for _ in range(200):
         if len(cone.intervals) * len(arrs) > 600:
             # the projective attractor is fragmenting into a Cantor set;
             # stop refining, padding below will glue the gaps
@@ -235,15 +238,18 @@ def find_invariant_multicone(ifs, max_iters=200, margin=DEFAULT_MARGIN,
             padded = Multicone(tuple(iv.pad(pad) for iv in cone.intervals))
         except ValueError:
             continue
-        if certify_invariance(padded, arrs, margin):
+        if certify_invariance(padded, arrs):
             return padded
     return None
 
 
-def certify_invariance(cone, arrs, margin=DEFAULT_MARGIN):
+def certify_invariance(cone, arrs):
+    """True if every matrix of arrs maps every interval of the cone into
+    one of its components with angular slack >= DEFAULT_MARGIN."""
     for a in arrs:
         for iv in cone.intervals:
-            if not cone.contains_interval(iv.image(a), margin=margin):
+            if not cone.contains_interval(iv.image(a),
+                                          margin=DEFAULT_MARGIN):
                 return False
     return True
 
@@ -255,13 +261,13 @@ def _cone_close(c1, c2, tol):
                for a, b in zip(c1.intervals, c2.intervals))
 
 
-def is_dominated(ifs, depth=6, margin=DEFAULT_MARGIN):
+def is_dominated(ifs, depth=6):
     """Domination report: certificate via multicone search, plus a
     least-squares (C, tau) fit of alpha2/alpha1 <= C tau^n over all words
     up to depth.  The fit is a diagnostic only and never certifies."""
     if depth < 3:
         raise ValueError("depth must be >= 3")
-    cone = find_invariant_multicone(ifs, margin=margin)
+    cone = find_invariant_multicone(ifs)
     logs, ns = [], []
     for n in range(1, depth + 1):
         a1, a2 = ifs.level_singular_values(n)
@@ -277,11 +283,11 @@ def is_dominated(ifs, depth=6, margin=DEFAULT_MARGIN):
     }
 
 
-def _real_eigen_lines(arr, tol=1e-12):
+def _real_eigen_lines(arr):
     vals, vecs = np.linalg.eig(arr)
     out = []
     for k in range(2):
-        if abs(vals[k].imag) <= tol * max(abs(vals[k]), 1.0):
+        if abs(vals[k].imag) <= 1e-12 * max(abs(vals[k]), 1.0):
             v = vecs[:, k].real
             out.append(ProjPoint(math.atan2(v[1], v[0])))
     return out
@@ -309,14 +315,15 @@ def strictly_affine(ifs, depth=6):
     return False, None
 
 
-def classify_irreducibility(ifs, tol=1e-8, depth=6):
+def classify_irreducibility(ifs):
     """Trichotomy: common invariant line (Reducible); invariant 2-element
     line set with a genuine swap (IrreducibleNotStrongly); otherwise
-    StronglyIrreducible, certified through a proximal product."""
+    StronglyIrreducible, certified through a proximal product.  Lines
+    closer than LINE_TOL count as equal."""
     arrs = ifs.lins
 
     def fixes(arr, p):
-        return act(arr, p).dist(p) <= tol
+        return act(arr, p).dist(p) <= LINE_TOL
 
     # candidate lines: eigendirections of single maps, squares, and pairs
     cands = []
@@ -330,13 +337,14 @@ def classify_irreducibility(ifs, tol=1e-8, depth=6):
             return IrreducibilityClass("Reducible", (p,))
 
     for p, q in itertools.combinations(cands, 2):
-        if p.dist(q) <= tol:
+        if p.dist(q) <= LINE_TOL:
             continue
         ok, swapped = True, False
         for a in arrs:
             if fixes(a, p) and fixes(a, q):
                 continue
-            if act(a, p).dist(q) <= tol and act(a, q).dist(p) <= tol:
+            if act(a, p).dist(q) <= LINE_TOL \
+                    and act(a, q).dist(p) <= LINE_TOL:
                 swapped = True
                 continue
             ok = False
@@ -344,10 +352,10 @@ def classify_irreducibility(ifs, tol=1e-8, depth=6):
         if ok and swapped:
             return IrreducibilityClass("IrreducibleNotStrongly", (p, q))
 
-    found, witness = strictly_affine(ifs, depth)
+    found, witness = strictly_affine(ifs)
     if not found:
         raise Inconclusive(
-            f"no proximal product up to depth {depth}; strong irreducibility "
+            "no proximal product up to depth 6; strong irreducibility "
             "not certified")
     return IrreducibilityClass("StronglyIrreducible", (witness,))
 

@@ -18,6 +18,10 @@ from .ifs import batch_singular_values, extend_level, \
 from .projective import find_invariant_multicone
 from .roots import brentq
 
+# power iteration of equilibrium_state: most steps, eigenvalue tolerance
+EIG_ITERS = 2000
+EIG_TOL = 1e-12
+
 
 @dataclass(frozen=True)
 class PressureSample:
@@ -182,20 +186,22 @@ def transfer_matrix(ifs, s, m):
     u = np.stack([np.cos(perp), np.sin(perp)], axis=1)
     cols, vals = [], []
     parent = np.arange(size) // n    # w with last letter dropped
-    for i in range(n):
-        a = ifs.maps[i].linear
+    for i, a in enumerate(ifs.lins):
         # weight at log alpha1 := log|uA|, log alpha2 := log|det A| - that
-        la1 = np.log(np.linalg.norm(u @ a.array, axis=1))
-        g = _log_svf(la1, math.log(abs(a.det)) - la1, s)
+        la1 = np.log(np.linalg.norm(u @ a, axis=1))
+        det = a[0, 0] * a[1, 1] - a[0, 1] * a[1, 0]
+        g = _log_svf(la1, math.log(abs(det)) - la1, s)
         cols.append(i * n ** (m - 1) + parent)
         vals.append(np.exp(g))
     return TransferOperator(np.stack(cols), np.stack(vals))
 
 
-def equilibrium_state(ifs, s, m=6, iters=2000, tol=1e-12):
+def equilibrium_state(ifs, s, m=6):
     """Power iteration for the discretized transfer operator's leading
     eigendata: eigenfunction h (forward), eigenmeasure nu (adjoint),
-    eigenvalue lambda.  Period-2 oscillations are averaged out."""
+    eigenvalue lambda.  The iteration stops once lambda moves by less
+    than EIG_TOL and fails after EIG_ITERS steps.  Period-2 oscillations
+    are averaged out."""
     L = transfer_matrix(ifs, s, m)
     size = L.shape[0]
     h = np.ones(size)
@@ -203,7 +209,7 @@ def equilibrium_state(ifs, s, m=6, iters=2000, tol=1e-12):
     lam_prev = lam_prev2 = None
     lam = None
     it = 0
-    for it in range(1, iters + 1):
+    for it in range(1, EIG_ITERS + 1):
         h2 = L @ h
         lam_h = h2.max()
         h_new = h2 / lam_h
@@ -211,11 +217,11 @@ def equilibrium_state(ifs, s, m=6, iters=2000, tol=1e-12):
         lam_nu = nu2.sum()
         nu_new = nu2 / lam_nu
         lam = 0.5 * (lam_h + lam_nu)
-        if lam_prev is not None and abs(lam - lam_prev) < tol:
+        if lam_prev is not None and abs(lam - lam_prev) < EIG_TOL:
             h, nu = h_new, nu_new
             break
-        if lam_prev2 is not None and abs(lam - lam_prev2) < tol \
-                and abs(lam - lam_prev) > tol:
+        if lam_prev2 is not None and abs(lam - lam_prev2) < EIG_TOL \
+                and abs(lam - lam_prev) > EIG_TOL:
             # period-2 oscillation: average consecutive iterates
             h_new = 0.5 * (h + h_new)
             nu_new = 0.5 * (nu + nu_new)
@@ -223,7 +229,8 @@ def equilibrium_state(ifs, s, m=6, iters=2000, tol=1e-12):
         h, nu = h_new, nu_new
         lam_prev2, lam_prev = lam_prev, lam
     else:
-        raise NotConverged(f"eigenvalue not stable after {iters} iterations")
+        raise NotConverged(
+            f"eigenvalue not stable after {EIG_ITERS} iterations")
     if h.min() <= 0:
         raise NotConverged("eigenfunction lost positivity")
     h = h / float(h @ nu)
@@ -238,14 +245,11 @@ class GibbsWeights:
     gibbs_spread: float
 
 
-def kaenmaki_weights(ifs, depth, s=None, state=None):
-    """Cylinder weights of the equilibrium state at the pressure root:
+def kaenmaki_weights(ifs, depth, s):
+    """Cylinder weights of the equilibrium state at s, the pressure root:
     proportional to h * nu on depth-`depth` cylinders.  The Gibbs ratio
     weight / phi^s is tracked and its max/min spread reported."""
-    if s is None:
-        s, _ = affinity_dimension(ifs)
-    if state is None or state.depth != depth:
-        state = equilibrium_state(ifs, s, m=depth)
+    state = equilibrium_state(ifs, s, m=depth)
     w = state.h * state.nu
     w = w / w.sum()
     a1, a2 = ifs.level_singular_values(depth)

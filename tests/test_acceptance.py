@@ -8,7 +8,7 @@ import time
 import numpy as np
 import pytest
 
-from affinedim.carpets import EXAMPLE_SPEC, Matrix2, example_fixture, \
+from affinedim.carpets import EXAMPLE_SPEC, example_fixture, \
     fraser_lower, mackay_assouad, s_eps_root
 from affinedim.cli import main
 from affinedim.estimators import assouad_two_scale, box_dim, lower_two_scale
@@ -24,7 +24,7 @@ from conftest import FIXTURE_DIR, load_fixture
 
 
 def beps(spec, eps):
-    return Matrix2(eps * 0.6, eps * 0.3, eps * 0.2, eps * 0.5)
+    return np.array([[eps * 0.6, eps * 0.3], [eps * 0.2, eps * 0.5]])
 
 
 def test_01_affinity_exact_on_similarities(sim3):

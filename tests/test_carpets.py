@@ -7,6 +7,7 @@ from affinedim.carpets import CarpetSpec, carpet_affinity, example_fixture, \
     fraser_lower, mackay_assouad, mcmullen_hausdorff, s_eps_root, to_ifs, \
     uniform_fibers, EXAMPLE_SPEC
 from affinedim.estimators import box_dim
+from affinedim.ifs import batch_singular_values, svf
 from affinedim.thermo import affinity_dimension
 
 
@@ -45,14 +46,12 @@ class TestToIfs:
         spec = CarpetSpec(2, 3, ((0, 0), (1, 2)))
         ifs = to_ifs(spec)
         assert ifs.n_maps == 2
-        arr = ifs.maps[0].linear.array
-        assert np.allclose(arr, np.diag([0.5, 1.0 / 3.0]))
-        assert ifs.maps[1].translation == (0.5, 2.0 / 3.0)
+        assert np.allclose(ifs.lins[0], np.diag([0.5, 1.0 / 3.0]))
+        assert tuple(ifs.vs[1]) == (0.5, 2.0 / 3.0)
 
     def test_contractive_alpha1(self):
         ifs = to_ifs(EXAMPLE_SPEC)
-        for m in ifs.maps:
-            a1, a2 = m.linear.singular_values()
+        for a1, a2 in zip(*batch_singular_values(ifs.lins)):
             assert a1 == pytest.approx(0.25)
             assert a2 == pytest.approx(0.2)
 
@@ -137,9 +136,8 @@ class TestExampleFixture:
             example_fixture(0.7)
 
     def test_root_equation_is_satisfied(self):
-        from affinedim.ifs import Matrix2, svf
         eps = 0.05
-        b = Matrix2(eps * 0.6, eps * 0.3, eps * 0.2, eps * 0.5)
+        b = eps * np.array([[0.6, 0.3], [0.2, 0.5]])
         s = s_eps_root(EXAMPLE_SPEC, b)
-        a = Matrix2(0.25, 0.0, 0.0, 0.2)
+        a = np.diag([0.25, 0.2])
         assert 5 * svf(a, s) + svf(b, s) == pytest.approx(1.0, abs=1e-10)

@@ -15,7 +15,7 @@ from affinedim.geometry import DiameterTable, approximate_square_counts, \
     posc_check, projected_gap, sigma_count, slice_points, slice_root, \
     slice_upper_bound, ssc_check, tangent_dimension_scan, \
     transversality_derivative, transversality_tail_bound, weak_tangent
-from affinedim.ifs import AffineMap, Ifs, Matrix2, hull_vertices
+from affinedim.ifs import Ifs, hull_vertices
 from affinedim.projective import PI, ProjPoint
 from affinedim.thermo import affinity_dimension
 
@@ -105,8 +105,8 @@ def brute_force_square_counts(spec, word, depth, n_scales):
 
 def touching_pair():
     """Two half-scale similarities whose pieces genuinely overlap."""
-    m = Matrix2(0.6, 0.0, 0.0, 0.6)
-    return Ifs([AffineMap(m, (0.0, 0.0)), AffineMap(m, (0.1, 0.0))])
+    m = np.diag([0.6, 0.6])
+    return Ifs([m, m], [(0.0, 0.0), (0.1, 0.0)])
 
 
 class TestSsc:
@@ -176,8 +176,8 @@ def overlapping_line(n):
     """n maps of ratios 0.9 to 0.95 by 0.05 with nearby translations on a
     line: the first-level cylinders overlap all the way down, so a bound
     over cylinder blocks keeps nearly every pair."""
-    return Ifs([AffineMap(Matrix2(0.9 + 0.0125 * i, 0.0, 0.0, 0.05),
-                          (0.02 * i, 0.0)) for i in range(n)])
+    return Ifs([np.diag([0.9 + 0.0125 * i, 0.05]) for i in range(n)],
+               [(0.02 * i, 0.0) for i in range(n)])
 
 
 class TestPairGap:
@@ -427,8 +427,8 @@ class TestTangents:
         assert np.array_equal(tc.cloud.points, tc2.cloud.points)
 
     def test_regular_fixture_collapses_spectrum(self):
-        sim = Ifs([AffineMap(Matrix2(0.5, 0.0, 0.0, 0.5), t)
-                   for t in ((0.0, 0.0), (0.5, 0.0), (0.0, 0.5))])
+        sim = Ifs([np.diag([0.5, 0.5])] * 3,
+                  [(0.0, 0.0), (0.5, 0.0), (0.0, 0.5)])
         out = tangent_dimension_scan(sim, n_tangents=8, seed=1)
         dim_h = math.log(3.0) / math.log(2.0)
         assert out["max_dim"] == pytest.approx(dim_h, abs=0.1)

@@ -1,10 +1,11 @@
 """Source hygiene checks that need no linter: every module of the package
 uses each name it imports and imports only at module level, only
-Ifs.frontier takes a word limit of its own, 2x2 products go through the
-one kernel ifs.mul2, and importing the package loads numpy but not
-scipy."""
+Ifs.frontier takes a word limit of its own, every defaulted parameter is
+set by some call, 2x2 products go through the one kernel ifs.mul2, and
+importing the package loads numpy but not scipy."""
 
 import ast
+import math
 import os
 import subprocess
 import sys
@@ -106,6 +107,85 @@ def test_one_word_cap(module):
     with open(os.path.join(SRC_DIR, module)) as fh:
         assert budget_knobs(fh.read()) \
             == ALLOWED_BUDGET_PARAMETERS.get(module, [])
+
+
+TEST_DIR = os.path.dirname(__file__)
+CALLERS = [os.path.join(SRC_DIR, f) for f in os.listdir(SRC_DIR)
+           if f.endswith(".py")] \
+    + [os.path.join(TEST_DIR, f) for f in os.listdir(TEST_DIR)
+       if f.endswith(".py")]
+
+
+def dead_options(source, callers):
+    """Defaulted parameters of the functions defined in source, as
+    "name(parameter)", that no call in the caller sources sets, by keyword
+    or by position.  Calls match definitions by callee name; a method's
+    first parameter is its receiver, a starred argument sets every
+    position and a ** argument every keyword.  __init__ is left out, since
+    its calls name the class."""
+    positions, keywords = {}, {}
+    for text in callers:
+        for node in ast.walk(ast.parse(text)):
+            if isinstance(node, ast.Call):
+                name = getattr(node.func, "id", getattr(node.func, "attr",
+                                                        None))
+                starred = any(isinstance(a, ast.Starred) for a in node.args)
+                positions[name] = max(positions.get(name, 0),
+                                      math.inf if starred else len(node.args))
+                keywords.setdefault(name, set()).update(
+                    k.arg for k in node.keywords)
+    tree = ast.parse(source)
+    methods = {id(f) for c in ast.walk(tree) if isinstance(c, ast.ClassDef)
+               for f in c.body}
+    found = []
+    for node in ast.walk(tree):
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) \
+                or node.name == "__init__":
+            continue
+        args = node.args
+        params = args.posonlyargs + args.args
+        if id(node) in methods:
+            params = params[1:]
+        given = positions.get(node.name, 0)
+        named = keywords.get(node.name, set())
+        if None in named:
+            continue
+        first = len(params) - len(args.defaults)
+        found += [f"{node.name}({p.arg})" for k, p in enumerate(params)
+                  if k >= max(first, given) and p.arg not in named]
+        found += [f"{node.name}({p.arg})"
+                  for p, d in zip(args.kwonlyargs, args.kw_defaults)
+                  if d is not None and p.arg not in named]
+    return sorted(found)
+
+
+def test_checker_finds_dead_options():
+    src = ("def f(x, y=1, *, z=2):\n    return x\n"
+           "class C:\n    def m(self, a=0, b=1):\n        return a\n"
+           "    def __init__(self, k=3):\n        pass\n"
+           "def g(p, q=0):\n    return p\n"
+           "def h(r=0):\n    return r\n")
+    calls = ("f(1, 2)\nC().m(b=4)\nk(z=5)\ng(*[1, 2])\n"
+             "h(**{'r': 1})\n")
+    assert dead_options(src, [src, calls]) == ["f(z)", "m(a)"]
+
+
+# brentq keeps the signature of scipy's brentq.c, whose argument checks
+# it mirrors; the open test that the grid-carpet tangent scan stays below
+# Mackay's formula at several resolutions will set resolution
+ALLOWED_DEAD_OPTIONS = ("brentq(", "tangent_dimension_scan(resolution)")
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_no_dead_options(module):
+    # a default no caller changes is a constant in disguise
+    callers = []
+    for path in CALLERS:
+        with open(path) as fh:
+            callers.append(fh.read())
+    with open(os.path.join(SRC_DIR, module)) as fh:
+        found = dead_options(fh.read(), callers)
+    assert [f for f in found if not f.startswith(ALLOWED_DEAD_OPTIONS)] == []
 
 
 def einsum_calls(source):

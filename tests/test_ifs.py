@@ -6,10 +6,10 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from affinedim.errors import BudgetExceeded, IndexOutOfRange, SingularMatrix
+from affinedim.errors import BudgetExceeded, IndexOutOfRange
 from affinedim.geometry import _proj_stopping, projected_diameter_bound
-from affinedim.ifs import AffineMap, Ifs, Matrix2, Word, _cloud_diameter, \
-    batch_singular_values, extend_level, mul2, singular_values, svf
+from affinedim.ifs import Ifs, Word, _cloud_diameter, batch_singular_values, \
+    extend_level, mul2, svf
 from affinedim.projective import ProjPoint, strictly_affine
 
 
@@ -17,36 +17,23 @@ def rng(seed=0):
     return np.random.Generator(np.random.Philox(key=seed))
 
 
-class TestMatrix2:
-    def test_rejects_singular(self):
-        with pytest.raises(SingularMatrix):
-            Matrix2(1.0, 2.0, 2.0, 4.0)
-
+class TestSingularValues:
     def test_singular_values_match_svd(self):
         g = rng(12)
         for _ in range(200):
             arr = g.normal(size=(2, 2))
             if abs(np.linalg.det(arr)) < 1e-6:
                 continue
-            a1, a2 = singular_values(Matrix2.from_array(arr))
+            a1, a2 = (float(x[0]) for x in batch_singular_values(arr[None]))
             ref = np.linalg.svd(arr, compute_uv=False)
             assert a1 == pytest.approx(ref[0], rel=1e-10)
             assert a2 == pytest.approx(ref[1], rel=1e-8)
             assert a1 * a2 == pytest.approx(abs(np.linalg.det(arr)), rel=1e-12)
 
-    def test_batch_agrees_with_scalar(self):
-        g = rng(13)
-        mats = g.normal(size=(64, 2, 2))
-        a1, a2 = batch_singular_values(mats)
-        for k in range(64):
-            s1, s2 = singular_values(Matrix2.from_array(mats[k]))
-            assert a1[k] == pytest.approx(s1, rel=1e-12)
-            assert a2[k] == pytest.approx(s2, rel=1e-12)
-
 
 class TestSvf:
     def test_branches(self):
-        m = Matrix2(0.5, 0.0, 0.0, 0.2)
+        m = np.diag([0.5, 0.2])
         assert svf(m, 0.0) == pytest.approx(1.0)
         assert svf(m, 1.0) == pytest.approx(0.5)
         assert svf(m, 1.5) == pytest.approx(0.5 * 0.2 ** 0.5)
@@ -54,7 +41,7 @@ class TestSvf:
         assert svf(m, 3.0) == pytest.approx(0.1 ** 1.5)
 
     def test_continuity_at_breakpoints(self):
-        m = Matrix2(0.7, 0.1, -0.2, 0.4)
+        m = np.array([[0.7, 0.1], [-0.2, 0.4]])
         for s0 in (1.0, 2.0):
             assert svf(m, s0 - 1e-12) == pytest.approx(svf(m, s0 + 1e-12),
                                                        rel=1e-9)
@@ -62,8 +49,8 @@ class TestSvf:
     def test_submultiplicative(self):
         g = rng(14)
         for _ in range(100):
-            x = Matrix2.from_array(0.5 * g.normal(size=(2, 2)))
-            y = Matrix2.from_array(0.5 * g.normal(size=(2, 2)))
+            x = 0.5 * g.normal(size=(2, 2))
+            y = 0.5 * g.normal(size=(2, 2))
             s = float(g.uniform(0.0, 2.5))
             assert svf(x @ y, s) <= svf(x, s) * svf(y, s) * (1 + 1e-12)
 
@@ -82,28 +69,65 @@ class TestWord:
 class TestIfs:
     def test_ball_is_invariant(self, cone_ifs):
         c, r = cone_ifs.ball_center, cone_ifs.ball_radius
-        for m in cone_ifs.maps:
-            a1 = singular_values(m.linear)[0]
-            assert np.linalg.norm(m(c) - c) + a1 * r <= r * (1 + 1e-9)
+        a1 = batch_singular_values(cone_ifs.lins)[0]
+        for lin, v, a in zip(cone_ifs.lins, cone_ifs.vs, a1):
+            assert np.linalg.norm(lin @ c + v - c) + a * r <= r * (1 + 1e-9)
+
+    def test_rejects_singular_map(self):
+        with pytest.raises(ValueError, match="map 1 is singular"):
+            Ifs([[[1.0, 2.0], [2.0, 4.0]], np.diag([0.5, 0.5])],
+                [(0.0, 0.0), (0.5, 0.0)])
 
     def test_rejects_expanding_map(self):
-        with pytest.raises(ValueError):
-            Ifs([AffineMap(Matrix2(1.2, 0.0, 0.0, 0.5), (0.0, 0.0))])
+        with pytest.raises(ValueError, match="map 2 is not contractive"):
+            Ifs([np.diag([0.5, 0.5]), np.diag([1.2, 0.5])],
+                [(0.0, 0.0), (0.5, 0.0)])
 
     def test_compose_word_matches_manual(self, cone_ifs):
         w = Word((2, 1, 3))
-        aff = cone_ifs.compose_word(w)
+        lin, t = cone_ifs.compose_word(w)
         x = np.array([0.3, -0.1])
-        m2, m1, m3 = (cone_ifs.maps[i] for i in (1, 0, 2))
-        assert np.allclose(aff(x), m2(m1(m3(x))), atol=1e-14)
-        assert np.allclose(cone_ifs.word_matrix(w), aff.linear.array)
+
+        def phi(i, y):
+            return cone_ifs.lins[i - 1] @ y + cone_ifs.vs[i - 1]
+
+        assert np.allclose(lin @ x + t, phi(2, phi(1, phi(3, x))), atol=1e-14)
+        a1, a2, a3 = cone_ifs.lins
+        assert np.allclose(lin, a2 @ a1 @ a3)
+
+    def test_compose_word_rejects_letters_out_of_range(self, cone_ifs):
+        for word in ((1, 4), (0,)):
+            with pytest.raises(IndexOutOfRange):
+                cone_ifs.compose_word(word)
+
+    @pytest.mark.parametrize("name, shortest, longest", [
+        ("positive_pair", 19, 24),
+        ("cone_ifs", 30, 40),
+        ("overlap_ifs", 30, 40),
+    ])
+    def test_compose_word_on_long_words(self, request, name, shortest,
+                                        longest):
+        # the long prefix products of these words have |det| below the
+        # input singularity threshold, 1e-14 times the largest squared row
+        # norm, and are still valid products
+        ifs = request.getfixturevalue(name)
+        g = rng(17)
+        for n in range(longest, shortest - 1, -1):
+            for letters in g.integers(1, ifs.n_maps + 1, size=(4, n)):
+                lin, v = ifs.compose_word(Word(letters))
+                want_lin, want_v = np.eye(2), np.zeros(2)
+                for i in letters:
+                    want_lin, want_v = (want_lin @ ifs.lins[i - 1],
+                                        want_lin @ ifs.vs[i - 1] + want_v)
+                assert_same_bits(lin, want_lin)
+                assert_same_bits(v, want_v)
 
     def test_level_products_order(self, cone_ifs):
         prods = cone_ifs.level_products(3)
         assert prods.shape == (27, 2, 2)
         w = Word((2, 1, 3))
         k = np.ravel_multi_index([letter - 1 for letter in w], (3, 3, 3))
-        assert np.allclose(prods[k], cone_ifs.word_matrix(w))
+        assert np.allclose(prods[k], cone_ifs.compose_word(w)[0])
 
     def test_canonical_point_error_radius(self, cone_ifs):
         w = Word((1, 3, 2, 2))
@@ -115,7 +139,8 @@ class TestIfs:
     def test_diam_bounds_bracket(self, sim3):
         lo, hi = sim3.diam_bounds()
         # the attractor contains the three map fixed points
-        fixed = np.array([m.fixed_point() for m in sim3.maps])
+        fixed = np.linalg.solve(np.eye(2) - sim3.lins,
+                                sim3.vs[..., None])[..., 0]
         spread = max(np.linalg.norm(a - b) for a in fixed for b in fixed)
         assert lo <= spread <= hi
         assert hi - lo < 0.01 * hi
@@ -123,9 +148,8 @@ class TestIfs:
     def test_json_roundtrip(self, cone_ifs):
         data = json.loads(json.dumps(cone_ifs.to_json()))
         back = Ifs.from_json(data)
-        for m1, m2 in zip(cone_ifs.maps, back.maps):
-            assert m1.linear == m2.linear
-            assert m1.translation == m2.translation
+        assert np.array_equal(back.lins, cone_ifs.lins)
+        assert np.array_equal(back.vs, cone_ifs.vs)
         assert back.ball_radius == cone_ifs.ball_radius
 
 
@@ -215,11 +239,11 @@ def reference_stopping_words(ifs, stop):
         if stop(mat):
             words.append(Word(word))
             return
-        for i, m in enumerate(ifs.maps, start=1):
-            visit(word + (i,), mat @ m.linear.array)
+        for i, lin in enumerate(ifs.lins, start=1):
+            visit(word + (i,), mat @ lin)
 
-    for i, m in enumerate(ifs.maps, start=1):
-        visit((i,), m.linear.array)
+    for i, lin in enumerate(ifs.lins, start=1):
+        visit((i,), lin)
     return words
 
 
@@ -227,7 +251,7 @@ def reference_witness(ifs, depth=6):
     """Least proximal word of the shortest length, by brute force."""
     for n in range(1, depth + 1):
         for letters in itertools.product(range(1, ifs.n_maps + 1), repeat=n):
-            arr = ifs.word_matrix(letters)
+            arr, _ = ifs.compose_word(letters)
             tr = arr[0, 0] + arr[1, 1]
             det = arr[0, 0] * arr[1, 1] - arr[0, 1] * arr[1, 0]
             if tr * tr > 4.0 * det + 1e-14 and abs(tr) > 1e-14:
@@ -288,8 +312,8 @@ class TestFrontier:
     def test_deep_walk_raises_instead_of_truncating(self):
         # the slow map needs about 690 letters to reach the scale, past
         # the deepest level the walk may enter
-        slow = Ifs([AffineMap(Matrix2(0.99, 0.0, 0.0, 0.99), (0.0, 0.0)),
-                    AffineMap(Matrix2(0.1, 0.0, 0.0, 0.1), (1.0, 0.0))])
+        slow = Ifs([np.diag([0.99, 0.99]), np.diag([0.1, 0.1])],
+                   [(0.0, 0.0), (1.0, 0.0)])
         with pytest.raises(BudgetExceeded):
             slow.frontier(alpha1_stop(slow, 1e-3 * slow.diam_upper), lex=True)
 
@@ -297,8 +321,8 @@ class TestFrontier:
 def collinear_ifs(n_maps):
     """Similarities of ratio 0.3 with translations on the line through 0
     and (1, 2); the attractor is a Cantor set from 0 to (1, 2)."""
-    return Ifs([AffineMap(Matrix2(0.3, 0.0, 0.0, 0.3), (t, 2.0 * t))
-                for t in np.linspace(0.0, 0.7, n_maps)])
+    return Ifs([np.diag([0.3, 0.3])] * n_maps,
+               [(t, 2.0 * t) for t in np.linspace(0.0, 0.7, n_maps)])
 
 
 class TestFlatClouds:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from affinedim.errors import Inconclusive
-from affinedim.ifs import AffineMap, Ifs, Matrix2
+from affinedim.ifs import Ifs
 from affinedim.projective import PI, Multicone, ProjInterval, ProjPoint, \
     act, act_angle, certify_invariance, classify_irreducibility, \
     find_invariant_multicone, furstenberg_directions, is_dominated, \
@@ -17,16 +17,16 @@ def rng(seed=0):
 
 def rotation_ifs(scale=0.5, angle=1.0):
     c, s = math.cos(angle), math.sin(angle)
-    rot = Matrix2(scale * c, -scale * s, scale * s, scale * c)
-    return Ifs([AffineMap(rot, (0.0, 0.0)), AffineMap(rot, (0.3, 0.1))])
+    rot = [[scale * c, -scale * s], [scale * s, scale * c]]
+    return Ifs([rot, rot], [(0.0, 0.0), (0.3, 0.1)])
 
 
 def swap_ifs():
     """Two maps preserving the unordered pair {x-axis, y-axis} with a
     genuine swap: irreducible but not strongly."""
-    swap = Matrix2(0.0, 0.5, 0.4, 0.0)
-    diag = Matrix2(0.5, 0.0, 0.0, 0.3)
-    return Ifs([AffineMap(swap, (0.0, 0.0)), AffineMap(diag, (0.4, 0.2))])
+    swap = [[0.0, 0.5], [0.4, 0.0]]
+    diag = [[0.5, 0.0], [0.0, 0.3]]
+    return Ifs([swap, diag], [(0.0, 0.0), (0.4, 0.2)])
 
 
 class TestProjPoint:
@@ -100,13 +100,12 @@ class TestDomination:
         out = is_dominated(cone_ifs)
         assert out["certified"]
         cone = out["multicone"]
-        arrs = [m.linear.array for m in cone_ifs.maps]
-        assert certify_invariance(cone, arrs)
+        assert certify_invariance(cone, cone_ifs.lins)
 
     def test_image_strictly_inside(self, cone_ifs):
         cone = find_invariant_multicone(cone_ifs)
-        for m in cone_ifs.maps:
-            img = cone.image(m.linear.array)
+        for arr in cone_ifs.lins:
+            img = cone.image(arr)
             for iv in img.intervals:
                 assert cone.contains_interval(iv)
 
@@ -141,7 +140,7 @@ class TestIrreducibility:
     def test_strictly_affine_witness(self, cone_ifs):
         found, witness = strictly_affine(cone_ifs)
         assert found
-        arr = cone_ifs.word_matrix(witness)
+        arr, _ = cone_ifs.compose_word(witness)
         tr = arr[0, 0] + arr[1, 1]
         assert tr * tr > 4.0 * np.linalg.det(arr)
 

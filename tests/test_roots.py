@@ -8,7 +8,6 @@ import pytest
 from scipy.optimize import brentq as reference
 
 from affinedim import carpets, geometry, thermo
-from affinedim.ifs import Matrix2
 from affinedim.roots import brentq
 
 from conftest import load_fixture
@@ -57,7 +56,7 @@ def test_slice_root_matches(monkeypatch):
 
 
 def test_s_eps_root_matches(monkeypatch):
-    mats = [Matrix2(e * 0.6, e * 0.3, e * 0.2, e * 0.5)
+    mats = [e * np.array([[0.6, 0.3], [0.2, 0.5]])
             for e in np.geomspace(1e-4, 0.49, 30)]
     ours = [carpets.s_eps_root(carpets.EXAMPLE_SPEC, b) for b in mats]
     monkeypatch.setattr(carpets, "brentq", reference)

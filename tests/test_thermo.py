@@ -6,7 +6,7 @@ import pytest
 from scipy.sparse import csr_matrix
 
 from affinedim.errors import NotDominated
-from affinedim.ifs import svf
+from affinedim.ifs import Ifs, svf
 from affinedim.thermo import _pressure_fn, affinity_dimension, \
     equilibrium_state, gibbs_spread_by_depth, kaenmaki_weights, pressure, \
     transfer_matrix
@@ -18,8 +18,7 @@ class TestPressure:
         total = 0.0
         for flat in range(cone_ifs.n_maps ** n):
             w = cone_ifs.word_from_flat(flat, n)
-            from affinedim.ifs import Matrix2
-            total += svf(Matrix2.from_array(cone_ifs.word_matrix(w)), s)
+            total += svf(cone_ifs.compose_word(w)[0], s)
         ps = pressure(cone_ifs, s, n)
         assert ps.value == pytest.approx(math.log(total) / n, rel=1e-12)
 
@@ -142,10 +141,9 @@ class TestTransferOperator:
             assert np.array_equal(L.adjoint(f), ref.T @ f)
 
     def test_needs_cone_for_true_affine(self):
-        from affinedim.ifs import AffineMap, Ifs, Matrix2
         # a squeeze and a quarter-turn: genuinely affine, no invariant cone
-        ifs = Ifs([AffineMap(Matrix2(0.5, 0.0, 0.0, 0.2), (0.0, 0.0)),
-                   AffineMap(Matrix2(0.0, -0.5, 0.5, 0.0), (0.3, 0.1))])
+        ifs = Ifs([[[0.5, 0.0], [0.0, 0.2]], [[0.0, -0.5], [0.5, 0.0]]],
+                  [(0.0, 0.0), (0.3, 0.1)])
         with pytest.raises(NotDominated):
             equilibrium_state(ifs, 0.8, m=3)
 
