@@ -105,6 +105,14 @@ def carpet_affinity(spec):
     return 1.0 + math.log(n / spec.p) / math.log(spec.q)
 
 
+def closed_forms(spec):
+    """The carpet's closed-form dimensions by report key."""
+    return {"affinity": carpet_affinity(spec),
+            "mackay_assouad": mackay_assouad(spec),
+            "mcmullen_hausdorff": mcmullen_hausdorff(spec),
+            "fraser_lower": fraser_lower(spec)}
+
+
 EXAMPLE_SPEC = CarpetSpec(4, 5, ((0, 0), (0, 2), (0, 4), (2, 0), (3, 3)))
 
 def s_eps_root(spec, b):

@@ -3,7 +3,7 @@ condition checks and dimension estimators, and emit deterministic JSON
 reports and SVG renders.
 
 Exit codes: 0 success, 1 input error, 2 condition failure, 3 budget or
-convergence failure.
+convergence failure; ERROR_EXITS assigns one to each toolkit error.
 """
 
 import argparse
@@ -16,8 +16,9 @@ import sys
 import numpy as np
 
 from . import carpets
-from .errors import AffinedimError, BudgetExceeded, HypothesisViolated, \
-    Inconclusive, NotConverged, NotDominated, NotSeparated
+from .errors import AffinedimError, BudgetExceeded, DegenerateRange, \
+    HypothesisViolated, Inconclusive, IndexOutOfRange, NotConverged, \
+    NotDominated, NotSeparated, PlacementFailed
 from .estimators import assouad_two_scale, box_dim, lower_two_scale
 from .geometry import content_consistency, hausdorff_content_projection, \
     posc_check, projected_gap, slice_points, slice_upper_bound, ssc_check, \
@@ -34,6 +35,19 @@ EXIT_INPUT = 1
 EXIT_CONDITION = 2
 EXIT_BUDGET = 3
 
+# exit code of each toolkit error that reaches main
+ERROR_EXITS = {
+    NotDominated: EXIT_CONDITION,
+    NotSeparated: EXIT_CONDITION,
+    Inconclusive: EXIT_CONDITION,
+    HypothesisViolated: EXIT_CONDITION,
+    DegenerateRange: EXIT_CONDITION,
+    PlacementFailed: EXIT_CONDITION,
+    BudgetExceeded: EXIT_BUDGET,
+    NotConverged: EXIT_BUDGET,
+    IndexOutOfRange: EXIT_INPUT,
+}
+
 FIXTURE_DIR = os.path.join(os.path.dirname(__file__), "fixtures")
 
 
@@ -49,6 +63,27 @@ class _Parser(argparse.ArgumentParser):
         self.print_usage(sys.stderr)
         print(f"error: {message}", file=sys.stderr)
         raise SystemExit(EXIT_INPUT)
+
+
+def _ranged(kind, ok, rule):
+    """argparse type: a kind value for which ok holds; other values are
+    usage errors that state the rule."""
+    def parse(text):
+        value = kind(text)
+        if not ok(value):
+            raise argparse.ArgumentTypeError(f"{rule}, got {text}")
+        return value
+    # argparse names the type in its message for text kind() rejects
+    parse.__name__ = kind.__name__
+    return parse
+
+
+def _depth(args, default):
+    """--depth, or default when it is unset or 0; the separation checks
+    need two levels."""
+    if args.depth and args.depth < 2:
+        raise InputError(f"--depth must be >= 2, got {args.depth}")
+    return args.depth or default
 
 
 def fixture_path(name):
@@ -120,7 +155,7 @@ def write_report(report, out, default_name):
 
 def cmd_check(args):
     ifs, spec = load_input(args.input)
-    depth = args.depth or 6
+    depth = _depth(args, 6)
     report = {"command": "check", "input": os.path.basename(args.input)}
     failures = 0
 
@@ -155,8 +190,7 @@ def cmd_check(args):
         report["posc"] = {"status": "skipped", "diagnostic": str(e)}
 
     if dom["certified"]:
-        da = furstenberg_directions(ifs, depth=30,
-                                    multicone=dom["multicone"])
+        da = furstenberg_directions(ifs, depth=30)
         report["limit_directions"] = {
             "depth": da.depth,
             "n_intervals": len(da.intervals),
@@ -178,6 +212,7 @@ def cmd_check(args):
 
 def cmd_dims(args):
     ifs, spec = load_input(args.input)
+    depth = _depth(args, 6)
     report = {"command": "dims", "input": os.path.basename(args.input)}
     warnings = []
 
@@ -188,7 +223,16 @@ def cmd_dims(args):
 
     cloud = ifs.attractor_sample(0.002)
     base = float(spec.q) if spec is not None else 2.0
-    cover = box_dim(cloud, base=base)
+    try:
+        cover = box_dim(cloud, base=base)
+    except DegenerateRange as e:
+        if spec is None:
+            raise
+        # a carpet's base-q scales can be too few above the sample
+        # resolution; base 2 is what every other input is fitted at
+        warnings.append(f"base-{spec.q} box-count fit failed ({e}); "
+                        "fitted at base 2")
+        cover = box_dim(cloud, base=2.0)
     report["box"] = cover.to_json()
     if cover.residual > 0.05:
         warnings.append(f"box-count fit residual {cover.residual:.3f} > 0.05")
@@ -201,8 +245,7 @@ def cmd_dims(args):
         warnings.append(f"two-scale estimates skipped: {e}")
 
     try:
-        report["slice_upper_bound"] = slice_upper_bound(ifs,
-                                                        depth=args.depth or 6)
+        report["slice_upper_bound"] = slice_upper_bound(ifs, depth=depth)
     except NotSeparated as e:
         report["slice_upper_bound"] = None
         warnings.append(f"slice bound skipped: {e}")
@@ -216,12 +259,7 @@ def cmd_dims(args):
         warnings.append(f"tangent scan skipped: {e}")
 
     if spec is not None:
-        report["carpet_formulas"] = {
-            "affinity": carpets.carpet_affinity(spec),
-            "mackay_assouad": carpets.mackay_assouad(spec),
-            "mcmullen_hausdorff": carpets.mcmullen_hausdorff(spec),
-            "fraser_lower": carpets.fraser_lower(spec),
-        }
+        report["carpet_formulas"] = carpets.closed_forms(spec)
 
     report["warnings"] = warnings
     write_report(report, args.out, "dims.json")
@@ -249,7 +287,7 @@ def _suite_diml(ifs, spec, args):
         return _skip("diml", str(e))
     if cls.tag != "StronglyIrreducible":
         return _skip("diml", f"needs strong irreducibility, got {cls.tag}")
-    depth = args.depth or 6
+    depth = _depth(args, 6)
     ssc = ssc_check(ifs, depth)
     while ssc.separated == "Unknown" and depth < 14:
         # inconclusive just means the cylinder balls are still too fat
@@ -465,10 +503,7 @@ def cmd_carpet(args):
         "p": spec.p, "q": spec.q, "n_maps": spec.n_maps,
         "column_counts": spec.column_counts(),
         "uniform_fibers": carpets.uniform_fibers(spec),
-        "affinity": carpets.carpet_affinity(spec),
-        "mackay_assouad": carpets.mackay_assouad(spec),
-        "mcmullen_hausdorff": carpets.mcmullen_hausdorff(spec),
-        "fraser_lower": carpets.fraser_lower(spec),
+        **carpets.closed_forms(spec),
     }
     if args.eps is not None:
         fix = carpets.example_fixture(args.eps)
@@ -492,13 +527,18 @@ def build_parser():
     def common(p):
         p.add_argument("--input", required=True,
                        help="IFS or carpet JSON file, or a fixture name")
-        p.add_argument("--depth", type=int, default=None)
-        p.add_argument("--budget", type=int, default=None)
-        p.add_argument("--tol", type=float, default=None)
-        p.add_argument("--seed", type=int, default=0)
+        p.add_argument("--depth", default=None,
+                       type=_ranged(int, lambda d: d >= 0, "must be >= 0"))
+        p.add_argument("--budget", default=None,
+                       type=_ranged(int, lambda b: b >= 0, "must be >= 0"))
+        p.add_argument("--tol", default=None,
+                       type=_ranged(float, lambda t: 0.0 <= t < math.inf,
+                                    "must be finite and >= 0"))
+        p.add_argument("--seed", default=0,
+                       type=_ranged(int, lambda s: 0 <= s < 2 ** 128,
+                                    "must be in [0, 2^128)"))
         p.add_argument("--threads", type=int, default=1,
-                       help="parallelism hint; results are identical for "
-                            "any value")
+                       help="accepted and ignored")
         p.add_argument("--out", default=None,
                        help="output file or directory (default stdout)")
 
@@ -512,7 +552,9 @@ def build_parser():
                    help="overlay the limit-direction fan")
     common(p)
     p = sub.add_parser("carpet", help="carpet closed forms")
-    p.add_argument("--eps", type=float, default=None,
+    p.add_argument("--eps", default=None,
+                   type=_ranged(float, lambda e: 0.0 < e < 0.5,
+                                "must be in (0, 0.5)"),
                    help="also build the augmented example at this epsilon")
     common(p)
     return parser
@@ -535,12 +577,9 @@ def main(argv=None):
     except InputError as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_INPUT
-    except (BudgetExceeded, NotConverged) as e:
+    except AffinedimError as e:
         print(f"error: {type(e).__name__}: {e}", file=sys.stderr)
-        return EXIT_BUDGET
-    except HypothesisViolated as e:
-        print(f"error: {type(e).__name__}: {e}", file=sys.stderr)
-        return EXIT_CONDITION
+        return ERROR_EXITS[type(e)]
 
 
 if __name__ == "__main__":

@@ -13,7 +13,7 @@ from .config import word_cap
 from .errors import BudgetExceeded, DegenerateRange, HypothesisViolated, \
     NotDominated, NotSeparated
 from .estimators import PointCloud, box_dim
-from .ifs import batch_singular_values, hull_vertices, mul2
+from .ifs import batch_singular_values, derived, hull_vertices, mul2
 from .projective import PI, ProjPoint, furstenberg_directions
 from .roots import brentq
 from .thermo import _cylinder_directions, affinity_dimension, \
@@ -54,11 +54,9 @@ class DiameterTable:
         return self.widths[k] + self.lip * np.minimum(d, PI - d) + self.err
 
 
+@derived
 def _diam_table(ifs):
-    key = "diam_table"
-    if key not in ifs._cache:
-        ifs._cache[key] = DiameterTable(ifs)
-    return ifs._cache[key]
+    return DiameterTable(ifs)
 
 
 def _axis(v):

@@ -6,10 +6,12 @@ the (N,2) translations `vs`; there is no matrix or map object.  On these
 arrays sit the batched 2x2 kernels, finite words over the map alphabet,
 and the cylinder frontier `Ifs.frontier`, which gives the scale-indexed
 stopping sets (prefix-free partitions of the cylinder tree) for any stop
-rule.
+rule.  A value the family determines is computed once per family and word
+cap through the memo `derived`.
 """
 
 from dataclasses import dataclass
+import functools
 import json
 import math
 
@@ -90,6 +92,25 @@ def extend_level(lins, prods):
     level, letter-major, so a level in lexicographic word order yields the
     next one in lexicographic order."""
     return mul2(lins[:, None], prods[None]).reshape(-1, 2, 2)
+
+
+def derived(fn):
+    """Memo for a value that a family determines: fn(ifs, *args, **kwargs)
+    is computed once and kept in ifs._cache under the arguments and the
+    word cap, so a lowered cap still raises where a value was kept.
+    Exceptions are not kept, and every array kept (alone or in a tuple) is
+    made read-only."""
+    @functools.wraps(fn)
+    def memo(ifs, *args, **kwargs):
+        key = (fn, args, tuple(sorted(kwargs.items())), word_cap())
+        if key not in ifs._cache:
+            value = fn(ifs, *args, **kwargs)
+            for part in value if isinstance(value, tuple) else (value,):
+                if isinstance(part, np.ndarray):
+                    part.flags.writeable = False
+            ifs._cache[key] = value
+        return ifs._cache[key]
+    return memo
 
 
 @dataclass(frozen=True)
@@ -219,11 +240,9 @@ class Ifs:
             cached.append(extend_level(self.lins, cached[-1]))
         return cached[n]
 
+    @derived
     def level_singular_values(self, n):
-        key = ("svals", n)
-        if key not in self._cache:
-            self._cache[key] = batch_singular_values(self.level_products(n))
-        return self._cache[key]
+        return batch_singular_values(self.level_products(n))
 
     def word_from_flat(self, flat, n):
         """Word of length n from its lexicographic index in level_products."""
@@ -235,18 +254,14 @@ class Ifs:
 
     # -- certified diameter -------------------------------------------------
 
+    @derived
     def diam_bounds(self, depth=8):
         """Certified (lower, upper) bounds for diam(X) from a cylinder-center
         cloud: cloud diameter -/+ twice the largest error radius."""
-        key = ("diam", depth)
-        if key in self._cache:
-            return self._cache[key]
         pts, errs = self._cylinder_centers(self._fit_depth(depth))
         d = _cloud_diameter(pts)
         e = 2.0 * errs.max()
-        bounds = (max(d - e, 0.0), d + e)
-        self._cache[key] = bounds
-        return bounds
+        return max(d - e, 0.0), d + e
 
     @property
     def diam_upper(self):
@@ -260,24 +275,19 @@ class Ifs:
             depth -= 1
         return depth
 
+    @derived
     def _cylinder_centers(self, depth):
         """Centers and error radii of all depth-n cylinders, vectorized,
-        in the lexicographic order of level_products.  Both arrays are
-        cached by depth and read-only."""
+        in the lexicographic order of level_products."""
         mats = self.level_products(depth)
-        key = ("centers", depth)
-        if key not in self._cache:
-            pts = self.ball_center[None]
-            for _ in range(depth):
-                # prepend a letter: phi_i applied after phi_w requires
-                # building from the left; p_{iw} = A_i p_w + v_i keeps
-                # lexicographic order
-                pts = (mul2(self.lins[:, None], pts[None, :, :, None])[..., 0]
-                       + self.vs[:, None, :]).reshape(-1, 2)
-            errs = batch_singular_values(mats)[0] * self.ball_radius
-            pts.flags.writeable = errs.flags.writeable = False
-            self._cache[key] = pts, errs
-        return self._cache[key]
+        pts = self.ball_center[None]
+        for _ in range(depth):
+            # prepend a letter: phi_i applied after phi_w requires
+            # building from the left; p_{iw} = A_i p_w + v_i keeps
+            # lexicographic order
+            pts = (mul2(self.lins[:, None], pts[None, :, :, None])[..., 0]
+                   + self.vs[:, None, :]).reshape(-1, 2)
+        return pts, batch_singular_values(mats)[0] * self.ball_radius
 
     # -- cylinder frontier --------------------------------------------------
 

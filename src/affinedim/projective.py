@@ -15,7 +15,7 @@ import numpy as np
 
 from .config import word_cap
 from .errors import Inconclusive, NotDominated
-from .ifs import batch_singular_values
+from .ifs import batch_singular_values, derived
 
 PI = math.pi
 
@@ -90,9 +90,6 @@ class ProjInterval:
         return _mod_pi(theta - self.start) <= self.width + tol \
             or _mod_pi(theta - self.start) >= PI - tol
 
-    def contains(self, point, tol=0.0):
-        return self.contains_angle(point.angle, tol)
-
     def pad(self, eps):
         w = self.width + 2.0 * eps
         if w >= PI:
@@ -163,9 +160,6 @@ class Multicone:
         ivs = tuple(merge_intervals(list(self.intervals)))
         object.__setattr__(self, "intervals", ivs)
 
-    def contains(self, point, tol=0.0):
-        return any(iv.contains(point, tol) for iv in self.intervals)
-
     def contains_interval(self, iv, margin=0.0):
         """True if iv sits inside a single component with angular slack
         >= margin at both ends."""
@@ -194,6 +188,7 @@ class Multicone:
         return sorted([iv.start, iv.width] for iv in self.intervals)
 
 
+@derived
 def find_invariant_multicone(ifs):
     """Search for a multicone C with A_i C inside the interior of C for
     every map, with angular slack >= DEFAULT_MARGIN.
@@ -388,19 +383,19 @@ class DirectionsApprox:
         return out
 
 
-def furstenberg_directions(ifs, depth=8, multicone=None):
-    """Iterate U <- union_i A_i^{-1} U from the closed complement of a
-    strongly invariant multicone; the result contains the asymptotic
-    weakest-contraction directions at every depth.
+@derived
+def furstenberg_directions(ifs, depth=8):
+    """Iterate U <- union_i A_i^{-1} U from the closed complement of the
+    strongly invariant multicone of `find_invariant_multicone`; the result
+    contains the asymptotic weakest-contraction directions at every depth.
 
     The interval count can grow like N^depth before merging, so the
     iteration stops early once a level would exceed MAX_INTERVALS (or the
     word cap) and the reached depth is reported instead of the requested one.
     """
+    multicone = find_invariant_multicone(ifs)
     if multicone is None:
-        multicone = find_invariant_multicone(ifs)
-        if multicone is None:
-            raise NotDominated("no invariant multicone certificate")
+        raise NotDominated("no invariant multicone certificate")
     limit = min(word_cap(), MAX_INTERVALS)
     invs = np.linalg.inv(ifs.lins)
     u = multicone.complement()

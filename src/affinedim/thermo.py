@@ -13,7 +13,7 @@ import numpy as np
 
 from .config import word_cap
 from .errors import BudgetExceeded, DegenerateRange, NotConverged, NotDominated
-from .ifs import batch_singular_values, extend_level, \
+from .ifs import batch_singular_values, derived, extend_level, \
     svf_from_singular_values
 from .projective import find_invariant_multicone
 from .roots import brentq
@@ -121,6 +121,7 @@ class EqState:
     iterations: int
 
 
+@derived
 def _cylinder_directions(ifs, m):
     """Limit direction estimate for each depth-m cylinder w: the inverse
     product A_{w1}^{-1} ... A_{wm}^{-1} applied to a direction in the

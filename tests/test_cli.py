@@ -1,13 +1,19 @@
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 
-from affinedim.cli import EXIT_CONDITION, EXIT_INPUT, EXIT_OK, InputError, \
-    fixture_path, load_input, main
+from affinedim import projective
+from affinedim.cli import ERROR_EXITS, EXIT_CONDITION, EXIT_INPUT, EXIT_OK, \
+    InputError, fixture_path, load_input, main
+from affinedim.errors import AffinedimError
 from affinedim.ifs import Ifs
 
 from conftest import FIXTURE_DIR
+
+SRC = os.path.join(os.path.dirname(__file__), os.pardir, "src")
 
 
 def fx(name):
@@ -134,6 +140,85 @@ class TestExitCodes:
             assert all(pts is seen[0] for pts in seen), depth
 
 
+class TestErrorContract:
+    def test_every_toolkit_error_has_an_exit_code(self):
+        assert set(ERROR_EXITS) == set(AffinedimError.__subclasses__())
+
+    @pytest.mark.parametrize("argv, code", [
+        (["check", "--input", "cone.json", "--depth", "1"], EXIT_INPUT),
+        (["dims", "--input", "cone.json", "--tol", "-1"], EXIT_INPUT),
+        (["dims", "--input", "cone.json", "--budget", "-1"], EXIT_INPUT),
+        (["render", "--input", "cone.json", "--depth", "-2"], EXIT_INPUT),
+        (["verify", "trans", "--input", "cone.json", "--seed", "-1"],
+         EXIT_INPUT),
+        (["carpet", "--input", "carpet.json", "--eps", "0.7"], EXIT_INPUT),
+        (["render", "--input", "sim3.json", "--directions"], EXIT_CONDITION),
+        (["render", "--input", "cantor2.json", "--directions"],
+         EXIT_CONDITION),
+        (["render", "--input", "square4.json", "--directions"],
+         EXIT_CONDITION),
+    ])
+    def test_documented_code_without_traceback(self, tmp_path, argv, code):
+        # a fresh process, so an escaping exception shows as a traceback
+        path = os.pathsep.join(filter(None, [os.path.abspath(SRC),
+                                             os.environ.get("PYTHONPATH")]))
+        out = subprocess.run(
+            [sys.executable, "-c",
+             "import sys; from affinedim.cli import main; sys.exit(main())"]
+            + [fx(a) if a.endswith(".json") else a for a in argv]
+            + ["--out", str(tmp_path / "out")],
+            capture_output=True, text=True,
+            env=dict(os.environ, PYTHONPATH=path))
+        assert out.returncode == code
+        assert "Traceback" not in out.stderr
+        assert [line for line in out.stderr.splitlines()
+                if line.startswith("error:")] \
+            == out.stderr.strip().splitlines()[-1:]
+
+
+class TestDerivedOnce:
+    """Values the family determines are computed once per command."""
+
+    @staticmethod
+    def search_calls(monkeypatch):
+        # certify_invariance is called by the multicone search alone
+        calls = []
+        certify = projective.certify_invariance
+
+        def spy(cone, arrs):
+            calls.append(1)
+            return certify(cone, arrs)
+
+        monkeypatch.setattr(projective, "certify_invariance", spy)
+        return calls
+
+    @pytest.mark.parametrize("argv", [["check"], ["verify", "gibbs"]])
+    def test_one_multicone_search(self, tmp_path, monkeypatch, argv):
+        calls = self.search_calls(monkeypatch)
+        projective.find_invariant_multicone(load_input(fx("cone.json"))[0])
+        one_search = len(calls)
+        assert one_search >= 1
+        calls.clear()
+        main(argv + ["--input", fx("cone.json"),
+                     "--out", str(tmp_path / "r.json")])
+        assert len(calls) == one_search
+
+    def test_check_iterates_limit_directions_once(self, tmp_path,
+                                                  monkeypatch):
+        # only furstenberg_directions builds a DirectionsApprox
+        made = []
+        approx = projective.DirectionsApprox
+
+        def spy(depth, cone):
+            made.append(depth)
+            return approx(depth, cone)
+
+        monkeypatch.setattr(projective, "DirectionsApprox", spy)
+        main(["check", "--input", fx("cone.json"),
+              "--out", str(tmp_path / "check.json")])
+        assert len(made) == 1
+
+
 class TestCommands:
     def test_check_cone_green(self, tmp_path):
         out = tmp_path / "check.json"
@@ -160,6 +245,17 @@ class TestCommands:
         assert rep["affinity"]["value"] == pytest.approx(1.0, abs=1e-9)
         assert rep["box"]["dimension"] == pytest.approx(1.0, abs=0.1)
         assert rep["slice_upper_bound"] < 1.0
+
+    def test_dims_carpet_falls_back_to_base_2(self, tmp_path):
+        # the carpet's base-5 scales are too few above the sample
+        # resolution, so the box fit runs at base 2 and says so
+        out = tmp_path / "dims.json"
+        assert main(["dims", "--input", fx("carpet.json"),
+                     "--out", str(out)]) == EXIT_OK
+        rep = json.loads(out.read_text())
+        assert {"box", "tangents", "carpet_formulas"} <= set(rep)
+        assert any(w.startswith("base-5 box-count fit failed")
+                   for w in rep["warnings"])
 
     def test_carpet_report(self, tmp_path):
         out = tmp_path / "carpet.json"

@@ -1,8 +1,9 @@
 """Source hygiene checks that need no linter: every module of the package
 uses each name it imports and imports only at module level, only
 Ifs.frontier takes a word limit of its own, every defaulted parameter is
-set by some call, 2x2 products go through the one kernel ifs.mul2, and
-importing the package loads numpy but not scipy."""
+set by some call, 2x2 products go through the one kernel ifs.mul2, only
+ifs.py touches the memo Ifs._cache, and importing the package loads numpy
+but not scipy."""
 
 import ast
 import math
@@ -208,6 +209,25 @@ def test_no_einsum(module):
     # 2x2 products go through ifs.mul2, which equals einsum bit for bit
     with open(os.path.join(SRC_DIR, module)) as fh:
         assert einsum_calls(fh.read()) == []
+
+
+def cache_accesses(source):
+    """Line numbers of every read or write of an attribute named _cache."""
+    return [node.lineno for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.Attribute) and node.attr == "_cache"]
+
+
+def test_checker_finds_cache_accesses():
+    src = ("x = ifs._cache['key']\nifs._cache[1] = 2\n_cache = {}\n"
+           "y = self._cache.get(3)\n")
+    assert cache_accesses(src) == [1, 2, 4]
+
+
+@pytest.mark.parametrize("module", [m for m in MODULES if m != "ifs.py"])
+def test_cache_kept_by_ifs_alone(module):
+    # a value a family determines is kept by the one memo ifs.derived
+    with open(os.path.join(SRC_DIR, module)) as fh:
+        assert cache_accesses(fh.read()) == []
 
 
 def test_import_loads_no_scipy():

@@ -9,7 +9,7 @@ import pytest
 from affinedim.errors import BudgetExceeded, IndexOutOfRange
 from affinedim.geometry import _proj_stopping, projected_diameter_bound
 from affinedim.ifs import Ifs, Word, _cloud_diameter, batch_singular_values, \
-    extend_level, mul2, svf
+    derived, extend_level, mul2, svf
 from affinedim.projective import ProjPoint, strictly_affine
 
 
@@ -205,6 +205,41 @@ class TestCylinderCenters:
         monkeypatch.setenv("AFFINEDIM_WORD_CAP", str(3 ** 5 - 1))
         with pytest.raises(BudgetExceeded):
             cone_ifs._cylinder_centers(5)
+
+
+class TestDerived:
+    def test_kept_per_arguments_and_word_cap(self, monkeypatch):
+        calls = []
+
+        @derived
+        def ramp(ifs, n, scale=1.0):
+            calls.append((n, scale))
+            return np.arange(n) * scale, n
+
+        ifs = collinear_ifs(2)
+        first = ramp(ifs, 3)
+        assert ramp(ifs, 3) is first and calls == [(3, 1.0)]
+        assert not first[0].flags.writeable
+        ramp(ifs, 3, scale=2.0)
+        ramp(collinear_ifs(2), 3)
+        assert calls == [(3, 1.0), (3, 2.0), (3, 1.0)]
+        monkeypatch.setenv("AFFINEDIM_WORD_CAP", "100")
+        assert ramp(ifs, 3) is not first and len(calls) == 4
+
+    def test_exceptions_are_not_kept(self):
+        calls = []
+
+        @derived
+        def flaky(ifs):
+            calls.append(1)
+            if len(calls) == 1:
+                raise BudgetExceeded(1)
+            return "value"
+
+        ifs = collinear_ifs(2)
+        with pytest.raises(BudgetExceeded):
+            flaky(ifs)
+        assert flaky(ifs) == flaky(ifs) == "value" and len(calls) == 2
 
 
 class TestAttractorSample:
