@@ -65,6 +65,13 @@ def _axis(v):
     return np.array([math.cos(u_theta), math.sin(u_theta)])
 
 
+def _hull_half_widths(ifs, mats, u):
+    """Certified half-widths |A_w^T u| * ball radius of the projections of
+    the cylinders phi_w(X) to the unit axis u, one per product A_w."""
+    return np.linalg.norm(mul2(mats.swapaxes(1, 2), u[:, None])[..., 0],
+                          axis=1) * ifs.ball_radius
+
+
 def projected_diameter_bound(ifs, mats, direction):
     """Certified upper bounds for diam(proj_{V_perp} phi_w(X)), one per
     product A_w of a (k,2,2) stack, via the factorization through the
@@ -355,9 +362,7 @@ def sigma_count(ifs, v, x, r):
 
     def misses(mats, pts, a1):
         # children hulls stay inside this hull
-        half = np.linalg.norm(mats.transpose(0, 2, 1) @ u, axis=1) \
-            * ifs.ball_radius
-        return np.abs(pts @ u - t0) > r + half
+        return np.abs(pts @ u - t0) > r + _hull_half_widths(ifs, mats, u)
 
     words = ifs.frontier(
         lambda mats, pts, a1: projected_diameter_bound(ifs, mats, v) <= r,
@@ -668,11 +673,8 @@ class ContentEstimate:
 def _projected_hulls(ifs, v, depth):
     """Certified projected hull intervals of all depth-n cylinders."""
     u = _axis(v)
-    pts, _ = ifs._cylinder_centers(depth)
-    prods = ifs.level_products(depth)
-    halves = np.linalg.norm(mul2(prods.swapaxes(1, 2), u[:, None])[..., 0],
-                            axis=1) * ifs.ball_radius
-    centers = pts @ u
+    halves = _hull_half_widths(ifs, ifs.level_products(depth), u)
+    centers = ifs._cylinder_centers(depth)[0] @ u
     return centers - halves, centers + halves
 
 

@@ -87,11 +87,13 @@ def mul2(left, right):
     return out
 
 
-def extend_level(lins, prods):
-    """Products A_i A_w for every letter i and every product A_w of a
-    level, letter-major, so a level in lexicographic word order yields the
-    next one in lexicographic order."""
-    return mul2(lins[:, None], prods[None]).reshape(-1, 2, 2)
+def word_products(lins, n):
+    """The (N^n, 2, 2) products A_w of all words of length n over the
+    stack lins, in lexicographic word order (first letter most significant)."""
+    prods = np.eye(2)[None]
+    for _ in range(n):
+        prods = mul2(lins[:, None], prods[None]).reshape(-1, 2, 2)
+    return prods
 
 
 def derived(fn):
@@ -227,18 +229,17 @@ class Ifs:
         a1 = batch_singular_values(lin[None])[0][0]
         return lin @ self.ball_center + v, a1 * self.ball_radius
 
-    # -- cached level products ---------------------------------------------
+    # -- level products -----------------------------------------------------
 
+    @derived
     def level_products(self, n):
-        """All products A_w for |w| = n as a (N^n, 2, 2) array in
-        lexicographic word order (first letter most significant)."""
+        """All products A_w for |w| = n, in the order of word_products."""
+        if n < 0:
+            raise ValueError("level must be nonnegative")
         cap = word_cap()
         if self.n_maps ** n > cap:
             raise BudgetExceeded(cap, self.n_maps ** n)
-        cached = self._cache.setdefault("levels", [np.eye(2)[None]])
-        while len(cached) <= n:
-            cached.append(extend_level(self.lins, cached[-1]))
-        return cached[n]
+        return word_products(self.lins, n)
 
     @derived
     def level_singular_values(self, n):

@@ -13,8 +13,8 @@ import numpy as np
 
 from .config import word_cap
 from .errors import BudgetExceeded, DegenerateRange, NotConverged, NotDominated
-from .ifs import batch_singular_values, derived, extend_level, \
-    svf_from_singular_values
+from .ifs import batch_singular_values, derived, svf_from_singular_values, \
+    word_products
 from .projective import find_invariant_multicone
 from .roots import brentq
 
@@ -134,11 +134,7 @@ def _cylinder_directions(ifs, m):
     if cone is None:
         raise NotDominated("transfer operator needs a certified multicone")
     v0 = cone.complement().intervals[0].midpoint.vector
-    invs = np.linalg.inv(ifs.lins)
-    prods = np.eye(2)[None]
-    for _ in range(m):
-        prods = extend_level(invs, prods)
-    vecs = prods @ v0
+    vecs = word_products(np.linalg.inv(ifs.lins), m) @ v0
     vecs /= np.linalg.norm(vecs, axis=1, keepdims=True)
     return np.mod(np.arctan2(vecs[:, 1], vecs[:, 0]), math.pi)
 

@@ -2,8 +2,8 @@
 uses each name it imports and imports only at module level, only
 Ifs.frontier takes a word limit of its own, every defaulted parameter is
 set by some call, 2x2 products go through the one kernel ifs.mul2, only
-ifs.py touches the memo Ifs._cache, and importing the package loads numpy
-but not scipy."""
+Ifs.__init__ and the memo ifs.derived touch Ifs._cache, and importing the
+package loads numpy but not scipy."""
 
 import ast
 import math
@@ -228,6 +228,40 @@ def test_cache_kept_by_ifs_alone(module):
     # a value a family determines is kept by the one memo ifs.derived
     with open(os.path.join(SRC_DIR, module)) as fh:
         assert cache_accesses(fh.read()) == []
+
+
+def cache_owners(source):
+    """Dotted name of the function or class around every read or write of
+    an attribute named _cache, "" at module level."""
+    owners = []
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+                visit(child, scope + [child.name])
+                continue
+            if isinstance(child, ast.Attribute) and child.attr == "_cache":
+                owners.append(".".join(scope))
+            visit(child, scope)
+    visit(ast.parse(source), [])
+    return owners
+
+
+def test_checker_finds_cache_owners():
+    src = ("x = ifs._cache\n"
+           "def derived(fn):\n    def memo(ifs):\n"
+           "        return ifs._cache[fn]\n    return memo\n"
+           "class Ifs:\n    def __init__(self):\n        self._cache = {}\n"
+           "    def level(self, n):\n        return self._cache.get(n)\n")
+    assert cache_owners(src) == ["", "derived.memo", "Ifs.__init__",
+                                 "Ifs.level"]
+
+
+def test_memo_is_the_only_cache():
+    # Ifs.__init__ makes the memo and derived alone reads and fills it
+    with open(os.path.join(SRC_DIR, "ifs.py")) as fh:
+        owners = cache_owners(fh.read())
+    assert set(owners) == {"derived.memo", "Ifs.__init__"}
 
 
 def test_import_loads_no_scipy():

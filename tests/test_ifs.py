@@ -9,8 +9,9 @@ import pytest
 from affinedim.errors import BudgetExceeded, IndexOutOfRange
 from affinedim.geometry import _proj_stopping, projected_diameter_bound
 from affinedim.ifs import Ifs, Word, _cloud_diameter, batch_singular_values, \
-    derived, extend_level, mul2, svf
+    derived, mul2, svf, word_products
 from affinedim.projective import ProjPoint, strictly_affine
+from affinedim.thermo import affinity_dimension
 
 
 def rng(seed=0):
@@ -205,6 +206,32 @@ class TestCylinderCenters:
         monkeypatch.setenv("AFFINEDIM_WORD_CAP", str(3 ** 5 - 1))
         with pytest.raises(BudgetExceeded):
             cone_ifs._cylinder_centers(5)
+
+
+class TestLevelProducts:
+    def test_negative_level_raises(self, cone_ifs):
+        with pytest.raises(ValueError):
+            cone_ifs.level_products(-1)
+
+    def test_cached_read_only_and_capped(self, cone_ifs, monkeypatch):
+        prods = cone_ifs.level_products(5)
+        assert cone_ifs.level_products(5) is prods
+        assert not prods.flags.writeable
+        # the word cap holds on a cache hit too
+        monkeypatch.setenv("AFFINEDIM_WORD_CAP", str(3 ** 5 - 1))
+        with pytest.raises(BudgetExceeded):
+            cone_ifs.level_products(5)
+
+    def test_only_levels_asked_for_are_kept(self, positive_pair):
+        ifs = Ifs.from_json(positive_pair.to_json())
+        affinity_dimension(ifs, budget=2 ** 16)
+        kept = [part for value in ifs._cache.values()
+                for part in (value if isinstance(value, (list, tuple))
+                             else [value])]
+        levels = sorted(len(part).bit_length() - 1 for part in kept
+                        if isinstance(part, np.ndarray)
+                        and part.shape[1:] == (2, 2))
+        assert levels == [8, 16]
 
 
 class TestDerived:
@@ -455,7 +482,7 @@ class TestMul2:
     def test_level_chains_match_einsum(self, request, name):
         ifs = request.getfixturevalue(name)
         depth = ifs._fit_depth(12)
-        prods = inv_prods = inv_level = np.eye(2)[None]
+        prods = inv_prods = np.eye(2)[None]
         invs = np.linalg.inv(ifs.lins)
         pts = ifs.ball_center[None]
         for n in range(1, depth + 1):
@@ -464,8 +491,7 @@ class TestMul2:
             assert_same_bits(ifs.level_products(n), prods)
             inv_prods = np.einsum("ipq,wqr->iwpr", invs, inv_prods) \
                 .reshape(-1, 2, 2)
-            inv_level = extend_level(invs, inv_level)
-            assert_same_bits(inv_level, inv_prods)
+            assert_same_bits(word_products(invs, n), inv_prods)
             pts = (np.einsum("ipq,wq->iwp", ifs.lins, pts)
                    + ifs.vs[:, None, :]).reshape(-1, 2)
         assert_same_bits(ifs._cylinder_centers(depth)[0], pts)
