@@ -17,8 +17,8 @@ from .geometry import ContentEstimate, PoscReport, SscReport, TangentCloud, \
     transversality_tail_bound, weak_tangent
 from .ifs import Ifs, Word, batch_singular_values, svf
 from .projective import DirectionsApprox, IrreducibilityClass, Multicone, \
-    ProjInterval, ProjPoint, classify_irreducibility, find_invariant_multicone, \
-    furstenberg_directions, is_dominated, merge_intervals, strictly_affine
+    ProjPoint, classify_irreducibility, find_invariant_multicone, \
+    furstenberg_directions, is_dominated, strictly_affine
 from .thermo import EqState, GibbsWeights, PressureSample, \
     affinity_dimension, equilibrium_state, gibbs_spread_by_depth, \
     kaenmaki_weights, pressure, transfer_matrix

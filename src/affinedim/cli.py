@@ -164,7 +164,8 @@ def cmd_check(args):
         "certified": dom["certified"],
         "fitted_tau": dom["fitted_tau"],
         "fitted_C": dom["fitted_C"],
-        "multicone": dom["multicone"].to_json() if dom["multicone"] else None,
+        "multicone": np.column_stack(dom["multicone"]).tolist()
+        if dom["multicone"] is not None else None,
     }
 
     try:
@@ -186,17 +187,18 @@ def cmd_check(args):
     try:
         posc = posc_check(ifs, depth)
         report["posc"] = posc.to_json()
-    except (NotDominated, AffinedimError) as e:
+    except AffinedimError as e:
         report["posc"] = {"status": "skipped", "diagnostic": str(e)}
 
     if dom["certified"]:
         da = furstenberg_directions(ifs, depth=30)
+        n_intervals = len(da.cone.widths)
+        width_bound = float(da.cone.widths.max())
         report["limit_directions"] = {
             "depth": da.depth,
-            "n_intervals": len(da.intervals),
-            "width_bound": da.width_bound,
-            "singleton_plausible": len(da.intervals) == 1
-            and da.width_bound < 0.1,
+            "n_intervals": n_intervals,
+            "width_bound": width_bound,
+            "singleton_plausible": n_intervals == 1 and width_bound < 0.1,
         }
     else:
         report["limit_directions"] = {"status": "skipped",
@@ -477,8 +479,8 @@ def cmd_render(args):
         da = furstenberg_directions(ifs, depth=20)
         span = 0.6 * max(x1 - x0, y1 - y0)
         cx, cy = ifs.ball_center
-        for p in da.sample_directions(per_interval=3):
-            dx, dy = math.cos(p.angle), math.sin(p.angle)
+        for angle in da.sample_angles(3):
+            dx, dy = math.cos(angle), math.sin(angle)
             a = svg_xy((cx - span * dx, cy - span * dy))
             b = svg_xy((cx + span * dx, cy + span * dy))
             lines.append(f'<line class="direction" x1="{a[0]}" y1="{a[1]}" '

@@ -291,9 +291,9 @@ def posc_check(ifs, depth=6):
     negative slope is evidence it fails.
     """
     da = furstenberg_directions(ifs, depth=30)
-    directions = da.sample_directions(
-        per_interval=POSC_DIRECTIONS // max(len(da.intervals), 1) + 1)
-    directions = directions[:POSC_DIRECTIONS]
+    per_interval = POSC_DIRECTIONS // len(da.cone.starts) + 1
+    directions = [ProjPoint(angle) for angle
+                  in da.sample_angles(per_interval)[:POSC_DIRECTIONS]]
     xs = ifs.attractor_sample(0.01, mode="chaos-game", seed=0,
                               count=64).points
     eta_by_depth = {}
@@ -791,11 +791,11 @@ def bochi_morris_scan(ifs, depth=8):
     """Empirical constant D in alpha1(A_w) <= D * norm of A_w^T on the
     perpendicular of limit directions; the reverse inequality is an exact
     norm bound and is asserted on every sample."""
-    directions = furstenberg_directions(ifs, depth=30).sample_directions(
-        per_interval=3)
-    if len(directions) > 64:
-        directions = directions[:: len(directions) // 64 + 1]
-    us = np.stack([d.perp.vector for d in directions])
+    angles = furstenberg_directions(ifs, depth=30).sample_angles(3)
+    if len(angles) > 64:
+        angles = angles[:: len(angles) // 64 + 1]
+    perps = (angles + PI / 2.0) % PI
+    us = np.stack([np.cos(perps), np.sin(perps)], axis=1)
     out = {}
     for n in range(1, depth + 1):
         prods = ifs.level_products(n)

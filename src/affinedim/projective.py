@@ -1,15 +1,20 @@
 """Real projective line machinery for planar matrix tuples.
 
-Lines through the origin are angles in [0, pi); closed projective
-intervals wrap around.  On top of the interval arithmetic sit the
-domination certificate (strongly invariant multicone search), the
-irreducibility classifier, and the limit directions of the inverse
-matrix walk.
+Lines through the origin are angles in [0, pi).  A finite union of closed
+projective intervals, which may wrap around, is a `Multicone`: the two
+arrays of its starts and widths.  Each operation on unions is one array
+function: `images` under a stack of matrices (the image of [s, e] is
+[A s, A e] when det A > 0 and [A e, A s] when det A < 0), `merge`,
+`complement` and the invariance test `certify_invariance`.  On top of
+them sit the domination certificate (strongly invariant multicone
+search), the irreducibility classifier, and the limit directions of the
+inverse matrix walk.
 """
 
 from dataclasses import dataclass
 import itertools
 import math
+from typing import NamedTuple
 
 import numpy as np
 
@@ -27,10 +32,6 @@ DEFAULT_MARGIN = 1e-6
 MAX_INTERVALS = 3000
 
 
-def _mod_pi(theta):
-    return theta % PI
-
-
 @dataclass(frozen=True)
 class ProjPoint:
     """Line span(cos theta, sin theta), theta in [0, pi)."""
@@ -38,7 +39,7 @@ class ProjPoint:
     angle: float
 
     def __post_init__(self):
-        object.__setattr__(self, "angle", float(_mod_pi(self.angle)))
+        object.__setattr__(self, "angle", float(self.angle % PI))
 
     @property
     def vector(self):
@@ -52,140 +53,98 @@ class ProjPoint:
         return abs(math.sin(self.angle - other.angle))
 
 
-def act(m, v):
-    """Image of the line v under the invertible matrix m."""
-    w = m @ v.vector
-    return ProjPoint(math.atan2(w[1], w[0]))
+def _atan2(y, x):
+    # math.atan2 element by element: np.arctan2 differs from it in the last
+    # bit on some inputs, and those bits move the multicone and the limit
+    # directions of the shipped fixtures
+    return np.fromiter(map(math.atan2, np.ravel(y).tolist(),
+                           np.ravel(x).tolist()),
+                       float, np.size(y)).reshape(np.shape(y))
 
 
 def act_angle(arr, theta):
-    c, s = math.cos(theta), math.sin(theta)
-    x = arr[0, 0] * c + arr[0, 1] * s
-    y = arr[1, 0] * c + arr[1, 1] * s
-    return _mod_pi(math.atan2(y, x))
+    """Angle in [0, pi) of the image of the line at angle theta under the
+    invertible matrix arr.  A stack of N matrices and K angles give the
+    (N, K) table of all images, one row per matrix."""
+    c, s = np.cos(theta), np.sin(theta)
+    x = np.multiply.outer(arr[..., 0, 0], c) \
+        + np.multiply.outer(arr[..., 0, 1], s)
+    y = np.multiply.outer(arr[..., 1, 0], c) \
+        + np.multiply.outer(arr[..., 1, 1], s)
+    return _atan2(y, x) % PI
 
 
-@dataclass(frozen=True)
-class ProjInterval:
-    """Closed projective interval [start, start+width], width in (0, pi)."""
+class Multicone(NamedTuple):
+    """Union of pairwise disjoint closed projective intervals
+    [starts[k], starts[k] + widths[k]], a proper subset of the projective
+    line, as two read-only arrays: starts sorted in [0, pi), widths in
+    (0, pi).  `merge` builds one."""
 
-    start: float
-    width: float
-
-    def __post_init__(self):
-        if not 0.0 < self.width < PI:
-            raise ValueError(f"width {self.width} outside (0, pi)")
-        object.__setattr__(self, "start", float(_mod_pi(self.start)))
-        object.__setattr__(self, "width", float(self.width))
-
-    @property
-    def end(self):
-        return _mod_pi(self.start + self.width)
-
-    @property
-    def midpoint(self):
-        return ProjPoint(self.start + self.width / 2.0)
-
-    def contains_angle(self, theta, tol=0.0):
-        return _mod_pi(theta - self.start) <= self.width + tol \
-            or _mod_pi(theta - self.start) >= PI - tol
-
-    def pad(self, eps):
-        w = self.width + 2.0 * eps
-        if w >= PI:
-            raise ValueError("padding makes the interval improper")
-        return ProjInterval(self.start - eps, w)
-
-    def image(self, arr):
-        """Image interval under an invertible matrix (a homeomorphism of
-        the projective circle, so intervals map to intervals)."""
-        a = act_angle(arr, self.start)
-        b = act_angle(arr, self.end)
-        m = act_angle(arr, self.start + self.width / 2.0)
-        w = _mod_pi(b - a)
-        if w == 0.0:
-            w = 1e-15
-        cand = ProjInterval(a, min(w, PI - 1e-15))
-        if cand.contains_angle(m, tol=1e-12):
-            return cand
-        w2 = PI - w
-        return ProjInterval(b, min(max(w2, 1e-15), PI - 1e-15))
+    starts: np.ndarray
+    widths: np.ndarray
 
 
-def merge_intervals(intervals):
-    """Disjoint union of projective intervals, merging overlaps and gaps
-    below MERGE_TOL.  Raises ValueError if the union covers the whole
-    line."""
-    ivs = sorted(intervals, key=lambda iv: iv.start)
-    if not ivs:
-        return []
-    # unroll to the real line over [start0, start0 + pi)
-    base = ivs[0].start
-    segs = []
-    for iv in ivs:
-        s = _mod_pi(iv.start - base)
-        segs.append((s, s + iv.width))
-        if s + iv.width > PI:
-            # wraps past base + pi: split
-            segs[-1] = (s, PI)
-            segs.append((0.0, s + iv.width - PI))
-    segs.sort()
-    merged = []
-    for s, e in segs:
-        if merged and s <= merged[-1][1] + MERGE_TOL:
-            merged[-1][1] = max(merged[-1][1], e)
-        else:
-            merged.append([s, e])
-    # wraparound join between last and first
-    if len(merged) > 1 and merged[0][0] + PI <= merged[-1][1] + MERGE_TOL:
-        merged[0][0] = merged[-1][0] - PI
-        merged.pop()
-    out = []
-    for s, e in merged:
-        w = e - s
-        if w >= PI - MERGE_TOL:
-            raise ValueError("interval union covers the projective line")
-        out.append(ProjInterval(base + s, max(w, 1e-15)))
-    return sorted(out, key=lambda iv: iv.start)
+def merge(starts, widths):
+    """Multicone of the union of the intervals [starts[k], starts[k] +
+    widths[k]], widths in (0, pi), merging overlaps and gaps below
+    MERGE_TOL.  Raises ValueError if the union covers the whole line."""
+    starts = starts % PI
+    base = starts.min()
+    # unroll to the real line over [base, base + pi); a piece that wraps
+    # past base + pi is split in two
+    s = (starts - base) % PI
+    e = s + widths
+    wrap = e > PI
+    s = np.concatenate([s, np.zeros(np.count_nonzero(wrap))])
+    e = np.concatenate([np.where(wrap, PI, e), e[wrap] - PI])
+    order = np.lexsort((e, s))
+    s, e = s[order], e[order]
+    # a component ends where the next piece starts beyond the reach of
+    # all pieces before it
+    reach = np.maximum.accumulate(e)
+    first = np.flatnonzero(np.r_[True, s[1:] > reach[:-1] + MERGE_TOL])
+    lo, hi = s[first], reach[np.r_[first[1:], len(s)] - 1]
+    # the last component joins the first across the wrap
+    if len(lo) > 1 and lo[0] + PI <= hi[-1] + MERGE_TOL:
+        lo = np.r_[lo[-1] - PI, lo[1:-1]]
+        hi = hi[:-1]
+    w = hi - lo
+    if (w >= PI - MERGE_TOL).any():
+        raise ValueError("interval union covers the projective line")
+    starts = (base + lo) % PI
+    order = np.argsort(starts, kind="stable")
+    cone = Multicone(starts[order], np.maximum(w, 1e-15)[order])
+    for arr in cone:
+        arr.flags.writeable = False
+    return cone
 
 
-@dataclass(frozen=True)
-class Multicone:
-    """Finite union of pairwise disjoint closed projective intervals,
-    a proper subset of the projective line."""
+def images(cone, arrs):
+    """Images of the intervals of the cone under the stack of invertible
+    matrices arrs, map by map, as unmerged (starts, widths).  A matrix
+    with det > 0 keeps the orientation of the projective line and maps
+    [s, e] onto [A s, A e]; one with det < 0 reverses it and maps [s, e]
+    onto [A e, A s]."""
+    a = act_angle(arrs, cone.starts)
+    b = act_angle(arrs, (cone.starts + cone.widths) % PI)
+    det = arrs[:, 0, 0] * arrs[:, 1, 1] - arrs[:, 0, 1] * arrs[:, 1, 0]
+    keep = (det > 0.0)[:, None]
+    lo, hi = np.where(keep, a, b), np.where(keep, b, a)
+    w = (hi - lo) % PI
+    w[w == 0.0] = 1e-15
+    # a start reduced once more than act_angle does: an angle that
+    # rounded up to pi goes to 0
+    return (lo % PI).ravel(), np.minimum(w, PI - 1e-15).ravel()
 
-    intervals: tuple
 
-    def __post_init__(self):
-        ivs = tuple(merge_intervals(list(self.intervals)))
-        object.__setattr__(self, "intervals", ivs)
-
-    def contains_interval(self, iv, margin=0.0):
-        """True if iv sits inside a single component with angular slack
-        >= margin at both ends."""
-        for comp in self.intervals:
-            off = _mod_pi(iv.start - comp.start)
-            if off >= margin - 1e-15 and off + iv.width <= comp.width - margin + 1e-15:
-                return True
-        return False
-
-    def image(self, arr):
-        return Multicone(tuple(iv.image(arr) for iv in self.intervals))
-
-    def complement(self):
-        ivs = sorted(self.intervals, key=lambda iv: iv.start)
-        gaps = []
-        for k, iv in enumerate(ivs):
-            nxt = ivs[(k + 1) % len(ivs)]
-            g = _mod_pi(nxt.start - iv.end)
-            if g > 1e-14:
-                gaps.append(ProjInterval(iv.end, g))
-        if not gaps:
-            raise ValueError("complement is empty")
-        return Multicone(tuple(gaps))
-
-    def to_json(self):
-        return sorted([iv.start, iv.width] for iv in self.intervals)
+def complement(cone):
+    """Multicone of the closure of the complement of the cone."""
+    ends = (cone.starts + cone.widths) % PI
+    gaps = (np.roll(cone.starts, -1) - ends) % PI
+    keep = gaps > 1e-14
+    if not keep.any():
+        raise ValueError("complement is empty")
+    return merge(ends[keep], gaps[keep])
 
 
 @derived
@@ -200,37 +159,40 @@ def find_invariant_multicone(ifs):
     Multicone or None; None is not a proof that no cone exists.
     """
     arrs = ifs.lins
-    seeds = []
+    prods = []
     for n in range(1, 4):
-        prods = ifs.level_products(n)
-        a1, a2 = batch_singular_values(prods)
-        for prod in prods[~(a1 - a2 < 1e-12 * a1)]:
-            u, _, _ = np.linalg.svd(prod)
-            theta = math.atan2(u[1, 0], u[0, 0])
-            seeds.append(ProjInterval(theta - PI / 8.0, PI / 4.0))
-    if not seeds:
+        level = ifs.level_products(n)
+        a1, a2 = batch_singular_values(level)
+        prods.append(level[~(a1 - a2 < 1e-12 * a1)])
+    prods = np.concatenate(prods)
+    if not len(prods):
         return None
+    u = np.linalg.svd(prods)[0]
+    thetas = _atan2(u[:, 1, 0], u[:, 0, 0])
     try:
-        cone = Multicone(tuple(seeds))
+        cone = merge(thetas - PI / 8.0, np.full(len(thetas), PI / 4.0))
     except ValueError:
         return None
     for _ in range(200):
-        if len(cone.intervals) * len(arrs) > 600:
+        if len(cone.starts) * len(arrs) > 600:
             # the projective attractor is fragmenting into a Cantor set;
             # stop refining, padding below will glue the gaps
             break
-        images = [iv.image(a) for a in arrs for iv in cone.intervals]
         try:
-            nxt = Multicone(tuple(images))
+            nxt = merge(*images(cone, arrs))
         except ValueError:
             return None
-        if _cone_close(cone, nxt, 1e-12):
-            cone = nxt
-            break
+        settled = len(nxt.starts) == len(cone.starts) \
+            and np.abs(np.array(nxt) - np.array(cone)).max() <= 1e-12
         cone = nxt
+        if settled:
+            break
     for pad in (1e-4, 1e-3, 1e-2, 0.05, 0.1):
+        widths = cone.widths + 2.0 * pad
+        if (widths >= PI).any():
+            continue
         try:
-            padded = Multicone(tuple(iv.pad(pad) for iv in cone.intervals))
+            padded = merge(cone.starts - pad, widths)
         except ValueError:
             continue
         if certify_invariance(padded, arrs):
@@ -241,19 +203,11 @@ def find_invariant_multicone(ifs):
 def certify_invariance(cone, arrs):
     """True if every matrix of arrs maps every interval of the cone into
     one of its components with angular slack >= DEFAULT_MARGIN."""
-    for a in arrs:
-        for iv in cone.intervals:
-            if not cone.contains_interval(iv.image(a),
-                                          margin=DEFAULT_MARGIN):
-                return False
-    return True
-
-
-def _cone_close(c1, c2, tol):
-    if len(c1.intervals) != len(c2.intervals):
-        return False
-    return all(abs(a.start - b.start) <= tol and abs(a.width - b.width) <= tol
-               for a, b in zip(c1.intervals, c2.intervals))
+    starts, widths = images(cone, arrs)
+    off = (starts[:, None] - cone.starts) % PI
+    inside = (off >= DEFAULT_MARGIN - 1e-15) \
+        & (off + widths[:, None] <= cone.widths - DEFAULT_MARGIN + 1e-15)
+    return bool(inside.any(axis=1).all())
 
 
 def is_dominated(ifs, depth=6):
@@ -317,8 +271,11 @@ def classify_irreducibility(ifs):
     closer than LINE_TOL count as equal."""
     arrs = ifs.lins
 
+    def image(arr, p):
+        return ProjPoint(act_angle(arr, p.angle))
+
     def fixes(arr, p):
-        return act(arr, p).dist(p) <= LINE_TOL
+        return image(arr, p).dist(p) <= LINE_TOL
 
     # candidate lines: eigendirections of single maps, squares, and pairs
     cands = []
@@ -338,8 +295,8 @@ def classify_irreducibility(ifs):
         for a in arrs:
             if fixes(a, p) and fixes(a, q):
                 continue
-            if act(a, p).dist(q) <= LINE_TOL \
-                    and act(a, q).dist(p) <= LINE_TOL:
+            if image(a, p).dist(q) <= LINE_TOL \
+                    and image(a, q).dist(p) <= LINE_TOL:
                 swapped = True
                 continue
             ok = False
@@ -355,32 +312,20 @@ def classify_irreducibility(ifs):
     return IrreducibilityClass("StronglyIrreducible", (witness,))
 
 
-@dataclass(frozen=True)
-class DirectionsApprox:
+class DirectionsApprox(NamedTuple):
     """Nested outer approximation of the limit directions of the inverse
-    matrix walk: union of intervals at a given iteration depth."""
+    matrix walk: the union of intervals reached at a given iteration
+    depth."""
 
     depth: int
     cone: Multicone
 
-    @property
-    def intervals(self):
-        return self.cone.intervals
-
-    @property
-    def width_bound(self):
-        return max(iv.width for iv in self.cone.intervals)
-
-    def to_json(self):
-        return {"depth": self.depth, "intervals": self.cone.to_json()}
-
-    def sample_directions(self, per_interval=3):
-        """Grid of directions covering the intervals."""
-        out = []
-        for iv in self.cone.intervals:
-            for t in np.linspace(0.0, 1.0, per_interval):
-                out.append(ProjPoint(iv.start + t * iv.width))
-        return out
+    def sample_angles(self, per_interval):
+        """Angles in [0, pi) of per_interval evenly spaced directions
+        across each interval, interval by interval."""
+        t = np.linspace(0.0, 1.0, per_interval)
+        return ((self.cone.starts[:, None] + t * self.cone.widths[:, None])
+                % PI).ravel()
 
 
 @derived
@@ -398,12 +343,11 @@ def furstenberg_directions(ifs, depth=8):
         raise NotDominated("no invariant multicone certificate")
     limit = min(word_cap(), MAX_INTERVALS)
     invs = np.linalg.inv(ifs.lins)
-    u = multicone.complement()
+    u = complement(multicone)
     reached = 0
     for _ in range(depth):
-        if len(u.intervals) * ifs.n_maps > limit:
+        if len(u.starts) * ifs.n_maps > limit:
             break
-        images = [iv.image(a) for a in invs for iv in u.intervals]
-        u = Multicone(tuple(images))
+        u = merge(*images(u, invs))
         reached += 1
     return DirectionsApprox(reached, u)

@@ -15,7 +15,7 @@ from .config import word_cap
 from .errors import BudgetExceeded, DegenerateRange, NotConverged, NotDominated
 from .ifs import batch_singular_values, derived, svf_from_singular_values, \
     word_products
-from .projective import find_invariant_multicone
+from .projective import ProjPoint, complement, find_invariant_multicone
 from .roots import brentq
 
 # power iteration of equilibrium_state: most steps, eigenvalue tolerance
@@ -133,7 +133,8 @@ def _cylinder_directions(ifs, m):
     cone = find_invariant_multicone(ifs)
     if cone is None:
         raise NotDominated("transfer operator needs a certified multicone")
-    v0 = cone.complement().intervals[0].midpoint.vector
+    gaps = complement(cone)
+    v0 = ProjPoint(gaps.starts[0] + gaps.widths[0] / 2.0).vector
     vecs = word_products(np.linalg.inv(ifs.lins), m) @ v0
     vecs /= np.linalg.norm(vecs, axis=1, keepdims=True)
     return np.mod(np.arctan2(vecs[:, 1], vecs[:, 0]), math.pi)

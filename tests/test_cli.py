@@ -1,5 +1,6 @@
 import json
 import os
+import resource
 import subprocess
 import sys
 
@@ -18,6 +19,18 @@ SRC = os.path.join(os.path.dirname(__file__), os.pardir, "src")
 
 def fx(name):
     return os.path.join(FIXTURE_DIR, name)
+
+
+def run_cli(argv, **kwargs):
+    """The CLI in a fresh process, so an escaping exception shows as a
+    traceback on stderr.  Keyword arguments go to subprocess.run."""
+    path = os.pathsep.join(filter(None, [os.path.abspath(SRC),
+                                         os.environ.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, "-c",
+         "import sys; from affinedim.cli import main; sys.exit(main())"]
+        + argv, capture_output=True, text=True,
+        env=dict(os.environ, PYTHONPATH=path), **kwargs)
 
 
 class TestInput:
@@ -159,21 +172,56 @@ class TestErrorContract:
          EXIT_CONDITION),
     ])
     def test_documented_code_without_traceback(self, tmp_path, argv, code):
-        # a fresh process, so an escaping exception shows as a traceback
-        path = os.pathsep.join(filter(None, [os.path.abspath(SRC),
-                                             os.environ.get("PYTHONPATH")]))
-        out = subprocess.run(
-            [sys.executable, "-c",
-             "import sys; from affinedim.cli import main; sys.exit(main())"]
-            + [fx(a) if a.endswith(".json") else a for a in argv]
-            + ["--out", str(tmp_path / "out")],
-            capture_output=True, text=True,
-            env=dict(os.environ, PYTHONPATH=path))
+        out = run_cli([fx(a) if a.endswith(".json") else a for a in argv]
+                      + ["--out", str(tmp_path / "out")])
         assert out.returncode == code
         assert "Traceback" not in out.stderr
         assert [line for line in out.stderr.splitlines()
                 if line.startswith("error:")] \
             == out.stderr.strip().splitlines()[-1:]
+
+    # a dominated family whose second map has det < 0: the image of a
+    # narrow interval under it must not come out as the complement, or the
+    # limit directions cover the projective line
+    REVERSING = {"maps": [
+        {"a": 0.12700579217518887, "b": 0.015918047203201748,
+         "c": 0.09969561678819522, "d": 0.12570306014069105,
+         "tx": 0.790896478828252, "ty": 0.74439093604867},
+        {"a": 0.020658121238756284, "b": 0.2207036449150033,
+         "c": 0.01562995863224481, "d": 0.161433838835621,
+         "tx": -0.5934943277708704, "ty": -0.35011471084878787},
+        {"a": 0.21821066001239836, "b": 0.09377455923644691,
+         "c": 0.05123914256276616, "d": 0.19084604265318472,
+         "tx": 0.597878981926268, "ty": -0.5289670853876571}]}
+
+    @pytest.mark.parametrize("argv", [["check"], ["render", "--directions"]])
+    def test_orientation_reversing_maps(self, tmp_path, argv):
+        spec = tmp_path / "reversing.json"
+        spec.write_text(json.dumps(self.REVERSING))
+        out = run_cli(argv + ["--input", str(spec),
+                              "--out", str(tmp_path / "out")])
+        assert out.returncode in (EXIT_OK, EXIT_CONDITION)
+        assert "Traceback" not in out.stderr
+
+    @pytest.mark.parametrize("argv", [["check", "--depth", "3"],
+                                      ["verify", "diml"]])
+    def test_many_maps_in_bounded_memory(self, tmp_path, argv):
+        # the full 4 x 7 carpet: 28 maps give the irreducibility
+        # classifier 1,680 candidate lines, and it must not hold a table
+        # of every map against every pair of them (600 MiB here)
+        spec = tmp_path / "carpet28.json"
+        spec.write_text(json.dumps({"p": 4, "q": 7, "digits": [
+            [j, k] for j in range(4) for k in range(7)]}))
+        limit = 512 * 2 ** 20
+
+        def cap_memory():
+            resource.setrlimit(resource.RLIMIT_DATA, (limit, limit))
+
+        out = run_cli(argv + ["--input", str(spec),
+                              "--out", str(tmp_path / "out")],
+                      preexec_fn=cap_memory)
+        assert out.returncode in (EXIT_OK, EXIT_CONDITION)
+        assert "Traceback" not in out.stderr
 
 
 class TestDerivedOnce:

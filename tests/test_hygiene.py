@@ -1,7 +1,8 @@
 """Source hygiene checks that need no linter: every module of the package
 uses each name it imports and imports only at module level, only
 Ifs.frontier takes a word limit of its own, every defaulted parameter is
-set by some call, 2x2 products go through the one kernel ifs.mul2, only
+set by some call, 2x2 products go through the one kernel ifs.mul2,
+projective angles come from math.atan2 and not np.arctan2, only
 Ifs.__init__ and the memo ifs.derived touch Ifs._cache, and importing the
 package loads numpy but not scipy."""
 
@@ -189,26 +190,41 @@ def test_no_dead_options(module):
     assert [f for f in found if not f.startswith(ALLOWED_DEAD_OPTIONS)] == []
 
 
-def einsum_calls(source):
-    """Line numbers of every call of a function named einsum."""
+def calls_of(source, name):
+    """Line numbers of every call of a function with the given name."""
     return [node.lineno for node in ast.walk(ast.parse(source))
             if isinstance(node, ast.Call)
             and getattr(node.func, "attr",
-                        getattr(node.func, "id", None)) == "einsum"]
+                        getattr(node.func, "id", None)) == name]
 
 
 def test_checker_finds_einsum_calls():
     src = ("import numpy as np\nfrom numpy import einsum\n"
            "x = np.einsum('ij->i', y)\nz = einsum('i->', x)\n"
            "# np.einsum in a comment\n")
-    assert einsum_calls(src) == [3, 4]
+    assert calls_of(src, "einsum") == [3, 4]
 
 
 @pytest.mark.parametrize("module", MODULES)
 def test_no_einsum(module):
     # 2x2 products go through ifs.mul2, which equals einsum bit for bit
     with open(os.path.join(SRC_DIR, module)) as fh:
-        assert einsum_calls(fh.read()) == []
+        assert calls_of(fh.read(), "einsum") == []
+
+
+def test_checker_finds_arctan2_calls():
+    src = ("import math\nimport numpy as np\n"
+           "a = math.atan2(1.0, 2.0)\nb = np.arctan2(y, x)\n"
+           "# np.arctan2 in a comment\n")
+    assert calls_of(src, "arctan2") == [4]
+
+
+def test_no_arctan2_in_projective():
+    # the multicone and the limit directions take their angles from
+    # math.atan2; np.arctan2 differs from it in the last bit on some
+    # inputs, and those bits enter the certificates and the reports
+    with open(os.path.join(SRC_DIR, "projective.py")) as fh:
+        assert calls_of(fh.read(), "arctan2") == []
 
 
 def cache_accesses(source):

@@ -1,14 +1,15 @@
 import math
 
+from hypothesis import given, reject, settings, strategies as st
 import numpy as np
 import pytest
 
-from affinedim.errors import Inconclusive
+from affinedim.errors import Inconclusive, NotDominated
 from affinedim.ifs import Ifs
-from affinedim.projective import PI, Multicone, ProjInterval, ProjPoint, \
-    act, act_angle, certify_invariance, classify_irreducibility, \
-    find_invariant_multicone, furstenberg_directions, is_dominated, \
-    merge_intervals, strictly_affine
+from affinedim.projective import MERGE_TOL, PI, ProjPoint, act_angle, \
+    certify_invariance, classify_irreducibility, complement, \
+    find_invariant_multicone, furstenberg_directions, images, is_dominated, \
+    merge, strictly_affine
 
 
 def rng(seed=0):
@@ -19,6 +20,45 @@ def rotation_ifs(scale=0.5, angle=1.0):
     c, s = math.cos(angle), math.sin(angle)
     rot = [[scale * c, -scale * s], [scale * s, scale * c]]
     return Ifs([rot, rot], [(0.0, 0.0), (0.3, 0.1)])
+
+
+def contains_angle(starts, widths, theta):
+    """Which of the closed intervals [starts, starts + widths] hold the
+    line at angle theta."""
+    off = (theta - np.asarray(starts)) % PI
+    return (off <= widths) | (off >= PI)
+
+
+def inside(cone, starts, widths):
+    """Whether each interval [starts, starts + widths] lies in one
+    component of the cone."""
+    off = (starts[:, None] - cone.starts) % PI
+    return ((off >= -1e-15)
+            & (off + widths[:, None] <= cone.widths + 1e-15)).any(axis=1)
+
+
+def merge_reference(starts, widths):
+    """The union merged one piece at a time, by the loop that merge
+    replaced, as sorted (start, width) pairs."""
+    pieces = sorted(zip(starts % PI, widths))
+    base = pieces[0][0]
+    segs = []
+    for start, width in pieces:
+        s = (start - base) % PI
+        if s + width > PI:
+            segs += [(s, PI), (0.0, s + width - PI)]
+        else:
+            segs.append((s, s + width))
+    merged = []
+    for s, e in sorted(segs):
+        if merged and s <= merged[-1][1] + MERGE_TOL:
+            merged[-1][1] = max(merged[-1][1], e)
+        else:
+            merged.append([s, e])
+    if len(merged) > 1 and merged[0][0] + PI <= merged[-1][1] + MERGE_TOL:
+        merged[0][0] = merged[-1][0] - PI
+        merged.pop()
+    return sorted(((base + s) % PI, max(e - s, 1e-15)) for s, e in merged)
 
 
 def swap_ifs():
@@ -51,47 +91,72 @@ class TestProjPoint:
             img = arr @ np.array([math.cos(theta), math.sin(theta)])
             expect = math.atan2(img[1], img[0]) % PI
             assert act_angle(arr, theta) == pytest.approx(expect, abs=1e-12)
-            assert act(arr, ProjPoint(theta)).angle == pytest.approx(expect,
-                                                                     abs=1e-12)
 
 
 class TestIntervals:
     def test_contains_with_wraparound(self):
-        iv = ProjInterval(3.0, 0.3)      # wraps past pi
-        assert iv.contains_angle(3.1)
-        assert iv.contains_angle(0.1)
-        assert not iv.contains_angle(1.5)
+        cone = merge(np.array([3.0]), np.array([0.3]))      # wraps past pi
+        assert contains_angle(*cone, 3.1).all()
+        assert contains_angle(*cone, 0.1).all()
+        assert not contains_angle(*cone, 1.5).any()
 
     def test_merge_overlapping(self):
-        out = merge_intervals([ProjInterval(0.1, 0.3), ProjInterval(0.3, 0.3),
-                               ProjInterval(2.0, 0.2)])
-        assert len(out) == 2
-        widths = sorted(iv.width for iv in out)
+        out = merge(np.array([0.1, 0.3, 2.0]), np.array([0.3, 0.3, 0.2]))
+        assert len(out.starts) == 2
+        widths = sorted(out.widths)
         assert widths[0] == pytest.approx(0.2)
         assert widths[1] == pytest.approx(0.5)
 
     def test_merge_across_zero(self):
-        out = merge_intervals([ProjInterval(3.0, 0.3), ProjInterval(0.1, 0.2)])
-        assert len(out) == 1
-        assert out[0].width == pytest.approx(PI - 3.0 + 0.3)
+        out = merge(np.array([3.0, 0.1]), np.array([0.3, 0.2]))
+        assert len(out.starts) == 1
+        assert out.widths[0] == pytest.approx(PI - 3.0 + 0.3)
+
+    def test_merge_matches_loop_reference(self):
+        # bit for bit, on unions with wraps, repeats and touching ends
+        g = rng(35)
+        for _ in range(200):
+            k = int(g.integers(1, 40))
+            starts = g.uniform(-1.0, 4.0, k)
+            widths = g.uniform(0.0, 0.3, k) ** 2 + 1e-12
+            starts[k // 2:] = (starts + widths)[:k - k // 2] \
+                if g.uniform() < 0.5 else starts[:k - k // 2]
+            out = merge(starts, widths)
+            assert list(zip(out.starts, out.widths)) \
+                == merge_reference(starts, widths)
+
+    def test_merge_rejects_the_whole_line(self):
+        with pytest.raises(ValueError):
+            merge(np.array([0.0, 1.5]), np.array([1.6, 1.7]))
+
+    def test_merge_is_read_only(self):
+        out = merge(np.array([0.5]), np.array([0.2]))
+        with pytest.raises(ValueError):
+            out.starts[0] = 0.0
 
     def test_image_preserves_membership(self):
-        g = rng(34)
-        iv = ProjInterval(0.4, 0.5)
-        for _ in range(20):
-            arr = g.normal(size=(2, 2))
-            if abs(np.linalg.det(arr)) < 1e-3:
-                continue
-            img = iv.image(arr)
-            # endpoints can land one ulp outside under orientation flips
-            for t in np.linspace(0.01, 0.99, 9):
-                theta = iv.start + t * iv.width
-                assert img.contains_angle(act_angle(arr, theta))
+        # matrices of either orientation (each draw and its column swap),
+        # and intervals down to widths near the rounding of their ends
+        for width in (0.5, 1e-6, 1e-10, 1e-13):
+            g = rng(34)
+            cone = merge(np.array([0.4]), np.array([width]))
+            for _ in range(20):
+                arr = g.normal(size=(2, 2))
+                if abs(np.linalg.det(arr)) < 1e-3:
+                    continue
+                for a in (arr, arr[:, ::-1]):
+                    img = images(cone, a[None])
+                    # endpoints can land one ulp outside under orientation
+                    # flips
+                    for t in np.linspace(0.01, 0.99, 9):
+                        theta = cone.starts[0] + t * width
+                        assert contains_angle(*img,
+                                              act_angle(a, theta)).all()
 
     def test_complement_widths(self):
-        mc = Multicone((ProjInterval(0.2, 0.4), ProjInterval(1.5, 0.3)))
-        comp = mc.complement()
-        widths = [iv.width for iv in mc.intervals + comp.intervals]
+        mc = merge(np.array([0.2, 1.5]), np.array([0.4, 0.3]))
+        comp = complement(mc)
+        widths = list(mc.widths) + list(comp.widths)
         assert sum(widths) == pytest.approx(PI)
 
 
@@ -105,9 +170,8 @@ class TestDomination:
     def test_image_strictly_inside(self, cone_ifs):
         cone = find_invariant_multicone(cone_ifs)
         for arr in cone_ifs.lins:
-            img = cone.image(arr)
-            for iv in img.intervals:
-                assert cone.contains_interval(iv)
+            img = merge(*images(cone, arr[None]))
+            assert inside(cone, *img).all()
 
     def test_carpet_tau(self, carpet_ifs):
         out = is_dominated(carpet_ifs)
@@ -154,20 +218,19 @@ class TestIrreducibility:
 class TestDirections:
     def test_carpet_single_interval_near_vertical(self, carpet_ifs):
         da = furstenberg_directions(carpet_ifs, depth=60)
-        assert len(da.intervals) == 1
-        assert da.intervals[0].contains_angle(PI / 2.0)
+        assert len(da.cone.starts) == 1
+        assert contains_angle(*da.cone, PI / 2.0).all()
 
     def test_widths_shrink_with_depth(self, carpet_ifs):
-        w1 = furstenberg_directions(carpet_ifs, depth=10).width_bound
-        w2 = furstenberg_directions(carpet_ifs, depth=40).width_bound
+        w1 = furstenberg_directions(carpet_ifs, depth=10).cone.widths.max()
+        w2 = furstenberg_directions(carpet_ifs, depth=40).cone.widths.max()
         assert w2 < w1
 
     def test_json_sorted(self, cone_ifs):
         da = furstenberg_directions(cone_ifs, depth=6)
-        data = da.to_json()
-        starts = [iv[0] for iv in data["intervals"]]
+        starts = list(da.cone.starts)
         assert starts == sorted(starts)
-        assert data["depth"] <= 6
+        assert da.depth <= 6
 
     def test_cone_contains_directions(self, cone_ifs):
         # the limit directions live in the complement of the transpose
@@ -176,6 +239,48 @@ class TestDirections:
         db = furstenberg_directions(cone_ifs, depth=6)
         if db.depth <= da.depth:
             pytest.skip("interval cap reached before depth 6")
-        for iv in db.intervals:
-            assert any(outer.contains_angle(iv.midpoint.angle)
-                       for outer in da.intervals)
+        midpoints = db.cone.starts + db.cone.widths / 2.0
+        for theta in midpoints:
+            assert contains_angle(*da.cone, theta).any()
+
+
+@st.composite
+def dominated_families(draw):
+    """Two or three maps with entries in [0.05, 1], columns swapped at
+    random (so det < 0 is common), operator norms in [0.1, 0.5] and
+    translations in [-1, 1]^2.  Positive matrices map the positive
+    quadrant into itself, so every such family is dominated."""
+    entry, unit = st.floats(0.05, 1.0), st.floats(-1.0, 1.0)
+    lins, vs = [], []
+    for _ in range(draw(st.integers(2, 3))):
+        a, b, c, d = (draw(entry) for _ in range(4))
+        lin = np.array([[b, a], [d, c]] if draw(st.booleans())
+                       else [[a, b], [c, d]])
+        lins.append(lin * draw(st.floats(0.1, 0.5)) / np.linalg.norm(lin, 2))
+        vs.append((draw(unit), draw(unit)))
+    try:
+        return Ifs(lins, vs)
+    except ValueError:
+        reject()
+
+
+def assert_union(cone):
+    assert (cone.starts >= 0.0).all() and (cone.starts < PI).all()
+    assert (np.diff(cone.starts) > 0.0).all()
+    assert (cone.widths > 0.0).all() and (cone.widths < PI).all()
+
+
+class TestProperties:
+    @settings(derandomize=True, deadline=None, max_examples=100)
+    @given(dominated_families())
+    def test_dominated_families(self, ifs):
+        cone = find_invariant_multicone(ifs)
+        if cone is not None:
+            assert certify_invariance(cone, ifs.lins)
+            assert_union(cone)
+        try:
+            da = furstenberg_directions(ifs, depth=30)
+        except NotDominated:
+            return
+        assert da.depth <= 30
+        assert_union(da.cone)
