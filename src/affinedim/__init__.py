@@ -8,7 +8,7 @@ from .errors import AffinedimError, BudgetExceeded, DegenerateRange, \
     HypothesisViolated, Inconclusive, IndexOutOfRange, NotConverged, \
     NotDominated, NotSeparated, PlacementFailed
 from .estimators import CoverReport, PointCloud, assouad_two_scale, \
-    box_dim, grid_count, lower_two_scale
+    box_dim, grid_count, lower_two_scale, two_scale_exponents
 from .geometry import ContentEstimate, PoscReport, SscReport, TangentCloud, \
     bochi_morris_scan, brute_force_content, content_consistency, \
     hausdorff_content_projection, interval_content, posc_check, \

@@ -19,7 +19,8 @@ from . import carpets
 from .errors import AffinedimError, BudgetExceeded, DegenerateRange, \
     HypothesisViolated, Inconclusive, IndexOutOfRange, NotConverged, \
     NotDominated, NotSeparated, PlacementFailed
-from .estimators import assouad_two_scale, box_dim, lower_two_scale
+from .estimators import assouad_two_scale, box_dim, lowest_exponent, \
+    lower_two_scale, two_scale_exponents
 from .geometry import content_consistency, hausdorff_content_projection, \
     posc_check, projected_gap, slice_points, slice_upper_bound, ssc_check, \
     tangent_dimension_scan, transversality_derivative, \
@@ -240,9 +241,9 @@ def cmd_dims(args):
         warnings.append(f"box-count fit residual {cover.residual:.3f} > 0.05")
 
     try:
-        report["assouad_lower_estimate"] = assouad_two_scale(cloud,
-                                                             seed=args.seed)
-        report["lower_upper_estimate"] = lower_two_scale(cloud, seed=args.seed)
+        exponents = two_scale_exponents(cloud, seed=args.seed)
+        report["assouad_lower_estimate"] = max(exponents, default=0.0)
+        report["lower_upper_estimate"] = lowest_exponent(exponents)
     except AffinedimError as e:
         warnings.append(f"two-scale estimates skipped: {e}")
 

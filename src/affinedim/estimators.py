@@ -12,6 +12,8 @@ import numpy as np
 
 from .errors import DegenerateRange
 
+INT64_MIN, INT64_MAX = -2 ** 63, 2 ** 63 - 1
+
 
 @dataclass(frozen=True)
 class PointCloud:
@@ -36,7 +38,9 @@ class PointCloud:
     def bbox(self):
         if len(self.points) == 0:
             return np.zeros(self.dim), np.zeros(self.dim)
-        return self.points.min(axis=0), self.points.max(axis=0)
+        cols = self.points.T
+        return (np.array([c.min() for c in cols]),
+                np.array([c.max() for c in cols]))
 
     @property
     def extent(self):
@@ -64,26 +68,35 @@ def grid_count(points, delta, anchor):
 
     Boxes are half-open except the last one along each axis, so points
     sitting exactly on the far edge do not spawn a phantom extra box.
-    Each occupied cell gets one int64 key, and the distinct keys are
-    counted; DegenerateRange is raised when the cells span more keys than
-    an int64 holds.
+    Each axis is read as one column; each occupied cell gets one int64
+    key, and the distinct keys are counted.  DegenerateRange is raised,
+    before any cast, when an axis's scaled range is not finite or leaves
+    the int64 range, or when the cells span more keys than an int64 holds.
     """
     if len(points) == 0:
         return 0
-    scaled = (points - anchor) / delta
-    cells = np.floor(scaled).astype(np.int64)
-    top = np.maximum(np.ceil(scaled.max(axis=0)).astype(np.int64) - 1, 0)
-    cells = np.minimum(cells, top).reshape(len(points), -1)
-    # rounding can put a point one cell below the anchor, so shift each
-    # axis to start at 0 before the cells are linearised
-    lo = cells.min(axis=0)
-    spans = [int(h) - int(l) + 1 for h, l in zip(cells.max(axis=0), lo)]
-    if math.prod(spans) > np.iinfo(np.int64).max:
-        raise DegenerateRange(f"grid of {spans} cells overflows an int64 key")
-    cells -= lo
-    keys = cells[:, 0]
-    for k in range(1, cells.shape[1]):
-        keys = keys * spans[k] + cells[:, k]
+    cols = points.reshape(len(points), -1)
+    anchor = np.broadcast_to(anchor, cols.shape[1:])
+    keys, spans = 0, []
+    for k in range(cols.shape[1]):
+        scaled = (cols[:, k] - anchor[k]) / delta
+        s_lo, s_hi = float(scaled.min()), float(scaled.max())
+        if not (math.isfinite(s_lo) and math.isfinite(s_hi)) \
+                or math.floor(s_lo) < INT64_MIN or math.ceil(s_hi) > INT64_MAX:
+            raise DegenerateRange(f"axis {k} spans scaled range "
+                                  f"[{s_lo}, {s_hi}] outside an int64")
+        # the far edge folds into the last cell; rounding can put a point
+        # one cell below the anchor, so the cells are shifted to start at 0
+        top = max(math.ceil(s_hi) - 1, 0)
+        lo = min(math.floor(s_lo), top)
+        spans.append(min(math.floor(s_hi), top) - lo + 1)
+        if math.prod(spans) > INT64_MAX:
+            raise DegenerateRange(
+                f"grid of {spans} cells overflows an int64 key")
+        cells = np.floor(scaled, out=scaled).astype(np.int64)
+        np.minimum(cells, top, out=cells)
+        cells -= lo
+        keys = keys * spans[-1] + cells
     keys.sort()
     return int(np.count_nonzero(keys[1:] != keys[:-1])) + 1
 
@@ -147,32 +160,51 @@ def _default_pairs(cloud):
     return pairs
 
 
-def _covering_count(points, center, R, r):
-    """Grid-box count of the cloud restricted to B(center, R) at mesh r."""
-    d = np.linalg.norm(points - center, axis=1)
-    local = points[d <= R]
-    if len(local) == 0:
-        return 0
-    return grid_count(local, r, center - R)
+def _covering_count(points, dist, center, R, r):
+    """Grid-box count at mesh r of the points within distance R of center,
+    with those points and their distances `dist`, from which every smaller
+    ball about the same center is cut."""
+    inside = dist <= R
+    local, dist = points[inside], dist[inside]
+    n = grid_count(local, r, center - R) if len(local) else 0
+    return n, local, dist
 
 
-def _two_scale_exponents(cloud, pairs, n_centers, seed):
+def two_scale_exponents(cloud, pairs=None, n_centers=32, seed=7):
     """log N(B(x,R), r) / log(R/r) for every count N >= 1, over the sampled
-    centers x (cloud points) and the scale pairs (R, r)."""
+    centers x (cloud points) and the scale pairs (R, r).
+
+    The distances to a center are computed once, and the pairs are walked
+    from the largest R down, each ball cut from the previous one: with the
+    same distances B(x, R') is a subset of B(x, R) for R' <= R.  The list
+    follows that walk, not the order of `pairs`.
+    """
     if pairs is None:
         pairs = _default_pairs(cloud)
     for R, r in pairs:
         if r < 2.0 * cloud.resolution or R / r < 8.0:
             raise DegenerateRange(f"bad scale pair ({R}, {r})")
+    walk = sorted(pairs, key=lambda pair: -pair[0])
     rng = np.random.Generator(np.random.Philox(key=seed))
     idx = rng.choice(len(cloud), size=min(n_centers, len(cloud)), replace=False)
+    cols = cloud.points.T
     out = []
     for center in cloud.points[idx]:
-        for R, r in pairs:
-            n = _covering_count(cloud.points, center, R, r)
+        # the operations np.linalg.norm(axis=1) does, one column at a time
+        diffs = [col - c for col, c in zip(cols, center)]
+        points, dist = cloud.points, np.sqrt(sum(d * d for d in diffs))
+        for R, r in walk:
+            n, points, dist = _covering_count(points, dist, center, R, r)
             if n >= 1:
                 out.append(math.log(n) / math.log(R / r))
     return out
+
+
+def lowest_exponent(exponents):
+    """The least two-scale exponent; DegenerateRange when there is none."""
+    if not exponents:
+        raise DegenerateRange("no usable center/scale pair")
+    return min(exponents)
 
 
 def assouad_two_scale(cloud, pairs=None, n_centers=32, seed=7):
@@ -181,7 +213,7 @@ def assouad_two_scale(cloud, pairs=None, n_centers=32, seed=7):
     max over x and (R, r) of log N(B(x,R), r) / log(R/r): a finite-sample
     lower estimate of the Assouad dimension.
     """
-    return max(_two_scale_exponents(cloud, pairs, n_centers, seed),
+    return max(two_scale_exponents(cloud, pairs, n_centers, seed),
                default=0.0)
 
 
@@ -189,7 +221,4 @@ def lower_two_scale(cloud, n_centers=32, seed=7):
     """Minimized localized covering exponent over the default scale pairs:
     an upper estimate of the lower dimension.  Centers are cloud points,
     as the definition quantifies over x in the set itself."""
-    exponents = _two_scale_exponents(cloud, None, n_centers, seed)
-    if not exponents:
-        raise DegenerateRange("no usable center/scale pair")
-    return min(exponents)
+    return lowest_exponent(two_scale_exponents(cloud, None, n_centers, seed))

@@ -6,7 +6,7 @@ import sys
 
 import pytest
 
-from affinedim import projective
+from affinedim import estimators, projective
 from affinedim.cli import ERROR_EXITS, EXIT_CONDITION, EXIT_INPUT, EXIT_OK, \
     InputError, fixture_path, load_input, main
 from affinedim.errors import AffinedimError
@@ -265,6 +265,21 @@ class TestDerivedOnce:
         main(["check", "--input", fx("cone.json"),
               "--out", str(tmp_path / "check.json")])
         assert len(made) == 1
+
+    def test_dims_sweeps_the_two_scale_counts_once(self, tmp_path,
+                                                   monkeypatch):
+        # one sweep of 32 centres x 4 scale pairs serves both estimates
+        calls = []
+        count = estimators._covering_count
+
+        def spy(*args):
+            calls.append(1)
+            return count(*args)
+
+        monkeypatch.setattr(estimators, "_covering_count", spy)
+        main(["dims", "--input", fx("positive_pair.json"),
+              "--out", str(tmp_path / "dims.json")])
+        assert len(calls) == 32 * 4
 
 
 class TestCommands:

@@ -1,11 +1,12 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 
 from affinedim.errors import DegenerateRange
 from affinedim.estimators import PointCloud, assouad_two_scale, box_dim, \
-    grid_count, lower_two_scale
+    grid_count, lower_two_scale, two_scale_exponents
 
 
 def grid_square(n=512):
@@ -80,6 +81,26 @@ class TestGridCount:
         assert grid_count(pts, 2.0 ** -31, np.zeros(2)) == 3
         with pytest.raises(DegenerateRange):
             grid_count(pts, 1e-10, np.zeros(2))
+
+    @pytest.mark.parametrize("pts, anchor", [
+        # every coordinate once cast to INT64_MIN, so three cells counted 1
+        (np.array([[1e30], [2e30], [3e30]]), np.zeros(1)),
+        (np.array([[1e30, 0.0], [2e30, 0.0]]), np.zeros(2)),
+        (np.array([[0.0, 0.0], [np.nan, 1.0]]), np.zeros(2)),
+        (np.array([[0.0, -np.inf], [1.0, 1.0]]), np.zeros(2)),
+        (np.array([[0.0, 0.0], [1.0, 1.0]]), np.array([-1e30, 0.0])),
+    ])
+    def test_unrepresentable_range_is_refused(self, pts, anchor):
+        with pytest.raises(DegenerateRange):
+            grid_count(pts, 1.0, anchor)
+
+    def test_range_is_refused_before_the_cast(self):
+        # a scaled range of 1e19 once wrapped on the cast to int64
+        pts = np.array([[0.0, 0.0], [1.0, 1.0]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DegenerateRange, match="outside an int64"):
+                grid_count(pts, 1e-19, np.zeros(2))
 
     def test_counts_occupied_cells(self):
         pts = np.array([[0.05, 0.05], [0.95, 0.95], [0.06, 0.04]])
@@ -164,3 +185,57 @@ class TestTwoScale:
     def test_deterministic(self):
         cloud = cantor_dust(6)
         assert assouad_two_scale(cloud) == assouad_two_scale(cloud)
+
+
+def reference_exponents(cloud, pairs, n_centers, seed):
+    """The whole-cloud walk: one np.linalg.norm over the cloud for each
+    center and pair, in the given pair order, counted by unique_cells."""
+    rng = np.random.Generator(np.random.Philox(key=seed))
+    idx = rng.choice(len(cloud), size=min(n_centers, len(cloud)), replace=False)
+    out = []
+    for center in cloud.points[idx]:
+        for R, r in pairs:
+            d = np.linalg.norm(cloud.points - center, axis=1)
+            local = cloud.points[d <= R]
+            if len(local):
+                n = unique_cells(local, r, center - R)
+                out.append(math.log(n) / math.log(R / r))
+    return out
+
+
+def integer_grid(n=41):
+    # integer centers sit at exactly distance 10, 13 and 25 from lattice
+    # points ((6, 8), (5, 12), (7, 24)), and at 16 along the axes
+    t = np.arange(n, dtype=float)
+    return PointCloud(np.stack(np.meshgrid(t, t), axis=-1).reshape(-1, 2),
+                      0.5)
+
+
+class TestCoveringWalk:
+    @pytest.mark.parametrize("cloud, pairs", [
+        (integer_grid(), [(16.0, 2.0), (10.0, 1.0), (13.0, 1.5),
+                          (25.0, 3.0)]),
+        (cantor_dust(6), [(0.5, 1 / 32), (0.25, 1 / 64), (1.0, 1 / 16)]),
+        (PointCloud(np.random.Generator(np.random.Philox(key=11)).uniform(
+            -1.0, 1.0, size=(4000, 2)), 1e-3),
+         [(1.6, 0.1), (0.8, 0.05), (0.4, 0.025), (0.2, 0.0125)]),
+    ])
+    @pytest.mark.parametrize("descending", [False, True])
+    def test_matches_whole_cloud_walk(self, cloud, pairs, descending):
+        pairs = sorted(pairs, reverse=descending)
+        for seed in (1, 2, 7):
+            assert sorted(two_scale_exponents(cloud, pairs, 24, seed)) \
+                == sorted(reference_exponents(cloud, pairs, 24, seed))
+
+    def test_default_pairs_match_whole_cloud_walk(self):
+        cloud = cantor_dust(7)
+        ext = cloud.extent
+        pairs = [(ext / 2.0 ** k, ext / 2.0 ** (k + 4)) for k in range(4)]
+        assert sorted(two_scale_exponents(cloud, None, 32, 3)) \
+            == sorted(reference_exponents(cloud, pairs, 32, 3))
+
+    def test_wrappers_take_max_and_min(self):
+        cloud = cantor_dust(6)
+        exponents = two_scale_exponents(cloud, None, 32, 5)
+        assert assouad_two_scale(cloud, seed=5) == max(exponents)
+        assert lower_two_scale(cloud, seed=5) == min(exponents)

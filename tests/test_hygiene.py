@@ -2,7 +2,8 @@
 uses each name it imports and imports only at module level, only
 Ifs.frontier takes a word limit of its own, every defaulted parameter is
 set by some call, 2x2 products go through the one kernel ifs.mul2,
-projective angles come from math.atan2 and not np.arctan2, only
+projective angles come from math.atan2 and not np.arctan2, the
+estimators take no norms and no reductions along axis 0, only
 Ifs.__init__ and the memo ifs.derived touch Ifs._cache, and importing the
 package loads numpy but not scipy."""
 
@@ -225,6 +226,32 @@ def test_no_arctan2_in_projective():
     # inputs, and those bits enter the certificates and the reports
     with open(os.path.join(SRC_DIR, "projective.py")) as fh:
         assert calls_of(fh.read(), "arctan2") == []
+
+
+def axis0_calls(source):
+    """Line numbers of every call given the keyword argument axis=0."""
+    return [node.lineno for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.Call)
+            and any(k.arg == "axis" and isinstance(k.value, ast.Constant)
+                    and k.value.value == 0 for k in node.keywords)]
+
+
+def test_checker_finds_norms_and_axis0_reductions():
+    src = ("import numpy as np\nd = np.linalg.norm(p - c, axis=1)\n"
+           "lo = p.min(axis=0)\nhi = p[:, 0].max()\n"
+           "n = np.sum(p, axis=0, keepdims=True)\n# p.max(axis=0)\n")
+    assert calls_of(src, "norm") == [2]
+    assert axis0_calls(src) == [3, 5]
+
+
+def test_estimators_read_columns():
+    # reductions along axis 0 of an (m, 2) cloud are strided and slow, and
+    # np.linalg.norm over the whole cloud once per scale pair repeats the
+    # same distances; the estimators read one column at a time instead
+    with open(os.path.join(SRC_DIR, "estimators.py")) as fh:
+        source = fh.read()
+    assert calls_of(source, "norm") == []
+    assert axis0_calls(source) == []
 
 
 def cache_accesses(source):
