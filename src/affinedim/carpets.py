@@ -9,7 +9,7 @@ import math
 import numpy as np
 
 from .errors import PlacementFailed
-from .ifs import Ifs, svf
+from .ifs import Ifs, batch_singular_values, log_svf
 from .geometry import ssc_check
 from .roots import brentq
 
@@ -117,22 +117,24 @@ EXAMPLE_SPEC = CarpetSpec(4, 5, ((0, 0), (0, 2), (0, 4), (2, 0), (3, 3)))
 
 def s_eps_root(spec, b):
     """Root of log(N phi^s(diag(1/p,1/q)) + phi^s(B)) = 0 on [0, 2] for
-    a 2x2 matrix B."""
-    a = _grid_matrix(spec)
-    n = spec.n_maps
+    a 2x2 matrix B, with both terms taken in logs."""
+    a1, a2 = batch_singular_values(np.stack([_grid_matrix(spec), b]))
+    la1, la2 = np.log(a1), np.log(a2)
+    log_n = math.log(spec.n_maps)
 
     def f(s):
-        return math.log(n * svf(a, s) + svf(b, s))
+        log_a, log_b = log_svf(la1, la2, s)
+        return float(np.logaddexp(log_n + log_a, log_b))
 
     return brentq(f, 1e-9, 2.0, xtol=1e-12)
 
 
-def example_fixture(eps, check_separation=True):
+def example_fixture(eps):
     """The five-map carpet plus a small positive matrix, translated into
     an empty grid cell so the first-level pieces stay disjoint.
 
     Returns the augmented system together with the root s_eps of the
-    associated pressure equation and the carpet's closed-form dimensions.
+    associated pressure equation.
     """
     if not 0.0 < eps < 0.5:
         raise ValueError("eps must be in (0, 0.5)")
@@ -150,23 +152,10 @@ def example_fixture(eps, check_separation=True):
         ty = fix[1] - b[1, 0] * fix[0] - b[1, 1] * fix[1]
         cand = Ifs(np.concatenate([base.lins, b[None]]),
                    np.concatenate([base.vs, [(tx, ty)]]))
-        if not check_separation:
-            placed = cand
-            break
         rep = ssc_check(cand, 5)
         if rep.separated == "Certified":
             placed = cand
             break
     if placed is None:
         raise PlacementFailed("no disjoint cell found for the extra map")
-    s_eps = s_eps_root(spec, b)
-    return {
-        "ifs": placed,
-        "s_eps": s_eps,
-        "dims": {
-            "affinity": carpet_affinity(spec),
-            "mackay": mackay_assouad(spec),
-            "mcmullen": mcmullen_hausdorff(spec),
-            "fraser": fraser_lower(spec),
-        },
-    }
+    return {"ifs": placed, "s_eps": s_eps_root(spec, b)}

@@ -94,7 +94,8 @@ def fixture_path(name):
         raise InputError(f"unknown fixture {name!r}")
     with open(os.path.join(FIXTURE_DIR, "checksums.json")) as fh:
         sums = json.load(fh)
-    digest = hashlib.sha256(open(path, "rb").read()).hexdigest()
+    with open(path, "rb") as fh:
+        digest = hashlib.sha256(fh.read()).hexdigest()
     if sums.get(name) != digest:
         raise InputError(f"fixture {name!r} failed its checksum")
     return path

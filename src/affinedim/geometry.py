@@ -257,7 +257,6 @@ class PoscReport:
     eta_hat: float
     eta_by_depth: dict
     trend: float
-    witness: tuple
     appears_to_hold: bool
 
     def to_json(self):
@@ -297,7 +296,6 @@ def posc_check(ifs, depth=6):
     xs = ifs.attractor_sample(0.01, mode="chaos-game", seed=0,
                               count=64).points
     eta_by_depth = {}
-    witness = None
     for k in range(2, depth + 1):
         eta_k = math.inf
         for v in directions:
@@ -328,12 +326,11 @@ def posc_check(ifs, depth=6):
             if vals[j] < eta_k:
                 # recompute the winning pair from its composed maps; the
                 # differences phi_w(c) - A_w c above carry extra rounding
-                pair = (found.word(ifs, ia[j]), found.word(ifs, ib[j]))
-                t = [(xs @ found.mats[i].T + ifs.compose_word(w)[1]) @ u
-                     for i, w in zip((ia[j], ib[j]), pair)]
+                t = [(xs @ found.mats[i].T
+                      + ifs.compose_word(found.word(ifs, i))[1]) @ u
+                     for i in (ia[j], ib[j])]
                 eta_k = np.abs(t[0] - t[1]).max() \
                     / max(np.ptp(t[0]), np.ptp(t[1]), 1e-300)
-                witness = (v,) + pair
         if math.isfinite(eta_k):
             eta_by_depth[k] = float(eta_k)
     if not eta_by_depth:
@@ -342,8 +339,7 @@ def posc_check(ifs, depth=6):
     ys = np.log([eta_by_depth[k] for k in ks])
     trend = float(np.polyfit(ks, ys, 1)[0]) if len(ks) > 1 else 0.0
     eta_hat = float(min(eta_by_depth.values()))
-    return PoscReport(eta_hat, eta_by_depth, trend, witness,
-                      trend > -0.05)
+    return PoscReport(eta_hat, eta_by_depth, trend, trend > -0.05)
 
 
 # ---------------------------------------------------------------------------
@@ -699,7 +695,7 @@ def content_consistency(ifs, n_cylinders=20, depth=8, seed=0):
     transfer-operator eigenfunction at the cylinder, both at the affinity
     dimension s; near-constancy of the ratio is the numerical shadow of the
     content-eigenfunction identity.  Returns the coefficient of variation
-    and the per-cylinder table.
+    of the ratios and s.
     """
     s, _ = affinity_dimension(ifs)
     if s > 1.0:
@@ -710,17 +706,13 @@ def content_consistency(ifs, n_cylinders=20, depth=8, seed=0):
     size = ifs.n_maps ** CONTENT_DEPTH
     idx = rng.choice(size, size=min(n_cylinders, size), replace=False)
     ratios = []
-    table = []
     for k in idx:
         v = ProjPoint(thetas[k])
         est = hausdorff_content_projection(ifs, v, s, depth)
-        h = float(state.h[k])
-        ratios.append(est.value / h)
-        word = ifs.word_from_flat(int(k), CONTENT_DEPTH)
-        table.append((str(word), est.value, h))
+        ratios.append(est.value / float(state.h[k]))
     ratios = np.array(ratios)
     cv = float(ratios.std() / ratios.mean()) if ratios.mean() > 0 else math.inf
-    return {"cv": cv, "ratios": ratios, "table": table, "s": s}
+    return {"cv": cv, "s": s}
 
 
 # ---------------------------------------------------------------------------

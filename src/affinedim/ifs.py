@@ -24,30 +24,6 @@ from .estimators import PointCloud
 _DET_EPS = 1e-14
 
 
-def svf(m, s):
-    """Singular value function of a 2x2 matrix at dimension parameter
-    s >= 0.
-
-    alpha1^s for s in [0,1], alpha1*alpha2^(s-1) for s in (1,2],
-    |det|^(s/2) for s > 2; continuous at s=1 and s=2.
-    """
-    if s < 0:
-        raise ValueError("s must be nonnegative")
-    a1, a2 = batch_singular_values(np.asarray(m, dtype=float)[None])
-    return float(svf_from_singular_values(a1[0], a2[0], s))
-
-
-def svf_from_singular_values(a1, a2, s):
-    """Vectorized singular value function given alpha arrays."""
-    a1 = np.asarray(a1, dtype=float)
-    a2 = np.asarray(a2, dtype=float)
-    if s <= 1.0:
-        return a1 ** s
-    if s <= 2.0:
-        return a1 * a2 ** (s - 1.0)
-    return (a1 * a2) ** (0.5 * s)
-
-
 def batch_singular_values(mats):
     """(alpha1, alpha2) arrays for a (k,2,2) stack of matrices, from the
     eigenvalues of A^T A."""
@@ -63,6 +39,20 @@ def batch_singular_values(mats):
     # alpha2 via |det|/alpha1 keeps the product identity exact
     a2 = np.abs(det) / a1
     return a1, a2
+
+
+def log_svf(la1, la2, s, out=None):
+    """log phi^s from log alpha1 and log alpha2: the three branches of the
+    singular value function in the log domain, s * la1,
+    la1 + (s - 1) * la2 and (s / 2) * (la1 + la2), written into out when
+    it is given."""
+    if s <= 1.0:
+        return np.multiply(s, la1, out=out)
+    if s <= 2.0:
+        out = np.multiply(s - 1.0, la2, out=out)
+        return np.add(la1, out, out=out)
+    out = np.add(la1, la2, out=out)
+    return np.multiply(0.5 * s, out, out=out)
 
 
 def mul2(left, right):
@@ -216,18 +206,6 @@ class Ifs:
                     f"letter {letter} out of range 1..{self.n_maps}")
             lin, v = lin @ self.lins[letter - 1], lin @ self.vs[letter - 1] + v
         return lin, v
-
-    def canonical_point(self, word):
-        """Image of the ball center under phi_w with a certified error radius.
-
-        Every infinite extension of the word projects within err_radius of
-        the returned point.
-        """
-        if len(word) < 1:
-            raise ValueError("word must be nonempty")
-        lin, v = self.compose_word(word)
-        a1 = batch_singular_values(lin[None])[0][0]
-        return lin @ self.ball_center + v, a1 * self.ball_radius
 
     # -- level products -----------------------------------------------------
 

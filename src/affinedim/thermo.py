@@ -13,8 +13,7 @@ import numpy as np
 
 from .config import word_cap
 from .errors import BudgetExceeded, DegenerateRange, NotConverged, NotDominated
-from .ifs import batch_singular_values, derived, svf_from_singular_values, \
-    word_products
+from .ifs import batch_singular_values, derived, log_svf, word_products
 from .projective import ProjPoint, complement, find_invariant_multicone
 from .roots import brentq
 
@@ -37,20 +36,6 @@ def pressure(ifs, s, n):
     return PressureSample(s, n, _pressure_fn(ifs, n)(s))
 
 
-def _log_svf(la1, la2, s, out=None):
-    """log phi^s from log alpha1 and log alpha2: the three branches of the
-    singular value function in the log domain, s * la1,
-    la1 + (s - 1) * la2 and (s / 2) * (la1 + la2), written into out when
-    it is given."""
-    if s <= 1.0:
-        return np.multiply(s, la1, out=out)
-    if s <= 2.0:
-        out = np.multiply(s - 1.0, la2, out=out)
-        return np.add(la1, out, out=out)
-    out = np.add(la1, la2, out=out)
-    return np.multiply(0.5 * s, out, out=out)
-
-
 def _pressure_fn(ifs, n):
     """p(s), the level-n pressure; every call reuses one buffer of the
     level's size."""
@@ -60,7 +45,7 @@ def _pressure_fn(ifs, n):
     buf = np.empty_like(la1)
 
     def p(s):
-        logs = _log_svf(la1, la2, s, out=buf)
+        logs = log_svf(la1, la2, s, out=buf)
         m = logs.max()
         logs -= m
         return (m + math.log(np.exp(logs, out=logs).sum())) / n
@@ -142,17 +127,17 @@ def _cylinder_directions(ifs, m):
 
 @dataclass(frozen=True)
 class TransferOperator:
-    """Sparse operator with N entries in each row: (L f)(w) sums
-    vals[i, w] * f[cols[i, w]] over the letters i.  The sums run in
+    """Sparse operator on depth-m cylinders held as its (N, N^m) weight
+    table: (L f)(w) sums vals[i, w] * f(i w|_m) over the letters i, and
+    the cylinder i w|_m has index i * N^(m-1) + w // N.  The sums run in
     ascending letter order and the adjoint's in ascending w, the orders of
     a compressed-row matrix and of its transpose."""
 
-    cols: np.ndarray
     vals: np.ndarray
 
     @property
     def shape(self):
-        size = self.cols.shape[1]
+        size = self.vals.shape[1]
         return size, size
 
     @property
@@ -160,38 +145,40 @@ class TransferOperator:
         return self.vals.size
 
     def __matmul__(self, f):
+        n = len(self.vals)
         out = np.zeros(self.shape[0])
-        for cols, vals in zip(self.cols, self.vals):
-            out += vals * f[cols]
+        for vals, part in zip(self.vals, f.reshape(n, -1)):
+            out += vals * np.repeat(part, n)
         return out
 
     def adjoint(self, g):
-        """L^T g: entry c sums vals[i, w] * g[w] over cols[i, w] == c."""
-        return np.bincount(self.cols.T.ravel(), (self.vals * g).T.ravel(),
-                           minlength=self.shape[1])
+        """L^T g: entry i * N^(m-1) + q sums vals[i, w] * g[w] over the
+        N cylinders w = q N + r."""
+        n = len(self.vals)
+        terms = (self.vals * g).reshape(n, -1, n)
+        out = np.zeros(terms.shape[:2])
+        for r in range(n):
+            out += terms[:, :, r]
+        return out.ravel()
 
 
 def transfer_matrix(ifs, s, m):
     """Sparse depth-m cylinder discretization of the weighted transfer
     operator: (Lf)(w) = sum_i exp(g_s(i w)) f((i w)|_m)."""
-    n = ifs.n_maps
-    size = n ** m
+    size = ifs.n_maps ** m
     if size > word_cap():
         raise BudgetExceeded(word_cap(), size)
     thetas = _cylinder_directions(ifs, m)
     # g_s(i w) pairs letter i with the direction of cylinder w
     perp = thetas + math.pi / 2.0
     u = np.stack([np.cos(perp), np.sin(perp)], axis=1)
-    cols, vals = [], []
-    parent = np.arange(size) // n    # w with last letter dropped
-    for i, a in enumerate(ifs.lins):
+    vals = []
+    for a in ifs.lins:
         # weight at log alpha1 := log|uA|, log alpha2 := log|det A| - that
         la1 = np.log(np.linalg.norm(u @ a, axis=1))
         det = a[0, 0] * a[1, 1] - a[0, 1] * a[1, 0]
-        g = _log_svf(la1, math.log(abs(det)) - la1, s)
-        cols.append(i * n ** (m - 1) + parent)
-        vals.append(np.exp(g))
-    return TransferOperator(np.stack(cols), np.stack(vals))
+        vals.append(np.exp(log_svf(la1, math.log(abs(det)) - la1, s)))
+    return TransferOperator(np.stack(vals))
 
 
 def equilibrium_state(ifs, s, m=6):
@@ -246,15 +233,13 @@ class GibbsWeights:
 def kaenmaki_weights(ifs, depth, s):
     """Cylinder weights of the equilibrium state at s, the pressure root:
     proportional to h * nu on depth-`depth` cylinders.  The Gibbs ratio
-    weight / phi^s is tracked and its max/min spread reported."""
+    weight / phi^s is taken in logs and its max/min spread reported."""
     state = equilibrium_state(ifs, s, m=depth)
     w = state.h * state.nu
     w = w / w.sum()
     a1, a2 = ifs.level_singular_values(depth)
-    phis = svf_from_singular_values(a1, a2, s)
-    ratio = w / phis
-    spread = float(ratio.max() / ratio.min())
-    return GibbsWeights(depth, w, s, spread)
+    lr = np.log(w) - log_svf(np.log(a1), np.log(a2), s)
+    return GibbsWeights(depth, w, s, float(np.exp(lr.max() - lr.min())))
 
 
 def gibbs_spread_by_depth(ifs, s, depths):

@@ -1,6 +1,7 @@
 import json
 import os
 
+import numpy as np
 import pytest
 
 from affinedim.carpets import CarpetSpec, to_ifs
@@ -8,6 +9,19 @@ from affinedim.ifs import Ifs
 
 FIXTURE_DIR = os.path.join(os.path.dirname(__file__), os.pardir, "src",
                            "affinedim", "fixtures")
+
+
+def svd_svf(m, s):
+    """Reference singular value function of a 2x2 matrix from the singular
+    values np.linalg.svd gives: alpha1^s for s <= 1,
+    alpha1 * alpha2^(s - 1) for 1 < s <= 2, (alpha1 * alpha2)^(s / 2)
+    beyond."""
+    a1, a2 = np.linalg.svd(m, compute_uv=False)
+    if s <= 1.0:
+        return a1 ** s
+    if s <= 2.0:
+        return a1 * a2 ** (s - 1.0)
+    return (a1 * a2) ** (0.5 * s)
 
 
 def load_fixture(name):

@@ -3,12 +3,14 @@ import math
 import numpy as np
 import pytest
 
-from affinedim.carpets import CarpetSpec, carpet_affinity, example_fixture, \
-    fraser_lower, mackay_assouad, mcmullen_hausdorff, s_eps_root, to_ifs, \
-    uniform_fibers, EXAMPLE_SPEC
+from affinedim.carpets import CarpetSpec, carpet_affinity, closed_forms, \
+    example_fixture, fraser_lower, mackay_assouad, mcmullen_hausdorff, \
+    s_eps_root, to_ifs, uniform_fibers, EXAMPLE_SPEC
 from affinedim.estimators import box_dim
-from affinedim.ifs import batch_singular_values, svf
+from affinedim.ifs import batch_singular_values
 from affinedim.thermo import affinity_dimension
+
+from conftest import svd_svf
 
 
 def rng(seed=0):
@@ -118,18 +120,10 @@ class TestClosedForms:
 class TestExampleFixture:
     def test_eps_chain(self):
         fix = example_fixture(0.01)
-        dims = fix["dims"]
-        assert dims["fraser"] < 1.0 <= dims["affinity"] <= fix["s_eps"]
-        assert fix["s_eps"] < dims["mackay"]
+        dims = closed_forms(EXAMPLE_SPEC)
+        assert dims["fraser_lower"] < 1.0 <= dims["affinity"] <= fix["s_eps"]
+        assert fix["s_eps"] < dims["mackay_assouad"]
         assert fix["ifs"].n_maps == 6
-
-    def test_s_eps_monotone_to_affinity(self):
-        target = 1.0 + math.log(5.0 / 4.0) / math.log(5.0)
-        s1 = example_fixture(0.1, check_separation=False)["s_eps"]
-        s2 = example_fixture(0.01, check_separation=False)["s_eps"]
-        s3 = example_fixture(0.001, check_separation=False)["s_eps"]
-        assert s1 > s2 > s3 > target
-        assert s3 - target < 0.01
 
     def test_bad_eps(self):
         with pytest.raises(ValueError):
@@ -140,4 +134,5 @@ class TestExampleFixture:
         b = eps * np.array([[0.6, 0.3], [0.2, 0.5]])
         s = s_eps_root(EXAMPLE_SPEC, b)
         a = np.diag([0.25, 0.2])
-        assert 5 * svf(a, s) + svf(b, s) == pytest.approx(1.0, abs=1e-10)
+        assert 5 * svd_svf(a, s) + svd_svf(b, s) \
+            == pytest.approx(1.0, abs=1e-10)

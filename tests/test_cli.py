@@ -1,8 +1,10 @@
+import gc
 import json
 import os
 import resource
 import subprocess
 import sys
+import warnings
 
 import pytest
 
@@ -63,6 +65,13 @@ class TestInput:
     def test_bare_fixture_name_resolves(self):
         ifs, _ = load_input("sim3.json")
         assert ifs.n_maps == 3
+
+    def test_bare_fixture_name_closes_its_file(self):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always", ResourceWarning)
+            load_input("sim3.json")
+            gc.collect()
+        assert [str(w.message) for w in caught] == []
 
     def test_checksums_cover_all_fixtures(self):
         for name in os.listdir(FIXTURE_DIR):

@@ -383,7 +383,12 @@ class TestSigmaCount:
         u = v.perp.vector
         t0 = float(x @ u)
         for w in words:
-            p, err = cone_ifs.canonical_point(w)
+            # phi_w of the ball centre; the cylinder lies within
+            # alpha1(A_w) times the ball radius of it
+            lin, t = cone_ifs.compose_word(w)
+            p = lin @ x + t
+            err = np.linalg.svd(lin, compute_uv=False)[0] \
+                * cone_ifs.ball_radius
             assert abs(float(p @ u) - t0) <= r + err + 1e-12
 
     def test_rejects_huge_radius(self, cone_ifs):

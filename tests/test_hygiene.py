@@ -2,8 +2,9 @@
 uses each name it imports and imports only at module level, only
 Ifs.frontier takes a word limit of its own, every defaulted parameter is
 set by some call, 2x2 products go through the one kernel ifs.mul2,
-projective angles come from math.atan2 and not np.arctan2, the
-estimators take no norms and no reductions along axis 0, only
+projective angles come from math.atan2 and not np.arctan2, one function
+branches on s at 1 and 2, the estimators take no norms and no
+reductions along axis 0, only
 Ifs.__init__ and the memo ifs.derived touch Ifs._cache, and importing the
 package loads numpy but not scipy."""
 
@@ -226,6 +227,52 @@ def test_no_arctan2_in_projective():
     # inputs, and those bits enter the certificates and the reports
     with open(os.path.join(SRC_DIR, "projective.py")) as fh:
         assert calls_of(fh.read(), "arctan2") == []
+
+
+def s_branch_functions(source):
+    """Dotted names of the functions whose own body (nested functions
+    aside) compares the name s with both 1.0 and 2.0."""
+    found = []
+
+    def visit(node, scope, consts):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                  ast.ClassDef)):
+                inner = set()
+                visit(child, scope + [child.name], inner)
+                if {1.0, 2.0} <= inner:
+                    found.append(".".join(scope + [child.name]))
+                continue
+            if isinstance(child, ast.Compare):
+                operands = [child.left] + child.comparators
+                if any(isinstance(o, ast.Name) and o.id == "s"
+                       for o in operands):
+                    consts.update(o.value for o in operands
+                                  if isinstance(o, ast.Constant))
+            visit(child, scope, consts)
+    visit(ast.parse(source), [], set())
+    return sorted(found)
+
+
+def test_checker_finds_s_branches():
+    src = ("def a(s):\n    if s <= 1.0:\n        return 0\n"
+           "    return 1 if s <= 2.0 else 2\n"
+           "def b(s, t):\n    return s < 1.0 or t > 2.0\n"
+           "class C:\n    def c(self, x):\n"
+           "        def inner(s):\n            return s <= 1.0 or 2.0 < s\n"
+           "        return x > 1.0 and inner(x) > 2.0\n")
+    assert s_branch_functions(src) == ["C.c.inner", "a"]
+
+
+def test_one_singular_value_function():
+    # phi^s is written once, in logs, as ifs.log_svf; a second copy of
+    # its three branches would have to stay in step with it
+    found = []
+    for module in MODULES:
+        with open(os.path.join(SRC_DIR, module)) as fh:
+            found += [f"{module}:{name}"
+                      for name in s_branch_functions(fh.read())]
+    assert found == ["ifs.py:log_svf"]
 
 
 def axis0_calls(source):

@@ -9,9 +9,11 @@ import pytest
 from affinedim.errors import BudgetExceeded, IndexOutOfRange
 from affinedim.geometry import _proj_stopping, projected_diameter_bound
 from affinedim.ifs import Ifs, Word, _cloud_diameter, batch_singular_values, \
-    derived, mul2, svf, word_products
+    derived, log_svf, mul2, word_products
 from affinedim.projective import ProjPoint, strictly_affine
 from affinedim.thermo import affinity_dimension
+
+from conftest import svd_svf
 
 
 def rng(seed=0):
@@ -32,20 +34,36 @@ class TestSingularValues:
             assert a1 * a2 == pytest.approx(abs(np.linalg.det(arr)), rel=1e-12)
 
 
+def svd_log_svf(m, s):
+    """log phi^s(m) from the singular values of np.linalg.svd."""
+    la1, la2 = np.log(np.linalg.svd(m[None], compute_uv=False)).T
+    return float(log_svf(la1, la2, s)[0])
+
+
 class TestSvf:
     def test_branches(self):
         m = np.diag([0.5, 0.2])
-        assert svf(m, 0.0) == pytest.approx(1.0)
-        assert svf(m, 1.0) == pytest.approx(0.5)
-        assert svf(m, 1.5) == pytest.approx(0.5 * 0.2 ** 0.5)
-        assert svf(m, 2.0) == pytest.approx(0.1)
-        assert svf(m, 3.0) == pytest.approx(0.1 ** 1.5)
+        for s, phi in ((0.0, 1.0), (1.0, 0.5), (1.5, 0.5 * 0.2 ** 0.5),
+                       (2.0, 0.1), (3.0, 0.1 ** 1.5)):
+            assert svd_log_svf(m, s) == pytest.approx(math.log(phi),
+                                                      abs=1e-14)
+
+    def test_matches_the_reference(self):
+        g = rng(13)
+        mats = 0.5 * g.normal(size=(50, 2, 2))
+        la1, la2 = np.log(np.linalg.svd(mats, compute_uv=False)).T
+        buf = np.empty(len(mats))
+        for s in (0.0, 1.0, 1.5, 2.0, 3.0):
+            ref = [math.log(svd_svf(m, s)) for m in mats]
+            assert log_svf(la1, la2, s) == pytest.approx(ref, abs=1e-12)
+            assert log_svf(la1, la2, s, out=buf) is buf
+            assert buf == pytest.approx(ref, abs=1e-12)
 
     def test_continuity_at_breakpoints(self):
         m = np.array([[0.7, 0.1], [-0.2, 0.4]])
         for s0 in (1.0, 2.0):
-            assert svf(m, s0 - 1e-12) == pytest.approx(svf(m, s0 + 1e-12),
-                                                       rel=1e-9)
+            assert svd_log_svf(m, s0 - 1e-12) \
+                == pytest.approx(svd_log_svf(m, s0 + 1e-12), abs=1e-9)
 
     def test_submultiplicative(self):
         g = rng(14)
@@ -53,7 +71,8 @@ class TestSvf:
             x = 0.5 * g.normal(size=(2, 2))
             y = 0.5 * g.normal(size=(2, 2))
             s = float(g.uniform(0.0, 2.5))
-            assert svf(x @ y, s) <= svf(x, s) * svf(y, s) * (1 + 1e-12)
+            assert svd_log_svf(x @ y, s) \
+                <= svd_log_svf(x, s) + svd_log_svf(y, s) + 1e-12
 
 
 class TestWord:
@@ -130,12 +149,14 @@ class TestIfs:
         k = np.ravel_multi_index([letter - 1 for letter in w], (3, 3, 3))
         assert np.allclose(prods[k], cone_ifs.compose_word(w)[0])
 
-    def test_canonical_point_error_radius(self, cone_ifs):
-        w = Word((1, 3, 2, 2))
-        p, err = cone_ifs.canonical_point(w)
-        # a deeper refinement of the same cylinder stays inside the radius
-        q, _ = cone_ifs.canonical_point(Word(w.indices + (1, 1, 1)))
-        assert np.linalg.norm(p - q) <= err
+    def test_cylinder_center_error_radius(self, cone_ifs):
+        # every deeper cylinder centre of a word stays inside its radius
+        pts4, errs4 = cone_ifs._cylinder_centers(4)
+        pts7, _ = cone_ifs._cylinder_centers(7)
+        n = cone_ifs.n_maps
+        parent = np.arange(n ** 7) // n ** 3
+        dist = np.linalg.norm(pts7 - pts4[parent], axis=1)
+        assert (dist <= errs4[parent]).all()
 
     def test_diam_bounds_bracket(self, sim3):
         lo, hi = sim3.diam_bounds()

@@ -6,10 +6,12 @@ import pytest
 from scipy.sparse import csr_matrix
 
 from affinedim.errors import NotDominated
-from affinedim.ifs import Ifs, svf
+from affinedim.ifs import Ifs
 from affinedim.thermo import _pressure_fn, affinity_dimension, \
     equilibrium_state, gibbs_spread_by_depth, kaenmaki_weights, pressure, \
     transfer_matrix
+
+from conftest import svd_svf
 
 
 class TestPressure:
@@ -18,7 +20,7 @@ class TestPressure:
         total = 0.0
         for flat in range(cone_ifs.n_maps ** n):
             w = cone_ifs.word_from_flat(flat, n)
-            total += svf(cone_ifs.compose_word(w)[0], s)
+            total += svd_svf(cone_ifs.compose_word(w)[0], s)
         ps = pressure(cone_ifs, s, n)
         assert ps.value == pytest.approx(math.log(total) / n, rel=1e-12)
 
@@ -129,10 +131,14 @@ class TestTransferOperator:
         # csr_matrix and its transpose, so they agree bit for bit
         ifs = request.getfixturevalue(name)
         s, _ = affinity_dimension(ifs)
-        L = transfer_matrix(ifs, s, 5)
+        m, n = 5, ifs.n_maps
+        L = transfer_matrix(ifs, s, m)
         size = L.shape[0]
-        rows = np.broadcast_to(np.arange(size), L.cols.shape)
-        ref = csr_matrix((L.vals.ravel(), (rows.ravel(), L.cols.ravel())),
+        # letter i at cylinder w reads the cylinder i w|_m
+        cols = np.stack([i * n ** (m - 1) + np.arange(size) // n
+                         for i in range(n)])
+        rows = np.broadcast_to(np.arange(size), cols.shape)
+        ref = csr_matrix((L.vals.ravel(), (rows.ravel(), cols.ravel())),
                          shape=L.shape)
         assert L.nnz == ref.nnz == ifs.n_maps * size
         g = np.random.Generator(np.random.Philox(key=43))
@@ -160,6 +166,19 @@ class TestGibbsWeights:
         s, _ = affinity_dimension(positive_pair)
         spreads = gibbs_spread_by_depth(positive_pair, s, (4, 5, 6))
         assert spreads[6] <= spreads[5] <= spreads[4]
+
+    @pytest.mark.parametrize("name", ["positive_pair", "cone_ifs"])
+    def test_spread_matches_the_linear_ratio(self, name, request):
+        # the spread is taken in logs; max/min of weight / phi^s agrees
+        ifs = request.getfixturevalue(name)
+        s, _ = affinity_dimension(ifs)
+        for depth in (4, 6):
+            gw = kaenmaki_weights(ifs, depth, s=s)
+            a1, a2 = ifs.level_singular_values(depth)
+            phis = a1 ** s if s <= 1.0 else a1 * a2 ** (s - 1.0)
+            ratio = gw.weights / phis
+            assert gw.gibbs_spread \
+                == pytest.approx(ratio.max() / ratio.min(), rel=1e-14)
 
     def test_letter_marginal_positions_agree(self, positive_pair):
         s, _ = affinity_dimension(positive_pair)
