@@ -13,7 +13,7 @@ from .config import word_cap
 from .errors import BudgetExceeded, DegenerateRange, HypothesisViolated, \
     NotDominated, NotSeparated
 from .estimators import PointCloud, box_dim
-from .ifs import batch_singular_values, derived, hull_vertices, mul2
+from .ifs import batch_singular_values, derived, mul2
 from .projective import PI, ProjPoint, furstenberg_directions
 from .roots import brentq
 from .thermo import _cylinder_directions, affinity_dimension, \
@@ -35,13 +35,13 @@ class DiameterTable:
     """
 
     def __init__(self, ifs, depth=8):
-        pts, errs = ifs._cylinder_centers(ifs._fit_depth(depth))
-        self.err = 2.0 * float(errs.max())
+        depth = ifs._fit_depth(depth)
+        self.err = 2.0 * float(ifs._cylinder_centers(depth)[1].max())
         self.thetas = np.linspace(0.0, PI, DIAM_GRID, endpoint=False)
         dirs = np.stack([np.cos(self.thetas), np.sin(self.thetas)])
         # a linear function is largest on a hull vertex, so only the hull
         # is projected
-        proj = hull_vertices(pts) @ dirs
+        proj = ifs._hull(depth) @ dirs
         self.widths = proj.max(axis=0) - proj.min(axis=0)
         self.step = PI / DIAM_GRID
         self.lip = 2.0 * float(ifs.diam_upper)
@@ -98,152 +98,131 @@ class SscReport:
 
 
 def _first_level_clouds(ifs, depth):
+    """Centres and error radii of the depth-n cylinders, one pair of
+    arrays for each first letter."""
     pts, errs = ifs._cylinder_centers(depth)
-    per = ifs.n_maps ** (depth - 1)
-    groups = [(pts[i * per:(i + 1) * per], errs[i * per:(i + 1) * per])
-              for i in range(ifs.n_maps)]
-    return groups
+    return list(zip(np.split(pts, ifs.n_maps), np.split(errs, ifs.n_maps)))
 
 
-# pairs of blocks expanded at once in `_pair_gap`; the live pairs stay
+# pairs of blocks expanded at once in `_least_gap`; the live pairs stay
 # within a few times this per level whatever the clouds look like
 _PAIR_CHUNK = 1 << 14
 
 
-def _spread_bits(v):
-    """The low 32 bits of a uint64 array moved to the even bit places."""
-    for shift, mask in ((16, 0x0000FFFF0000FFFF), (8, 0x00FF00FF00FF00FF),
-                        (4, 0x0F0F0F0F0F0F0F0F), (2, 0x3333333333333333),
-                        (1, 0x5555555555555555)):
-        v = (v | (v << np.uint64(shift))) & np.uint64(mask)
-    return v
-
-
-def _morton_order(pts):
-    """The permutation that sorts points along the Morton curve of a
-    2^32 x 2^32 grid over their bounding box."""
+def _block_tree(pts, errs):
+    """A cloud as `_least_gap` reads it.  The points, with their error
+    radii, are sorted along the Morton curve of a 2^32 x 2^32 grid over
+    their bounding box; level k holds the bounding boxes (lo, hi) and the
+    largest radius of the blocks of 2^k consecutive points, from single
+    points to the whole cloud.  The last block of a level may be short."""
     keys = np.zeros(len(pts), dtype=np.uint64)
     for axis in (0, 1):
         x = pts[:, axis]
         lo, hi = x.min(), x.max()
-        cells = ((x - lo) / ((hi - lo) or 1.0) * float(2 ** 32 - 1))
-        keys |= _spread_bits(cells.astype(np.uint64)) << np.uint64(axis)
-    return np.argsort(keys, kind="stable")
-
-
-def _block_boxes(pts):
-    """Bounding boxes (lo, hi) of the blocks of 2^k consecutive points, one
-    pair of arrays for each k, from single points to the whole cloud; the
-    last block of a level may be short."""
-    boxes = [(pts, pts)]
-    while len(boxes[-1][0]) > 1:
-        lo, hi = boxes[-1]
+        cells = ((x - lo) / ((hi - lo) or 1.0)
+                 * float(2 ** 32 - 1)).astype(np.uint64)
+        # the 32 bits of the cell move to the even bit places
+        for shift, mask in ((16, 0x0000FFFF0000FFFF), (8, 0x00FF00FF00FF00FF),
+                            (4, 0x0F0F0F0F0F0F0F0F), (2, 0x3333333333333333),
+                            (1, 0x5555555555555555)):
+            cells = (cells | (cells << np.uint64(shift))) & np.uint64(mask)
+        keys |= cells << np.uint64(axis)
+    order = np.argsort(keys, kind="stable")
+    pts = pts[order]
+    levels = [(pts, pts, errs[order])]
+    while len(levels[-1][0]) > 1:
+        lo, hi, rad = levels[-1]
         if len(lo) % 2:
-            lo, hi = (np.concatenate([x, x[-1:]]) for x in (lo, hi))
-        boxes.append((np.minimum(lo[0::2], lo[1::2]),
-                      np.maximum(hi[0::2], hi[1::2])))
-    return boxes
-
-
-def _block_tree(pts, errs):
-    """A cloud as `_pair_gap` reads it: the block boxes of its points in
-    Morton order, that order, and the error radii."""
-    order = _morton_order(pts)
-    return _block_boxes(pts[order]), order, errs
+            lo, hi, rad = (np.concatenate([x, x[-1:]]) for x in (lo, hi, rad))
+        levels.append((np.minimum(lo[0::2], lo[1::2]),
+                       np.maximum(hi[0::2], hi[1::2]),
+                       np.maximum(rad[0::2], rad[1::2])))
+    return levels
 
 
 def _lengths(v):
     """Euclidean lengths of the rows of a (k, 2) array, as
-    sqrt(x*x + y*y): the arithmetic of a k-d tree's distances."""
+    sqrt(x*x + y*y), for box distances and point distances alike."""
     return np.sqrt(v[:, 0] * v[:, 0] + v[:, 1] * v[:, 1])
 
 
-def _pair_gap(trees, i, j):
-    """Least distance between the clouds of block trees i and j, which
-    hold the same number of points, and the sum of the error radii at the
-    closest pair: among ties, the first point of cloud i, then the first
-    point of cloud j.
+def _least_gap(tree_i, tree_j):
+    """(least, upper) over the points a of one cloud and b of another of
+    the same size, given as block trees: the least of |a - b| - (e_a + e_b)
+    with their error radii, and |a - b| + e_a + e_b at a pair that attains
+    it.
 
     Exact branch and bound over the blocks of the Morton-sorted clouds,
     which are spatially compact however the cylinders of the clouds
     overlap.  Pairs of blocks are refined one level at a time into their
-    four child pairs, a bounded number of pairs at a time and depth first,
-    and a pair is dropped when the distance between its bounding boxes
-    exceeds the least distance between the first points of the pairs
-    seen.  Rounding is monotone, so the box distance never exceeds a
-    computed point distance and no closest pair is dropped.
+    four child pairs, a bounded number of pairs at a time and depth first.
+    A pair is dropped when its bound, the distance between its boxes less
+    the largest radii of its two blocks, is not below the least value seen
+    at the first points of the pairs.  Rounding is monotone, so no bound
+    exceeds a value of its pair, and no least pair is dropped.
     """
-    (boxes_i, order_i, ei), (boxes_j, order_j, ej) = trees[i], trees[j]
-    pi, pj = boxes_i[0][0], boxes_j[0][0]
-    best = math.inf
-    found = (math.inf, 0, 0)
+    (pi, _, ei), (pj, _, ej) = tree_i[0], tree_j[0]
+    least = upper = math.inf
     r = np.arange(2)
     # one pair above the whole-cloud boxes, whose child pairs hold them
     root = np.zeros(1, dtype=np.int64)
-    stack = [(len(boxes_i), root, root)]
+    stack = [(len(tree_i), root, root)]
     while stack:
         k, a, b = stack.pop()
         if len(a) > _PAIR_CHUNK:
             stack.append((k, a[_PAIR_CHUNK:], b[_PAIR_CHUNK:]))
             a, b = a[:_PAIR_CHUNK], b[:_PAIR_CHUNK]
         k -= 1
-        (lo_i, hi_i), (lo_j, hi_j) = boxes_i[k], boxes_j[k]
+        (lo_i, hi_i, ri), (lo_j, hi_j, rj) = tree_i[k], tree_j[k]
         shape = (len(a), 2, 2)
         a = np.broadcast_to((2 * a)[:, None, None] + r[:, None], shape).ravel()
         b = np.broadcast_to((2 * b)[:, None, None] + r, shape).ravel()
         real = (a < len(lo_i)) & (b < len(lo_j))
         a, b = a[real], b[real]
-        lower = _lengths(np.maximum(
-            np.maximum(lo_j[b] - hi_i[a], lo_i[a] - hi_j[b]), 0.0))
         d = _lengths(pi[a << k] - pj[b << k])
-        best = min(best, float(d.min()))
-        keep = lower <= best
-        a, b, d = a[keep], b[keep], d[keep]
-        if not len(a):
-            continue
-        if k:
-            stack.append((k, a, b))
-            continue
-        # single points: the least gap of this batch and its first pair
-        ties = np.flatnonzero(d == d.min())
-        t = ties[np.argmin(order_i[a[ties]] * len(pj) + order_j[b[ties]])]
-        found = min(found, (float(d[t]), int(order_i[a[t]]),
-                            int(order_j[b[t]])))
-    gap, x, y = found
-    return gap, float(ei[x] + ej[y])
+        e = ei[a << k] + ej[b << k]
+        gap = d - e
+        t = np.argmin(gap)
+        if gap[t] < least:
+            least, upper = float(gap[t]), float(d[t] + e[t])
+        bound = _lengths(np.maximum(
+            np.maximum(lo_j[b] - hi_i[a], lo_i[a] - hi_j[b]), 0.0)) \
+            - (ri[a] + rj[b])
+        keep = bound < least
+        if k and keep.any():
+            stack.append((k, a[keep], b[keep]))
+    return least, upper
 
 
 def _pair_scan(ifs, depth):
-    """(least gap - error, least gap + error, whether some pair of
-    cylinder balls intersects) over the first-level pairs at depth."""
+    """(least gap, upper bound) over the first-level pairs at depth: the
+    least of |a - b| - e_a - e_b over the centres a, b of depth-n
+    cylinders with different first letters and their error radii, and
+    the least of the upper bounds of `_least_gap`."""
     trees = [_block_tree(*g) for g in _first_level_clouds(ifs, depth)]
-    lo = hi = math.inf
-    touching = False
-    for i, j in itertools.combinations(range(ifs.n_maps), 2):
-        d, err = _pair_gap(trees, i, j)
-        lo = min(lo, d - err)
-        hi = min(hi, d + err)
-        touching = touching or d < err
-    return lo, hi, touching
+    gaps = [_least_gap(trees[i], trees[j])
+            for i, j in itertools.combinations(range(ifs.n_maps), 2)]
+    return min(g[0] for g in gaps), min(g[1] for g in gaps)
 
 
 def ssc_check(ifs, depth=6):
     """Tri-state strong separation check from cylinder-center clouds.
 
-    Certified: every first-level pair has positive certified gap.
-    Overlap: some cross pair of cylinder balls keeps intersecting at three
-    successive refinement depths.  Unknown otherwise.
+    Certified: the least gap of `_pair_scan` is positive, so the cylinder
+    balls of different first letters are disjoint.  Overlap: some cross
+    pair of cylinder balls intersects at three successive refinement
+    depths.  Unknown otherwise.
     """
     if depth < 2:
         raise ValueError("depth must be >= 2")
     depth = ifs._fit_depth(depth)
-    lo, hi, touching = _pair_scan(ifs, depth)
+    lo, hi = _pair_scan(ifs, depth)
     if lo > 0:
         return SscReport("Certified", lo, hi, depth)
     # persistence test: the intersecting-ball condition, just seen at
     # depth, must survive the next two depths to be called an overlap
-    if touching and all(_pair_scan(ifs, ifs._fit_depth(d))[2]
-                        for d in (depth + 1, depth + 2)):
+    if lo < 0 and all(_pair_scan(ifs, ifs._fit_depth(d))[0] < 0
+                      for d in (depth + 1, depth + 2)):
         return SscReport("Overlap", 0.0, max(hi, 0.0), depth)
     return SscReport("Unknown", 0.0, max(hi, 0.0), depth)
 

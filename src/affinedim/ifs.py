@@ -237,10 +237,15 @@ class Ifs:
     def diam_bounds(self, depth=8):
         """Certified (lower, upper) bounds for diam(X) from a cylinder-center
         cloud: cloud diameter -/+ twice the largest error radius."""
-        pts, errs = self._cylinder_centers(self._fit_depth(depth))
-        d = _cloud_diameter(pts)
-        e = 2.0 * errs.max()
+        depth = self._fit_depth(depth)
+        d = _cloud_diameter(self._hull(depth))
+        e = 2.0 * self._cylinder_centers(depth)[1].max()
         return max(d - e, 0.0), d + e
+
+    @derived
+    def _hull(self, depth):
+        """`hull_vertices` of the depth-n cylinder centres."""
+        return hull_vertices(self._cylinder_centers(depth)[0])
 
     @property
     def diam_upper(self):
@@ -448,11 +453,7 @@ def hull_vertices(pts):
     return pts[out]
 
 
-def _cloud_diameter(pts):
-    """Diameter of a finite planar point set via its convex hull."""
-    if len(pts) < 2:
-        return 0.0
-    if len(pts) > 16:
-        pts = hull_vertices(pts)
-    diff = pts[:, None, :] - pts[None, :, :]
+def _cloud_diameter(hull):
+    """Diameter of a finite planar point set from its hull vertices."""
+    diff = hull[:, None, :] - hull[None, :, :]
     return float(np.sqrt((diff ** 2).sum(-1)).max())

@@ -4,7 +4,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from scipy.spatial import ConvexHull, QhullError, cKDTree
+from hypothesis import given, settings, strategies as st
+from scipy.spatial import ConvexHull, QhullError
 
 from affinedim import geometry
 from affinedim.carpets import CarpetSpec, fraser_lower, to_ifs
@@ -146,30 +147,61 @@ FIXTURES = ["sim3", "cantor2", "square4", "positive_pair", "cone_ifs",
             "overlap_ifs", "carpet_ifs"]
 
 
-def kdtree_gap(groups, i, j):
-    """The least gap between two clouds by scipy's k-d tree, the reference
-    that `_pair_gap` must match where the nearest point is unique."""
-    pi, ei = groups[i]
-    pj, ej = groups[j]
-    d, idx = cKDTree(pj).query(pi)
-    k = int(np.argmin(d))
-    return float(d[k]), float(ei[k] + ej[idx[k]])
+def box_gaps(lo, hi, pts, errs):
+    """Distances from each point b to the box [lo, hi], less errs.  Where
+    errs is at least e_a + e_b, none exceeds the computed
+    |a - b| - (e_a + e_b) of a point a in the box, as rounding is
+    monotone."""
+    off = np.maximum(np.maximum(lo - pts, pts - hi), 0.0)
+    return np.sqrt((off ** 2).sum(axis=1)) - errs
 
 
-def brute_force_gap(groups, i, j):
-    """The least gap over all pairs; ties go to the first point of cloud
-    i, then to the first point of cloud j."""
-    pi, ei = groups[i]
-    pj, ej = groups[j]
-    diff = pi[:, None, :] - pj[None, :, :]
-    d = np.sqrt(diff[..., 0] * diff[..., 0] + diff[..., 1] * diff[..., 1])
-    a, b = np.unravel_index(np.argmin(d), d.shape)
-    return float(d[a, b]), float(ei[a] + ej[b])
+def brute_force_gaps(pi, ei, pj, ej, rows=625):
+    """(least, uppers): the least of |a - b| - (e_a + e_b) over all pairs
+    of a point a of one cloud and b of the other, and the set of
+    |a - b| + e_a + e_b over the pairs that attain it.
+
+    The rows of the first cloud are taken in chunks, so no matrix of all
+    pairs is formed.  A chunk is compared with each point whose distance
+    to the chunk's bounding box, less the radii, is at most the least
+    found so far; chunks go in the order of their distance to the other
+    cloud's box, and the row of the point nearest that box starts the
+    least."""
+    pair = lambda a, ea, b, eb: (np.sqrt(((a[:, None] - b[None]) ** 2)
+                                         .sum(axis=2)), ea[:, None] + eb)
+    jlo, jhi = pj.min(axis=0), pj.max(axis=0)
+    first = np.argmin(box_gaps(jlo, jhi, pi, ei))
+    d, e = pair(pi[first:first + 1], ei[first:first + 1], pj, ej)
+    least, uppers = float((d - e).min()), set()
+    chunks = [slice(s, s + rows) for s in range(0, len(pi), rows)]
+    bounds = [float(box_gaps(jlo, jhi, pi[c], ei[c] + ej.max()).min())
+              for c in chunks]
+    for k in np.argsort(bounds, kind="stable"):
+        if bounds[k] > least:
+            break
+        a, ea = pi[chunks[k]], ei[chunks[k]]
+        near = box_gaps(a.min(axis=0), a.max(axis=0), pj,
+                        ea.max() + ej) <= least
+        d, e = pair(a, ea, pj[near], ej[near])
+        if not d.size or (d - e).min() > least:
+            continue
+        if (d - e).min() < least:
+            least, uppers = float((d - e).min()), set()
+        hit = d - e == least
+        uppers |= set((d[hit] + e[hit]).tolist())
+    return least, uppers
 
 
-def pair_gap(groups, i, j):
-    return geometry._pair_gap([geometry._block_tree(*g) for g in groups],
-                              i, j)
+def brute_force_scan(ifs, depth):
+    """The least gap over the first-level pairs at depth by brute force."""
+    groups = geometry._first_level_clouds(ifs, depth)
+    return min(brute_force_gaps(*groups[i], *groups[j])[0]
+               for i, j in itertools.combinations(range(ifs.n_maps), 2))
+
+
+def least_gap(groups, i, j):
+    return geometry._least_gap(geometry._block_tree(*groups[i]),
+                               geometry._block_tree(*groups[j]))
 
 
 def overlapping_line(n):
@@ -180,53 +212,76 @@ def overlapping_line(n):
                [(0.02 * i, 0.0) for i in range(n)])
 
 
+# four random maps, entries rounded to 4 digits, whose cylinder balls of
+# different first letters intersect at depth 6 although the closest pair
+# of centres is farther apart than its two radii
+CROSSING_BALLS = {"maps": [
+    {"a": -0.4955, "b": -0.006067, "c": 0.2055, "d": 0.01157,
+     "tx": -0.6105, "ty": -0.602},
+    {"a": -0.526, "b": 0.0008161, "c": -0.2629, "d": -0.0003308,
+     "tx": -0.07662, "ty": -0.8481},
+    {"a": 0.1075, "b": 0.2323, "c": -0.2096, "d": 0.04274,
+     "tx": -0.08738, "ty": -0.3368},
+    {"a": 0.2382, "b": 2.994e-06, "c": 0.01447, "d": 5.558e-06,
+     "tx": 0.7219, "ty": 0.3949}]}
+
+
+@st.composite
+def cloud_pairs(draw):
+    """Two clouds of one size, 1 to 300 points, with error radii.  Grid
+    clouds of binary fractions have exact differences, so they hold
+    copies and exact ties; the others are uniform."""
+    size = draw(st.integers(1, 300))
+    g = rng(draw(st.integers(0, 2 ** 32 - 1)))
+    if draw(st.booleans()):
+        span = draw(st.sampled_from([2, 4, 16, 1024]))
+        pts = g.integers(0, span, size=(2, size, 2)) / 64.0
+        pts[1] += g.integers(0, span, size=2) / 64.0
+        errs = g.integers(0, 4, size=(2, size)) / 256.0
+    else:
+        pts = g.uniform(size=(2, size, 2))
+        pts[1, :, 0] += draw(st.floats(-1.0, 1.0))
+        errs = g.uniform(0.0, draw(st.floats(0.0, 0.5)), size=(2, size))
+    return [(pts[0], errs[0]), (pts[1], errs[1])]
+
+
 class TestPairGap:
     @pytest.mark.parametrize("name", FIXTURES)
-    def test_matches_kdtree_at_every_depth(self, name, request):
+    def test_scan_is_the_least_over_all_pairs(self, name, request):
         ifs = request.getfixturevalue(name)
-        for depth in range(2, 9):
-            groups = geometry._first_level_clouds(ifs, ifs._fit_depth(depth))
-            for i, j in itertools.combinations(range(ifs.n_maps), 2):
-                assert pair_gap(groups, i, j) == kdtree_gap(groups, i, j)
+        depths = [ifs._fit_depth(d) for d in range(2, 9)]
+        if name == "positive_pair":
+            depths += [10, 14]
+        for depth in depths:
+            lo, hi = geometry._pair_scan(ifs, depth)
+            assert lo == pytest.approx(brute_force_scan(ifs, depth),
+                                       rel=1e-12, abs=0.0)
+            assert lo <= hi
 
-    def test_ties_across_the_first_cloud_match_kdtree(self):
-        g = rng(5)
-        for size in (2 ** 8, 3 ** 5, 5 ** 3):
-            for _ in range(10):
-                # binary fractions keep the differences exact, so four
-                # points of cloud 0 at one offset from points of cloud 1
-                # tie for the least gap
-                pts = g.integers(0, 1 << 20, size=(2, size, 2)) / 1024.0
-                hits = g.permutation(size)[:8]
-                pts[0, hits[:4]] = pts[1, hits[4:]] + [3.0 / 1024, 4.0 / 1024]
-                groups = [(p, g.uniform(size=size)) for p in pts]
-                assert pair_gap(groups, 0, 1) \
-                    == kdtree_gap(groups, 0, 1) \
-                    == brute_force_gap(groups, 0, 1)
-                assert kdtree_gap(groups, 0, 1)[0] == 5.0 / 1024
+    def test_crossing_balls_are_not_certified(self):
+        ifs = Ifs.from_json(CROSSING_BALLS)
+        assert geometry._pair_scan(ifs, 6)[0] \
+            == pytest.approx(brute_force_scan(ifs, 6), rel=1e-12)
+        assert geometry._pair_scan(ifs, 6)[0] < -0.02
+        assert ssc_check(ifs).separated != "Certified"
 
-    def test_ties_and_copies_match_brute_force(self):
-        # among equally near points of cloud 1 the k-d tree picks by its
-        # own layout, so only its distance is compared here
-        g = rng(6)
-        for size in (2 ** 6, 3 ** 4, 4 ** 3, 5 ** 3):
-            for span in (3, 6, 50):
-                for _ in range(10):
-                    # a coarse grid: copies, and many pairs at each distance
-                    pts = g.integers(0, span, size=(2, size, 2)) * 0.1
-                    pts[1, :, 0] += 0.05 * span
-                    groups = [(p, g.uniform(size=size)) for p in pts]
-                    gap = pair_gap(groups, 0, 1)
-                    assert gap == brute_force_gap(groups, 0, 1)
-                    assert gap[0] == kdtree_gap(groups, 0, 1)[0]
+    @settings(derandomize=True, deadline=None, max_examples=200)
+    @given(cloud_pairs())
+    def test_matches_brute_force_both_ways(self, groups):
+        least, uppers = brute_force_gaps(*groups[0], *groups[1])
+        for i, j in ((0, 1), (1, 0)):
+            gap, upper = least_gap(groups, i, j)
+            assert gap == least
+            assert upper in uppers
 
     def test_single_points_and_short_blocks(self):
         g = rng(7)
         for size in (1, 2, 3, 7, 33, 300):
             groups = [(g.uniform(size=(size, 2)), g.uniform(size=size))
                       for _ in range(2)]
-            assert pair_gap(groups, 0, 1) == brute_force_gap(groups, 0, 1)
-            assert pair_gap(groups, 1, 0) == brute_force_gap(groups, 1, 0)
+            least, uppers = brute_force_gaps(*groups[0], *groups[1])
+            for i, j in ((0, 1), (1, 0)):
+                assert least_gap(groups, i, j) == (least, *uppers)
 
     def test_overlapping_cylinders_stay_small(self):
         # 5^7 points a cloud, interleaved along a line: the live pairs, and
@@ -236,11 +291,11 @@ class TestPairGap:
         assert len(groups[0][0]) == 5 ** 7
         tracemalloc.start()
         try:
-            gap = pair_gap(groups, 0, 1)
+            gap = least_gap(groups, 0, 1)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert gap == kdtree_gap(groups, 0, 1)
+        assert gap[0] == brute_force_gaps(*groups[0], *groups[1])[0]
         assert peak < 64 * 2 ** 20
 
     def test_ssc_check_on_overlapping_cylinders(self):

@@ -5,10 +5,13 @@ set by some call, 2x2 products go through the one kernel ifs.mul2,
 projective angles come from math.atan2 and not np.arctan2, one function
 branches on s at 1 and 2, the estimators take no norms and no
 reductions along axis 0, only
-Ifs.__init__ and the memo ifs.derived touch Ifs._cache, and importing the
-package loads numpy but not scipy."""
+Ifs.__init__ and the memo ifs.derived touch Ifs._cache, importing the
+package loads numpy but not scipy, and every entry point that the
+benchmark's tracer wraps still exists."""
 
 import ast
+import importlib
+import importlib.util
 import math
 import os
 import subprocess
@@ -365,3 +368,29 @@ def test_import_loads_no_scipy():
                          text=True, check=True,
                          env=dict(os.environ, PYTHONPATH=path))
     assert out.stdout.strip() == "[]"
+
+
+def benchmark_tracer():
+    """perfbench/tracer.py as a module, loaded from its file without
+    adding perfbench to sys.path, writing its bytecode or installing its
+    wrappers."""
+    path = os.path.join(SRC_DIR, os.pardir, os.pardir, "perfbench",
+                        "tracer.py")
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
+    tracer = importlib.util.module_from_spec(spec)
+    writes, sys.dont_write_bytecode = sys.dont_write_bytecode, True
+    try:
+        spec.loader.exec_module(tracer)
+    finally:
+        sys.dont_write_bytecode = writes
+    return tracer
+
+
+def test_tracer_targets_resolve():
+    # a renamed entry point would otherwise only fail a traced benchmark
+    # pass
+    for name, module, attr in benchmark_tracer().TARGETS:
+        target = importlib.import_module(module)
+        for part in attr.split("."):
+            target = getattr(target, part, None)
+        assert callable(target), (name, module, attr)

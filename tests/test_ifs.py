@@ -9,7 +9,7 @@ import pytest
 from affinedim.errors import BudgetExceeded, IndexOutOfRange
 from affinedim.geometry import _proj_stopping, projected_diameter_bound
 from affinedim.ifs import Ifs, Word, _cloud_diameter, batch_singular_values, \
-    derived, log_svf, mul2, word_products
+    derived, hull_vertices, log_svf, mul2, word_products
 from affinedim.projective import ProjPoint, strictly_affine
 from affinedim.thermo import affinity_dimension
 
@@ -421,7 +421,7 @@ class TestFlatClouds:
                               .sum()))
         tracemalloc.start()
         try:
-            d = _cloud_diameter(pts)
+            d = _cloud_diameter(hull_vertices(pts))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
