@@ -5,7 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
-from scipy.spatial import ConvexHull, QhullError
+from scipy.spatial import ConvexHull, QhullError, cKDTree
 
 from affinedim import geometry
 from affinedim.carpets import CarpetSpec, fraser_lower, to_ifs
@@ -273,6 +273,47 @@ class TestPairGap:
             gap, upper = least_gap(groups, i, j)
             assert gap == least
             assert upper in uppers
+
+    def test_ties_across_the_first_cloud_match_kdtree(self):
+        g = rng(5)
+        for size in (2 ** 8, 3 ** 5, 5 ** 3):
+            for _ in range(10):
+                # binary fractions keep the differences exact, so four
+                # points of cloud 0 at one offset from points of cloud 1
+                # tie for the least distance
+                pts = g.integers(0, 1 << 20, size=(2, size, 2)) / 1024.0
+                hits = g.permutation(size)[:8]
+                pts[0, hits[:4]] = pts[1, hits[4:]] + [3.0 / 1024, 4.0 / 1024]
+                # with no radii the least gap is the closest distance
+                bare = [(p, np.zeros(size)) for p in pts]
+                d, _ = cKDTree(pts[1]).query(pts[0])
+                assert d.min() == 5.0 / 1024
+                for i, j in ((0, 1), (1, 0)):
+                    assert least_gap(bare, i, j) == (d.min(), d.min())
+                groups = [(p, g.uniform(size=size)) for p in pts]
+                least, uppers = brute_force_gaps(*groups[0], *groups[1])
+                for i, j in ((0, 1), (1, 0)):
+                    gap, upper = least_gap(groups, i, j)
+                    assert gap == least
+                    assert upper in uppers
+
+    def test_ties_and_copies_match_brute_force(self):
+        g = rng(6)
+        for size in (2 ** 6, 3 ** 4, 4 ** 3, 5 ** 3):
+            for span in (3, 6, 50):
+                for _ in range(10):
+                    # a coarse grid: copies, and many pairs at each distance
+                    pts = g.integers(0, span, size=(2, size, 2)) * 0.1
+                    pts[1, :, 0] += 0.05 * span
+                    groups = [(p, g.uniform(size=size)) for p in pts]
+                    least, uppers = brute_force_gaps(*groups[0], *groups[1])
+                    for i, j in ((0, 1), (1, 0)):
+                        gap, upper = least_gap(groups, i, j)
+                        assert gap == least
+                        assert upper in uppers
+                    bare = [(p, np.zeros(size)) for p in pts]
+                    d, _ = cKDTree(pts[1]).query(pts[0])
+                    assert least_gap(bare, 0, 1)[0] == d.min()
 
     def test_single_points_and_short_blocks(self):
         g = rng(7)
