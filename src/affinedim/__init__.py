@@ -10,11 +10,10 @@ from .errors import AffinedimError, BudgetExceeded, DegenerateRange, \
 from .estimators import CoverReport, PointCloud, assouad_two_scale, \
     box_dim, grid_count, lower_two_scale, two_scale_exponents
 from .geometry import ContentEstimate, PoscReport, SscReport, TangentCloud, \
-    bochi_morris_scan, brute_force_content, content_consistency, \
-    hausdorff_content_projection, interval_content, posc_check, \
-    projected_gap, sigma_count, slice_points, slice_root, slice_upper_bound, \
-    ssc_check, tangent_dimension_scan, transversality_derivative, \
-    transversality_tail_bound, weak_tangent
+    bochi_morris_scan, content_consistency, hausdorff_content_projection, \
+    interval_content, posc_check, projected_gap, sigma_count, slice_points, \
+    slice_root, slice_upper_bound, ssc_check, tangent_dimension_scan, \
+    transversality_derivative, transversality_tail_bound, weak_tangent
 from .ifs import Ifs, Word, batch_singular_values, log_svf
 from .projective import DirectionsApprox, IrreducibilityClass, Multicone, \
     ProjPoint, classify_irreducibility, find_invariant_multicone, \

@@ -582,11 +582,26 @@ def interval_content(intervals, s):
     each block costs min(hull^s, cost(left) + cost(right)).  That is the
     cost of one cover by block hulls, so it bounds the s-content from
     above: it is the merged length at s = 1, but for s < 1 it can exceed
-    the exact block DP of `brute_force_content`.
+    the exact minimum over all covers by hulls of contiguous blocks.
 
-    The split tree is built bottom-up: adjacent blocks merge in ascending
-    gap order, equal gaps right to left, which gives the same blocks with
-    the same operands.
+    The split tree is built bottom-up, in rounds.  Gaps are ranked in
+    ascending order, equal gaps right to left, the order in which merging
+    adjacent blocks one gap at a time gives the same blocks as the
+    recursion.  A gap is ready when its rank is below the ranks of the two
+    gaps just outside the blocks it joins, the ends of the union ranking
+    above every gap.  Then both blocks are complete, and the gap joins them
+    with the same operands as in the one-at-a-time merge.  No two ready
+    gaps touch, so a round merges all of them in one vectorised step, and
+    the only gap a merged block can make ready is its parent, the lower
+    ranked of the two gaps around it.  So the value is that of the
+    one-at-a-time merge bit for bit.  Every x**s is taken on Python
+    floats, because numpy's vector power differs from float.__pow__ in the
+    last place on some inputs.
+
+    The loop runs once per level of the split tree, which is shallow on
+    projected cylinder hulls.  A union whose tree is a chain, with gaps
+    that grow from one end or are all equal, takes one round per gap, and
+    a round is a few dozen numpy calls.
     """
     if not 0.0 < s <= 1.0:
         raise ValueError("s must be in (0, 1]")
@@ -602,39 +617,33 @@ def interval_content(intervals, s):
     opens = np.concatenate(([True], a[1:] > reach[:-1]))
     closes = np.append(opens[1:], True)
     starts, ends = a[opens], reach[closes]
-    gaps = starts[1:] - ends[:-1]
-    merge_order = np.lexsort((-np.arange(len(gaps)), gaps)).tolist()
+    n = len(starts)
 
-    # cost[i] is the cost of the block whose first interval is i; the
-    # block ending at interval j starts at first[j], the one starting at
-    # i ends at last[i].  Gap k joins the block ending at k to the one
-    # starting at k + 1.
-    starts, ends = starts.tolist(), ends.tolist()
-    cost = [(hi - lo) ** s for lo, hi in zip(starts, ends)]
-    first = list(range(len(starts)))
-    last = list(range(len(starts)))
-    for k in merge_order:
-        lo, hi = first[k], last[k + 1]
-        cost[lo] = min((ends[hi] - starts[lo]) ** s, cost[lo] + cost[k + 1])
-        last[lo] = hi
-        first[hi] = lo
-    return cost[0]
-
-
-def brute_force_content(intervals, s):
-    """Minimum cost over all covers by hulls of contiguous blocks;
-    reference implementation for small unions."""
-    ivs = sorted((float(a), float(b)) for a, b in intervals if b > a)
-    n = len(ivs)
-    if n == 0:
-        return 0.0
-    best = [0.0] + [math.inf] * n
-    for i in range(1, n + 1):
-        right = -math.inf   # a block's hull ends at its largest end
-        for j in range(i - 1, -1, -1):
-            right = max(right, ivs[j][1])
-            best[i] = min(best[i], best[j] + (right - ivs[j][0]) ** s)
-    return best[n]
+    # Gap c, for 0 < c < n, lies left of merged interval c; c = 0 and
+    # c = n are the two ends, ranked n.  cost[i] is the cost of the block
+    # whose first interval is i; the block left of gap c starts at
+    # head[c], the one right of it ends left of gap tail[c].
+    rank = np.full(n + 1, n)
+    rank[1 + np.lexsort((-np.arange(n - 1), starts[1:] - ends[:-1]))] \
+        = np.arange(n - 1)
+    right = np.append(np.nan, ends)
+    cost = np.power((ends - starts).astype(object), s).astype(float)
+    head = np.append(0, np.arange(n))
+    tail = np.append(np.arange(1, n + 1), n)
+    gaps = np.arange(1, n)
+    while len(gaps):
+        gaps = gaps[rank[gaps] < np.minimum(rank[head[gaps]],
+                                            rank[tail[gaps]])]
+        lo, hi = head[gaps], tail[gaps]
+        hull = np.power((right[hi] - starts[lo]).astype(object), s)
+        cost[lo] = np.minimum(hull.astype(float), cost[lo] + cost[gaps])
+        tail[lo] = hi
+        head[hi] = lo
+        parents = np.where(rank[lo] < rank[hi], lo, hi)
+        fresh = np.ones(len(parents), dtype=bool)
+        np.not_equal(parents[1:], parents[:-1], out=fresh[1:])
+        gaps = parents[fresh]
+    return float(cost[0])
 
 
 @dataclass(frozen=True)

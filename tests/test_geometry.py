@@ -11,11 +11,10 @@ from affinedim import geometry
 from affinedim.carpets import CarpetSpec, fraser_lower, to_ifs
 from affinedim.errors import HypothesisViolated, NotSeparated
 from affinedim.geometry import DiameterTable, approximate_square_counts, \
-    bochi_morris_scan, brute_force_content, content_consistency, \
-    grid_carpet_digits, hausdorff_content_projection, interval_content, \
-    posc_check, projected_gap, sigma_count, slice_points, slice_root, \
-    slice_upper_bound, ssc_check, tangent_dimension_scan, \
-    transversality_derivative, transversality_tail_bound, weak_tangent
+    bochi_morris_scan, content_consistency, grid_carpet_digits, \
+    hausdorff_content_projection, interval_content, posc_check, \
+    projected_gap, sigma_count, slice_points, slice_root, slice_upper_bound, \
+    ssc_check, tangent_dimension_scan, transversality_derivative, transversality_tail_bound, weak_tangent
 from affinedim.ifs import Ifs, hull_vertices
 from affinedim.projective import PI, ProjPoint
 from affinedim.thermo import affinity_dimension
@@ -56,6 +55,69 @@ def top_down_content(intervals, s):
         else:
             stack.extend([(lo, hi), (lo, k), (k + 1, hi)])
     return memo[(0, len(merged) - 1)]
+
+
+def sequential_content(intervals, s):
+    """The largest-gap tree merged one gap at a time, in ascending gap
+    order with equal gaps right to left: the reference that
+    `interval_content` must match bit for bit where the top-down recursion
+    is quadratic."""
+    if not isinstance(intervals, np.ndarray):
+        intervals = list(intervals)
+    ivs = np.asarray(intervals, dtype=float).reshape(len(intervals), 2)
+    a, b = ivs[ivs[:, 1] > ivs[:, 0]].T
+    if len(a) == 0:
+        return 0.0
+    order = np.lexsort((b, a))
+    a, b = a[order], b[order]
+    reach = np.maximum.accumulate(b)
+    opens = np.concatenate(([True], a[1:] > reach[:-1]))
+    closes = np.append(opens[1:], True)
+    starts, ends = a[opens], reach[closes]
+    gaps = starts[1:] - ends[:-1]
+    merge_order = np.lexsort((-np.arange(len(gaps)), gaps)).tolist()
+
+    # cost[i] is the cost of the block whose first interval is i; the
+    # block ending at interval j starts at first[j], the one starting at
+    # i ends at last[i].  Gap k joins the block ending at k to the one
+    # starting at k + 1.
+    starts, ends = starts.tolist(), ends.tolist()
+    cost = [(hi - lo) ** s for lo, hi in zip(starts, ends)]
+    first = list(range(len(starts)))
+    last = list(range(len(starts)))
+    for k in merge_order:
+        lo, hi = first[k], last[k + 1]
+        cost[lo] = min((ends[hi] - starts[lo]) ** s, cost[lo] + cost[k + 1])
+        last[lo] = hi
+        first[hi] = lo
+    return cost[0]
+
+
+def brute_force_content(intervals, s):
+    """Minimum cost over all covers by hulls of contiguous blocks: the
+    exact block DP, O(m^2), for small unions."""
+    ivs = sorted((float(a), float(b)) for a, b in intervals if b > a)
+    n = len(ivs)
+    if n == 0:
+        return 0.0
+    best = [0.0] + [math.inf] * n
+    for i in range(1, n + 1):
+        right = -math.inf   # a block's hull ends at its largest end
+        for j in range(i - 1, -1, -1):
+            right = max(right, ivs[j][1])
+            best[i] = min(best[i], best[j] + (right - ivs[j][0]) ** s)
+    return best[n]
+
+
+def increasing_gap_chain(n):
+    """n intervals of length ell whose every gap exceeds all gaps to its
+    left, so the split tree is a chain as deep as the union.  ell and the
+    gaps are multiples of 2^-30 and every end stays below 2^23, so all
+    endpoints and lengths are exact."""
+    ell = round(1e-3 * 2 ** 30) / 2 ** 30
+    gaps = 1.0 + np.arange(n - 1) / 256.0
+    lo = np.concatenate(([0.0], np.cumsum(ell + gaps)))
+    return np.column_stack((lo, lo + ell)), ell
 
 
 def merged_length(intervals):
@@ -657,18 +719,57 @@ class TestContent:
                     assert interval_content(list(ivs), s) == ref
 
     def test_increasing_gap_chain(self):
-        # every gap exceeds all gaps to its left, so the split tree is a
-        # chain as deep as the union (quadratic for the top-down recursion).
-        # ell and the gaps are multiples of 2^-30 and every end stays below
-        # 2^23, so all endpoints and lengths are exact
+        # the split tree is a chain as deep as the union (quadratic for the
+        # top-down recursion, one round per gap for interval_content)
         n = 50_000
-        ell = round(1e-3 * 2 ** 30) / 2 ** 30
-        gaps = 1.0 + np.arange(n - 1) / 256.0
-        lo = np.concatenate(([0.0], np.cumsum(ell + gaps)))
-        ivs = np.column_stack((lo, lo + ell))
+        ivs, ell = increasing_gap_chain(n)
         assert interval_content(ivs, 1.0) == pytest.approx(n * ell, rel=1e-12)
         assert interval_content(ivs, 0.5) \
             == pytest.approx(n * ell ** 0.5, rel=1e-9)
+
+    def test_projected_hulls_match_sequential_merge(self, cone_ifs,
+                                                    overlap_ifs):
+        for ifs in (cone_ifs, overlap_ifs):
+            for theta in (0.3, 1.9):
+                lo, hi = geometry._projected_hulls(ifs, ProjPoint(theta), 10)
+                ivs = np.column_stack((lo, hi))
+                for s in (0.68, 1.0):
+                    ref = sequential_content(ivs, s)
+                    assert interval_content(ivs, s) == ref
+                    assert interval_content(list(ivs), s) == ref
+
+    def test_chains_match_sequential_merge(self):
+        ivs, _ = increasing_gap_chain(50_000)
+        # equally spaced intervals: every gap ties, merged right to left
+        ties = np.arange(4096.0)[:, None] + [0.0, 0.5]
+        for union in (ivs, -ivs[:, ::-1], ties):
+            assert interval_content(union, 0.5) \
+                == sequential_content(union, 0.5)
+
+    def test_degenerate_rows_match_sequential_merge(self):
+        unions = [[(0.0, 1.0), (0.2, 0.3), (0.25, 0.9), (2.0, 3.0)],
+                  [(0.5, 1.5)] * 5 + [(3.0, 4.0)] * 3,
+                  [(0.7, 0.7), (1.0, 1.0), (0.0, 0.25), (2.0, 2.0)],
+                  [(1.0, 0.0), (3.0, 2.0), (4.0, 5.0), (6.0, 7.5)],
+                  [(2.0, 1.0)], [(1.0, 1.0)],
+                  [(0.0, 1.0), (1.0, 2.0), (2.5, 3.0), (0.0, 3.0),
+                   (5.0, 5.0), (6.0, 4.0), (7.0, 8.0)]]
+        for ivs in unions:
+            for s in (0.3, 0.5, 0.81, 1.0):
+                ref = sequential_content(ivs, s)
+                assert interval_content(ivs, s) == ref
+                assert interval_content(np.array(ivs), s) == ref
+
+    @settings(derandomize=True, deadline=None, max_examples=200)
+    @given(st.lists(st.tuples(st.integers(0, 160), st.integers(0, 160)),
+                    min_size=1, max_size=400),
+           st.one_of(st.sampled_from([0.3, 0.5, 1.0]),
+                     st.floats(0.0, 1.0, exclude_min=True)))
+    def test_property_matches_sequential_merge(self, rows, s):
+        # endpoints on a 1/8 grid, so gaps tie and rows repeat, nest,
+        # shrink to a point or come reversed
+        ivs = np.array(rows, dtype=float) / 8.0
+        assert interval_content(ivs, s) == sequential_content(ivs, s)
 
     def test_projection_content_refines_downward(self, overlap_ifs):
         s, _ = affinity_dimension(overlap_ifs)

@@ -4,8 +4,8 @@ Ifs.frontier takes a word limit of its own, every defaulted parameter is
 set by some call, 2x2 products go through the one kernel ifs.mul2,
 projective angles come from math.atan2 and not np.arctan2, one function
 branches on s at 1 and 2, the estimators take no norms and no
-reductions along axis 0, only
-Ifs.__init__ and the memo ifs.derived touch Ifs._cache, importing the
+reductions along axis 0, interval_content has no for loop and no
+comprehension, only Ifs.__init__ and the memo ifs.derived touch Ifs._cache, importing the
 package loads numpy but not scipy, and every entry point that the
 benchmark's tracer wraps still exists."""
 
@@ -302,6 +302,37 @@ def test_estimators_read_columns():
         source = fh.read()
     assert calls_of(source, "norm") == []
     assert axis0_calls(source) == []
+
+
+def loops_in(source, function):
+    """Line numbers of every for statement and comprehension in the one
+    module-level function of the given name."""
+    [fn] = [node for node in ast.parse(source).body
+            if isinstance(node, ast.FunctionDef) and node.name == function]
+    loops = (ast.For, ast.ListComp, ast.SetComp, ast.DictComp,
+             ast.GeneratorExp)
+    return sorted(node.lineno for node in ast.walk(fn)
+                  if isinstance(node, loops))
+
+
+def test_checker_finds_loops():
+    src = ("def f(xs):\n    for x in xs:\n        pass\n"
+           "    ys = [x for x in xs]\n    return sum(x for x in ys)\n"
+           "def g(xs):\n    while xs:\n        xs = {x: 1 for x in xs[1:]}\n"
+           "    return xs\n"
+           "for y in range(3):\n    pass\n")
+    assert loops_in(src, "f") == [2, 4, 5]
+    assert loops_in(src, "g") == [8]
+    with pytest.raises(ValueError):
+        loops_in(src, "h")
+
+
+def test_interval_content_merges_in_rounds():
+    # a round merges every ready gap of the split tree at once, so the
+    # loop runs once per level; a Python loop over gaps or intervals would
+    # run once per interval
+    with open(os.path.join(SRC_DIR, "geometry.py")) as fh:
+        assert loops_in(fh.read(), "interval_content") == []
 
 
 def cache_accesses(source):
