@@ -619,10 +619,11 @@ def interval_content(intervals, s):
     starts, ends = a[opens], reach[closes]
     n = len(starts)
 
-    # Gap c, for 0 < c < n, lies left of merged interval c; c = 0 and
-    # c = n are the two ends, ranked n.  cost[i] is the cost of the block
-    # whose first interval is i; the block left of gap c starts at
-    # head[c], the one right of it ends left of gap tail[c].
+    # Gap c, for 0 < c < n, lies between merged intervals c - 1 and c,
+    # and right[c] is the end of interval c - 1; c = 0 and c = n stand for
+    # the two ends, ranked n, so they are never ready.  cost[i] is the
+    # cost of the block whose first interval is i; the block left of gap c
+    # starts at head[c], the one right of it ends left of gap tail[c].
     rank = np.full(n + 1, n)
     rank[1 + np.lexsort((-np.arange(n - 1), starts[1:] - ends[:-1]))] \
         = np.arange(n - 1)

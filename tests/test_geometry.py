@@ -14,7 +14,8 @@ from affinedim.geometry import DiameterTable, approximate_square_counts, \
     bochi_morris_scan, content_consistency, grid_carpet_digits, \
     hausdorff_content_projection, interval_content, posc_check, \
     projected_gap, sigma_count, slice_points, slice_root, slice_upper_bound, \
-    ssc_check, tangent_dimension_scan, transversality_derivative, transversality_tail_bound, weak_tangent
+    ssc_check, tangent_dimension_scan, transversality_derivative, \
+    transversality_tail_bound, weak_tangent
 from affinedim.ifs import Ifs, hull_vertices
 from affinedim.projective import PI, ProjPoint
 from affinedim.thermo import affinity_dimension
@@ -640,6 +641,21 @@ class TestTangents:
                                                       n_scales)
 
 
+@st.composite
+def grid_unions(draw):
+    """1-400 rows on a 1/8 grid, shuffled: the left ends are a random walk
+    and the lengths run from -2 to a drawn cap, so gaps tie and rows
+    repeat, nest, shrink to a point or come reversed, and a union has
+    from one block to hundreds."""
+    size = draw(st.integers(1, 400))
+    g = rng(draw(st.integers(0, 2 ** 32 - 1)))
+    step = draw(st.integers(1, 16))
+    cap = draw(st.integers(1, 24))
+    lo = np.cumsum(g.integers(0, step + 1, size=size))
+    ivs = np.column_stack((lo, lo + g.integers(-2, cap + 1, size=size)))
+    return ivs[g.permutation(size)] / 8.0
+
+
 class TestContent:
     def test_single_interval_exact(self):
         assert interval_content([(0.0, 0.5)], 0.7) \
@@ -760,15 +776,19 @@ class TestContent:
                 assert interval_content(ivs, s) == ref
                 assert interval_content(np.array(ivs), s) == ref
 
+    def test_equal_gaps_merge_right_to_left(self):
+        # of two equal gaps the right one merges first, so the two long
+        # intervals share one hull; left to right would give 12.28
+        ivs = [(0.0, 0.125), (1.125, 11.125), (12.125, 22.125)]
+        value = interval_content(ivs, 0.81)
+        assert value == sequential_content(ivs, 0.81)
+        assert value == top_down_content(ivs, 0.81)
+        assert value == pytest.approx(11.96156088394739, rel=1e-12)
+
     @settings(derandomize=True, deadline=None, max_examples=200)
-    @given(st.lists(st.tuples(st.integers(0, 160), st.integers(0, 160)),
-                    min_size=1, max_size=400),
-           st.one_of(st.sampled_from([0.3, 0.5, 1.0]),
-                     st.floats(0.0, 1.0, exclude_min=True)))
-    def test_property_matches_sequential_merge(self, rows, s):
-        # endpoints on a 1/8 grid, so gaps tie and rows repeat, nest,
-        # shrink to a point or come reversed
-        ivs = np.array(rows, dtype=float) / 8.0
+    @given(grid_unions(), st.one_of(st.sampled_from([0.3, 0.5, 1.0]),
+                                    st.floats(0.0, 1.0, exclude_min=True)))
+    def test_property_matches_sequential_merge(self, ivs, s):
         assert interval_content(ivs, s) == sequential_content(ivs, s)
 
     def test_projection_content_refines_downward(self, overlap_ifs):

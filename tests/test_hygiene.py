@@ -5,9 +5,9 @@ set by some call, 2x2 products go through the one kernel ifs.mul2,
 projective angles come from math.atan2 and not np.arctan2, one function
 branches on s at 1 and 2, the estimators take no norms and no
 reductions along axis 0, interval_content has no for loop and no
-comprehension, only Ifs.__init__ and the memo ifs.derived touch Ifs._cache, importing the
-package loads numpy but not scipy, and every entry point that the
-benchmark's tracer wraps still exists."""
+comprehension, only Ifs.__init__ and the memo ifs.derived touch
+Ifs._cache, importing the package loads numpy but not scipy, and every
+entry point that the benchmark's tracer wraps still exists."""
 
 import ast
 import importlib
