@@ -611,13 +611,20 @@ def interval_content(intervals, s):
     a, b = ivs[ivs[:, 1] > ivs[:, 0]].T
     if len(a) == 0:
         return 0.0
-    order = np.lexsort((b, a))
+    # ties in a leave the merged blocks as they are
+    order = np.argsort(a)
     a, b = a[order], b[order]
     reach = np.maximum.accumulate(b)
     opens = np.concatenate(([True], a[1:] > reach[:-1]))
     closes = np.append(opens[1:], True)
     starts, ends = a[opens], reach[closes]
     n = len(starts)
+    # the gaps in ascending order, then each run of equal gaps right to
+    # left: two unstable sorts, several times faster than np.lexsort
+    gaps = starts[1:] - ends[:-1]
+    first = np.argsort(gaps)
+    sg = gaps[first]
+    runs = np.cumsum(np.append(False, sg[1:] != sg[:-1]))
 
     # Gap c, for 0 < c < n, lies between merged intervals c - 1 and c,
     # and right[c] is the end of interval c - 1; c = 0 and c = n stand for
@@ -625,8 +632,7 @@ def interval_content(intervals, s):
     # cost of the block whose first interval is i; the block left of gap c
     # starts at head[c], the one right of it ends left of gap tail[c].
     rank = np.full(n + 1, n)
-    rank[1 + np.lexsort((-np.arange(n - 1), starts[1:] - ends[:-1]))] \
-        = np.arange(n - 1)
+    rank[1 + first[np.argsort(runs * n - first)]] = np.arange(n - 1)
     right = np.append(np.nan, ends)
     cost = np.power((ends - starts).astype(object), s).astype(float)
     head = np.append(0, np.arange(n))

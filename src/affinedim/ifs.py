@@ -24,16 +24,18 @@ from .estimators import PointCloud
 _DET_EPS = 1e-14
 
 
-def batch_singular_values(mats):
+def batch_singular_values(mats, det=None):
     """(alpha1, alpha2) arrays for a (k,2,2) stack of matrices, from the
-    eigenvalues of A^T A."""
+    eigenvalues of A^T A.  det, when given, holds the determinants and
+    replaces a*d - b*c, which cancels on long products."""
     a = mats[:, 0, 0]
     b = mats[:, 0, 1]
     c = mats[:, 1, 0]
     d = mats[:, 1, 1]
     # trace and determinant of A^T A
     t = a * a + b * b + c * c + d * d
-    det = a * d - b * c
+    if det is None:
+        det = a * d - b * c
     disc = np.maximum(t * t - 4.0 * det * det, 0.0)
     a1 = np.sqrt(0.5 * (t + np.sqrt(disc)))
     # alpha2 via |det|/alpha1 keeps the product identity exact
@@ -55,17 +57,19 @@ def log_svf(la1, la2, s, out=None):
     return np.multiply(0.5 * s, out, out=out)
 
 
-def mul2(left, right):
+def mul2(left, right, out=None):
     """Products left @ right over broadcast stacks of 2x2 matrices (shape
     (..., 2, 2)) by 2x2 matrices or 2x1 columns (shape (..., 2, k)).
 
     Each output entry is two whole-array multiplies and an add, written
-    into one output array through strided views.  The final += 0.0 turns
-    a sum of two -0.0 products into +0.0, as a sum accumulated from +0.0
-    gives, so the result equals np.einsum's bit for bit.
+    into out (a new C-ordered array when it is None) through views of its
+    entries.  The final += 0.0 turns a sum of two -0.0 products into +0.0,
+    as a sum accumulated from +0.0 gives, so the result equals np.einsum's
+    bit for bit whatever the layout of out.
     """
     shape = np.broadcast_shapes(left.shape[:-2], right.shape[:-2])
-    out = np.empty(shape + (2, right.shape[-1]))
+    if out is None:
+        out = np.empty(shape + (2, right.shape[-1]))
     tmp = np.empty(shape)
     for p in range(2):
         for r in range(right.shape[-1]):
@@ -79,10 +83,20 @@ def mul2(left, right):
 
 def word_products(lins, n):
     """The (N^n, 2, 2) products A_w of all words of length n over the
-    stack lins, in lexicographic word order (first letter most significant)."""
+    stack lins, in lexicographic word order (first letter most significant).
+
+    Each level is held entry-major: the (N^k, 2, 2) view of a (2, 2, N^k)
+    buffer, so every entry that `mul2` writes and `batch_singular_values`
+    reads is one contiguous row.  The values are those of a C-ordered
+    stack; a stacked @ rounds differently on this layout, so copy it with
+    np.ascontiguousarray before one."""
     prods = np.eye(2)[None]
     for _ in range(n):
-        prods = mul2(lins[:, None], prods[None]).reshape(-1, 2, 2)
+        size = len(lins) * len(prods)
+        level = np.empty((2, 2, size)).transpose(2, 0, 1)
+        mul2(lins[:, None], prods[None],
+             out=level.reshape(len(lins), len(prods), 2, 2))
+        prods = level
     return prods
 
 
@@ -221,7 +235,23 @@ class Ifs:
 
     @derived
     def level_singular_values(self, n):
-        return batch_singular_values(self.level_products(n))
+        """(alpha1, alpha2) of level_products(n).  The determinants are
+        carried beside the level as det A_iw = det A_i * det A_w, since
+        a*d - b*c cancels on long words."""
+        mats = self.level_products(n)
+        a, b, c, d = self.lins.reshape(-1, 4).T
+        dets = a * d - b * c
+        # level k + 1 overwrites level k, held in det[:size], in place, so
+        # the determinants add one array of the level's size to the peak:
+        # block i is dets[i] * det[:size], filled from the last letter down
+        det = np.ones(len(mats))
+        size = 1
+        for _ in range(n):
+            for i in reversed(range(self.n_maps)):
+                np.multiply(dets[i], det[:size],
+                            out=det[i * size:(i + 1) * size])
+            size *= self.n_maps
+        return batch_singular_values(mats, det)
 
     def word_from_flat(self, flat, n):
         """Word of length n from its lexicographic index in level_products."""

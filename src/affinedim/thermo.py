@@ -37,11 +37,14 @@ def pressure(ifs, s, n):
 
 
 def _pressure_fn(ifs, n):
-    """p(s), the level-n pressure; every call reuses one buffer of the
-    level's size."""
+    """p(s), the level-n pressure."""
     a1, a2 = ifs.level_singular_values(n)
-    la1 = np.log(a1)
-    la2 = np.log(a2)
+    return _log_sum_fn(np.log(a1), np.log(a2), n)
+
+
+def _log_sum_fn(la1, la2, n):
+    """p(s) = (1/n) log sum of phi^s over the words with log singular
+    values la1 and la2; every call reuses one buffer of their size."""
     buf = np.empty_like(la1)
 
     def p(s):
@@ -52,21 +55,26 @@ def _pressure_fn(ifs, n):
     return p
 
 
+def is_similarity(ifs):
+    """True when every linear part has alpha2 within 1e-12 of alpha1 in
+    relative terms, a scaled rotation or reflection to that precision."""
+    a1, a2 = batch_singular_values(ifs.lins)
+    return ((a1 - a2) / a1).max() < 1e-12
+
+
 def affinity_dimension(ifs, tol=1e-10, budget=200_000):
     """Root of the finite-level pressure at the largest affordable level.
 
     The level-n pressure dominates the limit, so its root is an upper
     bound; the lower bracket edge comes from two-point Richardson
-    extrapolation against the half-depth level.  Returns (s_star, (lo, hi)).
+    extrapolation against the half-depth level.  A similarity family
+    reads level 1 alone, whatever the budget: phi^s is submultiplicative,
+    so the level-1 root is an upper bound, and alpha1(A_w) >= alpha2(A_w)
+    >= prod alpha2(A_i) makes the root of log sum alpha2(A_i)^s a lower
+    one.  Returns (s_star, (lo, hi)).
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
-    budget = min(budget, word_cap())
-    n_hi = int(math.floor(math.log(budget) / math.log(max(ifs.n_maps, 2))))
-    n_hi = max(n_hi, 2)
-    n_lo = max(n_hi // 2, 1)
-    p_hi = _pressure_fn(ifs, n_hi)
-    p_lo = _pressure_fn(ifs, n_lo)
 
     def solve(p):
         a, b = 0.0, 4.0
@@ -76,6 +84,17 @@ def affinity_dimension(ifs, tol=1e-10, budget=200_000):
             raise DegenerateRange("pressure does not change sign on [0, 4]")
         return brentq(p, a, b, xtol=tol)
 
+    if is_similarity(ifs):
+        root_hi = solve(_pressure_fn(ifs, 1))
+        la2 = np.log(ifs.level_singular_values(1)[1])
+        lo, hi = sorted((solve(_log_sum_fn(la2, la2, 1)), root_hi))
+        return root_hi, (lo, hi)
+    budget = min(budget, word_cap())
+    n_hi = int(math.floor(math.log(budget) / math.log(max(ifs.n_maps, 2))))
+    n_hi = max(n_hi, 2)
+    n_lo = max(n_hi // 2, 1)
+    p_hi = _pressure_fn(ifs, n_hi)
+    p_lo = _pressure_fn(ifs, n_lo)
     root_hi = solve(p_hi)           # upper bound for the true root
     w = n_hi - n_lo
 
@@ -112,15 +131,16 @@ def _cylinder_directions(ifs, m):
     product A_{w1}^{-1} ... A_{wm}^{-1} applied to a direction in the
     complement of the invariant cone.  For similarity tuples every
     direction carries the same norm, so the zero angle is returned."""
-    a1, a2 = batch_singular_values(ifs.lins)
-    if ((a1 - a2) / a1).max() < 1e-12:
+    if is_similarity(ifs):
         return np.zeros(ifs.n_maps ** m)
     cone = find_invariant_multicone(ifs)
     if cone is None:
         raise NotDominated("transfer operator needs a certified multicone")
     gaps = complement(cone)
     v0 = ProjPoint(gaps.starts[0] + gaps.widths[0] / 2.0).vector
-    vecs = word_products(np.linalg.inv(ifs.lins), m) @ v0
+    # a stacked @ rounds differently on the entry-major level, so copy it
+    prods = np.ascontiguousarray(word_products(np.linalg.inv(ifs.lins), m))
+    vecs = prods @ v0
     vecs /= np.linalg.norm(vecs, axis=1, keepdims=True)
     return np.mod(np.arctan2(vecs[:, 1], vecs[:, 0]), math.pi)
 

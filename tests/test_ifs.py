@@ -243,6 +243,13 @@ class TestLevelProducts:
         with pytest.raises(BudgetExceeded):
             cone_ifs.level_products(5)
 
+    def test_levels_are_entry_major(self, cone_ifs):
+        # mul2 writes, and batch_singular_values reads, contiguous rows
+        for n in range(1, 6):
+            prods = cone_ifs.level_products(n)
+            assert all(prods[:, p, r].flags.c_contiguous
+                       for p in range(2) for r in range(2))
+
     def test_only_levels_asked_for_are_kept(self, positive_pair):
         ifs = Ifs.from_json(positive_pair.to_json())
         affinity_dimension(ifs, budget=2 ** 16)
@@ -498,6 +505,28 @@ class TestMul2:
         assert math.copysign(1.0, plain) == -1.0
         assert math.copysign(1.0, want[0, 0, 0, 0]) == 1.0
         assert_same_bits(mul2(x[:, None], y[None]), want)
+
+    def test_entry_major_out_matches_einsum(self):
+        # the layout of word_products: each output entry, and each entry
+        # of the right stack, is one contiguous row
+        def entry_major(size):
+            return np.empty((2, 2, size)).transpose(2, 0, 1)
+
+        g = rng(37)
+        cases = [(special_stack(g, (3, 2, 2)), special_stack(g, (50, 2, 2)))
+                 for _ in range(20)]
+        cases.append((np.ones((1, 2, 2)),
+                      np.array([[[-0.0, 1.0], [-0.0, 1.0]]])))
+        for x, y in cases:
+            right = entry_major(len(y))
+            right[...] = y
+            level = entry_major(len(x) * len(y))
+            out = level.reshape(len(x), len(y), 2, 2)
+            with np.errstate(invalid="ignore", over="ignore"):
+                assert mul2(x[:, None], right[None], out=out) is out
+                want = np.einsum("ipq,wqr->iwpr", x, y)
+            assert_same_bits(level, want.reshape(-1, 2, 2))
+        assert math.copysign(1.0, level[0, 0, 0]) == 1.0
 
     @pytest.mark.parametrize("name", FIXTURES)
     def test_level_chains_match_einsum(self, request, name):

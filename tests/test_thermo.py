@@ -1,5 +1,6 @@
 import math
 from types import SimpleNamespace
+import warnings
 
 import numpy as np
 import pytest
@@ -7,11 +8,58 @@ from scipy.sparse import csr_matrix
 
 from affinedim.errors import NotDominated
 from affinedim.ifs import Ifs
-from affinedim.thermo import _pressure_fn, affinity_dimension, \
-    equilibrium_state, gibbs_spread_by_depth, kaenmaki_weights, pressure, \
-    transfer_matrix
+from affinedim.projective import ProjPoint, complement, \
+    find_invariant_multicone
+from affinedim.roots import RTOL, brentq
+from affinedim.thermo import _cylinder_directions, _log_sum_fn, \
+    _pressure_fn, affinity_dimension, equilibrium_state, gibbs_spread_by_depth, \
+    is_similarity, kaenmaki_weights, pressure, transfer_matrix
 
-from conftest import svd_svf
+from conftest import load_fixture, svd_svf
+
+
+def rng(seed=0):
+    return np.random.Generator(np.random.Philox(key=seed))
+
+
+def random_family(g, similar):
+    """2 to 5 contractions with norms in [0.15, 0.6] and translations in
+    [-1, 1]^2.  A similar family has linear parts [[a, -b], [b, a]] or the
+    reflections [[a, b], [b, -a]], with a and b multiples of 1/64, so that
+    A^T A is exactly (a^2 + b^2) I and the maps pass the similarity test.
+    The others are Gaussian with alpha2 >= 0.05 alpha1."""
+    lins, size = [], g.integers(2, 6)
+    while len(lins) < size:
+        if similar:
+            a, b = g.integers(-38, 39, size=2) / 64.0
+            lin = np.array([[a, -b], [b, a]])
+            if g.integers(2):
+                lin[:, 1] *= -1.0
+        else:
+            lin = g.normal(size=(2, 2))
+        a1, a2 = np.linalg.svd(lin, compute_uv=False)
+        if similar and 0.15 <= a1 <= 0.6:
+            lins.append(lin)
+        elif not similar and a2 >= 0.05 * a1:
+            lins.append(lin * (g.uniform(0.15, 0.6) / a1))
+    return Ifs(lins, g.uniform(-1.0, 1.0, size=(len(lins), 2)))
+
+
+def svd_pressure_fn(ifs, n):
+    """The level-n pressure from the singular values of np.linalg.svd.
+    They stay equal on products of similarities, which
+    batch_singular_values splits by about 1e-8 relative: t^2 - 4 det^2
+    cancels to rounding noise, and its square root adds that noise to
+    alpha1."""
+    a1, a2 = np.linalg.svd(ifs.level_products(n), compute_uv=False).T
+    return _log_sum_fn(np.log(a1), np.log(a2), n)
+
+
+def alpha2_sum_fn(ifs):
+    """log sum of alpha2(A_i)^s over the maps, a lower bound for every
+    level-n pressure."""
+    la2 = np.log(ifs.level_singular_values(1)[1])
+    return _log_sum_fn(la2, la2, 1)
 
 
 class TestPressure:
@@ -94,6 +142,55 @@ class TestAffinityDimension:
         assert lo <= s <= hi
         assert s == pytest.approx(0.6816047434817972, abs=1e-9)
 
+    @pytest.mark.parametrize("name,value", [
+        ("sim3", (1.0, 1.0)),
+        ("cantor2", (0.6309297535714574, 0.6309297535714574)),
+        ("square4", (2.0, 2.0))])
+    def test_similarity_bracket_ignores_the_budget(self, request, name,
+                                                   value):
+        ifs = request.getfixturevalue(name)
+        assert is_similarity(ifs)
+        for budget in (10, 200_000, 4_000_000):
+            s, bracket = affinity_dimension(ifs, budget=budget)
+            assert (s, bracket) == (value[1], value)
+
+    def test_level_sums_bracket_the_pressure(self):
+        # log sum alpha2_i^s <= P_n(s) <= P_1(s): alpha1(A_w) >= alpha2(A_w)
+        # >= prod alpha2(A_i), and phi^s is submultiplicative
+        g = rng(53)
+        for _ in range(30):
+            ifs = random_family(g, similar=False)
+            lower, p1 = alpha2_sum_fn(ifs), _pressure_fn(ifs, 1)
+            for n in range(2, 7):
+                pn = _pressure_fn(ifs, n)
+                for s in (0.2, 0.7, 1.0, 1.3, 1.9, 2.5):
+                    assert lower(s) <= pn(s) + 1e-12
+                    assert pn(s) <= p1(s) + 1e-12
+
+    def test_similarity_bracket_holds_every_level_root(self):
+        g = rng(59)
+        tol = 1e-14
+        for _ in range(12):
+            ifs = random_family(g, similar=True)
+            assert is_similarity(ifs)
+            s, (lo, hi) = affinity_dimension(ifs, tol=tol)
+            assert lo <= s <= hi and hi - lo <= 1e-12
+            # a root brentq returns is within tol + RTOL * |x| of a sign
+            # change, on both sides
+            slack = 2.0 * (tol + RTOL * hi)
+            for n in range(1, 9):
+                root = brentq(svd_pressure_fn(ifs, n), 0.0, 4.0, xtol=tol)
+                assert lo - slack <= root <= hi + slack
+
+    def test_positive_pair_level_21_keeps_alpha2(self):
+        # a fresh family, so the 2^21 level is freed with it
+        ifs = load_fixture("positive_pair.json")
+        assert ifs.level_singular_values(21)[1].min() > 0.0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            s, (lo, hi) = affinity_dimension(ifs, budget=4_000_000)
+        assert 1.09687884210563 <= lo <= s <= hi <= 1.0978056287141726
+
 
 class TestTransferOperator:
     def test_carpet_eigenvalue_one_at_root(self, carpet_ifs):
@@ -145,6 +242,23 @@ class TestTransferOperator:
         for f in [np.ones(size)] + [g.uniform(size=size) for _ in range(3)]:
             assert np.array_equal(L @ f, ref @ f)
             assert np.array_equal(L.adjoint(f), ref.T @ f)
+
+    @pytest.mark.parametrize("name", ["positive_pair", "cone_ifs"])
+    def test_directions_round_as_a_c_ordered_stack(self, name, request):
+        # a stacked @ on the entry-major levels of word_products rounds
+        # differently from one on a C-ordered stack from level 1 on
+        ifs = request.getfixturevalue(name)
+        gaps = complement(find_invariant_multicone(ifs))
+        v0 = ProjPoint(gaps.starts[0] + gaps.widths[0] / 2.0).vector
+        invs = np.linalg.inv(ifs.lins)
+        prods = np.eye(2)[None]
+        for m in range(1, 8):
+            prods = np.einsum("ipq,wqr->iwpr", invs, prods) \
+                .reshape(-1, 2, 2)
+            vecs = prods @ v0
+            vecs /= np.linalg.norm(vecs, axis=1, keepdims=True)
+            want = np.mod(np.arctan2(vecs[:, 1], vecs[:, 0]), math.pi)
+            assert np.array_equal(_cylinder_directions(ifs, m), want)
 
     def test_needs_cone_for_true_affine(self):
         # a squeeze and a quarter-turn: genuinely affine, no invariant cone
