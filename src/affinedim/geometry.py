@@ -574,6 +574,36 @@ def tangent_dimension_scan(ifs, n_tangents=8, seed=0, resolution=0.002):
 # Hausdorff content of projections
 
 
+def _union_blocks(ivs):
+    """Starts and ends of the maximal blocks, left to right, of the union
+    of the rows [a, b] of ivs with a < b.  Ties in a leave the blocks as
+    they are, so one unstable sort orders the rows."""
+    a, b = ivs[ivs[:, 1] > ivs[:, 0]].T
+    if len(a) == 0:
+        return a, b
+    order = np.argsort(a)
+    a, b = a[order], b[order]
+    reach = np.maximum.accumulate(b)
+    opens = np.concatenate(([True], a[1:] > reach[:-1]))
+    closes = np.append(opens[1:], True)
+    return a[opens], reach[closes]
+
+
+def _gap_order(gaps):
+    """Indices of the positive gaps in ascending order, each run of equal
+    gaps right to left: the order of np.lexsort((-np.arange(m), gaps))
+    from two unstable sorts, which take a third of its time on projected
+    hulls.  The key is built in place; with more temporaries, these two
+    helpers raise the peak RSS of `verify content cone` by about 1 MiB."""
+    first = np.argsort(gaps)
+    key = np.zeros(len(gaps), dtype=np.int64)
+    # the number of the run of equal gaps that each sorted gap is in
+    np.cumsum(np.diff(gaps[first]) != 0.0, out=key[1:])
+    key *= len(gaps)
+    key -= first
+    return first[np.argsort(key)]
+
+
 def interval_content(intervals, s):
     """Largest-gap estimate of the s-content of a finite union of closed
     intervals.
@@ -608,23 +638,10 @@ def interval_content(intervals, s):
     if not isinstance(intervals, np.ndarray):
         intervals = list(intervals)
     ivs = np.asarray(intervals, dtype=float).reshape(len(intervals), 2)
-    a, b = ivs[ivs[:, 1] > ivs[:, 0]].T
-    if len(a) == 0:
-        return 0.0
-    # ties in a leave the merged blocks as they are
-    order = np.argsort(a)
-    a, b = a[order], b[order]
-    reach = np.maximum.accumulate(b)
-    opens = np.concatenate(([True], a[1:] > reach[:-1]))
-    closes = np.append(opens[1:], True)
-    starts, ends = a[opens], reach[closes]
+    starts, ends = _union_blocks(ivs)
     n = len(starts)
-    # the gaps in ascending order, then each run of equal gaps right to
-    # left: two unstable sorts, several times faster than np.lexsort
-    gaps = starts[1:] - ends[:-1]
-    first = np.argsort(gaps)
-    sg = gaps[first]
-    runs = np.cumsum(np.append(False, sg[1:] != sg[:-1]))
+    if n == 0:
+        return 0.0
 
     # Gap c, for 0 < c < n, lies between merged intervals c - 1 and c,
     # and right[c] is the end of interval c - 1; c = 0 and c = n stand for
@@ -632,7 +649,7 @@ def interval_content(intervals, s):
     # cost of the block whose first interval is i; the block left of gap c
     # starts at head[c], the one right of it ends left of gap tail[c].
     rank = np.full(n + 1, n)
-    rank[1 + first[np.argsort(runs * n - first)]] = np.arange(n - 1)
+    rank[1 + _gap_order(starts[1:] - ends[:-1])] = np.arange(n - 1)
     right = np.append(np.nan, ends)
     cost = np.power((ends - starts).astype(object), s).astype(float)
     head = np.append(0, np.arange(n))
