@@ -526,6 +526,7 @@ class TestMul2:
                 assert mul2(x[:, None], right[None], out=out) is out
                 want = np.einsum("ipq,wqr->iwpr", x, y)
             assert_same_bits(level, want.reshape(-1, 2, 2))
+        # the last case sums two -0.0 products
         assert math.copysign(1.0, level[0, 0, 0]) == 1.0
 
     @pytest.mark.parametrize("name", FIXTURES)

@@ -12,8 +12,9 @@ from affinedim.projective import ProjPoint, complement, \
     find_invariant_multicone
 from affinedim.roots import RTOL, brentq
 from affinedim.thermo import _cylinder_directions, _log_sum_fn, \
-    _pressure_fn, affinity_dimension, equilibrium_state, gibbs_spread_by_depth, \
-    is_similarity, kaenmaki_weights, pressure, transfer_matrix
+    _pressure_fn, affinity_dimension, equilibrium_state, \
+    gibbs_spread_by_depth, is_similarity, kaenmaki_weights, pressure, \
+    transfer_matrix
 
 from conftest import load_fixture, svd_svf
 
