@@ -22,6 +22,9 @@ from .errors import BudgetExceeded, IndexOutOfRange
 from .estimators import PointCloud
 
 _DET_EPS = 1e-14
+# most words in one block of `Ifs.level_blocks` (more only for level-1
+# blocks of a family with more maps than this)
+LEVEL_BLOCK = 2 ** 14
 
 
 def batch_singular_values(mats, det=None):
@@ -89,15 +92,20 @@ def word_products(lins, n):
     buffer, so every entry that `mul2` writes and `batch_singular_values`
     reads is one contiguous row.  The values are those of a C-ordered
     stack; a stacked @ rounds differently on this layout, so copy it with
-    np.ascontiguousarray before one."""
+    np.ascontiguousarray before one.  A level of at most LEVEL_BLOCK words
+    is the one block of `Ifs.level_blocks`."""
     prods = np.eye(2)[None]
     for _ in range(n):
-        size = len(lins) * len(prods)
-        level = np.empty((2, 2, size)).transpose(2, 0, 1)
+        level = _entry_major(len(lins) * len(prods))
         mul2(lins[:, None], prods[None],
              out=level.reshape(len(lins), len(prods), 2, 2))
         prods = level
     return prods
+
+
+def _entry_major(size):
+    """An empty (size, 2, 2) stack whose four entries are contiguous rows."""
+    return np.empty((2, 2, size)).transpose(2, 0, 1)
 
 
 def derived(fn):
@@ -223,35 +231,87 @@ class Ifs:
 
     # -- level products -----------------------------------------------------
 
-    @derived
-    def level_products(self, n):
-        """All products A_w for |w| = n, in the order of word_products."""
+    def _level_size(self, n):
+        """N^n, the words of level n; raises before a level that is
+        negative or over the word cap is allocated."""
         if n < 0:
             raise ValueError("level must be nonnegative")
         cap = word_cap()
         if self.n_maps ** n > cap:
             raise BudgetExceeded(cap, self.n_maps ** n)
+        return self.n_maps ** n
+
+    @derived
+    def level_products(self, n):
+        """All products A_w for |w| = n, in the order of word_products."""
+        self._level_size(n)
         return word_products(self.lins, n)
+
+    def level_blocks(self, n):
+        """Level n in contiguous blocks: yields (start, prods, dets), where
+        prods is level_products(n)[start:start + len(prods)] bit for bit
+        and dets their determinants, carried as det A_iw = det A_i *
+        det A_w since a*d - b*c cancels on long words.
+
+        The walk extends the suffix level_products(m), the deepest level of
+        at most LEVEL_BLOCK words (level 1 when there are more maps), by
+        one letter per depth, depth first, and keeps one block per depth.
+        The first letter of the word changes fastest, so most steps
+        rebuild the top block alone.  Blocks come in that order, not in
+        word order, and each is overwritten by the next.  With n <= m the
+        one block is level_products(n) itself."""
+        self._level_size(n)
+        m = n
+        while self.n_maps ** m > LEVEL_BLOCK and m > 1:
+            m -= 1
+        a, b, c, d = self.lins.reshape(-1, 4).T
+        letter_dets = a * d - b * c
+        dets = np.ones(1)
+        for _ in range(m):
+            dets = np.multiply.outer(letter_dets, dets).reshape(-1)
+        size = len(dets)
+        blocks = [(self.level_products(m), dets)] + [
+            (_entry_major(size), np.empty(size)) for _ in range(n - m)]
+        # letters[j] is applied at depth j + 1, so it is letter n - m - j
+        # of the word; blocks[j + 1] is rebuilt when letters[j] changes
+        letters = [0] * (n - m)
+        depth = 0
+        while True:
+            for j in range(depth, n - m):
+                prods, dets = blocks[j + 1]
+                mul2(self.lins[letters[j]], blocks[j][0], out=prods)
+                np.multiply(letter_dets[letters[j]], blocks[j][1], out=dets)
+            yield (sum(i * self.n_maps ** (m + j)
+                       for j, i in enumerate(letters)), *blocks[-1])
+            depth = next((j for j in reversed(range(n - m))
+                          if letters[j] < self.n_maps - 1), None)
+            if depth is None:
+                return
+            letters[depth:] = [letters[depth] + 1] + [0] * (n - m - depth - 1)
+
+    def _level_pair(self, n, pair):
+        """Two arrays of level n's size holding pair(prods, dets) of each
+        block of level_blocks(n); no more of the level's products is held
+        than its blocks."""
+        out = np.empty((2, self._level_size(n)))
+        for start, prods, dets in self.level_blocks(n):
+            out[:, start:start + len(prods)] = pair(prods, dets)
+        return out[0], out[1]
 
     @derived
     def level_singular_values(self, n):
-        """(alpha1, alpha2) of level_products(n).  The determinants are
-        carried beside the level as det A_iw = det A_i * det A_w, since
-        a*d - b*c cancels on long words."""
-        mats = self.level_products(n)
-        a, b, c, d = self.lins.reshape(-1, 4).T
-        dets = a * d - b * c
-        # level k + 1 overwrites level k, held in det[:size], in place, so
-        # the determinants add one array of the level's size to the peak:
-        # block i is dets[i] * det[:size], filled from the last letter down
-        det = np.ones(len(mats))
-        size = 1
-        for _ in range(n):
-            for i in reversed(range(self.n_maps)):
-                np.multiply(dets[i], det[:size],
-                            out=det[i * size:(i + 1) * size])
-            size *= self.n_maps
-        return batch_singular_values(mats, det)
+        """(alpha1, alpha2) of level_products(n), block by block, from the
+        determinants that level_blocks carries."""
+        return self._level_pair(n, batch_singular_values)
+
+    @derived
+    def level_log_singular_values(self, n):
+        """(log alpha1, log alpha2) of level n, equal to np.log of
+        level_singular_values(n) bit for bit and reduced block by block,
+        so neither the level's products nor its singular values are held
+        whole."""
+        return self._level_pair(n, lambda prods, dets: np.log(
+            batch_singular_values(prods, dets)))
 
     def word_from_flat(self, flat, n):
         """Word of length n from its lexicographic index in level_products."""

@@ -13,7 +13,7 @@ import numpy as np
 
 from .config import word_cap
 from .errors import BudgetExceeded, DegenerateRange, NotConverged, NotDominated
-from .ifs import batch_singular_values, derived, log_svf, word_products
+from .ifs import derived, log_svf, word_products
 from .projective import ProjPoint, complement, find_invariant_multicone
 from .roots import brentq
 
@@ -37,9 +37,9 @@ def pressure(ifs, s, n):
 
 
 def _pressure_fn(ifs, n):
-    """p(s), the level-n pressure."""
-    a1, a2 = ifs.level_singular_values(n)
-    return _log_sum_fn(np.log(a1), np.log(a2), n)
+    """p(s), the level-n pressure, over the log singular values that the
+    memo keeps for level n; the level's products are never held whole."""
+    return _log_sum_fn(*ifs.level_log_singular_values(n), n)
 
 
 def _log_sum_fn(la1, la2, n):
@@ -56,10 +56,15 @@ def _log_sum_fn(la1, la2, n):
 
 
 def is_similarity(ifs):
-    """True when every linear part has alpha2 within 1e-12 of alpha1 in
-    relative terms, a scaled rotation or reflection to that precision."""
-    a1, a2 = batch_singular_values(ifs.lins)
-    return ((a1 - a2) / a1).max() < 1e-12
+    """True when every linear part is a scaled rotation [[a, -b], [b, a]]
+    or reflection [[a, b], [b, -a]] to within 1e-12 of its Frobenius norm,
+    read from the entries: alpha1 - alpha2 from batch_singular_values
+    cancels to rounding noise on such a map."""
+    a, b, c, d = ifs.lins.reshape(-1, 4).T
+    tol = 1e-12 * np.sqrt(a * a + b * b + c * c + d * d)
+    rotation = (np.abs(a - d) < tol) & (np.abs(b + c) < tol)
+    reflection = (np.abs(a + d) < tol) & (np.abs(b - c) < tol)
+    return bool((rotation | reflection).all())
 
 
 def affinity_dimension(ifs, tol=1e-10, budget=200_000):
@@ -257,8 +262,7 @@ def kaenmaki_weights(ifs, depth, s):
     state = equilibrium_state(ifs, s, m=depth)
     w = state.h * state.nu
     w = w / w.sum()
-    a1, a2 = ifs.level_singular_values(depth)
-    lr = np.log(w) - log_svf(np.log(a1), np.log(a2), s)
+    lr = np.log(w) - log_svf(*ifs.level_log_singular_values(depth), s)
     return GibbsWeights(depth, w, s, float(np.exp(lr.max() - lr.min())))
 
 

@@ -8,8 +8,9 @@ import pytest
 
 from affinedim.errors import BudgetExceeded, IndexOutOfRange
 from affinedim.geometry import _proj_stopping, projected_diameter_bound
-from affinedim.ifs import Ifs, Word, _cloud_diameter, batch_singular_values, \
-    derived, hull_vertices, log_svf, mul2, word_products
+from affinedim.ifs import LEVEL_BLOCK, Ifs, Word, _cloud_diameter, \
+    batch_singular_values, derived, hull_vertices, log_svf, mul2, \
+    word_products
 from affinedim.projective import ProjPoint, strictly_affine
 from affinedim.thermo import affinity_dimension
 
@@ -256,10 +257,95 @@ class TestLevelProducts:
         kept = [part for value in ifs._cache.values()
                 for part in (value if isinstance(value, (list, tuple))
                              else [value])]
-        levels = sorted(len(part).bit_length() - 1 for part in kept
-                        if isinstance(part, np.ndarray)
-                        and part.shape[1:] == (2, 2))
-        assert levels == [8, 16]
+        stacks = [part for part in kept if isinstance(part, np.ndarray)
+                  and part.shape[1:] == (2, 2)]
+        assert max(len(part) for part in stacks) <= LEVEL_BLOCK
+        # n_lo = 8, and the suffix level 14 that level 16 is walked from
+        levels = sorted(len(part).bit_length() - 1 for part in stacks)
+        assert levels == [8, 14]
+
+
+def det_level(lins, n):
+    """Determinants of level n by det A_iw = det A_i * det A_w."""
+    a, b, c, d = lins.reshape(-1, 4).T
+    dets = np.ones(1)
+    for _ in range(n):
+        dets = np.multiply.outer(a * d - b * c, dets).reshape(-1)
+    return dets
+
+
+def random_contractions(g, size):
+    """size Gaussian maps scaled to norm 0.9 / size ** 0.5, the first with
+    det < 0."""
+    lins = g.normal(size=(size, 2, 2))
+    if np.linalg.det(lins[0]) > 0.0:
+        lins[0, :, 1] *= -1.0
+    lins *= 0.9 / size ** 0.5 / np.linalg.norm(lins, 2, axis=(1, 2))[:, None,
+                                                                      None]
+    return Ifs(lins, g.uniform(-1.0, 1.0, size=(size, 2)))
+
+
+class TestLevelBlocks:
+    # block exponents: 2^14, 3^8, 5^6 and 28^2 words
+    @pytest.mark.parametrize("size,suffix", [(2, 14), (3, 8), (5, 6),
+                                             (28, 2)])
+    def test_blocks_match_the_whole_level(self, size, suffix):
+        g = rng(size)
+        for _ in range(2):
+            ifs = random_contractions(g, size)
+            assert np.linalg.det(ifs.lins[0]) < 0.0
+            for n in (suffix - 1, suffix, suffix + 2):
+                prods = word_products(ifs.lins, n)
+                dets = det_level(ifs.lins, n)
+                seen = np.zeros(len(prods), dtype=int)
+                for start, block, block_dets in ifs.level_blocks(n):
+                    span = slice(start, start + len(block))
+                    assert len(block) == size ** min(n, suffix)
+                    assert_same_bits(block, prods[span])
+                    assert_same_bits(block_dets, dets[span])
+                    seen[span] += 1
+                assert (seen == 1).all()
+                want = batch_singular_values(prods, dets)
+                for got, logs, alpha in zip(ifs.level_singular_values(n),
+                                            ifs.level_log_singular_values(n),
+                                            want):
+                    assert_same_bits(got, alpha)
+                    assert_same_bits(logs, np.log(alpha))
+
+    def test_more_maps_than_a_block_walk_level_one(self):
+        ifs = random_contractions(rng(7), LEVEL_BLOCK + 1)
+        prods = word_products(ifs.lins, 1)
+        blocks = list(ifs.level_blocks(1))
+        assert len(blocks) == 1 and blocks[0][0] == 0
+        assert_same_bits(blocks[0][1], prods)
+        assert_same_bits(blocks[0][2], det_level(ifs.lins, 1))
+
+    def test_budget_raises_before_allocating(self, cone_ifs, monkeypatch):
+        ifs = Ifs.from_json(cone_ifs.to_json())
+        monkeypatch.setenv("AFFINEDIM_WORD_CAP", str(3 ** 12 - 1))
+        for walk in (lambda: next(ifs.level_blocks(12)),
+                     lambda: ifs.level_log_singular_values(12),
+                     lambda: ifs.level_singular_values(12)):
+            tracemalloc.start()
+            try:
+                with pytest.raises(BudgetExceeded):
+                    walk()
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 64 * 2 ** 10
+        assert not ifs._cache
+
+    def test_affinity_dimension_holds_no_level(self, positive_pair):
+        # the 2^21 logs, the pressure's buffer of their size, and 8 MiB
+        ifs = Ifs.from_json(positive_pair.to_json())
+        tracemalloc.start()
+        try:
+            affinity_dimension(ifs, budget=4_000_000)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3 * 8 * 2 ** 21 + 8 * 2 ** 20
 
 
 class TestDerived:

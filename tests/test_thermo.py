@@ -1,3 +1,4 @@
+import itertools
 import math
 from types import SimpleNamespace
 import warnings
@@ -115,11 +116,59 @@ class TestPressureClosure:
         a1 = g.uniform(0.1, 1.0, size=1000)
         a2 = a1 * g.uniform(0.0, 1.0, size=1000)
         a2[::7] = 0.0
-        ifs = SimpleNamespace(level_singular_values=lambda n: (a1, a2))
         with np.errstate(divide="ignore"):
-            p = _pressure_fn(ifs, 9)
+            p = _log_sum_fn(np.log(a1), np.log(a2), 9)
             for s in self.ORDER:
                 assert p(s) == unbuffered_pressure(a1, a2, 9, s)
+
+
+def scaled_rotations(g, size):
+    """size maps r R(theta), theta uniform in [0, 2 pi) and r in
+    [0.15, 0.6]."""
+    theta, r = g.uniform(0.0, 2.0 * math.pi, size), g.uniform(0.15, 0.6, size)
+    c, s = r * np.cos(theta), r * np.sin(theta)
+    return np.stack([np.stack([c, -s], -1), np.stack([s, c], -1)], 1)
+
+
+class TestIsSimilarity:
+    def test_every_scaled_rotation_and_reflection(self):
+        # alpha1 - alpha2 from batch_singular_values is rounding noise
+        # here, and failed a 1e-12 relative bound on 73 of these rotations
+        lins = scaled_rotations(np.random.default_rng(1), 1000)
+        reflections = lins * np.array([1.0, -1.0])
+        for lin in np.concatenate([lins, reflections]):
+            assert is_similarity(SimpleNamespace(lins=lin[None]))
+
+    def test_a_small_shear_is_not_a_similarity(self):
+        lins = scaled_rotations(np.random.default_rng(2), 200)
+        for lin, reflect in itertools.product(lins, (1.0, -1.0)):
+            lin = lin * np.array([1.0, reflect])
+            shear = lin @ np.array([[1.0, 1e-9], [0.0, 1.0]])
+            assert is_similarity(SimpleNamespace(lins=lin[None]))
+            assert not is_similarity(SimpleNamespace(lins=shear[None]))
+
+    @pytest.mark.parametrize("name,similar", [
+        ("sim3", True), ("cantor2", True), ("square4", True),
+        ("positive_pair", False), ("cone_ifs", False),
+        ("overlap_ifs", False), ("carpet_ifs", False)])
+    def test_fixtures(self, request, name, similar):
+        assert is_similarity(request.getfixturevalue(name)) is similar
+
+    def test_rotation_families_get_the_level_one_bracket(self):
+        g = np.random.default_rng(3)
+        tol = 1e-10
+        for _ in range(10):
+            size = g.integers(2, 6)
+            lins = scaled_rotations(g, size)
+            lins[::2, :, 1] *= -1.0
+            ifs = Ifs(lins, g.uniform(-1.0, 1.0, size=(size, 2)))
+            ratios = np.hypot(lins[:, 0, 0], lins[:, 1, 0])
+            root = brentq(lambda s: math.log((ratios ** s).sum()), 0.0, 4.0,
+                          xtol=1e-14)
+            s, (lo, hi) = affinity_dimension(ifs, budget=10)
+            slack = 2.0 * (tol + RTOL * hi)
+            assert lo - slack <= root <= hi + slack
+            assert lo <= s <= hi and hi - lo <= 1e-7
 
 
 class TestAffinityDimension:
