@@ -275,13 +275,13 @@ def det_level(lins, n):
 
 
 def random_contractions(g, size):
-    """size Gaussian maps scaled to norm 0.9 / size ** 0.5, the first with
+    """size Gaussian maps scaled to norms in [0.15, 0.6], the first with
     det < 0."""
     lins = g.normal(size=(size, 2, 2))
     if np.linalg.det(lins[0]) > 0.0:
         lins[0, :, 1] *= -1.0
-    lins *= 0.9 / size ** 0.5 / np.linalg.norm(lins, 2, axis=(1, 2))[:, None,
-                                                                      None]
+    norms = np.linalg.norm(lins, 2, axis=(1, 2))
+    lins *= (g.uniform(0.15, 0.6, size) / norms)[:, None, None]
     return Ifs(lins, g.uniform(-1.0, 1.0, size=(size, 2)))
 
 
