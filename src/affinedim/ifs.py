@@ -84,6 +84,13 @@ def mul2(left, right, out=None):
     return out
 
 
+def center_step(lins, vs, pts):
+    """Centres p_iw = A_i p_w + v_i of the cylinders phi_iw(B) from the
+    centres p_w of the cylinders phi_w(B), over broadcast stacks: lins of
+    shape (..., 2, 2), vs and pts of shape (..., 2)."""
+    return mul2(lins, pts[..., None])[..., 0] + vs
+
+
 def word_products(lins, n):
     """The (N^n, 2, 2) products A_w of all words of length n over the
     stack lins, in lexicographic word order (first letter most significant).
@@ -247,40 +254,33 @@ class Ifs:
         self._level_size(n)
         return word_products(self.lins, n)
 
-    def level_blocks(self, n):
-        """Level n in contiguous blocks: yields (start, prods, dets), where
-        prods is level_products(n)[start:start + len(prods)] bit for bit
-        and dets their determinants, carried as det A_iw = det A_i *
-        det A_w since a*d - b*c cancels on long words.
+    def _level_walk(self, n, suffix, steps):
+        """Level n in contiguous blocks of arrays over its words: yields
+        (start, *arrays), each array holding its values on the words start
+        to start + len - 1 in the order of level_products(n).
 
-        The walk extends the suffix level_products(m), the deepest level of
-        at most LEVEL_BLOCK words (level 1 when there are more maps), by
-        one letter per depth, depth first, and keeps one block per depth.
-        The first letter of the word changes fastest, so most steps
-        rebuild the top block alone.  Blocks come in that order, not in
-        word order, and each is overwritten by the next.  With n <= m the
-        one block is level_products(n) itself."""
+        suffix(m) gives the arrays over the words of level m, the deepest
+        level of at most LEVEL_BLOCK words (level 1 when there are more
+        maps), and steps[k](i, x, out) writes into out the values of array
+        k on the words i w from its values x on the words w.  The walk
+        extends level m by one letter per depth, depth first, and keeps
+        one block per depth.  The first letter of the word changes
+        fastest, so most steps rebuild the top block alone.  Blocks come
+        in that order, not in word order, and each is overwritten by the
+        next.  With n <= m the one block is suffix(n) itself."""
         self._level_size(n)
-        m = n
-        while self.n_maps ** m > LEVEL_BLOCK and m > 1:
-            m -= 1
-        a, b, c, d = self.lins.reshape(-1, 4).T
-        letter_dets = a * d - b * c
-        dets = np.ones(1)
-        for _ in range(m):
-            dets = np.multiply.outer(letter_dets, dets).reshape(-1)
-        size = len(dets)
-        blocks = [(self.level_products(m), dets)] + [
-            (_entry_major(size), np.empty(size)) for _ in range(n - m)]
+        m = self._suffix_level(n)
+        blocks = [suffix(m)]
+        blocks += [[np.empty_like(x) for x in blocks[0]]
+                   for _ in range(n - m)]
         # letters[j] is applied at depth j + 1, so it is letter n - m - j
         # of the word; blocks[j + 1] is rebuilt when letters[j] changes
         letters = [0] * (n - m)
         depth = 0
         while True:
             for j in range(depth, n - m):
-                prods, dets = blocks[j + 1]
-                mul2(self.lins[letters[j]], blocks[j][0], out=prods)
-                np.multiply(letter_dets[letters[j]], blocks[j][1], out=dets)
+                for step, x, out in zip(steps, blocks[j], blocks[j + 1]):
+                    step(letters[j], x, out)
             yield (sum(i * self.n_maps ** (m + j)
                        for j, i in enumerate(letters)), *blocks[-1])
             depth = next((j for j in reversed(range(n - m))
@@ -288,6 +288,38 @@ class Ifs:
             if depth is None:
                 return
             letters[depth:] = [letters[depth] + 1] + [0] * (n - m - depth - 1)
+
+    def _suffix_level(self, n):
+        """The level that `_level_walk` extends to level n: the deepest
+        level m <= n of at most LEVEL_BLOCK words, or level 1."""
+        m = n
+        while self.n_maps ** m > LEVEL_BLOCK and m > 1:
+            m -= 1
+        return m
+
+    def _product_step(self, i, prods, out):
+        """Products A_iw from the products A_w, as `_level_walk` steps."""
+        mul2(self.lins[i], prods, out=out)
+
+    def level_blocks(self, n):
+        """Level n in contiguous blocks of `_level_walk`: yields (start,
+        prods, dets), where prods is level_products(n)[start:start +
+        len(prods)] bit for bit and dets their determinants, carried as
+        det A_iw = det A_i * det A_w since a*d - b*c cancels on long
+        words."""
+        a, b, c, d = self.lins.reshape(-1, 4).T
+        letter_dets = a * d - b * c
+
+        def suffix(m):
+            dets = np.ones(1)
+            for _ in range(m):
+                dets = np.multiply.outer(letter_dets, dets).reshape(-1)
+            return self.level_products(m), dets
+
+        def det_step(i, dets, out):
+            np.multiply(letter_dets[i], dets, out=out)
+
+        yield from self._level_walk(n, suffix, (self._product_step, det_step))
 
     def _level_pair(self, n, pair):
         """Two arrays of level n's size holding pair(prods, dets) of each
@@ -327,15 +359,32 @@ class Ifs:
     def diam_bounds(self, depth=8):
         """Certified (lower, upper) bounds for diam(X) from a cylinder-center
         cloud: cloud diameter -/+ twice the largest error radius."""
-        depth = self._fit_depth(depth)
-        d = _cloud_diameter(self._hull(depth))
-        e = 2.0 * self._cylinder_centers(depth)[1].max()
+        hull, radius = self._hull(self._fit_depth(depth))
+        d = _cloud_diameter(hull)
+        e = 2.0 * radius
         return max(d - e, 0.0), d + e
 
     @derived
     def _hull(self, depth):
-        """`hull_vertices` of the depth-n cylinder centres."""
-        return hull_vertices(self._cylinder_centers(depth)[0])
+        """(`hull_vertices`, largest error radius) of the depth-n cylinder
+        centres of `_cylinder_centers`, from the blocks of one
+        `_level_walk`: the hull of a union is the hull of its parts' hull
+        vertices, and max(alpha1) * r is max(alpha1 * r) since rounding is
+        monotone.  alpha1 is read from the products alone, as
+        `_cylinder_centers` reads it, and no more of the level than its
+        blocks is held."""
+        def suffix(m):
+            return self.level_products(m), self._cylinder_centers(m)[0]
+
+        def step(i, pts, out):
+            out[...] = center_step(self.lins[i], self.vs[i], pts)
+
+        hulls, a1 = [], 0.0
+        for _, prods, pts in self._level_walk(
+                depth, suffix, (self._product_step, step)):
+            hulls.append(hull_vertices(pts))
+            a1 = max(a1, batch_singular_values(prods)[0].max())
+        return hull_vertices(np.concatenate(hulls)), a1 * self.ball_radius
 
     @property
     def diam_upper(self):
@@ -359,8 +408,8 @@ class Ifs:
             # prepend a letter: phi_i applied after phi_w requires
             # building from the left; p_{iw} = A_i p_w + v_i keeps
             # lexicographic order
-            pts = (mul2(self.lins[:, None], pts[None, :, :, None])[..., 0]
-                   + self.vs[:, None, :]).reshape(-1, 2)
+            pts = center_step(self.lins[:, None], self.vs[:, None],
+                              pts[None]).reshape(-1, 2)
         return pts, batch_singular_values(mats)[0] * self.ball_radius
 
     # -- cylinder frontier --------------------------------------------------

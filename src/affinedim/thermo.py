@@ -44,14 +44,19 @@ def _pressure_fn(ifs, n):
 
 def _log_sum_fn(la1, la2, n):
     """p(s) = (1/n) log sum of phi^s over the words with log singular
-    values la1 and la2; every call reuses one buffer of their size."""
+    values la1 and la2; every call reuses one buffer of their size, and
+    each s is summed once: the root solvers ask again for the ends of
+    their bracket."""
     buf = np.empty_like(la1)
+    seen = {}
 
     def p(s):
-        logs = log_svf(la1, la2, s, out=buf)
-        m = logs.max()
-        logs -= m
-        return (m + math.log(np.exp(logs, out=logs).sum())) / n
+        if s not in seen:
+            logs = log_svf(la1, la2, s, out=buf)
+            m = logs.max()
+            logs -= m
+            seen[s] = (m + math.log(np.exp(logs, out=logs).sum())) / n
+        return seen[s]
     return p
 
 

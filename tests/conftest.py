@@ -24,6 +24,13 @@ def svd_svf(m, s):
     return (a1 * a2) ** (0.5 * s)
 
 
+def kept_arrays(ifs):
+    """The arrays that the memo keeps on ifs, alone or in a tuple."""
+    return [part for value in ifs._cache.values()
+            for part in (value if isinstance(value, tuple) else [value])
+            if isinstance(part, np.ndarray)]
+
+
 def load_fixture(name):
     with open(os.path.join(FIXTURE_DIR, name)) as fh:
         data = json.load(fh)

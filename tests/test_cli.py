@@ -8,13 +8,13 @@ import warnings
 
 import pytest
 
-from affinedim import estimators, projective
+from affinedim import cli, estimators, projective
 from affinedim.cli import ERROR_EXITS, EXIT_CONDITION, EXIT_INPUT, EXIT_OK, \
     InputError, fixture_path, load_input, main
 from affinedim.errors import AffinedimError
-from affinedim.ifs import Ifs
+from affinedim.ifs import LEVEL_BLOCK, Ifs
 
-from conftest import FIXTURE_DIR
+from conftest import FIXTURE_DIR, kept_arrays
 
 SRC = os.path.join(os.path.dirname(__file__), os.pardir, "src")
 
@@ -289,6 +289,20 @@ class TestDerivedOnce:
         main(["dims", "--input", fx("positive_pair.json"),
               "--out", str(tmp_path / "dims.json")])
         assert len(calls) == 32 * 4
+
+    def test_check_carpet_keeps_no_level(self, tmp_path, monkeypatch):
+        # the diameter's depth-8 level of 5^8 words is walked in blocks
+        loaded = []
+
+        def spy(path):
+            loaded.append(load_input(path))
+            return loaded[-1]
+
+        monkeypatch.setattr(cli, "load_input", spy)
+        main(["check", "--input", fx("carpet.json"),
+              "--out", str(tmp_path / "check.json")])
+        ifs = loaded[0][0]
+        assert max(len(part) for part in kept_arrays(ifs)) <= LEVEL_BLOCK
 
 
 class TestCommands:

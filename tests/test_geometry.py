@@ -419,6 +419,23 @@ def full_cloud_widths(pts, thetas):
 
 
 class TestDiameterTable:
+    def test_table_reads_cylinder_centers_after_a_memo_hit(self, carpet_ifs,
+                                                           monkeypatch):
+        # perfbench's tracer sizes the table from the first
+        # _cylinder_centers call under it, also when the hull is kept
+        ifs = Ifs.from_json(carpet_ifs.to_json())
+        ifs.diam_bounds()
+        calls = []
+        centers = Ifs._cylinder_centers
+
+        def spy(self, depth):
+            calls.append(depth)
+            return centers(self, depth)
+
+        monkeypatch.setattr(Ifs, "_cylinder_centers", spy)
+        DiameterTable(ifs)
+        assert calls == [6]
+
     @pytest.mark.parametrize("name", FIXTURES)
     def test_hull_widths_match_the_full_cloud(self, name, request):
         # Qhull's vertex set fails this at sim3 depth 5: it drops an

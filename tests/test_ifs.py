@@ -7,14 +7,15 @@ import numpy as np
 import pytest
 
 from affinedim.errors import BudgetExceeded, IndexOutOfRange
-from affinedim.geometry import _proj_stopping, projected_diameter_bound
+from affinedim.geometry import DIAM_GRID, DiameterTable, _proj_stopping, \
+    projected_diameter_bound
 from affinedim.ifs import LEVEL_BLOCK, Ifs, Word, _cloud_diameter, \
     batch_singular_values, derived, hull_vertices, log_svf, mul2, \
     word_products
 from affinedim.projective import ProjPoint, strictly_affine
 from affinedim.thermo import affinity_dimension
 
-from conftest import svd_svf
+from conftest import kept_arrays, svd_svf
 
 
 def rng(seed=0):
@@ -254,11 +255,8 @@ class TestLevelProducts:
     def test_only_levels_asked_for_are_kept(self, positive_pair):
         ifs = Ifs.from_json(positive_pair.to_json())
         affinity_dimension(ifs, budget=2 ** 16)
-        kept = [part for value in ifs._cache.values()
-                for part in (value if isinstance(value, (list, tuple))
-                             else [value])]
-        stacks = [part for part in kept if isinstance(part, np.ndarray)
-                  and part.shape[1:] == (2, 2)]
+        stacks = [part for part in kept_arrays(ifs)
+                  if part.shape[1:] == (2, 2)]
         assert max(len(part) for part in stacks) <= LEVEL_BLOCK
         # n_lo = 8, and the suffix level 14 that level 16 is walked from
         levels = sorted(len(part).bit_length() - 1 for part in stacks)
@@ -521,6 +519,47 @@ class TestFlatClouds:
         assert d == exact
         # a pairwise difference array would take 2000^2 * 16 B = 64 MB
         assert peak < 1_000_000
+
+
+class TestStreamedHull:
+    # (family, depth): carpet and square4 walk levels 6 and 7, the
+    # 3-map family (det < 0 on map 1) level 8, the 28-map family level
+    # 2, and the collinear family, whose hull edges carry exact ties,
+    # level 8
+    @pytest.mark.parametrize("family,depth", [
+        (lambda request: request.getfixturevalue("carpet_ifs"), 8),
+        (lambda request: request.getfixturevalue("square4"), 8),
+        (lambda request: random_contractions(rng(3), 3), 10),
+        (lambda request: random_contractions(rng(28), 28), 3),
+        (lambda request: collinear_ifs(3), 10),
+    ], ids=["carpet", "square4", "three_maps", "28_maps", "collinear"])
+    def test_diameters_match_the_whole_level(self, request, family, depth):
+        whole = family(request)
+        assert whole.n_maps ** depth > LEVEL_BLOCK
+        pts, errs = whole._cylinder_centers(depth)
+        hull, e = hull_vertices(pts), 2.0 * errs.max()
+        d = _cloud_diameter(hull)
+        thetas = np.linspace(0.0, math.pi, DIAM_GRID, endpoint=False)
+        proj = hull @ np.stack([np.cos(thetas), np.sin(thetas)])
+
+        ifs = Ifs.from_json(whole.to_json())
+        assert ifs.diam_bounds(depth=depth) == (max(d - e, 0.0), d + e)
+        table = DiameterTable(ifs, depth=depth)
+        assert table.err == float(e)
+        assert np.array_equal(table.widths,
+                              proj.max(axis=0) - proj.min(axis=0))
+        assert max(len(part) for part in kept_arrays(ifs)) <= LEVEL_BLOCK
+
+    def test_carpet_diameter_holds_no_level(self, carpet_ifs):
+        # the whole depth-8 level, its centres and radii are 43 MiB
+        ifs = Ifs.from_json(carpet_ifs.to_json())
+        tracemalloc.start()
+        try:
+            ifs.diam_bounds()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2 ** 20
 
 
 FIXTURES = ["sim3", "cantor2", "square4", "positive_pair", "cone_ifs",

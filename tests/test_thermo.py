@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from scipy.sparse import csr_matrix
 
+from affinedim import thermo
 from affinedim.errors import NotDominated
 from affinedim.ifs import Ifs
 from affinedim.projective import ProjPoint, complement, \
@@ -128,6 +129,30 @@ def scaled_rotations(g, size):
     theta, r = g.uniform(0.0, 2.0 * math.pi, size), g.uniform(0.15, 0.6, size)
     c, s = r * np.cos(theta), r * np.sin(theta)
     return np.stack([np.stack([c, -s], -1), np.stack([s, c], -1)], 1)
+
+
+class TestPressureOnce:
+    @pytest.mark.parametrize("name,budget", [("positive_pair", 2 ** 16),
+                                             ("cone_ifs", 200_000),
+                                             ("sim3", 200_000)])
+    def test_each_level_summed_once_at_each_s(self, request, monkeypatch,
+                                              name, budget):
+        # the root solvers ask again for the ends of their bracket, and
+        # the extrapolation for the values of both levels; a sum is
+        # known by its arrays, as the similarity bracket sums two of
+        # level 1
+        ifs = Ifs.from_json(request.getfixturevalue(name).to_json())
+        want = affinity_dimension(ifs, budget=budget)
+        calls = []
+        svf = thermo.log_svf
+
+        def spy(la1, la2, s, out=None):
+            calls.append((id(la1), id(la2), s))
+            return svf(la1, la2, s, out=out)
+
+        monkeypatch.setattr(thermo, "log_svf", spy)
+        assert affinity_dimension(ifs, budget=budget) == want
+        assert len(calls) == len(set(calls)) > 0
 
 
 class TestIsSimilarity:
