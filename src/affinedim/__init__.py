@@ -14,7 +14,7 @@ from .geometry import ContentEstimate, PoscReport, SscReport, TangentCloud, \
     interval_content, posc_check, projected_gap, sigma_count, slice_points, \
     slice_root, slice_upper_bound, ssc_check, tangent_dimension_scan, \
     transversality_derivative, transversality_tail_bound, weak_tangent
-from .ifs import Ifs, Word, batch_singular_values, log_svf
+from .ifs import Ifs, batch_singular_values, log_svf, word_label
 from .projective import DirectionsApprox, IrreducibilityClass, Multicone, \
     ProjPoint, classify_irreducibility, find_invariant_multicone, \
     furstenberg_directions, is_dominated, strictly_affine

@@ -16,16 +16,17 @@ import sys
 import numpy as np
 
 from . import carpets
+from .config import word_cap
 from .errors import AffinedimError, BudgetExceeded, DegenerateRange, \
-    HypothesisViolated, Inconclusive, IndexOutOfRange, NotConverged, \
-    NotDominated, NotSeparated, PlacementFailed
+    HypothesisViolated, Inconclusive, IndexOutOfRange, InputError, \
+    NotConverged, NotDominated, NotSeparated, PlacementFailed
 from .estimators import assouad_two_scale, box_dim, lowest_exponent, \
     lower_two_scale, two_scale_exponents
 from .geometry import content_consistency, hausdorff_content_projection, \
     posc_check, projected_gap, slice_points, slice_upper_bound, ssc_check, \
     tangent_dimension_scan, transversality_derivative, \
     transversality_tail_bound
-from .ifs import Ifs, batch_singular_values, mul2
+from .ifs import Ifs, batch_singular_values, mul2, word_label
 from .projective import PI, ProjPoint, classify_irreducibility, \
     furstenberg_directions, is_dominated, strictly_affine
 from .thermo import _cylinder_directions, affinity_dimension, \
@@ -50,10 +51,6 @@ ERROR_EXITS = {
 }
 
 FIXTURE_DIR = os.path.join(os.path.dirname(__file__), "fixtures")
-
-
-class InputError(Exception):
-    pass
 
 
 class _Parser(argparse.ArgumentParser):
@@ -178,8 +175,8 @@ def cmd_check(args):
                                     "diagnostic": str(e)}
 
     found, witness = strictly_affine(ifs)
-    report["strictly_affine"] = {"found": found,
-                                 "witness": str(witness) if witness else None}
+    report["strictly_affine"] = {
+        "found": found, "witness": word_label(witness) if witness else None}
 
     ssc = ssc_check(ifs, depth)
     report["ssc"] = ssc.to_json()
@@ -376,7 +373,7 @@ def _suite_content(ifs, spec, args):
         v = ProjPoint(float(thetas[k]))
         v6 = hausdorff_content_projection(ifs, v, s_star, 6).value
         v10 = hausdorff_content_projection(ifs, v, s_star, 10).value
-        drops[str(ifs.word_from_flat(int(k), 4))] = 1.0 - v10 / v6
+        drops[word_label(ifs.word_from_flat(int(k), 4))] = 1.0 - v10 / v6
     worst = max(drops.values())
     return _verdict("content", worst >= 0.30,
                     {"s": s_star, "max_drop": worst, "drops": drops})
@@ -541,8 +538,6 @@ def build_parser():
         p.add_argument("--seed", default=0,
                        type=_ranged(int, lambda s: 0 <= s < 2 ** 128,
                                     "must be in [0, 2^128)"))
-        p.add_argument("--threads", type=int, default=1,
-                       help="accepted and ignored")
         p.add_argument("--out", default=None,
                        help="output file or directory (default stdout)")
 
@@ -577,6 +572,8 @@ def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        # a malformed word cap stops the command before any work
+        word_cap()
         return COMMANDS[args.command](args)
     except InputError as e:
         print(f"error: {e}", file=sys.stderr)

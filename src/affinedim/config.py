@@ -8,11 +8,22 @@ at each guard when the enumeration is made.
 
 import os
 
+from .errors import InputError
+
 DEFAULT_WORD_CAP = 5_000_000
 
 
 def word_cap():
+    """The word cap; InputError when the variable is set to anything but
+    a nonnegative integer."""
     env = os.environ.get("AFFINEDIM_WORD_CAP")
-    if env:
-        return int(env)
-    return DEFAULT_WORD_CAP
+    if not env:
+        return DEFAULT_WORD_CAP
+    try:
+        cap = int(env)
+    except ValueError:
+        cap = -1
+    if cap < 0:
+        raise InputError("AFFINEDIM_WORD_CAP must be a nonnegative integer, "
+                         f"got {env!r}")
+    return cap

@@ -5,6 +5,10 @@ class AffinedimError(Exception):
     """Base class for all toolkit errors."""
 
 
+class InputError(Exception):
+    """A malformed input file, argument or word cap setting."""
+
+
 class IndexOutOfRange(AffinedimError):
     """A word letter does not index a map of the system."""
 

@@ -22,8 +22,8 @@ from .errors import BudgetExceeded, IndexOutOfRange
 from .estimators import PointCloud
 
 _DET_EPS = 1e-14
-# most words in one block of `Ifs.level_blocks` (more only for level-1
-# blocks of a family with more maps than this)
+# most words in one block of `Ifs._level_walk` (more only for level 1 of
+# a family with more maps than this)
 LEVEL_BLOCK = 2 ** 14
 
 
@@ -84,35 +84,28 @@ def mul2(left, right, out=None):
     return out
 
 
-def center_step(lins, vs, pts):
-    """Centres p_iw = A_i p_w + v_i of the cylinders phi_iw(B) from the
-    centres p_w of the cylinders phi_w(B), over broadcast stacks: lins of
-    shape (..., 2, 2), vs and pts of shape (..., 2)."""
-    return mul2(lins, pts[..., None])[..., 0] + vs
+def _empty_level(x, size):
+    """An empty array over size words for the values x of a level: a
+    stack of 2x2 matrices is held entry-major, the (size, 2, 2) view of a
+    (2, 2, size) buffer, so every entry that `mul2` writes and
+    `batch_singular_values` reads is one contiguous row; any other array
+    is C-ordered, since `centers @ u` rounds differently on another
+    layout.  The rule reads the shape alone: a one-word x has every
+    layout."""
+    if x.shape[1:] == (2, 2):
+        return np.empty((2, 2, size)).transpose(2, 0, 1)
+    return np.empty((size,) + x.shape[1:])
 
 
-def word_products(lins, n):
-    """The (N^n, 2, 2) products A_w of all words of length n over the
-    stack lins, in lexicographic word order (first letter most significant).
-
-    Each level is held entry-major: the (N^k, 2, 2) view of a (2, 2, N^k)
-    buffer, so every entry that `mul2` writes and `batch_singular_values`
-    reads is one contiguous row.  The values are those of a C-ordered
-    stack; a stacked @ rounds differently on this layout, so copy it with
-    np.ascontiguousarray before one.  A level of at most LEVEL_BLOCK words
-    is the one block of `Ifs.level_blocks`."""
-    prods = np.eye(2)[None]
-    for _ in range(n):
-        level = _entry_major(len(lins) * len(prods))
-        mul2(lins[:, None], prods[None],
-             out=level.reshape(len(lins), len(prods), 2, 2))
-        prods = level
-    return prods
+def product_step(lins):
+    """The `Ifs._level_walk` step of the products over the stack lins:
+    A_iw = A_i A_w from A_w."""
+    return lambda i, prods, out: mul2(lins[i], prods, out=out)
 
 
-def _entry_major(size):
-    """An empty (size, 2, 2) stack whose four entries are contiguous rows."""
-    return np.empty((2, 2, size)).transpose(2, 0, 1)
+def word_label(word):
+    """The letters of a word joined, or "-" for the empty word."""
+    return "".join(map(str, word)) or "-"
 
 
 def derived(fn):
@@ -132,28 +125,6 @@ def derived(fn):
             ifs._cache[key] = value
         return ifs._cache[key]
     return memo
-
-
-@dataclass(frozen=True)
-class Word:
-    """Finite word over the alphabet {1, ..., N}; empty word allowed."""
-
-    indices: tuple = ()
-
-    def __post_init__(self):
-        idx = tuple(int(i) for i in self.indices)
-        if any(i < 1 for i in idx):
-            raise IndexOutOfRange(f"letters must be >= 1, got {idx}")
-        object.__setattr__(self, "indices", idx)
-
-    def __len__(self):
-        return len(self.indices)
-
-    def __iter__(self):
-        return iter(self.indices)
-
-    def __str__(self):
-        return "".join(str(i) for i in self.indices) or "-"
 
 
 class Ifs:
@@ -236,7 +207,7 @@ class Ifs:
             lin, v = lin @ self.lins[letter - 1], lin @ self.vs[letter - 1] + v
         return lin, v
 
-    # -- level products -----------------------------------------------------
+    # -- levels ---------------------------------------------------------------
 
     def _level_size(self, n):
         """N^n, the words of level n; raises before a level that is
@@ -248,92 +219,97 @@ class Ifs:
             raise BudgetExceeded(cap, self.n_maps ** n)
         return self.n_maps ** n
 
-    @derived
-    def level_products(self, n):
-        """All products A_w for |w| = n, in the order of word_products."""
-        self._level_size(n)
-        return word_products(self.lins, n)
-
-    def _level_walk(self, n, suffix, steps):
+    def _level_walk(self, n, roots, steps):
         """Level n in contiguous blocks of arrays over its words: yields
         (start, *arrays), each array holding its values on the words start
-        to start + len - 1 in the order of level_products(n).
+        to start + len - 1 in lexicographic word order (first letter most
+        significant).
 
-        suffix(m) gives the arrays over the words of level m, the deepest
-        level of at most LEVEL_BLOCK words (level 1 when there are more
-        maps), and steps[k](i, x, out) writes into out the values of array
-        k on the words i w from its values x on the words w.  The walk
-        extends level m by one letter per depth, depth first, and keeps
-        one block per depth.  The first letter of the word changes
-        fastest, so most steps rebuild the top block alone.  Blocks come
-        in that order, not in word order, and each is overwritten by the
-        next.  With n <= m the one block is suffix(n) itself."""
-        self._level_size(n)
-        m = self._suffix_level(n)
-        blocks = [suffix(m)]
-        blocks += [[np.empty_like(x) for x in blocks[0]]
-                   for _ in range(n - m)]
-        # letters[j] is applied at depth j + 1, so it is letter n - m - j
-        # of the word; blocks[j + 1] is rebuilt when letters[j] changes
-        letters = [0] * (n - m)
-        depth = 0
-        while True:
-            for j in range(depth, n - m):
-                for step, x, out in zip(steps, blocks[j], blocks[j + 1]):
-                    step(letters[j], x, out)
-            yield (sum(i * self.n_maps ** (m + j)
-                       for j, i in enumerate(letters)), *blocks[-1])
-            depth = next((j for j in reversed(range(n - m))
-                          if letters[j] < self.n_maps - 1), None)
-            if depth is None:
-                return
-            letters[depth:] = [letters[depth] + 1] + [0] * (n - m - depth - 1)
+        roots[k] holds the values of array k on the empty word, and
+        steps[k](i, x, out) writes into out its values on the words i w
+        from its values x on the words w.  A level of at most LEVEL_BLOCK
+        words, or level 1, is one block, built whole from the level below
+        in one broadcast step: i is the (N, 1) column of all letters and
+        out is viewed as (N, len(x), ...).  A deeper level prepends each
+        letter in turn to each block of the level below and holds one
+        block of that size, so the first letter changes fastest: blocks
+        come in that order, not in word order, and each is overwritten by
+        the next."""
+        size = self._level_size(n)
+        if n == 0:
+            yield (0, *roots)
+        elif self._suffix_level(n) == n:
+            _, *below = next(self._level_walk(n - 1, roots, steps))
+            level = [_empty_level(x, size) for x in below]
+            for step, x, out in zip(steps, below, level):
+                step(np.arange(self.n_maps)[:, None], x,
+                     out.reshape(self.n_maps, *x.shape))
+            yield (0, *level)
+        else:
+            block = None
+            for start, *below in self._level_walk(n - 1, roots, steps):
+                block = block or [_empty_level(x, len(x)) for x in below]
+                for i in range(self.n_maps):
+                    for step, x, out in zip(steps, below, block):
+                        step(i, x, out)
+                    yield (i * (size // self.n_maps) + start, *block)
 
     def _suffix_level(self, n):
-        """The level that `_level_walk` extends to level n: the deepest
-        level m <= n of at most LEVEL_BLOCK words, or level 1."""
+        """The deepest level m <= n of at most LEVEL_BLOCK words, or level
+        1: the level whose blocks `_level_walk` extends to level n."""
         m = n
         while self.n_maps ** m > LEVEL_BLOCK and m > 1:
             m -= 1
         return m
 
-    def _product_step(self, i, prods, out):
-        """Products A_iw from the products A_w, as `_level_walk` steps."""
-        mul2(self.lins[i], prods, out=out)
+    def _level(self, n, root, step):
+        """Level n of one array of `_level_walk`, whole: its one block, or
+        its blocks gathered."""
+        size, level = self.n_maps ** n, None
+        for start, block in self._level_walk(n, (root,), (step,)):
+            if len(block) == size:
+                return block
+            if level is None:
+                level = _empty_level(block, size)
+            level[start:start + len(block)] = block
+        return level
 
-    def level_blocks(self, n):
-        """Level n in contiguous blocks of `_level_walk`: yields (start,
-        prods, dets), where prods is level_products(n)[start:start +
-        len(prods)] bit for bit and dets their determinants, carried as
+    def _center_step(self, i, pts, out):
+        """Centres p_iw = A_i p_w + v_i of the cylinders phi_iw(B) from the
+        centres p_w of the cylinders phi_w(B), a `_level_walk` step."""
+        mul2(self.lins[i], pts[..., None], out=out[..., None])
+        out += self.vs[i]
+
+    @derived
+    def level_products(self, n):
+        """All products A_w for |w| = n in lexicographic word order, held
+        entry-major (see `_empty_level`): the values are those of a
+        C-ordered stack, but a stacked @ rounds differently on this
+        layout, so copy it with np.ascontiguousarray before one."""
+        return self._level(n, np.eye(2)[None], product_step(self.lins))
+
+    def _level_pair(self, n, pair):
+        """Two arrays of level n's size holding pair(prods, dets) of each
+        block of the level's products and their determinants, carried as
         det A_iw = det A_i * det A_w since a*d - b*c cancels on long
-        words."""
+        words; no more of the level's products is held than its blocks."""
         a, b, c, d = self.lins.reshape(-1, 4).T
         letter_dets = a * d - b * c
-
-        def suffix(m):
-            dets = np.ones(1)
-            for _ in range(m):
-                dets = np.multiply.outer(letter_dets, dets).reshape(-1)
-            return self.level_products(m), dets
 
         def det_step(i, dets, out):
             np.multiply(letter_dets[i], dets, out=out)
 
-        yield from self._level_walk(n, suffix, (self._product_step, det_step))
-
-    def _level_pair(self, n, pair):
-        """Two arrays of level n's size holding pair(prods, dets) of each
-        block of level_blocks(n); no more of the level's products is held
-        than its blocks."""
         out = np.empty((2, self._level_size(n)))
-        for start, prods, dets in self.level_blocks(n):
+        for start, prods, dets in self._level_walk(
+                n, (np.eye(2)[None], np.ones(1)),
+                (product_step(self.lins), det_step)):
             out[:, start:start + len(prods)] = pair(prods, dets)
         return out[0], out[1]
 
     @derived
     def level_singular_values(self, n):
         """(alpha1, alpha2) of level_products(n), block by block, from the
-        determinants that level_blocks carries."""
+        determinants that _level_pair carries."""
         return self._level_pair(n, batch_singular_values)
 
     @derived
@@ -346,12 +322,13 @@ class Ifs:
             batch_singular_values(prods, dets)))
 
     def word_from_flat(self, flat, n):
-        """Word of length n from its lexicographic index in level_products."""
+        """The word of length n, a tuple of letters, at its lexicographic
+        index in level_products."""
         letters = []
         for _ in range(n):
             flat, rem = divmod(flat, self.n_maps)
             letters.append(rem + 1)
-        return Word(tuple(reversed(letters)))
+        return tuple(reversed(letters))
 
     # -- certified diameter -------------------------------------------------
 
@@ -373,15 +350,10 @@ class Ifs:
         monotone.  alpha1 is read from the products alone, as
         `_cylinder_centers` reads it, and no more of the level than its
         blocks is held."""
-        def suffix(m):
-            return self.level_products(m), self._cylinder_centers(m)[0]
-
-        def step(i, pts, out):
-            out[...] = center_step(self.lins[i], self.vs[i], pts)
-
         hulls, a1 = [], 0.0
         for _, prods, pts in self._level_walk(
-                depth, suffix, (self._product_step, step)):
+                depth, (np.eye(2)[None], self.ball_center[None]),
+                (product_step(self.lins), self._center_step)):
             hulls.append(hull_vertices(pts))
             a1 = max(a1, batch_singular_values(prods)[0].max())
         return hull_vertices(np.concatenate(hulls)), a1 * self.ball_radius
@@ -402,15 +374,12 @@ class Ifs:
     def _cylinder_centers(self, depth):
         """Centers and error radii of all depth-n cylinders, vectorized,
         in the lexicographic order of level_products."""
-        mats = self.level_products(depth)
-        pts = self.ball_center[None]
-        for _ in range(depth):
-            # prepend a letter: phi_i applied after phi_w requires
-            # building from the left; p_{iw} = A_i p_w + v_i keeps
-            # lexicographic order
-            pts = center_step(self.lins[:, None], self.vs[:, None],
-                              pts[None]).reshape(-1, 2)
-        return pts, batch_singular_values(mats)[0] * self.ball_radius
+        # the radii before the centres: in the other order their
+        # temporaries leave the heap so that `verify content` peaks higher
+        errs = batch_singular_values(self.level_products(depth))[0]
+        errs *= self.ball_radius
+        pts = self._level(depth, self.ball_center[None], self._center_step)
+        return pts, errs
 
     # -- cylinder frontier --------------------------------------------------
 

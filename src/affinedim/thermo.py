@@ -13,7 +13,7 @@ import numpy as np
 
 from .config import word_cap
 from .errors import BudgetExceeded, DegenerateRange, NotConverged, NotDominated
-from .ifs import derived, log_svf, word_products
+from .ifs import derived, log_svf, product_step
 from .projective import ProjPoint, complement, find_invariant_multicone
 from .roots import brentq
 
@@ -149,7 +149,8 @@ def _cylinder_directions(ifs, m):
     gaps = complement(cone)
     v0 = ProjPoint(gaps.starts[0] + gaps.widths[0] / 2.0).vector
     # a stacked @ rounds differently on the entry-major level, so copy it
-    prods = np.ascontiguousarray(word_products(np.linalg.inv(ifs.lins), m))
+    prods = np.ascontiguousarray(ifs._level(
+        m, np.eye(2)[None], product_step(np.linalg.inv(ifs.lins))))
     vecs = prods @ v0
     vecs /= np.linalg.norm(vecs, axis=1, keepdims=True)
     return np.mod(np.arctan2(vecs[:, 1], vecs[:, 0]), math.pi)

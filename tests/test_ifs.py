@@ -9,9 +9,9 @@ import pytest
 from affinedim.errors import BudgetExceeded, IndexOutOfRange
 from affinedim.geometry import DIAM_GRID, DiameterTable, _proj_stopping, \
     projected_diameter_bound
-from affinedim.ifs import LEVEL_BLOCK, Ifs, Word, _cloud_diameter, \
+from affinedim.ifs import LEVEL_BLOCK, Ifs, _cloud_diameter, \
     batch_singular_values, derived, hull_vertices, log_svf, mul2, \
-    word_products
+    product_step, word_label
 from affinedim.projective import ProjPoint, strictly_affine
 from affinedim.thermo import affinity_dimension
 
@@ -78,14 +78,11 @@ class TestSvf:
 
 
 class TestWord:
-    def test_str_and_empty(self):
-        assert str(Word((1, 2, 1))) == "121"
-        assert str(Word()) == "-"
-        assert len(Word()) == 0
-
-    def test_rejects_zero_letter(self):
-        with pytest.raises(IndexOutOfRange):
-            Word((0, 1))
+    def test_str_and_empty(self, cone_ifs):
+        assert word_label((1, 2, 1)) == "121"
+        assert word_label(()) == "-"
+        assert cone_ifs.word_from_flat(5, 3) == (1, 2, 3)
+        assert cone_ifs.word_from_flat(0, 0) == ()
 
 
 class TestIfs:
@@ -106,8 +103,7 @@ class TestIfs:
                 [(0.0, 0.0), (0.5, 0.0)])
 
     def test_compose_word_matches_manual(self, cone_ifs):
-        w = Word((2, 1, 3))
-        lin, t = cone_ifs.compose_word(w)
+        lin, t = cone_ifs.compose_word((2, 1, 3))
         x = np.array([0.3, -0.1])
 
         def phi(i, y):
@@ -136,7 +132,7 @@ class TestIfs:
         g = rng(17)
         for n in range(longest, shortest - 1, -1):
             for letters in g.integers(1, ifs.n_maps + 1, size=(4, n)):
-                lin, v = ifs.compose_word(Word(letters))
+                lin, v = ifs.compose_word(letters)
                 want_lin, want_v = np.eye(2), np.zeros(2)
                 for i in letters:
                     want_lin, want_v = (want_lin @ ifs.lins[i - 1],
@@ -147,7 +143,7 @@ class TestIfs:
     def test_level_products_order(self, cone_ifs):
         prods = cone_ifs.level_products(3)
         assert prods.shape == (27, 2, 2)
-        w = Word((2, 1, 3))
+        w = (2, 1, 3)
         k = np.ravel_multi_index([letter - 1 for letter in w], (3, 3, 3))
         assert np.allclose(prods[k], cone_ifs.compose_word(w)[0])
 
@@ -184,8 +180,8 @@ def alpha1_stop(ifs, r):
 
 
 def is_prefix_free(words):
-    seen = {w.indices for w in words}
-    return not any(w.indices[:k] in seen for w in words for k in range(len(w)))
+    seen = set(words)
+    return not any(w[:k] in seen for w in words for k in range(len(w)))
 
 
 class TestStoppingSets:
@@ -201,7 +197,7 @@ class TestStoppingSets:
     def test_huge_scale_gives_first_level(self, sim3):
         found = sim3.frontier(alpha1_stop(sim3, 10.0 * sim3.diam_upper),
                               lex=True)
-        assert sorted(str(w) for w in found.words(sim3)) == ["1", "2", "3"]
+        assert sorted(found.words(sim3)) == [(1,), (2,), (3,)]
 
     def test_prefix_free_nonuniform(self, cone_ifs):
         found = cone_ifs.frontier(
@@ -252,24 +248,57 @@ class TestLevelProducts:
             assert all(prods[:, p, r].flags.c_contiguous
                        for p in range(2) for r in range(2))
 
+    def test_layouts_above_a_block(self, positive_pair):
+        # products stay entry-major when gathered from blocks, and the
+        # centres C-ordered, which `centers @ u` rounds on
+        ifs = Ifs.from_json(positive_pair.to_json())
+        for n in (3, 15):
+            prods = ifs.level_products(n)
+            assert all(prods[:, p, r].flags.c_contiguous
+                       for p in range(2) for r in range(2))
+            assert ifs._cylinder_centers(n)[0].flags.c_contiguous
+        assert len(prods) > LEVEL_BLOCK
+
     def test_only_levels_asked_for_are_kept(self, positive_pair):
+        # the pressure keeps log singular values, never a product level
         ifs = Ifs.from_json(positive_pair.to_json())
         affinity_dimension(ifs, budget=2 ** 16)
-        stacks = [part for part in kept_arrays(ifs)
-                  if part.shape[1:] == (2, 2)]
-        assert max(len(part) for part in stacks) <= LEVEL_BLOCK
-        # n_lo = 8, and the suffix level 14 that level 16 is walked from
-        levels = sorted(len(part).bit_length() - 1 for part in stacks)
-        assert levels == [8, 14]
+        assert kept_arrays(ifs)
+        assert not [part for part in kept_arrays(ifs)
+                    if part.shape[1:] == (2, 2)]
 
 
-def det_level(lins, n):
-    """Determinants of level n by det A_iw = det A_i * det A_w."""
-    a, b, c, d = lins.reshape(-1, 4).T
-    dets = np.ones(1)
+def walk_arrays(ifs):
+    """Roots and steps of `Ifs._level_walk` for the products, their
+    determinants, the cylinder centres and the inverse products."""
+    a, b, c, d = ifs.lins.reshape(-1, 4).T
+    letter_dets = a * d - b * c
+
+    def det_step(i, dets, out):
+        np.multiply(letter_dets[i], dets, out=out)
+
+    roots = (np.eye(2)[None], np.ones(1), ifs.ball_center[None],
+             np.eye(2)[None])
+    steps = (product_step(ifs.lins), det_step, ifs._center_step,
+             product_step(np.linalg.inv(ifs.lins)))
+    return roots, steps
+
+
+def einsum_levels(ifs, n):
+    """The arrays of walk_arrays over level n, each level built whole from
+    the one below by einsum and det A_iw = det A_i * det A_w."""
+    a, b, c, d = ifs.lins.reshape(-1, 4).T
+    invs = np.linalg.inv(ifs.lins)
+    prods = inv_prods = np.eye(2)[None]
+    dets, pts = np.ones(1), ifs.ball_center[None]
     for _ in range(n):
+        prods = np.einsum("ipq,wqr->iwpr", ifs.lins, prods).reshape(-1, 2, 2)
         dets = np.multiply.outer(a * d - b * c, dets).reshape(-1)
-    return dets
+        pts = (np.einsum("ipq,wq->iwp", ifs.lins, pts)
+               + ifs.vs[:, None, :]).reshape(-1, 2)
+        inv_prods = np.einsum("ipq,wqr->iwpr", invs, inv_prods) \
+            .reshape(-1, 2, 2)
+    return prods, dets, pts, inv_prods
 
 
 def random_contractions(g, size):
@@ -292,18 +321,18 @@ class TestLevelBlocks:
         for _ in range(2):
             ifs = random_contractions(g, size)
             assert np.linalg.det(ifs.lins[0]) < 0.0
+            roots, steps = walk_arrays(ifs)
             for n in (suffix - 1, suffix, suffix + 2):
-                prods = word_products(ifs.lins, n)
-                dets = det_level(ifs.lins, n)
-                seen = np.zeros(len(prods), dtype=int)
-                for start, block, block_dets in ifs.level_blocks(n):
-                    span = slice(start, start + len(block))
-                    assert len(block) == size ** min(n, suffix)
-                    assert_same_bits(block, prods[span])
-                    assert_same_bits(block_dets, dets[span])
+                whole = einsum_levels(ifs, n)
+                seen = np.zeros(size ** n, dtype=int)
+                for start, *blocks in ifs._level_walk(n, roots, steps):
+                    span = slice(start, start + len(blocks[0]))
+                    for block, level in zip(blocks, whole):
+                        assert len(block) == size ** min(n, suffix)
+                        assert_same_bits(block, level[span])
                     seen[span] += 1
                 assert (seen == 1).all()
-                want = batch_singular_values(prods, dets)
+                want = batch_singular_values(*whole[:2])
                 for got, logs, alpha in zip(ifs.level_singular_values(n),
                                             ifs.level_log_singular_values(n),
                                             want):
@@ -312,16 +341,15 @@ class TestLevelBlocks:
 
     def test_more_maps_than_a_block_walk_level_one(self):
         ifs = random_contractions(rng(7), LEVEL_BLOCK + 1)
-        prods = word_products(ifs.lins, 1)
-        blocks = list(ifs.level_blocks(1))
+        blocks = list(ifs._level_walk(1, *walk_arrays(ifs)))
         assert len(blocks) == 1 and blocks[0][0] == 0
-        assert_same_bits(blocks[0][1], prods)
-        assert_same_bits(blocks[0][2], det_level(ifs.lins, 1))
+        for block, level in zip(blocks[0][1:], einsum_levels(ifs, 1)):
+            assert_same_bits(block, level)
 
     def test_budget_raises_before_allocating(self, cone_ifs, monkeypatch):
         ifs = Ifs.from_json(cone_ifs.to_json())
         monkeypatch.setenv("AFFINEDIM_WORD_CAP", str(3 ** 12 - 1))
-        for walk in (lambda: next(ifs.level_blocks(12)),
+        for walk in (lambda: next(ifs._level_walk(12, *walk_arrays(ifs))),
                      lambda: ifs.level_log_singular_values(12),
                      lambda: ifs.level_singular_values(12)):
             tracemalloc.start()
@@ -411,7 +439,7 @@ def reference_stopping_words(ifs, stop):
 
     def visit(word, mat):
         if stop(mat):
-            words.append(Word(word))
+            words.append(word)
             return
         for i, lin in enumerate(ifs.lins, start=1):
             visit(word + (i,), mat @ lin)
@@ -429,7 +457,7 @@ def reference_witness(ifs, depth=6):
             tr = arr[0, 0] + arr[1, 1]
             det = arr[0, 0] * arr[1, 1] - arr[0, 1] * arr[1, 0]
             if tr * tr > 4.0 * det + 1e-14 and abs(tr) > 1e-14:
-                return Word(letters)
+                return letters
     return None
 
 
@@ -632,7 +660,7 @@ class TestMul2:
         assert_same_bits(mul2(x[:, None], y[None]), want)
 
     def test_entry_major_out_matches_einsum(self):
-        # the layout of word_products: each output entry, and each entry
+        # the layout of level products: each output entry, and each entry
         # of the right stack, is one contiguous row
         def entry_major(size):
             return np.empty((2, 2, size)).transpose(2, 0, 1)
@@ -667,7 +695,9 @@ class TestMul2:
             assert_same_bits(ifs.level_products(n), prods)
             inv_prods = np.einsum("ipq,wqr->iwpr", invs, inv_prods) \
                 .reshape(-1, 2, 2)
-            assert_same_bits(word_products(invs, n), inv_prods)
+            # the level of inverse products that _cylinder_directions reads
+            assert_same_bits(
+                ifs._level(n, np.eye(2)[None], product_step(invs)), inv_prods)
             pts = (np.einsum("ipq,wq->iwp", ifs.lins, pts)
                    + ifs.vs[:, None, :]).reshape(-1, 2)
         assert_same_bits(ifs._cylinder_centers(depth)[0], pts)

@@ -320,7 +320,7 @@ class TestTransferOperator:
 
     @pytest.mark.parametrize("name", ["positive_pair", "cone_ifs"])
     def test_directions_round_as_a_c_ordered_stack(self, name, request):
-        # a stacked @ on the entry-major levels of word_products rounds
+        # a stacked @ on the entry-major levels of products rounds
         # differently from one on a C-ordered stack from level 1 on
         ifs = request.getfixturevalue(name)
         gaps = complement(find_invariant_multicone(ifs))
