@@ -37,7 +37,7 @@ class DiameterTable:
     def __init__(self, ifs, depth=8):
         depth = ifs._fit_depth(depth)
         hull, radius = ifs._hull(depth)
-        # the centres that the hull's level walk extends, a memo hit;
+        # the suffix-level centres, which the hull's walk never uses;
         # perfbench's tracer sizes the table from the first
         # _cylinder_centers call under it
         ifs._cylinder_centers(ifs._suffix_level(depth))
