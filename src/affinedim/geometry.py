@@ -609,6 +609,15 @@ def _gap_order(gaps):
     return first[np.argsort(key)]
 
 
+def _pow(x, s):
+    """x**s for a float array x >= 0, one float at a time with math.pow:
+    libm pow, which float.__pow__ also calls on these values, so each
+    power equals that of a Python float bit for bit, with no array of
+    Python objects."""
+    return np.fromiter(map(math.pow, x.tolist(), itertools.repeat(s)),
+                       float, len(x))
+
+
 def interval_content(intervals, s):
     """Largest-gap estimate of the s-content of a finite union of closed
     intervals.
@@ -629,9 +638,9 @@ def interval_content(intervals, s):
     gaps touch, so a round merges all of them in one vectorised step, and
     the only gap a merged block can make ready is its parent, the lower
     ranked of the two gaps around it.  So the value is that of the
-    one-at-a-time merge bit for bit.  Every x**s is taken on Python
-    floats, because numpy's vector power differs from float.__pow__ in the
-    last place on some inputs.
+    one-at-a-time merge bit for bit.  Every x**s is taken one float at a
+    time by `_pow`, because numpy's vector power differs from
+    float.__pow__ in the last place on some inputs.
 
     The loop runs once per level of the split tree, which is shallow on
     projected cylinder hulls.  A union whose tree is a chain, with gaps
@@ -656,7 +665,7 @@ def interval_content(intervals, s):
     rank = np.full(n + 1, n)
     rank[1 + _gap_order(starts[1:] - ends[:-1])] = np.arange(n - 1)
     right = np.append(np.nan, ends)
-    cost = np.power((ends - starts).astype(object), s).astype(float)
+    cost = _pow(ends - starts, s)
     head = np.append(0, np.arange(n))
     tail = np.append(np.arange(1, n + 1), n)
     gaps = np.arange(1, n)
@@ -664,8 +673,8 @@ def interval_content(intervals, s):
         gaps = gaps[rank[gaps] < np.minimum(rank[head[gaps]],
                                             rank[tail[gaps]])]
         lo, hi = head[gaps], tail[gaps]
-        hull = np.power((right[hi] - starts[lo]).astype(object), s)
-        cost[lo] = np.minimum(hull.astype(float), cost[lo] + cost[gaps])
+        hull = _pow(right[hi] - starts[lo], s)
+        cost[lo] = np.minimum(hull, cost[lo] + cost[gaps])
         tail[lo] = hi
         head[hi] = lo
         parents = np.where(rank[lo] < rank[hi], lo, hi)

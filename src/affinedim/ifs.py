@@ -312,12 +312,12 @@ class Ifs:
         determinants that _level_pair carries."""
         return self._level_pair(n, batch_singular_values)
 
-    @derived
     def level_log_singular_values(self, n):
         """(log alpha1, log alpha2) of level n, equal to np.log of
         level_singular_values(n) bit for bit and reduced block by block,
         so neither the level's products nor its singular values are held
-        whole."""
+        whole.  They are not kept: the pressure reads them only while its
+        root is solved."""
         return self._level_pair(n, lambda prods, dets: np.log(
             batch_singular_values(prods, dets)))
 

@@ -8,18 +8,23 @@ Gibbs-ratio diagnostics.
 
 from dataclasses import dataclass
 import math
+import operator
 
 import numpy as np
 
 from .config import word_cap
 from .errors import BudgetExceeded, DegenerateRange, NotConverged, NotDominated
-from .ifs import derived, log_svf, product_step
+from .ifs import LEVEL_BLOCK, derived, log_svf, product_step
 from .projective import ProjPoint, complement, find_invariant_multicone
 from .roots import brentq
 
 # power iteration of equilibrium_state: most steps, eigenvalue tolerance
 EIG_ITERS = 2000
 EIG_TOL = 1e-12
+# most terms of a leaf of the pressure sum, the size of its one buffer:
+# on 2^21 terms, leaves of 2^16 cost about what one whole array costs per
+# s, and leaves of 2^14 about 10% more (2-core Xeon VM)
+PRESSURE_LEAF = 4 * LEVEL_BLOCK
 
 
 @dataclass(frozen=True)
@@ -37,25 +42,51 @@ def pressure(ifs, s, n):
 
 
 def _pressure_fn(ifs, n):
-    """p(s), the level-n pressure, over the log singular values that the
-    memo keeps for level n; the level's products are never held whole."""
+    """p(s), the level-n pressure, over the log singular values of level
+    n, which live as long as p; the level's products are never held
+    whole."""
     return _log_sum_fn(*ifs.level_log_singular_values(n), n)
+
+
+def _pairwise(leaf, join, start, size):
+    """leaf(a, b) over the leaves of numpy's pairwise summation tree on
+    size contiguous float64 terms from start, joined up the tree: a node
+    of more than PRESSURE_LEAF terms splits after
+    h = size//2 - (size//2) % 8 of them, as np.add.reduce splits it.  So
+    with np.sum for leaf and + for join the value is the sum of the whole
+    array bit for bit."""
+    if size <= PRESSURE_LEAF:
+        return leaf(start, start + size)
+    half = size // 2 - size // 2 % 8
+    return join(_pairwise(leaf, join, start, half),
+                _pairwise(leaf, join, start + half, size - half))
 
 
 def _log_sum_fn(la1, la2, n):
     """p(s) = (1/n) log sum of phi^s over the words with log singular
-    values la1 and la2; every call reuses one buffer of their size, and
-    each s is summed once: the root solvers ask again for the ends of
-    their bracket."""
-    buf = np.empty_like(la1)
+    values la1 and la2, equal bit for bit to the sum over one array of
+    their size, in one buffer of at most PRESSURE_LEAF terms.  Each s
+    takes two passes over the leaves of numpy's pairwise tree
+    (`_pairwise`): the max m of log phi^s, which is exact in any order,
+    and the sums of exp(log phi^s - m), added up the tree.  Each s is
+    summed once: the root solvers ask again for the ends of their
+    bracket."""
+    size = len(la1)
+    buf = np.empty(min(size, PRESSURE_LEAF))
     seen = {}
 
     def p(s):
         if s not in seen:
-            logs = log_svf(la1, la2, s, out=buf)
-            m = logs.max()
-            logs -= m
-            seen[s] = (m + math.log(np.exp(logs, out=logs).sum())) / n
+            def logs(a, b):
+                return log_svf(la1[a:b], la2[a:b], s, out=buf[:b - a])
+
+            def exp_sum(a, b):
+                part = logs(a, b)
+                part -= m
+                return np.exp(part, out=part).sum()
+            m = _pairwise(lambda a, b: logs(a, b).max(), max, 0, size)
+            total = _pairwise(exp_sum, operator.add, 0, size)
+            seen[s] = (m + math.log(total)) / n
         return seen[s]
     return p
 
@@ -72,6 +103,7 @@ def is_similarity(ifs):
     return bool((rotation | reflection).all())
 
 
+@derived
 def affinity_dimension(ifs, tol=1e-10, budget=200_000):
     """Root of the finite-level pressure at the largest affordable level.
 
@@ -81,7 +113,9 @@ def affinity_dimension(ifs, tol=1e-10, budget=200_000):
     reads level 1 alone, whatever the budget: phi^s is submultiplicative,
     so the level-1 root is an upper bound, and alpha1(A_w) >= alpha2(A_w)
     >= prod alpha2(A_i) makes the root of log sum alpha2(A_i)^s a lower
-    one.  Returns (s_star, (lo, hi)).
+    one.  Returns (s_star, (lo, hi)); the memo keeps these three floats,
+    and the log singular values of the levels live only while the roots
+    are solved.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
@@ -99,9 +133,11 @@ def affinity_dimension(ifs, tol=1e-10, budget=200_000):
         la2 = np.log(ifs.level_singular_values(1)[1])
         lo, hi = sorted((solve(_log_sum_fn(la2, la2, 1)), root_hi))
         return root_hi, (lo, hi)
-    budget = min(budget, word_cap())
-    n_hi = int(math.floor(math.log(budget) / math.log(max(ifs.n_maps, 2))))
-    n_hi = max(n_hi, 2)
+    # the deepest level of at least 2 that fits, in integers: a ratio of
+    # float logs loses the level at an exact power such as 3^13
+    budget, n_hi = min(budget, word_cap()), 2
+    while ifs.n_maps ** (n_hi + 1) <= budget:
+        n_hi += 1
     n_lo = max(n_hi // 2, 1)
     p_hi = _pressure_fn(ifs, n_hi)
     p_lo = _pressure_fn(ifs, n_lo)

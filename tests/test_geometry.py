@@ -673,6 +673,23 @@ def grid_unions(draw):
     return ivs[g.permutation(size)] / 8.0
 
 
+class TestPow:
+    def test_equals_the_object_array_power(self):
+        # math.pow and float.__pow__ both call libm pow on these values
+        g = rng(81)
+        tiny = np.nextafter(0.0, 1.0)
+        for k in range(40):
+            x = np.concatenate([
+                [0.0, -0.0, 1.0, tiny, 2.0 ** -1030, 2.0 ** -1022],
+                tiny * g.integers(1, 2 ** 20, 20),
+                g.uniform(0.0, 1.0, 200), g.uniform(0.0, 3.0, 100)])
+            s = 1.0 if k == 0 else float(1.0 - g.uniform(0.0, 1.0))
+            want = np.power(x.astype(object), s).astype(float)
+            got = geometry._pow(x, s)
+            assert got.dtype == float and len(got) == len(x)
+            assert got.tobytes() == want.tobytes(), s
+
+
 class TestContent:
     def test_single_interval_exact(self):
         assert interval_content([(0.0, 0.5)], 0.7) \

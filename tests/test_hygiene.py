@@ -5,7 +5,7 @@ set by some call, 2x2 products go through the one kernel ifs.mul2,
 projective angles come from math.atan2 and not np.arctan2, one function
 branches on s at 1 and 2, the estimators take no norms and no
 reductions along axis 0, interval_content has no for loop and no
-comprehension, only Ifs.__init__ and the memo ifs.derived touch
+comprehension, no module makes an array of Python objects, only Ifs.__init__ and the memo ifs.derived touch
 Ifs._cache, importing the package loads numpy but not scipy, and every
 entry point that the benchmark's tracer wraps still exists."""
 
@@ -333,6 +333,36 @@ def test_interval_content_merges_in_rounds():
     # run once per interval
     with open(os.path.join(SRC_DIR, "geometry.py")) as fh:
         assert loops_in(fh.read(), "interval_content") == []
+
+
+def object_arrays(source):
+    """Line numbers of every astype(object) call and every dtype=object
+    argument."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, ast.Call):
+            continue
+        args = list(node.args) if getattr(node.func, "attr", None) \
+            == "astype" else []
+        args += [k.value for k in node.keywords if k.arg == "dtype"]
+        if any(isinstance(a, ast.Name) and a.id == "object" for a in args):
+            found.append(node.lineno)
+    return found
+
+
+def test_checker_finds_object_arrays():
+    src = ("y = x.astype(object)\nz = np.array(x, dtype=object)\n"
+           "w = x.astype(float)\nv = np.empty(3, dtype=float)\n"
+           "u = isinstance(x, object)\n")
+    assert object_arrays(src) == [1, 2]
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_no_object_arrays(module):
+    # a float in an object array costs a Python float and a pointer, and
+    # a power over it a call per element
+    with open(os.path.join(SRC_DIR, module)) as fh:
+        assert object_arrays(fh.read()) == []
 
 
 def cache_accesses(source):

@@ -260,12 +260,12 @@ class TestLevelProducts:
         assert len(prods) > LEVEL_BLOCK
 
     def test_only_levels_asked_for_are_kept(self, positive_pair):
-        # the pressure keeps log singular values, never a product level
+        # the memo keeps the root and its bracket, and no level: neither
+        # products nor the log singular values the pressure read
         ifs = Ifs.from_json(positive_pair.to_json())
-        affinity_dimension(ifs, budget=2 ** 16)
-        assert kept_arrays(ifs)
-        assert not [part for part in kept_arrays(ifs)
-                    if part.shape[1:] == (2, 2)]
+        first = affinity_dimension(ifs, budget=2 ** 16)
+        assert not kept_arrays(ifs)
+        assert affinity_dimension(ifs, budget=2 ** 16) is first
 
 
 def walk_arrays(ifs):
@@ -363,7 +363,8 @@ class TestLevelBlocks:
         assert not ifs._cache
 
     def test_affinity_dimension_holds_no_level(self, positive_pair):
-        # the 2^21 logs, the pressure's buffer of their size, and 8 MiB
+        # the 2^21 logs and 8 MiB: the pressure sums them in leaves, with
+        # no buffer of their size, and nothing over 1 MiB outlives the root
         ifs = Ifs.from_json(positive_pair.to_json())
         tracemalloc.start()
         try:
@@ -371,7 +372,10 @@ class TestLevelBlocks:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 3 * 8 * 2 ** 21 + 8 * 2 ** 20
+        assert peak < 2 * 8 * 2 ** 21 + 8 * 2 ** 20
+        assert ifs._cache
+        assert not [part for part in kept_arrays(ifs)
+                    if part.nbytes > 2 ** 20]
 
 
 class TestDerived:

@@ -1,3 +1,4 @@
+from collections import Counter
 import itertools
 import math
 from types import SimpleNamespace
@@ -9,12 +10,12 @@ from scipy.sparse import csr_matrix
 
 from affinedim import thermo
 from affinedim.errors import NotDominated
-from affinedim.ifs import Ifs
+from affinedim.ifs import Ifs, log_svf
 from affinedim.projective import ProjPoint, complement, \
     find_invariant_multicone
 from affinedim.roots import RTOL, brentq
-from affinedim.thermo import _cylinder_directions, _log_sum_fn, \
-    _pressure_fn, affinity_dimension, equilibrium_state, \
+from affinedim.thermo import PRESSURE_LEAF, _cylinder_directions, \
+    _log_sum_fn, _pressure_fn, affinity_dimension, equilibrium_state, \
     gibbs_spread_by_depth, is_similarity, kaenmaki_weights, pressure, \
     transfer_matrix
 
@@ -131,6 +132,99 @@ def scaled_rotations(g, size):
     return np.stack([np.stack([c, -s], -1), np.stack([s, c], -1)], 1)
 
 
+def whole_array_log_sum_fn(la1, la2, n):
+    """The level-n pressure over one buffer of the level's size, as
+    `_log_sum_fn` took it before it summed in leaves: the oracle for its
+    bits."""
+    buf = np.empty_like(la1)
+
+    def p(s):
+        logs = log_svf(la1, la2, s, out=buf)
+        m = logs.max()
+        logs -= m
+        return (m + math.log(np.exp(logs, out=logs).sum())) / n
+    return p
+
+
+def pairwise_model(x):
+    """The sum of a contiguous float64 array in the order of numpy's
+    pairwise summation, in Python floats: a node of fewer than 8 terms
+    adds them from 0.0 in turn, one of at most 128 keeps 8 accumulators
+    over its first multiple of 8 terms, joins them as
+    ((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7)) and adds the rest
+    in turn, and a larger one splits after h = n//2 - (n//2) % 8 terms.
+    The reduction adds the root to 0.0."""
+    x = x.tolist()
+
+    def node(a, size):
+        if size < 8:
+            res = 0.0
+            for v in x[a:a + size]:
+                res += v
+            return res
+        if size <= 128:
+            r = x[a:a + 8]
+            body = size - size % 8
+            for i in range(8, body, 8):
+                for j in range(8):
+                    r[j] += x[a + i + j]
+            res = ((r[0] + r[1]) + (r[2] + r[3])) \
+                + ((r[4] + r[5]) + (r[6] + r[7]))
+            for v in x[a + body:a + size]:
+                res += v
+            return res
+        half = size // 2 - size // 2 % 8
+        return node(a, half) + node(a + half, size - half)
+    return 0.0 + node(0, len(x))
+
+
+# level sizes around every split of the pairwise tree and of its leaves
+SUM_SIZES = (1, 7, 8, 129, PRESSURE_LEAF - 1, PRESSURE_LEAF,
+             PRESSURE_LEAF + 1, 2 * PRESSURE_LEAF + 8, 3 ** 13, 2 ** 18)
+
+
+def seeded_logs(size, seed):
+    """log alpha1 and log alpha2 <= log alpha1 of size random words, with
+    alpha2 = 0 (log -inf) on every 7th word from the fourth: a sum of one
+    word has none, and no sum has only such words."""
+    g = rng(seed)
+    la1 = g.uniform(-30.0, -1.0, size)
+    la2 = la1 + np.log(g.uniform(0.0, 1.0, size))
+    la2[3::7] = -np.inf
+    return la1, la2
+
+
+class TestPressureLeaves:
+    S_VALUES = (0.0, 0.5, 1.0, 1.5, 2.0, 3.0, 4.0) \
+        + tuple(rng(71).uniform(0.0, 4.0, 20))
+
+    @pytest.mark.parametrize("size", SUM_SIZES)
+    def test_equals_the_whole_array_sum(self, size):
+        la1, la2 = seeded_logs(size, size)
+        with np.errstate(divide="ignore"):
+            got = _log_sum_fn(la1, la2, 13)
+            want = whole_array_log_sum_fn(la1, la2, 13)
+            for s in self.S_VALUES:
+                assert got(s) == want(s), s
+
+    def test_fixture_levels(self, cone_ifs):
+        # levels of more than one leaf, with the levels' own logs
+        for n in (11, 12):
+            la1, la2 = cone_ifs.level_log_singular_values(n)
+            got = _log_sum_fn(la1, la2, n)
+            want = whole_array_log_sum_fn(la1, la2, n)
+            for s in self.S_VALUES:
+                assert got(s) == want(s), (n, s)
+
+    @pytest.mark.parametrize("size", SUM_SIZES)
+    def test_numpy_sums_in_pairwise_order(self, size):
+        # the leaves repeat np.sum bit for bit only while numpy sums a
+        # contiguous float64 array in this order
+        x = rng(size).normal(size=size) * 10.0 ** rng(size + 1).integers(
+            -8, 8, size)
+        assert x.sum() == pairwise_model(x)
+
+
 class TestPressureOnce:
     @pytest.mark.parametrize("name,budget", [("positive_pair", 2 ** 16),
                                              ("cone_ifs", 200_000),
@@ -140,19 +234,28 @@ class TestPressureOnce:
         # the root solvers ask again for the ends of their bracket, and
         # the extrapolation for the values of both levels; a sum is
         # known by its arrays, as the similarity bracket sums two of
-        # level 1
-        ifs = Ifs.from_json(request.getfixturevalue(name).to_json())
-        want = affinity_dimension(ifs, budget=budget)
-        calls = []
+        # level 1.  Each s takes two passes over the leaves of a level,
+        # the max and the sum; a second call reads the memo and sums
+        # nothing
+        data = request.getfixturevalue(name).to_json()
+        want = affinity_dimension(Ifs.from_json(data), budget=budget)
+        ifs = Ifs.from_json(data)
+        calls, bases = [], []
         svf = thermo.log_svf
 
         def spy(la1, la2, s, out=None):
-            calls.append((id(la1), id(la2), s))
+            # a leaf is a view, named by its bases and its first term;
+            # the bases are kept so that no id or address is reused
+            bases.append((la1.base, la2.base))
+            calls.append((id(la1.base), id(la2.base), la1.ctypes.data, s))
             return svf(la1, la2, s, out=out)
 
         monkeypatch.setattr(thermo, "log_svf", spy)
         assert affinity_dimension(ifs, budget=budget) == want
-        assert len(calls) == len(set(calls)) > 0
+        assert calls and set(Counter(calls).values()) == {2}
+        summed = len(calls)
+        assert affinity_dimension(ifs, budget=budget) == want
+        assert len(calls) == summed
 
 
 class TestIsSimilarity:
@@ -256,6 +359,13 @@ class TestAffinityDimension:
             for n in range(1, 9):
                 root = brentq(svd_pressure_fn(ifs, n), 0.0, 4.0, xtol=tol)
                 assert lo - slack <= root <= hi + slack
+
+    def test_budget_at_an_exact_power(self, cone_ifs):
+        # 3^13 words fit in a budget of 3^13: level 13 is read, as at
+        # 3^13 + 1, and not level 12, as at 3^13 - 1
+        at = affinity_dimension(cone_ifs, budget=3 ** 13)
+        assert at == affinity_dimension(cone_ifs, budget=3 ** 13 + 1)
+        assert at != affinity_dimension(cone_ifs, budget=3 ** 13 - 1)
 
     def test_positive_pair_level_21_keeps_alpha2(self):
         # a fresh family, so the 2^21 level is freed with it
