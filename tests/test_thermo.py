@@ -198,23 +198,22 @@ class TestPressureLeaves:
     S_VALUES = (0.0, 0.5, 1.0, 1.5, 2.0, 3.0, 4.0) \
         + tuple(rng(71).uniform(0.0, 4.0, 20))
 
-    @pytest.mark.parametrize("size", SUM_SIZES)
-    def test_equals_the_whole_array_sum(self, size):
-        la1, la2 = seeded_logs(size, size)
+    def assert_whole_array_bits(self, la1, la2, n):
         with np.errstate(divide="ignore"):
-            got = _log_sum_fn(la1, la2, 13)
-            want = whole_array_log_sum_fn(la1, la2, 13)
-            for s in self.S_VALUES:
-                assert got(s) == want(s), s
-
-    def test_fixture_levels(self, cone_ifs):
-        # levels of more than one leaf, with the levels' own logs
-        for n in (11, 12):
-            la1, la2 = cone_ifs.level_log_singular_values(n)
             got = _log_sum_fn(la1, la2, n)
             want = whole_array_log_sum_fn(la1, la2, n)
             for s in self.S_VALUES:
-                assert got(s) == want(s), (n, s)
+                assert got(s) == want(s), s
+
+    @pytest.mark.parametrize("size", SUM_SIZES)
+    def test_equals_the_whole_array_sum(self, size):
+        self.assert_whole_array_bits(*seeded_logs(size, size), 13)
+
+    @pytest.mark.parametrize("n", [11, 12])
+    def test_fixture_levels(self, cone_ifs, n):
+        # levels of more than one leaf, with the levels' own logs
+        self.assert_whole_array_bits(
+            *cone_ifs.level_log_singular_values(n), n)
 
     @pytest.mark.parametrize("size", SUM_SIZES)
     def test_numpy_sums_in_pairwise_order(self, size):
