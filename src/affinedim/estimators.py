@@ -7,6 +7,7 @@ below twice the cloud's resolution and report fit residuals.
 
 from dataclasses import dataclass
 import math
+import sys
 
 import numpy as np
 
@@ -68,10 +69,12 @@ def grid_count(points, delta, anchor):
 
     Boxes are half-open except the last one along each axis, so points
     sitting exactly on the far edge do not spawn a phantom extra box.
-    Each axis is read as one column; each occupied cell gets one int64
-    key, and the distinct keys are counted.  DegenerateRange is raised,
-    before any cast, when an axis's scaled range is not finite or leaves
-    the int64 range, or when the cells span more keys than an int64 holds.
+    Each axis is read as one column, which is contiguous when points is
+    column-major; each occupied cell gets one int64 key, and the distinct
+    keys are counted (see `_distinct`).  DegenerateRange is raised, before
+    an axis is cast, when its scaled range is not finite or leaves the
+    int64 range, and before any key is formed when the cells span more
+    keys than an int64 holds.
     """
     if len(points) == 0:
         return 0
@@ -79,26 +82,93 @@ def grid_count(points, delta, anchor):
     anchor = np.broadcast_to(anchor, cols.shape[1:])
     keys, spans = 0, []
     for k in range(cols.shape[1]):
-        scaled = (cols[:, k] - anchor[k]) / delta
-        s_lo, s_hi = float(scaled.min()), float(scaled.max())
-        if not (math.isfinite(s_lo) and math.isfinite(s_hi)) \
-                or math.floor(s_lo) < INT64_MIN or math.ceil(s_hi) > INT64_MAX:
-            raise DegenerateRange(f"axis {k} spans scaled range "
-                                  f"[{s_lo}, {s_hi}] outside an int64")
-        # the far edge folds into the last cell; rounding can put a point
-        # one cell below the anchor, so the cells are shifted to start at 0
-        top = max(math.ceil(s_hi) - 1, 0)
-        lo = min(math.floor(s_lo), top)
-        spans.append(min(math.floor(s_hi), top) - lo + 1)
+        cells, span = _cells(cols[:, k], anchor[k], delta, k)
+        spans.append(span)
         if math.prod(spans) > INT64_MAX:
             raise DegenerateRange(
                 f"grid of {spans} cells overflows an int64 key")
-        cells = np.floor(scaled, out=scaled).astype(np.int64)
+        keys = keys * span + cells
+    return _distinct(keys, math.prod(spans))
+
+
+def _cells(col, origin, delta, axis):
+    """(cells, span): the delta-grid cell from origin of every coordinate
+    of one axis, shifted to start at 0, and the number of cells between
+    the least and the greatest.  The far edge folds into the last cell;
+    rounding can put a point one cell below the origin, hence the shift.
+    Raises DegenerateRange, before the cast, when the scaled range is not
+    finite or leaves the int64 range."""
+    scaled = col - origin
+    scaled /= delta
+    s_lo, s_hi = float(scaled.min()), float(scaled.max())
+    if not (math.isfinite(s_lo) and math.isfinite(s_hi)) \
+            or math.floor(s_lo) < INT64_MIN or math.ceil(s_hi) > INT64_MAX:
+        raise DegenerateRange(f"axis {axis} spans scaled range "
+                              f"[{s_lo}, {s_hi}] outside an int64")
+    top = max(math.ceil(s_hi) - 1, 0)
+    lo = min(math.floor(s_lo), top)
+    cells = np.floor(scaled, out=scaled).astype(np.int64)
+    # the clamp and the shift, each only where it moves a cell
+    if math.floor(s_hi) > top:
         np.minimum(cells, top, out=cells)
+    if lo:
         cells -= lo
-        keys = keys * spans[-1] + cells
+    return cells, min(math.floor(s_hi), top) - lo + 1
+
+
+# most grid cells whose keys `_distinct` marks in an occupancy array; a
+# two-scale grid of the default pairs has at most 33 x 33
+OCCUPANCY_CELLS = 2 ** 16
+
+
+def _distinct(keys, n_cells):
+    """Number of distinct keys in [0, n_cells): marked in an occupancy
+    array on a small grid, counted between neighbours after a sort on a
+    large one."""
+    if n_cells <= OCCUPANCY_CELLS:
+        seen = np.zeros(n_cells, dtype=bool)
+        seen[keys] = True
+        return int(np.count_nonzero(seen))
     keys.sort()
     return int(np.count_nonzero(keys[1:] != keys[:-1])) + 1
+
+
+def _spread_bytes(dim):
+    """The 256 bytes with their bits spread dim apart: bit b of v moves
+    to bit b * dim, the table of a Morton key over dim axes."""
+    v = np.arange(256)
+    table = np.zeros(256, dtype=np.int64)
+    for b in range(8):
+        table |= ((v >> b) & 1) << (b * dim)
+    return table
+
+
+def _dyadic_counts(points, anchor, delta, n_coarser):
+    """Box counts at the scales delta * 2^j, j = n_coarser down to 0, of
+    the cloud whose coordinates are at least anchor, from one sort.
+
+    Each point's cells at the finest scale delta are those of
+    `grid_count`; its cell at scale delta * 2^j is the finest cell shifted
+    right by j bits on every axis, since floor(y / 2^j) =
+    floor(floor(y) / 2^j), and the far-edge fold commutes with the shift.
+    The Morton key interleaves the bits of the axes, so the key of the
+    coarser cell is the finest key shifted right by dim * j bits: the
+    distinct cells at that scale are the sorted keys whose neighbours
+    differ above bit dim * j.  The caller keeps dim * (bits of a cell)
+    under 63, and the cells start at 0 because anchor is the least
+    coordinate."""
+    cols = points.reshape(len(points), -1)
+    dim = cols.shape[1]
+    keys = np.zeros(len(cols), dtype=np.int64)
+    table = _spread_bytes(dim)
+    for k in range(dim):
+        cells, span = _cells(cols[:, k], anchor[k], delta, k)
+        for byte in range(((span - 1).bit_length() + 7) // 8):
+            keys |= table[(cells >> 8 * byte) & 255] << (8 * byte * dim + k)
+    keys.sort()
+    moved = keys[1:] ^ keys[:-1]
+    return [int(np.count_nonzero(moved >> dim * j)) + 1
+            for j in range(n_coarser, -1, -1)]
 
 
 def box_dim(cloud, scale_lo=None, base=2.0):
@@ -135,7 +205,14 @@ def box_dim(cloud, scale_lo=None, base=2.0):
             f"fewer than 5 base-{base} scales in [{scale_lo}, {scale_hi}]")
     deltas = ext / base ** np.arange(k_lo, k_hi + 1)
     anchor = cloud.bbox[0]
-    counts = [grid_count(cloud.points, d, anchor) for d in deltas]
+    # at base 2 the scales ext / 2^k halve exactly while the finest is a
+    # normal float, so one sort gives every count when its key fits
+    if base == 2.0 and cloud.dim * k_hi <= 62 \
+            and deltas[-1] >= sys.float_info.min:
+        counts = _dyadic_counts(cloud.points, anchor, deltas[-1],
+                                k_hi - k_lo)
+    else:
+        counts = [grid_count(cloud.points, d, anchor) for d in deltas]
     x = np.log(1.0 / deltas)
     y = np.log(counts)
     slope, intercept = np.polyfit(x, y, 1)
@@ -163,9 +240,11 @@ def _default_pairs(cloud):
 def _covering_count(points, dist, center, R, r):
     """Grid-box count at mesh r of the points within distance R of center,
     with those points and their distances `dist`, from which every smaller
-    ball about the same center is cut."""
-    inside = dist <= R
-    local, dist = points[inside], dist[inside]
+    ball about the same center is cut.  points is column-major, (m, dim)
+    over a (dim, m) array, and so are the points kept."""
+    inside = np.flatnonzero(dist <= R)
+    local = points.T.take(inside, axis=1).T
+    dist = dist.take(inside)
     n = grid_count(local, r, center - R) if len(local) else 0
     return n, local, dist
 
@@ -177,7 +256,8 @@ def two_scale_exponents(cloud, pairs=None, n_centers=32, seed=7):
     The distances to a center are computed once, and the pairs are walked
     from the largest R down, each ball cut from the previous one: with the
     same distances B(x, R') is a subset of B(x, R) for R' <= R.  The list
-    follows that walk, not the order of `pairs`.
+    follows that walk, not the order of `pairs`.  The cloud is copied once
+    to columns, so every axis the walk reads is contiguous.
     """
     if pairs is None:
         pairs = _default_pairs(cloud)
@@ -187,12 +267,12 @@ def two_scale_exponents(cloud, pairs=None, n_centers=32, seed=7):
     walk = sorted(pairs, key=lambda pair: -pair[0])
     rng = np.random.Generator(np.random.Philox(key=seed))
     idx = rng.choice(len(cloud), size=min(n_centers, len(cloud)), replace=False)
-    cols = cloud.points.T
+    cols = np.ascontiguousarray(cloud.points.T)
     out = []
     for center in cloud.points[idx]:
         # the operations np.linalg.norm(axis=1) does, one column at a time
         diffs = [col - c for col, c in zip(cols, center)]
-        points, dist = cloud.points, np.sqrt(sum(d * d for d in diffs))
+        points, dist = cols.T, np.sqrt(sum(d * d for d in diffs))
         for R, r in walk:
             n, points, dist = _covering_count(points, dist, center, R, r)
             if n >= 1:

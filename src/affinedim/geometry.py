@@ -417,11 +417,11 @@ def weak_tangent(ifs, x, r, resolution=0.01):
     # prune cylinders that cannot meet the window
     pts = ifs.frontier(
         lambda mats, pts, a1: a1 * rad <= resolution * r,
-        prune=lambda mats, pts, a1:
-            np.linalg.norm(pts - x, axis=1) > r + a1 * rad).pts
+        prune=lambda mats, pts, a1: _lengths(pts - x) > r + a1 * rad).pts
     z = (pts - x) / r
-    z = z[np.linalg.norm(z, axis=1) <= 1.0 + resolution]
-    nrm = np.linalg.norm(z, axis=1)
+    nrm = _lengths(z)
+    keep = nrm <= 1.0 + resolution
+    z, nrm = z[keep], nrm[keep]
     over = nrm > 1.0
     z[over] /= nrm[over, None]
     return TangentCloud(x, r, PointCloud(z, resolution))

@@ -397,28 +397,44 @@ class Ifs:
         the deepest level whose word codes fit in an int64.
 
         Without lex the cylinders come in emission order: level by level,
-        children letter-major, products by `mul2`.  With lex they
-        come in lexicographic word order, that of a depth-first walk, and
-        each product A_w A_i is a stacked matmul, which repeats the
-        arithmetic of a node-by-node walk bit for bit.
+        children letter-major, products by `mul2`.  The products are held
+        entry-major (see `_empty_level`), in the callbacks and in the
+        result, so copy them with np.ascontiguousarray before a stacked @.
+        With lex they come in lexicographic word order, that of a
+        depth-first walk, and each product A_w A_i is a stacked matmul on
+        C-ordered products, which repeats the arithmetic of a node-by-node
+        walk bit for bit.
         """
         cap = word_cap() if cap is None else cap
         n, c = self.n_maps, self.ball_center
         # child of word w by letter i: p_{wi} = p_w + A_w (phi_i(c) - c)
         drifts = mul2(self.lins, c[:, None])[..., 0] + self.vs - c
-        codes, mats, pts = np.arange(n), self.lins, c + drifts
+        codes, pts = np.arange(n), c + drifts
+        # the nodes at some indices: a mask is turned into indices once,
+        # and every array taken at them
+        if lex:
+            mats, rows = self.lins, lambda x, at: x.take(at, axis=0)
+        else:
+            mats = _empty_level(self.lins, n)
+            mats[...] = self.lins
+            # an entry-major stack is taken along the word axis of its
+            # (2, 2, k) buffer, so it stays entry-major
+            rows = lambda x, at: x.transpose(1, 2, 0).take(at, axis=2) \
+                .transpose(2, 0, 1)
         found, emitted = [], 0
         for depth in range(1, int(63 / math.log2(max(n, 2))) + 1):
             a1 = batch_singular_values(mats)[0]
             if prune is not None:
-                keep = ~prune(mats, pts, a1)
-                codes, mats, pts, a1 = codes[keep], mats[keep], pts[keep], \
-                    a1[keep]
+                keep = np.flatnonzero(~prune(mats, pts, a1))
+                codes, mats, pts, a1 = codes.take(keep), rows(mats, keep), \
+                    pts.take(keep, axis=0), a1.take(keep)
             done = stop(mats, pts, a1)
-            found.append((depth, codes[done], mats[done], pts[done], a1[done]))
-            emitted += len(found[-1][1])
-            live = ~done
-            codes, mats, pts = codes[live], mats[live], pts[live]
+            live, done = np.flatnonzero(~done), np.flatnonzero(done)
+            found.append((depth, codes.take(done), rows(mats, done),
+                          pts.take(done, axis=0), a1.take(done)))
+            emitted += len(done)
+            codes, mats, pts = codes.take(live), rows(mats, live), \
+                pts.take(live, axis=0)
             if emitted + n * len(codes) > cap:
                 raise BudgetExceeded(cap, emitted + n * len(codes))
             if not len(codes):
@@ -427,15 +443,19 @@ class Ifs:
             pts = (mul2(mats[None], drifts[:, None, :, None])[..., 0]
                    + pts[None, :, :]).reshape(-1, 2)
             if lex:
-                mats = mats[None] @ self.lins[:, None]
+                mats = (mats[None] @ self.lins[:, None]).reshape(-1, 2, 2)
             else:
-                mats = mul2(mats[None], self.lins[:, None])
-            mats = mats.reshape(-1, 2, 2)
+                out = _empty_level(mats, len(codes))
+                mul2(mats[None], self.lins[:, None],
+                     out=out.reshape(n, -1, 2, 2))
+                mats = out
         else:
             raise BudgetExceeded(cap, None)
-        depths, *parts = zip(*found)
-        lengths = np.repeat(depths, [len(k) for k in parts[0]])
-        parts = [lengths] + [np.concatenate(p) for p in parts]
+        depths, codes, mats, pts, a1 = zip(*found)
+        lengths = np.repeat(depths, [len(k) for k in codes])
+        parts = [lengths, np.concatenate(codes),
+                 np.concatenate(mats, out=_empty_level(mats[0], len(lengths))),
+                 np.concatenate(pts), np.concatenate(a1)]
         if lex:
             # the words are prefix-free, so their codes padded to the
             # longest length are distinct keys in lexicographic order
@@ -444,9 +464,10 @@ class Ifs:
             parts = [p[order] for p in parts]
         return Cylinders(*parts)
 
+    @derived
     def attractor_sample(self, resolution, mode="cylinder-centers", seed=0,
                          count=10000):
-        """Point cloud approximating the attractor.
+        """Point cloud approximating the attractor, with read-only points.
 
         cylinder-centers: one point per by-alpha1 stopping word at scale
         resolution*diam, so every attractor point is within
@@ -459,6 +480,7 @@ class Ifs:
             r = resolution * self.diam_upper
             found = self.frontier(
                 lambda mats, pts, a1: a1 * self.diam_upper <= r)
+            found.pts.flags.writeable = False
             return PointCloud(found.pts,
                               max(found.a1.max() * self.ball_radius, 1e-300))
         if mode == "chaos-game":
@@ -471,6 +493,7 @@ class Ifs:
                 x = self.lins[i] @ x + self.vs[i]
                 if k >= burn:
                     pts[k - burn] = x
+            pts.flags.writeable = False
             return PointCloud(pts, resolution * self.ball_radius)
         raise ValueError(f"unknown mode {mode!r}")
 
@@ -506,8 +529,8 @@ class Ifs:
 class Cylinders:
     """Cylinders phi_w(X) found by `Ifs.frontier`: word lengths, word codes
     (the lexicographic index of w among the words of its length, as in
-    level_products), products A_w, canonical points phi_w(ball center) and
-    alpha1(A_w)."""
+    level_products), products A_w (entry-major unless the walk was lex),
+    canonical points phi_w(ball center) and alpha1(A_w)."""
 
     lengths: np.ndarray
     codes: np.ndarray

@@ -1,12 +1,17 @@
 import math
+import re
+import sys
 import warnings
 
+from hypothesis import given, settings, strategies as st
 import numpy as np
 import pytest
 
+from affinedim import estimators
 from affinedim.errors import DegenerateRange
-from affinedim.estimators import PointCloud, assouad_two_scale, box_dim, \
-    grid_count, lower_two_scale, two_scale_exponents
+from affinedim.estimators import OCCUPANCY_CELLS, CoverReport, PointCloud, \
+    _distinct, assouad_two_scale, box_dim, grid_count, lower_two_scale, \
+    two_scale_exponents
 
 
 def grid_square(n=512):
@@ -239,3 +244,161 @@ class TestCoveringWalk:
         exponents = two_scale_exponents(cloud, None, 32, 5)
         assert assouad_two_scale(cloud, seed=5) == max(exponents)
         assert lower_two_scale(cloud, seed=5) == min(exponents)
+
+
+def per_scale_box_dim(cloud, scale_lo=None, base=2.0):
+    """The box-counting fit with one grid_count per scale, as box_dim took
+    every count before its dyadic path: the oracle of that path."""
+    if len(cloud) == 0:
+        raise DegenerateRange("empty cloud")
+    ext = cloud.extent
+    if ext == 0.0:
+        return CoverReport((cloud.resolution,) * 1, (1,), 0.0, 0.0)
+    scale_hi = ext / 4.0
+    if scale_lo is None:
+        scale_lo = max(6.0 * cloud.resolution, ext * 2.0 ** -12)
+    if scale_lo < 2.0 * cloud.resolution:
+        raise DegenerateRange(
+            f"scale_lo {scale_lo} below 2x resolution {2 * cloud.resolution}")
+    if not scale_lo < scale_hi:
+        raise DegenerateRange(f"empty scale range [{scale_lo}, {scale_hi}]")
+    logb = math.log(base)
+    k_lo = max(int(math.ceil(math.log(ext / scale_hi) / logb)), 1)
+    k_hi = int(math.floor(math.log(ext / scale_lo) / logb))
+    if k_hi - k_lo + 1 < 5:
+        raise DegenerateRange(
+            f"fewer than 5 base-{base} scales in [{scale_lo}, {scale_hi}]")
+    deltas = ext / base ** np.arange(k_lo, k_hi + 1)
+    anchor = cloud.bbox[0]
+    counts = [grid_count(cloud.points, d, anchor) for d in deltas]
+    x = np.log(1.0 / deltas)
+    y = np.log(counts)
+    slope, intercept = np.polyfit(x, y, 1)
+    resid = float(np.sqrt(np.mean((y - (slope * x + intercept)) ** 2)))
+    dimension = float(min(max(slope, 0.0), cloud.points.shape[1]))
+    return CoverReport(tuple(float(d) for d in deltas), tuple(counts),
+                       dimension, resid)
+
+
+def same_fit(cloud, scale_lo=None):
+    """box_dim and the per-scale oracle give the same report, or raise
+    the same DegenerateRange."""
+    try:
+        want = per_scale_box_dim(cloud, scale_lo)
+    except DegenerateRange as e:
+        with pytest.raises(DegenerateRange, match=re.escape(str(e))):
+            box_dim(cloud, scale_lo)
+        return None
+    got = box_dim(cloud, scale_lo)
+    assert got == want
+    return got
+
+
+@st.composite
+def dyadic_clouds(draw):
+    """Clouds of 1 to 80 points, in one or two dimensions, with an origin
+    and a side that are exact in binary.  Lattice points i / 2^m of the
+    unit side sit on exact cell multiples (0 and 2^m pin the extent on
+    the first axis, so 1.0 is a far edge); others are uniform.  Points
+    repeat, and a second axis may be flat."""
+    dim = draw(st.sampled_from([1, 2]))
+    m = draw(st.integers(0, 14))
+    lattice = st.integers(0, 2 ** m).map(lambda i: i / 2.0 ** m)
+    coord = st.one_of(lattice, st.floats(0.0, 1.0))
+    n = draw(st.integers(1, 80))
+    unit = np.array(draw(st.lists(st.lists(coord, min_size=dim,
+                                           max_size=dim),
+                                  min_size=n, max_size=n)))
+    if draw(st.booleans()):
+        unit = np.concatenate([unit, np.zeros((1, dim)),
+                               np.eye(1, dim)])
+    if dim == 2 and draw(st.booleans()):
+        unit[:, 1] = draw(coord)
+    repeats = draw(st.integers(1, 3))
+    unit = np.repeat(unit, repeats, axis=0)
+    origin = draw(st.integers(-8, 8))
+    side = 2.0 ** draw(st.integers(-6, 6))
+    pts = origin + side * unit
+    resolution = side * 2.0 ** -draw(st.integers(2, 20))
+    return PointCloud(pts, resolution)
+
+
+class TestDyadicCounts:
+    @settings(max_examples=300, deadline=None)
+    @given(dyadic_clouds(), st.booleans())
+    def test_matches_one_grid_count_per_scale(self, cloud, hard_floor):
+        same_fit(cloud, 2.0 * cloud.resolution if hard_floor else None)
+
+    @pytest.mark.parametrize("cloud", [
+        PointCloud(np.random.Generator(np.random.Philox(key=3)).uniform(
+            size=(4000, 2)), 1e-4),
+        cantor_dust(7), PointCloud(np.zeros((1, 2)), 1e-3),
+        PointCloud(np.linspace(0.0, 1.0, 3001), 1e-4),
+        PointCloud(np.stack([np.linspace(-1.0, 3.0, 5000),
+                             np.full(5000, 0.25)], axis=1), 1e-4),
+    ], ids=["square", "cantor", "one_point", "segment_1d", "flat_2d"])
+    def test_takes_no_grid_count_at_base_2(self, cloud, monkeypatch):
+        want = per_scale_box_dim(cloud)
+
+        def refused(*args):
+            raise AssertionError("grid_count called at base 2")
+        monkeypatch.setattr(estimators, "grid_count", refused)
+        assert box_dim(cloud) == want
+
+    @pytest.mark.parametrize("dim,exp", [(1, 40), (1, 70), (2, 28),
+                                         (2, 40)])
+    def test_fine_grids_match_or_refuse_alike(self, dim, exp):
+        # 62 key bits hold 62 halvings of a 1-D cloud and 31 of a 2-D
+        # one; past that box_dim counts scale by scale, and an int64
+        # refuses the finest scales just as it refuses them there
+        g = np.random.Generator(np.random.Philox(key=dim * exp))
+        pts = g.uniform(size=(500, dim))
+        pts[0], pts[1] = 0.0, 1.0
+        same_fit(PointCloud(pts, 2.0 ** -exp), 2.0 ** -exp * 2.0)
+
+    def test_subnormal_finest_scale_counts_scale_by_scale(self):
+        # ext / 2^23 is subnormal and rounded, so the scales no longer
+        # halve exactly and box_dim counts scale by scale
+        ext = (2.0 ** 52 + 1.0) * 2.0 ** -1052
+        g = np.random.Generator(np.random.Philox(key=23))
+        pts = np.concatenate([[0.0, ext], g.uniform(0.0, ext, 400)])
+        cloud = PointCloud(pts, 0.45 * ext * 2.0 ** -23)
+        rep = same_fit(cloud, 2.0 * cloud.resolution)
+        assert 0.0 < rep.scales[-1] < sys.float_info.min
+
+
+def sorted_distinct(keys):
+    """The count of distinct keys that a sort gives: the grid_count of
+    the sort path alone."""
+    keys = np.sort(keys)
+    return int(np.count_nonzero(keys[1:] != keys[:-1])) + 1
+
+
+class TestOccupancyCount:
+    @pytest.mark.parametrize("n_cells", [1, 2, 33 * 33, OCCUPANCY_CELLS - 1,
+                                         OCCUPANCY_CELLS,
+                                         OCCUPANCY_CELLS + 1,
+                                         4 * OCCUPANCY_CELLS])
+    def test_matches_the_sort_count(self, n_cells):
+        g = np.random.Generator(np.random.Philox(key=n_cells))
+        for size in (1, 7, 1000, 3 * n_cells):
+            keys = g.integers(0, n_cells, size=size)
+            assert _distinct(keys.copy(), n_cells) == sorted_distinct(keys)
+        # the first and the last cell of the grid
+        keys = np.array([n_cells - 1, 0, n_cells - 1])
+        assert _distinct(keys.copy(), n_cells) == sorted_distinct(keys)
+
+    @pytest.mark.parametrize("side", [255, 256, 257])
+    def test_grids_either_side_of_the_threshold(self, side):
+        # side^2 cells: 65,025 and 65,536 are marked, 66,049 sorted
+        g = np.random.Generator(np.random.Philox(key=side))
+        pts = g.uniform(size=(20000, 2))
+        pts[0], pts[1] = 0.0, 1.0
+        for n_points in (3, 2000, 20000):
+            sub = pts[:n_points]
+            delta = 1.0 / side
+            assert grid_count(sub, delta, np.zeros(2)) \
+                == unique_cells(sub, delta, np.zeros(2))
+            columns = np.ascontiguousarray(sub.T).T
+            assert grid_count(columns, delta, np.zeros(2)) \
+                == unique_cells(sub, delta, np.zeros(2))

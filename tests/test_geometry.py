@@ -598,7 +598,38 @@ class TestSlices:
             slice_points(carpet_ifs, ProjPoint(0.0), np.zeros(2), 1e-9, 0.01)
 
 
+def two_norm_window(ifs, x, r, resolution):
+    """weak_tangent as first written: np.linalg.norm in the prune, and the
+    window's row norms taken once to filter and again to clip."""
+    x = np.asarray(x, dtype=float)
+    rad = ifs.ball_radius
+    pts = ifs.frontier(
+        lambda mats, pts, a1: a1 * rad <= resolution * r,
+        prune=lambda mats, pts, a1:
+            np.linalg.norm(pts - x, axis=1) > r + a1 * rad).pts
+    z = (pts - x) / r
+    z = z[np.linalg.norm(z, axis=1) <= 1.0 + resolution]
+    nrm = np.linalg.norm(z, axis=1)
+    over = nrm > 1.0
+    z[over] /= nrm[over, None]
+    return z
+
+
 class TestTangents:
+    @pytest.mark.parametrize("name", ["positive_pair", "cone_ifs",
+                                      "carpet_ifs"])
+    def test_one_norm_window_matches_two_norms(self, request, name):
+        ifs = request.getfixturevalue(name)
+        xs = ifs.attractor_sample(0.005, mode="chaos-game", seed=3,
+                                  count=6).points
+        for k, x in enumerate(xs):
+            r = 2.0 ** -(2 + k % 4) * ifs.diam_upper
+            got = weak_tangent(ifs, x, r, 0.002).cloud.points
+            want = two_norm_window(ifs, x, r, 0.002)
+            assert len(want) > 0
+            assert got.shape == want.shape
+            assert (got.view(np.int64) == want.view(np.int64)).all()
+
     def test_window_and_determinism(self, cone_ifs):
         x = cone_ifs.ball_center
         tc = weak_tangent(cone_ifs, x, 0.1, resolution=0.005)

@@ -6,12 +6,14 @@ projective angles come from math.atan2 and not np.arctan2, one function
 branches on s at 1 and 2, the estimators take no norms and no
 reductions along axis 0, interval_content has no for loop and no
 comprehension, no module makes an array of Python objects, only Ifs.__init__ and the memo ifs.derived touch
-Ifs._cache, importing the package loads numpy but not scipy, and every
-entry point that the benchmark's tracer wraps still exists."""
+Ifs._cache, importing the package loads numpy but not scipy, every
+entry point that the benchmark's tracer wraps still exists, and a traced
+`dims` run counts the points of the covering counts."""
 
 import ast
 import importlib
 import importlib.util
+import json
 import math
 import os
 import subprocess
@@ -455,3 +457,27 @@ def test_tracer_targets_resolve():
         for part in attr.split("."):
             target = getattr(target, part, None)
         assert callable(target), (name, module, attr)
+
+
+def test_traced_dims_counts_points(tmp_path):
+    # the tracer binds `points` by name in grid_count and _covering_count
+    # (tracer._arg), so a renamed parameter fails a traced pass and no
+    # untraced one
+    tracer = os.path.join(SRC_DIR, os.pardir, os.pardir, "perfbench",
+                          "tracer.py")
+    src = os.path.abspath(os.path.join(SRC_DIR, os.pardir))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    spans = tmp_path / "spans.json"
+    run = subprocess.run(
+        [sys.executable, tracer, str(spans), "--", "dims", "--input",
+         "positive_pair.json", "--seed", "1", "--out",
+         str(tmp_path / "dims.json")],
+        capture_output=True, text=True, cwd=tmp_path,
+        env=dict(os.environ, PYTHONPATH=path, OMP_NUM_THREADS="1",
+                 PYTHONDONTWRITEBYTECODE="1"))
+    assert run.returncode == 0, run.stderr
+    with open(spans) as fh:
+        traced = json.load(fh)["spans"]
+    for name in ("estimators.covering", "estimators.grid_count"):
+        points = [n for span, _, _, _, n in traced if span == name]
+        assert points and min(points) >= 1, name

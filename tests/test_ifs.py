@@ -6,10 +6,11 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from affinedim.config import word_cap
 from affinedim.errors import BudgetExceeded, IndexOutOfRange
 from affinedim.geometry import DIAM_GRID, DiameterTable, _proj_stopping, \
     projected_diameter_bound
-from affinedim.ifs import LEVEL_BLOCK, Ifs, _cloud_diameter, \
+from affinedim.ifs import LEVEL_BLOCK, Cylinders, Ifs, _cloud_diameter, \
     batch_singular_values, derived, hull_vertices, log_svf, mul2, \
     product_step, word_label
 from affinedim.projective import ProjPoint, strictly_affine
@@ -420,11 +421,26 @@ class TestAttractorSample:
         assert len(cloud) > 50
 
     def test_chaos_game_deterministic(self, cone_ifs):
+        # a second family, since the same one answers from its memo
         a = cone_ifs.attractor_sample(0.01, mode="chaos-game", seed=5,
                                       count=500)
-        b = cone_ifs.attractor_sample(0.01, mode="chaos-game", seed=5,
-                                      count=500)
+        b = Ifs.from_json(cone_ifs.to_json()).attractor_sample(
+            0.01, mode="chaos-game", seed=5, count=500)
         assert np.array_equal(a.points, b.points)
+
+    @pytest.mark.parametrize("args,kwargs", [
+        ((0.003,), {}),
+        ((0.01,), {"mode": "chaos-game", "seed": 2, "count": 200})])
+    def test_memoized_with_read_only_points(self, cone_ifs, args, kwargs):
+        ifs = Ifs.from_json(cone_ifs.to_json())
+        cloud = ifs.attractor_sample(*args, **kwargs)
+        assert ifs.attractor_sample(*args, **kwargs) is cloud
+        assert not cloud.points.flags.writeable
+        with pytest.raises(ValueError):
+            cloud.points[0, 0] = 0.0
+        fresh = Ifs.from_json(cone_ifs.to_json())
+        assert np.array_equal(fresh.attractor_sample(*args, **kwargs).points,
+                              cloud.points)
 
     def test_chaos_game_points_near_cylinder_cloud(self, cone_ifs):
         chaos = cone_ifs.attractor_sample(0.02, mode="chaos-game", seed=1,
@@ -726,3 +742,97 @@ class TestMul2:
                 .reshape(-1, 2, 2)
         assert_same_bits(found.mats, mats)
         assert_same_bits(found.pts, pts)
+
+
+def c_ordered_frontier(ifs, stop, prune=None):
+    """Ifs.frontier without lex as it was before its products were held
+    entry-major: C-ordered products, masked by rows, children through mul2
+    into a new (n_maps, k, 2, 2) array.  The oracle of the entry-major
+    walk."""
+    cap = word_cap()
+    n, c = ifs.n_maps, ifs.ball_center
+    drifts = mul2(ifs.lins, c[:, None])[..., 0] + ifs.vs - c
+    codes, mats, pts = np.arange(n), ifs.lins, c + drifts
+    found, emitted = [], 0
+    for depth in range(1, int(63 / math.log2(max(n, 2))) + 1):
+        a1 = batch_singular_values(mats)[0]
+        if prune is not None:
+            keep = ~prune(mats, pts, a1)
+            codes, mats, pts, a1 = codes[keep], mats[keep], pts[keep], \
+                a1[keep]
+        done = stop(mats, pts, a1)
+        found.append((depth, codes[done], mats[done], pts[done], a1[done]))
+        emitted += len(found[-1][1])
+        live = ~done
+        codes, mats, pts = codes[live], mats[live], pts[live]
+        if emitted + n * len(codes) > cap:
+            raise BudgetExceeded(cap, emitted + n * len(codes))
+        if not len(codes):
+            break
+        codes = (codes[None, :] * n + np.arange(n)[:, None]).reshape(-1)
+        pts = (mul2(mats[None], drifts[:, None, :, None])[..., 0]
+               + pts[None, :, :]).reshape(-1, 2)
+        mats = mul2(mats[None], ifs.lins[:, None]).reshape(-1, 2, 2)
+    else:
+        raise BudgetExceeded(cap, None)
+    depths, *parts = zip(*found)
+    lengths = np.repeat(depths, [len(k) for k in parts[0]])
+    return Cylinders(lengths, *[np.concatenate(p) for p in parts])
+
+
+def is_entry_major(mats):
+    """mats is the (k, 2, 2) view of a contiguous (2, 2, k) buffer."""
+    return mats.transpose(1, 2, 0).flags.c_contiguous
+
+
+class TestEntryMajorFrontier:
+    # the 7 fixtures, three maps with det < 0 on the first, and 28 maps
+    @pytest.mark.parametrize("family,frac", [
+        *[(lambda request, name=name: request.getfixturevalue(name), 0.02)
+          for name in FIXTURES],
+        (lambda request: random_contractions(rng(3), 3), 0.01),
+        (lambda request: random_contractions(rng(28), 28), 0.05),
+    ], ids=FIXTURES + ["three_maps", "28_maps"])
+    @pytest.mark.parametrize("pruned", [False, True])
+    def test_matches_the_c_ordered_walk(self, request, family, frac, pruned):
+        ifs = family(request)
+        diam, rad = ifs.diam_upper, ifs.ball_radius
+        x = ifs.compose_word((1, 2))[1]
+        seen = {"oracle": [], "walk": []}
+
+        def rules(log):
+            def stop(mats, pts, a1):
+                log.append((mats.copy(), pts.copy(), a1.copy()))
+                return a1 * diam <= frac * diam
+
+            def prune(mats, pts, a1):
+                log.append((mats.copy(), pts.copy(), a1.copy()))
+                return np.linalg.norm(pts - x, axis=1) \
+                    > 0.3 * diam + a1 * rad
+            return stop, prune if pruned else None
+
+        want = c_ordered_frontier(ifs, *rules(seen["oracle"]))
+        layouts = []
+        stop, prune = rules(seen["walk"])
+        got = ifs.frontier(
+            lambda mats, pts, a1: layouts.append(is_entry_major(mats))
+            or stop(mats, pts, a1),
+            prune and (lambda mats, pts, a1: layouts.append(
+                is_entry_major(mats)) or prune(mats, pts, a1)))
+        assert len(got) > ifs.n_maps
+        assert all(layouts) and is_entry_major(got.mats)
+        for part in ("lengths", "codes", "mats", "pts", "a1"):
+            assert_same_bits(getattr(got, part), getattr(want, part))
+        assert len(seen["walk"]) == len(seen["oracle"])
+        for args, oracle_args in zip(seen["walk"], seen["oracle"]):
+            for a, b in zip(args, oracle_args):
+                assert_same_bits(a, b)
+
+    def test_lex_walk_keeps_c_ordered_products(self, cone_ifs):
+        layouts = []
+
+        def stop(mats, pts, a1):
+            layouts.append(mats.flags.c_contiguous)
+            return a1 <= 0.05
+        found = cone_ifs.frontier(stop, lex=True)
+        assert all(layouts) and found.mats.flags.c_contiguous

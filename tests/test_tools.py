@@ -1,0 +1,58 @@
+"""tools/compare_reports.py: the runs it makes and the differences it
+reports."""
+
+import importlib.util
+import os
+import sys
+
+REPO = os.path.join(os.path.dirname(__file__), os.pardir)
+
+
+def load_tool():
+    path = os.path.join(REPO, "tools", "compare_reports.py")
+    spec = importlib.util.spec_from_file_location("compare_reports", path)
+    tool = importlib.util.module_from_spec(spec)
+    writes, sys.dont_write_bytecode = sys.dont_write_bytecode, True
+    try:
+        spec.loader.exec_module(tool)
+    finally:
+        sys.dont_write_bytecode = writes
+    return tool
+
+
+def test_runs_every_benchmark_call_and_every_suite():
+    tool = load_tool()
+    workloads = tool.load_workloads()
+    names = tool.fixtures(REPO)
+    suites = tool.suites(REPO)
+    assert len(names) == 7 and "carpet" in names
+    assert {"diml", "dima", "content"} <= set(suites)
+    runs = tool.invocations(workloads, names, suites)
+    benchmark = [(inv.args, inv.fixture)
+                 for calls in workloads.WORKLOADS.values() for inv in calls]
+    assert len(benchmark) == 28 and runs[:28] == benchmark
+    assert len(runs) == 28 + (2 + len(suites)) * 7
+    assert (("verify", "dima"), "carpet") in runs
+    assert (("check",), "sim3") in runs and (("dims",), "square4") in runs
+
+
+def test_reports_what_differs():
+    tool = load_tool()
+    same = (b'{"a": 1}\n', b"", 0)
+    assert tool.differences(same, same) == []
+    lines = tool.differences(same, (b'{"a": 2}\n', b"", 2))
+    assert lines[0] == "  report differs:"
+    assert '    +{"a": 2}' in lines and '    -{"a": 1}' in lines
+    assert lines[-1] == "  exit code: parent 0, change 2"
+    assert tool.differences((None, b"x\n", 1), same) \
+        == ["  report: written by change only", "  stdout differs:",
+            "    --- parent", "    +++ change", "    @@ -1 +0,0 @@",
+            "    -x", "  exit code: parent 1, change 0"]
+
+
+def test_one_invocation_in_two_checkouts(tmp_path):
+    tool = load_tool()
+    parent, change = tool.run_both((REPO, REPO), ("check",), "sim3", 1,
+                                   str(tmp_path))
+    assert parent == change
+    assert parent[2] == 0 and b'"command": "check"' in parent[0]
