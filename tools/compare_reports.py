@@ -25,7 +25,8 @@ import tempfile
 
 HERE = os.path.dirname(os.path.abspath(__file__))
 CLI = "import sys; from affinedim.cli import main; sys.exit(main())"
-SUITES = "from affinedim.cli import SUITES; print(' '.join(sorted(SUITES)))"
+LIST_SUITES = ("from affinedim.cli import SUITES; "
+               "print(' '.join(sorted(SUITES)))")
 FIXTURES = os.path.join("src", "affinedim", "fixtures")
 # lines of a differing report or stdout printed in its diff
 DIFF_LINES = 40
@@ -61,7 +62,7 @@ def fixtures(checkout):
 
 
 def suites(checkout):
-    out = subprocess.run([sys.executable, "-c", SUITES], check=True,
+    out = subprocess.run([sys.executable, "-c", LIST_SUITES], check=True,
                          capture_output=True, text=True,
                          env=environment(checkout))
     return out.stdout.split()
