@@ -83,18 +83,18 @@ def argv(args, fixture, seed, out):
                          "--out", out]
 
 
-def run_both(checkouts, args, fixture, seed, scratch):
+def run_both(checkouts, args, fixture, seed, workdir):
     """(report bytes or None, stdout bytes, exit code) of one invocation in
     each checkout, the two processes running at once."""
     procs, outs = [], []
     for k, checkout in enumerate(checkouts):
-        out = os.path.join(scratch, f"report{k}.json")
+        out = os.path.join(workdir, f"report{k}.json")
         if os.path.exists(out):
             os.unlink(out)
         outs.append(out)
         procs.append(subprocess.Popen(
             [sys.executable, "-c", CLI] + argv(args, fixture, seed, out),
-            env=environment(checkout), cwd=scratch, stdin=subprocess.DEVNULL,
+            env=environment(checkout), cwd=workdir, stdin=subprocess.DEVNULL,
             stdout=subprocess.PIPE, stderr=subprocess.DEVNULL))
     results = []
     for proc, out in zip(procs, outs):
@@ -130,22 +130,22 @@ def differences(parent, change):
     return lines
 
 
-def main(args=None):
+def main():
     p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     p.add_argument("parent")
     p.add_argument("change")
     p.add_argument("--seeds", required=True,
                    type=lambda text: [int(s) for s in text.split(",")])
-    opts = p.parse_args(args)
+    opts = p.parse_args()
     checkouts = (opts.parent, opts.change)
     runs = invocations(load_workloads(), fixtures(opts.change),
                        suites(opts.change))
     n_runs = n_diff = 0
-    with tempfile.TemporaryDirectory() as scratch:
+    with tempfile.TemporaryDirectory() as workdir:
         for seed in opts.seeds:
             for args, fixture in runs:
                 parent, change = run_both(checkouts, args, fixture, seed,
-                                          scratch)
+                                          workdir)
                 n_runs += 1
                 lines = differences(parent, change)
                 if lines:
