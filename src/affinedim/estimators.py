@@ -133,14 +133,31 @@ def _distinct(keys, n_cells):
     return int(np.count_nonzero(keys[1:] != keys[:-1])) + 1
 
 
-def _spread_bytes(dim):
-    """The 256 bytes with their bits spread dim apart: bit b of v moves
-    to bit b * dim, the table of a Morton key over dim axes."""
-    v = np.arange(256)
-    table = np.zeros(256, dtype=np.int64)
-    for b in range(8):
-        table |= ((v >> b) & 1) << (b * dim)
-    return table
+def morton_keys(cells):
+    """The Morton keys, as uint64, of cells given as one array of
+    nonnegative integers per axis: bit b of axis k moves to bit
+    b * dim + k over dim axes.  The caller keeps every key within 64
+    bits.
+
+    Each axis is spread by magic-mask steps, s = 2^m down to 1 with 2^m
+    the least power of two that is at least half the bits of the widest
+    cell: before a step the bits stand in blocks of 2s at multiples of
+    2s * dim, and each step moves
+    the upper half of every block s * (dim - 1) places up and keeps the
+    blocks of s bits at multiples of s * dim."""
+    dim = len(cells)
+    keys = np.zeros(len(cells[0]), dtype=np.uint64)
+    for k, col in enumerate(cells):
+        bits = int(col.max(initial=0)).bit_length()
+        x, s = col.astype(np.uint64), 1
+        while 2 * s < bits:
+            s *= 2
+        while s:
+            mask = sum(((1 << s) - 1) << j for j in range(0, 64, s * dim))
+            x = (x | (x << np.uint64(s * (dim - 1)))) & np.uint64(mask)
+            s //= 2
+        keys |= x << np.uint64(k)
+    return keys
 
 
 def _dyadic_counts(points, anchor, delta, n_coarser):
@@ -159,12 +176,8 @@ def _dyadic_counts(points, anchor, delta, n_coarser):
     coordinate."""
     cols = points.reshape(len(points), -1)
     dim = cols.shape[1]
-    keys = np.zeros(len(cols), dtype=np.int64)
-    table = _spread_bytes(dim)
-    for k in range(dim):
-        cells, span = _cells(cols[:, k], anchor[k], delta, k)
-        for byte in range(((span - 1).bit_length() + 7) // 8):
-            keys |= table[(cells >> 8 * byte) & 255] << (8 * byte * dim + k)
+    keys = morton_keys([_cells(cols[:, k], anchor[k], delta, k)[0]
+                        for k in range(dim)])
     keys.sort()
     moved = keys[1:] ^ keys[:-1]
     return [int(np.count_nonzero(moved >> dim * j)) + 1
@@ -204,6 +217,12 @@ def box_dim(cloud, scale_lo=None, base=2.0):
         raise DegenerateRange(
             f"fewer than 5 base-{base} scales in [{scale_lo}, {scale_hi}]")
     deltas = ext / base ** np.arange(k_lo, k_hi + 1)
+    # 1 / delta overflows below about 5.6e-309, and the fit with it
+    with np.errstate(over="ignore"):
+        x = np.log(1.0 / deltas)
+    if not np.isfinite(x).all():
+        raise DegenerateRange(f"finest scale {deltas[-1]} has no finite "
+                              "log(1/delta)")
     anchor = cloud.bbox[0]
     # at base 2 the scales ext / 2^k halve exactly while the finest is a
     # normal float, so one sort gives every count when its key fits
@@ -213,7 +232,6 @@ def box_dim(cloud, scale_lo=None, base=2.0):
                                 k_hi - k_lo)
     else:
         counts = [grid_count(cloud.points, d, anchor) for d in deltas]
-    x = np.log(1.0 / deltas)
     y = np.log(counts)
     slope, intercept = np.polyfit(x, y, 1)
     resid = float(np.sqrt(np.mean((y - (slope * x + intercept)) ** 2)))

@@ -12,7 +12,7 @@ import numpy as np
 from .config import word_cap
 from .errors import BudgetExceeded, DegenerateRange, HypothesisViolated, \
     NotDominated, NotSeparated
-from .estimators import PointCloud, box_dim
+from .estimators import PointCloud, box_dim, morton_keys
 from .ifs import batch_singular_values, derived, mul2
 from .projective import PI, ProjPoint, furstenberg_directions
 from .roots import brentq
@@ -70,18 +70,23 @@ def _axis(v):
     return np.array([math.cos(u_theta), math.sin(u_theta)])
 
 
+def _pull_back(mats, u):
+    """The pulled-back axes A_w^T u over broadcast stacks of products
+    (..., 2, 2) and axes (..., 2), through `mul2`."""
+    return mul2(mats.swapaxes(-1, -2), u[..., None])[..., 0]
+
+
 def _hull_half_widths(ifs, mats, u):
     """Certified half-widths |A_w^T u| * ball radius of the projections of
     the cylinders phi_w(X) to the unit axis u, one per product A_w."""
-    return np.linalg.norm(mul2(mats.swapaxes(1, 2), u[:, None])[..., 0],
-                          axis=1) * ifs.ball_radius
+    return np.linalg.norm(_pull_back(mats, u), axis=1) * ifs.ball_radius
 
 
 def projected_diameter_bound(ifs, mats, direction):
     """Certified upper bounds for diam(proj_{V_perp} phi_w(X)), one per
     product A_w of a (k,2,2) stack, via the factorization through the
     pulled-back projection axis A_w^T u."""
-    au = mats.transpose(0, 2, 1) @ _axis(direction)
+    au = _pull_back(mats, _axis(direction))
     return np.linalg.norm(au, axis=1) \
         * _diam_table(ifs).upper(np.arctan2(au[:, 1], au[:, 0]))
 
@@ -120,19 +125,12 @@ def _block_tree(pts, errs):
     their bounding box; level k holds the bounding boxes (lo, hi) and the
     largest radius of the blocks of 2^k consecutive points, from single
     points to the whole cloud.  The last block of a level may be short."""
-    keys = np.zeros(len(pts), dtype=np.uint64)
-    for axis in (0, 1):
-        x = pts[:, axis]
+    cells = []
+    for x in pts.T:
         lo, hi = x.min(), x.max()
-        cells = ((x - lo) / ((hi - lo) or 1.0)
-                 * float(2 ** 32 - 1)).astype(np.uint64)
-        # the 32 bits of the cell move to the even bit places
-        for shift, mask in ((16, 0x0000FFFF0000FFFF), (8, 0x00FF00FF00FF00FF),
-                            (4, 0x0F0F0F0F0F0F0F0F), (2, 0x3333333333333333),
-                            (1, 0x5555555555555555)):
-            cells = (cells | (cells << np.uint64(shift))) & np.uint64(mask)
-        keys |= cells << np.uint64(axis)
-    order = np.argsort(keys, kind="stable")
+        cells.append(((x - lo) / ((hi - lo) or 1.0)
+                      * float(2 ** 32 - 1)).astype(np.uint64))
+    order = np.argsort(morton_keys(cells), kind="stable")
     pts = pts[order]
     levels = [(pts, pts, errs[order])]
     while len(levels[-1][0]) > 1:
@@ -250,12 +248,16 @@ class PoscReport:
                 "appears_to_hold": self.appears_to_hold}
 
 
+def _proj_stop(ifs, v, r):
+    """Stop rule of the projected stopping sets: the certified projected
+    diameter bound in direction v is at most r."""
+    return lambda mats, pts, a1: projected_diameter_bound(ifs, mats, v) <= r
+
+
 def _proj_stopping(ifs, v, r, cap=None):
-    """Cylinders, in lexicographic word order, that stop once the
-    certified projected diameter bound in direction v is at most r."""
-    return ifs.frontier(
-        lambda mats, pts, a1: projected_diameter_bound(ifs, mats, v) <= r,
-        cap=cap, lex=True)
+    """Cylinders, in the emission order of `Ifs.frontier`, that stop once
+    the certified projected diameter bound in direction v is at most r."""
+    return ifs.frontier(_proj_stop(ifs, v, r), cap=cap)
 
 
 # directions on the grid over the limit-direction intervals of posc_check
@@ -293,9 +295,9 @@ def posc_check(ifs, depth=6):
                 continue
             # projected images of the x-sample under every stopping word:
             # phi_w(x) = A_w x + t_w with t_w = phi_w(c) - A_w c
-            trans = found.pts - found.mats @ ifs.ball_center
-            projs = (xs @ found.mats.transpose(0, 2, 1)
-                     + trans[:, None, :]) @ u
+            ac = mul2(found.mats, ifs.ball_center[:, None])[..., 0]
+            projs = (mul2(found.mats[:, None], xs[..., None])[..., 0]
+                     + (found.pts - ac)[:, None, :]) @ u
             hi, lo = projs.max(axis=1), projs.min(axis=1)
             diams = np.maximum(hi - lo, 1e-300)
             # pairs up to 7 apart in the order of the projected centres,
@@ -310,7 +312,7 @@ def posc_check(ifs, depth=6):
             if vals[j] < eta_k:
                 # recompute the winning pair from its composed maps; the
                 # differences phi_w(c) - A_w c above carry extra rounding
-                t = [(xs @ found.mats[i].T
+                t = [(mul2(found.mats[i], xs[..., None])[..., 0]
                       + ifs.compose_word(found.word(ifs, i))[1]) @ u
                      for i in (ia[j], ib[j])]
                 eta_k = np.abs(t[0] - t[1]).max() \
@@ -330,23 +332,26 @@ def posc_check(ifs, depth=6):
 # projected cylinder counting
 
 
+def _misses(ifs, v, x, r):
+    """Prune rule of `sigma_count`: the certified projected hull of the
+    cylinder misses the interval of radius r around the projection of x.
+    The hulls of its children stay inside its own."""
+    u = _axis(v)
+    t0 = float(np.asarray(x, dtype=float) @ u)
+    return lambda mats, pts, a1: \
+        np.abs(pts @ u - t0) > r + _hull_half_widths(ifs, mats, u)
+
+
 def sigma_count(ifs, v, x, r):
     """Count stopping words (by projected diameter in direction v) whose
     projected cylinder hull meets the interval of radius r around the
-    projection of x.  Boundary-ambiguous words are included, so the count
+    projection of x, and list them in the emission order of
+    `Ifs.frontier`.  Boundary-ambiguous words are included, so the count
     is an upper bound."""
     if not 0.0 < r < _diam_table(ifs).upper(v.angle + PI / 2.0):
         raise ValueError("r outside (0, projected diameter)")
-    u = _axis(v)
-    t0 = float(np.asarray(x, dtype=float) @ u)
-
-    def misses(mats, pts, a1):
-        # children hulls stay inside this hull
-        return np.abs(pts @ u - t0) > r + _hull_half_widths(ifs, mats, u)
-
-    words = ifs.frontier(
-        lambda mats, pts, a1: projected_diameter_bound(ifs, mats, v) <= r,
-        misses, lex=True).words(ifs)
+    words = ifs.frontier(_proj_stop(ifs, v, r),
+                         _misses(ifs, v, x, r)).words(ifs)
     return len(words), words
 
 
@@ -819,9 +824,7 @@ def bochi_morris_scan(ifs, depth=8):
         prods = ifs.level_products(n)
         a1 = batch_singular_values(prods)[0]
         # norms of A_w^T u for all words x directions
-        norms = np.linalg.norm(
-            mul2(prods.swapaxes(1, 2)[:, None], us[None, :, :, None])[..., 0],
-            axis=2)
+        norms = np.linalg.norm(_pull_back(prods[:, None], us[None]), axis=2)
         if (norms > a1[:, None] * (1.0 + 1e-10)).any():
             raise AssertionError("norm bound violated; numerical fault")
         out[n] = float((a1[:, None] / norms).max())

@@ -383,7 +383,7 @@ class Ifs:
 
     # -- cylinder frontier --------------------------------------------------
 
-    def frontier(self, stop, prune=None, cap=None, lex=False):
+    def frontier(self, stop, prune=None, cap=None):
         """Stopping set of a walk over the cylinder tree.
 
         The walk is breadth-first from the one-letter words.  Each level
@@ -396,31 +396,25 @@ class Ifs:
         set would exceed cap, and when nodes are still unfinished below
         the deepest level whose word codes fit in an int64.
 
-        Without lex the cylinders come in emission order: level by level,
-        children letter-major, products by `mul2`.  The products are held
-        entry-major (see `_empty_level`), in the callbacks and in the
+        The cylinders come in emission order: level by level, children
+        letter-major, each product A_w A_i by `mul2`.  The products are
+        held entry-major (see `_empty_level`), in the callbacks and in the
         result, so copy them with np.ascontiguousarray before a stacked @.
-        With lex they come in lexicographic word order, that of a
-        depth-first walk, and each product A_w A_i is a stacked matmul on
-        C-ordered products, which repeats the arithmetic of a node-by-node
-        walk bit for bit.
         """
         cap = word_cap() if cap is None else cap
         n, c = self.n_maps, self.ball_center
         # child of word w by letter i: p_{wi} = p_w + A_w (phi_i(c) - c)
         drifts = mul2(self.lins, c[:, None])[..., 0] + self.vs - c
         codes, pts = np.arange(n), c + drifts
-        # the nodes at some indices: a mask is turned into indices once,
-        # and every array taken at them
-        if lex:
-            mats, rows = self.lins, lambda x, at: x.take(at, axis=0)
-        else:
-            mats = _empty_level(self.lins, n)
-            mats[...] = self.lins
-            # an entry-major stack is taken along the word axis of its
-            # (2, 2, k) buffer, so it stays entry-major
-            rows = lambda x, at: x.transpose(1, 2, 0).take(at, axis=2) \
-                .transpose(2, 0, 1)
+        mats = _empty_level(self.lins, n)
+        mats[...] = self.lins
+
+        def rows(x, at):
+            # the nodes at some indices: a mask is turned into indices
+            # once, and an entry-major stack is taken along the word axis
+            # of its (2, 2, k) buffer, so it stays entry-major
+            return x.transpose(1, 2, 0).take(at, axis=2).transpose(2, 0, 1)
+
         found, emitted = [], 0
         for depth in range(1, int(63 / math.log2(max(n, 2))) + 1):
             a1 = batch_singular_values(mats)[0]
@@ -442,27 +436,16 @@ class Ifs:
             codes = (codes[None, :] * n + np.arange(n)[:, None]).reshape(-1)
             pts = (mul2(mats[None], drifts[:, None, :, None])[..., 0]
                    + pts[None, :, :]).reshape(-1, 2)
-            if lex:
-                mats = (mats[None] @ self.lins[:, None]).reshape(-1, 2, 2)
-            else:
-                out = _empty_level(mats, len(codes))
-                mul2(mats[None], self.lins[:, None],
-                     out=out.reshape(n, -1, 2, 2))
-                mats = out
+            out = _empty_level(mats, len(codes))
+            mul2(mats[None], self.lins[:, None], out=out.reshape(n, -1, 2, 2))
+            mats = out
         else:
             raise BudgetExceeded(cap, None)
         depths, codes, mats, pts, a1 = zip(*found)
         lengths = np.repeat(depths, [len(k) for k in codes])
-        parts = [lengths, np.concatenate(codes),
-                 np.concatenate(mats, out=_empty_level(mats[0], len(lengths))),
-                 np.concatenate(pts), np.concatenate(a1)]
-        if lex:
-            # the words are prefix-free, so their codes padded to the
-            # longest length are distinct keys in lexicographic order
-            pad = lengths.max(initial=0) - lengths
-            order = np.argsort(parts[1] * np.int64(n) ** pad)
-            parts = [p[order] for p in parts]
-        return Cylinders(*parts)
+        mats = np.concatenate(mats, out=_empty_level(mats[0], len(lengths)))
+        return Cylinders(lengths, np.concatenate(codes), mats,
+                         np.concatenate(pts), np.concatenate(a1))
 
     @derived
     def attractor_sample(self, resolution, mode="cylinder-centers", seed=0,
@@ -529,8 +512,9 @@ class Ifs:
 class Cylinders:
     """Cylinders phi_w(X) found by `Ifs.frontier`: word lengths, word codes
     (the lexicographic index of w among the words of its length, as in
-    level_products), products A_w (entry-major unless the walk was lex),
-    canonical points phi_w(ball center) and alpha1(A_w)."""
+    level_products), entry-major products A_w, canonical points
+    phi_w(ball center) and alpha1(A_w), in the emission order of the
+    walk."""
 
     lengths: np.ndarray
     codes: np.ndarray

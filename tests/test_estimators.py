@@ -11,7 +11,7 @@ from affinedim import estimators
 from affinedim.errors import DegenerateRange
 from affinedim.estimators import OCCUPANCY_CELLS, CoverReport, PointCloud, \
     _distinct, assouad_two_scale, box_dim, grid_count, lower_two_scale, \
-    two_scale_exponents
+    morton_keys, two_scale_exponents
 
 
 def grid_square(n=512):
@@ -365,6 +365,75 @@ class TestDyadicCounts:
         cloud = PointCloud(pts, 0.45 * ext * 2.0 ** -23)
         rep = same_fit(cloud, 2.0 * cloud.resolution)
         assert 0.0 < rep.scales[-1] < sys.float_info.min
+
+    def test_scales_without_a_finite_log_refuse(self):
+        # 1 / delta overflows below about 5.6e-309, and log(1/delta) with
+        # it; the fit once failed inside np.polyfit with LinAlgError
+        pts = np.array([0.0, 2.0 ** -1010, 3.0 * 2.0 ** -1030])
+        cloud = PointCloud(pts, 2.0 ** -1033)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DegenerateRange, match="log"):
+                box_dim(cloud, 2.0 * cloud.resolution)
+
+
+def mask_spread_keys(cells_x, cells_y):
+    """Morton keys of two axes of 32-bit cells by five magic-mask steps
+    per axis, moving the 32 bits of a cell to every other bit place, as
+    `geometry._block_tree` spread them before `morton_keys`: its first
+    oracle."""
+    keys = np.zeros(len(cells_x), dtype=np.uint64)
+    for axis, cells in enumerate((cells_x, cells_y)):
+        cells = cells.astype(np.uint64)
+        for shift, mask in ((16, 0x0000FFFF0000FFFF), (8, 0x00FF00FF00FF00FF),
+                            (4, 0x0F0F0F0F0F0F0F0F), (2, 0x3333333333333333),
+                            (1, 0x5555555555555555)):
+            cells = (cells | (cells << np.uint64(shift))) & np.uint64(mask)
+        keys |= cells << np.uint64(axis)
+    return keys
+
+
+def byte_table_keys(cells):
+    """Morton keys spread a byte at a time through the table of the 256
+    bytes with their bits spread dim apart, for any number of axes, as
+    `_dyadic_counts` spread them before `morton_keys`: its second
+    oracle."""
+    dim = len(cells)
+    v = np.arange(256)
+    table = np.zeros(256, dtype=np.int64)
+    for b in range(8):
+        table |= ((v >> b) & 1) << (b * dim)
+    keys = np.zeros(len(cells[0]), dtype=np.uint64)
+    for k, col in enumerate(cells):
+        for byte in range((int(col.max()).bit_length() + 7) // 8):
+            keys |= table[(col >> 8 * byte) & 255].astype(np.uint64) \
+                << np.uint64(8 * byte * dim + k)
+    return keys
+
+
+class TestMortonKeys:
+    @pytest.mark.parametrize("size", [1, 5, 1000, 15625])
+    @pytest.mark.parametrize("dtype", [np.uint64, np.int64])
+    def test_matches_the_mask_spread(self, size, dtype):
+        g = np.random.Generator(np.random.Philox(key=size))
+        cells = g.integers(0, 2 ** 32, size=(2, size), dtype=np.uint64)
+        # the least and the greatest 32-bit cell, and cells of one byte
+        cells[:, 0] = (0, 2 ** 32 - 1)
+        cells[:, 1::3] = [[2 ** 32 - 1], [0]]
+        cells[:, 2::5] >>= np.uint64(24)
+        keys = morton_keys([c.astype(dtype) for c in cells])
+        assert keys.dtype == np.uint64
+        assert np.array_equal(keys, mask_spread_keys(*cells))
+
+    @pytest.mark.parametrize("dim,bits", [(1, 1), (1, 9), (1, 62), (2, 3),
+                                          (2, 17), (2, 31), (3, 8),
+                                          (3, 21), (4, 16)])
+    def test_matches_the_byte_table(self, dim, bits):
+        g = np.random.Generator(np.random.Philox(key=dim * 100 + bits))
+        cells = g.integers(0, 2 ** bits, size=(dim, 300), dtype=np.int64)
+        cells[:, 0], cells[:, 1] = 0, 2 ** bits - 1
+        assert np.array_equal(morton_keys(list(cells)),
+                              byte_table_keys(list(cells)))
 
 
 def sorted_distinct(keys):

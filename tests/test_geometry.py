@@ -16,8 +16,8 @@ from affinedim.geometry import DiameterTable, approximate_square_counts, \
     projected_gap, sigma_count, slice_points, slice_root, slice_upper_bound, \
     ssc_check, tangent_dimension_scan, transversality_derivative, \
     transversality_tail_bound, weak_tangent
-from affinedim.ifs import Ifs, hull_vertices
-from affinedim.projective import PI, ProjPoint
+from affinedim.ifs import Ifs, batch_singular_values, hull_vertices
+from affinedim.projective import PI, ProjPoint, furstenberg_directions
 from affinedim.thermo import affinity_dimension
 
 
@@ -926,3 +926,40 @@ class TestNormComparison:
         out = bochi_morris_scan(cone_ifs, depth=6)
         assert all(v >= 1.0 for v in out.values())
         assert out[6] <= 1.1 * out[3]
+
+
+class TestPullBack:
+    # levels where a stacked @ on a C-ordered stack and einsum differ in
+    # the last bit; mul2 equals einsum bit for bit on every layout
+    @pytest.mark.parametrize("name", ["cone_ifs", "overlap_ifs",
+                                      "positive_pair"])
+    def test_reads_products_through_mul2(self, request, name):
+        ifs = request.getfixturevalue(name)
+        v = ProjPoint(0.3)
+        u = geometry._axis(v)
+        level = ifs.level_products(6)
+        au = np.einsum("wqp,q->wp", level, u)
+        norms = np.linalg.norm(au, axis=1)
+        bound = norms * geometry._diam_table(ifs).upper(
+            np.arctan2(au[:, 1], au[:, 0]))
+        for mats in (level, np.ascontiguousarray(level)):
+            assert geometry._pull_back(mats, u).tobytes() == au.tobytes()
+            assert geometry.projected_diameter_bound(ifs, mats, v) \
+                .tobytes() == bound.tobytes()
+            assert geometry._hull_half_widths(ifs, mats, u).tobytes() \
+                == (norms * ifs.ball_radius).tobytes()
+
+    def test_norm_scan_pulls_back_every_direction(self, cone_ifs):
+        # the constant of each level from einsum's pulled-back axes, at
+        # the scan's at most 64 directions
+        angles = furstenberg_directions(cone_ifs, depth=30).sample_angles(3)
+        angles = angles[:: len(angles) // 64 + 1]
+        perps = (angles + PI / 2.0) % PI
+        us = np.stack([np.cos(perps), np.sin(perps)], axis=1)
+        out = bochi_morris_scan(cone_ifs, depth=5)
+        for n in range(1, 6):
+            prods = cone_ifs.level_products(n)
+            a1 = batch_singular_values(prods)[0]
+            norms = np.linalg.norm(np.einsum("wqp,kq->wkp", prods, us),
+                                   axis=2)
+            assert out[n] == float((a1[:, None] / norms).max())

@@ -5,7 +5,8 @@ set by some call, 2x2 products go through the one kernel ifs.mul2,
 projective angles come from math.atan2 and not np.arctan2, one function
 branches on s at 1 and 2, the estimators take no norms and no
 reductions along axis 0, interval_content has no for loop and no
-comprehension, no module makes an array of Python objects, only Ifs.__init__ and the memo ifs.derived touch
+comprehension, Ifs.frontier has no @, no module makes an array of
+Python objects, only Ifs.__init__ and the memo ifs.derived touch
 Ifs._cache, importing the package loads numpy but not scipy, every
 entry point that the benchmark's tracer wraps still exists, and a traced
 `dims` run counts the points of the covering counts."""
@@ -335,6 +336,37 @@ def test_interval_content_merges_in_rounds():
     # run once per interval
     with open(os.path.join(SRC_DIR, "geometry.py")) as fh:
         assert loops_in(fh.read(), "interval_content") == []
+
+
+def matmuls_in(source, cls, method):
+    """Line numbers of every @ in the body of the one method of the given
+    name of the one module-level class of the given name."""
+    [klass] = [node for node in ast.parse(source).body
+               if isinstance(node, ast.ClassDef) and node.name == cls]
+    [fn] = [node for node in klass.body
+            if isinstance(node, ast.FunctionDef) and node.name == method]
+    return sorted(node.lineno for node in ast.walk(fn)
+                  if isinstance(node, (ast.BinOp, ast.AugAssign))
+                  and isinstance(node.op, ast.MatMult))
+
+
+def test_checker_finds_matmuls():
+    src = ("class C:\n    def f(self, a, b):\n        return a @ b\n"
+           "    def g(self, a):\n        a @= a\n        return [x @ x\n"
+           "                for x in a]\n"
+           "def f(a):\n    return a @ a\n")
+    assert matmuls_in(src, "C", "f") == [3]
+    assert matmuls_in(src, "C", "g") == [5, 6]
+    with pytest.raises(ValueError):
+        matmuls_in(src, "C", "h")
+
+
+def test_frontier_has_one_product_rule():
+    # the cylinder walk multiplies only through mul2, whose bits do not
+    # depend on the layout of the products; a stacked @ rounds
+    # differently on its entry-major products
+    with open(os.path.join(SRC_DIR, "ifs.py")) as fh:
+        assert matmuls_in(fh.read(), "Ifs", "frontier") == []
 
 
 def object_arrays(source):

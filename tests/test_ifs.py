@@ -8,8 +8,8 @@ import pytest
 
 from affinedim.config import word_cap
 from affinedim.errors import BudgetExceeded, IndexOutOfRange
-from affinedim.geometry import DIAM_GRID, DiameterTable, _proj_stopping, \
-    projected_diameter_bound
+from affinedim.geometry import DIAM_GRID, DiameterTable, _misses, \
+    _proj_stop, _proj_stopping, projected_diameter_bound
 from affinedim.ifs import LEVEL_BLOCK, Cylinders, Ifs, _cloud_diameter, \
     batch_singular_values, derived, hull_vertices, log_svf, mul2, \
     product_step, word_label
@@ -188,21 +188,19 @@ def is_prefix_free(words):
 class TestStoppingSets:
     def test_uniform_ratio_counts(self, sim3):
         # similarity ratio 1/3: scale diam/27 stops exactly at depth 3
-        found = sim3.frontier(alpha1_stop(sim3, sim3.diam_upper / 27.0),
-                              lex=True)
+        found = sim3.frontier(alpha1_stop(sim3, sim3.diam_upper / 27.0))
         words = found.words(sim3)
         assert len(words) == 27
         assert all(len(w) == 3 for w in words)
         assert is_prefix_free(words)
 
     def test_huge_scale_gives_first_level(self, sim3):
-        found = sim3.frontier(alpha1_stop(sim3, 10.0 * sim3.diam_upper),
-                              lex=True)
+        found = sim3.frontier(alpha1_stop(sim3, 10.0 * sim3.diam_upper))
         assert sorted(found.words(sim3)) == [(1,), (2,), (3,)]
 
     def test_prefix_free_nonuniform(self, cone_ifs):
         found = cone_ifs.frontier(
-            alpha1_stop(cone_ifs, 0.0015 * cone_ifs.diam_upper), lex=True)
+            alpha1_stop(cone_ifs, 0.0015 * cone_ifs.diam_upper))
         words = found.words(cone_ifs)
         assert is_prefix_free(words)
         # mixed contraction rates produce mixed word lengths
@@ -213,7 +211,7 @@ class TestStoppingSets:
         r = cone_ifs.diam_upper * 1e-9
         monkeypatch.setenv("AFFINEDIM_WORD_CAP", "1000")
         with pytest.raises(BudgetExceeded):
-            cone_ifs.frontier(alpha1_stop(cone_ifs, r), lex=True)
+            cone_ifs.frontier(alpha1_stop(cone_ifs, r))
 
 
 class TestCylinderCenters:
@@ -512,13 +510,14 @@ class TestFrontier:
 
         def stopping_set():
             if criterion == "by-alpha1":
-                return ifs.frontier(alpha1_stop(ifs, r), lex=True)
+                return ifs.frontier(alpha1_stop(ifs, r))
             if criterion == "by-alpha2-aspect":
-                return ifs.frontier(aspect_stop, lex=True)
+                return ifs.frontier(aspect_stop)
             return _proj_stopping(ifs, v, r)
 
+        # the same words; the walk emits them level by level
         ref = reference_stopping_words(ifs, stop)
-        assert stopping_set().words(ifs) == ref
+        assert sorted(stopping_set().words(ifs)) == ref
         monkeypatch.setenv("AFFINEDIM_WORD_CAP", str(len(ref)))
         assert len(stopping_set()) == len(ref)
         monkeypatch.setenv("AFFINEDIM_WORD_CAP", str(len(ref) - 1))
@@ -537,7 +536,7 @@ class TestFrontier:
         slow = Ifs([np.diag([0.99, 0.99]), np.diag([0.1, 0.1])],
                    [(0.0, 0.0), (1.0, 0.0)])
         with pytest.raises(BudgetExceeded):
-            slow.frontier(alpha1_stop(slow, 1e-3 * slow.diam_upper), lex=True)
+            slow.frontier(alpha1_stop(slow, 1e-3 * slow.diam_upper))
 
 
 def collinear_ifs(n_maps):
@@ -745,10 +744,9 @@ class TestMul2:
 
 
 def c_ordered_frontier(ifs, stop, prune=None):
-    """Ifs.frontier without lex as it was before its products were held
-    entry-major: C-ordered products, masked by rows, children through mul2
-    into a new (n_maps, k, 2, 2) array.  The oracle of the entry-major
-    walk."""
+    """Ifs.frontier as it was before its products were held entry-major:
+    C-ordered products, masked by rows, children through mul2 into a new
+    (n_maps, k, 2, 2) array.  The oracle of the entry-major walk."""
     cap = word_cap()
     n, c = ifs.n_maps, ifs.ball_center
     drifts = mul2(ifs.lins, c[:, None])[..., 0] + ifs.vs - c
@@ -793,22 +791,30 @@ class TestEntryMajorFrontier:
         (lambda request: random_contractions(rng(3), 3), 0.01),
         (lambda request: random_contractions(rng(28), 28), 0.05),
     ], ids=FIXTURES + ["three_maps", "28_maps"])
-    @pytest.mark.parametrize("pruned", [False, True])
+    # stop by alpha1, unpruned (False) or pruned to a ball (True), and the
+    # projected stop rule of posc_check and sigma_count with
+    # sigma_count's prune ("projected")
+    @pytest.mark.parametrize("pruned", [False, True, "projected"])
     def test_matches_the_c_ordered_walk(self, request, family, frac, pruned):
         ifs = family(request)
         diam, rad = ifs.diam_upper, ifs.ball_radius
         x = ifs.compose_word((1, 2))[1]
+        v = ProjPoint(0.3)
         seen = {"oracle": [], "walk": []}
 
-        def rules(log):
-            def stop(mats, pts, a1):
+        def logged(log, fn):
+            def rule(mats, pts, a1):
                 log.append((mats.copy(), pts.copy(), a1.copy()))
-                return a1 * diam <= frac * diam
+                return fn(mats, pts, a1)
+            return rule
 
-            def prune(mats, pts, a1):
-                log.append((mats.copy(), pts.copy(), a1.copy()))
-                return np.linalg.norm(pts - x, axis=1) \
-                    > 0.3 * diam + a1 * rad
+        def rules(log):
+            if pruned == "projected":
+                return (logged(log, _proj_stop(ifs, v, frac * diam)),
+                        logged(log, _misses(ifs, v, x, 0.3 * diam)))
+            stop = logged(log, lambda mats, pts, a1: a1 * diam <= frac * diam)
+            prune = logged(log, lambda mats, pts, a1: np.linalg.norm(
+                pts - x, axis=1) > 0.3 * diam + a1 * rad)
             return stop, prune if pruned else None
 
         want = c_ordered_frontier(ifs, *rules(seen["oracle"]))
@@ -827,12 +833,3 @@ class TestEntryMajorFrontier:
         for args, oracle_args in zip(seen["walk"], seen["oracle"]):
             for a, b in zip(args, oracle_args):
                 assert_same_bits(a, b)
-
-    def test_lex_walk_keeps_c_ordered_products(self, cone_ifs):
-        layouts = []
-
-        def stop(mats, pts, a1):
-            layouts.append(mats.flags.c_contiguous)
-            return a1 <= 0.05
-        found = cone_ifs.frontier(stop, lex=True)
-        assert all(layouts) and found.mats.flags.c_contiguous

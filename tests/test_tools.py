@@ -31,9 +31,14 @@ def test_runs_every_benchmark_call_and_every_suite():
     benchmark = [(inv.args, inv.fixture)
                  for calls in workloads.WORKLOADS.values() for inv in calls]
     assert len(benchmark) == 28 and runs[:28] == benchmark
-    assert len(runs) == 28 + (2 + len(suites)) * 7
+    assert len(suites) == 6
+    assert len(runs) == 28 + (2 + 6 + 4) * 7 == 112
     assert (("verify", "dima"), "carpet") in runs
     assert (("check",), "sim3") in runs and (("dims",), "square4") in runs
+    assert (("render", "--depth", "3"), "cone") in runs
+    assert (("render", "--depth", "6", "--directions"), "overlap") in runs
+    assert (("carpet",), "carpet") in runs
+    assert (("carpet", "--eps", "0.01"), "positive_pair") in runs
 
 
 def test_reports_what_differs():
@@ -56,3 +61,11 @@ def test_one_invocation_in_two_checkouts(tmp_path):
                                    str(tmp_path))
     assert parent == change
     assert parent[2] == 0 and b'"command": "check"' in parent[0]
+
+
+def test_a_render_is_compared_as_its_svg(tmp_path):
+    tool = load_tool()
+    parent, change = tool.run_both((REPO, REPO), ("render", "--depth", "3"),
+                                   "sim3", 1, str(tmp_path))
+    assert parent == change
+    assert parent[2] == 0 and parent[0].count(b"<polygon") == 27

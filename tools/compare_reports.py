@@ -5,8 +5,10 @@
 PARENT and CHANGE are directories that hold src/affinedim, such as two
 `git archive` checkouts.  At every seed, each checkout runs every
 invocation of the benchmark's workloads (perfbench/workloads.py beside
-this tool, loaded without writing bytecode), then `check`, `dims` and
-every `verify` suite on each shipped fixture.  Each run is a fresh
+this tool, loaded without writing bytecode), then `check`, `dims`,
+every `verify` suite, `render --depth 3`, `render --depth 6
+--directions`, `carpet` and `carpet --eps 0.01` on each shipped fixture;
+a render's SVG is compared as its report.  Each run is a fresh
 process with OMP_NUM_THREADS=1 and the checkout's src first on
 PYTHONPATH; the two checkouts run side by side, one process each.
 
@@ -70,11 +72,15 @@ def suites(checkout):
 
 def invocations(workloads, names, verify_suites):
     """(args, fixture) of every run at one seed: the benchmark's in
-    workload order, then check, dims and each verify suite per fixture."""
+    workload order, then check, dims, each verify suite, two renders and
+    two carpet reports per fixture."""
     runs = [(inv.args, inv.fixture)
             for calls in workloads.WORKLOADS.values() for inv in calls]
     commands = [("check",), ("dims",)] \
-        + [("verify", suite) for suite in verify_suites]
+        + [("verify", suite) for suite in verify_suites] \
+        + [("render", "--depth", "3"),
+           ("render", "--depth", "6", "--directions"),
+           ("carpet",), ("carpet", "--eps", "0.01")]
     return runs + [(args, f) for args in commands for f in names]
 
 
