@@ -9,7 +9,7 @@ from .errors import AffinedimError, BudgetExceeded, DegenerateRange, \
     NotDominated, NotSeparated, PlacementFailed
 from .estimators import CoverReport, PointCloud, assouad_two_scale, \
     box_dim, grid_count, lower_two_scale, two_scale_exponents
-from .geometry import ContentEstimate, PoscReport, SscReport, TangentCloud, \
+from .geometry import ContentEstimate, PoscReport, SscReport, \
     bochi_morris_scan, content_consistency, hausdorff_content_projection, \
     interval_content, posc_check, projected_gap, sigma_count, slice_points, \
     slice_root, slice_upper_bound, ssc_check, tangent_dimension_scan, \

@@ -1,5 +1,5 @@
 """Grid-aligned self-affine carpets: closed-form dimensions and the
-augmented five-map example with its extra positive matrix.
+augmented example, a carpet with an extra positive matrix.
 """
 
 from dataclasses import dataclass
@@ -129,33 +129,31 @@ def s_eps_root(spec, b):
     return brentq(f, 1e-9, 2.0, xtol=1e-12)
 
 
-def example_fixture(eps):
-    """The five-map carpet plus a small positive matrix, translated into
-    an empty grid cell so the first-level pieces stay disjoint.
+def example_fixture(spec, eps):
+    """The carpet of spec plus the small positive matrix
+    B = eps [[0.6, 0.3], [0.2, 0.5]], fixed at the center of the first
+    empty grid cell (emptiest column first, in a column nearest the middle
+    row) where `ssc_check` certifies the first-level pieces disjoint.
 
     Returns the augmented system together with the root s_eps of the
-    associated pressure equation.
+    associated pressure equation; PlacementFailed when no cell serves.
     """
     if not 0.0 < eps < 0.5:
         raise ValueError("eps must be in (0, 0.5)")
-    spec = EXAMPLE_SPEC
     b = eps * np.array([[0.6, 0.3], [0.2, 0.5]])
     base = to_ifs(spec)
-    # empty cells in column 1; center the extra piece in cell (1, 2)
-    placed = None
-    for cell in ((1, 2), (1, 0), (1, 4), (2, 3), (3, 0)):
-        j, k = cell
-        cx, cy = (j + 0.5) / spec.p, (k + 0.5) / spec.q
-        fix = (cx, cy)
+    counts = spec.column_counts()
+    cells = sorted(
+        ((j, k) for j in range(spec.p) for k in range(spec.q)
+         if (j, k) not in spec.digits),
+        key=lambda c: (counts[c[0]], c[0], abs(c[1] - (spec.q - 1) / 2)))
+    for j, k in cells:
+        fix = ((j + 0.5) / spec.p, (k + 0.5) / spec.q)
         # translation so the fixed point sits at the cell center
         tx = fix[0] - b[0, 0] * fix[0] - b[0, 1] * fix[1]
         ty = fix[1] - b[1, 0] * fix[0] - b[1, 1] * fix[1]
         cand = Ifs(np.concatenate([base.lins, b[None]]),
                    np.concatenate([base.vs, [(tx, ty)]]))
-        rep = ssc_check(cand, 5)
-        if rep.separated == "Certified":
-            placed = cand
-            break
-    if placed is None:
-        raise PlacementFailed("no disjoint cell found for the extra map")
-    return {"ifs": placed, "s_eps": s_eps_root(spec, b)}
+        if ssc_check(cand, 5).separated == "Certified":
+            return {"ifs": cand, "s_eps": s_eps_root(spec, b)}
+    raise PlacementFailed("no disjoint cell found for the extra map")

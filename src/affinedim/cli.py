@@ -102,8 +102,8 @@ def load_input(path):
     """Parse an input file into (ifs, carpet_spec-or-None).
 
     Accepts either a map list {"maps": [{a,b,c,d,tx,ty}, ...], "ball":
-    {cx,cy,r}?} or a carpet {"p", "q", "digits"}; bare fixture names
-    resolve against the shipped fixtures directory.
+    {cx,cy,r}?} or a carpet {"p", "q", "digits"}, not both; bare fixture
+    names resolve against the shipped fixtures directory.
     """
     if path is None:
         raise InputError("--input is required")
@@ -117,14 +117,15 @@ def load_input(path):
     except json.JSONDecodeError as e:
         raise InputError(f"malformed JSON in {path}: {e}")
     try:
-        if "maps" in data:
+        keys = {"maps", "p", "q", "digits"} & set(data)
+        if keys == {"maps"}:
             ifs, spec = Ifs.from_json(data), None
-        elif "p" in data and "q" in data and "digits" in data:
+        elif keys == {"p", "q", "digits"}:
             spec = carpets.CarpetSpec.from_json(data)
             ifs = carpets.to_ifs(spec)
         else:
-            raise InputError(
-                f"{path}: expected a 'maps' list or a p/q/digits carpet")
+            raise InputError(f"{path}: expected either a 'maps' list or a "
+                             "p/q/digits carpet")
     except (KeyError, TypeError, ValueError) as e:
         raise InputError(f"invalid spec in {path}: {e}")
     return ifs, spec
@@ -189,7 +190,9 @@ def cmd_check(args):
     except AffinedimError as e:
         report["posc"] = {"status": "skipped", "diagnostic": str(e)}
 
-    if dom["certified"]:
+    try:
+        if not dom["certified"]:
+            raise NotDominated("no multicone certificate")
         da = furstenberg_directions(ifs, depth=30)
         n_intervals = len(da.cone.widths)
         width_bound = float(da.cone.widths.max())
@@ -199,9 +202,9 @@ def cmd_check(args):
             "width_bound": width_bound,
             "singleton_plausible": n_intervals == 1 and width_bound < 0.1,
         }
-    else:
+    except AffinedimError as e:
         report["limit_directions"] = {"status": "skipped",
-                                      "diagnostic": "no multicone certificate"}
+                                      "diagnostic": str(e)}
 
     write_report(report, args.out, "check.json")
     return EXIT_CONDITION if failures else EXIT_OK
@@ -507,7 +510,7 @@ def cmd_carpet(args):
         **carpets.closed_forms(spec),
     }
     if args.eps is not None:
-        fix = carpets.example_fixture(args.eps)
+        fix = carpets.example_fixture(spec, args.eps)
         report["s_eps"] = fix["s_eps"]
         report["chain_holds"] = bool(
             report["fraser_lower"] < report["affinity"] <= fix["s_eps"]
@@ -524,38 +527,42 @@ def build_parser():
     parser = _Parser(prog="affinedim",
                      description="planar self-affine set analysis toolkit")
     sub = parser.add_subparsers(dest="command", required=True)
+    options = {
+        "--depth": dict(type=_ranged(int, lambda d: d >= 0, "must be >= 0")),
+        "--budget": dict(type=_ranged(int, lambda b: b >= 0, "must be >= 0")),
+        "--tol": dict(type=_ranged(float, lambda t: 0.0 <= t < math.inf,
+                                   "must be finite and >= 0")),
+        "--directions": dict(action="store_true",
+                             help="overlay the limit-direction fan"),
+        "--eps": dict(type=_ranged(float, lambda e: 0.0 < e < 0.5,
+                                   "must be in (0, 0.5)"),
+                      help="also build the augmented example at this eps"),
+    }
 
-    def common(p):
+    def command(parent, name, summary, *flags):
+        p = parent.add_parser(name, help=summary)
         p.add_argument("--input", required=True,
                        help="IFS or carpet JSON file, or a fixture name")
-        p.add_argument("--depth", default=None,
-                       type=_ranged(int, lambda d: d >= 0, "must be >= 0"))
-        p.add_argument("--budget", default=None,
-                       type=_ranged(int, lambda b: b >= 0, "must be >= 0"))
-        p.add_argument("--tol", default=None,
-                       type=_ranged(float, lambda t: 0.0 <= t < math.inf,
-                                    "must be finite and >= 0"))
+        for flag in flags:
+            p.add_argument(flag, **options[flag])
+        # every command takes a seed, read or not, so one argument list
+        # can run any command at a given seed
         p.add_argument("--seed", default=0,
                        type=_ranged(int, lambda s: 0 <= s < 2 ** 128,
                                     "must be in [0, 2^128)"))
         p.add_argument("--out", default=None,
                        help="output file or directory (default stdout)")
 
-    common(sub.add_parser("check", help="condition certificates"))
-    common(sub.add_parser("dims", help="dimension table"))
-    p = sub.add_parser("verify", help="named acceptance suite on a fixture")
-    p.add_argument("suite", choices=sorted(SUITES))
-    common(p)
-    p = sub.add_parser("render", help="SVG of depth-n cylinders")
-    p.add_argument("--directions", action="store_true",
-                   help="overlay the limit-direction fan")
-    common(p)
-    p = sub.add_parser("carpet", help="carpet closed forms")
-    p.add_argument("--eps", default=None,
-                   type=_ranged(float, lambda e: 0.0 < e < 0.5,
-                                "must be in (0, 0.5)"),
-                   help="also build the augmented example at this epsilon")
-    common(p)
+    command(sub, "check", "condition certificates", "--depth")
+    command(sub, "dims", "dimension table", "--depth", "--budget", "--tol")
+    verify = sub.add_parser("verify", help="named acceptance suite")
+    suites = verify.add_subparsers(dest="suite", required=True)
+    for suite in sorted(SUITES):
+        flags = ("--depth",) if suite in ("ahl", "diml") else ()
+        command(suites, suite, f"the {suite} suite", *flags)
+    command(sub, "render", "SVG of depth-n cylinders", "--depth",
+            "--directions")
+    command(sub, "carpet", "carpet closed forms", "--eps")
     return parser
 
 

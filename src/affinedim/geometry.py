@@ -279,8 +279,7 @@ def posc_check(ifs, depth=6):
     per_interval = POSC_DIRECTIONS // len(da.cone.starts) + 1
     directions = [ProjPoint(angle) for angle
                   in da.sample_angles(per_interval)[:POSC_DIRECTIONS]]
-    xs = ifs.attractor_sample(0.01, mode="chaos-game", seed=0,
-                              count=64).points
+    xs = ifs.chaos_game(0, 64)
     eta_by_depth = {}
     for k in range(2, depth + 1):
         eta_k = math.inf
@@ -402,19 +401,10 @@ def slice_root(m, q):
 # weak tangents
 
 
-@dataclass(frozen=True)
-class TangentCloud:
-    base: np.ndarray
-    scale: float
-    cloud: PointCloud
-
-    def __len__(self):
-        return len(self.cloud)
-
-
 def weak_tangent(ifs, x, r, resolution=0.01):
-    """Magnified window: cylinder-center sample of X inside B(x, r),
-    mapped through z -> (z - x)/r and clipped to the closed unit ball."""
+    """Magnified window: the PointCloud, of the given resolution, of a
+    cylinder-center sample of X inside B(x, r), mapped through
+    z -> (z - x)/r and clipped to the closed unit ball."""
     if r <= 0 or resolution <= 0:
         raise ValueError("r and resolution must be positive")
     x = np.asarray(x, dtype=float)
@@ -429,7 +419,7 @@ def weak_tangent(ifs, x, r, resolution=0.01):
     z, nrm = z[keep], nrm[keep]
     over = nrm > 1.0
     z[over] /= nrm[over, None]
-    return TangentCloud(x, r, PointCloud(z, resolution))
+    return PointCloud(z, resolution)
 
 
 def grid_carpet_digits(ifs):
@@ -556,22 +546,21 @@ def tangent_dimension_scan(ifs, n_tangents=8, seed=0, resolution=0.002):
         return _grid_tangent_scan(*grid, n_tangents, seed, resolution)
     scales = [2.0 ** -k for k in range(2, 6)]
     rng = np.random.Generator(np.random.Philox(key=seed))
-    base_cloud = ifs.attractor_sample(0.005, mode="chaos-game", seed=seed,
-                                      count=max(n_tangents * 4, 64))
-    idx = rng.choice(len(base_cloud), size=n_tangents, replace=False)
+    base = ifs.chaos_game(seed, max(n_tangents * 4, 64))
+    idx = rng.choice(len(base), size=n_tangents, replace=False)
     dims = []
-    for x in base_cloud.points[idx]:
+    for x in base[idx]:
         r = scales[int(rng.integers(len(scales)))] * ifs.diam_upper
-        tc = weak_tangent(ifs, x, r, resolution)
-        if len(tc) < 16:
+        window = weak_tangent(ifs, x, r, resolution)
+        if len(window) < 16:
             continue
-        inner = np.linalg.norm(tc.cloud.points, axis=1) < 0.999
+        inner = np.linalg.norm(window.points, axis=1) < 0.999
         if not inner.any():
             continue
         try:
             # the window sample is honest down to resolution * r, so the
             # fit may use the hard 2x floor rather than box_dim's default
-            rep = box_dim(tc.cloud, scale_lo=2.0 * resolution)
+            rep = box_dim(window, scale_lo=2.0 * resolution)
         except DegenerateRange:
             continue
         dims.append(rep.dimension)

@@ -135,7 +135,8 @@ class Ifs:
 
     Raises ValueError for fewer than two maps, a non-finite entry, a
     linear part with |det| <= 1e-14 * (largest squared row norm), a map
-    that is not contractive, and a ball that is not invariant.
+    that is not contractive, a ball center or radius alone, and a ball
+    that is not invariant.
     """
 
     def __init__(self, lins, vs, ball_center=None, ball_radius=None):
@@ -149,7 +150,9 @@ class Ifs:
                                           1e-300):
                 raise ValueError(f"map {k} is singular: determinant {det} "
                                  "too close to zero")
-        fit = ball_center is None or ball_radius is None
+        if (ball_center is None) != (ball_radius is None):
+            raise ValueError("give the ball's center and radius together")
+        fit = ball_center is None
         if not fit and not all(map(math.isfinite,
                                    (*ball_center, ball_radius))):
             raise ValueError("the ball has a non-finite entry")
@@ -448,37 +451,34 @@ class Ifs:
                          np.concatenate(pts), np.concatenate(a1))
 
     @derived
-    def attractor_sample(self, resolution, mode="cylinder-centers", seed=0,
-                         count=10000):
-        """Point cloud approximating the attractor, with read-only points.
-
-        cylinder-centers: one point per by-alpha1 stopping word at scale
-        resolution*diam, so every attractor point is within
-        resolution*ball_radius of the cloud.  chaos-game: deterministic
-        counter-based sampling for a fixed seed.
-        """
+    def attractor_sample(self, resolution):
+        """Point cloud approximating the attractor, with read-only points:
+        one point per by-alpha1 stopping word at scale resolution*diam, so
+        every attractor point is within resolution*ball_radius of the
+        cloud."""
         if resolution <= 0:
             raise ValueError("resolution must be positive")
-        if mode == "cylinder-centers":
-            r = resolution * self.diam_upper
-            found = self.frontier(
-                lambda mats, pts, a1: a1 * self.diam_upper <= r)
-            found.pts.flags.writeable = False
-            return PointCloud(found.pts,
-                              max(found.a1.max() * self.ball_radius, 1e-300))
-        if mode == "chaos-game":
-            rng = np.random.Generator(np.random.Philox(key=seed))
-            burn = 64
-            idx = rng.integers(0, self.n_maps, size=count + burn)
-            x = self.ball_center.copy()
-            pts = np.empty((count, 2))
-            for k, i in enumerate(idx):
-                x = self.lins[i] @ x + self.vs[i]
-                if k >= burn:
-                    pts[k - burn] = x
-            pts.flags.writeable = False
-            return PointCloud(pts, resolution * self.ball_radius)
-        raise ValueError(f"unknown mode {mode!r}")
+        r = resolution * self.diam_upper
+        found = self.frontier(lambda mats, pts, a1: a1 * self.diam_upper <= r)
+        found.pts.flags.writeable = False
+        return PointCloud(found.pts,
+                          max(found.a1.max() * self.ball_radius, 1e-300))
+
+    @derived
+    def chaos_game(self, seed, count):
+        """count points of the chaos game as a read-only (count, 2) array:
+        the orbit of the ball center under maps drawn by the counter-based
+        generator of seed, after 64 burn-in steps."""
+        rng = np.random.Generator(np.random.Philox(key=seed))
+        burn = 64
+        idx = rng.integers(0, self.n_maps, size=count + burn)
+        x = self.ball_center.copy()
+        pts = np.empty((count, 2))
+        for k, i in enumerate(idx):
+            x = self.lins[i] @ x + self.vs[i]
+            if k >= burn:
+                pts[k - burn] = x
+        return pts
 
     # -- serialization ------------------------------------------------------
 

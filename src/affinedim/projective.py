@@ -337,6 +337,7 @@ def furstenberg_directions(ifs, depth=8):
     The interval count can grow like N^depth before merging, so the
     iteration stops early once a level would exceed MAX_INTERVALS (or the
     word cap) and the reached depth is reported instead of the requested one.
+    Raises Inconclusive when an iterate covers the projective line.
     """
     multicone = find_invariant_multicone(ifs)
     if multicone is None:
@@ -348,6 +349,10 @@ def furstenberg_directions(ifs, depth=8):
     for _ in range(depth):
         if len(u.starts) * ifs.n_maps > limit:
             break
-        u = merge(*images(u, invs))
+        try:
+            u = merge(*images(u, invs))
+        except ValueError as e:
+            raise Inconclusive(f"limit directions at inverse step "
+                               f"{reached + 1}: {e}")
         reached += 1
     return DirectionsApprox(reached, u)

@@ -196,8 +196,7 @@ def test_13_sigma_count_depth_profile(cone_ifs, overlap_ifs):
 
     def sup_profile(ifs):
         base = _diam_table(ifs).upper(v.angle + PI / 2.0)
-        xs = ifs.attractor_sample(0.05, mode="chaos-game", seed=5,
-                                  count=20).points
+        xs = ifs.chaos_game(5, 20)
         out = {}
         for k in (6, 8, 10):
             r = base * 2.0 ** -k

@@ -6,6 +6,7 @@ import pytest
 from affinedim.carpets import CarpetSpec, carpet_affinity, closed_forms, \
     example_fixture, fraser_lower, mackay_assouad, mcmullen_hausdorff, \
     s_eps_root, to_ifs, uniform_fibers, EXAMPLE_SPEC
+from affinedim.errors import PlacementFailed
 from affinedim.estimators import box_dim
 from affinedim.ifs import batch_singular_values
 from affinedim.thermo import affinity_dimension
@@ -119,15 +120,33 @@ class TestClosedForms:
 
 class TestExampleFixture:
     def test_eps_chain(self):
-        fix = example_fixture(0.01)
+        fix = example_fixture(EXAMPLE_SPEC, 0.01)
         dims = closed_forms(EXAMPLE_SPEC)
         assert dims["fraser_lower"] < 1.0 <= dims["affinity"] <= fix["s_eps"]
         assert fix["s_eps"] < dims["mackay_assouad"]
         assert fix["ifs"].n_maps == 6
 
+    # the extra map's fixed point is the center of the first empty cell,
+    # emptiest column first and in a column nearest the middle row: cell
+    # (1, 2) of the example, and cell (1, 0) of the 2 x 3 carpet, whose
+    # rows 0 and 2 are equally near the middle
+    @pytest.mark.parametrize("spec, center", [
+        (EXAMPLE_SPEC, (1.5 / 4.0, 2.5 / 5.0)),
+        (CarpetSpec(2, 3, ((0, 0), (1, 1), (0, 2))), (0.75, 0.5 / 3.0))])
+    def test_extra_map_takes_the_first_empty_cell(self, spec, center):
+        extra = example_fixture(spec, 0.01)["ifs"]
+        fixed = np.linalg.solve(np.eye(2) - extra.lins[-1], extra.vs[-1])
+        assert fixed == pytest.approx(center, abs=1e-12)
+
+    def test_full_grid_has_no_cell(self):
+        spec = CarpetSpec(2, 3, tuple((j, k) for j in range(2)
+                                      for k in range(3)))
+        with pytest.raises(PlacementFailed):
+            example_fixture(spec, 0.01)
+
     def test_bad_eps(self):
         with pytest.raises(ValueError):
-            example_fixture(0.7)
+            example_fixture(EXAMPLE_SPEC, 0.7)
 
     def test_root_equation_is_satisfied(self):
         eps = 0.05

@@ -1,3 +1,4 @@
+import argparse
 import gc
 import json
 import os
@@ -6,11 +7,13 @@ import subprocess
 import sys
 import warnings
 
+from hypothesis import HealthCheck, given, reject, settings, strategies as st
+import numpy as np
 import pytest
 
 from affinedim import cli, estimators, projective
-from affinedim.cli import ERROR_EXITS, EXIT_CONDITION, EXIT_INPUT, EXIT_OK, \
-    InputError, fixture_path, load_input, main
+from affinedim.cli import ERROR_EXITS, EXIT_BUDGET, EXIT_CONDITION, \
+    EXIT_INPUT, EXIT_OK, InputError, fixture_path, load_input, main
 from affinedim.errors import AffinedimError
 from affinedim.ifs import LEVEL_BLOCK, Ifs
 
@@ -61,6 +64,18 @@ class TestInput:
         p.write_text('{"something": 1}')
         with pytest.raises(InputError):
             load_input(str(p))
+
+    def test_maps_and_carpet_together(self, tmp_path, capsys):
+        # dims would read the maps and carpet the p/q/digits
+        p = tmp_path / "both.json"
+        p.write_text(json.dumps(dict(
+            Ifs([[[0.4, 0.0], [0.0, 0.4]]] * 2, [(0, 0), (0.5, 0)]).to_json(),
+            p=2, q=3, digits=[[0, 0], [1, 1]])))
+        with pytest.raises(InputError, match="expected either a 'maps'"):
+            load_input(str(p))
+        for command in ("dims", "carpet"):
+            assert main([command, "--input", str(p)]) == EXIT_INPUT
+        assert "expected either a 'maps'" in capsys.readouterr().err
 
     def test_bare_fixture_name_resolves(self):
         ifs, _ = load_input("sim3.json")
@@ -162,6 +177,41 @@ class TestExitCodes:
             assert all(pts is seen[0] for pts in seen), depth
 
 
+class TestOptions:
+    # the options of each command and verify suite besides --input and
+    # --out: the ones it reads, and --seed, which every command takes
+    OPTIONS = {
+        "check": {"--depth", "--seed"},
+        "dims": {"--depth", "--budget", "--tol", "--seed"},
+        "verify ahl": {"--depth", "--seed"},
+        "verify content": {"--seed"},
+        "verify dima": {"--seed"},
+        "verify diml": {"--depth", "--seed"},
+        "verify gibbs": {"--seed"},
+        "verify trans": {"--seed"},
+        "render": {"--depth", "--directions", "--seed"},
+        "carpet": {"--eps", "--seed"},
+    }
+
+    def test_each_command_takes_the_options_it_reads(self):
+        found = {}
+
+        def walk(parser, name):
+            subs = [a for a in parser._actions
+                    if isinstance(a, argparse._SubParsersAction)]
+            if subs:
+                for key, child in subs[0].choices.items():
+                    walk(child, f"{name} {key}".strip())
+            else:
+                found[name] = {flag for a in parser._actions
+                               for flag in a.option_strings} \
+                    - {"-h", "--help", "--input", "--out"}
+
+        walk(cli.build_parser(), "")
+        assert found == self.OPTIONS
+        assert sum(map(len, found.values())) == 19
+
+
 class TestErrorContract:
     def test_every_toolkit_error_has_an_exit_code(self):
         assert set(ERROR_EXITS) == set(AffinedimError.__subclasses__())
@@ -179,6 +229,11 @@ class TestErrorContract:
          EXIT_CONDITION),
         (["render", "--input", "square4.json", "--directions"],
          EXIT_CONDITION),
+        (["check", "--input", "cone.json", "--budget", "5"], EXIT_INPUT),
+        (["render", "--input", "cone.json", "--tol", "1e-9"], EXIT_INPUT),
+        (["carpet", "--input", "carpet.json", "--depth", "3"], EXIT_INPUT),
+        (["verify", "gibbs", "--input", "cone.json", "--depth", "3"],
+         EXIT_INPUT),
     ])
     def test_documented_code_without_traceback(self, tmp_path, argv, code):
         out = run_cli([fx(a) if a.endswith(".json") else a for a in argv]
@@ -223,6 +278,41 @@ class TestErrorContract:
         assert out.returncode in (EXIT_OK, EXIT_CONDITION)
         assert "Traceback" not in out.stderr
 
+    # a two-map family, the first map nearly singular and of det < 0, on
+    # which `images` turns intervals 4.3e-9 wide at the third inverse step
+    # into intervals of width pi - 1e-15, so the limit directions cover the
+    # projective line
+    FLIP = {"maps": [
+        {"a": -0.08725422701036524, "b": -0.017587402086153656,
+         "c": 0.05936364122547701, "d": 0.011965634964070758,
+         "tx": -0.890663877196324, "ty": -0.9318994421059248},
+        {"a": 0.1160682903006369, "b": 0.029490021285488166,
+         "c": -0.11036085480116109, "d": -0.028039988127975837,
+         "tx": 0.4784937480673841, "ty": -0.6086943401093581}]}
+    COVERED = ("limit directions at inverse step 3: interval union covers "
+               "the projective line")
+
+    def test_covered_line_skips_in_check(self, tmp_path):
+        spec = tmp_path / "flip.json"
+        spec.write_text(json.dumps(self.FLIP))
+        out = tmp_path / "check.json"
+        assert main(["check", "--input", str(spec),
+                     "--out", str(out)]) == EXIT_OK
+        rep = json.loads(out.read_text())
+        for key in ("posc", "limit_directions"):
+            assert rep[key] == {"status": "skipped",
+                                "diagnostic": self.COVERED}
+
+    def test_covered_line_is_a_condition_failure_in_render(self, tmp_path,
+                                                           capsys):
+        spec = tmp_path / "flip.json"
+        spec.write_text(json.dumps(self.FLIP))
+        assert main(["render", "--input", str(spec), "--directions",
+                     "--out", str(tmp_path / "render.svg")]) \
+            == EXIT_CONDITION
+        assert capsys.readouterr().err.splitlines() \
+            == [f"error: Inconclusive: {self.COVERED}"]
+
     @pytest.mark.parametrize("argv", [["check", "--depth", "3"],
                                       ["verify", "diml"]])
     def test_many_maps_in_bounded_memory(self, tmp_path, argv):
@@ -242,6 +332,50 @@ class TestErrorContract:
                       preexec_fn=cap_memory)
         assert out.returncode in (EXIT_OK, EXIT_CONDITION)
         assert "Traceback" not in out.stderr
+
+
+@st.composite
+def families(draw):
+    """Two or three maps R(a) diag(n, n r) F R(b) with operator norm n in
+    [0.1, 0.6], r below 1e-3 for about half the maps (nearly singular), F
+    a reflection (det < 0) for about half of them, and translations in
+    [-1, 1]^2."""
+    unit, turn = st.floats(-1.0, 1.0), st.floats(0.0, 2.0 * np.pi)
+
+    def rotation(angle):
+        return np.array([[np.cos(angle), -np.sin(angle)],
+                         [np.sin(angle), np.cos(angle)]])
+
+    lins, vs = [], []
+    for _ in range(draw(st.integers(2, 3))):
+        n = draw(st.floats(0.1, 0.6))
+        r = draw(st.floats(1e-6, 1e-3) if draw(st.booleans())
+                 else st.floats(1e-3, 1.0))
+        flip = np.diag([1.0, -1.0 if draw(st.booleans()) else 1.0])
+        lins.append(rotation(draw(turn)) @ np.diag([n, n * r]) @ flip
+                    @ rotation(draw(turn)))
+        vs.append((draw(unit), draw(unit)))
+    try:
+        return Ifs(lins, vs).to_json()
+    except ValueError:
+        reject()
+
+
+class TestExitContract:
+    """Every run ends in a documented exit code, whatever the family."""
+
+    @settings(derandomize=True, deadline=None, max_examples=60,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(families())
+    def test_exit_code_is_documented(self, tmp_path, monkeypatch, family):
+        monkeypatch.setenv("AFFINEDIM_WORD_CAP", "100000")
+        spec = tmp_path / "family.json"
+        spec.write_text(json.dumps(family))
+        for argv in (["check"], ["dims"], ["verify", "trans"]):
+            code = main(argv + ["--input", str(spec),
+                                "--out", str(tmp_path / "report.json")])
+            assert code in (EXIT_OK, EXIT_INPUT, EXIT_CONDITION,
+                            EXIT_BUDGET), argv
 
 
 class TestDerivedOnce:
@@ -362,6 +496,17 @@ class TestCommands:
         assert rep["chain_holds"]
         assert rep["mackay_assouad"] == pytest.approx(1.4750874448465634)
         assert rep["s_eps"] == pytest.approx(1.14086082632982, abs=1e-9)
+
+    def test_carpet_eps_reads_its_input(self, tmp_path):
+        # s_eps is the input carpet's, not the 4 x 5 example's 1.14086
+        spec = tmp_path / "c23.json"
+        spec.write_text('{"p": 2, "q": 3, "digits": [[0, 0], [1, 1], [0, 2]]}')
+        out = tmp_path / "carpet.json"
+        assert main(["carpet", "--input", str(spec), "--eps", "0.01",
+                     "--out", str(out)]) == EXIT_OK
+        rep = json.loads(out.read_text())
+        assert rep["s_eps"] == 1.3699245901329027
+        assert rep["chain_holds"]
 
     def test_verify_gibbs_similarity(self, tmp_path):
         out = tmp_path / "v.json"

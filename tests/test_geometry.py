@@ -620,11 +620,10 @@ class TestTangents:
                                       "carpet_ifs"])
     def test_one_norm_window_matches_two_norms(self, request, name):
         ifs = request.getfixturevalue(name)
-        xs = ifs.attractor_sample(0.005, mode="chaos-game", seed=3,
-                                  count=6).points
+        xs = ifs.chaos_game(3, 6)
         for k, x in enumerate(xs):
             r = 2.0 ** -(2 + k % 4) * ifs.diam_upper
-            got = weak_tangent(ifs, x, r, 0.002).cloud.points
+            got = weak_tangent(ifs, x, r, 0.002).points
             want = two_norm_window(ifs, x, r, 0.002)
             assert len(want) > 0
             assert got.shape == want.shape
@@ -632,11 +631,11 @@ class TestTangents:
 
     def test_window_and_determinism(self, cone_ifs):
         x = cone_ifs.ball_center
-        tc = weak_tangent(cone_ifs, x, 0.1, resolution=0.005)
-        assert len(tc) > 0
-        assert (np.linalg.norm(tc.cloud.points, axis=1) <= 1.0 + 1e-12).all()
-        tc2 = weak_tangent(cone_ifs, x, 0.1, resolution=0.005)
-        assert np.array_equal(tc.cloud.points, tc2.cloud.points)
+        window = weak_tangent(cone_ifs, x, 0.1, resolution=0.005)
+        assert len(window) > 0
+        assert (np.linalg.norm(window.points, axis=1) <= 1.0 + 1e-12).all()
+        again = weak_tangent(cone_ifs, x, 0.1, resolution=0.005)
+        assert np.array_equal(window.points, again.points)
 
     def test_regular_fixture_collapses_spectrum(self):
         sim = Ifs([np.diag([0.5, 0.5])] * 3,

@@ -103,6 +103,13 @@ class TestIfs:
             Ifs([np.diag([0.5, 0.5]), np.diag([1.2, 0.5])],
                 [(0.0, 0.0), (0.5, 0.0)])
 
+    @pytest.mark.parametrize("ball", [{"ball_center": (5.0, 5.0)},
+                                      {"ball_radius": 10.0}])
+    def test_rejects_half_a_ball(self, ball):
+        # a center alone must not give way to a fitted ball
+        with pytest.raises(ValueError, match="center and radius together"):
+            Ifs([np.diag([0.5, 0.5])] * 2, [(0.0, 0.0), (0.5, 0.0)], **ball)
+
     def test_compose_word_matches_manual(self, cone_ifs):
         lin, t = cone_ifs.compose_word((2, 1, 3))
         x = np.array([0.3, -0.1])
@@ -420,32 +427,34 @@ class TestAttractorSample:
 
     def test_chaos_game_deterministic(self, cone_ifs):
         # a second family, since the same one answers from its memo
-        a = cone_ifs.attractor_sample(0.01, mode="chaos-game", seed=5,
-                                      count=500)
-        b = Ifs.from_json(cone_ifs.to_json()).attractor_sample(
-            0.01, mode="chaos-game", seed=5, count=500)
-        assert np.array_equal(a.points, b.points)
+        a = cone_ifs.chaos_game(5, 500)
+        b = Ifs.from_json(cone_ifs.to_json()).chaos_game(5, 500)
+        assert a.shape == (500, 2)
+        assert np.array_equal(a, b)
 
+    # each case is a sampler's name and its arguments
     @pytest.mark.parametrize("args,kwargs", [
-        ((0.003,), {}),
-        ((0.01,), {"mode": "chaos-game", "seed": 2, "count": 200})])
+        (("attractor_sample", 0.003), {}),
+        (("chaos_game",), {"seed": 2, "count": 200})])
     def test_memoized_with_read_only_points(self, cone_ifs, args, kwargs):
+        def points(ifs):
+            sample = getattr(ifs, args[0])(*args[1:], **kwargs)
+            return getattr(sample, "points", sample)
+
         ifs = Ifs.from_json(cone_ifs.to_json())
-        cloud = ifs.attractor_sample(*args, **kwargs)
-        assert ifs.attractor_sample(*args, **kwargs) is cloud
-        assert not cloud.points.flags.writeable
+        pts = points(ifs)
+        assert points(ifs) is pts
+        assert not pts.flags.writeable
         with pytest.raises(ValueError):
-            cloud.points[0, 0] = 0.0
+            pts[0, 0] = 0.0
         fresh = Ifs.from_json(cone_ifs.to_json())
-        assert np.array_equal(fresh.attractor_sample(*args, **kwargs).points,
-                              cloud.points)
+        assert np.array_equal(points(fresh), pts)
 
     def test_chaos_game_points_near_cylinder_cloud(self, cone_ifs):
-        chaos = cone_ifs.attractor_sample(0.02, mode="chaos-game", seed=1,
-                                          count=300)
+        chaos = cone_ifs.chaos_game(1, 300)
         cover = cone_ifs.attractor_sample(0.005)
         from scipy.spatial import cKDTree
-        d, _ = cKDTree(cover.points).query(chaos.points)
+        d, _ = cKDTree(cover.points).query(chaos)
         assert d.max() <= 0.01 * cone_ifs.diam_upper
 
 
