@@ -145,8 +145,13 @@ def _write_text(text, out, default_name):
 
 
 def write_report(report, out, default_name):
-    return _write_text(json.dumps(report, sort_keys=True, indent=2) + "\n",
-                      out, default_name)
+    """Write a report as strict JSON; a non-finite value raises
+    DegenerateRange and nothing is written."""
+    try:
+        text = json.dumps(report, sort_keys=True, indent=2, allow_nan=False)
+    except ValueError as e:
+        raise DegenerateRange(f"report not written: {e}")
+    return _write_text(text + "\n", out, default_name)
 
 
 # ---------------------------------------------------------------------------
@@ -226,17 +231,7 @@ def cmd_dims(args):
     report["affinity"] = {"value": s_star, "bracket": list(bracket)}
 
     cloud = ifs.attractor_sample(0.002)
-    base = float(spec.q) if spec is not None else 2.0
-    try:
-        cover = box_dim(cloud, base=base)
-    except DegenerateRange as e:
-        if spec is None:
-            raise
-        # a carpet's base-q scales can be too few above the sample
-        # resolution; base 2 is what every other input is fitted at
-        warnings.append(f"base-{spec.q} box-count fit failed ({e}); "
-                        "fitted at base 2")
-        cover = box_dim(cloud, base=2.0)
+    cover = box_dim(cloud)
     report["box"] = cover.to_json()
     if cover.residual > 0.05:
         warnings.append(f"box-count fit residual {cover.residual:.3f} > 0.05")

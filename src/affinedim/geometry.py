@@ -13,7 +13,7 @@ from .config import word_cap
 from .errors import BudgetExceeded, DegenerateRange, HypothesisViolated, \
     NotDominated, NotSeparated
 from .estimators import PointCloud, box_dim, morton_keys
-from .ifs import batch_singular_values, derived, mul2
+from .ifs import batch_singular_values, derived, mul2, pull_back
 from .projective import PI, ProjPoint, furstenberg_directions
 from .roots import brentq
 from .thermo import _cylinder_directions, affinity_dimension, \
@@ -70,23 +70,17 @@ def _axis(v):
     return np.array([math.cos(u_theta), math.sin(u_theta)])
 
 
-def _pull_back(mats, u):
-    """The pulled-back axes A_w^T u over broadcast stacks of products
-    (..., 2, 2) and axes (..., 2), through `mul2`."""
-    return mul2(mats.swapaxes(-1, -2), u[..., None])[..., 0]
-
-
 def _hull_half_widths(ifs, mats, u):
     """Certified half-widths |A_w^T u| * ball radius of the projections of
     the cylinders phi_w(X) to the unit axis u, one per product A_w."""
-    return np.linalg.norm(_pull_back(mats, u), axis=1) * ifs.ball_radius
+    return np.linalg.norm(pull_back(mats, u), axis=1) * ifs.ball_radius
 
 
 def projected_diameter_bound(ifs, mats, direction):
     """Certified upper bounds for diam(proj_{V_perp} phi_w(X)), one per
     product A_w of a (k,2,2) stack, via the factorization through the
     pulled-back projection axis A_w^T u."""
-    au = _pull_back(mats, _axis(direction))
+    au = pull_back(mats, _axis(direction))
     return np.linalg.norm(au, axis=1) \
         * _diam_table(ifs).upper(np.arctan2(au[:, 1], au[:, 0]))
 
@@ -238,7 +232,7 @@ def ssc_check(ifs, depth=6):
 class PoscReport:
     eta_hat: float
     eta_by_depth: dict
-    trend: float
+    trend: float | None
     appears_to_hold: bool
 
     def to_json(self):
@@ -273,7 +267,8 @@ def posc_check(ifs, depth=6):
     separation max_x |proj(phi_i x) - proj(phi_j x)| / diam(proj phi_i X)
     is minimized over (V, pair).  Reported per depth with the log-slope
     trend; slope near zero is evidence the condition holds, a clearly
-    negative slope is evidence it fails.
+    negative slope is evidence it fails.  A zero separation fails it and
+    has no trend (None).
     """
     da = furstenberg_directions(ifs, depth=30)
     per_interval = POSC_DIRECTIONS // len(da.cone.starts) + 1
@@ -293,10 +288,9 @@ def posc_check(ifs, depth=6):
             if len(found) < 2:
                 continue
             # projected images of the x-sample under every stopping word:
-            # phi_w(x) = A_w x + t_w with t_w = phi_w(c) - A_w c
-            ac = mul2(found.mats, ifs.ball_center[:, None])[..., 0]
-            projs = (mul2(found.mats[:, None], xs[..., None])[..., 0]
-                     + (found.pts - ac)[:, None, :]) @ u
+            # u . phi_w(x) = (A_w^T u) . (x - c) + u . phi_w(c)
+            projs = pull_back(found.mats, u) @ (xs - ifs.ball_center).T \
+                + (found.pts @ u)[:, None]
             hi, lo = projs.max(axis=1), projs.min(axis=1)
             diams = np.maximum(hi - lo, 1e-300)
             # pairs up to 7 apart in the order of the projected centres,
@@ -309,8 +303,8 @@ def posc_check(ifs, depth=6):
                 / np.maximum(diams[ia], diams[ib])
             j = int(np.argmin(vals))
             if vals[j] < eta_k:
-                # recompute the winning pair from its composed maps; the
-                # differences phi_w(c) - A_w c above carry extra rounding
+                # recompute the winning pair from its composed maps, which
+                # round apart from the walk's products and points
                 t = [(mul2(found.mats[i], xs[..., None])[..., 0]
                       + ifs.compose_word(found.word(ifs, i))[1]) @ u
                      for i in (ia[j], ib[j])]
@@ -320,10 +314,13 @@ def posc_check(ifs, depth=6):
             eta_by_depth[k] = float(eta_k)
     if not eta_by_depth:
         raise NotDominated("no usable scale for the scan")
+    eta_hat = float(min(eta_by_depth.values()))
+    if eta_hat == 0.0:
+        # two cylinders share their projected images: log 0 has no trend
+        return PoscReport(eta_hat, eta_by_depth, None, False)
     ks = np.array(sorted(eta_by_depth))
     ys = np.log([eta_by_depth[k] for k in ks])
     trend = float(np.polyfit(ks, ys, 1)[0]) if len(ks) > 1 else 0.0
-    eta_hat = float(min(eta_by_depth.values()))
     return PoscReport(eta_hat, eta_by_depth, trend, trend > -0.05)
 
 
@@ -813,7 +810,7 @@ def bochi_morris_scan(ifs, depth=8):
         prods = ifs.level_products(n)
         a1 = batch_singular_values(prods)[0]
         # norms of A_w^T u for all words x directions
-        norms = np.linalg.norm(_pull_back(prods[:, None], us[None]), axis=2)
+        norms = np.linalg.norm(pull_back(prods[:, None], us[None]), axis=2)
         if (norms > a1[:, None] * (1.0 + 1e-10)).any():
             raise AssertionError("norm bound violated; numerical fault")
         out[n] = float((a1[:, None] / norms).max())

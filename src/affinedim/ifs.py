@@ -27,10 +27,17 @@ _DET_EPS = 1e-14
 LEVEL_BLOCK = 2 ** 14
 
 
+def det2(mats):
+    """Determinants a*d - b*c over a stack of 2x2 matrices (shape
+    (..., 2, 2)): the one place they are taken from the entries."""
+    return mats[..., 0, 0] * mats[..., 1, 1] \
+        - mats[..., 0, 1] * mats[..., 1, 0]
+
+
 def batch_singular_values(mats, det=None):
     """(alpha1, alpha2) arrays for a (k,2,2) stack of matrices, from the
     eigenvalues of A^T A.  det, when given, holds the determinants and
-    replaces a*d - b*c, which cancels on long products."""
+    replaces `det2`, which cancels on long products."""
     a = mats[:, 0, 0]
     b = mats[:, 0, 1]
     c = mats[:, 1, 0]
@@ -38,7 +45,7 @@ def batch_singular_values(mats, det=None):
     # trace and determinant of A^T A
     t = a * a + b * b + c * c + d * d
     if det is None:
-        det = a * d - b * c
+        det = det2(mats)
     disc = np.maximum(t * t - 4.0 * det * det, 0.0)
     a1 = np.sqrt(0.5 * (t + np.sqrt(disc)))
     # alpha2 via |det|/alpha1 keeps the product identity exact
@@ -82,6 +89,12 @@ def mul2(left, right, out=None):
             entry += tmp
     out += 0.0
     return out
+
+
+def pull_back(mats, u):
+    """The pulled-back axes A^T u over broadcast stacks of matrices
+    (..., 2, 2) and axes (..., 2), through `mul2`."""
+    return mul2(mats.swapaxes(-1, -2), u[..., None])[..., 0]
 
 
 def _empty_level(x, size):
@@ -145,7 +158,7 @@ class Ifs:
         for k, (((a, b), (c, d)), v) in enumerate(zip(lins, vs), 1):
             if not all(map(math.isfinite, (a, b, c, d, *v))):
                 raise ValueError(f"map {k} has a non-finite entry")
-            det = a * d - b * c
+            det = float(det2(np.array(((a, b), (c, d)), dtype=float)))
             if abs(det) <= _DET_EPS * max(a * a + b * b, c * c + d * d,
                                           1e-300):
                 raise ValueError(f"map {k} is singular: determinant {det} "
@@ -286,18 +299,16 @@ class Ifs:
     @derived
     def level_products(self, n):
         """All products A_w for |w| = n in lexicographic word order, held
-        entry-major (see `_empty_level`): the values are those of a
-        C-ordered stack, but a stacked @ rounds differently on this
-        layout, so copy it with np.ascontiguousarray before one."""
+        entry-major (see `_empty_level`) with the values of a C-ordered
+        stack; `mul2`, `pull_back` and `det2` read either layout alike."""
         return self._level(n, np.eye(2)[None], product_step(self.lins))
 
     def _level_pair(self, n, pair):
         """Two arrays of level n's size holding pair(prods, dets) of each
         block of the level's products and their determinants, carried as
-        det A_iw = det A_i * det A_w since a*d - b*c cancels on long
-        words; no more of the level's products is held than its blocks."""
-        a, b, c, d = self.lins.reshape(-1, 4).T
-        letter_dets = a * d - b * c
+        det A_iw = det A_i * det A_w since `det2` cancels on long words;
+        no more of the level's products is held than its blocks."""
+        letter_dets = det2(self.lins)
 
         def det_step(i, dets, out):
             np.multiply(letter_dets[i], dets, out=out)
@@ -402,7 +413,7 @@ class Ifs:
         The cylinders come in emission order: level by level, children
         letter-major, each product A_w A_i by `mul2`.  The products are
         held entry-major (see `_empty_level`), in the callbacks and in the
-        result, so copy them with np.ascontiguousarray before a stacked @.
+        result.
         """
         cap = word_cap() if cap is None else cap
         n, c = self.n_maps, self.ball_center

@@ -20,7 +20,7 @@ import numpy as np
 
 from .config import word_cap
 from .errors import Inconclusive, NotDominated
-from .ifs import batch_singular_values, derived
+from .ifs import batch_singular_values, derived, det2
 
 PI = math.pi
 
@@ -127,8 +127,7 @@ def images(cone, arrs):
     onto [A e, A s]."""
     a = act_angle(arrs, cone.starts)
     b = act_angle(arrs, (cone.starts + cone.widths) % PI)
-    det = arrs[:, 0, 0] * arrs[:, 1, 1] - arrs[:, 0, 1] * arrs[:, 1, 0]
-    keep = (det > 0.0)[:, None]
+    keep = (det2(arrs) > 0.0)[:, None]
     lo, hi = np.where(keep, a, b), np.where(keep, b, a)
     w = (hi - lo) % PI
     w[w == 0.0] = 1e-15
@@ -256,8 +255,7 @@ def strictly_affine(ifs, depth=6):
     for n in range(1, depth + 1):
         p = ifs.level_products(n)
         tr = p[:, 0, 0] + p[:, 1, 1]
-        det = p[:, 0, 0] * p[:, 1, 1] - p[:, 0, 1] * p[:, 1, 0]
-        hits = np.flatnonzero((tr * tr > 4.0 * det + 1e-14)
+        hits = np.flatnonzero((tr * tr > 4.0 * det2(p) + 1e-14)
                               & (np.abs(tr) > 1e-14))
         if len(hits):
             return True, ifs.word_from_flat(int(hits[0]), n)
@@ -277,11 +275,11 @@ def classify_irreducibility(ifs):
     def fixes(arr, p):
         return image(arr, p).dist(p) <= LINE_TOL
 
-    # candidate lines: eigendirections of single maps, squares, and pairs
+    # candidate lines: eigendirections of single maps, squares, and pairs;
+    # the squares A_i A_i are the words (i, i) of level 2
+    pairs = ifs.level_products(2)
     cands = []
-    prods = list(arrs) + [a @ a for a in arrs] \
-        + [a @ b for a in arrs for b in arrs]
-    for p in prods:
+    for p in [*arrs, *pairs[::ifs.n_maps + 1], *pairs]:
         cands.extend(_real_eigen_lines(p))
 
     for p in cands:

@@ -14,7 +14,8 @@ import numpy as np
 
 from .config import word_cap
 from .errors import BudgetExceeded, DegenerateRange, NotConverged, NotDominated
-from .ifs import LEVEL_BLOCK, derived, log_svf, product_step
+from .ifs import LEVEL_BLOCK, derived, det2, log_svf, mul2, product_step, \
+    pull_back
 from .projective import ProjPoint, complement, find_invariant_multicone
 from .roots import brentq
 
@@ -184,10 +185,9 @@ def _cylinder_directions(ifs, m):
         raise NotDominated("transfer operator needs a certified multicone")
     gaps = complement(cone)
     v0 = ProjPoint(gaps.starts[0] + gaps.widths[0] / 2.0).vector
-    # a stacked @ rounds differently on the entry-major level, so copy it
-    prods = np.ascontiguousarray(ifs._level(
-        m, np.eye(2)[None], product_step(np.linalg.inv(ifs.lins))))
-    vecs = prods @ v0
+    prods = ifs._level(m, np.eye(2)[None],
+                       product_step(np.linalg.inv(ifs.lins)))
+    vecs = mul2(prods, v0[:, None])[..., 0]
     vecs /= np.linalg.norm(vecs, axis=1, keepdims=True)
     return np.mod(np.arctan2(vecs[:, 1], vecs[:, 0]), math.pi)
 
@@ -240,10 +240,9 @@ def transfer_matrix(ifs, s, m):
     perp = thetas + math.pi / 2.0
     u = np.stack([np.cos(perp), np.sin(perp)], axis=1)
     vals = []
-    for a in ifs.lins:
-        # weight at log alpha1 := log|uA|, log alpha2 := log|det A| - that
-        la1 = np.log(np.linalg.norm(u @ a, axis=1))
-        det = a[0, 0] * a[1, 1] - a[0, 1] * a[1, 0]
+    for a, det in zip(ifs.lins, det2(ifs.lins)):
+        # weight at log alpha1 := log|A^T u|, log alpha2 := log|det A| - that
+        la1 = np.log(np.linalg.norm(pull_back(a, u), axis=1))
         vals.append(np.exp(log_svf(la1, math.log(abs(det)) - la1, s)))
     return TransferOperator(np.stack(vals))
 

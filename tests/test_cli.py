@@ -14,7 +14,8 @@ import pytest
 from affinedim import cli, estimators, projective
 from affinedim.cli import ERROR_EXITS, EXIT_BUDGET, EXIT_CONDITION, \
     EXIT_INPUT, EXIT_OK, InputError, fixture_path, load_input, main
-from affinedim.errors import AffinedimError
+from affinedim.errors import AffinedimError, DegenerateRange
+from affinedim.geometry import PoscReport
 from affinedim.ifs import LEVEL_BLOCK, Ifs
 
 from conftest import FIXTURE_DIR, kept_arrays
@@ -24,6 +25,13 @@ SRC = os.path.join(os.path.dirname(__file__), os.pardir, "src")
 
 def fx(name):
     return os.path.join(FIXTURE_DIR, name)
+
+
+def strict_json(text):
+    """The JSON document in text; NaN and Infinity are refused."""
+    def refuse(constant):
+        raise ValueError(f"{constant} is not JSON")
+    return json.loads(text, parse_constant=refuse)
 
 
 def run_cli(argv, **kwargs):
@@ -313,6 +321,49 @@ class TestErrorContract:
         assert capsys.readouterr().err.splitlines() \
             == [f"error: Inconclusive: {self.COVERED}"]
 
+    # two cylinders with the same projected images make a zero POSC
+    # separation: two copies of one map, and cone's maps with its first
+    # map twice; the SSC verdict is Overlap
+    TWINS = {"maps": [{"a": 0.1, "b": 0.0, "c": 0.0, "d": 0.0001,
+                       "tx": 0.0, "ty": 0.0}] * 2}
+
+    @pytest.mark.parametrize("family", ["twins", "cone_and_a_copy"])
+    def test_zero_separation_is_strict_json(self, tmp_path, family):
+        maps = self.TWINS["maps"]
+        if family == "cone_and_a_copy":
+            with open(fx("cone.json")) as fh:
+                maps = json.load(fh)["maps"]
+            maps = maps + maps[:1]
+        spec = tmp_path / "family.json"
+        spec.write_text(json.dumps({"maps": maps}))
+        out = tmp_path / "check.json"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["check", "--input", str(spec),
+                         "--out", str(out)]) == EXIT_CONDITION
+        rep = strict_json(out.read_text())
+        assert rep["ssc"]["separated"] == "Overlap"
+        assert rep["posc"]["eta_hat"] == 0.0
+        assert rep["posc"]["trend"] is None
+        assert rep["posc"]["appears_to_hold"] is False
+
+    def test_non_finite_report_is_a_condition_failure(self, tmp_path,
+                                                      monkeypatch, capsys):
+        def nan_scan(ifs, depth):
+            return PoscReport(float("nan"), {}, 0.0, True)
+
+        monkeypatch.setattr(cli, "posc_check", nan_scan)
+        out = tmp_path / "check.json"
+        assert main(["check", "--input", fx("cone.json"),
+                     "--out", str(out)]) == EXIT_CONDITION
+        assert capsys.readouterr().err.splitlines() == [
+            "error: DegenerateRange: report not written: Out of range "
+            "float values are not JSON compliant: nan"]
+        assert not out.exists()
+        with pytest.raises(DegenerateRange):
+            cli.write_report({"x": float("inf")}, str(out), "r.json")
+        assert not out.exists()
+
     @pytest.mark.parametrize("argv", [["check", "--depth", "3"],
                                       ["verify", "diml"]])
     def test_many_maps_in_bounded_memory(self, tmp_path, argv):
@@ -371,11 +422,14 @@ class TestExitContract:
         monkeypatch.setenv("AFFINEDIM_WORD_CAP", "100000")
         spec = tmp_path / "family.json"
         spec.write_text(json.dumps(family))
+        report = tmp_path / "report.json"
         for argv in (["check"], ["dims"], ["verify", "trans"]):
-            code = main(argv + ["--input", str(spec),
-                                "--out", str(tmp_path / "report.json")])
+            code = main(argv + ["--input", str(spec), "--out", str(report)])
             assert code in (EXIT_OK, EXIT_INPUT, EXIT_CONDITION,
                             EXIT_BUDGET), argv
+            if report.exists():
+                strict_json(report.read_text())
+                report.unlink()
 
 
 class TestDerivedOnce:
@@ -477,16 +531,18 @@ class TestCommands:
         assert rep["box"]["dimension"] == pytest.approx(1.0, abs=0.1)
         assert rep["slice_upper_bound"] < 1.0
 
-    def test_dims_carpet_falls_back_to_base_2(self, tmp_path):
-        # the carpet's base-5 scales are too few above the sample
-        # resolution, so the box fit runs at base 2 and says so
+    def test_dims_carpet_fits_at_base_2(self, tmp_path):
+        # a carpet's base-q scales are too few above the sample
+        # resolution, so its box fit runs at base 2 like any other input's
         out = tmp_path / "dims.json"
         assert main(["dims", "--input", fx("carpet.json"),
                      "--out", str(out)]) == EXIT_OK
         rep = json.loads(out.read_text())
         assert {"box", "tangents", "carpet_formulas"} <= set(rep)
-        assert any(w.startswith("base-5 box-count fit failed")
-                   for w in rep["warnings"])
+        scales = rep["box"]["scales"]
+        assert len(scales) >= 5
+        assert all(a == 2.0 * b for a, b in zip(scales, scales[1:]))
+        assert not any("base-" in w for w in rep["warnings"])
 
     def test_carpet_report(self, tmp_path):
         out = tmp_path / "carpet.json"

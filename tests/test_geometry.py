@@ -16,7 +16,8 @@ from affinedim.geometry import DiameterTable, approximate_square_counts, \
     projected_gap, sigma_count, slice_points, slice_root, slice_upper_bound, \
     ssc_check, tangent_dimension_scan, transversality_derivative, \
     transversality_tail_bound, weak_tangent
-from affinedim.ifs import Ifs, batch_singular_values, hull_vertices
+from affinedim.ifs import Ifs, batch_singular_values, hull_vertices, \
+    pull_back
 from affinedim.projective import PI, ProjPoint, furstenberg_directions
 from affinedim.thermo import affinity_dimension
 
@@ -942,7 +943,7 @@ class TestPullBack:
         bound = norms * geometry._diam_table(ifs).upper(
             np.arctan2(au[:, 1], au[:, 0]))
         for mats in (level, np.ascontiguousarray(level)):
-            assert geometry._pull_back(mats, u).tobytes() == au.tobytes()
+            assert pull_back(mats, u).tobytes() == au.tobytes()
             assert geometry.projected_diameter_bound(ifs, mats, v) \
                 .tobytes() == bound.tobytes()
             assert geometry._hull_half_widths(ifs, mats, u).tobytes() \

@@ -3,9 +3,11 @@ uses each name it imports and imports only at module level, only
 Ifs.frontier takes a word limit of its own, every defaulted parameter is
 set by some call, 2x2 products go through the one kernel ifs.mul2,
 projective angles come from math.atan2 and not np.arctan2, one function
-branches on s at 1 and 2, the estimators take no norms and no
-reductions along axis 0, interval_content has no for loop and no
-comprehension, Ifs.frontier has no @, no module makes an array of
+branches on s at 1 and 2, one function takes a*d - b*c from a matrix's
+entries, the estimators take no norms and no reductions along axis 0,
+interval_content has no for loop and no comprehension, only the
+estimators copy an array with np.ascontiguousarray, Ifs.frontier and
+the callers of the product levels have no @, no module makes an array of
 Python objects, only Ifs.__init__ and the memo ifs.derived touch
 Ifs._cache, importing the package loads numpy but not scipy, every
 entry point that the benchmark's tracer wraps still exists, and a traced
@@ -281,6 +283,79 @@ def test_one_singular_value_function():
     assert found == ["ifs.py:log_svf"]
 
 
+def entry_determinants(source):
+    """Dotted names of the functions around every a*d - b*c written from
+    the entries of a 2x2 matrix: the names a, b, c and d, or subscripts
+    whose last two indices are the constants (0, 0), (1, 1), (0, 1) and
+    (1, 0)."""
+    def entry(node):
+        if isinstance(node, ast.Name):
+            return node.id
+        if isinstance(node, ast.Subscript) \
+                and isinstance(node.slice, ast.Tuple):
+            index = [getattr(i, "value", None) for i in node.slice.elts[-2:]]
+            if index in ([0, 0], [0, 1], [1, 0], [1, 1]):
+                return "abcd"[2 * index[0] + index[1]]
+        return None
+
+    def factors(node):
+        if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Mult):
+            return {entry(node.left), entry(node.right)}
+        return None
+
+    found = []
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+                visit(child, scope + [child.name])
+                continue
+            if isinstance(child, ast.BinOp) and isinstance(child.op, ast.Sub) \
+                    and [factors(child.left), factors(child.right)] \
+                    in ([{"a", "d"}, {"b", "c"}], [{"b", "c"}, {"a", "d"}]):
+                found.append(".".join(scope))
+            visit(child, scope)
+    visit(ast.parse(source), [])
+    return found
+
+
+def test_checker_finds_entry_determinants():
+    src = ("def f(a, b, c, d):\n    return a * d - b * c\n"
+           "class C:\n    def g(self, m):\n"
+           "        return m[:, 1, 1] * m[:, 0, 0] - m[:, 0, 1] * m[:, 1, 0]\n"
+           "x = -(b * c - d * a)\n"
+           "cross = e[0] * o[:, 1] - e[1] * o[:, 0]\n"
+           "y = a * b - c * d\nz = m[0, 0] * m[1, 1] + m[0, 1] * m[1, 0]\n")
+    assert entry_determinants(src) == ["f", "C.g", ""]
+
+
+def test_one_determinant():
+    # a*d - b*c is ifs.det2 alone, so one expression has to be rounded
+    # outward for a certified determinant
+    found = []
+    for module in MODULES:
+        with open(os.path.join(SRC_DIR, module)) as fh:
+            found += [f"{module}:{name}"
+                      for name in entry_determinants(fh.read())]
+    assert found == ["ifs.py:det2"]
+
+
+def test_checker_finds_ascontiguousarray_calls():
+    src = ("import numpy as np\nx = np.ascontiguousarray(y.T)\n"
+           "z = np.asarray(y)\n# np.ascontiguousarray in a comment\n")
+    assert calls_of(src, "ascontiguousarray") == [2]
+
+
+@pytest.mark.parametrize("module", [m for m in MODULES
+                                    if m != "estimators.py"])
+def test_layout_stays_in_ifs(module):
+    # mul2, pull_back and det2 read a stack in any layout, so no module
+    # copies the entry-major products of ifs; the estimators copy a
+    # cloud's columns
+    with open(os.path.join(SRC_DIR, module)) as fh:
+        assert calls_of(fh.read(), "ascontiguousarray") == []
+
+
 def axis0_calls(source):
     """Line numbers of every call given the keyword argument axis=0."""
     return [node.lineno for node in ast.walk(ast.parse(source))
@@ -338,16 +413,18 @@ def test_interval_content_merges_in_rounds():
         assert loops_in(fh.read(), "interval_content") == []
 
 
-def matmuls_in(source, cls, method):
-    """Line numbers of every @ in the body of the one method of the given
-    name of the one module-level class of the given name."""
-    [klass] = [node for node in ast.parse(source).body
-               if isinstance(node, ast.ClassDef) and node.name == cls]
-    [fn] = [node for node in klass.body
-            if isinstance(node, ast.FunctionDef) and node.name == method]
-    return sorted(node.lineno for node in ast.walk(fn)
-                  if isinstance(node, (ast.BinOp, ast.AugAssign))
-                  and isinstance(node.op, ast.MatMult))
+def matmuls_in(source, *path):
+    """Line numbers of every @ in the body of the one function or class
+    at the given path of names from module level, such as ("Ifs",
+    "frontier") for a method."""
+    node = ast.parse(source)
+    for name in path:
+        [node] = [child for child in node.body
+                  if isinstance(child, (ast.FunctionDef, ast.ClassDef))
+                  and child.name == name]
+    return sorted(inner.lineno for inner in ast.walk(node)
+                  if isinstance(inner, (ast.BinOp, ast.AugAssign))
+                  and isinstance(inner.op, ast.MatMult))
 
 
 def test_checker_finds_matmuls():
@@ -359,6 +436,27 @@ def test_checker_finds_matmuls():
     assert matmuls_in(src, "C", "g") == [5, 6]
     with pytest.raises(ValueError):
         matmuls_in(src, "C", "h")
+
+
+def test_checker_finds_matmuls_in_functions():
+    src = ("def f(a):\n    b = a @ a\n    return b\n"
+           "@derived\ndef g(a):\n    return [x @ x for x in a]\n"
+           "def h(a):\n    return mul2(a, a)\n")
+    assert matmuls_in(src, "f") == [2]
+    assert matmuls_in(src, "g") == [6]
+    assert matmuls_in(src, "h") == []
+    with pytest.raises(ValueError):
+        matmuls_in(src, "k")
+
+
+@pytest.mark.parametrize("module, function", [
+    ("thermo.py", "_cylinder_directions"), ("thermo.py", "transfer_matrix"),
+    ("projective.py", "classify_irreducibility")])
+def test_products_come_from_ifs(module, function):
+    # the inverse products, the pulled-back axes and the pair products
+    # come from the kernels of ifs, whose bits do not depend on the layout
+    with open(os.path.join(SRC_DIR, module)) as fh:
+        assert matmuls_in(fh.read(), function) == []
 
 
 def test_frontier_has_one_product_rule():

@@ -428,9 +428,9 @@ class TestTransferOperator:
             assert np.array_equal(L.adjoint(f), ref.T @ f)
 
     @pytest.mark.parametrize("name", ["positive_pair", "cone_ifs"])
-    def test_directions_round_as_a_c_ordered_stack(self, name, request):
-        # a stacked @ on the entry-major levels of products rounds
-        # differently from one on a C-ordered stack from level 1 on
+    def test_directions_match_an_einsum_reference(self, name, request):
+        # the inverse products and their images of v0 bit for bit, at
+        # levels where a stacked @ rounds apart from einsum
         ifs = request.getfixturevalue(name)
         gaps = complement(find_invariant_multicone(ifs))
         v0 = ProjPoint(gaps.starts[0] + gaps.widths[0] / 2.0).vector
@@ -439,10 +439,26 @@ class TestTransferOperator:
         for m in range(1, 8):
             prods = np.einsum("ipq,wqr->iwpr", invs, prods) \
                 .reshape(-1, 2, 2)
-            vecs = prods @ v0
+            vecs = np.einsum("wpq,q->wp", prods, v0)
             vecs /= np.linalg.norm(vecs, axis=1, keepdims=True)
             want = np.mod(np.arctan2(vecs[:, 1], vecs[:, 0]), math.pi)
             assert np.array_equal(_cylinder_directions(ifs, m), want)
+
+    @pytest.mark.parametrize("name", ["positive_pair", "cone_ifs"])
+    def test_weights_match_an_einsum_reference(self, name, request):
+        # log alpha1 := log|A^T u| from einsum's pulled-back axes, bit for
+        # bit
+        ifs = request.getfixturevalue(name)
+        s, m = 1.1, 5
+        perp = _cylinder_directions(ifs, m) + math.pi / 2.0
+        u = np.stack([np.cos(perp), np.sin(perp)], axis=1)
+        vals = transfer_matrix(ifs, s, m).vals
+        for a, got in zip(ifs.lins, vals):
+            la1 = np.log(np.linalg.norm(np.einsum("qp,wq->wp", a, u),
+                                        axis=1))
+            det = a[0, 0] * a[1, 1] - a[0, 1] * a[1, 0]
+            la2 = math.log(abs(det)) - la1
+            assert np.array_equal(got, np.exp(log_svf(la1, la2, s)))
 
     def test_needs_cone_for_true_affine(self):
         # a squeeze and a quarter-turn: genuinely affine, no invariant cone

@@ -45,14 +45,33 @@ def test_reports_what_differs():
     tool = load_tool()
     same = (b'{"a": 1}\n', b"", 0)
     assert tool.differences(same, same) == []
-    lines = tool.differences(same, (b'{"a": 2}\n', b"", 2))
+    # a report of another shape is shown as a diff
+    lines = tool.differences(same, (b'{"a": 1, "b": 2}\n', b"", 2))
     assert lines[0] == "  report differs:"
-    assert '    +{"a": 2}' in lines and '    -{"a": 1}' in lines
+    assert '    +{"a": 1, "b": 2}' in lines and '    -{"a": 1}' in lines
     assert lines[-1] == "  exit code: parent 0, change 2"
     assert tool.differences((None, b"x\n", 1), same) \
         == ["  report: written by change only", "  stdout differs:",
             "    --- parent", "    +++ change", "    @@ -1 +0,0 @@",
             "    -x", "  exit code: parent 1, change 0"]
+
+
+def test_lists_the_values_that_moved():
+    tool = load_tool()
+    parent = b'{"a": {"x": 1.0, "y": [2, 3.5]}, "s": "Pass", "n": null}\n'
+    change = b'{"a": {"x": 1.0, "y": [2, 3.25]}, "s": "Fail", "n": null}\n'
+    assert tool.moved_values(parent, change) \
+        == [("$.a.y[1]", 3.5, 3.25), ("$.s", "Pass", "Fail")]
+    assert tool.differences((parent, b"", 0), (change, b"", 0)) == [
+        "  report differs in 2 values:", "    $.a.y[1]: 3.5 -> 3.25",
+        "    $.s: 'Pass' -> 'Fail'"]
+    # other keys, list lengths or kinds of leaf are another shape
+    for other in (b'{"a": {"x": 1.0, "y": [2]}, "s": "Pass", "n": null}',
+                  b'{"a": {"x": 1.0, "z": [2, 3.5]}, "s": "Pass", "n": 0}',
+                  b'{"a": {"x": true, "y": [2, 3.5]}, "s": "Pass", "n": 1}',
+                  b"<svg/>", None):
+        assert tool.moved_values(parent, other) is None
+    assert tool.moved_values(parent, parent) == []
 
 
 def test_one_invocation_in_two_checkouts(tmp_path):

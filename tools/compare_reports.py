@@ -13,13 +13,17 @@ process with OMP_NUM_THREADS=1 and the checkout's src first on
 PYTHONPATH; the two checkouts run side by side, one process each.
 
 Every invocation whose report, stdout or exit code differs is printed
-with a diff of what differs.  The last line counts the invocations and
-the differences; the exit code is 1 when anything differs, else 0.
+with a diff of what differs; a report that parses as JSON in both
+checkouts with the same shape is printed as the JSON path of each value
+that moved, parent -> change.  The last line counts the invocations, the
+differences, the numbers that moved and the largest absolute change;
+the exit code is 1 when anything differs, else 0.
 """
 
 import argparse
 import difflib
 import importlib.util
+import json
 import os
 import subprocess
 import sys
@@ -113,6 +117,39 @@ def run_both(checkouts, args, fixture, seed, workdir):
     return results
 
 
+def _kind(value):
+    """The shape class of a JSON value: its type, one for all numbers."""
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        return "number"
+    return type(value).__name__
+
+
+def moved_values(parent, change):
+    """(JSON path, parent value, change value) of every leaf that differs
+    between two report texts, or None unless both parse as JSON with the
+    same shape: the same keys, list lengths and kinds of leaf."""
+    moved = []
+
+    def walk(path, a, b):
+        if _kind(a) != _kind(b):
+            return False
+        if isinstance(a, dict):
+            return a.keys() == b.keys() \
+                and all(walk(f"{path}.{k}", a[k], b[k]) for k in a)
+        if isinstance(a, list):
+            return len(a) == len(b) \
+                and all(walk(f"{path}[{k}]", x, y)
+                        for k, (x, y) in enumerate(zip(a, b)))
+        if a != b:
+            moved.append((path, a, b))
+        return True
+    try:
+        a, b = json.loads(parent), json.loads(change)
+    except (TypeError, ValueError):
+        return None
+    return moved if walk("$", a, b) else None
+
+
 def differences(parent, change):
     """Lines describing each part of two run results that differs."""
     lines = []
@@ -122,6 +159,11 @@ def differences(parent, change):
         if a is None or b is None:
             lines.append(f"  {part}: written by "
                          f"{'change only' if a is None else 'parent only'}")
+            continue
+        moved = moved_values(a, b) if part == "report" else None
+        if moved:
+            lines.append(f"  {part} differs in {len(moved)} values:")
+            lines += [f"    {path}: {x!r} -> {y!r}" for path, x, y in moved]
             continue
         diff = list(difflib.unified_diff(
             a.decode(errors="replace").splitlines(),
@@ -147,6 +189,7 @@ def main():
     runs = invocations(load_workloads(), fixtures(opts.change),
                        suites(opts.change))
     n_runs = n_diff = 0
+    changes = []
     with tempfile.TemporaryDirectory() as workdir:
         for seed in opts.seeds:
             for args, fixture in runs:
@@ -159,7 +202,12 @@ def main():
                     print(" ".join(argv(args, fixture, seed, "OUT")),
                           flush=True)
                     print("\n".join(lines), flush=True)
-    print(f"{n_runs} invocations per checkout, {n_diff} differ")
+                    changes += [abs(y - x) for _, x, y
+                                in moved_values(parent[0], change[0]) or []
+                                if _kind(x) == "number"]
+    print(f"{n_runs} invocations per checkout, {n_diff} differ, "
+          f"{len(changes)} numbers moved, largest change "
+          f"{max(changes, default=0.0):.3g}")
     return 1 if n_diff else 0
 
 
