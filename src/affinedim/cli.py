@@ -26,7 +26,7 @@ from .geometry import content_consistency, hausdorff_content_projection, \
     posc_check, projected_gap, slice_points, slice_upper_bound, ssc_check, \
     tangent_dimension_scan, transversality_derivative, \
     transversality_tail_bound
-from .ifs import Ifs, batch_singular_values, mul2, word_label
+from .ifs import Ifs, batch_singular_values, word_label
 from .projective import PI, ProjPoint, classify_irreducibility, \
     furstenberg_directions, is_dominated, strictly_affine
 from .thermo import _cylinder_directions, affinity_dimension, \
@@ -446,11 +446,8 @@ def cmd_render(args):
     c, r = ifs.ball_center, ifs.ball_radius
     corners = np.array([[c[0] - r, c[1] - r], [c[0] + r, c[1] - r],
                         [c[0] + r, c[1] + r], [c[0] - r, c[1] + r]])
-    prods = ifs.level_products(depth)
-    pts, _ = ifs._cylinder_centers(depth)
-    # polygon vertices: affine image of the bounding square, word order
-    offs = mul2(prods[:, None], (corners - c)[None, :, :, None])[..., 0]
-    polys = pts[:, None, :] + offs
+    # polygon vertices: the images of the bounding square, in word order
+    polys = ifs.level_images(corners[None], depth)
 
     allp = polys.reshape(-1, 2)
     x0, y0 = allp.min(axis=0)

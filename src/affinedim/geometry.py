@@ -13,7 +13,7 @@ from .config import word_cap
 from .errors import BudgetExceeded, DegenerateRange, HypothesisViolated, \
     NotDominated, NotSeparated
 from .estimators import PointCloud, box_dim, morton_keys
-from .ifs import batch_singular_values, derived, mul2, pull_back
+from .ifs import batch_singular_values, compose, derived, mul2, pull_back
 from .projective import PI, ProjPoint, furstenberg_directions
 from .roots import brentq
 from .thermo import _cylinder_directions, affinity_dimension, \
@@ -37,7 +37,7 @@ class DiameterTable:
     def __init__(self, ifs, depth=8):
         depth = ifs._fit_depth(depth)
         hull, radius = ifs._hull(depth)
-        # the suffix-level centres, which the hull's walk never uses;
+        # the suffix-level centres, which the hull never reads;
         # perfbench's tracer sizes the table from the first
         # _cylinder_centers call under it
         ifs._cylinder_centers(ifs._suffix_level(depth))
@@ -736,19 +736,9 @@ def content_consistency(ifs, n_cylinders=20, depth=8, seed=0):
 # transversality
 
 
-def _periodic_sum(arrs, vecs, word, depth):
-    """Sum of A_{word|k} vecs[word_{k+1}] over k < depth, with the word
-    extended periodically and A_{word|k} kept as a running product; the
-    letters that are not keys of the dict vecs add nothing."""
-    acc = np.zeros(2)
-    prod = np.eye(2)
-    n = len(word)
-    for k in range(depth):
-        letter = word[k % n]
-        if letter in vecs:
-            acc = acc + prod @ vecs[letter]
-        prod = prod @ arrs[letter - 1]
-    return acc
+def _periodic_point(arrs, vs, word, depth):
+    """t_w of the word extended periodically to length depth."""
+    return compose(arrs, vs, itertools.islice(itertools.cycle(word), depth))[1]
 
 
 def transversality_derivative(matrices, w, word_i, word_j, depth=30):
@@ -770,9 +760,11 @@ def transversality_derivative(matrices, w, word_i, word_j, depth=30):
         raise ValueError("words must differ in the first letter")
     w = np.asarray(w, dtype=float)
     w = w / np.linalg.norm(w)
-    vecs = {wi[0]: w}
-    return abs(float(w @ (_periodic_sum(arrs, vecs, wi, depth)
-                          - _periodic_sum(arrs, vecs, wj, depth))))
+    # the translation w at the first letter of word_i, 0 elsewhere
+    vs = np.zeros((len(arrs), 2))
+    vs[wi[0] - 1] = w
+    return abs(float(w @ (_periodic_point(arrs, vs, wi, depth)
+                          - _periodic_point(arrs, vs, wj, depth))))
 
 
 def transversality_tail_bound(matrices, depth):
@@ -787,9 +779,9 @@ def projected_gap(matrices, translations, w, word_i, word_j, depth=30):
     arrs = np.asarray(matrices, dtype=float)
     w = np.asarray(w, dtype=float)
     w = w / np.linalg.norm(w)
-    ts = {k: np.asarray(t, dtype=float) for k, t in enumerate(translations, 1)}
-    return float(w @ (_periodic_sum(arrs, ts, tuple(word_i), depth)
-                      - _periodic_sum(arrs, ts, tuple(word_j), depth)))
+    ts = np.asarray(translations, dtype=float)
+    return float(w @ (_periodic_point(arrs, ts, word_i, depth)
+                      - _periodic_point(arrs, ts, word_j, depth)))
 
 
 # ---------------------------------------------------------------------------

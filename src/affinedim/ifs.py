@@ -97,28 +97,30 @@ def pull_back(mats, u):
     return mul2(mats.swapaxes(-1, -2), u[..., None])[..., 0]
 
 
-def _empty_level(x, size):
-    """An empty array over size words for the values x of a level: a
-    stack of 2x2 matrices is held entry-major, the (size, 2, 2) view of a
-    (2, 2, size) buffer, so every entry that `mul2` writes and
-    `batch_singular_values` reads is one contiguous row; any other array
-    is C-ordered, since `centers @ u` rounds differently on another
-    layout.  The rule reads the shape alone: a one-word x has every
-    layout."""
-    if x.shape[1:] == (2, 2):
-        return np.empty((2, 2, size)).transpose(2, 0, 1)
-    return np.empty((size,) + x.shape[1:])
+def _entry_major(size):
+    """An empty stack of size 2x2 matrices held entry-major: the
+    (size, 2, 2) view of a (2, 2, size) buffer, so every entry that `mul2`
+    writes and `batch_singular_values` reads is one contiguous row."""
+    return np.empty((2, 2, size)).transpose(2, 0, 1)
 
 
-def product_step(lins):
-    """The `Ifs._level_walk` step of the products over the stack lins:
-    A_iw = A_i A_w from A_w."""
-    return lambda i, prods, out: mul2(lins[i], prods, out=out)
+def compose(lins, vs, word):
+    """(A_w, t_w) with phi_w(x) = A_w x + t_w for
+    phi_w = phi_{w1} o ... o phi_{wn}, the maps x -> lins[i - 1] x +
+    vs[i - 1] taken letter by letter; the empty word gives the
+    identity."""
+    lin, v = np.eye(2), np.zeros(2)
+    for letter in word:
+        lin, v = lin @ lins[letter - 1], lin @ vs[letter - 1] + v
+    return lin, v
 
 
 def word_label(word):
-    """The letters of a word joined, or "-" for the empty word."""
-    return "".join(map(str, word)) or "-"
+    """The letters of a word joined, or "-" for the empty word.  A letter
+    of two or more digits is bracketed, so that no two words share a
+    label: (1, 12), (11, 2) and (1, 1, 2) give "1[12]", "[11]2" and
+    "112"."""
+    return "".join(str(k) if k < 10 else f"[{k}]" for k in word) or "-"
 
 
 def derived(fn):
@@ -215,13 +217,11 @@ class Ifs:
         """(A_w, t_w) with phi_w(x) = A_w x + t_w for
         phi_w = phi_{w1} o ... o phi_{wn}; the empty word gives the
         identity."""
-        lin, v = np.eye(2), np.zeros(2)
         for letter in word:
             if not 1 <= letter <= self.n_maps:
                 raise IndexOutOfRange(
                     f"letter {letter} out of range 1..{self.n_maps}")
-            lin, v = lin @ self.lins[letter - 1], lin @ self.vs[letter - 1] + v
-        return lin, v
+        return compose(self.lins, self.vs, word)
 
     # -- levels ---------------------------------------------------------------
 
@@ -235,40 +235,41 @@ class Ifs:
             raise BudgetExceeded(cap, self.n_maps ** n)
         return self.n_maps ** n
 
-    def _level_walk(self, n, roots, steps):
-        """Level n in contiguous blocks of arrays over its words: yields
-        (start, *arrays), each array holding its values on the words start
-        to start + len - 1 in lexicographic word order (first letter most
-        significant).
+    def _level_walk(self, n, lins):
+        """Level n of the products A_w over the stack lins (the maps'
+        linear parts or their inverses) in contiguous blocks: yields
+        (start, prods, dets), the entry-major products and their
+        determinants on the words start to start + len - 1 in
+        lexicographic word order (first letter most significant).  The
+        determinants are carried as det A_iw = det A_i * det A_w, since
+        `det2` cancels on long words.
 
-        roots[k] holds the values of array k on the empty word, and
-        steps[k](i, x, out) writes into out its values on the words i w
-        from its values x on the words w.  A level of at most LEVEL_BLOCK
-        words, or level 1, is one block, built whole from the level below
-        in one broadcast step: i is the (N, 1) column of all letters and
-        out is viewed as (N, len(x), ...).  A deeper level prepends each
-        letter in turn to each block of the level below and holds one
-        block of that size, so the first letter changes fastest: blocks
-        come in that order, not in word order, and each is overwritten by
-        the next."""
+        A level of at most LEVEL_BLOCK words, or level 1, is one block,
+        built whole from the level below with every letter prepended at
+        once.  A deeper level prepends each letter in turn to each block
+        of the level below and holds one block of that size, so the first
+        letter changes fastest: blocks come in that order, not in word
+        order, and each is overwritten by the next."""
         size = self._level_size(n)
+        letter_dets = det2(lins)
         if n == 0:
-            yield (0, *roots)
+            yield 0, np.eye(2)[None], np.ones(1)
         elif self._suffix_level(n) == n:
-            _, *below = next(self._level_walk(n - 1, roots, steps))
-            level = [_empty_level(x, size) for x in below]
-            for step, x, out in zip(steps, below, level):
-                step(np.arange(self.n_maps)[:, None], x,
-                     out.reshape(self.n_maps, *x.shape))
-            yield (0, *level)
+            _, below, dets = next(self._level_walk(n - 1, lins))
+            prods = _entry_major(size)
+            mul2(lins[:, None], below,
+                 out=prods.reshape(self.n_maps, *below.shape))
+            yield 0, prods, np.multiply.outer(letter_dets, dets).reshape(-1)
         else:
-            block = None
-            for start, *below in self._level_walk(n - 1, roots, steps):
-                block = block or [_empty_level(x, len(x)) for x in below]
+            prods = dets = None
+            for start, below, below_dets in self._level_walk(n - 1, lins):
+                if prods is None:
+                    prods = _entry_major(len(below))
+                    dets = np.empty(len(below))
                 for i in range(self.n_maps):
-                    for step, x, out in zip(steps, below, block):
-                        step(i, x, out)
-                    yield (i * (size // self.n_maps) + start, *block)
+                    mul2(lins[i], below, out=prods)
+                    np.multiply(letter_dets[i], below_dets, out=dets)
+                    yield i * (size // self.n_maps) + start, prods, dets
 
     def _suffix_level(self, n):
         """The deepest level m <= n of at most LEVEL_BLOCK words, or level
@@ -278,62 +279,66 @@ class Ifs:
             m -= 1
         return m
 
-    def _level(self, n, root, step):
-        """Level n of one array of `_level_walk`, whole: its one block, or
-        its blocks gathered."""
+    def _level(self, n, lins):
+        """The products of level n over the stack lins, whole: the one
+        block of `_level_walk`, or its blocks gathered."""
         size, level = self.n_maps ** n, None
-        for start, block in self._level_walk(n, (root,), (step,)):
-            if len(block) == size:
-                return block
+        for start, prods, _ in self._level_walk(n, lins):
+            if len(prods) == size:
+                return prods
             if level is None:
-                level = _empty_level(block, size)
-            level[start:start + len(block)] = block
+                level = _entry_major(size)
+            level[start:start + len(prods)] = prods
         return level
 
-    def _center_step(self, i, pts, out):
-        """Centres p_iw = A_i p_w + v_i of the cylinders phi_iw(B) from the
-        centres p_w of the cylinders phi_w(B), a `_level_walk` step."""
-        mul2(self.lins[i], pts[..., None], out=out[..., None])
-        out += self.vs[i]
+    def level_images(self, x, n):
+        """phi_w(x) for every word w of length n, in lexicographic word
+        order: points x of shape (k, ..., 2) give a C-ordered
+        (N^n k, ..., 2) array.  Each level holds the images of the level
+        below under every map at once, map-major (Hutchinson's operator);
+        raises before a level over the word cap is allocated."""
+        self._level_size(n)
+        lins = self.lins.reshape(self.n_maps, *[1] * (x.ndim - 1), 2, 2)
+        vs = self.vs.reshape(self.n_maps, *[1] * (x.ndim - 1), 2)
+        for _ in range(n):
+            x = mul2(lins, x[None, ..., None])[..., 0]
+            x += vs
+            x = x.reshape(-1, *x.shape[2:])
+        return x
 
     @derived
     def level_products(self, n):
         """All products A_w for |w| = n in lexicographic word order, held
-        entry-major (see `_empty_level`) with the values of a C-ordered
+        entry-major (see `_entry_major`) with the values of a C-ordered
         stack; `mul2`, `pull_back` and `det2` read either layout alike."""
-        return self._level(n, np.eye(2)[None], product_step(self.lins))
+        return self._level(n, self.lins)
 
-    def _level_pair(self, n, pair):
-        """Two arrays of level n's size holding pair(prods, dets) of each
-        block of the level's products and their determinants, carried as
-        det A_iw = det A_i * det A_w since `det2` cancels on long words;
-        no more of the level's products is held than its blocks."""
-        letter_dets = det2(self.lins)
-
-        def det_step(i, dets, out):
-            np.multiply(letter_dets[i], dets, out=out)
-
-        out = np.empty((2, self._level_size(n)))
-        for start, prods, dets in self._level_walk(
-                n, (np.eye(2)[None], np.ones(1)),
-                (product_step(self.lins), det_step)):
-            out[:, start:start + len(prods)] = pair(prods, dets)
-        return out[0], out[1]
+    def _level_singular_values(self, n):
+        """(alpha1, alpha2) of level n, block by block from the products
+        and the determinants that `_level_walk` carries; no more of the
+        level's products is held than its blocks."""
+        a1, a2 = np.empty((2, self._level_size(n)))
+        for start, prods, dets in self._level_walk(n, self.lins):
+            span = slice(start, start + len(prods))
+            a1[span], a2[span] = batch_singular_values(prods, dets)
+        return a1, a2
 
     @derived
     def level_singular_values(self, n):
-        """(alpha1, alpha2) of level_products(n), block by block, from the
-        determinants that _level_pair carries."""
-        return self._level_pair(n, batch_singular_values)
+        """(alpha1, alpha2) of level_products(n), without the level of
+        products."""
+        return self._level_singular_values(n)
 
     def level_log_singular_values(self, n):
         """(log alpha1, log alpha2) of level n, equal to np.log of
-        level_singular_values(n) bit for bit and reduced block by block,
-        so neither the level's products nor its singular values are held
-        whole.  They are not kept: the pressure reads them only while its
+        level_singular_values(n) bit for bit and taken in place, so
+        neither the level's products nor a second level of values is
+        held.  They are not kept: the pressure reads them only while its
         root is solved."""
-        return self._level_pair(n, lambda prods, dets: np.log(
-            batch_singular_values(prods, dets)))
+        logs = self._level_singular_values(n)
+        for x in logs:
+            np.log(x, out=x)
+        return logs
 
     def word_from_flat(self, flat, n):
         """The word of length n, a tuple of letters, at its lexicographic
@@ -358,19 +363,18 @@ class Ifs:
     @derived
     def _hull(self, depth):
         """(`hull_vertices`, largest error radius) of the depth-n cylinder
-        centres of `_cylinder_centers`, from the blocks of one
-        `_level_walk`: the hull of a union is the hull of its parts' hull
-        vertices, and max(alpha1) * r is max(alpha1 * r) since rounding is
-        monotone.  alpha1 is read from the products alone, as
-        `_cylinder_centers` reads it, and no more of the level than its
-        blocks is held."""
-        hulls, a1 = [], 0.0
-        for _, prods, pts in self._level_walk(
-                depth, (np.eye(2)[None], self.ball_center[None]),
-                (product_step(self.lins), self._center_step)):
-            hulls.append(hull_vertices(pts))
+        centres of `_cylinder_centers`.  An affine map takes a hull to the
+        hull of its vertices' images, so each level's hull is that of the
+        images of the level above's hull vertices.  alpha1 is read from
+        the products alone, as `_cylinder_centers` reads it, one block of
+        `_level_walk` at a time: max(alpha1) * r is max(alpha1 * r)."""
+        a1 = 0.0
+        for _, prods, _ in self._level_walk(depth, self.lins):
             a1 = max(a1, batch_singular_values(prods)[0].max())
-        return hull_vertices(np.concatenate(hulls)), a1 * self.ball_radius
+        hull = self.ball_center[None]
+        for _ in range(depth):
+            hull = hull_vertices(self.level_images(hull, 1))
+        return hull, a1 * self.ball_radius
 
     @property
     def diam_upper(self):
@@ -392,8 +396,7 @@ class Ifs:
         # temporaries leave the heap so that `verify content` peaks higher
         errs = batch_singular_values(self.level_products(depth))[0]
         errs *= self.ball_radius
-        pts = self._level(depth, self.ball_center[None], self._center_step)
-        return pts, errs
+        return self.level_images(self.ball_center[None], depth), errs
 
     # -- cylinder frontier --------------------------------------------------
 
@@ -412,15 +415,15 @@ class Ifs:
 
         The cylinders come in emission order: level by level, children
         letter-major, each product A_w A_i by `mul2`.  The products are
-        held entry-major (see `_empty_level`), in the callbacks and in the
+        held entry-major (see `_entry_major`), in the callbacks and in the
         result.
         """
         cap = word_cap() if cap is None else cap
         n, c = self.n_maps, self.ball_center
         # child of word w by letter i: p_{wi} = p_w + A_w (phi_i(c) - c)
-        drifts = mul2(self.lins, c[:, None])[..., 0] + self.vs - c
+        drifts = self.level_images(c[None], 1) - c
         codes, pts = np.arange(n), c + drifts
-        mats = _empty_level(self.lins, n)
+        mats = _entry_major(n)
         mats[...] = self.lins
 
         def rows(x, at):
@@ -450,14 +453,14 @@ class Ifs:
             codes = (codes[None, :] * n + np.arange(n)[:, None]).reshape(-1)
             pts = (mul2(mats[None], drifts[:, None, :, None])[..., 0]
                    + pts[None, :, :]).reshape(-1, 2)
-            out = _empty_level(mats, len(codes))
+            out = _entry_major(len(codes))
             mul2(mats[None], self.lins[:, None], out=out.reshape(n, -1, 2, 2))
             mats = out
         else:
             raise BudgetExceeded(cap, None)
         depths, codes, mats, pts, a1 = zip(*found)
         lengths = np.repeat(depths, [len(k) for k in codes])
-        mats = np.concatenate(mats, out=_empty_level(mats[0], len(lengths)))
+        mats = np.concatenate(mats, out=_entry_major(len(lengths)))
         return Cylinders(lengths, np.concatenate(codes), mats,
                          np.concatenate(pts), np.concatenate(a1))
 

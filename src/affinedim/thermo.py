@@ -14,8 +14,7 @@ import numpy as np
 
 from .config import word_cap
 from .errors import BudgetExceeded, DegenerateRange, NotConverged, NotDominated
-from .ifs import LEVEL_BLOCK, derived, det2, log_svf, mul2, product_step, \
-    pull_back
+from .ifs import LEVEL_BLOCK, derived, det2, log_svf, mul2, pull_back
 from .projective import ProjPoint, complement, find_invariant_multicone
 from .roots import brentq
 
@@ -185,8 +184,7 @@ def _cylinder_directions(ifs, m):
         raise NotDominated("transfer operator needs a certified multicone")
     gaps = complement(cone)
     v0 = ProjPoint(gaps.starts[0] + gaps.widths[0] / 2.0).vector
-    prods = ifs._level(m, np.eye(2)[None],
-                       product_step(np.linalg.inv(ifs.lins)))
+    prods = ifs._level(m, np.linalg.inv(ifs.lins))
     vecs = mul2(prods, v0[:, None])[..., 0]
     vecs /= np.linalg.norm(vecs, axis=1, keepdims=True)
     return np.mod(np.arctan2(vecs[:, 1], vecs[:, 0]), math.pi)

@@ -423,12 +423,17 @@ class TestExitContract:
         spec = tmp_path / "family.json"
         spec.write_text(json.dumps(family))
         report = tmp_path / "report.json"
-        for argv in (["check"], ["dims"], ["verify", "trans"]):
+        for argv in (["check"], ["dims"], ["render", "--depth", "3"],
+                     ["render", "--depth", "6", "--directions"],
+                     *[["verify", suite] for suite in (
+                         "trans", "diml", "dima", "ahl", "gibbs", "content")]):
             code = main(argv + ["--input", str(spec), "--out", str(report)])
             assert code in (EXIT_OK, EXIT_INPUT, EXIT_CONDITION,
                             EXIT_BUDGET), argv
             if report.exists():
-                strict_json(report.read_text())
+                # render writes SVG, every other command JSON
+                if argv[0] != "render":
+                    strict_json(report.read_text())
                 report.unlink()
 
 

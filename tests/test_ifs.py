@@ -11,8 +11,7 @@ from affinedim.errors import BudgetExceeded, IndexOutOfRange
 from affinedim.geometry import DIAM_GRID, DiameterTable, _misses, \
     _proj_stop, _proj_stopping, projected_diameter_bound
 from affinedim.ifs import LEVEL_BLOCK, Cylinders, Ifs, _cloud_diameter, \
-    batch_singular_values, derived, hull_vertices, log_svf, mul2, \
-    product_step, word_label
+    batch_singular_values, derived, hull_vertices, log_svf, mul2, word_label
 from affinedim.projective import ProjPoint, strictly_affine
 from affinedim.thermo import affinity_dimension
 
@@ -84,6 +83,14 @@ class TestWord:
         assert word_label(()) == "-"
         assert cone_ifs.word_from_flat(5, 3) == (1, 2, 3)
         assert cone_ifs.word_from_flat(0, 0) == ()
+
+    def test_labels_tell_words_apart(self):
+        # (1, 12), (11, 2) and (1, 1, 2) were all labelled "112"
+        words = [w for n in range(4)
+                 for w in itertools.product(range(1, 13), repeat=n)]
+        assert len({word_label(w) for w in words}) == len(words) == 1885
+        assert [word_label(w) for w in ((1, 12), (11, 2), (1, 1, 2))] \
+            == ["1[12]", "[11]2", "112"]
 
 
 class TestIfs:
@@ -274,37 +281,34 @@ class TestLevelProducts:
         assert affinity_dimension(ifs, budget=2 ** 16) is first
 
 
-def walk_arrays(ifs):
-    """Roots and steps of `Ifs._level_walk` for the products, their
-    determinants, the cylinder centres and the inverse products."""
-    a, b, c, d = ifs.lins.reshape(-1, 4).T
-    letter_dets = a * d - b * c
-
-    def det_step(i, dets, out):
-        np.multiply(letter_dets[i], dets, out=out)
-
-    roots = (np.eye(2)[None], np.ones(1), ifs.ball_center[None],
-             np.eye(2)[None])
-    steps = (product_step(ifs.lins), det_step, ifs._center_step,
-             product_step(np.linalg.inv(ifs.lins)))
-    return roots, steps
+def walk_arrays(ifs, n):
+    """(start, prods, dets, inverse prods, inverse dets) over the blocks
+    of the two walks `Ifs._level_walk(n, lins)` of the products and of
+    the inverse products, which come in the same order."""
+    for (start, *arrays), (again, *inverse) in zip(
+            ifs._level_walk(n, ifs.lins),
+            ifs._level_walk(n, np.linalg.inv(ifs.lins))):
+        assert again == start
+        yield (start, *arrays, *inverse)
 
 
 def einsum_levels(ifs, n):
     """The arrays of walk_arrays over level n, each level built whole from
     the one below by einsum and det A_iw = det A_i * det A_w."""
-    a, b, c, d = ifs.lins.reshape(-1, 4).T
+    def entry_dets(mats):
+        a, b, c, d = mats.reshape(-1, 4).T
+        return a * d - b * c
+
     invs = np.linalg.inv(ifs.lins)
     prods = inv_prods = np.eye(2)[None]
-    dets, pts = np.ones(1), ifs.ball_center[None]
+    dets = inv_dets = np.ones(1)
     for _ in range(n):
         prods = np.einsum("ipq,wqr->iwpr", ifs.lins, prods).reshape(-1, 2, 2)
-        dets = np.multiply.outer(a * d - b * c, dets).reshape(-1)
-        pts = (np.einsum("ipq,wq->iwp", ifs.lins, pts)
-               + ifs.vs[:, None, :]).reshape(-1, 2)
+        dets = np.multiply.outer(entry_dets(ifs.lins), dets).reshape(-1)
         inv_prods = np.einsum("ipq,wqr->iwpr", invs, inv_prods) \
             .reshape(-1, 2, 2)
-    return prods, dets, pts, inv_prods
+        inv_dets = np.multiply.outer(entry_dets(invs), inv_dets).reshape(-1)
+    return prods, dets, inv_prods, inv_dets
 
 
 def random_contractions(g, size):
@@ -327,11 +331,10 @@ class TestLevelBlocks:
         for _ in range(2):
             ifs = random_contractions(g, size)
             assert np.linalg.det(ifs.lins[0]) < 0.0
-            roots, steps = walk_arrays(ifs)
             for n in (suffix - 1, suffix, suffix + 2):
                 whole = einsum_levels(ifs, n)
                 seen = np.zeros(size ** n, dtype=int)
-                for start, *blocks in ifs._level_walk(n, roots, steps):
+                for start, *blocks in walk_arrays(ifs, n):
                     span = slice(start, start + len(blocks[0]))
                     for block, level in zip(blocks, whole):
                         assert len(block) == size ** min(n, suffix)
@@ -347,7 +350,7 @@ class TestLevelBlocks:
 
     def test_more_maps_than_a_block_walk_level_one(self):
         ifs = random_contractions(rng(7), LEVEL_BLOCK + 1)
-        blocks = list(ifs._level_walk(1, *walk_arrays(ifs)))
+        blocks = list(walk_arrays(ifs, 1))
         assert len(blocks) == 1 and blocks[0][0] == 0
         for block, level in zip(blocks[0][1:], einsum_levels(ifs, 1)):
             assert_same_bits(block, level)
@@ -355,7 +358,7 @@ class TestLevelBlocks:
     def test_budget_raises_before_allocating(self, cone_ifs, monkeypatch):
         ifs = Ifs.from_json(cone_ifs.to_json())
         monkeypatch.setenv("AFFINEDIM_WORD_CAP", str(3 ** 12 - 1))
-        for walk in (lambda: next(ifs._level_walk(12, *walk_arrays(ifs))),
+        for walk in (lambda: next(walk_arrays(ifs, 12)),
                      lambda: ifs.level_log_singular_values(12),
                      lambda: ifs.level_singular_values(12)):
             tracemalloc.start()
@@ -724,8 +727,7 @@ class TestMul2:
             inv_prods = np.einsum("ipq,wqr->iwpr", invs, inv_prods) \
                 .reshape(-1, 2, 2)
             # the level of inverse products that _cylinder_directions reads
-            assert_same_bits(
-                ifs._level(n, np.eye(2)[None], product_step(invs)), inv_prods)
+            assert_same_bits(ifs._level(n, invs), inv_prods)
             pts = (np.einsum("ipq,wq->iwp", ifs.lins, pts)
                    + ifs.vs[:, None, :]).reshape(-1, 2)
         assert_same_bits(ifs._cylinder_centers(depth)[0], pts)
@@ -842,3 +844,78 @@ class TestEntryMajorFrontier:
         for args, oracle_args in zip(seen["walk"], seen["oracle"]):
             for a, b in zip(args, oracle_args):
                 assert_same_bits(a, b)
+
+
+# the 7 fixtures, 28 maps, and three maps with det < 0 on the first
+LEVEL_FAMILIES = [
+    *[lambda request, name=name: request.getfixturevalue(name)
+      for name in FIXTURES],
+    lambda request: random_contractions(rng(28), 28),
+    lambda request: random_contractions(rng(3), 3),
+]
+LEVEL_IDS = FIXTURES + ["28_maps", "three_maps"]
+
+
+def einsum_images(ifs, x):
+    """The images of the points x (k, ..., 2) under every map, map-major,
+    by einsum."""
+    shape = (ifs.n_maps,) + (1,) * (x.ndim - 1) + (2,)
+    return (np.einsum("ipq,w...q->iw...p", ifs.lins, x)
+            + ifs.vs.reshape(shape)).reshape(-1, *x.shape[1:])
+
+
+class TestLevelImages:
+    @pytest.mark.parametrize("family", LEVEL_FAMILIES, ids=LEVEL_IDS)
+    def test_ball_center_matches_einsum(self, request, family):
+        ifs = family(request)
+        c = ifs.ball_center
+        want = c[None]
+        for n in range(1, ifs._fit_depth(8) + 1):
+            want = einsum_images(ifs, want)
+            got = ifs.level_images(c[None], n)
+            assert got.flags.c_contiguous
+            assert_same_bits(got, want)
+
+    @pytest.mark.parametrize("family", LEVEL_FAMILIES, ids=LEVEL_IDS)
+    def test_render_square_matches_einsum(self, request, family):
+        # the corners of the square around the ball, as `render` takes them
+        ifs = family(request)
+        c, r = ifs.ball_center, ifs.ball_radius
+        corners = np.array([[c[0] - r, c[1] - r], [c[0] + r, c[1] - r],
+                            [c[0] + r, c[1] + r], [c[0] - r, c[1] + r]])
+        want = corners[None]
+        for n in range(1, 4):
+            want = einsum_images(ifs, want)
+            got = ifs.level_images(corners[None], n)
+            assert got.shape == (ifs.n_maps ** n, 4, 2)
+            assert got.flags.c_contiguous
+            assert_same_bits(got, want)
+
+    def test_budget_raises_before_allocating(self, cone_ifs, monkeypatch):
+        monkeypatch.setenv("AFFINEDIM_WORD_CAP", str(3 ** 12 - 1))
+        c = cone_ifs.ball_center
+        for x in (c[None], np.stack([c, c, c, c])[None]):
+            tracemalloc.start()
+            try:
+                with pytest.raises(BudgetExceeded):
+                    cone_ifs.level_images(x, 12)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 64 * 2 ** 10
+
+    @pytest.mark.parametrize("family", LEVEL_FAMILIES, ids=LEVEL_IDS)
+    def test_hull_matches_an_einsum_vertex_walk(self, request, family):
+        # the hull vertices of each level's images of the hull vertices
+        # above, and alpha1 of the einsum products
+        ifs = Ifs.from_json(family(request).to_json())
+        depth = ifs._fit_depth(8)
+        prods, hull = np.eye(2)[None], ifs.ball_center[None]
+        for _ in range(depth):
+            prods = np.einsum("ipq,wqr->iwpr", ifs.lins, prods) \
+                .reshape(-1, 2, 2)
+            hull = hull_vertices(einsum_images(ifs, hull))
+        radius = batch_singular_values(prods)[0].max() * ifs.ball_radius
+        got, got_radius = ifs._hull(depth)
+        assert_same_bits(got, hull)
+        assert float(got_radius).hex() == float(radius).hex()
