@@ -2,41 +2,49 @@
 augmented example, a carpet with an extra positive matrix.
 """
 
-from dataclasses import dataclass
 import json
 import math
 
 import numpy as np
 
 from .errors import PlacementFailed
+from .estimators import Frozen
 from .ifs import Ifs, batch_singular_values, log_svf
 from .geometry import ssc_check
 from .roots import brentq
 
 
-@dataclass(frozen=True)
-class CarpetSpec:
+class CarpetSpec(Frozen):
     """Subdivision p x q (q > p >= 2) with a chosen digit set of cells
-    (j, k), j indexing columns and k rows."""
+    (j, k), j indexing columns and k rows, held sorted.  Two specs are
+    equal when their subdivisions and digit sets are."""
 
-    p: int
-    q: int
-    digits: tuple
+    __slots__ = ("p", "q", "digits")
 
-    def __post_init__(self):
-        if not (isinstance(self.p, int) and isinstance(self.q, int)):
+    def __init__(self, p, q, digits):
+        if not (isinstance(p, int) and isinstance(q, int)):
             raise TypeError("p and q must be integers")
-        if not self.q > self.p >= 2:
+        if not q > p >= 2:
             raise ValueError("need q > p >= 2")
-        digs = tuple(sorted((int(j), int(k)) for j, k in self.digits))
+        digs = tuple(sorted((int(j), int(k)) for j, k in digits))
         if len(set(digs)) != len(digs):
             raise ValueError("digits must be distinct")
         for j, k in digs:
-            if not (0 <= j < self.p and 0 <= k < self.q):
+            if not (0 <= j < p and 0 <= k < q):
                 raise ValueError(f"digit {(j, k)} out of range")
         if len(digs) < 1:
             raise ValueError("need at least one digit")
-        object.__setattr__(self, "digits", digs)
+        for name, value in zip(self.__slots__, (p, q, digs)):
+            object.__setattr__(self, name, value)
+
+    def __eq__(self, other):
+        if type(other) is not CarpetSpec:
+            return NotImplemented
+        return (self.p, self.q, self.digits) \
+            == (other.p, other.q, other.digits)
+
+    def __hash__(self):
+        return hash((self.p, self.q, self.digits))
 
     @property
     def n_maps(self):

@@ -5,9 +5,9 @@ Assouad-type and lower-type estimates.  All estimators refuse to count
 below twice the cloud's resolution and report fit residuals.
 """
 
-from dataclasses import dataclass
 import math
 import sys
+from typing import NamedTuple
 
 import numpy as np
 
@@ -16,20 +16,34 @@ from .errors import DegenerateRange
 INT64_MIN, INT64_MAX = -2 ** 63, 2 ** 63 - 1
 
 
-@dataclass(frozen=True)
-class PointCloud:
-    """Finite sample of a set with a stated resolution guarantee."""
+class Frozen:
+    """Base of the slotted records that check or normalise their fields:
+    `__init__` sets each field once through object.__setattr__, and no
+    field can be rebound or deleted afterwards."""
 
-    points: np.ndarray
-    resolution: float
+    __slots__ = ()
 
-    def __post_init__(self):
-        pts = np.asarray(self.points, dtype=float)
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is read-only")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"{type(self).__name__} is read-only")
+
+
+class PointCloud(Frozen):
+    """Finite sample of a set with a stated resolution guarantee: 1-D
+    points become one column, and the resolution must be positive."""
+
+    __slots__ = ("points", "resolution")
+
+    def __init__(self, points, resolution):
+        pts = np.asarray(points, dtype=float)
         if pts.ndim == 1:
             pts = pts[:, None]
-        object.__setattr__(self, "points", pts)
-        if self.resolution <= 0:
+        if resolution <= 0:
             raise ValueError("resolution must be positive")
+        object.__setattr__(self, "points", pts)
+        object.__setattr__(self, "resolution", resolution)
 
     @property
     def dim(self):
@@ -52,8 +66,7 @@ class PointCloud:
         return len(self.points)
 
 
-@dataclass(frozen=True)
-class CoverReport:
+class CoverReport(NamedTuple):
     scales: tuple
     counts: tuple
     dimension: float

@@ -3,9 +3,9 @@ counting, slices, weak tangents, Hausdorff content of projections, and
 the transversality derivative of projected distances.
 """
 
-from dataclasses import dataclass
 import itertools
 import math
+from typing import NamedTuple
 
 import numpy as np
 
@@ -89,8 +89,7 @@ def projected_diameter_bound(ifs, mats, direction):
 # strong separation
 
 
-@dataclass(frozen=True)
-class SscReport:
+class SscReport(NamedTuple):
     separated: str          # Certified | Overlap | Unknown
     delta_lower: float
     delta_upper: float
@@ -228,8 +227,7 @@ def ssc_check(ifs, depth=6):
 # projective open set condition
 
 
-@dataclass(frozen=True)
-class PoscReport:
+class PoscReport(NamedTuple):
     eta_hat: float
     eta_by_depth: dict
     trend: float | None
@@ -256,6 +254,29 @@ def _proj_stopping(ifs, v, r, cap=None):
 
 # directions on the grid over the limit-direction intervals of posc_check
 POSC_DIRECTIONS = 5
+# rows that posc_check pairs with each row: the next ones in the order of
+# the projected centres
+POSC_PAIRS = 7
+
+
+def _least_pair(projs):
+    """(i, j, eta): the pair of rows of projs, the projected images of one
+    sample under each stopping word, with the least normalised separation
+    eta = max |projs[i] - projs[j]| / max(ptp projs[i], ptp projs[j])
+    among the pairs up to POSC_PAIRS apart in the order of the projected
+    centres; the earliest such pair wins a tie.  Row a, column d - 1 of
+    the table holds the pair (a, a + d) of the sorted rows, so the flat
+    argmin is a-major and each column is one difference of two slices."""
+    hi, lo = projs.max(axis=1), projs.min(axis=1)
+    order = np.argsort(0.5 * (hi + lo))
+    sp, sd = projs[order], np.maximum(hi - lo, 1e-300)[order]
+    m = len(projs)
+    vals = np.full((m, POSC_PAIRS), math.inf)
+    for d in range(1, min(m, POSC_PAIRS + 1)):
+        vals[:m - d, d - 1] = np.abs(sp[:m - d] - sp[d:]).max(axis=1) \
+            / np.maximum(sd[:m - d], sd[d:])
+    a, d = divmod(int(np.argmin(vals)), POSC_PAIRS)
+    return order[a], order[a + d + 1], vals[a, d]
 
 
 def posc_check(ifs, depth=6):
@@ -291,23 +312,13 @@ def posc_check(ifs, depth=6):
             # u . phi_w(x) = (A_w^T u) . (x - c) + u . phi_w(c)
             projs = pull_back(found.mats, u) @ (xs - ifs.ball_center).T \
                 + (found.pts @ u)[:, None]
-            hi, lo = projs.max(axis=1), projs.min(axis=1)
-            diams = np.maximum(hi - lo, 1e-300)
-            # pairs up to 7 apart in the order of the projected centres,
-            # first pair first, so ties go to the earliest pair
-            order = np.argsort(0.5 * (hi + lo))
-            a = np.repeat(np.arange(len(found)), 7)
-            b = a + np.tile(np.arange(1, 8), len(found))
-            ia, ib = order[a[b < len(found)]], order[b[b < len(found)]]
-            vals = np.abs(projs[ia] - projs[ib]).max(axis=1) \
-                / np.maximum(diams[ia], diams[ib])
-            j = int(np.argmin(vals))
-            if vals[j] < eta_k:
+            i, j, eta = _least_pair(projs)
+            if eta < eta_k:
                 # recompute the winning pair from its composed maps, which
                 # round apart from the walk's products and points
-                t = [(mul2(found.mats[i], xs[..., None])[..., 0]
-                      + ifs.compose_word(found.word(ifs, i))[1]) @ u
-                     for i in (ia[j], ib[j])]
+                t = [(mul2(found.mats[w], xs[..., None])[..., 0]
+                      + ifs.compose_word(found.word(ifs, w))[1]) @ u
+                     for w in (i, j)]
                 eta_k = np.abs(t[0] - t[1]).max() \
                     / max(np.ptp(t[0]), np.ptp(t[1]), 1e-300)
         if math.isfinite(eta_k):
@@ -675,8 +686,7 @@ def interval_content(intervals, s):
     return float(cost[0])
 
 
-@dataclass(frozen=True)
-class ContentEstimate:
+class ContentEstimate(NamedTuple):
     s: float
     direction: ProjPoint
     value: float

@@ -10,7 +10,6 @@ rule.  A value the family determines is computed once per family and word
 cap through the memo `derived`.
 """
 
-from dataclasses import dataclass
 import functools
 import json
 import math
@@ -19,7 +18,7 @@ import numpy as np
 
 from .config import word_cap
 from .errors import BudgetExceeded, IndexOutOfRange
-from .estimators import PointCloud
+from .estimators import Frozen, PointCloud
 
 _DET_EPS = 1e-14
 # most words in one block of `Ifs._level_walk` (more only for level 1 of
@@ -77,10 +76,10 @@ def mul2(left, right, out=None):
     as a sum accumulated from +0.0 gives, so the result equals np.einsum's
     bit for bit whatever the layout of out.
     """
-    shape = np.broadcast_shapes(left.shape[:-2], right.shape[:-2])
     if out is None:
-        out = np.empty(shape + (2, right.shape[-1]))
-    tmp = np.empty(shape)
+        out = np.empty(np.broadcast_shapes(left.shape[:-2], right.shape[:-2])
+                       + (2, right.shape[-1]))
+    tmp = np.empty(out.shape[:-2])
     for p in range(2):
         for r in range(right.shape[-1]):
             entry = out[..., p, r]
@@ -522,19 +521,19 @@ class Ifs:
         return cls(lins, vs)
 
 
-@dataclass(frozen=True)
-class Cylinders:
+class Cylinders(Frozen):
     """Cylinders phi_w(X) found by `Ifs.frontier`: word lengths, word codes
     (the lexicographic index of w among the words of its length, as in
     level_products), entry-major products A_w, canonical points
     phi_w(ball center) and alpha1(A_w), in the emission order of the
-    walk."""
+    walk.  Its length is the number of words."""
 
-    lengths: np.ndarray
-    codes: np.ndarray
-    mats: np.ndarray
-    pts: np.ndarray
-    a1: np.ndarray
+    __slots__ = ("lengths", "codes", "mats", "pts", "a1")
+
+    def __init__(self, lengths, codes, mats, pts, a1):
+        for name, value in zip(self.__slots__,
+                               (lengths, codes, mats, pts, a1)):
+            object.__setattr__(self, name, value)
 
     def __len__(self):
         return len(self.codes)

@@ -11,7 +11,6 @@ search), the irreducibility classifier, and the limit directions of the
 inverse matrix walk.
 """
 
-from dataclasses import dataclass
 import itertools
 import math
 from typing import NamedTuple
@@ -20,6 +19,7 @@ import numpy as np
 
 from .config import word_cap
 from .errors import Inconclusive, NotDominated
+from .estimators import Frozen
 from .ifs import batch_singular_values, derived, det2
 
 PI = math.pi
@@ -32,14 +32,13 @@ DEFAULT_MARGIN = 1e-6
 MAX_INTERVALS = 3000
 
 
-@dataclass(frozen=True)
-class ProjPoint:
+class ProjPoint(Frozen):
     """Line span(cos theta, sin theta), theta in [0, pi)."""
 
-    angle: float
+    __slots__ = ("angle",)
 
-    def __post_init__(self):
-        object.__setattr__(self, "angle", float(self.angle % PI))
+    def __init__(self, angle):
+        object.__setattr__(self, "angle", float(angle % PI))
 
     @property
     def vector(self):
@@ -241,8 +240,7 @@ def _real_eigen_lines(arr):
     return out
 
 
-@dataclass(frozen=True)
-class IrreducibilityClass:
+class IrreducibilityClass(NamedTuple):
     tag: str
     witness: tuple = ()
 

@@ -6,9 +6,9 @@ cylinders, and the resulting equilibrium cylinder weights with their
 Gibbs-ratio diagnostics.
 """
 
-from dataclasses import dataclass
 import math
 import operator
+from typing import NamedTuple
 
 import numpy as np
 
@@ -27,8 +27,7 @@ EIG_TOL = 1e-12
 PRESSURE_LEAF = 4 * LEVEL_BLOCK
 
 
-@dataclass(frozen=True)
-class PressureSample:
+class PressureSample(NamedTuple):
     s: float
     depth: int
     value: float
@@ -155,8 +154,7 @@ def affinity_dimension(ifs, tol=1e-10, budget=200_000):
     return root_hi, (lo, hi)
 
 
-@dataclass(frozen=True)
-class EqState:
+class EqState(NamedTuple):
     """Discretized transfer-operator eigendata on depth-m cylinders.
 
     h and nu are indexed by the flat lexicographic cylinder order of
@@ -190,8 +188,7 @@ def _cylinder_directions(ifs, m):
     return np.mod(np.arctan2(vecs[:, 1], vecs[:, 0]), math.pi)
 
 
-@dataclass(frozen=True)
-class TransferOperator:
+class TransferOperator(NamedTuple):
     """Sparse operator on depth-m cylinders held as its (N, N^m) weight
     table: (L f)(w) sums vals[i, w] * f(i w|_m) over the letters i, and
     the cylinder i w|_m has index i * N^(m-1) + w // N.  The sums run in
@@ -286,8 +283,7 @@ def equilibrium_state(ifs, s, m=6):
     return EqState(s, m, h, nu, float(lam), it)
 
 
-@dataclass(frozen=True)
-class GibbsWeights:
+class GibbsWeights(NamedTuple):
     depth: int
     weights: np.ndarray
     s: float

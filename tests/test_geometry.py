@@ -1,5 +1,7 @@
 import itertools
+import json
 import math
+import os
 import tracemalloc
 
 import numpy as np
@@ -9,7 +11,8 @@ from scipy.spatial import ConvexHull, QhullError, cKDTree
 
 from affinedim import geometry
 from affinedim.carpets import CarpetSpec, fraser_lower, to_ifs
-from affinedim.errors import HypothesisViolated, NotSeparated
+from affinedim.errors import AffinedimError, HypothesisViolated, \
+    NotSeparated
 from affinedim.geometry import DiameterTable, approximate_square_counts, \
     bochi_morris_scan, content_consistency, grid_carpet_digits, \
     hausdorff_content_projection, interval_content, posc_check, \
@@ -20,6 +23,7 @@ from affinedim.ifs import Ifs, batch_singular_values, hull_vertices, \
     pull_back
 from affinedim.projective import PI, ProjPoint, furstenberg_directions
 from affinedim.thermo import affinity_dimension
+from conftest import FIXTURE_DIR, load_fixture
 
 
 def rng(seed=0):
@@ -527,7 +531,70 @@ class TestHullVertices:
             assert as_set(hull) == as_set(pts[ConvexHull(pts).vertices])
 
 
+def gathered_least_pair(projs):
+    """posc_check's pair scan as first written, the oracle of
+    `geometry._least_pair`: every pair up to 7 apart in the order of the
+    projected centres gathered into two copies of their rows, a-major."""
+    hi, lo = projs.max(axis=1), projs.min(axis=1)
+    diams = np.maximum(hi - lo, 1e-300)
+    order = np.argsort(0.5 * (hi + lo))
+    a = np.repeat(np.arange(len(projs)), 7)
+    b = a + np.tile(np.arange(1, 8), len(projs))
+    ia, ib = order[a[b < len(projs)]], order[b[b < len(projs)]]
+    vals = np.abs(projs[ia] - projs[ib]).max(axis=1) \
+        / np.maximum(diams[ia], diams[ib])
+    j = int(np.argmin(vals))
+    return ia[j], ib[j], vals[j]
+
+
+def tied_family():
+    """cone.json with its first map twice: two cylinders of every depth
+    share their projected images, so the scan meets tied pairs."""
+    with open(os.path.join(FIXTURE_DIR, "cone.json")) as fh:
+        maps = json.load(fh)["maps"]
+    return Ifs.from_json({"maps": maps + maps[:1]})
+
+
+def posc_bits(ifs):
+    """posc_check's depths, separations and trend as exact hex strings,
+    or the error it raises."""
+    try:
+        rep = posc_check(ifs)
+    except AffinedimError as e:
+        return type(e), str(e)
+    trend = None if rep.trend is None else rep.trend.hex()
+    return {k: v.hex() for k, v in rep.eta_by_depth.items()}, trend
+
+
 class TestPosc:
+    @pytest.mark.parametrize("size", [2, 3, 7, 8, 9, 40, 300])
+    def test_offset_scan_matches_the_gather(self, size):
+        # small integer rows give exactly tied separations; permutations
+        # of one row give one centre and ties between pairs of every
+        # offset, where an offset-major scan would pick another pair
+        g = rng(size)
+        ints = [g.integers(0, 4, size=(size, cols)).astype(float)
+                for cols in (1, 3, 64)]
+        perms = [g.permuted(np.tile(np.arange(cols), (size, 1)), axis=1)
+                 for cols in (4.0, 6.0)]
+        for projs in ints + perms:
+            i, j, eta = geometry._least_pair(projs)
+            want = gathered_least_pair(projs)
+            assert (int(i), int(j), float(eta).hex()) \
+                == (int(want[0]), int(want[1]), float(want[2]).hex())
+
+    @pytest.mark.parametrize("name", sorted(
+        f for f in os.listdir(FIXTURE_DIR) if f != "checksums.json")
+        + ["tied"])
+    def test_report_matches_the_gather(self, name, monkeypatch):
+        def family():
+            return tied_family() if name == "tied" else load_fixture(name)
+        got = posc_bits(family())
+        monkeypatch.setattr(geometry, "_least_pair", gathered_least_pair)
+        assert got == posc_bits(family())
+        if name == "tied":
+            assert got[0] and got[1] is None
+
     def test_cone_trend_flat(self, cone_ifs):
         rep = posc_check(cone_ifs)
         assert rep.appears_to_hold

@@ -9,9 +9,11 @@ interval_content has no for loop and no comprehension, only the
 estimators copy an array with np.ascontiguousarray, Ifs.frontier and
 the callers of the product levels have no @, no module makes an array of
 Python objects, only Ifs.__init__ and the memo ifs.derived touch
-Ifs._cache, importing the package loads numpy but not scipy, every
-entry point that the benchmark's tracer wraps still exists, and a traced
-`dims` run counts the points of the covering counts."""
+Ifs._cache, no module uses dataclasses and every record refuses a
+rebound field, importing the package loads numpy but neither scipy nor
+dataclasses, every entry point that the benchmark's tracer wraps still
+exists, and a traced `dims` run counts the points of the covering
+counts."""
 
 import ast
 import importlib
@@ -22,7 +24,12 @@ import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
+
+import affinedim
+from affinedim.estimators import Frozen
+from affinedim.ifs import Cylinders
 
 SRC_DIR = os.path.join(os.path.dirname(__file__), os.pardir, "src",
                        "affinedim")
@@ -550,17 +557,115 @@ def test_memo_is_the_only_cache():
     assert set(owners) == {"derived.memo", "Ifs.__init__"}
 
 
-def test_import_loads_no_scipy():
-    # a fresh interpreter: the test session itself imports scipy
+def dataclass_uses(source):
+    """Line numbers of every import of dataclasses and every use of a name
+    or attribute `dataclass`."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            if any(a.name == "dataclasses" for a in node.names):
+                found.add(node.lineno)
+        elif isinstance(node, ast.ImportFrom):
+            if node.module == "dataclasses":
+                found.add(node.lineno)
+        elif getattr(node, "id", getattr(node, "attr", None)) == "dataclass":
+            found.add(node.lineno)
+    return sorted(found)
+
+
+def test_checker_finds_dataclasses():
+    src = ("from dataclasses import field\nimport dataclasses as dc\n"
+           "@dataclass\nclass A:\n    x: int\n"
+           "@dc.dataclass(frozen=True)\nclass B:\n    y: int = field()\n"
+           "class C(NamedTuple):\n    z: int\n")
+    assert dataclass_uses(src) == [1, 2, 3, 6]
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_no_dataclasses(module):
+    # a dataclass execs its generated methods at import, about 0.8 ms a
+    # class in every CLI process; records are NamedTuples or Frozen
+    with open(os.path.join(SRC_DIR, module)) as fh:
+        assert dataclass_uses(fh.read()) == []
+
+
+# one instance of every record class of the package
+RECORDS = [
+    affinedim.CoverReport((1.0,), (1,), 0.0, 0.0),
+    affinedim.SscReport("Unknown", 0.0, 1.0, 6),
+    affinedim.PoscReport(1.0, {2: 1.0}, 0.0, True),
+    affinedim.ContentEstimate(0.5, affinedim.ProjPoint(0.3), 1.0, 6),
+    affinedim.IrreducibilityClass("Reducible"),
+    affinedim.PressureSample(1.0, 2, 0.0),
+    affinedim.EqState(1.0, 1, np.ones(2), np.full(2, 0.5), 1.0, 3),
+    affinedim.thermo.TransferOperator(np.ones((2, 2))),
+    affinedim.GibbsWeights(1, np.full(2, 0.5), 1.0, 1.0),
+    affinedim.PointCloud(np.zeros((3, 2)), 0.1),
+    affinedim.ProjPoint(0.3),
+    affinedim.CarpetSpec(2, 3, ((0, 0),)),
+    Cylinders(*[np.zeros(1)] * 5),
+    affinedim.Multicone(np.zeros(1), np.ones(1)),
+    affinedim.DirectionsApprox(1, affinedim.Multicone(np.zeros(1),
+                                                       np.ones(1))),
+]
+
+
+def record_classes():
+    """Every NamedTuple and Frozen class defined in a module of the
+    package."""
+    found = set()
+    for module in MODULES:
+        mod = importlib.import_module(f"affinedim.{module[:-len('.py')]}")
+        for value in vars(mod).values():
+            if isinstance(value, type) and value.__module__ == mod.__name__ \
+                    and (issubclass(value, Frozen) and value is not Frozen
+                         or issubclass(value, tuple)
+                         and hasattr(value, "_fields")):
+                found.add(value)
+    return found
+
+
+def test_every_record_class_is_checked():
+    assert record_classes() == {type(r) for r in RECORDS}
+
+
+@pytest.mark.parametrize("record", RECORDS,
+                         ids=[type(r).__name__ for r in RECORDS])
+def test_records_refuse_rebinding(record):
+    # a rebound field would change a value the memo keeps
+    fields = getattr(record, "_fields", None) or type(record).__slots__
+    for name in fields:
+        value = getattr(record, name)
+        with pytest.raises(AttributeError):
+            setattr(record, name, value)
+        with pytest.raises(AttributeError):
+            delattr(record, name)
+        assert getattr(record, name) is value
+    with pytest.raises(AttributeError):
+        record.extra = 1
+
+
+def fresh_modules(*prefixes):
+    """The modules under the given prefixes that `import affinedim,
+    affinedim.cli` loads in a fresh interpreter; the test session itself
+    imports scipy and dataclasses."""
     code = ("import sys, affinedim, affinedim.cli; "
-            "print(sorted(m for m in sys.modules "
-            "if m == 'scipy' or m.startswith('scipy.')))")
+            f"print(sorted(m for m in sys.modules if m in {prefixes!r} "
+            f"or m.startswith(tuple(p + '.' for p in {prefixes!r}))))")
     src = os.path.abspath(os.path.join(SRC_DIR, os.pardir))
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     out = subprocess.run([sys.executable, "-c", code], capture_output=True,
                          text=True, check=True,
                          env=dict(os.environ, PYTHONPATH=path))
-    assert out.stdout.strip() == "[]"
+    return out.stdout.strip()
+
+
+def test_import_loads_no_scipy():
+    assert fresh_modules("scipy") == "[]"
+
+
+def test_import_loads_no_dataclasses():
+    assert fresh_modules("dataclasses") == "[]"
 
 
 def benchmark_tracer():

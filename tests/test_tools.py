@@ -1,8 +1,9 @@
 """tools/compare_reports.py: the runs it makes and the differences it
-reports."""
+reports; tools/import_times.py: the modules it times."""
 
 import importlib.util
 import os
+import subprocess
 import sys
 
 REPO = os.path.join(os.path.dirname(__file__), os.pardir)
@@ -88,3 +89,17 @@ def test_a_render_is_compared_as_its_svg(tmp_path):
                                    "sim3", 1, str(tmp_path))
     assert parent == change
     assert parent[2] == 0 and parent[0].count(b"<polygon") == 27
+
+
+def test_import_times_lists_every_module():
+    tool = os.path.join(REPO, "tools", "import_times.py")
+    run = subprocess.run([sys.executable, tool, REPO, "--runs", "1"],
+                         capture_output=True, text=True)
+    assert run.returncode == 0, run.stderr
+    src = os.path.join(REPO, "src", "affinedim")
+    want = {"affinedim"} | {f"affinedim.{f[:-len('.py')]}"
+                            for f in os.listdir(src)
+                            if f.endswith(".py") and f != "__init__.py"}
+    lines = run.stdout.splitlines()
+    assert {line.split()[0] for line in lines[:-1]} == want
+    assert lines[-1].startswith("total") and float(lines[-1].split()[1]) > 0
