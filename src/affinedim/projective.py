@@ -11,7 +11,6 @@ search), the irreducibility classifier, and the limit directions of the
 inverse matrix walk.
 """
 
-import itertools
 import math
 from typing import NamedTuple
 
@@ -32,6 +31,11 @@ DEFAULT_MARGIN = 1e-6
 MAX_INTERVALS = 3000
 
 
+def _line_dist(a, b):
+    # how far apart the lines at angles a and b are: |sin(a - b)|
+    return np.abs(np.sin(a - b))
+
+
 class ProjPoint(Frozen):
     """Line span(cos theta, sin theta), theta in [0, pi)."""
 
@@ -49,7 +53,7 @@ class ProjPoint(Frozen):
         return ProjPoint(self.angle + PI / 2.0)
 
     def dist(self, other):
-        return abs(math.sin(self.angle - other.angle))
+        return float(_line_dist(self.angle, other.angle))
 
 
 def _atan2(y, x):
@@ -215,12 +219,9 @@ def is_dominated(ifs, depth=6):
     if depth < 3:
         raise ValueError("depth must be >= 3")
     cone = find_invariant_multicone(ifs)
-    logs, ns = [], []
-    for n in range(1, depth + 1):
-        a1, a2 = ifs.level_singular_values(n)
-        ratio = a2 / a1
-        logs.extend(np.log(ratio))
-        ns.extend([n] * len(ratio))
+    levels = [ifs.level_singular_values(n) for n in range(1, depth + 1)]
+    logs = np.concatenate([np.log(a2 / a1) for a1, a2 in levels])
+    ns = np.repeat(np.arange(1, depth + 1), [len(a1) for a1, _ in levels])
     slope, intercept = np.polyfit(ns, logs, 1)
     return {
         "certified": cone is not None,
@@ -230,14 +231,13 @@ def is_dominated(ifs, depth=6):
     }
 
 
-def _real_eigen_lines(arr):
-    vals, vecs = np.linalg.eig(arr)
-    out = []
-    for k in range(2):
-        if abs(vals[k].imag) <= 1e-12 * max(abs(vals[k]), 1.0):
-            v = vecs[:, k].real
-            out.append(ProjPoint(math.atan2(v[1], v[0])))
-    return out
+def _eigen_lines(stack):
+    """Angles in [0, pi) of the real eigenlines of a stack of matrices, in
+    stack order and then in eig order."""
+    vals, vecs = np.linalg.eig(stack)
+    real = np.abs(vals.imag) <= 1e-12 * np.maximum(np.abs(vals), 1.0)
+    v = vecs.real.transpose(0, 2, 1)[real]
+    return _atan2(v[:, 1], v[:, 0]) % PI
 
 
 class IrreducibilityClass(NamedTuple):
@@ -264,41 +264,31 @@ def classify_irreducibility(ifs):
     """Trichotomy: common invariant line (Reducible); invariant 2-element
     line set with a genuine swap (IrreducibleNotStrongly); otherwise
     StronglyIrreducible, certified through a proximal product.  Lines
-    closer than LINE_TOL count as equal."""
+    closer than LINE_TOL count as equal.  The candidate lines are the
+    real eigenlines of the maps and of the level-2 products; pairs are
+    tested one row of the (N, K) image table at a time, in the order of
+    itertools.combinations, so no (N, K, K) table is built."""
     arrs = ifs.lins
+    cands = _eigen_lines(np.concatenate([arrs, ifs.level_products(2)]))
+    img = act_angle(arrs, cands)
+    fixed = _line_dist(img, cands) <= LINE_TOL
 
-    def image(arr, p):
-        return ProjPoint(act_angle(arr, p.angle))
+    hit = np.flatnonzero(fixed.all(axis=0))
+    if len(hit):
+        return IrreducibilityClass("Reducible", (ProjPoint(cands[hit[0]]),))
 
-    def fixes(arr, p):
-        return image(arr, p).dist(p) <= LINE_TOL
-
-    # candidate lines: eigendirections of single maps, squares, and pairs;
-    # the squares A_i A_i are the words (i, i) of level 2
-    pairs = ifs.level_products(2)
-    cands = []
-    for p in [*arrs, *pairs[::ifs.n_maps + 1], *pairs]:
-        cands.extend(_real_eigen_lines(p))
-
-    for p in cands:
-        if all(fixes(a, p) for a in arrs):
-            return IrreducibilityClass("Reducible", (p,))
-
-    for p, q in itertools.combinations(cands, 2):
-        if p.dist(q) <= LINE_TOL:
-            continue
-        ok, swapped = True, False
-        for a in arrs:
-            if fixes(a, p) and fixes(a, q):
-                continue
-            if image(a, p).dist(q) <= LINE_TOL \
-                    and image(a, q).dist(p) <= LINE_TOL:
-                swapped = True
-                continue
-            ok = False
-            break
-        if ok and swapped:
-            return IrreducibilityClass("IrreducibleNotStrongly", (p, q))
+    for k in range(len(cands) - 1):
+        rest = cands[k + 1:]
+        both = fixed[:, k, None] & fixed[:, k + 1:]
+        swap = (_line_dist(img[:, k, None], rest) <= LINE_TOL) \
+            & (_line_dist(img[:, k + 1:], cands[k]) <= LINE_TOL)
+        ok = (_line_dist(cands[k], rest) > LINE_TOL) \
+            & (both | swap).all(axis=0) & (swap & ~both).any(axis=0)
+        hit = np.flatnonzero(ok)
+        if len(hit):
+            return IrreducibilityClass(
+                "IrreducibleNotStrongly",
+                (ProjPoint(cands[k]), ProjPoint(rest[hit[0]])))
 
     found, witness = strictly_affine(ifs)
     if not found:

@@ -34,16 +34,28 @@ def strict_json(text):
     return json.loads(text, parse_constant=refuse)
 
 
-def run_cli(argv, **kwargs):
-    """The CLI in a fresh process, so an escaping exception shows as a
-    traceback on stderr.  Keyword arguments go to subprocess.run."""
+def run_python(code, argv=(), **kwargs):
+    """Python code in a fresh process that imports the package from the
+    source tree, so an escaping exception shows as a traceback on stderr.
+    Keyword arguments go to subprocess.run."""
     path = os.pathsep.join(filter(None, [os.path.abspath(SRC),
                                          os.environ.get("PYTHONPATH")]))
     return subprocess.run(
-        [sys.executable, "-c",
-         "import sys; from affinedim.cli import main; sys.exit(main())"]
-        + argv, capture_output=True, text=True,
+        [sys.executable, "-c", code, *argv], capture_output=True, text=True,
         env=dict(os.environ, PYTHONPATH=path), **kwargs)
+
+
+def run_cli(argv, **kwargs):
+    """The CLI in a fresh process; see run_python."""
+    return run_python(
+        "import sys; from affinedim.cli import main; sys.exit(main())",
+        argv, **kwargs)
+
+
+def cap_memory():
+    # a 512 MiB data limit for a child process (its preexec_fn)
+    limit = 512 * 2 ** 20
+    resource.setrlimit(resource.RLIMIT_DATA, (limit, limit))
 
 
 class TestInput:
@@ -367,22 +379,35 @@ class TestErrorContract:
     @pytest.mark.parametrize("argv", [["check", "--depth", "3"],
                                       ["verify", "diml"]])
     def test_many_maps_in_bounded_memory(self, tmp_path, argv):
-        # the full 4 x 7 carpet: 28 maps give the irreducibility
-        # classifier 1,680 candidate lines, and it must not hold a table
-        # of every map against every pair of them (600 MiB here)
+        # the full 4 x 7 carpet: 28 maps and their 812 level-1 and level-2
+        # products run every stage of the command at once; the carpet is
+        # Reducible at its first candidate line, the x-axis, so the
+        # irreducibility classifier forms no pair here (see the next test)
         spec = tmp_path / "carpet28.json"
         spec.write_text(json.dumps({"p": 4, "q": 7, "digits": [
             [j, k] for j in range(4) for k in range(7)]}))
-        limit = 512 * 2 ** 20
-
-        def cap_memory():
-            resource.setrlimit(resource.RLIMIT_DATA, (limit, limit))
-
         out = run_cli(argv + ["--input", str(spec),
                               "--out", str(tmp_path / "out")],
                       preexec_fn=cap_memory)
         assert out.returncode in (EXIT_OK, EXIT_CONDITION)
         assert "Traceback" not in out.stderr
+
+    def test_pair_stage_in_bounded_memory(self):
+        # 28 positive maps: none of their 1,624 candidate lines is fixed
+        # by every map and no pair is swapped, so the classifier tests
+        # every pair; it must hold one row of the pair table at a time,
+        # not every map against every pair (563 MiB as floats)
+        out = run_python(
+            "import numpy as np\n"
+            "from affinedim.ifs import Ifs\n"
+            "from affinedim.projective import classify_irreducibility\n"
+            "g = np.random.default_rng(4)\n"
+            "ifs = Ifs(g.uniform(0.01, 0.1, (28, 2, 2)),\n"
+            "          g.uniform(0.0, 1.0, (28, 2)))\n"
+            "print(classify_irreducibility(ifs).tag)\n",
+            preexec_fn=cap_memory)
+        assert (out.returncode, out.stderr) == (0, "")
+        assert out.stdout == "StronglyIrreducible\n"
 
 
 @st.composite

@@ -8,12 +8,12 @@ entries, the estimators take no norms and no reductions along axis 0,
 interval_content has no for loop and no comprehension, only the
 estimators copy an array with np.ascontiguousarray, Ifs.frontier and
 the callers of the product levels have no @, no module makes an array of
-Python objects, only Ifs.__init__ and the memo ifs.derived touch
-Ifs._cache, no module uses dataclasses and every record refuses a
-rebound field, importing the package loads numpy but neither scipy nor
-dataclasses, every entry point that the benchmark's tracer wraps still
-exists, and a traced `dims` run counts the points of the covering
-counts."""
+Python objects, classify_irreducibility tests its lines in one table,
+only Ifs.__init__ and the memo ifs.derived touch Ifs._cache, no module
+uses dataclasses and every record refuses a rebound field, importing
+the package loads numpy but neither scipy nor dataclasses, every entry
+point that the benchmark's tracer wraps still exists, and a traced
+`dims` run counts the points of the covering counts."""
 
 import ast
 import importlib
@@ -207,12 +207,26 @@ def test_no_dead_options(module):
     assert [f for f in found if not f.startswith(ALLOWED_DEAD_OPTIONS)] == []
 
 
-def calls_of(source, name):
-    """Line numbers of every call of a function with the given name."""
-    return [node.lineno for node in ast.walk(ast.parse(source))
-            if isinstance(node, ast.Call)
-            and getattr(node.func, "attr",
-                        getattr(node.func, "id", None)) == name]
+def function_node(source, *path):
+    """The one function or class at the given path of names from module
+    level, such as ("Ifs", "frontier") for a method; the module itself
+    for an empty path."""
+    node = ast.parse(source)
+    for name in path:
+        [node] = [child for child in node.body
+                  if isinstance(child, (ast.FunctionDef, ast.ClassDef))
+                  and child.name == name]
+    return node
+
+
+def calls_of(source, name, *path):
+    """Line numbers of every call of a function with the given name, in
+    the body of the function at path if one is given."""
+    body = function_node(source, *path)
+    return sorted(node.lineno for node in ast.walk(body)
+                  if isinstance(node, ast.Call)
+                  and getattr(node.func, "attr",
+                              getattr(node.func, "id", None)) == name)
 
 
 def test_checker_finds_einsum_calls():
@@ -234,6 +248,28 @@ def test_checker_finds_arctan2_calls():
            "a = math.atan2(1.0, 2.0)\nb = np.arctan2(y, x)\n"
            "# np.arctan2 in a comment\n")
     assert calls_of(src, "arctan2") == [4]
+
+
+def test_checker_finds_calls_in_functions():
+    src = ("def f(a):\n    return g(a) + g(h(a))\n"
+           "def k(a):\n    return g(a)\n")
+    assert calls_of(src, "g", "f") == [2, 2]
+    assert calls_of(src, "h", "k") == []
+    assert calls_of(src, "g") == [2, 2, 4]
+    with pytest.raises(ValueError):
+        calls_of(src, "g", "m")
+
+
+def test_irreducibility_tests_one_table():
+    # the candidate lines come from one stacked eig and their images from
+    # one act_angle table, each called at one place; the pairs are rows of
+    # that table, not itertools.combinations of the lines
+    with open(os.path.join(SRC_DIR, "projective.py")) as fh:
+        source = fh.read()
+    fn = "classify_irreducibility"
+    assert len(calls_of(source, "act_angle", fn)) == 1
+    assert len(calls_of(source, "_eigen_lines", fn)) == 1
+    assert calls_of(source, "combinations", fn) == []
 
 
 def test_no_arctan2_in_projective():
@@ -392,8 +428,7 @@ def test_estimators_read_columns():
 def loops_in(source, function):
     """Line numbers of every for statement and comprehension in the one
     module-level function of the given name."""
-    [fn] = [node for node in ast.parse(source).body
-            if isinstance(node, ast.FunctionDef) and node.name == function]
+    fn = function_node(source, function)
     loops = (ast.For, ast.ListComp, ast.SetComp, ast.DictComp,
              ast.GeneratorExp)
     return sorted(node.lineno for node in ast.walk(fn)
@@ -424,11 +459,7 @@ def matmuls_in(source, *path):
     """Line numbers of every @ in the body of the one function or class
     at the given path of names from module level, such as ("Ifs",
     "frontier") for a method."""
-    node = ast.parse(source)
-    for name in path:
-        [node] = [child for child in node.body
-                  if isinstance(child, (ast.FunctionDef, ast.ClassDef))
-                  and child.name == name]
+    node = function_node(source, *path)
     return sorted(inner.lineno for inner in ast.walk(node)
                   if isinstance(inner, (ast.BinOp, ast.AugAssign))
                   and isinstance(inner.op, ast.MatMult))

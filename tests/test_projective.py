@@ -1,4 +1,7 @@
+import functools
+import itertools
 import math
+import os
 
 from hypothesis import given, reject, settings, strategies as st
 import numpy as np
@@ -6,10 +9,12 @@ import pytest
 
 from affinedim.errors import Inconclusive, NotDominated
 from affinedim.ifs import Ifs
-from affinedim.projective import MERGE_TOL, PI, ProjPoint, act_angle, \
-    certify_invariance, classify_irreducibility, complement, \
+from affinedim.projective import LINE_TOL, MERGE_TOL, PI, ProjPoint, \
+    act_angle, certify_invariance, classify_irreducibility, complement, \
     find_invariant_multicone, furstenberg_directions, images, is_dominated, \
     merge, strictly_affine
+
+from conftest import FIXTURE_DIR, load_fixture
 
 
 def rng(seed=0):
@@ -59,6 +64,144 @@ def merge_reference(starts, widths):
         merged[0][0] = merged[-1][0] - PI
         merged.pop()
     return sorted(((base + s) % PI, max(e - s, 1e-15)) for s, e in merged)
+
+
+def rot(angle):
+    return np.array([[math.cos(angle), -math.sin(angle)],
+                     [math.sin(angle), math.cos(angle)]])
+
+
+def looped_classify(ifs, stack):
+    """Tag and witness of the irreducibility classifier by the loop that
+    the table form replaced: the real eigenlines of each matrix of stack
+    in turn, then each line and each pair of lines tested map by map,
+    one act_angle call per map and line.  Inconclusive is a tag here."""
+    arrs = ifs.lins
+
+    def image(arr, p):
+        return ProjPoint(act_angle(arr, p.angle))
+
+    def fixes(arr, p):
+        return image(arr, p).dist(p) <= LINE_TOL
+
+    cands = []
+    for arr in stack:
+        vals, vecs = np.linalg.eig(arr)
+        for k in range(2):
+            if abs(vals[k].imag) <= 1e-12 * max(abs(vals[k]), 1.0):
+                v = vecs[:, k].real
+                cands.append(ProjPoint(math.atan2(v[1], v[0])))
+
+    for p in cands:
+        if all(fixes(a, p) for a in arrs):
+            return "Reducible", (p,)
+
+    for p, q in itertools.combinations(cands, 2):
+        if p.dist(q) <= LINE_TOL:
+            continue
+        ok, swapped = True, False
+        for a in arrs:
+            if fixes(a, p) and fixes(a, q):
+                continue
+            if image(a, p).dist(q) <= LINE_TOL \
+                    and image(a, q).dist(p) <= LINE_TOL:
+                swapped = True
+                continue
+            ok = False
+            break
+        if ok and swapped:
+            return "IrreducibleNotStrongly", (p, q)
+
+    found, witness = strictly_affine(ifs)
+    return ("StronglyIrreducible", (witness,)) if found \
+        else ("Inconclusive", ())
+
+
+def classified(ifs):
+    """Tag and witness of classify_irreducibility, Inconclusive a tag."""
+    try:
+        cls = classify_irreducibility(ifs)
+    except Inconclusive:
+        return "Inconclusive", ()
+    return cls.tag, cls.witness
+
+
+def witness_bits(witness):
+    return [w.angle.hex() if isinstance(w, ProjPoint) else w
+            for w in witness]
+
+
+def assert_witness(ifs, tag, witness):
+    """Every map fixes a Reducible witness line; every map fixes both
+    lines of an IrreducibleNotStrongly witness or swaps them, and one
+    swaps them.  Lines closer than LINE_TOL are equal."""
+    def near(a, b):
+        return np.abs(np.sin(a - b)) <= LINE_TOL
+
+    arrs = ifs.lins
+    if tag == "Reducible":
+        [p] = witness
+        assert near(act_angle(arrs, p.angle), p.angle).all()
+    elif tag == "IrreducibleNotStrongly":
+        p, q = (w.angle for w in witness)
+        assert not near(p, q)
+        ip, iq = act_angle(arrs, p), act_angle(arrs, q)
+        fixed = near(ip, p) & near(iq, q)
+        swapped = near(ip, q) & near(iq, p)
+        assert (fixed | swapped).all() and (swapped & ~fixed).any()
+
+
+FAMILY_KINDS = ("diagonal", "swaps", "conjugated", "rotated", "reflected",
+                "mixed")
+
+
+def seeded_family(kind, seed):
+    """Two or three maps with norms in [0.1, 0.6] and translations in
+    [-1, 1]^2.  diagonal: diag(n, m); swaps: diag(n, m) or an axis swap,
+    the first a swap; conjugated: diag(n, m) or a swap, all turned by one
+    R(c); rotated: R(a) diag(n, m) R(b); reflected: the same with a
+    reflection before R(b); mixed: one diagonal, one swap, one rotated."""
+    g = rng(seed)
+    c = g.uniform(0.0, PI)
+    lins = []
+    for i in range(3 if kind == "mixed" else int(g.integers(2, 4))):
+        n, m = g.uniform(0.1, 0.6, 2)
+        a, b = g.uniform(0.0, 2.0 * PI, 2)
+        diag, swap = np.diag([n, m]), np.array([[0.0, n], [m, 0.0]])
+        flip = np.diag([1.0, -1.0 if kind == "reflected" else 1.0])
+        turned = rot(a) @ diag @ flip @ rot(b)
+        choices = {"diagonal": [diag],
+                   "swaps": [swap] if i == 0 else [diag, swap],
+                   "conjugated": [diag, swap],
+                   "rotated": [turned], "reflected": [turned],
+                   "mixed": [[diag, swap, turned][i]]}[kind]
+        arr = choices[int(g.integers(len(choices)))]
+        lins.append(rot(c) @ arr @ rot(-c) if kind == "conjugated" else arr)
+    return Ifs(lins, g.uniform(-1.0, 1.0, (len(lins), 2)))
+
+
+def edge_family(kind, gap):
+    """A diagonal map and a second map turned by the angle whose sine is
+    gap * LINE_TOL: for "fixed" the same diagonal map, which then moves
+    the x-axis by that distance; for "swap" an axis swap, which takes
+    each axis to within that distance of the other."""
+    diag = np.diag([0.5, 0.3])
+    other = diag if kind == "fixed" else np.array([[0.0, 0.5], [0.4, 0.0]])
+    return Ifs([diag, rot(math.asin(gap * LINE_TOL)) @ other],
+               [(0.0, 0.0), (0.4, 0.2)])
+
+
+ORACLE_FAMILIES = {
+    **{name[:-5]: functools.partial(load_fixture, name)
+       for name in sorted(os.listdir(FIXTURE_DIR))
+       if name.endswith(".json") and name != "checksums.json"},
+    **{f"{kind}-{seed}": functools.partial(seeded_family, kind, seed)
+       for kind in FAMILY_KINDS for seed in range(8)},
+    "quarter-turn": functools.partial(rotation_ifs, angle=PI / 2),
+    "one-radian-turn": rotation_ifs,
+    **{f"{kind}-edge-{gap}": functools.partial(edge_family, kind, gap)
+       for kind in ("fixed", "swap") for gap in (0.5, 2.0)},
+}
 
 
 def swap_ifs():
@@ -200,6 +343,43 @@ class TestIrreducibility:
     def test_rotation_inconclusive(self):
         with pytest.raises(Inconclusive):
             classify_irreducibility(rotation_ifs(angle=math.pi / 2))
+
+    @pytest.mark.parametrize("family", ORACLE_FAMILIES)
+    def test_table_matches_the_loop(self, family):
+        # over the same candidate lines the table finds the loop's witness
+        # bit for bit; over the old candidates, which list each square
+        # A_i A_i twice, the tag is the same and the witness may be another
+        # valid line or pair
+        ifs = ORACLE_FAMILIES[family]()
+        tag, witness = classified(ifs)
+        pairs = ifs.level_products(2)
+        same = looped_classify(ifs, np.concatenate([ifs.lins, pairs]))
+        assert (same[0], witness_bits(same[1])) \
+            == (tag, witness_bits(witness))
+        old = looped_classify(
+            ifs, [*ifs.lins, *pairs[::ifs.n_maps + 1], *pairs])
+        assert old[0] == tag
+        assert_witness(ifs, tag, witness)
+
+    def test_oracle_families_reach_every_tag(self):
+        tags = {classified(make())[0] for make in ORACLE_FAMILIES.values()}
+        assert tags == {"Reducible", "IrreducibleNotStrongly",
+                        "StronglyIrreducible", "Inconclusive"}
+
+    @pytest.mark.parametrize("kind, gap, tag", [
+        ("fixed", 0.5, "Reducible"), ("fixed", 2.0, "StronglyIrreducible"),
+        ("swap", 0.5, "IrreducibleNotStrongly"),
+        ("swap", 2.0, "StronglyIrreducible")])
+    def test_line_tolerance_edges(self, kind, gap, tag):
+        # lines 0.5 LINE_TOL apart are one line, 2 LINE_TOL apart two
+        ifs = edge_family(kind, gap)
+        cls = classify_irreducibility(ifs)
+        assert cls.tag == tag
+        if tag == "Reducible":
+            assert cls.witness[0].angle == pytest.approx(0.0, abs=1e-12)
+        elif tag == "IrreducibleNotStrongly":
+            assert sorted(round(w.angle, 6) for w in cls.witness) \
+                == [0.0, round(PI / 2, 6)]
 
     def test_strictly_affine_witness(self, cone_ifs):
         found, witness = strictly_affine(cone_ifs)
