@@ -31,6 +31,12 @@ DEFAULT_MARGIN = 1e-6
 MAX_INTERVALS = 3000
 
 
+def _mod_pi(theta):
+    """theta in [0, pi): 0 where theta % PI rounds a tiny theta < 0 to pi."""
+    r = np.remainder(theta, PI)
+    return np.where(r == PI, 0.0, r)
+
+
 def _line_dist(a, b):
     # how far apart the lines at angles a and b are: |sin(a - b)|
     return np.abs(np.sin(a - b))
@@ -42,7 +48,7 @@ class ProjPoint(Frozen):
     __slots__ = ("angle",)
 
     def __init__(self, angle):
-        object.__setattr__(self, "angle", float(angle % PI))
+        object.__setattr__(self, "angle", float(_mod_pi(angle)))
 
     @property
     def vector(self):
@@ -74,7 +80,7 @@ def act_angle(arr, theta):
         + np.multiply.outer(arr[..., 0, 1], s)
     y = np.multiply.outer(arr[..., 1, 0], c) \
         + np.multiply.outer(arr[..., 1, 1], s)
-    return _atan2(y, x) % PI
+    return _mod_pi(_atan2(y, x))
 
 
 class Multicone(NamedTuple):
@@ -114,7 +120,7 @@ def merge(starts, widths):
     w = hi - lo
     if (w >= PI - MERGE_TOL).any():
         raise ValueError("interval union covers the projective line")
-    starts = (base + lo) % PI
+    starts = _mod_pi(base + lo)
     order = np.argsort(starts, kind="stable")
     cone = Multicone(starts[order], np.maximum(w, 1e-15)[order])
     for arr in cone:
@@ -134,9 +140,7 @@ def images(cone, arrs):
     lo, hi = np.where(keep, a, b), np.where(keep, b, a)
     w = (hi - lo) % PI
     w[w == 0.0] = 1e-15
-    # a start reduced once more than act_angle does: an angle that
-    # rounded up to pi goes to 0
-    return (lo % PI).ravel(), np.minimum(w, PI - 1e-15).ravel()
+    return lo.ravel(), np.minimum(w, PI - 1e-15).ravel()
 
 
 def complement(cone):
@@ -237,7 +241,7 @@ def _eigen_lines(stack):
     vals, vecs = np.linalg.eig(stack)
     real = np.abs(vals.imag) <= 1e-12 * np.maximum(np.abs(vals), 1.0)
     v = vecs.real.transpose(0, 2, 1)[real]
-    return _atan2(v[:, 1], v[:, 0]) % PI
+    return _mod_pi(_atan2(v[:, 1], v[:, 0]))
 
 
 class IrreducibilityClass(NamedTuple):
@@ -282,8 +286,10 @@ def classify_irreducibility(ifs):
         both = fixed[:, k, None] & fixed[:, k + 1:]
         swap = (_line_dist(img[:, k, None], rest) <= LINE_TOL) \
             & (_line_dist(img[:, k + 1:], cands[k]) <= LINE_TOL)
+        # some map swaps a kept pair: if every map fixed both lines, then
+        # fixed[:, k].all(), and the Reducible stage would have returned
         ok = (_line_dist(cands[k], rest) > LINE_TOL) \
-            & (both | swap).all(axis=0) & (swap & ~both).any(axis=0)
+            & (both | swap).all(axis=0)
         hit = np.flatnonzero(ok)
         if len(hit):
             return IrreducibilityClass(

@@ -22,7 +22,7 @@ from affinedim.geometry import DiameterTable, approximate_square_counts, \
 from affinedim.ifs import Ifs, batch_singular_values, hull_vertices, \
     pull_back
 from affinedim.projective import PI, ProjPoint, furstenberg_directions
-from affinedim.thermo import affinity_dimension
+from affinedim.thermo import _cylinder_directions, affinity_dimension
 from conftest import FIXTURE_DIR, load_fixture
 
 
@@ -779,9 +779,16 @@ def grid_unions(draw):
     return ivs[g.permutation(size)] / 8.0
 
 
-class TestPow:
+def object_power(x, s):
+    """x**s of each float of x as a Python float, which calls libm pow."""
+    return np.power(x.astype(object), s).astype(float)
+
+
+class TestFloatPower:
+    # interval_content takes its powers with np.float_power, whose float64
+    # loop calls libm pow, as math.pow and float.__pow__ do; np.power can
+    # dispatch to a SIMD kernel that differs in the last bit
     def test_equals_the_object_array_power(self):
-        # math.pow and float.__pow__ both call libm pow on these values
         g = rng(81)
         tiny = np.nextafter(0.0, 1.0)
         for k in range(40):
@@ -790,10 +797,19 @@ class TestPow:
                 tiny * g.integers(1, 2 ** 20, 20),
                 g.uniform(0.0, 1.0, 200), g.uniform(0.0, 3.0, 100)])
             s = 1.0 if k == 0 else float(1.0 - g.uniform(0.0, 1.0))
-            want = np.power(x.astype(object), s).astype(float)
-            got = geometry._pow(x, s)
+            got = np.float_power(x, s)
             assert got.dtype == float and len(got) == len(x)
-            assert got.tobytes() == want.tobytes(), s
+            assert got.tobytes() == object_power(x, s).tobytes(), s
+
+    def test_projected_hull_lengths_of_cone(self, cone_ifs):
+        # the depth-10 hulls that `verify content cone` powers, at s the
+        # affinity dimension
+        s, _ = affinity_dimension(cone_ifs)
+        for theta in _cylinder_directions(cone_ifs, 4)[::20]:
+            lo, hi = geometry._projected_hulls(cone_ifs, ProjPoint(theta), 10)
+            x = hi - lo
+            assert np.float_power(x, s).tobytes() \
+                == object_power(x, s).tobytes()
 
 
 class TestContent:

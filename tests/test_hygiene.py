@@ -8,12 +8,14 @@ entries, the estimators take no norms and no reductions along axis 0,
 interval_content has no for loop and no comprehension, only the
 estimators copy an array with np.ascontiguousarray, Ifs.frontier and
 the callers of the product levels have no @, no module makes an array of
-Python objects, classify_irreducibility tests its lines in one table,
-only Ifs.__init__ and the memo ifs.derived touch Ifs._cache, no module
-uses dataclasses and every record refuses a rebound field, importing
-the package loads numpy but neither scipy nor dataclasses, every entry
-point that the benchmark's tracer wraps still exists, and a traced
-`dims` run counts the points of the covering counts."""
+Python objects, only projective._atan2 fills an array from a libm
+function called once per element, classify_irreducibility tests its
+lines in one table, only Ifs.__init__ and the memo ifs.derived touch
+Ifs._cache, no module uses dataclasses and every record refuses a
+rebound field, importing the package loads numpy but neither scipy nor
+dataclasses, every entry point that the benchmark's tracer wraps still
+exists, and a traced `dims` run counts the points of the covering
+counts."""
 
 import ast
 import importlib
@@ -533,6 +535,48 @@ def test_no_object_arrays(module):
     # a power over it a call per element
     with open(os.path.join(SRC_DIR, module)) as fh:
         assert object_arrays(fh.read()) == []
+
+
+def libm_loops(source):
+    """Names of the module-level functions, or "" for the module body,
+    that hold a np.fromiter call over map(math.<function>, ...)."""
+    found = []
+    for node in ast.parse(source).body:
+        name = getattr(node, "name", "") \
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)) else ""
+        for call in ast.walk(node):
+            if isinstance(call, ast.Call) \
+                    and getattr(call.func, "attr", None) == "fromiter" \
+                    and any(isinstance(a, ast.Call)
+                            and getattr(a.func, "id", None) == "map"
+                            and a.args
+                            and isinstance(a.args[0], ast.Attribute)
+                            and getattr(a.args[0].value, "id", None) == "math"
+                            for a in call.args):
+                found.append(name)
+    return found
+
+
+def test_checker_finds_libm_loops():
+    src = ("import math\nimport numpy as np\n"
+           "def f(x, s):\n    return np.fromiter(map(math.pow, x, s), "
+           "float)\n"
+           "class C:\n    def g(self, y):\n"
+           "        return np.fromiter(map(math.atan, y), float)\n"
+           "z = np.fromiter(map(math.exp, [1.0]), float)\n"
+           "w = np.fromiter(map(abs, [1.0]), float)\n"
+           "ok = all(map(math.isfinite, [1.0]))\n")
+    assert libm_loops(src) == ["f", "C", ""]
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_libm_loops_only_for_atan2(module):
+    # a libm call per element costs a Python call per float; numpy's
+    # ufuncs run them in C, and np.float_power runs libm pow itself.  No
+    # ufunc runs libm atan2 alone, so projective._atan2 keeps its loop
+    with open(os.path.join(SRC_DIR, module)) as fh:
+        assert libm_loops(fh.read()) \
+            == (["_atan2"] if module == "projective.py" else [])
 
 
 def cache_accesses(source):

@@ -12,7 +12,7 @@ from affinedim.ifs import Ifs
 from affinedim.projective import LINE_TOL, MERGE_TOL, PI, ProjPoint, \
     act_angle, certify_invariance, classify_irreducibility, complement, \
     find_invariant_multicone, furstenberg_directions, images, is_dominated, \
-    merge, strictly_affine
+    merge, strictly_affine, _eigen_lines
 
 from conftest import FIXTURE_DIR, load_fixture
 
@@ -217,6 +217,11 @@ class TestProjPoint:
         p = ProjPoint(PI + 0.3)
         assert p.angle == pytest.approx(0.3)
 
+    def test_tiny_negative_angle_is_zero(self):
+        # -1e-17 % PI rounds up to pi, the line at 0
+        assert ProjPoint(-1e-17).angle == 0.0
+        assert act_angle(np.eye(2), np.array([-1e-17])).tolist() == [0.0]
+
     def test_dist_is_sine(self):
         g = rng(31)
         for _ in range(50):
@@ -267,6 +272,17 @@ class TestIntervals:
             out = merge(starts, widths)
             assert list(zip(out.starts, out.widths)) \
                 == merge_reference(starts, widths)
+
+    def test_merge_start_below_zero(self):
+        # the union is [-1e-17, 2.29 - 1e-17]; its start reduced mod pi
+        # rounds up to pi
+        out = merge(np.array([-1e-17, 0.18]), np.array([2.29, 0.81]))
+        assert out.starts.tolist() == [0.0]
+
+    def test_eigen_lines_below_zero(self):
+        # the eigenline of 2 is at angle -1e-17
+        lines = _eigen_lines(np.array([[[2.0, 0.0], [-1e-17, 1.0]]]))
+        assert sorted(lines.tolist()) == [0.0, PI / 2.0]
 
     def test_merge_rejects_the_whole_line(self):
         with pytest.raises(ValueError):
