@@ -332,12 +332,24 @@ class Ifs:
         """(log alpha1, log alpha2) of level n, equal to np.log of
         level_singular_values(n) bit for bit and taken in place, so
         neither the level's products nor a second level of values is
-        held.  They are not kept: the pressure reads them only while its
-        root is solved."""
+        held.  They are not kept."""
         logs = self._level_singular_values(n)
         for x in logs:
             np.log(x, out=x)
         return logs
+
+    def level_log_alpha1(self, n):
+        """log alpha1 of level n, equal to np.log of
+        level_singular_values(n)[0] bit for bit: gathered block by block
+        from `_level_walk` and taken in place, so the level holds one
+        float per word.  It is not kept: the pressure reads it only while
+        its root is solved, and rebuilds log alpha2 from the letters'
+        log|det|."""
+        la1 = np.empty(self._level_size(n))
+        for start, prods, dets in self._level_walk(n, self.lins):
+            la1[start:start + len(prods)] = \
+                batch_singular_values(prods, dets)[0]
+        return np.log(la1, out=la1)
 
     def word_from_flat(self, flat, n):
         """The word of length n, a tuple of letters, at its lexicographic

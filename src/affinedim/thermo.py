@@ -7,7 +7,6 @@ Gibbs-ratio diagnostics.
 """
 
 import math
-import operator
 from typing import NamedTuple
 
 import numpy as np
@@ -21,10 +20,10 @@ from .roots import brentq
 # power iteration of equilibrium_state: most steps, eigenvalue tolerance
 EIG_ITERS = 2000
 EIG_TOL = 1e-12
-# most terms of a leaf of the pressure sum, the size of its one buffer:
-# on 2^21 terms, leaves of 2^16 cost about what one whole array costs per
-# s, and leaves of 2^14 about 10% more (2-core Xeon VM)
-PRESSURE_LEAF = 4 * LEVEL_BLOCK
+# most words of a chunk of the pressure sum, the size of its one buffer:
+# on 2^21 terms, chunks of 2^16 cost about what one whole array costs per
+# s (2-core Xeon VM)
+PRESSURE_CHUNK = 4 * LEVEL_BLOCK
 
 
 class PressureSample(NamedTuple):
@@ -41,50 +40,56 @@ def pressure(ifs, s, n):
 
 
 def _pressure_fn(ifs, n):
-    """p(s), the level-n pressure, over the log singular values of level
-    n, which live as long as p; the level's products are never held
-    whole."""
-    return _log_sum_fn(*ifs.level_log_singular_values(n), n)
+    """p(s), the level-n pressure, over the log alpha1 of level n, which
+    lives as long as p; the level's products are never held whole, nor a
+    level of log alpha2."""
+    return _log_sum_fn(ifs.level_log_alpha1(n),
+                       np.log(np.abs(det2(ifs.lins))), n)
 
 
-def _pairwise(leaf, join, start, size):
-    """leaf(a, b) over the leaves of numpy's pairwise summation tree on
-    size contiguous float64 terms from start, joined up the tree: a node
-    of more than PRESSURE_LEAF terms splits after
-    h = size//2 - (size//2) % 8 of them, as np.add.reduce splits it.  So
-    with np.sum for leaf and + for join the value is the sum of the whole
-    array bit for bit."""
-    if size <= PRESSURE_LEAF:
-        return leaf(start, start + size)
-    half = size // 2 - size // 2 % 8
-    return join(_pairwise(leaf, join, start, half),
-                _pairwise(leaf, join, start + half, size - half))
+def _letter_sums(log_dets, k):
+    """The sums of log_dets over the letters of every word of length k,
+    in lexicographic word order, right-nested: L(iw) = log_dets[i] +
+    L(w), as `Ifs._level_walk` nests det A_iw = det A_i * det A_w."""
+    sums = np.zeros(1)
+    for _ in range(k):
+        sums = np.add.outer(log_dets, sums).reshape(-1)
+    return sums
 
 
-def _log_sum_fn(la1, la2, n):
-    """p(s) = (1/n) log sum of phi^s over the words with log singular
-    values la1 and la2, equal bit for bit to the sum over one array of
-    their size, in one buffer of at most PRESSURE_LEAF terms.  Each s
-    takes two passes over the leaves of numpy's pairwise tree
-    (`_pairwise`): the max m of log phi^s, which is exact in any order,
-    and the sums of exp(log phi^s - m), added up the tree.  Each s is
-    summed once: the root solvers ask again for the ends of their
-    bracket."""
-    size = len(la1)
-    buf = np.empty(min(size, PRESSURE_LEAF))
+def _log_sum_fn(la1, log_dets, n):
+    """p(s) = (1/n) log sum of phi^s over the words of level n, from
+    their log alpha1 la1 in lexicographic word order and the log|det| of
+    the letters.  alpha1 alpha2 = |det A_w|, and det is multiplicative, so
+    log alpha2 is the letter sum of log|det| less log alpha1.  It is
+    rebuilt in one buffer, a chunk of at most PRESSURE_CHUNK words that
+    share a prefix at a time, as the prefix's letter sum plus the
+    suffixes' (`_letter_sums`) less log alpha1.  Each chunk is summed
+    shifted by its own max and joined to the running sum in the same
+    pass.  Each s is summed once: the root solvers ask again for the ends
+    of their bracket."""
+    k = n
+    while len(log_dets) ** k > PRESSURE_CHUNK and k > 1:
+        k -= 1
+    suffix, prefix = _letter_sums(log_dets, k), _letter_sums(log_dets, n - k)
+    buf = np.empty(len(suffix))
     seen = {}
 
     def p(s):
         if s not in seen:
-            def logs(a, b):
-                return log_svf(la1[a:b], la2[a:b], s, out=buf[:b - a])
-
-            def exp_sum(a, b):
-                part = logs(a, b)
-                part -= m
-                return np.exp(part, out=part).sum()
-            m = _pairwise(lambda a, b: logs(a, b).max(), max, 0, size)
-            total = _pairwise(exp_sum, operator.add, 0, size)
+            m, total = -math.inf, 0.0
+            for lead, start in zip(prefix, range(0, len(la1), len(buf))):
+                words = la1[start:start + len(buf)]
+                la2 = np.add(lead, suffix, out=buf)
+                la2 -= words
+                logs = log_svf(words, la2, s, out=la2)
+                top = logs.max()
+                logs -= top
+                chunk = np.exp(logs, out=logs).sum()
+                if top > m:
+                    m, total = top, total * math.exp(m - top) + chunk
+                else:
+                    total += chunk * math.exp(top - m)
             seen[s] = (m + math.log(total)) / n
         return seen[s]
     return p
@@ -129,8 +134,9 @@ def affinity_dimension(ifs, tol=1e-10, budget=200_000):
 
     if is_similarity(ifs):
         root_hi = solve(_pressure_fn(ifs, 1))
+        # the level-1 sum at alpha1 = alpha2 = alpha2(A_i)
         la2 = np.log(ifs.level_singular_values(1)[1])
-        lo, hi = sorted((solve(_log_sum_fn(la2, la2, 1)), root_hi))
+        lo, hi = sorted((solve(_log_sum_fn(la2, 2.0 * la2, 1)), root_hi))
         return root_hi, (lo, hi)
     # the deepest level of at least 2 that fits, in integers: a ratio of
     # float logs loses the level at an exact power such as 3^13

@@ -11,11 +11,12 @@ from affinedim.errors import BudgetExceeded, IndexOutOfRange
 from affinedim.geometry import DIAM_GRID, DiameterTable, _misses, \
     _proj_stop, _proj_stopping, projected_diameter_bound
 from affinedim.ifs import LEVEL_BLOCK, Cylinders, Ifs, _cloud_diameter, \
-    batch_singular_values, derived, hull_vertices, log_svf, mul2, word_label
+    batch_singular_values, det2, derived, hull_vertices, log_svf, mul2, \
+    word_label
 from affinedim.projective import ProjPoint, strictly_affine
-from affinedim.thermo import affinity_dimension
+from affinedim.thermo import _letter_sums, affinity_dimension
 
-from conftest import kept_arrays, svd_svf
+from conftest import kept_arrays, load_fixture, svd_svf
 
 
 def rng(seed=0):
@@ -347,6 +348,7 @@ class TestLevelBlocks:
                                             want):
                     assert_same_bits(got, alpha)
                     assert_same_bits(logs, np.log(alpha))
+                assert_same_bits(ifs.level_log_alpha1(n), np.log(want[0]))
 
     def test_more_maps_than_a_block_walk_level_one(self):
         ifs = random_contractions(rng(7), LEVEL_BLOCK + 1)
@@ -360,6 +362,7 @@ class TestLevelBlocks:
         monkeypatch.setenv("AFFINEDIM_WORD_CAP", str(3 ** 12 - 1))
         for walk in (lambda: next(walk_arrays(ifs, 12)),
                      lambda: ifs.level_log_singular_values(12),
+                     lambda: ifs.level_log_alpha1(12),
                      lambda: ifs.level_singular_values(12)):
             tracemalloc.start()
             try:
@@ -372,8 +375,9 @@ class TestLevelBlocks:
         assert not ifs._cache
 
     def test_affinity_dimension_holds_no_level(self, positive_pair):
-        # the 2^21 logs and 8 MiB: the pressure sums them in leaves, with
-        # no buffer of their size, and nothing over 1 MiB outlives the root
+        # one float per word of 2^21 and 8 MiB: the pressure holds log
+        # alpha1 alone, rebuilds log alpha2 in chunks with no buffer of
+        # the level's size, and nothing over 1 MiB outlives the root
         ifs = Ifs.from_json(positive_pair.to_json())
         tracemalloc.start()
         try:
@@ -381,10 +385,41 @@ class TestLevelBlocks:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 2 * 8 * 2 ** 21 + 8 * 2 ** 20
+        assert peak <= 8 * 2 ** 21 + 8 * 2 ** 20
         assert ifs._cache
         assert not [part for part in kept_arrays(ifs)
                     if part.nbytes > 2 ** 20]
+
+
+class TestDeterminantIdentity:
+    # alpha1 alpha2 = |det A_w| and det is multiplicative, so log alpha1 +
+    # log alpha2 is the letter sum of log|det A_i|, up to the roundings of
+    # the carried determinant, the quotient alpha2 = |det| / alpha1, the
+    # two logs and the n additions of the sum
+    def assert_letter_sum(self, ifs, n):
+        a1, a2 = ifs.level_singular_values(n)
+        sums = _letter_sums(np.log(np.abs(det2(ifs.lins))), n)
+        assert np.all(np.abs(np.log(a1) + np.log(a2) - sums)
+                      <= (n + 4) * np.spacing(np.abs(sums))), n
+
+    @pytest.mark.parametrize("name", ["sim3", "cantor2", "square4",
+                                      "positive_pair", "cone", "overlap",
+                                      "carpet"])
+    def test_fixtures(self, name):
+        ifs = load_fixture(name + ".json")
+        for n in range(1, 13):
+            if ifs.n_maps ** n > 3 ** 12:
+                break
+            self.assert_letter_sum(ifs, n)
+
+    def test_seeded_families(self):
+        g = rng(83)
+        for _ in range(30):
+            ifs = random_contractions(g, int(g.integers(2, 6)))
+            for n in range(1, 13):
+                if ifs.n_maps ** n > 3 ** 10:
+                    break
+                self.assert_letter_sum(ifs, n)
 
 
 class TestDerived:

@@ -10,14 +10,14 @@ from scipy.sparse import csr_matrix
 
 from affinedim import thermo
 from affinedim.errors import NotDominated
-from affinedim.ifs import Ifs, log_svf
+from affinedim.ifs import Ifs, det2, log_svf
 from affinedim.projective import ProjPoint, complement, \
     find_invariant_multicone
 from affinedim.roots import RTOL, brentq
-from affinedim.thermo import PRESSURE_LEAF, _cylinder_directions, \
-    _log_sum_fn, _pressure_fn, affinity_dimension, equilibrium_state, \
-    gibbs_spread_by_depth, is_similarity, kaenmaki_weights, pressure, \
-    transfer_matrix
+from affinedim.thermo import PRESSURE_CHUNK, _cylinder_directions, \
+    _letter_sums, _log_sum_fn, _pressure_fn, affinity_dimension, \
+    equilibrium_state, gibbs_spread_by_depth, is_similarity, \
+    kaenmaki_weights, pressure, transfer_matrix
 
 from conftest import load_fixture, svd_svf
 
@@ -50,20 +50,26 @@ def random_family(g, similar):
 
 
 def svd_pressure_fn(ifs, n):
-    """The level-n pressure from the singular values of np.linalg.svd.
+    """Oracle for the similarity bracket of `thermo.affinity_dimension`,
+    copied from `thermo._pressure_fn` at 59974fa: the level-n pressure
+    from the singular values of np.linalg.svd, by the two-array formula.
     They stay equal on products of similarities, which
     batch_singular_values splits by about 1e-8 relative: t^2 - 4 det^2
     cancels to rounding noise, and its square root adds that noise to
     alpha1."""
     a1, a2 = np.linalg.svd(ifs.level_products(n), compute_uv=False).T
-    return _log_sum_fn(np.log(a1), np.log(a2), n)
+    return lambda s: unbuffered_pressure(a1, a2, n, s)
 
 
 def alpha2_sum_fn(ifs):
     """log sum of alpha2(A_i)^s over the maps, a lower bound for every
-    level-n pressure."""
+    level-n pressure: the level-1 sum at alpha1 = alpha2 = alpha2(A_i)."""
     la2 = np.log(ifs.level_singular_values(1)[1])
-    return _log_sum_fn(la2, la2, 1)
+    return _log_sum_fn(la2, 2.0 * la2, 1)
+
+
+def letter_log_dets(ifs):
+    return np.log(np.abs(det2(ifs.lins)))
 
 
 class TestPressure:
@@ -91,7 +97,9 @@ class TestPressure:
 
 
 def unbuffered_pressure(a1, a2, n, s):
-    """The level-n pressure as three fresh arrays: logs, logs - m, exp."""
+    """Oracle for `thermo._pressure_fn`, copied from it at ac4aeab: the
+    level-n pressure over two arrays, log alpha1 and log alpha2, as three
+    fresh arrays: logs, logs - m, exp."""
     la1, la2 = np.log(a1), np.log(a2)
     if s <= 1.0:
         logs = s * la1
@@ -109,19 +117,40 @@ class TestPressureClosure:
     def test_fixture_levels(self, cone_ifs, positive_pair):
         for ifs, n in ((cone_ifs, 6), (positive_pair, 12)):
             p = _pressure_fn(ifs, n)
-            a1, a2 = ifs.level_singular_values(n)
+            want = whole_array_log_sum_fn(
+                np.log(ifs.level_singular_values(n)[0]), letter_log_dets(ifs),
+                n)
             for s in self.ORDER:
-                assert p(s) == unbuffered_pressure(a1, a2, n, s)
+                assert p(s) == want(s)
 
     def test_zero_alpha2(self):
-        g = np.random.Generator(np.random.Philox(key=41))
-        a1 = g.uniform(0.1, 1.0, size=1000)
-        a2 = a1 * g.uniform(0.0, 1.0, size=1000)
-        a2[::7] = 0.0
-        with np.errstate(divide="ignore"):
-            p = _log_sum_fn(np.log(a1), np.log(a2), 9)
-            for s in self.ORDER:
-                assert p(s) == unbuffered_pressure(a1, a2, 9, s)
+        # letters of log|det| near -40 take alpha2 = |det| / alpha1 of
+        # most words of level 20 below the least float, to 0.0; their log
+        # alpha2, a letter sum, stays finite, and so do their terms
+        g = rng(41)
+        log_dets = g.uniform(-45.0, -35.0, 2)
+        la1 = g.uniform(-3.0, -1.0, 2 ** 20)
+        assert (np.exp(_letter_sums(log_dets, 20)[::4096]
+                       - la1[::4096]) == 0.0).mean() > 0.5
+        p = _log_sum_fn(la1, log_dets, 20)
+        want = whole_array_log_sum_fn(la1, log_dets, 20)
+        for s in self.ORDER:
+            assert p(s) == want(s) and math.isfinite(p(s))
+
+    @pytest.mark.parametrize("name", ["positive_pair", "cone_ifs",
+                                      "overlap_ifs", "carpet_ifs"])
+    def test_near_the_two_array_formula(self, request, name):
+        # log alpha2 from the letter sum of log|det| moves the pressure by
+        # rounding alone
+        ifs = request.getfixturevalue(name)
+        for n in range(1, 13):
+            if ifs.n_maps ** n > 2 ** 21:
+                break
+            p = _pressure_fn(ifs, n)
+            a1, a2 = ifs.level_singular_values(n)
+            for s in (0.0, 0.3, 0.7, 1.0, 1.3, 1.7, 2.0, 2.5, 3.5, 4.0):
+                want = unbuffered_pressure(a1, a2, n, s)
+                assert abs(p(s) - want) <= 1e-13 * abs(want), (n, s)
 
 
 def scaled_rotations(g, size):
@@ -132,25 +161,52 @@ def scaled_rotations(g, size):
     return np.stack([np.stack([c, -s], -1), np.stack([s, c], -1)], 1)
 
 
-def whole_array_log_sum_fn(la1, la2, n):
-    """The level-n pressure over one buffer of the level's size, as
-    `_log_sum_fn` took it before it summed in leaves: the oracle for its
-    bits."""
-    buf = np.empty_like(la1)
+def python_letter_sums(log_dets, k):
+    """The right-nested letter sums of every word of length k, in
+    lexicographic word order, added in Python floats word by word."""
+    sums = []
+    for word in itertools.product(log_dets.tolist(), repeat=k):
+        total = 0.0
+        for v in reversed(word):
+            total = v + total
+        sums.append(total)
+    return np.array(sums)
+
+
+def whole_array_log_sum_fn(la1, log_dets, n):
+    """Oracle for `thermo._log_sum_fn`, written with it rather than copied
+    from a commit: its chunks as the rows of whole-level arrays.  log
+    alpha2 is a prefix's letter sum plus a suffix's less log alpha1; each
+    row is shifted by its own max and summed along the row, and the rows
+    are joined in order in Python floats."""
+    k = n
+    while len(log_dets) ** k > PRESSURE_CHUNK and k > 1:
+        k -= 1
+    sums = python_letter_sums(log_dets, n - k)[:, None] \
+        + python_letter_sums(log_dets, k)
+    la2 = sums.reshape(-1) - la1
 
     def p(s):
-        logs = log_svf(la1, la2, s, out=buf)
-        m = logs.max()
-        logs -= m
-        return (m + math.log(np.exp(logs, out=logs).sum())) / n
+        logs = log_svf(la1, la2, s).reshape(len(sums), -1)
+        tops = logs.max(axis=1)
+        rows = np.exp(logs - tops[:, None]).sum(axis=1)
+        m, total = -math.inf, 0.0
+        for top, row in zip(tops.tolist(), rows.tolist()):
+            if top > m:
+                m, total = top, total * math.exp(m - top) + row
+            else:
+                total += row * math.exp(top - m)
+        return (m + math.log(total)) / n
     return p
 
 
 def pairwise_model(x):
-    """The sum of a contiguous float64 array in the order of numpy's
-    pairwise summation, in Python floats: a node of fewer than 8 terms
-    adds them from 0.0 in turn, one of at most 128 keeps 8 accumulators
-    over its first multiple of 8 terms, joins them as
+    """Oracle for numpy's sum of a contiguous float64 array, which
+    `thermo._log_sum_fn` takes of each chunk and whole_array_log_sum_fn of
+    each row; written at e66c233, not copied.  The sum in the order of
+    numpy's pairwise summation, in Python floats: a node of fewer than 8
+    terms adds them from 0.0 in turn, one of at most 128 keeps 8
+    accumulators over its first multiple of 8 terms, joins them as
     ((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7)) and adds the rest
     in turn, and a larger one splits after h = n//2 - (n//2) % 8 terms.
     The reduction adds the root to 0.0."""
@@ -178,50 +234,65 @@ def pairwise_model(x):
     return 0.0 + node(0, len(x))
 
 
-# level sizes around every split of the pairwise tree and of its leaves
-SUM_SIZES = (1, 7, 8, 129, PRESSURE_LEAF - 1, PRESSURE_LEAF,
-             PRESSURE_LEAF + 1, 2 * PRESSURE_LEAF + 8, 3 ** 13, 2 ** 18)
+# level sizes N^n around the chunk size and its splits: one map (1), one
+# level of one chunk (7 = 7^1, 8 = 2^3, 129 = 129^1, 65535 = 65535^1,
+# 65536 = 2^16), level 1 of more maps than a chunk holds (65537^1,
+# 131080^1), and levels of many chunks (3^13, 2^18)
+SUM_LEVELS = {1: 1, 7: 7, 8: 2, 129: 129,
+              PRESSURE_CHUNK - 1: PRESSURE_CHUNK - 1, PRESSURE_CHUNK: 2,
+              PRESSURE_CHUNK + 1: PRESSURE_CHUNK + 1,
+              2 * PRESSURE_CHUNK + 8: 2 * PRESSURE_CHUNK + 8, 3 ** 13: 3,
+              2 ** 18: 2}
+SUM_SIZES = tuple(SUM_LEVELS)
 
 
-def seeded_logs(size, seed):
-    """log alpha1 and log alpha2 <= log alpha1 of size random words, with
-    alpha2 = 0 (log -inf) on every 7th word from the fourth: a sum of one
-    word has none, and no sum has only such words."""
-    g = rng(seed)
-    la1 = g.uniform(-30.0, -1.0, size)
-    la2 = la1 + np.log(g.uniform(0.0, 1.0, size))
-    la2[3::7] = -np.inf
-    return la1, la2
+def seeded_level(size, seed):
+    """(la1, log_dets, n): the log|det| of SUM_LEVELS[size] random maps,
+    and log alpha1 of the size words of a level n of them, between half
+    the word's letter sum (alpha1 = alpha2) and 5 more."""
+    g, maps, n = rng(seed), SUM_LEVELS[size], 1
+    while maps ** n < size:
+        n += 1
+    log_dets = g.uniform(-8.0, -1.0, maps)
+    la1 = 0.5 * _letter_sums(log_dets, n) + g.uniform(0.0, 5.0, size)
+    return la1, log_dets, n
 
 
 class TestPressureLeaves:
     S_VALUES = (0.0, 0.5, 1.0, 1.5, 2.0, 3.0, 4.0) \
         + tuple(rng(71).uniform(0.0, 4.0, 20))
 
-    def assert_whole_array_bits(self, la1, la2, n):
-        with np.errstate(divide="ignore"):
-            got = _log_sum_fn(la1, la2, n)
-            want = whole_array_log_sum_fn(la1, la2, n)
-            for s in self.S_VALUES:
-                assert got(s) == want(s), s
+    def assert_whole_array_bits(self, la1, log_dets, n):
+        got = _log_sum_fn(la1, log_dets, n)
+        want = whole_array_log_sum_fn(la1, log_dets, n)
+        for s in self.S_VALUES:
+            assert got(s) == want(s), s
 
     @pytest.mark.parametrize("size", SUM_SIZES)
     def test_equals_the_whole_array_sum(self, size):
-        self.assert_whole_array_bits(*seeded_logs(size, size), 13)
+        self.assert_whole_array_bits(*seeded_level(size, size))
 
     @pytest.mark.parametrize("n", [11, 12])
     def test_fixture_levels(self, cone_ifs, n):
-        # levels of more than one leaf, with the levels' own logs
-        self.assert_whole_array_bits(
-            *cone_ifs.level_log_singular_values(n), n)
+        # levels of more than one chunk, with the levels' own log alpha1
+        self.assert_whole_array_bits(cone_ifs.level_log_alpha1(n),
+                                     letter_log_dets(cone_ifs), n)
 
     @pytest.mark.parametrize("size", SUM_SIZES)
     def test_numpy_sums_in_pairwise_order(self, size):
-        # the leaves repeat np.sum bit for bit only while numpy sums a
-        # contiguous float64 array in this order
+        # a chunk's np.sum and the oracle's sums along the rows of a
+        # level repeat each other bit for bit only while numpy sums a
+        # contiguous float64 array, and each row of a C-ordered one, in
+        # this order
         x = rng(size).normal(size=size) * 10.0 ** rng(size + 1).integers(
             -8, 8, size)
         assert x.sum() == pairwise_model(x)
+        maps, chunk = SUM_LEVELS[size], size
+        while chunk > PRESSURE_CHUNK and chunk % maps == 0 and chunk > maps:
+            chunk //= maps
+        rows = x.reshape(-1, chunk)
+        assert rows.sum(axis=1).tolist() \
+            == [pairwise_model(row) for row in rows]
 
 
 class TestPressureOnce:
@@ -232,10 +303,9 @@ class TestPressureOnce:
                                               name, budget):
         # the root solvers ask again for the ends of their bracket, and
         # the extrapolation for the values of both levels; a sum is
-        # known by its arrays, as the similarity bracket sums two of
-        # level 1.  Each s takes two passes over the leaves of a level,
-        # the max and the sum; a second call reads the memo and sums
-        # nothing
+        # known by its log alpha1, as the similarity bracket sums two of
+        # level 1.  Each s takes one pass over the chunks of a level; a
+        # second call reads the memo and sums nothing
         data = request.getfixturevalue(name).to_json()
         want = affinity_dimension(Ifs.from_json(data), budget=budget)
         ifs = Ifs.from_json(data)
@@ -243,15 +313,15 @@ class TestPressureOnce:
         svf = thermo.log_svf
 
         def spy(la1, la2, s, out=None):
-            # a leaf is a view, named by its bases and its first term;
+            # a chunk is a view, named by its base and its first term;
             # the bases are kept so that no id or address is reused
-            bases.append((la1.base, la2.base))
-            calls.append((id(la1.base), id(la2.base), la1.ctypes.data, s))
+            bases.append(la1.base)
+            calls.append((id(la1.base), la1.ctypes.data, s))
             return svf(la1, la2, s, out=out)
 
         monkeypatch.setattr(thermo, "log_svf", spy)
         assert affinity_dimension(ifs, budget=budget) == want
-        assert calls and set(Counter(calls).values()) == {2}
+        assert calls and set(Counter(calls).values()) == {1}
         summed = len(calls)
         assert affinity_dimension(ifs, budget=budget) == want
         assert len(calls) == summed
