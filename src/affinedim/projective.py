@@ -98,7 +98,7 @@ def merge(starts, widths):
     """Multicone of the union of the intervals [starts[k], starts[k] +
     widths[k]], widths in (0, pi), merging overlaps and gaps below
     MERGE_TOL.  Raises ValueError if the union covers the whole line."""
-    starts = starts % PI
+    starts = _mod_pi(starts)
     base = starts.min()
     # unroll to the real line over [base, base + pi); a piece that wraps
     # past base + pi is split in two

@@ -64,10 +64,10 @@ def top_down_content(intervals, s):
 
 
 def sequential_content(intervals, s):
-    """The largest-gap tree merged one gap at a time, in ascending gap
-    order with equal gaps right to left: the reference that
-    `interval_content` must match bit for bit where the top-down recursion
-    is quadratic."""
+    """Oracle for `geometry.interval_content`, copied from it at 2739f21.
+    The largest-gap tree merged one gap at a time, in ascending gap order
+    with equal gaps right to left: the reference that `interval_content`
+    must match bit for bit where the top-down recursion is quadratic."""
     if not isinstance(intervals, np.ndarray):
         intervals = list(intervals)
     ivs = np.asarray(intervals, dtype=float).reshape(len(intervals), 2)
@@ -100,8 +100,10 @@ def sequential_content(intervals, s):
 
 
 def brute_force_content(intervals, s):
-    """Minimum cost over all covers by hulls of contiguous blocks: the
-    exact block DP, O(m^2), for small unions."""
+    """Oracle for `geometry.interval_content`, copied from
+    `geometry.brute_force_content` at 2739f21.  Minimum cost over all
+    covers by hulls of contiguous blocks: the exact block DP, O(m^2), for
+    small unions."""
     ivs = sorted((float(a), float(b)) for a, b in intervals if b > a)
     n = len(ivs)
     if n == 0:
@@ -532,9 +534,10 @@ class TestHullVertices:
 
 
 def gathered_least_pair(projs):
-    """posc_check's pair scan as first written, the oracle of
-    `geometry._least_pair`: every pair up to 7 apart in the order of the
-    projected centres gathered into two copies of their rows, a-major."""
+    """Oracle for `geometry._least_pair`, copied from `posc_check` at
+    059f64b: its pair scan as first written, every pair up to 7 apart in
+    the order of the projected centres gathered into two copies of their
+    rows, a-major."""
     hi, lo = projs.max(axis=1), projs.min(axis=1)
     diams = np.maximum(hi - lo, 1e-300)
     order = np.argsort(0.5 * (hi + lo))
@@ -960,11 +963,12 @@ class TestContent:
 
 
 def periodic_sum(arrs, vecs, word, depth):
-    """Sum of A_{word|k} vecs[word_{k+1}] over k < depth, with the word
-    extended periodically and A_{word|k} kept as a running product; the
-    letters that are not keys of the dict vecs add nothing.  The
-    recurrence of the transversality derivative and the projected gap
-    before they composed through `ifs.compose`: their oracle."""
+    """Oracle for `geometry.transversality_derivative` and
+    `geometry.projected_gap`, copied from them at 5f80bea.  Sum of
+    A_{word|k} vecs[word_{k+1}] over k < depth, with the word extended
+    periodically and A_{word|k} kept as a running product; the letters that
+    are not keys of the dict vecs add nothing: their recurrence before
+    they composed through `ifs.compose`."""
     acc = np.zeros(2)
     prod = np.eye(2)
     n = len(word)

@@ -12,7 +12,7 @@ from affinedim.ifs import Ifs
 from affinedim.projective import LINE_TOL, MERGE_TOL, PI, ProjPoint, \
     act_angle, certify_invariance, classify_irreducibility, complement, \
     find_invariant_multicone, furstenberg_directions, images, is_dominated, \
-    merge, strictly_affine, _eigen_lines
+    merge, strictly_affine, _eigen_lines, _mod_pi
 
 from conftest import FIXTURE_DIR, load_fixture
 
@@ -43,9 +43,11 @@ def inside(cone, starts, widths):
 
 
 def merge_reference(starts, widths):
-    """The union merged one piece at a time, by the loop that merge
-    replaced, as sorted (start, width) pairs."""
-    pieces = sorted(zip(starts % PI, widths))
+    """Oracle for `projective.merge`, copied from it at f5177ad: the union
+    merged one piece at a time, by the loop that merge replaced, as sorted
+    (start, width) pairs.  Starts are reduced by `_mod_pi`, as merge
+    reduces them."""
+    pieces = sorted(zip(_mod_pi(starts).tolist(), widths))
     base = pieces[0][0]
     segs = []
     for start, width in pieces:
@@ -63,7 +65,8 @@ def merge_reference(starts, widths):
     if len(merged) > 1 and merged[0][0] + PI <= merged[-1][1] + MERGE_TOL:
         merged[0][0] = merged[-1][0] - PI
         merged.pop()
-    return sorted(((base + s) % PI, max(e - s, 1e-15)) for s, e in merged)
+    return sorted((float(_mod_pi(base + s)), max(e - s, 1e-15))
+                  for s, e in merged)
 
 
 def rot(angle):
@@ -72,10 +75,12 @@ def rot(angle):
 
 
 def looped_classify(ifs, stack):
-    """Tag and witness of the irreducibility classifier by the loop that
-    the table form replaced: the real eigenlines of each matrix of stack
-    in turn, then each line and each pair of lines tested map by map,
-    one act_angle call per map and line.  Inconclusive is a tag here."""
+    """Oracle for `projective.classify_irreducibility`, copied from it at
+    c32b87e.  Tag and witness of the irreducibility classifier by the
+    loop that the table form replaced: the real eigenlines of each matrix
+    of stack in turn, then each line and each pair of lines tested map by
+    map, one act_angle call per map and line.  Inconclusive is a tag
+    here."""
     arrs = ifs.lins
 
     def image(arr, p):
@@ -261,7 +266,8 @@ class TestIntervals:
         assert out.widths[0] == pytest.approx(PI - 3.0 + 0.3)
 
     def test_merge_matches_loop_reference(self):
-        # bit for bit, on unions with wraps, repeats and touching ends
+        # bit for bit, on unions with wraps, repeats, touching ends and a
+        # start of -1e-17, which % pi rounds to pi
         g = rng(35)
         for _ in range(200):
             k = int(g.integers(1, 40))
@@ -269,6 +275,8 @@ class TestIntervals:
             widths = g.uniform(0.0, 0.3, k) ** 2 + 1e-12
             starts[k // 2:] = (starts + widths)[:k - k // 2] \
                 if g.uniform() < 0.5 else starts[:k - k // 2]
+            if g.uniform() < 0.25:
+                starts[g.integers(k)] = -1e-17
             out = merge(starts, widths)
             assert list(zip(out.starts, out.widths)) \
                 == merge_reference(starts, widths)

@@ -1,5 +1,6 @@
 """tools/compare_reports.py: the runs it makes and the differences it
-reports; tools/import_times.py: the modules it times."""
+reports; tools/import_times.py: the modules it times; tools/peak_rss.py:
+the peak it reads."""
 
 import importlib.util
 import os
@@ -103,3 +104,14 @@ def test_import_times_lists_every_module():
     lines = run.stdout.splitlines()
     assert {line.split()[0] for line in lines[:-1]} == want
     assert lines[-1].startswith("total") and float(lines[-1].split()[1]) > 0
+
+
+def test_peak_rss_of_one_run():
+    tool = os.path.join(REPO, "tools", "peak_rss.py")
+    run = subprocess.run([sys.executable, tool, REPO, "--runs", "1", "--",
+                          "check", "--input", "sim3.json"],
+                         capture_output=True, text=True)
+    assert run.returncode == 0, run.stderr
+    first, last = run.stdout.splitlines()
+    assert first.startswith("run 1:") and first.endswith("exit 0")
+    assert last.startswith("least") and float(last.split()[1]) > 0
