@@ -288,7 +288,10 @@ def classify_irreducibility(ifs):
         swap = (_line_dist(img[:, k, None], rest) <= LINE_TOL) \
             & (_line_dist(img[:, k + 1:], cands[k]) <= LINE_TOL)
         # some map swaps a kept pair: if every map fixed both lines, then
-        # fixed[:, k].all(), and the Reducible stage would have returned
+        # fixed[:, k].all(), and the Reducible stage would have returned.
+        # Two lines within LINE_TOL are one line, and this stage can meet
+        # such a pair: reflections about lines between and beside it swap
+        # it while they move every line near it
         ok = (_line_dist(cands[k], rest) > LINE_TOL) \
             & (both | swap).all(axis=0)
         hit = np.flatnonzero(ok)

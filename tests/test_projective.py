@@ -196,6 +196,34 @@ def edge_family(kind, gap):
                [(0.0, 0.0), (0.4, 0.2)])
 
 
+def close_pair_family():
+    """Lines at t = 0.3 and t + 0.95 LINE_TOL, each fixed by one of two maps
+    with multipliers 1.05 and 1 / 1.05 there (so near the pair the maps
+    move every line by about 0.05 LINE_TOL), and two scaled reflections
+    about the lines at t + 0.9 LINE_TOL and t + 0.3 LINE_TOL.  Each
+    reflection takes each line of the pair to within LINE_TOL of the
+    other, so every map fixes or swaps the pair.  Every eigenline near the
+    pair, of a map or of a level-2 product, lies within 0.35 LINE_TOL of
+    one reflection's axis and so at least 0.55 LINE_TOL from the other's,
+    which moves it by more than LINE_TOL: no line is Reducible's."""
+    t, tol = 0.3, LINE_TOL
+
+    def fixing(a, mu_a, b, mu_b):
+        # the map with eigenvalue mu_a on the line at angle a, mu_b at b
+        vecs = np.array([[math.cos(a), math.cos(b)],
+                         [math.sin(a), math.sin(b)]])
+        return vecs @ np.diag([mu_a, mu_b]) @ np.linalg.inv(vecs)
+
+    def reflection(scale, axis):
+        c, s = math.cos(2.0 * axis), math.sin(2.0 * axis)
+        return scale * np.array([[c, s], [s, -c]])
+
+    lins = [fixing(t, 0.2, t - 0.7, 0.21),
+            fixing(t + 0.95 * tol, 0.4, t + 1.0, 0.4 / 1.05),
+            reflection(0.4, t + 0.9 * tol), reflection(0.35, t + 0.3 * tol)]
+    return Ifs(lins, [(0.0, 0.0), (0.5, 0.1), (-0.4, 0.3), (0.2, -0.5)])
+
+
 ORACLE_FAMILIES = {
     **{name[:-5]: functools.partial(load_fixture, name)
        for name in sorted(os.listdir(FIXTURE_DIR))
@@ -206,6 +234,7 @@ ORACLE_FAMILIES = {
     "one-radian-turn": rotation_ifs,
     **{f"{kind}-edge-{gap}": functools.partial(edge_family, kind, gap)
        for kind in ("fixed", "swap") for gap in (0.5, 2.0)},
+    "close-pair": close_pair_family,
 }
 
 
@@ -404,6 +433,23 @@ class TestIrreducibility:
         elif tag == "IrreducibleNotStrongly":
             assert sorted(round(w.angle, 6) for w in cls.witness) \
                 == [0.0, round(PI / 2, 6)]
+
+    def test_close_pair_is_one_line(self):
+        # maps 1 and 2 fix one line each of a pair 0.95 LINE_TOL apart,
+        # and maps 3 and 4 swap them: only the pair stage's distinct-lines
+        # condition keeps it from being IrreducibleNotStrongly's witness
+        ifs = close_pair_family()
+        lines = np.array([_eigen_lines(ifs.lins[i:i + 1])[0]
+                          for i in range(2)])
+        gap = abs(math.sin(lines[1] - lines[0]))
+        assert 0.9 * LINE_TOL <= gap <= LINE_TOL
+        img = act_angle(ifs.lins, lines)
+        near = np.abs(np.sin(img - lines)) <= LINE_TOL
+        crossed = np.abs(np.sin(img - lines[::-1])) <= LINE_TOL
+        assert near.all(axis=1).tolist() == [True, True, False, False]
+        assert crossed.all(axis=1).all()
+        cls = classify_irreducibility(ifs)
+        assert (cls.tag, cls.witness) == ("StronglyIrreducible", ((1,),))
 
     def test_strictly_affine_witness(self, cone_ifs):
         found, witness = strictly_affine(cone_ifs)
