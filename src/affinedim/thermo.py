@@ -20,9 +20,8 @@ from .roots import brentq
 # power iteration of equilibrium_state: most steps, eigenvalue tolerance
 EIG_ITERS = 2000
 EIG_TOL = 1e-12
-# most words of a chunk of the pressure sum, the size of its one buffer:
-# on 2^21 terms, chunks of 2^16 cost about what one whole array costs per
-# s (2-core Xeon VM)
+# most words of a chunk of the pressure sum: the size of its one buffer
+# and of its suffix table of letter sums
 PRESSURE_CHUNK = 4 * LEVEL_BLOCK
 
 
