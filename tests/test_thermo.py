@@ -173,15 +173,23 @@ def python_letter_sums(log_dets, k):
     return np.array(sums)
 
 
+def chunk_letters(maps, n):
+    """The letters of a chunk of `thermo._log_sum_fn` on level n of maps
+    maps: the most that keep it within PRESSURE_CHUNK words, and one at
+    least."""
+    k = n
+    while maps ** k > PRESSURE_CHUNK and k > 1:
+        k -= 1
+    return k
+
+
 def whole_array_log_sum_fn(la1, log_dets, n):
     """Oracle for `thermo._log_sum_fn`, written with it rather than copied
     from a commit: its chunks as the rows of whole-level arrays.  log
     alpha2 is a prefix's letter sum plus a suffix's less log alpha1; each
     row is shifted by its own max and summed along the row, and the rows
     are joined in order in Python floats."""
-    k = n
-    while len(log_dets) ** k > PRESSURE_CHUNK and k > 1:
-        k -= 1
+    k = chunk_letters(len(log_dets), n)
     sums = python_letter_sums(log_dets, n - k)[:, None] \
         + python_letter_sums(log_dets, k)
     la2 = sums.reshape(-1) - la1
@@ -246,13 +254,20 @@ SUM_LEVELS = {1: 1, 7: 7, 8: 2, 129: 129,
 SUM_SIZES = tuple(SUM_LEVELS)
 
 
+def sum_level(size):
+    """(maps, n): the level n of SUM_LEVELS[size] maps that has size
+    words."""
+    maps, n = SUM_LEVELS[size], 1
+    while maps ** n < size:
+        n += 1
+    return maps, n
+
+
 def seeded_level(size, seed):
     """(la1, log_dets, n): the log|det| of SUM_LEVELS[size] random maps,
     and log alpha1 of the size words of a level n of them, between half
     the word's letter sum (alpha1 = alpha2) and 5 more."""
-    g, maps, n = rng(seed), SUM_LEVELS[size], 1
-    while maps ** n < size:
-        n += 1
+    g, (maps, n) = rng(seed), sum_level(size)
     log_dets = g.uniform(-8.0, -1.0, maps)
     la1 = 0.5 * _letter_sums(log_dets, n) + g.uniform(0.0, 5.0, size)
     return la1, log_dets, n
@@ -287,10 +302,8 @@ class TestPressureLeaves:
         x = rng(size).normal(size=size) * 10.0 ** rng(size + 1).integers(
             -8, 8, size)
         assert x.sum() == pairwise_model(x)
-        maps, chunk = SUM_LEVELS[size], size
-        while chunk > PRESSURE_CHUNK and chunk % maps == 0 and chunk > maps:
-            chunk //= maps
-        rows = x.reshape(-1, chunk)
+        maps, n = sum_level(size)
+        rows = x.reshape(-1, maps ** chunk_letters(maps, n))
         assert rows.sum(axis=1).tolist() \
             == [pairwise_model(row) for row in rows]
 

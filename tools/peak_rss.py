@@ -38,6 +38,7 @@ def child_peak(args, env):
                                 stdin=subprocess.DEVNULL, stdout=sink,
                                 stderr=sink)
         _, status, usage = os.wait4(proc.pid, 0)
+    # reaped here, so Popen must not wait for it again
     proc.returncode = os.waitstatus_to_exitcode(status)
     return proc.returncode, usage.ru_maxrss
 
