@@ -26,7 +26,7 @@ from .geometry import content_consistency, hausdorff_content_projection, \
     posc_check, projected_gap, slice_points, slice_upper_bound, ssc_check, \
     tangent_dimension_scan, transversality_derivative, \
     transversality_tail_bound
-from .ifs import Ifs, batch_singular_values, word_label
+from .ifs import Ifs, batch_singular_values, fit_level, word_label
 from .projective import PI, ProjPoint, classify_irreducibility, \
     furstenberg_directions, is_dominated, strictly_affine
 from .thermo import _cylinder_directions, affinity_dimension, \
@@ -340,7 +340,7 @@ def _suite_ahl(ifs, spec, args):
 
 def _suite_gibbs(ifs, spec, args):
     s_star, _ = affinity_dimension(ifs)
-    depths = [d for d in range(4, 9) if ifs.n_maps ** d <= 200_000]
+    depths = list(range(4, fit_level(ifs.n_maps, 8, 200_000, 3) + 1))
     if len(depths) < 2:
         return _skip("gibbs", "alphabet too large for the depth ladder")
     try:

@@ -26,6 +26,17 @@ _DET_EPS = 1e-14
 LEVEL_BLOCK = 2 ** 14
 
 
+def fit_level(n_maps, n, words, least):
+    """The deepest level m <= n whose n_maps^m words are at most words,
+    not lowered below least; n itself when n <= least.  The one rule by
+    which a depth is fitted to a word count, in integers: a ratio of
+    float logs loses the level at an exact power such as 3^13."""
+    m = n
+    while n_maps ** m > words and m > least:
+        m -= 1
+    return m
+
+
 def det2(mats):
     """Determinants a*d - b*c over a stack of 2x2 matrices (shape
     (..., 2, 2)): the one place they are taken from the entries."""
@@ -273,10 +284,7 @@ class Ifs:
     def _suffix_level(self, n):
         """The deepest level m <= n of at most LEVEL_BLOCK words, or level
         1: the level whose blocks `_level_walk` extends to level n."""
-        m = n
-        while self.n_maps ** m > LEVEL_BLOCK and m > 1:
-            m -= 1
-        return m
+        return fit_level(self.n_maps, n, LEVEL_BLOCK, 1)
 
     def _level(self, n, lins):
         """The products of level n over the stack lins, whole: the one
@@ -394,10 +402,7 @@ class Ifs:
     def _fit_depth(self, depth):
         """The depth, lowered to at least 2 until a full level fits in
         min(word cap, 500_000) words."""
-        limit = min(word_cap(), 500_000)
-        while self.n_maps ** depth > limit and depth > 2:
-            depth -= 1
-        return depth
+        return fit_level(self.n_maps, depth, min(word_cap(), 500_000), 2)
 
     @derived
     def _cylinder_centers(self, depth):
@@ -444,7 +449,7 @@ class Ifs:
             return x.transpose(1, 2, 0).take(at, axis=2).transpose(2, 0, 1)
 
         found, emitted = [], 0
-        for depth in range(1, int(63 / math.log2(max(n, 2))) + 1):
+        for depth in range(1, fit_level(n, 63, 2 ** 63, 1) + 1):
             a1 = batch_singular_values(mats)[0]
             if prune is not None:
                 keep = np.flatnonzero(~prune(mats, pts, a1))

@@ -220,9 +220,11 @@ def certify_invariance(cone, arrs):
 def is_dominated(ifs, depth=6):
     """Domination report: certificate via multicone search, plus a
     least-squares (C, tau) fit of alpha2/alpha1 <= C tau^n over all words
-    up to depth.  The fit is a diagnostic only and never certifies."""
+    up to depth, fitted by `Ifs._fit_depth`.  The fit is a diagnostic only
+    and never certifies."""
     if depth < 3:
         raise ValueError("depth must be >= 3")
+    depth = ifs._fit_depth(depth)
     cone = find_invariant_multicone(ifs)
     levels = [ifs.level_singular_values(n) for n in range(1, depth + 1)]
     logs = np.concatenate([np.log(a2 / a1) for a1, a2 in levels])
@@ -252,10 +254,10 @@ class IrreducibilityClass(NamedTuple):
 
 def strictly_affine(ifs, depth=6):
     """Search for a proximal product (two real eigenvalues of different
-    modulus): trace^2 > 4 det together with nonzero trace.  Level by level
-    in lexicographic order, so the witness is the least proximal word of
-    the shortest length."""
-    for n in range(1, depth + 1):
+    modulus): trace^2 > 4 det together with nonzero trace, up to depth
+    fitted by `Ifs._fit_depth`.  Level by level in lexicographic order, so
+    the witness is the least proximal word of the shortest length."""
+    for n in range(1, ifs._fit_depth(depth) + 1):
         p = ifs.level_products(n)
         tr = p[:, 0, 0] + p[:, 1, 1]
         hits = np.flatnonzero((tr * tr > 4.0 * det2(p) + 1e-14)
@@ -300,11 +302,12 @@ def classify_irreducibility(ifs):
                 "IrreducibleNotStrongly",
                 (ProjPoint(cands[k]), ProjPoint(rest[hit[0]])))
 
-    found, witness = strictly_affine(ifs)
+    depth = ifs._fit_depth(6)
+    found, witness = strictly_affine(ifs, depth)
     if not found:
         raise Inconclusive(
-            "no proximal product up to depth 6; strong irreducibility "
-            "not certified")
+            f"no proximal product up to depth {depth}; strong "
+            "irreducibility not certified")
     return IrreducibilityClass("StronglyIrreducible", (witness,))
 
 

@@ -12,8 +12,9 @@ from typing import NamedTuple
 import numpy as np
 
 from .config import word_cap
-from .errors import BudgetExceeded, DegenerateRange, NotConverged, NotDominated
-from .ifs import LEVEL_BLOCK, derived, det2, log_svf, mul2, pull_back
+from .errors import DegenerateRange, NotConverged, NotDominated
+from .ifs import LEVEL_BLOCK, derived, det2, fit_level, log_svf, mul2, \
+    pull_back
 from .projective import ProjPoint, complement, find_invariant_multicone
 from .roots import brentq
 
@@ -60,16 +61,15 @@ def _log_sum_fn(la1, log_dets, n):
     """p(s) = (1/n) log sum of phi^s over the words of level n, from
     their log alpha1 la1 in lexicographic word order and the log|det| of
     the letters.  alpha1 alpha2 = |det A_w|, and det is multiplicative, so
-    log alpha2 is the letter sum of log|det| less log alpha1.  It is
-    rebuilt in one buffer, a chunk of at most PRESSURE_CHUNK words that
-    share a prefix at a time, as the prefix's letter sum plus the
-    suffixes' (`_letter_sums`) less log alpha1.  Each chunk is summed
+    log alpha2 is the letter sum of log|det| less log alpha1.  For s > 1,
+    where phi^s reads it, it is rebuilt in one buffer, a chunk of at most
+    PRESSURE_CHUNK words that share a prefix at a time, as the prefix's
+    letter sum plus the suffixes' (`_letter_sums`) less log alpha1; for
+    s <= 1 the buffer takes s log alpha1 alone.  Each chunk is summed
     shifted by its own max and joined to the running sum in the same
     pass.  Each s is summed once: the root solvers ask again for the ends
     of their bracket."""
-    k = n
-    while len(log_dets) ** k > PRESSURE_CHUNK and k > 1:
-        k -= 1
+    k = fit_level(len(log_dets), n, PRESSURE_CHUNK, 1)
     suffix, prefix = _letter_sums(log_dets, k), _letter_sums(log_dets, n - k)
     buf = np.empty(len(suffix))
     seen = {}
@@ -79,9 +79,11 @@ def _log_sum_fn(la1, log_dets, n):
             m, total = -math.inf, 0.0
             for lead, start in zip(prefix, range(0, len(la1), len(buf))):
                 words = la1[start:start + len(buf)]
-                la2 = np.add(lead, suffix, out=buf)
-                la2 -= words
-                logs = log_svf(words, la2, s, out=la2)
+                la2 = None
+                if s > 1.0:
+                    la2 = np.add(lead, suffix, out=buf)
+                    la2 -= words
+                logs = log_svf(words, la2, s, out=buf)
                 top = logs.max()
                 logs -= top
                 chunk = np.exp(logs, out=logs).sum()
@@ -137,11 +139,10 @@ def affinity_dimension(ifs, tol=1e-10, budget=200_000):
         la2 = np.log(ifs.level_singular_values(1)[1])
         lo, hi = sorted((solve(_log_sum_fn(la2, 2.0 * la2, 1)), root_hi))
         return root_hi, (lo, hi)
-    # the deepest level of at least 2 that fits, in integers: a ratio of
-    # float logs loses the level at an exact power such as 3^13
-    budget, n_hi = min(budget, word_cap()), 2
-    while ifs.n_maps ** (n_hi + 1) <= budget:
-        n_hi += 1
+    # the deepest level of at least 2 that fits: N >= 2, so no level
+    # deeper than the budget's bit length does
+    budget = min(budget, word_cap())
+    n_hi = fit_level(ifs.n_maps, max(budget.bit_length(), 2), budget, 2)
     n_lo = max(n_hi // 2, 1)
     p_hi = _pressure_fn(ifs, n_hi)
     p_lo = _pressure_fn(ifs, n_lo)
@@ -232,9 +233,7 @@ class TransferOperator(NamedTuple):
 def transfer_matrix(ifs, s, m):
     """Sparse depth-m cylinder discretization of the weighted transfer
     operator: (Lf)(w) = sum_i exp(g_s(i w)) f((i w)|_m)."""
-    size = ifs.n_maps ** m
-    if size > word_cap():
-        raise BudgetExceeded(word_cap(), size)
+    ifs._level_size(m)          # raises before a level over the word cap
     thetas = _cylinder_directions(ifs, m)
     # g_s(i w) pairs letter i with the direction of cylinder w
     perp = thetas + math.pi / 2.0

@@ -1,6 +1,7 @@
 import argparse
 import gc
 import json
+import math
 import os
 import resource
 import subprocess
@@ -377,7 +378,7 @@ class TestErrorContract:
         assert not out.exists()
 
     @pytest.mark.parametrize("argv", [["check", "--depth", "3"],
-                                      ["verify", "diml"]])
+                                      ["verify", "diml"], ["check"]])
     def test_many_maps_in_bounded_memory(self, tmp_path, argv):
         # the full 4 x 7 carpet: 28 maps and their 812 level-1 and level-2
         # products run every stage of the command at once; the carpet is
@@ -391,6 +392,47 @@ class TestErrorContract:
                       preexec_fn=cap_memory)
         assert out.returncode in (EXIT_OK, EXIT_CONDITION)
         assert "Traceback" not in out.stderr
+
+    @staticmethod
+    def twenty_maps(family):
+        """20 maps: a 4 x 7 carpet on 20 of its cells, drawn by
+        default_rng(3), whose pieces touch; or the rotations
+        0.1 R(0.3 i + 0.1) translated to 0.9 (cos 2 pi i/20, sin 2 pi i/20),
+        which are separated and make no proximal product."""
+        if family == "carpet":
+            picked = np.random.default_rng(3).choice(28, 20, replace=False)
+            return {"p": 4, "q": 7,
+                    "digits": [[int(k) // 7, int(k) % 7]
+                               for k in sorted(picked)]}
+        maps = []
+        for i in range(20):
+            c, s = math.cos(0.3 * i + 0.1), math.sin(0.3 * i + 0.1)
+            maps.append({"a": 0.1 * c, "b": -0.1 * s, "c": 0.1 * s,
+                         "d": 0.1 * c,
+                         "tx": 0.9 * math.cos(2.0 * math.pi * i / 20),
+                         "ty": 0.9 * math.sin(2.0 * math.pi * i / 20)})
+        return {"maps": maps}
+
+    @pytest.mark.parametrize("family, code, ssc", [
+        ("carpet", EXIT_CONDITION, "Overlap"),
+        ("rotations", EXIT_OK, "Certified")])
+    def test_twenty_maps_check_at_default_depth(self, tmp_path, family,
+                                                code, ssc):
+        # every depth of check is fitted to 500,000 words: level 4 of 20
+        # maps, not the 64M words of level 6
+        spec = tmp_path / "family.json"
+        spec.write_text(json.dumps(self.twenty_maps(family)))
+        out = run_cli(["check", "--input", str(spec),
+                       "--out", str(tmp_path / "check.json")],
+                      preexec_fn=cap_memory)
+        assert (out.returncode, out.stderr) == (code, "")
+        rep = strict_json((tmp_path / "check.json").read_text())
+        assert (rep["ssc"]["separated"], rep["ssc"]["depth"]) == (ssc, 4)
+        if family == "rotations":
+            assert rep["strictly_affine"] == {"found": False,
+                                              "witness": None}
+            assert rep["irreducibility"]["diagnostic"].startswith(
+                "no proximal product up to depth 4;")
 
     def test_pair_stage_in_bounded_memory(self):
         # 28 positive maps: none of their 1,624 candidate lines is fixed

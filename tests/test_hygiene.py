@@ -3,8 +3,8 @@ uses each name it imports and imports only at module level, only
 Ifs.frontier takes a word limit of its own, every defaulted parameter is
 set by some call, 2x2 products go through the one kernel ifs.mul2,
 projective angles come from math.atan2 and not np.arctan2, one function
-branches on s at 1 and 2, one function takes a*d - b*c from a matrix's
-entries, the estimators take no norms and no reductions along axis 0,
+branches on s at 1 and 2, one function fits a level to a word count in
+a while loop, one function takes a*d - b*c from a matrix's entries, the estimators take no norms and no reductions along axis 0,
 interval_content has no for loop and no comprehension, only the
 estimators copy an array with np.ascontiguousarray, Ifs.frontier and
 the callers of the product levels have no @, no module makes an array of
@@ -326,6 +326,51 @@ def test_one_singular_value_function():
             found += [f"{module}:{name}"
                       for name in s_branch_functions(fh.read())]
     assert found == ["ifs.py:log_svf"]
+
+
+def power_loops(source):
+    """Dotted names of the functions around every while loop whose test
+    takes a power, by ** or pow(), one entry per loop; a loop outside
+    every function is named "<module>"."""
+    found = []
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                  ast.ClassDef)):
+                visit(child, scope + [child.name])
+                continue
+            if isinstance(child, ast.While) and any(
+                    isinstance(t, ast.BinOp) and isinstance(t.op, ast.Pow)
+                    or isinstance(t, ast.Call)
+                    and getattr(t.func, "id", None) == "pow"
+                    for t in ast.walk(child.test)):
+                found.append(".".join(scope) or "<module>")
+            visit(child, scope)
+    visit(ast.parse(source), [])
+    return sorted(found)
+
+
+def test_checker_finds_power_loops():
+    src = ("def a(n, m):\n    while n ** m > 9 and m > 1:\n        m -= 1\n"
+           "    while m < 3:\n        m += 1\n    return m\n"
+           "class C:\n    def b(self, k):\n"
+           "        while pow(2, k) > 5:\n            k -= 1\n"
+           "        def inner(j):\n            while 3 ** j < 9:\n"
+           "                j += 1\n            return j\n"
+           "        return inner(k)\n"
+           "while 2 ** 3 < 1:\n    pass\n")
+    assert power_loops(src) == ["<module>", "C.b", "C.b.inner", "a"]
+
+
+def test_one_level_fit():
+    # the deepest level that fits a word count is found in one place,
+    # ifs.fit_level; a second loop would have to stay in step with it
+    found = []
+    for module in MODULES:
+        with open(os.path.join(SRC_DIR, module)) as fh:
+            found += [f"{module}:{name}" for name in power_loops(fh.read())]
+    assert found == ["ifs.py:fit_level"]
 
 
 def entry_determinants(source):

@@ -11,10 +11,11 @@ from affinedim.errors import BudgetExceeded, IndexOutOfRange
 from affinedim.geometry import DIAM_GRID, DiameterTable, _misses, \
     _proj_stop, _proj_stopping, projected_diameter_bound
 from affinedim.ifs import LEVEL_BLOCK, Cylinders, Ifs, _cloud_diameter, \
-    batch_singular_values, det2, derived, hull_vertices, log_svf, mul2, \
-    word_label
+    batch_singular_values, det2, derived, fit_level, hull_vertices, \
+    log_svf, mul2, word_label
 from affinedim.projective import ProjPoint, strictly_affine
-from affinedim.thermo import _letter_sums, affinity_dimension
+from affinedim.thermo import PRESSURE_CHUNK, _letter_sums, \
+    affinity_dimension
 
 from conftest import kept_arrays, load_fixture, svd_svf
 
@@ -389,6 +390,127 @@ class TestLevelBlocks:
         assert ifs._cache
         assert not [part for part in kept_arrays(ifs)
                     if part.nbytes > 2 ** 20]
+
+
+# The rules that fit_level replaced, kept as its oracles.
+
+def old_fit_depth(n_maps, depth, limit):
+    """`Ifs._fit_depth` at commit 6acc1cc, its limit min(word cap,
+    500_000) passed in."""
+    while n_maps ** depth > limit and depth > 2:
+        depth -= 1
+    return depth
+
+
+def old_suffix_level(n_maps, n):
+    """`Ifs._suffix_level` at commit 6acc1cc."""
+    m = n
+    while n_maps ** m > LEVEL_BLOCK and m > 1:
+        m -= 1
+    return m
+
+
+def old_chunk_level(n_letters, n):
+    """The chunk level k of `thermo._log_sum_fn` at commit 6acc1cc."""
+    k = n
+    while n_letters ** k > PRESSURE_CHUNK and k > 1:
+        k -= 1
+    return k
+
+
+def old_affinity_level(n_maps, budget):
+    """The level n_hi of `thermo.affinity_dimension` at commit 6acc1cc,
+    its budget already lowered to the word cap."""
+    n_hi = 2
+    while n_maps ** (n_hi + 1) <= budget:
+        n_hi += 1
+    return n_hi
+
+
+def old_frontier_depth(n_maps):
+    """The deepest level of `Ifs.frontier` at commit 6acc1cc."""
+    return int(63 / math.log2(max(n_maps, 2)))
+
+
+def old_gibbs_ladder(n_maps):
+    """The depth ladder of `cli._suite_gibbs` at commit 6acc1cc."""
+    return [d for d in range(4, 9) if n_maps ** d <= 200_000]
+
+
+def int_root(x, m):
+    """The largest integer r with r^m <= x."""
+    r = int(round(x ** (1.0 / m)))
+    while r ** m > x:
+        r -= 1
+    while (r + 1) ** m <= x:
+        r += 1
+    return r
+
+
+class TestFitLevel:
+    def test_fit_depth(self):
+        for limit in (0, 1, 8, 100, 3 ** 13 - 1, 3 ** 13, 500_000):
+            for n_maps in range(2, 40):
+                for depth in range(0, 21):
+                    assert fit_level(n_maps, depth, limit, 2) \
+                        == old_fit_depth(n_maps, depth, limit)
+
+    def test_fit_depth_method(self, monkeypatch):
+        for name in ("sim3.json", "cone.json", "carpet.json"):
+            ifs = load_fixture(name)
+            for cap in ("100", "500000", "5000000"):
+                monkeypatch.setenv("AFFINEDIM_WORD_CAP", cap)
+                for depth in range(0, 21):
+                    assert ifs._fit_depth(depth) == old_fit_depth(
+                        ifs.n_maps, depth, min(int(cap), 500_000))
+
+    def test_suffix_and_chunk_levels(self):
+        for n_maps in [*range(2, 200), LEVEL_BLOCK, LEVEL_BLOCK + 1,
+                       PRESSURE_CHUNK, PRESSURE_CHUNK + 1]:
+            for n in range(0, 20):
+                assert fit_level(n_maps, n, LEVEL_BLOCK, 1) \
+                    == old_suffix_level(n_maps, n)
+                assert fit_level(n_maps, n, PRESSURE_CHUNK, 1) \
+                    == old_chunk_level(n_maps, n)
+
+    def test_affinity_level(self):
+        budgets = [0, 1, 2, 3, 4, 7, 8, 9, 26, 27, 28, 100, 2 * 10 ** 5 - 1,
+                   2 * 10 ** 5, 2 * 10 ** 5 + 1, 3 ** 13 - 1, 3 ** 13,
+                   3 ** 13 + 1, 2 ** 21, 2 ** 22 - 1, 4 * 10 ** 6,
+                   5 * 10 ** 6]
+        for n_maps in range(2, 40):
+            for budget in budgets:
+                top = max(budget.bit_length(), 2)
+                assert fit_level(n_maps, top, budget, 2) \
+                    == old_affinity_level(n_maps, budget)
+
+    def test_frontier_depth(self):
+        # both rules fall with the number of maps, so they agree on 2 to
+        # 200 000 maps when they agree at each end of every run of
+        # fit_level: int_root(2^63, m) is the most maps of depth m
+        ends = set()
+        for m in range(1, 64):
+            r = int_root(2 ** 63, m)
+            ends |= {r, r + 1}
+        for n_maps in sorted(set(range(2, 2 ** 12)) | ends):
+            if 2 <= n_maps <= 200_000:
+                assert fit_level(n_maps, 63, 2 ** 63, 1) \
+                    == old_frontier_depth(n_maps)
+
+    def test_gibbs_ladder(self):
+        for n_maps in range(2, 100):
+            assert list(range(4, fit_level(n_maps, 8, 200_000, 3) + 1)) \
+                == old_gibbs_ladder(n_maps)
+
+    def test_shallow_levels_are_kept(self):
+        # n <= least is never lowered, whatever the words; n = 0 fits
+        for n_maps in (2, 3, 28, 10 ** 6):
+            assert fit_level(n_maps, 0, 0, 1) == 0
+            assert fit_level(n_maps, 0, 10, 2) == 0
+            assert fit_level(n_maps, 1, 0, 1) == 1
+            assert fit_level(n_maps, 2, 0, 2) == 2
+            assert fit_level(n_maps, 2, 0, 3) == 2
+            assert fit_level(n_maps, 5, 0, 2) == 2
 
 
 class TestDeterminantIdentity:

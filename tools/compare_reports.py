@@ -7,10 +7,11 @@ PARENT and CHANGE are directories that hold src/affinedim, such as two
 invocation of the benchmark's workloads (perfbench/workloads.py beside
 this tool, loaded without writing bytecode), then `check`, `dims`,
 every `verify` suite, `render --depth 3`, `render --depth 6
---directions`, `carpet` and `carpet --eps 0.01` on each shipped fixture;
-a render's SVG is compared as its report.  Each run is a fresh
-process with OMP_NUM_THREADS=1 and the checkout's src first on
-PYTHONPATH; the two checkouts run side by side, one process each.
+--directions`, `carpet` and `carpet --eps 0.01` on each shipped fixture,
+each invocation once; a render's SVG is compared as its report.  Each
+run is a fresh process with OMP_NUM_THREADS=1 and the checkout's src
+first on PYTHONPATH; the two checkouts run side by side, one process
+each.
 
 Every invocation whose report, stdout or exit code differs is printed
 with a diff of what differs; a report that parses as JSON in both
@@ -75,9 +76,9 @@ def suites(checkout):
 
 
 def invocations(workloads, names, verify_suites):
-    """(args, fixture) of every run at one seed: the benchmark's in
-    workload order, then check, dims, each verify suite, two renders and
-    two carpet reports per fixture."""
+    """(args, fixture) of every run at one seed, each once where it first
+    comes: the benchmark's in workload order, then check, dims, each
+    verify suite, two renders and two carpet reports per fixture."""
     runs = [(inv.args, inv.fixture)
             for calls in workloads.WORKLOADS.values() for inv in calls]
     commands = [("check",), ("dims",)] \
@@ -85,7 +86,8 @@ def invocations(workloads, names, verify_suites):
         + [("render", "--depth", "3"),
            ("render", "--depth", "6", "--directions"),
            ("carpet",), ("carpet", "--eps", "0.01")]
-    return runs + [(args, f) for args in commands for f in names]
+    return list(dict.fromkeys(
+        runs + [(args, f) for args in commands for f in names]))
 
 
 def argv(args, fixture, seed, out):
