@@ -4,7 +4,8 @@ Ifs.frontier takes a word limit of its own, every defaulted parameter is
 set by some call, 2x2 products go through the one kernel ifs.mul2,
 projective angles come from math.atan2 and not np.arctan2, one function
 branches on s at 1 and 2, one function fits a level to a word count in
-a while loop, one function takes a*d - b*c from a matrix's entries, the estimators take no norms and no reductions along axis 0,
+a while loop, one function takes a*d - b*c from a matrix's entries,
+the estimators take no norms and no reductions along axis 0,
 interval_content has no for loop and no comprehension, only the
 estimators copy an array with np.ascontiguousarray, Ifs.frontier and
 the callers of the product levels have no @, no module makes an array of
