@@ -206,8 +206,9 @@ def ssc_check(ifs, depth=6):
 
     Certified: the least gap of `_pair_scan` is positive, so the cylinder
     balls of different first letters are disjoint.  Overlap: some cross
-    pair of cylinder balls intersects at three successive refinement
-    depths.  Unknown otherwise.
+    pair of cylinder balls intersects at depth and at each deeper fitted
+    depth of depth + 1 and depth + 2, each scanned once: at the fitted
+    ceiling, fewer than three depths.  Unknown otherwise.
     """
     if depth < 2:
         raise ValueError("depth must be >= 2")
@@ -216,9 +217,9 @@ def ssc_check(ifs, depth=6):
     if lo > 0:
         return SscReport("Certified", lo, hi, depth)
     # persistence test: the intersecting-ball condition, just seen at
-    # depth, must survive the next two depths to be called an overlap
-    if lo < 0 and all(_pair_scan(ifs, ifs._fit_depth(d))[0] < 0
-                      for d in (depth + 1, depth + 2)):
+    # depth, must hold at each deeper fitted depth to be an overlap
+    deeper = {ifs._fit_depth(d) for d in (depth + 1, depth + 2)} - {depth}
+    if lo < 0 and all(_pair_scan(ifs, d)[0] < 0 for d in sorted(deeper)):
         return SscReport("Overlap", 0.0, max(hi, 0.0), depth)
     return SscReport("Unknown", 0.0, max(hi, 0.0), depth)
 

@@ -286,18 +286,6 @@ class Ifs:
         1: the level whose blocks `_level_walk` extends to level n."""
         return fit_level(self.n_maps, n, LEVEL_BLOCK, 1)
 
-    def _level(self, n, lins):
-        """The products of level n over the stack lins, whole: the one
-        block of `_level_walk`, or its blocks gathered."""
-        size, level = self.n_maps ** n, None
-        for start, prods, _ in self._level_walk(n, lins):
-            if len(prods) == size:
-                return prods
-            if level is None:
-                level = _entry_major(size)
-            level[start:start + len(prods)] = prods
-        return level
-
     def level_images(self, x, n):
         """phi_w(x) for every word w of length n, in lexicographic word
         order: points x of shape (k, ..., 2) give a C-ordered
@@ -317,34 +305,28 @@ class Ifs:
     def level_products(self, n):
         """All products A_w for |w| = n in lexicographic word order, held
         entry-major (see `_entry_major`) with the values of a C-ordered
-        stack; `mul2`, `pull_back` and `det2` read either layout alike."""
-        return self._level(n, self.lins)
+        stack; `mul2`, `pull_back` and `det2` read either layout alike.
+        The one block of `_level_walk`, or its blocks gathered: the one
+        place a whole level of products is held."""
+        size, level = self.n_maps ** n, None
+        for start, prods, _ in self._level_walk(n, self.lins):
+            if len(prods) == size:
+                return prods
+            if level is None:
+                level = _entry_major(size)
+            level[start:start + len(prods)] = prods
+        return level
 
-    def _level_singular_values(self, n):
-        """(alpha1, alpha2) of level n, block by block from the products
-        and the determinants that `_level_walk` carries; no more of the
-        level's products is held than its blocks."""
+    def level_singular_values(self, n):
+        """(alpha1, alpha2) of level_products(n), block by block from the
+        products and the determinants that `_level_walk` carries, so no
+        more of the level's products is held than its blocks.  They are
+        not kept, and a caller may overwrite them."""
         a1, a2 = np.empty((2, self._level_size(n)))
         for start, prods, dets in self._level_walk(n, self.lins):
             span = slice(start, start + len(prods))
             a1[span], a2[span] = batch_singular_values(prods, dets)
         return a1, a2
-
-    @derived
-    def level_singular_values(self, n):
-        """(alpha1, alpha2) of level_products(n), without the level of
-        products."""
-        return self._level_singular_values(n)
-
-    def level_log_singular_values(self, n):
-        """(log alpha1, log alpha2) of level n, equal to np.log of
-        level_singular_values(n) bit for bit and taken in place, so
-        neither the level's products nor a second level of values is
-        held.  They are not kept."""
-        logs = self._level_singular_values(n)
-        for x in logs:
-            np.log(x, out=x)
-        return logs
 
     def level_log_alpha1(self, n):
         """log alpha1 of level n, equal to np.log of

@@ -179,8 +179,9 @@ class EqState(NamedTuple):
 def _cylinder_directions(ifs, m):
     """Limit direction estimate for each depth-m cylinder w: the inverse
     product A_{w1}^{-1} ... A_{wm}^{-1} applied to a direction in the
-    complement of the invariant cone.  For similarity tuples every
-    direction carries the same norm, so the zero angle is returned."""
+    complement of the invariant cone, block by block from the inverse
+    walk of `Ifs._level_walk`.  For similarity tuples every direction
+    carries the same norm, so the zero angle is returned."""
     if is_similarity(ifs):
         return np.zeros(ifs.n_maps ** m)
     cone = find_invariant_multicone(ifs)
@@ -188,10 +189,13 @@ def _cylinder_directions(ifs, m):
         raise NotDominated("transfer operator needs a certified multicone")
     gaps = complement(cone)
     v0 = ProjPoint(gaps.starts[0] + gaps.widths[0] / 2.0).vector
-    prods = ifs._level(m, np.linalg.inv(ifs.lins))
-    vecs = mul2(prods, v0[:, None])[..., 0]
-    vecs /= np.linalg.norm(vecs, axis=1, keepdims=True)
-    return np.mod(np.arctan2(vecs[:, 1], vecs[:, 0]), math.pi)
+    thetas = np.empty(ifs._level_size(m))
+    for start, prods, _ in ifs._level_walk(m, np.linalg.inv(ifs.lins)):
+        vecs = mul2(prods, v0[:, None])[..., 0]
+        vecs /= np.linalg.norm(vecs, axis=1, keepdims=True)
+        np.arctan2(vecs[:, 1], vecs[:, 0],
+                   out=thetas[start:start + len(vecs)])
+    return np.mod(thetas, math.pi, out=thetas)
 
 
 class TransferOperator(NamedTuple):
@@ -301,7 +305,8 @@ def kaenmaki_weights(ifs, depth, s):
     state = equilibrium_state(ifs, s, m=depth)
     w = state.h * state.nu
     w = w / w.sum()
-    lr = np.log(w) - log_svf(*ifs.level_log_singular_values(depth), s)
+    logs = [np.log(x, out=x) for x in ifs.level_singular_values(depth)]
+    lr = np.log(w) - log_svf(*logs, s)
     return GibbsWeights(depth, w, s, float(np.exp(lr.max() - lr.min())))
 
 

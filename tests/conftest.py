@@ -1,4 +1,5 @@
 import json
+import math
 import os
 
 import numpy as np
@@ -37,6 +38,26 @@ def load_fixture(name):
     if "maps" in data:
         return Ifs.from_json(data)
     return to_ifs(CarpetSpec.from_json(data))
+
+
+def twenty_maps(family):
+    """20 maps: a 4 x 7 carpet on 20 of its cells, drawn by
+    default_rng(3), whose pieces touch; or the rotations
+    0.1 R(0.3 i + 0.1) translated to 0.9 (cos 2 pi i/20, sin 2 pi i/20),
+    which are separated and make no proximal product."""
+    if family == "carpet":
+        picked = np.random.default_rng(3).choice(28, 20, replace=False)
+        return {"p": 4, "q": 7,
+                "digits": [[int(k) // 7, int(k) % 7]
+                           for k in sorted(picked)]}
+    maps = []
+    for i in range(20):
+        c, s = math.cos(0.3 * i + 0.1), math.sin(0.3 * i + 0.1)
+        maps.append({"a": 0.1 * c, "b": -0.1 * s, "c": 0.1 * s,
+                     "d": 0.1 * c,
+                     "tx": 0.9 * math.cos(2.0 * math.pi * i / 20),
+                     "ty": 0.9 * math.sin(2.0 * math.pi * i / 20)})
+    return {"maps": maps}
 
 
 @pytest.fixture(scope="session")

@@ -1,7 +1,6 @@
 import argparse
 import gc
 import json
-import math
 import os
 import resource
 import subprocess
@@ -19,7 +18,7 @@ from affinedim.errors import AffinedimError, DegenerateRange
 from affinedim.geometry import PoscReport
 from affinedim.ifs import LEVEL_BLOCK, Ifs
 
-from conftest import FIXTURE_DIR, kept_arrays
+from conftest import FIXTURE_DIR, kept_arrays, twenty_maps
 
 SRC = os.path.join(os.path.dirname(__file__), os.pardir, "src")
 
@@ -393,26 +392,6 @@ class TestErrorContract:
         assert out.returncode in (EXIT_OK, EXIT_CONDITION)
         assert "Traceback" not in out.stderr
 
-    @staticmethod
-    def twenty_maps(family):
-        """20 maps: a 4 x 7 carpet on 20 of its cells, drawn by
-        default_rng(3), whose pieces touch; or the rotations
-        0.1 R(0.3 i + 0.1) translated to 0.9 (cos 2 pi i/20, sin 2 pi i/20),
-        which are separated and make no proximal product."""
-        if family == "carpet":
-            picked = np.random.default_rng(3).choice(28, 20, replace=False)
-            return {"p": 4, "q": 7,
-                    "digits": [[int(k) // 7, int(k) % 7]
-                               for k in sorted(picked)]}
-        maps = []
-        for i in range(20):
-            c, s = math.cos(0.3 * i + 0.1), math.sin(0.3 * i + 0.1)
-            maps.append({"a": 0.1 * c, "b": -0.1 * s, "c": 0.1 * s,
-                         "d": 0.1 * c,
-                         "tx": 0.9 * math.cos(2.0 * math.pi * i / 20),
-                         "ty": 0.9 * math.sin(2.0 * math.pi * i / 20)})
-        return {"maps": maps}
-
     @pytest.mark.parametrize("family, code, ssc", [
         ("carpet", EXIT_CONDITION, "Overlap"),
         ("rotations", EXIT_OK, "Certified")])
@@ -421,7 +400,7 @@ class TestErrorContract:
         # every depth of check is fitted to 500,000 words: level 4 of 20
         # maps, not the 64M words of level 6
         spec = tmp_path / "family.json"
-        spec.write_text(json.dumps(self.twenty_maps(family)))
+        spec.write_text(json.dumps(twenty_maps(family)))
         out = run_cli(["check", "--input", str(spec),
                        "--out", str(tmp_path / "check.json")],
                       preexec_fn=cap_memory)

@@ -23,7 +23,7 @@ from affinedim.ifs import Ifs, batch_singular_values, hull_vertices, \
     pull_back
 from affinedim.projective import PI, ProjPoint, furstenberg_directions
 from affinedim.thermo import _cylinder_directions, affinity_dimension
-from conftest import FIXTURE_DIR, load_fixture
+from conftest import FIXTURE_DIR, load_fixture, twenty_maps
 
 
 def rng(seed=0):
@@ -211,6 +211,22 @@ class TestSsc:
         monkeypatch.setattr(geometry, "_first_level_clouds", spy)
         assert ssc_check(square4).separated == "Overlap"
         assert depths == [6, 7, 8]
+
+    def test_each_fitted_depth_is_scanned_once(self, monkeypatch):
+        # 20 maps fit depths 6, 7 and 8 to level 4 alike, so the
+        # persistence test has no deeper depth to scan
+        ifs = to_ifs(CarpetSpec.from_json(twenty_maps("carpet")))
+        depths = []
+        scan = geometry._pair_scan
+
+        def spy(ifs, depth):
+            depths.append(depth)
+            return scan(ifs, depth)
+
+        monkeypatch.setattr(geometry, "_pair_scan", spy)
+        rep = ssc_check(ifs)
+        assert (rep.separated, rep.depth) == ("Overlap", 4)
+        assert depths == [4]
 
 
 FIXTURES = ["sim3", "cantor2", "square4", "positive_pair", "cone_ifs",

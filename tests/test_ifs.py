@@ -344,11 +344,8 @@ class TestLevelBlocks:
                     seen[span] += 1
                 assert (seen == 1).all()
                 want = batch_singular_values(*whole[:2])
-                for got, logs, alpha in zip(ifs.level_singular_values(n),
-                                            ifs.level_log_singular_values(n),
-                                            want):
+                for got, alpha in zip(ifs.level_singular_values(n), want):
                     assert_same_bits(got, alpha)
-                    assert_same_bits(logs, np.log(alpha))
                 assert_same_bits(ifs.level_log_alpha1(n), np.log(want[0]))
 
     def test_more_maps_than_a_block_walk_level_one(self):
@@ -362,7 +359,6 @@ class TestLevelBlocks:
         ifs = Ifs.from_json(cone_ifs.to_json())
         monkeypatch.setenv("AFFINEDIM_WORD_CAP", str(3 ** 12 - 1))
         for walk in (lambda: next(walk_arrays(ifs, 12)),
-                     lambda: ifs.level_log_singular_values(12),
                      lambda: ifs.level_log_alpha1(12),
                      lambda: ifs.level_singular_values(12)):
             tracemalloc.start()
@@ -883,8 +879,11 @@ class TestMul2:
             assert_same_bits(ifs.level_products(n), prods)
             inv_prods = np.einsum("ipq,wqr->iwpr", invs, inv_prods) \
                 .reshape(-1, 2, 2)
-            # the level of inverse products that _cylinder_directions reads
-            assert_same_bits(ifs._level(n, invs), inv_prods)
+            # the inverse walk's blocks, which _cylinder_directions reads
+            gathered = np.empty_like(inv_prods)
+            for start, block, _ in ifs._level_walk(n, invs):
+                gathered[start:start + len(block)] = block
+            assert_same_bits(gathered, inv_prods)
             pts = (np.einsum("ipq,wq->iwp", ifs.lins, pts)
                    + ifs.vs[:, None, :]).reshape(-1, 2)
         assert_same_bits(ifs._cylinder_centers(depth)[0], pts)

@@ -2,6 +2,7 @@ from collections import Counter
 import itertools
 import math
 from types import SimpleNamespace
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -510,10 +511,12 @@ class TestTransferOperator:
             assert np.array_equal(L @ f, ref @ f)
             assert np.array_equal(L.adjoint(f), ref.T @ f)
 
-    @pytest.mark.parametrize("name", ["positive_pair", "cone_ifs"])
+    @pytest.mark.parametrize("name", ["positive_pair", "cone_ifs",
+                                      "carpet_ifs"])
     def test_directions_match_an_einsum_reference(self, name, request):
         # the inverse products and their images of v0 bit for bit, at
-        # levels where a stacked @ rounds apart from einsum
+        # levels where a stacked @ rounds apart from einsum; the carpet's
+        # level 7 is five blocks of the inverse walk
         ifs = request.getfixturevalue(name)
         gaps = complement(find_invariant_multicone(ifs))
         v0 = ProjPoint(gaps.starts[0] + gaps.widths[0] / 2.0).vector
@@ -542,6 +545,18 @@ class TestTransferOperator:
             det = a[0, 0] * a[1, 1] - a[0, 1] * a[1, 0]
             la2 = math.log(abs(det)) - la1
             assert np.array_equal(got, np.exp(log_svf(la1, la2, s)))
+
+    def test_directions_hold_no_inverse_level(self, carpet_ifs):
+        # the 5^7 inverse products are 2.4 MiB whole; the walk holds one
+        # block of 5^6 at a time beside the 0.6 MiB of directions
+        ifs = Ifs.from_json(carpet_ifs.to_json())
+        tracemalloc.start()
+        try:
+            _cylinder_directions(ifs, 7)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 5 * 2 ** 20
 
     def test_needs_cone_for_true_affine(self):
         # a squeeze and a quarter-turn: genuinely affine, no invariant cone

@@ -46,17 +46,32 @@ def test_runs_every_benchmark_call_and_every_suite():
 
 def test_reports_what_differs():
     tool = load_tool()
-    same = (b'{"a": 1}\n', b"", 0)
+    same = (b'{"a": 1}\n', b"", b"", 0)
     assert tool.differences(same, same) == []
     # a report of another shape is shown as a diff
-    lines = tool.differences(same, (b'{"a": 1, "b": 2}\n', b"", 2))
+    lines = tool.differences(same, (b'{"a": 1, "b": 2}\n', b"", b"", 2))
     assert lines[0] == "  report differs:"
     assert '    +{"a": 1, "b": 2}' in lines and '    -{"a": 1}' in lines
     assert lines[-1] == "  exit code: parent 0, change 2"
-    assert tool.differences((None, b"x\n", 1), same) \
+    assert tool.differences((None, b"x\n", b"", 1), same) \
         == ["  report: written by change only", "  stdout differs:",
             "    --- parent", "    +++ change", "    @@ -1 +0,0 @@",
             "    -x", "  exit code: parent 1, change 0"]
+
+
+def test_reports_a_stderr_that_differs(tmp_path):
+    tool = load_tool()
+    parent, change = tool.run_both((REPO, REPO), ("carpet",), "sim3", 1,
+                                   str(tmp_path))
+    assert parent == change
+    assert parent[2] == b"error: carpet command needs a p/q/digits input\n"
+    assert parent[3] == 1
+    change = (None, b"", b"error: needs p, q and digits\n", 1)
+    assert tool.differences(parent, change) \
+        == ["  stderr differs:", "    --- parent", "    +++ change",
+            "    @@ -1 +1 @@",
+            "    -error: carpet command needs a p/q/digits input",
+            "    +error: needs p, q and digits"]
 
 
 def test_lists_the_values_that_moved():
@@ -65,9 +80,9 @@ def test_lists_the_values_that_moved():
     change = b'{"a": {"x": 1.0, "y": [2, 3.25]}, "s": "Fail", "n": null}\n'
     assert tool.moved_values(parent, change) \
         == [("$.a.y[1]", 3.5, 3.25), ("$.s", "Pass", "Fail")]
-    assert tool.differences((parent, b"", 0), (change, b"", 0)) == [
-        "  report differs in 2 values:", "    $.a.y[1]: 3.5 -> 3.25",
-        "    $.s: 'Pass' -> 'Fail'"]
+    assert tool.differences((parent, b"", b"", 0), (change, b"", b"", 0)) \
+        == ["  report differs in 2 values:", "    $.a.y[1]: 3.5 -> 3.25",
+            "    $.s: 'Pass' -> 'Fail'"]
     # other keys, list lengths or kinds of leaf are another shape
     for other in (b'{"a": {"x": 1.0, "y": [2]}, "s": "Pass", "n": null}',
                   b'{"a": {"x": 1.0, "z": [2, 3.5]}, "s": "Pass", "n": 0}',
@@ -82,7 +97,7 @@ def test_one_invocation_in_two_checkouts(tmp_path):
     parent, change = tool.run_both((REPO, REPO), ("check",), "sim3", 1,
                                    str(tmp_path))
     assert parent == change
-    assert parent[2] == 0 and b'"command": "check"' in parent[0]
+    assert parent[3] == 0 and b'"command": "check"' in parent[0]
 
 
 def test_a_render_is_compared_as_its_svg(tmp_path):
@@ -90,7 +105,7 @@ def test_a_render_is_compared_as_its_svg(tmp_path):
     parent, change = tool.run_both((REPO, REPO), ("render", "--depth", "3"),
                                    "sim3", 1, str(tmp_path))
     assert parent == change
-    assert parent[2] == 0 and parent[0].count(b"<polygon") == 27
+    assert parent[3] == 0 and parent[0].count(b"<polygon") == 27
 
 
 def test_import_times_lists_every_module():

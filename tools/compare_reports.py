@@ -13,10 +13,10 @@ run is a fresh process with OMP_NUM_THREADS=1 and the checkout's src
 first on PYTHONPATH; the two checkouts run side by side, one process
 each.
 
-Every invocation whose report, stdout or exit code differs is printed
-with a diff of what differs; a report that parses as JSON in both
-checkouts with the same shape is printed as the JSON path of each value
-that moved, parent -> change.  The last line counts the invocations, the
+Every invocation whose report, stdout, stderr or exit code differs is
+printed with a diff of what differs; a report that parses as JSON in
+both checkouts with the same shape is printed as the JSON path of each
+value that moved, parent -> change.  The last line counts the invocations, the
 differences, the numbers that moved and the largest absolute change;
 the exit code is 1 when anything differs, else 0.
 """
@@ -35,7 +35,7 @@ CLI = "import sys; from affinedim.cli import main; sys.exit(main())"
 LIST_SUITES = ("from affinedim.cli import SUITES; "
                "print(' '.join(sorted(SUITES)))")
 FIXTURES = os.path.join("src", "affinedim", "fixtures")
-# lines of a differing report or stdout printed in its diff
+# lines of a differing report, stdout or stderr printed in its diff
 DIFF_LINES = 40
 
 
@@ -96,8 +96,8 @@ def argv(args, fixture, seed, out):
 
 
 def run_both(checkouts, args, fixture, seed, workdir):
-    """(report bytes or None, stdout bytes, exit code) of one invocation in
-    each checkout, the two processes running at once."""
+    """(report bytes or None, stdout bytes, stderr bytes, exit code) of
+    one invocation in each checkout, the two processes running at once."""
     procs, outs = [], []
     for k, checkout in enumerate(checkouts):
         out = os.path.join(workdir, f"report{k}.json")
@@ -107,15 +107,15 @@ def run_both(checkouts, args, fixture, seed, workdir):
         procs.append(subprocess.Popen(
             [sys.executable, "-c", CLI] + argv(args, fixture, seed, out),
             env=environment(checkout), cwd=workdir, stdin=subprocess.DEVNULL,
-            stdout=subprocess.PIPE, stderr=subprocess.DEVNULL))
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE))
     results = []
     for proc, out in zip(procs, outs):
-        stdout, _ = proc.communicate()
+        stdout, stderr = proc.communicate()
         report = None
         if os.path.exists(out):
             with open(out, "rb") as fh:
                 report = fh.read()
-        results.append((report, stdout, proc.returncode))
+        results.append((report, stdout, stderr, proc.returncode))
     return results
 
 
@@ -155,7 +155,7 @@ def moved_values(parent, change):
 def differences(parent, change):
     """Lines describing each part of two run results that differs."""
     lines = []
-    for part, a, b in zip(("report", "stdout"), parent, change):
+    for part, a, b in zip(("report", "stdout", "stderr"), parent, change):
         if a == b:
             continue
         if a is None or b is None:
@@ -175,8 +175,8 @@ def differences(parent, change):
         lines += ["    " + line for line in diff[:DIFF_LINES]]
         if len(diff) > DIFF_LINES:
             lines.append(f"    ... {len(diff) - DIFF_LINES} more lines")
-    if parent[2] != change[2]:
-        lines.append(f"  exit code: parent {parent[2]}, change {change[2]}")
+    if parent[3] != change[3]:
+        lines.append(f"  exit code: parent {parent[3]}, change {change[3]}")
     return lines
 
 
