@@ -331,8 +331,7 @@ def _suite_ahl(ifs, spec, args):
     if s_star > 1.0:
         return _skip("ahl", f"content comparison needs s <= 1, got {s_star}")
     try:
-        out = content_consistency(ifs, n_cylinders=20, depth=args.depth or 8,
-                                  seed=args.seed)
+        out = content_consistency(ifs, args.depth or 8, args.seed)
     except (NotDominated, NotConverged) as e:
         return _skip("ahl", str(e))
     return _verdict("ahl", out["cv"] <= 0.2, {"cv": out["cv"], "s": out["s"]})

@@ -255,7 +255,7 @@ def box_dim(cloud, scale_lo=None, base=2.0):
 
 def _default_pairs(cloud):
     """Up to four scale pairs (16 r, r), r halving from extent/16 down to
-    twice the resolution."""
+    twice the resolution, so R falls along the list."""
     ext = cloud.extent
     r_min = 2.0 * cloud.resolution
     pairs = []
@@ -280,31 +280,30 @@ def _covering_count(points, dist, center, R, r):
     return n, local, dist
 
 
-def two_scale_exponents(cloud, pairs=None, n_centers=32, seed=7):
-    """log N(B(x,R), r) / log(R/r) for every count N >= 1, over the sampled
-    centers x (cloud points) and the scale pairs (R, r).
+# centers that the two-scale estimates sample from the cloud
+N_CENTERS = 32
+
+
+def two_scale_exponents(cloud, seed):
+    """log N(B(x,R), r) / log(R/r) for every count N >= 1, over N_CENTERS
+    sampled centers x (cloud points) and the `_default_pairs` (R, r).
 
     The distances to a center are computed once, and the pairs are walked
-    from the largest R down, each ball cut from the previous one: with the
-    same distances B(x, R') is a subset of B(x, R) for R' <= R.  The list
-    follows that walk, not the order of `pairs`.  The cloud is copied once
-    to columns, so every axis the walk reads is contiguous.
+    in their order, from the largest R down, each ball cut from the
+    previous one: with the same distances B(x, R') is a subset of B(x, R)
+    for R' <= R.  The cloud is copied once to columns, so every axis the
+    walk reads is contiguous.
     """
-    if pairs is None:
-        pairs = _default_pairs(cloud)
-    for R, r in pairs:
-        if r < 2.0 * cloud.resolution or R / r < 8.0:
-            raise DegenerateRange(f"bad scale pair ({R}, {r})")
-    walk = sorted(pairs, key=lambda pair: -pair[0])
+    pairs = _default_pairs(cloud)
     rng = np.random.Generator(np.random.Philox(key=seed))
-    idx = rng.choice(len(cloud), size=min(n_centers, len(cloud)), replace=False)
+    idx = rng.choice(len(cloud), size=min(N_CENTERS, len(cloud)), replace=False)
     cols = np.ascontiguousarray(cloud.points.T)
     out = []
     for center in cloud.points[idx]:
         # the operations np.linalg.norm(axis=1) does, one column at a time
         diffs = [col - c for col, c in zip(cols, center)]
         points, dist = cols.T, np.sqrt(sum(d * d for d in diffs))
-        for R, r in walk:
+        for R, r in pairs:
             n, points, dist = _covering_count(points, dist, center, R, r)
             if n >= 1:
                 out.append(math.log(n) / math.log(R / r))
@@ -318,18 +317,17 @@ def lowest_exponent(exponents):
     return min(exponents)
 
 
-def assouad_two_scale(cloud, pairs=None, n_centers=32, seed=7):
+def assouad_two_scale(cloud, seed=7):
     """Localized covering exponent, maximized over centers and scale pairs.
 
     max over x and (R, r) of log N(B(x,R), r) / log(R/r): a finite-sample
     lower estimate of the Assouad dimension.
     """
-    return max(two_scale_exponents(cloud, pairs, n_centers, seed),
-               default=0.0)
+    return max(two_scale_exponents(cloud, seed), default=0.0)
 
 
-def lower_two_scale(cloud, n_centers=32, seed=7):
+def lower_two_scale(cloud, seed=7):
     """Minimized localized covering exponent over the default scale pairs:
     an upper estimate of the lower dimension.  Centers are cloud points,
     as the definition quantifies over x in the set itself."""
-    return lowest_exponent(two_scale_exponents(cloud, None, n_centers, seed))
+    return lowest_exponent(two_scale_exponents(cloud, seed))

@@ -410,7 +410,7 @@ def slice_root(m, q):
 # weak tangents
 
 
-def weak_tangent(ifs, x, r, resolution=0.01):
+def weak_tangent(ifs, x, r, resolution):
     """Magnified window: the PointCloud, of the given resolution, of a
     cylinder-center sample of X inside B(x, r), mapped through
     z -> (z - x)/r and clipped to the closed unit ball."""
@@ -504,7 +504,11 @@ def approximate_square_counts(p, q, digits, word, depth, n_scales):
     return counts
 
 
-def _grid_tangent_scan(p, q, digits, n_tangents, seed, resolution):
+# random base words or points of each tangent scan
+N_TANGENTS = 8
+
+
+def _grid_tangent_scan(p, q, digits, seed, resolution):
     if resolution <= 0:
         raise ValueError("resolution must be positive")
     # p^J >= 1/resolution, and the deepest window fixes rows only where
@@ -515,11 +519,11 @@ def _grid_tangent_scan(p, q, digits, n_tangents, seed, resolution):
     depth = _least_int(lambda k: q ** k >= p ** (k + n_scales),
                        theta * n_scales / (1.0 - theta))
     cap = word_cap()
-    letters = (n_tangents + len(digits)) * depth
+    letters = (N_TANGENTS + len(digits)) * depth
     if letters > cap:
         raise BudgetExceeded(cap, letters)
     rng = np.random.Generator(np.random.Philox(key=seed))
-    words = list(rng.integers(len(digits), size=(n_tangents, depth)))
+    words = list(rng.integers(len(digits), size=(N_TANGENTS, depth)))
     words += [[i] * depth for i in range(len(digits))]
     x = np.arange(n_scales + 1) * math.log(p)
     dims = []
@@ -530,7 +534,7 @@ def _grid_tangent_scan(p, q, digits, n_tangents, seed, resolution):
     return {"max_dim": max(dims), "min_dim": min(dims), "dims": dims}
 
 
-def tangent_dimension_scan(ifs, n_tangents=8, seed=0, resolution=0.002):
+def tangent_dimension_scan(ifs, seed, resolution=0.002):
     """Dimension estimates of weak tangent windows.  The max is a
     tangent-based lower estimate of the Assouad dimension and the min an
     upper estimate of the lower dimension.
@@ -540,7 +544,7 @@ def tangent_dimension_scan(ifs, n_tangents=8, seed=0, resolution=0.002):
     K the least depth with q^K >= p^(K+J).  A window's dimension is the
     slope of log N_j against j log p, where N_j, j = 0..J, are the exact
     counts of `approximate_square_counts`.  The base words are
-    `n_tangents` random words of the seed, then the constant word of each
+    N_TANGENTS random words of the seed, then the constant word of each
     map, i.e. its fixed point, since only digits that stay in the
     heaviest column reach the Assouad dimension.  No word is enumerated.
 
@@ -548,15 +552,13 @@ def tangent_dimension_scan(ifs, n_tangents=8, seed=0, resolution=0.002):
     point clouds at randomized base points and at the dyadic scales 2^-2
     to 2^-5 of the diameter; windows whose sample only touches the unit
     sphere are discarded."""
-    if n_tangents < 1:
-        raise ValueError("need at least one tangent")
     grid = grid_carpet_digits(ifs)
     if grid is not None:
-        return _grid_tangent_scan(*grid, n_tangents, seed, resolution)
+        return _grid_tangent_scan(*grid, seed, resolution)
     scales = [2.0 ** -k for k in range(2, 6)]
     rng = np.random.Generator(np.random.Philox(key=seed))
-    base = ifs.chaos_game(seed, max(n_tangents * 4, 64))
-    idx = rng.choice(len(base), size=n_tangents, replace=False)
+    base = ifs.chaos_game(seed, max(N_TANGENTS * 4, 64))
+    idx = rng.choice(len(base), size=N_TANGENTS, replace=False)
     dims = []
     for x in base[idx]:
         r = scales[int(rng.integers(len(scales)))] * ifs.diam_upper
@@ -695,7 +697,7 @@ def _projected_hulls(ifs, v, depth):
     return centers - halves, centers + halves
 
 
-def hausdorff_content_projection(ifs, v, s, depth=8):
+def hausdorff_content_projection(ifs, v, s, depth):
     """Content of the projection of X to the line perpendicular to v,
     computed from the depth-n projected cylinder hull cover."""
     depth = ifs._fit_depth(depth)
@@ -704,19 +706,19 @@ def hausdorff_content_projection(ifs, v, s, depth=8):
     return ContentEstimate(s, v, value, depth)
 
 
-# depth of the cylinders content_consistency samples
-CONTENT_DEPTH = 6
+# depth and number of the cylinders content_consistency samples
+CONTENT_DEPTH, CONTENT_CYLINDERS = 6, 20
 
 
-def content_consistency(ifs, n_cylinders=20, depth=8, seed=0):
+def content_consistency(ifs, depth, seed):
     """Spread of content / eigenfunction over sampled cylinders.
 
-    For each sampled cylinder of depth CONTENT_DEPTH the content of the
-    projection in its own limit direction is compared with the
-    transfer-operator eigenfunction at the cylinder, both at the affinity
-    dimension s; near-constancy of the ratio is the numerical shadow of the
-    content-eigenfunction identity.  Returns the coefficient of variation
-    of the ratios and s.
+    For each of CONTENT_CYLINDERS sampled cylinders of depth CONTENT_DEPTH
+    the content of the projection in its own limit direction is compared
+    with the transfer-operator eigenfunction at the cylinder, both at the
+    affinity dimension s; near-constancy of the ratio is the numerical
+    shadow of the content-eigenfunction identity.  Returns the coefficient
+    of variation of the ratios and s.
     """
     s, _ = affinity_dimension(ifs)
     if s > 1.0:
@@ -725,7 +727,7 @@ def content_consistency(ifs, n_cylinders=20, depth=8, seed=0):
     thetas = _cylinder_directions(ifs, CONTENT_DEPTH)
     rng = np.random.Generator(np.random.Philox(key=seed))
     size = ifs.n_maps ** CONTENT_DEPTH
-    idx = rng.choice(size, size=min(n_cylinders, size), replace=False)
+    idx = rng.choice(size, size=min(CONTENT_CYLINDERS, size), replace=False)
     ratios = []
     for k in idx:
         v = ProjPoint(thetas[k])
@@ -758,17 +760,15 @@ def transversality_derivative(matrices, w, word_i, word_j, depth=30):
     a = batch_singular_values(arrs)[0].max()
     if a >= 0.5:
         raise HypothesisViolated(f"max matrix norm {a} >= 1/2")
-    wi = tuple(word_i)
-    wj = tuple(word_j)
+    wi, wj = tuple(word_i), tuple(word_j)
     if wi[0] == wj[0]:
         raise ValueError("words must differ in the first letter")
     w = np.asarray(w, dtype=float)
-    w = w / np.linalg.norm(w)
-    # the translation w at the first letter of word_i, 0 elsewhere
+    # the gap is linear in the translations: the unit vector along w at
+    # the first letter of word_i, 0 elsewhere, gives its derivative
     vs = np.zeros((len(arrs), 2))
-    vs[wi[0] - 1] = w
-    return abs(float(w @ (_periodic_point(arrs, vs, wi, depth)
-                          - _periodic_point(arrs, vs, wj, depth))))
+    vs[wi[0] - 1] = w / np.linalg.norm(w)
+    return abs(projected_gap(arrs, vs, w, wi, wj, depth))
 
 
 def transversality_tail_bound(matrices, depth):
@@ -776,10 +776,11 @@ def transversality_tail_bound(matrices, depth):
     return a ** depth / (1.0 - a)
 
 
-def projected_gap(matrices, translations, w, word_i, word_j, depth=30):
+def projected_gap(matrices, translations, w, word_i, word_j, depth):
     """Signed coordinate along w of the difference of the two canonical
-    points, with words extended periodically; the finite-difference
-    oracle for the derivative above."""
+    points, with words extended periodically.  It is linear in the
+    translations; `verify trans` checks the derivative above against its
+    finite difference."""
     arrs = np.asarray(matrices, dtype=float)
     w = np.asarray(w, dtype=float)
     w = w / np.linalg.norm(w)
@@ -792,7 +793,7 @@ def projected_gap(matrices, translations, w, word_i, word_j, depth=30):
 # constant scan for the norm comparison on limit directions
 
 
-def bochi_morris_scan(ifs, depth=8):
+def bochi_morris_scan(ifs, depth):
     """Empirical constant D in alpha1(A_w) <= D * norm of A_w^T on the
     perpendicular of limit directions; the reverse inequality is an exact
     norm bound and is asserted on every sample."""

@@ -353,10 +353,11 @@ class Ifs:
     # -- certified diameter -------------------------------------------------
 
     @derived
-    def diam_bounds(self, depth=8):
-        """Certified (lower, upper) bounds for diam(X) from a cylinder-center
-        cloud: cloud diameter -/+ twice the largest error radius."""
-        hull, radius = self._hull(self._fit_depth(depth))
+    def diam_bounds(self):
+        """Certified (lower, upper) bounds for diam(X) from the depth-8
+        cylinder-center cloud, fitted to the word cap: cloud diameter -/+
+        twice the largest error radius."""
+        hull, radius = self._hull(self._fit_depth(8))
         d = _cloud_diameter(hull)
         e = 2.0 * radius
         return max(d - e, 0.0), d + e

@@ -328,7 +328,7 @@ class DirectionsApprox(NamedTuple):
 
 
 @derived
-def furstenberg_directions(ifs, depth=8):
+def furstenberg_directions(ifs, depth):
     """Iterate U <- union_i A_i^{-1} U from the closed complement of the
     strongly invariant multicone of `find_invariant_multicone`; the result
     contains the asymptotic weakest-contraction directions at every depth.

@@ -250,7 +250,7 @@ def transfer_matrix(ifs, s, m):
     return TransferOperator(np.stack(vals))
 
 
-def equilibrium_state(ifs, s, m=6):
+def equilibrium_state(ifs, s, m):
     """Power iteration for the discretized transfer operator's leading
     eigendata: eigenfunction h (forward), eigenmeasure nu (adjoint),
     eigenvalue lambda.  The iteration stops once lambda moves by less

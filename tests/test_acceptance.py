@@ -121,7 +121,7 @@ def test_09_assouad_splits_into_one_plus_slice(carpet_ifs):
 
 
 def test_10_content_eigenfunction_consistency(cone_ifs, overlap_ifs):
-    out = content_consistency(cone_ifs, n_cylinders=20, depth=8, seed=0)
+    out = content_consistency(cone_ifs, depth=8, seed=0)
     assert out["cv"] <= 0.2
     # a projected collision must bleed content under refinement somewhere
     s, _ = affinity_dimension(overlap_ifs)

@@ -9,9 +9,9 @@ import pytest
 
 from affinedim import estimators
 from affinedim.errors import DegenerateRange
-from affinedim.estimators import OCCUPANCY_CELLS, CoverReport, PointCloud, \
-    _distinct, assouad_two_scale, box_dim, grid_count, lower_two_scale, \
-    morton_keys, two_scale_exponents
+from affinedim.estimators import N_CENTERS, OCCUPANCY_CELLS, CoverReport, \
+    PointCloud, _default_pairs, _distinct, assouad_two_scale, box_dim, \
+    grid_count, lower_two_scale, morton_keys, two_scale_exponents
 
 
 def grid_square(n=512):
@@ -177,15 +177,11 @@ class TestTwoScale:
                         np.zeros(3000)], axis=1)
         sq = grid_square(80).points * 0.5
         cloud = PointCloud(np.concatenate([seg, sq]), 1.0 / 3000)
-        hi = assouad_two_scale(cloud, n_centers=64)
-        lo = lower_two_scale(cloud, n_centers=64)
+        hi = assouad_two_scale(cloud)
+        lo = lower_two_scale(cloud)
         assert hi >= lo
         assert hi > 1.5
         assert lo < 1.4
-
-    def test_rejects_bad_pairs(self):
-        with pytest.raises(DegenerateRange):
-            assouad_two_scale(grid_square(64), pairs=[(0.1, 0.05)])
 
     def test_deterministic(self):
         cloud = cantor_dust(6)
@@ -209,39 +205,62 @@ def reference_exponents(cloud, pairs, n_centers, seed):
 
 
 def integer_grid(n=41):
-    # integer centers sit at exactly distance 10, 13 and 25 from lattice
-    # points ((6, 8), (5, 12), (7, 24)), and at 16 along the axes
+    # integer centers sit at exactly distance 20 from lattice points
+    # ((12, 16) and 20 along the axes), and at 40 along the axes
     t = np.arange(n, dtype=float)
     return PointCloud(np.stack(np.meshgrid(t, t), axis=-1).reshape(-1, 2),
                       0.5)
 
 
+def uniform_square():
+    return PointCloud(np.random.Generator(np.random.Philox(key=11)).uniform(
+        -1.0, 1.0, size=(4000, 2)), 1e-3)
+
+
 class TestCoveringWalk:
-    @pytest.mark.parametrize("cloud, pairs", [
-        (integer_grid(), [(16.0, 2.0), (10.0, 1.0), (13.0, 1.5),
-                          (25.0, 3.0)]),
-        (cantor_dust(6), [(0.5, 1 / 32), (0.25, 1 / 64), (1.0, 1 / 16)]),
-        (PointCloud(np.random.Generator(np.random.Philox(key=11)).uniform(
-            -1.0, 1.0, size=(4000, 2)), 1e-3),
-         [(1.6, 0.1), (0.8, 0.05), (0.4, 0.025), (0.2, 0.0125)]),
-    ])
-    @pytest.mark.parametrize("descending", [False, True])
-    def test_matches_whole_cloud_walk(self, cloud, pairs, descending):
-        pairs = sorted(pairs, reverse=descending)
+    @pytest.mark.parametrize("cloud", [integer_grid(), cantor_dust(6),
+                                       uniform_square()],
+                             ids=["integer_grid", "cantor_dust",
+                                  "uniform_square"])
+    def test_matches_whole_cloud_walk(self, cloud):
+        pairs = _default_pairs(cloud)
         for seed in (1, 2, 7):
-            assert sorted(two_scale_exponents(cloud, pairs, 24, seed)) \
-                == sorted(reference_exponents(cloud, pairs, 24, seed))
+            assert sorted(two_scale_exponents(cloud, seed)) \
+                == sorted(reference_exponents(cloud, pairs, N_CENTERS, seed))
+
+    def test_integer_grid_has_points_on_the_ball_edges(self):
+        # the walk keeps points at distance exactly R, with <=, as the
+        # whole-cloud walk does; the grid puts some there for every seed
+        cloud = integer_grid()
+        pairs = _default_pairs(cloud)
+        assert pairs == [(40.0, 2.5), (20.0, 1.25)]
+        for seed in (1, 2, 7):
+            rng = np.random.Generator(np.random.Philox(key=seed))
+            idx = rng.choice(len(cloud), size=N_CENTERS, replace=False)
+            dist = np.linalg.norm(cloud.points[None]
+                                  - cloud.points[idx][:, None], axis=2)
+            assert all((dist == R).any() for R, _ in pairs)
+
+    @pytest.mark.parametrize("cloud", [integer_grid(), cantor_dust(6),
+                                       cantor_dust(7), uniform_square(),
+                                       grid_square(64), grid_square(512)])
+    def test_default_pairs_fall_and_keep_their_ratio(self, cloud):
+        # the walk cuts each ball from the one before, so R must fall
+        pairs = _default_pairs(cloud)
+        assert all(a[0] > b[0] for a, b in zip(pairs, pairs[1:]))
+        assert all(r >= 2.0 * cloud.resolution and R / r == 16.0
+                   for R, r in pairs)
 
     def test_default_pairs_match_whole_cloud_walk(self):
         cloud = cantor_dust(7)
         ext = cloud.extent
         pairs = [(ext / 2.0 ** k, ext / 2.0 ** (k + 4)) for k in range(4)]
-        assert sorted(two_scale_exponents(cloud, None, 32, 3)) \
-            == sorted(reference_exponents(cloud, pairs, 32, 3))
+        assert sorted(two_scale_exponents(cloud, 3)) \
+            == sorted(reference_exponents(cloud, pairs, N_CENTERS, 3))
 
     def test_wrappers_take_max_and_min(self):
         cloud = cantor_dust(6)
-        exponents = two_scale_exponents(cloud, None, 32, 5)
+        exponents = two_scale_exponents(cloud, 5)
         assert assouad_two_scale(cloud, seed=5) == max(exponents)
         assert lower_two_scale(cloud, seed=5) == min(exponents)
 

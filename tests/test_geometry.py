@@ -735,7 +735,7 @@ class TestTangents:
     def test_regular_fixture_collapses_spectrum(self):
         sim = Ifs([np.diag([0.5, 0.5])] * 3,
                   [(0.0, 0.0), (0.5, 0.0), (0.0, 0.5)])
-        out = tangent_dimension_scan(sim, n_tangents=8, seed=1)
+        out = tangent_dimension_scan(sim, seed=1)
         dim_h = math.log(3.0) / math.log(2.0)
         assert out["max_dim"] == pytest.approx(dim_h, abs=0.1)
         assert out["min_dim"] == pytest.approx(dim_h, abs=0.1)
@@ -747,7 +747,7 @@ class TestTangents:
         # Its affinity dimension is 1 + log(5/4)/log 5 = 1.1386, so the
         # tangent scan must clear s + 0.15 = 1.289 with room to spare.
         s, _ = affinity_dimension(carpet_ifs)
-        out = tangent_dimension_scan(carpet_ifs, n_tangents=8, seed=1)
+        out = tangent_dimension_scan(carpet_ifs, seed=1)
         assert out["max_dim"] >= s + 0.15
 
     def test_grid_carpet_recognition(self, carpet_spec, carpet_ifs, sim3,
@@ -758,7 +758,7 @@ class TestTangents:
         assert grid_carpet_digits(sim3) is None
         assert grid_carpet_digits(cone_ifs) is None
         # windows in the single-digit columns see only the column structure
-        out = tangent_dimension_scan(carpet_ifs, n_tangents=8, seed=1)
+        out = tangent_dimension_scan(carpet_ifs, seed=1)
         assert out["min_dim"] == pytest.approx(fraser_lower(carpet_spec),
                                                abs=1e-12)
 
@@ -974,7 +974,7 @@ class TestContent:
         assert v10 <= v6 + 1e-12
 
     def test_consistency_on_regular_fixture(self, cone_ifs):
-        out = content_consistency(cone_ifs, n_cylinders=10, seed=3)
+        out = content_consistency(cone_ifs, depth=8, seed=3)
         assert out["cv"] <= 0.2
 
 

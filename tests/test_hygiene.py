@@ -1,22 +1,22 @@
 """Source hygiene checks that need no linter: every module of the package
 uses each name it imports and imports only at module level, only
 Ifs.frontier takes a word limit of its own, every defaulted parameter is
-set by some call, 2x2 products go through the one kernel ifs.mul2,
-projective angles come from math.atan2 and not np.arctan2, one function
-branches on s at 1 and 2, one function fits a level to a word count in
-a while loop, one function takes a*d - b*c from a matrix's entries,
-the estimators take no norms and no reductions along axis 0,
-interval_content has no for loop and no comprehension, only the
-estimators copy an array with np.ascontiguousarray, Ifs.frontier and
-the callers of the product levels have no @, no module makes an array of
-Python objects, only projective._atan2 fills an array from a libm
-function called once per element, classify_irreducibility tests its
-lines in one table, only Ifs.__init__ and the memo ifs.derived touch
-Ifs._cache, no module uses dataclasses and every record refuses a
-rebound field, importing the package loads numpy but neither scipy nor
-dataclasses, every entry point that the benchmark's tracer wraps still
-exists, and a traced `dims` run counts the points of the covering
-counts."""
+set by some call in the package and left unset by some call, 2x2
+products go through the one kernel ifs.mul2, projective angles come from
+math.atan2 and not np.arctan2, one function branches on s at 1 and 2,
+one function fits a level to a word count in a while loop, one function
+takes a*d - b*c from a matrix's entries, the estimators take no norms
+and no reductions along axis 0, interval_content has no for loop and no
+comprehension, only the estimators copy an array with
+np.ascontiguousarray, Ifs.frontier and the callers of the product levels
+have no @, no module makes an array of Python objects, only
+projective._atan2 fills an array from a libm function called once per
+element, classify_irreducibility tests its lines in one table, only
+Ifs.__init__ and the memo ifs.derived touch Ifs._cache, no module uses
+dataclasses and every record refuses a rebound field, importing the
+package loads numpy but neither scipy nor dataclasses, every entry point
+that the benchmark's tracer wraps still exists, and a traced `dims` run
+counts the points of the covering counts."""
 
 import ast
 import importlib
@@ -132,34 +132,38 @@ def test_one_word_cap(module):
 
 
 TEST_DIR = os.path.dirname(__file__)
-CALLERS = [os.path.join(SRC_DIR, f) for f in os.listdir(SRC_DIR)
-           if f.endswith(".py")] \
-    + [os.path.join(TEST_DIR, f) for f in os.listdir(TEST_DIR)
-       if f.endswith(".py")]
+SRC_CALLERS = [os.path.join(SRC_DIR, f) for f in os.listdir(SRC_DIR)
+               if f.endswith(".py")]
+TEST_CALLERS = [os.path.join(TEST_DIR, f) for f in os.listdir(TEST_DIR)
+                if f.endswith(".py")]
 
 
-def dead_options(source, callers):
-    """Defaulted parameters of the functions defined in source, as
-    "name(parameter)", that no call in the caller sources sets, by keyword
-    or by position.  Calls match definitions by callee name; a method's
-    first parameter is its receiver, a starred argument sets every
-    position and a ** argument every keyword.  __init__ is left out, since
-    its calls name the class."""
-    positions, keywords = {}, {}
+def call_table(callers):
+    """For each callee name, the (positions, keywords) that each call in
+    the caller sources sets.  A starred argument sets every position and a
+    ** argument every keyword, marked by None among the keywords."""
+    calls = {}
     for text in callers:
         for node in ast.walk(ast.parse(text)):
             if isinstance(node, ast.Call):
                 name = getattr(node.func, "id", getattr(node.func, "attr",
                                                         None))
                 starred = any(isinstance(a, ast.Starred) for a in node.args)
-                positions[name] = max(positions.get(name, 0),
-                                      math.inf if starred else len(node.args))
-                keywords.setdefault(name, set()).update(
-                    k.arg for k in node.keywords)
+                calls.setdefault(name, []).append(
+                    (math.inf if starred else len(node.args),
+                     {k.arg for k in node.keywords}))
+    return calls
+
+
+def defaulted_parameters(source):
+    """(function name, position, parameter) of the defaulted parameters
+    of the functions defined in source; a keyword-only parameter has
+    position inf.  Calls match definitions by callee name, so a method's
+    first parameter, its receiver, is not counted.  __init__ is left out,
+    since its calls name the class."""
     tree = ast.parse(source)
     methods = {id(f) for c in ast.walk(tree) if isinstance(c, ast.ClassDef)
                for f in c.body}
-    found = []
     for node in ast.walk(tree):
         if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) \
                 or node.name == "__init__":
@@ -168,17 +172,46 @@ def dead_options(source, callers):
         params = args.posonlyargs + args.args
         if id(node) in methods:
             params = params[1:]
-        given = positions.get(node.name, 0)
-        named = keywords.get(node.name, set())
-        if None in named:
-            continue
         first = len(params) - len(args.defaults)
-        found += [f"{node.name}({p.arg})" for k, p in enumerate(params)
-                  if k >= max(first, given) and p.arg not in named]
-        found += [f"{node.name}({p.arg})"
-                  for p, d in zip(args.kwonlyargs, args.kw_defaults)
-                  if d is not None and p.arg not in named]
-    return sorted(found)
+        for k in range(first, len(params)):
+            yield node.name, k, params[k].arg
+        for p, d in zip(args.kwonlyargs, args.kw_defaults):
+            if d is not None:
+                yield node.name, math.inf, p.arg
+
+
+def call_sets(call, position, parameter):
+    given, named = call
+    return position < given or parameter in named or None in named
+
+
+def dead_options(source, callers):
+    """Defaulted parameters of the functions defined in source, as
+    "name(parameter)", that no call in the caller sources sets, by keyword
+    or by position."""
+    calls = call_table(callers)
+    return sorted(f"{name}({p})"
+                  for name, k, p in defaulted_parameters(source)
+                  if not any(call_sets(c, k, p) for c in calls.get(name, [])))
+
+
+def unread_defaults(source, callers):
+    """Defaulted parameters of the functions defined in source, as
+    "name(parameter)", that every call in the caller sources sets, when
+    there is one."""
+    calls = call_table(callers)
+    return sorted(f"{name}({p})"
+                  for name, k, p in defaulted_parameters(source)
+                  if calls.get(name)
+                  and all(call_sets(c, k, p) for c in calls[name]))
+
+
+def read_all(paths):
+    texts = []
+    for path in paths:
+        with open(path) as fh:
+            texts.append(fh.read())
+    return texts
 
 
 def test_checker_finds_dead_options():
@@ -192,22 +225,43 @@ def test_checker_finds_dead_options():
     assert dead_options(src, [src, calls]) == ["f(z)", "m(a)"]
 
 
+def test_checker_finds_unread_defaults():
+    src = ("def f(x, y=1, *, z=2):\n    return x\n"
+           "class C:\n    def m(self, a=0, b=1):\n        return a\n"
+           "    def __init__(self, k=3):\n        pass\n"
+           "def g(p, q=0):\n    return p\n"
+           "def h(r=0):\n    return r\n"
+           "def t(u=0):\n    return u\n")
+    calls = ("f(1, 2, z=3)\nf(0, y=1)\nC().m(1)\nC(k=1).m(2, b=3)\n"
+             "g(*[1, 2])\nh(**{'r': 1})\n")
+    assert unread_defaults(src, [src, calls]) \
+        == ["f(y)", "g(q)", "h(r)", "m(a)"]
+
+
 # brentq keeps the signature of scipy's brentq.c, whose argument checks
 # it mirrors; the open test that the grid-carpet tangent scan stays below
-# Mackay's formula at several resolutions will set resolution
-ALLOWED_DEAD_OPTIONS = ("brentq(", "tangent_dimension_scan(resolution)")
+# Mackay's formula at several resolutions will set resolution; main takes
+# the argument list that tests drive the CLI with
+ALLOWED_DEAD_OPTIONS = ("brentq(", "tangent_dimension_scan(resolution)",
+                        "main(argv)")
 
 
 @pytest.mark.parametrize("module", MODULES)
 def test_no_dead_options(module):
-    # a default no caller changes is a constant in disguise
-    callers = []
-    for path in CALLERS:
-        with open(path) as fh:
-            callers.append(fh.read())
+    # a default no caller changes is a constant in disguise, and a test
+    # is not a caller
     with open(os.path.join(SRC_DIR, module)) as fh:
-        found = dead_options(fh.read(), callers)
+        found = dead_options(fh.read(), read_all(SRC_CALLERS))
     assert [f for f in found if not f.startswith(ALLOWED_DEAD_OPTIONS)] == []
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_no_unread_defaults(module):
+    # a default that every call overrides is never read
+    with open(os.path.join(SRC_DIR, module)) as fh:
+        found = unread_defaults(fh.read(),
+                                read_all(SRC_CALLERS + TEST_CALLERS))
+    assert found == []
 
 
 def function_node(source, *path):

@@ -713,7 +713,9 @@ def collinear_ifs(n_maps):
 
 class TestFlatClouds:
     def test_collinear_diameter_bounds(self):
-        lo, hi = collinear_ifs(3).diam_bounds(depth=5)
+        hull, radius = collinear_ifs(3)._hull(5)
+        d, e = _cloud_diameter(hull), 2.0 * radius
+        lo, hi = max(d - e, 0.0), d + e
         assert lo <= math.sqrt(5.0) <= hi
         assert hi - lo < 0.05
 
@@ -755,7 +757,8 @@ class TestStreamedHull:
         proj = hull @ np.stack([np.cos(thetas), np.sin(thetas)])
 
         ifs = Ifs.from_json(whole.to_json())
-        assert ifs.diam_bounds(depth=depth) == (max(d - e, 0.0), d + e)
+        walked, radius = ifs._hull(depth)
+        assert (_cloud_diameter(walked), 2.0 * radius) == (d, e)
         table = DiameterTable(ifs, depth=depth)
         assert table.err == float(e)
         assert np.array_equal(table.widths,
