@@ -2,21 +2,22 @@
 uses each name it imports and imports only at module level, only
 Ifs.frontier takes a word limit of its own, every defaulted parameter is
 set by some call in the package and left unset by some call, 2x2
-products go through the one kernel ifs.mul2, projective angles come from
-math.atan2 and not np.arctan2, one function branches on s at 1 and 2,
-one function fits a level to a word count in a while loop, one function
-takes a*d - b*c from a matrix's entries, the estimators take no norms
-and no reductions along axis 0, interval_content has no for loop and no
-comprehension, only the estimators copy an array with
-np.ascontiguousarray, Ifs.frontier and the callers of the product levels
-have no @, no module makes an array of Python objects, only
-projective._atan2 fills an array from a libm function called once per
-element, classify_irreducibility tests its lines in one table, only
-Ifs.__init__ and the memo ifs.derived touch Ifs._cache, no module uses
-dataclasses and every record refuses a rebound field, importing the
-package loads numpy but neither scipy nor dataclasses, every entry point
-that the benchmark's tracer wraps still exists, and a traced `dims` run
-counts the points of the covering counts."""
+products go through the one kernel ifs.mul2,
+projective angles come from math.atan2 and not np.arctan2, one function
+branches on s at 1 and 2, one function fits a level to a word count in
+a while loop, one function takes a*d - b*c from a matrix's entries,
+the estimators take no norms and no reductions along axis 0,
+interval_content has no for loop and no comprehension, only the
+estimators copy an array with np.ascontiguousarray, Ifs.frontier and
+the callers of the product levels have no @, no module makes an array of
+Python objects, only projective._atan2 fills an array from a libm
+function called once per element, classify_irreducibility tests its
+lines in one table, only Ifs.__init__ and the memo ifs.derived touch
+Ifs._cache, no module uses dataclasses and every record refuses a
+rebound field, importing the package loads numpy but neither scipy nor
+dataclasses, every entry point that the benchmark's tracer wraps still
+exists, and a traced `dims` run counts the points of the covering
+counts."""
 
 import ast
 import importlib
