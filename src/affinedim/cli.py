@@ -16,21 +16,20 @@ import sys
 import numpy as np
 
 from . import carpets
-from .config import word_cap
+from .config import seeded_rng, word_cap
 from .errors import AffinedimError, BudgetExceeded, DegenerateRange, \
     HypothesisViolated, Inconclusive, IndexOutOfRange, InputError, \
     NotConverged, NotDominated, NotSeparated, PlacementFailed
 from .estimators import assouad_two_scale, box_dim, lowest_exponent, \
     lower_two_scale, two_scale_exponents
 from .geometry import content_consistency, hausdorff_content_projection, \
-    posc_check, projected_gap, slice_points, slice_upper_bound, ssc_check, \
-    tangent_dimension_scan, transversality_derivative, \
-    transversality_tail_bound
+    posc_check, projected_gap, sampled_cylinder_directions, slice_points, \
+    slice_upper_bound, ssc_check, tangent_dimension_scan, \
+    transversality_derivative, transversality_tail_bound
 from .ifs import Ifs, batch_singular_values, fit_level, word_label
 from .projective import PI, ProjPoint, classify_irreducibility, \
     furstenberg_directions, is_dominated, strictly_affine
-from .thermo import _cylinder_directions, affinity_dimension, \
-    gibbs_spread_by_depth
+from .thermo import affinity_dimension, gibbs_spread_by_depth
 
 EXIT_OK = 0
 EXIT_INPUT = 1
@@ -105,8 +104,6 @@ def load_input(path):
     {cx,cy,r}?} or a carpet {"p", "q", "digits"}, not both; bare fixture
     names resolve against the shipped fixtures directory.
     """
-    if path is None:
-        raise InputError("--input is required")
     if not os.path.exists(path) and os.path.sep not in path:
         path = fixture_path(path)
     try:
@@ -158,20 +155,16 @@ def write_report(report, out, default_name):
 # check
 
 
-def cmd_check(args):
-    ifs, spec = load_input(args.input)
+def cmd_check(ifs, spec, args):
     depth = _depth(args, 6)
-    report = {"command": "check", "input": os.path.basename(args.input)}
-    failures = 0
-
     dom = is_dominated(ifs, depth=max(depth, 3))
-    report["domination"] = {
+    report = {"domination": {
         "certified": dom["certified"],
         "fitted_tau": dom["fitted_tau"],
         "fitted_C": dom["fitted_C"],
         "multicone": np.column_stack(dom["multicone"]).tolist()
         if dom["multicone"] is not None else None,
-    }
+    }}
 
     try:
         cls = classify_irreducibility(ifs)
@@ -186,8 +179,6 @@ def cmd_check(args):
 
     ssc = ssc_check(ifs, depth)
     report["ssc"] = ssc.to_json()
-    if ssc.separated == "Overlap":
-        failures += 1
 
     try:
         posc = posc_check(ifs, depth)
@@ -211,24 +202,20 @@ def cmd_check(args):
         report["limit_directions"] = {"status": "skipped",
                                       "diagnostic": str(e)}
 
-    write_report(report, args.out, "check.json")
-    return EXIT_CONDITION if failures else EXIT_OK
+    return report, EXIT_CONDITION if ssc.separated == "Overlap" else EXIT_OK
 
 
 # ---------------------------------------------------------------------------
 # dims
 
 
-def cmd_dims(args):
-    ifs, spec = load_input(args.input)
+def cmd_dims(ifs, spec, args):
     depth = _depth(args, 6)
-    report = {"command": "dims", "input": os.path.basename(args.input)}
     warnings = []
 
-    budget = args.budget or 200_000
     s_star, bracket = affinity_dimension(ifs, tol=args.tol or 1e-10,
-                                         budget=budget)
-    report["affinity"] = {"value": s_star, "bracket": list(bracket)}
+                                         budget=args.budget or 200_000)
+    report = {"affinity": {"value": s_star, "bracket": list(bracket)}}
 
     cloud = ifs.attractor_sample(0.002)
     cover = box_dim(cloud)
@@ -250,10 +237,7 @@ def cmd_dims(args):
         warnings.append(f"slice bound skipped: {e}")
 
     try:
-        scan = tangent_dimension_scan(ifs, seed=args.seed)
-        report["tangents"] = {"max_dim": scan["max_dim"],
-                              "min_dim": scan["min_dim"],
-                              "dims": scan["dims"]}
+        report["tangents"] = tangent_dimension_scan(ifs, seed=args.seed)
     except (AffinedimError, ValueError) as e:
         warnings.append(f"tangent scan skipped: {e}")
 
@@ -261,8 +245,7 @@ def cmd_dims(args):
         report["carpet_formulas"] = carpets.closed_forms(spec)
 
     report["warnings"] = warnings
-    write_report(report, args.out, "dims.json")
-    return EXIT_OK
+    return report, EXIT_OK
 
 
 # ---------------------------------------------------------------------------
@@ -327,11 +310,12 @@ def _suite_dima(ifs, spec, args):
 
 
 def _suite_ahl(ifs, spec, args):
+    depth = _depth(args, 8)
     s_star, _ = affinity_dimension(ifs)
     if s_star > 1.0:
         return _skip("ahl", f"content comparison needs s <= 1, got {s_star}")
     try:
-        out = content_consistency(ifs, args.depth or 8, args.seed)
+        out = content_consistency(ifs, depth, args.seed)
     except (NotDominated, NotConverged) as e:
         return _skip("ahl", str(e))
     return _verdict("ahl", out["cv"] <= 0.2, {"cv": out["cv"], "s": out["s"]})
@@ -360,14 +344,12 @@ def _suite_content(ifs, spec, args):
     if s_star > 1.0:
         return _skip("content", f"needs s <= 1, got {s_star}")
     try:
-        thetas = _cylinder_directions(ifs, 4)
+        idx, thetas = sampled_cylinder_directions(ifs, 4, 12, args.seed)
     except NotDominated as e:
         return _skip("content", str(e))
-    rng = np.random.Generator(np.random.Philox(key=args.seed))
-    idx = rng.choice(len(thetas), size=min(12, len(thetas)), replace=False)
     drops = {}
-    for k in idx:
-        v = ProjPoint(float(thetas[k]))
+    for k, theta in zip(idx, thetas):
+        v = ProjPoint(float(theta))
         v6 = hausdorff_content_projection(ifs, v, s_star, 6).value
         v10 = hausdorff_content_projection(ifs, v, s_star, 10).value
         drops[word_label(ifs.word_from_flat(int(k), 4))] = 1.0 - v10 / v6
@@ -381,7 +363,7 @@ def _suite_trans(ifs, spec, args):
     a_max = float(batch_singular_values(mats)[0].max())
     if a_max >= 0.5:
         return _skip("trans", "needs max matrix norm < 1/2")
-    rng = np.random.Generator(np.random.Philox(key=args.seed))
+    rng = seeded_rng(args.seed)
     n = ifs.n_maps
     depth = 30
     tail = transversality_tail_bound(mats, depth)
@@ -412,23 +394,15 @@ def _suite_trans(ifs, spec, args):
                      "guaranteed_lower": lower, "tail_bound": tail})
 
 
+# the runner of each suite and the options it reads
 SUITES = {
-    "diml": _suite_diml,
-    "dima": _suite_dima,
-    "ahl": _suite_ahl,
-    "gibbs": _suite_gibbs,
-    "content": _suite_content,
-    "trans": _suite_trans,
+    "diml": (_suite_diml, ("--depth",)),
+    "dima": (_suite_dima, ()),
+    "ahl": (_suite_ahl, ("--depth",)),
+    "gibbs": (_suite_gibbs, ()),
+    "content": (_suite_content, ()),
+    "trans": (_suite_trans, ()),
 }
-
-
-def cmd_verify(args):
-    ifs, spec = load_input(args.input)
-    report, code = SUITES[args.suite](ifs, spec, args)
-    report["command"] = "verify"
-    report["input"] = os.path.basename(args.input)
-    write_report(report, args.out, f"verify_{args.suite}.json")
-    return code
 
 
 # ---------------------------------------------------------------------------
@@ -439,8 +413,7 @@ def _fmt(x):
     return f"{x:.6f}"
 
 
-def cmd_render(args):
-    ifs, spec = load_input(args.input)
+def cmd_render(ifs, spec, args):
     depth = args.depth or 3
     c, r = ifs.ball_center, ifs.ball_radius
     corners = np.array([[c[0] - r, c[1] - r], [c[0] + r, c[1] - r],
@@ -480,21 +453,17 @@ def cmd_render(args):
                          f'x2="{b[0]}" y2="{b[1]}" stroke="#b22222" '
                          'stroke-width="0.002"/>')
     lines.append("</svg>")
-    _write_text("\n".join(lines) + "\n", args.out, "render.svg")
-    return EXIT_OK
+    return "\n".join(lines) + "\n", EXIT_OK
 
 
 # ---------------------------------------------------------------------------
 # carpet
 
 
-def cmd_carpet(args):
-    ifs, spec = load_input(args.input)
+def cmd_carpet(ifs, spec, args):
     if spec is None:
         raise InputError("carpet command needs a p/q/digits input")
     report = {
-        "command": "carpet",
-        "input": os.path.basename(args.input),
         "p": spec.p, "q": spec.q, "n_maps": spec.n_maps,
         "column_counts": spec.column_counts(),
         "uniform_fibers": carpets.uniform_fibers(spec),
@@ -506,8 +475,7 @@ def cmd_carpet(args):
         report["chain_holds"] = bool(
             report["fraser_lower"] < report["affinity"] <= fix["s_eps"]
             < report["mackay_assouad"])
-    write_report(report, args.out, "carpet.json")
-    return EXIT_OK
+    return report, EXIT_OK
 
 
 # ---------------------------------------------------------------------------
@@ -530,8 +498,9 @@ def build_parser():
                       help="also build the augmented example at this eps"),
     }
 
-    def command(parent, name, summary, *flags):
+    def command(parent, name, summary, run, report_name, *flags):
         p = parent.add_parser(name, help=summary)
+        p.set_defaults(run=run, report_name=report_name)
         p.add_argument("--input", required=True,
                        help="IFS or carpet JSON file, or a fixture name")
         for flag in flags:
@@ -544,26 +513,20 @@ def build_parser():
         p.add_argument("--out", default=None,
                        help="output file or directory (default stdout)")
 
-    command(sub, "check", "condition certificates", "--depth")
-    command(sub, "dims", "dimension table", "--depth", "--budget", "--tol")
+    command(sub, "check", "condition certificates", cmd_check, "check.json",
+            "--depth")
+    command(sub, "dims", "dimension table", cmd_dims, "dims.json",
+            "--depth", "--budget", "--tol")
     verify = sub.add_parser("verify", help="named acceptance suite")
     suites = verify.add_subparsers(dest="suite", required=True)
-    for suite in sorted(SUITES):
-        flags = ("--depth",) if suite in ("ahl", "diml") else ()
-        command(suites, suite, f"the {suite} suite", *flags)
-    command(sub, "render", "SVG of depth-n cylinders", "--depth",
-            "--directions")
-    command(sub, "carpet", "carpet closed forms", "--eps")
+    for suite, (run, flags) in sorted(SUITES.items()):
+        command(suites, suite, f"the {suite} suite", run,
+                f"verify_{suite}.json", *flags)
+    command(sub, "render", "SVG of depth-n cylinders", cmd_render,
+            "render.svg", "--depth", "--directions")
+    command(sub, "carpet", "carpet closed forms", cmd_carpet, "carpet.json",
+            "--eps")
     return parser
-
-
-COMMANDS = {
-    "check": cmd_check,
-    "dims": cmd_dims,
-    "verify": cmd_verify,
-    "render": cmd_render,
-    "carpet": cmd_carpet,
-}
 
 
 def main(argv=None):
@@ -572,7 +535,15 @@ def main(argv=None):
     try:
         # a malformed word cap stops the command before any work
         word_cap()
-        return COMMANDS[args.command](args)
+        ifs, spec = load_input(args.input)
+        report, code = args.run(ifs, spec, args)
+        if isinstance(report, str):
+            _write_text(report, args.out, args.report_name)
+        else:
+            report.update(command=args.command,
+                          input=os.path.basename(args.input))
+            write_report(report, args.out, args.report_name)
+        return code
     except InputError as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_INPUT

@@ -1,12 +1,15 @@
-"""Global enumeration budget.
+"""Global enumeration budget and seeded random stream.
 
 Every word enumeration in the toolkit honours a hard cap: exceeding it
 raises BudgetExceeded instead of silently truncating.  The cap is one
 process-wide setting, the AFFINEDIM_WORD_CAP environment variable, read
-at each guard when the enumeration is made.
+at each guard when the enumeration is made.  Every seeded draw comes
+from `seeded_rng`, the one place that names the bit generator.
 """
 
 import os
+
+import numpy as np
 
 from .errors import InputError
 
@@ -27,3 +30,9 @@ def word_cap():
         raise InputError("AFFINEDIM_WORD_CAP must be a nonnegative integer, "
                          f"got {env!r}")
     return cap
+
+
+def seeded_rng(seed):
+    """The random stream of a seed: numpy's counter-based Philox generator
+    keyed by it, so a seed draws the same numbers on every platform."""
+    return np.random.Generator(np.random.Philox(key=seed))

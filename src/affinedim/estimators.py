@@ -11,6 +11,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .config import seeded_rng
 from .errors import DegenerateRange
 
 INT64_MIN, INT64_MAX = -2 ** 63, 2 ** 63 - 1
@@ -295,7 +296,7 @@ def two_scale_exponents(cloud, seed):
     walk reads is contiguous.
     """
     pairs = _default_pairs(cloud)
-    rng = np.random.Generator(np.random.Philox(key=seed))
+    rng = seeded_rng(seed)
     idx = rng.choice(len(cloud), size=min(N_CENTERS, len(cloud)), replace=False)
     cols = np.ascontiguousarray(cloud.points.T)
     out = []

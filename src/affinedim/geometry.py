@@ -9,7 +9,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .config import word_cap
+from .config import seeded_rng, word_cap
 from .errors import BudgetExceeded, DegenerateRange, HypothesisViolated, \
     NotDominated, NotSeparated
 from .estimators import PointCloud, box_dim, morton_keys
@@ -522,7 +522,7 @@ def _grid_tangent_scan(p, q, digits, seed, resolution):
     letters = (N_TANGENTS + len(digits)) * depth
     if letters > cap:
         raise BudgetExceeded(cap, letters)
-    rng = np.random.Generator(np.random.Philox(key=seed))
+    rng = seeded_rng(seed)
     words = list(rng.integers(len(digits), size=(N_TANGENTS, depth)))
     words += [[i] * depth for i in range(len(digits))]
     x = np.arange(n_scales + 1) * math.log(p)
@@ -556,7 +556,7 @@ def tangent_dimension_scan(ifs, seed, resolution=0.002):
     if grid is not None:
         return _grid_tangent_scan(*grid, seed, resolution)
     scales = [2.0 ** -k for k in range(2, 6)]
-    rng = np.random.Generator(np.random.Philox(key=seed))
+    rng = seeded_rng(seed)
     base = ifs.chaos_game(seed, max(N_TANGENTS * 4, 64))
     idx = rng.choice(len(base), size=N_TANGENTS, replace=False)
     dims = []
@@ -706,6 +706,16 @@ def hausdorff_content_projection(ifs, v, s, depth):
     return ContentEstimate(s, v, value, depth)
 
 
+def sampled_cylinder_directions(ifs, depth, count, seed):
+    """count distinct depth-n cylinders drawn from the seed, or all of
+    them when there are fewer, as their flat indices and the angles of
+    their limit directions; NotDominated without a certified multicone."""
+    thetas = _cylinder_directions(ifs, depth)
+    idx = seeded_rng(seed).choice(len(thetas), size=min(count, len(thetas)),
+                                  replace=False)
+    return idx, thetas[idx]
+
+
 # depth and number of the cylinders content_consistency samples
 CONTENT_DEPTH, CONTENT_CYLINDERS = 6, 20
 
@@ -724,14 +734,11 @@ def content_consistency(ifs, depth, seed):
     if s > 1.0:
         raise ValueError("content comparison needs s <= 1")
     state = equilibrium_state(ifs, s, m=CONTENT_DEPTH)
-    thetas = _cylinder_directions(ifs, CONTENT_DEPTH)
-    rng = np.random.Generator(np.random.Philox(key=seed))
-    size = ifs.n_maps ** CONTENT_DEPTH
-    idx = rng.choice(size, size=min(CONTENT_CYLINDERS, size), replace=False)
+    idx, thetas = sampled_cylinder_directions(ifs, CONTENT_DEPTH,
+                                              CONTENT_CYLINDERS, seed)
     ratios = []
-    for k in idx:
-        v = ProjPoint(thetas[k])
-        est = hausdorff_content_projection(ifs, v, s, depth)
+    for k, theta in zip(idx, thetas):
+        est = hausdorff_content_projection(ifs, ProjPoint(theta), s, depth)
         ratios.append(est.value / float(state.h[k]))
     ratios = np.array(ratios)
     cv = float(ratios.std() / ratios.mean()) if ratios.mean() > 0 else math.inf

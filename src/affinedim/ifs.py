@@ -16,7 +16,7 @@ import math
 
 import numpy as np
 
-from .config import word_cap
+from .config import seeded_rng, word_cap
 from .errors import BudgetExceeded, IndexOutOfRange
 from .estimators import Frozen, PointCloud
 
@@ -482,7 +482,7 @@ class Ifs:
         """count points of the chaos game as a read-only (count, 2) array:
         the orbit of the ball center under maps drawn by the counter-based
         generator of seed, after 64 burn-in steps."""
-        rng = np.random.Generator(np.random.Philox(key=seed))
+        rng = seeded_rng(seed)
         burn = 64
         idx = rng.integers(0, self.n_maps, size=count + burn)
         x = self.ball_center.copy()

@@ -254,6 +254,8 @@ class TestErrorContract:
         (["carpet", "--input", "carpet.json", "--depth", "3"], EXIT_INPUT),
         (["verify", "gibbs", "--input", "cone.json", "--depth", "3"],
          EXIT_INPUT),
+        (["verify", "ahl", "--input", "cone.json", "--depth", "1"],
+         EXIT_INPUT),
     ])
     def test_documented_code_without_traceback(self, tmp_path, argv, code):
         out = run_cli([fx(a) if a.endswith(".json") else a for a in argv]
@@ -632,6 +634,28 @@ class TestCommands:
                      "--out", str(out)]) == EXIT_OK
         rep = json.loads(out.read_text())
         assert rep["status"] == "Skipped"
+
+
+class TestOutDirectory:
+    # each command writes into a directory under its default file name; the
+    # suites that skip on these inputs still write their reports
+    @pytest.mark.parametrize("argv, name", [
+        ("check sim3.json", "check.json"),
+        ("dims cantor2.json", "dims.json"),
+        ("verify diml carpet.json", "verify_diml.json"),
+        ("verify dima cone.json", "verify_dima.json"),
+        ("verify ahl positive_pair.json", "verify_ahl.json"),
+        ("verify gibbs sim3.json", "verify_gibbs.json"),
+        ("verify content positive_pair.json", "verify_content.json"),
+        ("verify trans positive_pair.json", "verify_trans.json"),
+        ("render carpet.json", "render.svg"),
+        ("carpet carpet.json", "carpet.json"),
+    ])
+    def test_writes_its_default_file(self, tmp_path, argv, name):
+        *command, spec = argv.split()
+        assert main(command + ["--input", fx(spec),
+                               "--out", str(tmp_path)]) == EXIT_OK
+        assert os.listdir(tmp_path) == [name]
 
 
 class TestRender:

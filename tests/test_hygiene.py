@@ -13,11 +13,12 @@ the callers of the product levels have no @, no module makes an array of
 Python objects, only projective._atan2 fills an array from a libm
 function called once per element, classify_irreducibility tests its
 lines in one table, only Ifs.__init__ and the memo ifs.derived touch
-Ifs._cache, no module uses dataclasses and every record refuses a
-rebound field, importing the package loads numpy but neither scipy nor
-dataclasses, every entry point that the benchmark's tracer wraps still
-exists, and a traced `dims` run counts the points of the covering
-counts."""
+Ifs._cache, cli.main alone reads an input and writes a report,
+config.seeded_rng alone names the bit generator, no module uses
+dataclasses and every record refuses a rebound field, importing the
+package loads numpy but neither scipy nor dataclasses, every entry
+point that the benchmark's tracer wraps still exists, and a traced
+`dims` run counts the points of the covering counts."""
 
 import ast
 import importlib
@@ -699,21 +700,36 @@ def test_cache_kept_by_ifs_alone(module):
         assert cache_accesses(fh.read()) == []
 
 
-def cache_owners(source):
-    """Dotted name of the function or class around every read or write of
-    an attribute named _cache, "" at module level."""
-    owners = []
+def owners(source, hit):
+    """Dotted name of the function or class around every node of source
+    for which hit holds, "" at module level."""
+    found = []
 
     def visit(node, scope):
         for child in ast.iter_child_nodes(node):
             if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
                 visit(child, scope + [child.name])
                 continue
-            if isinstance(child, ast.Attribute) and child.attr == "_cache":
-                owners.append(".".join(scope))
+            if hit(child):
+                found.append(".".join(scope))
             visit(child, scope)
     visit(ast.parse(source), [])
-    return owners
+    return found
+
+
+def cache_owners(source):
+    """Dotted name of the function or class around every read or write of
+    an attribute named _cache, "" at module level."""
+    return owners(source, lambda node: isinstance(node, ast.Attribute)
+                  and node.attr == "_cache")
+
+
+def call_owners(source, name):
+    """Dotted name of the function or class around every call of a
+    function with the given name, "" at module level."""
+    return owners(source, lambda node: isinstance(node, ast.Call)
+                  and getattr(node.func, "attr",
+                              getattr(node.func, "id", None)) == name)
 
 
 def test_checker_finds_cache_owners():
@@ -731,6 +747,50 @@ def test_memo_is_the_only_cache():
     with open(os.path.join(SRC_DIR, "ifs.py")) as fh:
         owners = cache_owners(fh.read())
     assert set(owners) == {"derived.memo", "Ifs.__init__"}
+
+
+def test_checker_finds_call_owners():
+    src = ("x = load(1)\n"
+           "def main(argv):\n    return write(load(argv))\n"
+           "class Sink:\n    def write(self, text):\n"
+           "        return self.out.write(text)\n")
+    assert call_owners(src, "load") == ["", "main"]
+    assert call_owners(src, "write") == ["main", "Sink.write"]
+
+
+def src_call_owners(name):
+    """"module:owner" of every call of name in the package's sources."""
+    found = []
+    for path in sorted(SRC_CALLERS):
+        with open(path) as fh:
+            found += [f"{os.path.basename(path)}:{owner}"
+                      for owner in call_owners(fh.read(), name)]
+    return found
+
+
+@pytest.mark.parametrize("name, callers", [
+    ("load_input", ["cli.py:main"]),
+    ("write_report", ["cli.py:main"]),
+    ("_write_text", ["cli.py:main", "cli.py:write_report"]),
+])
+def test_main_reads_and_writes(name, callers):
+    # the runners take a loaded input and return their report, so a block
+    # that every report carries is added in main alone
+    assert sorted(src_call_owners(name)) == callers
+
+
+def test_checker_finds_philox_calls():
+    src = ("import numpy as np\ndef rng(seed):\n"
+           "    return np.random.Generator(np.random.Philox(key=seed))\n"
+           "from numpy.random import Philox\nb = Philox(2)\n"
+           "# np.random.Philox in a comment\n")
+    assert call_owners(src, "Philox") == ["rng", ""]
+
+
+def test_one_bit_generator():
+    # every seeded draw comes from config.seeded_rng, so the choice of bit
+    # generator, on which every seeded report depends, is made once
+    assert src_call_owners("Philox") == ["config.py:seeded_rng"]
 
 
 def dataclass_uses(source):
