@@ -1,26 +1,10 @@
-"""Source hygiene checks that need no linter: every module of the package
-uses each name it imports and imports only at module level, only
-Ifs.frontier takes a word limit of its own, every defaulted parameter is
-set by some call in the package and left unset by some call, 2x2
-products go through the one kernel ifs.mul2,
-projective angles come from math.atan2 and not np.arctan2, one function
-branches on s at 1 and 2, one function fits a level to a word count in
-a while loop, one function takes a*d - b*c from a matrix's entries,
-the estimators take no norms and no reductions along axis 0,
-interval_content has no for loop and no comprehension, only the
-estimators copy an array with np.ascontiguousarray, Ifs.frontier and
-the callers of the product levels have no @, no module makes an array of
-Python objects, only projective._atan2 fills an array from a libm
-function called once per element, classify_irreducibility tests its
-lines in one table, only Ifs.__init__ and the memo ifs.derived touch
-Ifs._cache, cli.main alone reads an input and writes a report,
-config.seeded_rng alone names the bit generator, no module uses
-dataclasses and every record refuses a rebound field, importing the
-package loads numpy but neither scipy nor dataclasses, every entry
-point that the benchmark's tracer wraps still exists, and a traced
-`dims` run counts the points of the covering counts."""
+"""Source hygiene checks that need no linter.  Most are rows of RULES, each
+checked on the syntax trees of the package; the rest check imports,
+defaults, records, fresh imports and the benchmark tracer's hooks."""
 
 import ast
+import collections
+import functools
 import importlib
 import importlib.util
 import json
@@ -28,6 +12,7 @@ import math
 import os
 import subprocess
 import sys
+from fnmatch import fnmatchcase
 
 import numpy as np
 import pytest
@@ -38,132 +23,457 @@ from affinedim.ifs import Cylinders
 
 SRC_DIR = os.path.join(os.path.dirname(__file__), os.pardir, "src",
                        "affinedim")
-MODULES = sorted(f for f in os.listdir(SRC_DIR)
-                 if f.endswith(".py") and f != "__init__.py")
+SOURCES = sorted(f for f in os.listdir(SRC_DIR) if f.endswith(".py"))
+MODULES = [f for f in SOURCES if f != "__init__.py"]
+TEST_DIR = os.path.dirname(__file__)
+TEST_PATHS = tuple(os.path.join(TEST_DIR, f)
+                   for f in sorted(os.listdir(TEST_DIR)) if f.endswith(".py"))
+TRACER = os.path.join(SRC_DIR, os.pardir, os.pardir, "perfbench",
+                      "tracer.py")
 
 
-def unused_imports(source):
+@functools.cache
+def parsed(path):
+    with open(path) as fh:
+        return ast.parse(fh.read())
+
+
+@functools.cache
+def owned(node):
+    """(owner, node) for every node below node: the owner is the dotted
+    name of the innermost definition that holds the node, "" outside every
+    definition.  A definition holds itself, its decorators, its parameters
+    and its defaults."""
+    found = []
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            inner = scope + [child.name] if isinstance(child, DEFINITIONS) \
+                else scope
+            found.append((".".join(inner), child))
+            visit(child, inner)
+    visit(node, [])
+    return found
+
+
+@functools.cache
+def owners(node, hit):
+    """The owner of every node below node that hit finds."""
+    return [o for o, n in owned(node)
+            if (isinstance(n, hit) if isinstance(hit, tuple) else hit(n))]
+
+
+# Hits: a tuple of node types, or a predicate on a syntax node; call and
+# attribute make one predicate per name.
+DEFINITIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+IMPORTS = (ast.Import, ast.ImportFrom)
+LOOPS = (ast.For, ast.AsyncFor, ast.ListComp, ast.SetComp, ast.DictComp,
+         ast.GeneratorExp)
+
+
+@functools.cache
+def call(name):
+    return lambda node: isinstance(node, ast.Call) and getattr(
+        node.func, "attr", getattr(node.func, "id", None)) == name
+
+
+@functools.cache
+def attribute(name):
+    return lambda node: isinstance(node, ast.Attribute) and node.attr == name
+
+
+def budget_knob(node):
+    """A budget parameter, or a word_cap call given an argument."""
+    return isinstance(node, ast.arg) \
+        and node.arg in ("cap", "max_intervals", "max_depth") \
+        or call("word_cap")(node) and bool(node.args or node.keywords)
+
+
+def matmul(node):
+    return isinstance(node, (ast.BinOp, ast.AugAssign)) \
+        and isinstance(node.op, ast.MatMult)
+
+
+def axis0(node):
+    return isinstance(node, ast.Call) and any(
+        k.arg == "axis" and isinstance(k.value, ast.Constant)
+        and k.value.value == 0 for k in node.keywords)
+
+
+def object_array(node):
+    """An astype(object) call or a call given dtype=object."""
+    if not isinstance(node, ast.Call):
+        return False
+    args = [k.value for k in node.keywords if k.arg == "dtype"]
+    args += node.args if getattr(node.func, "attr", None) == "astype" else []
+    return any(isinstance(a, ast.Name) and a.id == "object" for a in args)
+
+
+def libm_loop(node):
+    """A fromiter call over map(math.<function>, ...)."""
+    return call("fromiter")(node) and any(
+        call("map")(a) and a.args and isinstance(a.args[0], ast.Attribute)
+        and getattr(a.args[0].value, "id", None) == "math" for a in node.args)
+
+
+def dataclass_use(node):
+    """An import of dataclasses, or the name or attribute dataclass."""
+    if isinstance(node, ast.Import):
+        return any(a.name == "dataclasses" for a in node.names)
+    if isinstance(node, ast.ImportFrom):
+        return node.module == "dataclasses"
+    return getattr(node, "id", getattr(node, "attr", None)) == "dataclass"
+
+
+def power_loop(node):
+    """A while loop whose test takes a power, by ** or pow()."""
+    return isinstance(node, ast.While) and any(
+        isinstance(t, ast.BinOp) and isinstance(t.op, ast.Pow)
+        or isinstance(t, ast.Call) and getattr(t.func, "id", None) == "pow"
+        for t in ast.walk(node.test))
+
+
+def determinant(node):
+    """a*d - b*c from the entries of a 2x2 matrix: the names a, b, c and
+    d, or subscripts whose last two indices are (0, 0), (0, 1), (1, 0)
+    and (1, 1)."""
+    def entry(side):
+        index = getattr(getattr(side, "slice", None), "elts", [])[-2:]
+        return getattr(side, "id", None) or {
+            (0, 0): "a", (0, 1): "b", (1, 0): "c", (1, 1): "d"}.get(
+                tuple(getattr(i, "value", None) for i in index))
+
+    def factors(side):
+        return isinstance(side, ast.BinOp) and isinstance(side.op, ast.Mult) \
+            and {entry(side.left), entry(side.right)}
+    return isinstance(node, ast.BinOp) and isinstance(node.op, ast.Sub) \
+        and [factors(node.left), factors(node.right)] \
+        in ([{"a", "d"}, {"b", "c"}], [{"b", "c"}, {"a", "d"}])
+
+
+def s_branch(node):
+    """A definition whose own body, nested definitions aside, compares s
+    with both 1.0 and 2.0."""
+    if not isinstance(node, DEFINITIONS):
+        return False
+    compared = set()
+    for owner, c in owned(node):
+        operands = [c.left, *c.comparators] \
+            if owner == "" and isinstance(c, ast.Compare) else []
+        if any(isinstance(o, ast.Name) and o.id == "s" for o in operands):
+            compared |= {o.value for o in operands
+                         if isinstance(o, ast.Constant)}
+    return {1.0, 2.0} <= compared
+
+
+# A rule runs as the test named test, with one case per module it reads
+# when test holds "{module}".  where and allowed are globs over
+# "module:owner", space-separated; a glob selects the names it matches and
+# the definitions nested in them, and each glob of where must name a
+# definition.  Of the hits that where selects, an exact rule finds one for
+# each entry of allowed, and any other only those that allowed selects.
+Rule = collections.namedtuple("Rule", "test hit where allowed exact",
+                              defaults=[False])
+CLASSIFY = "projective.py:classify_irreducibility"
+RULES = [
+    # an import inside a function hides an import cycle from the reader
+    Rule("imports_at_module_level[{module}]", IMPORTS, "*", "*:"),
+    # one word cap; Ifs.frontier alone takes a limit, for posc_check's walks
+    Rule("one_word_cap[{module}]", budget_knob, "*",
+         "errors.py:BudgetExceeded.__init__ geometry.py:_proj_stopping "
+         "ifs.py:Ifs.frontier", True),
+    Rule("one_word_cap[{module}]", (ast.arg,), "*:*word_cap", ""),
+    # 2x2 products go through ifs.mul2, which equals einsum bit for bit
+    Rule("no_einsum[{module}]", call("einsum"), "*", ""),
+    # np.power's SIMD kernel differs from libm pow in the last bit
+    Rule("no_power[{module}]", call("power"), "*", ""),
+    # np.arctan2 differs from math.atan2 in the last bit of some angles
+    Rule("no_arctan2_in_projective", call("arctan2"), "projective.py:*", ""),
+    # one eig gives the lines, one act_angle table their images and pairs
+    Rule("irreducibility_tests_one_table", call("act_angle"), CLASSIFY,
+         CLASSIFY, True),
+    Rule("irreducibility_tests_one_table", call("_eigen_lines"), CLASSIFY,
+         CLASSIFY, True),
+    Rule("irreducibility_tests_one_table", call("combinations"), CLASSIFY,
+         ""),
+    # a strided axis-0 reduction or a norm per scale pair costs; read columns
+    Rule("estimators_read_columns", call("norm"), "estimators.py:*", ""),
+    Rule("estimators_read_columns", axis0, "estimators.py:*", ""),
+    # the kernels of ifs read any layout; the estimators copy columns
+    Rule("layout_stays_in_ifs[{module}]", call("ascontiguousarray"), "*",
+         "estimators.py:*"),
+    # a round merges every ready gap, where a loop would run per interval
+    Rule("interval_content_merges_in_rounds", LOOPS,
+         "geometry.py:interval_content", ""),
+    # the kernels of ifs round the same in any layout; a stacked @ does not
+    Rule("frontier_has_one_product_rule", matmul, "ifs.py:Ifs.frontier", ""),
+    Rule("products_come_from_ifs[thermo.py-_cylinder_directions]", matmul,
+         "thermo.py:_cylinder_directions", ""),
+    Rule("products_come_from_ifs[thermo.py-transfer_matrix]", matmul,
+         "thermo.py:transfer_matrix", ""),
+    Rule("products_come_from_ifs[projective.py-classify_irreducibility]",
+         matmul, CLASSIFY, ""),
+    # an object array costs a Python float per element and a call per power
+    Rule("no_object_arrays[{module}]", object_array, "*", ""),
+    # a Python call per float is slow, but no ufunc runs libm atan2 alone
+    Rule("libm_loops_only_for_atan2[{module}]", libm_loop, "*",
+         "projective.py:_atan2", True),
+    # Ifs.__init__ makes the one memo, and ifs.derived reads and fills it
+    Rule("cache_kept_by_ifs_alone[{module}]", attribute("_cache"), "*",
+         "ifs.py:*"),
+    Rule("memo_is_the_only_cache", attribute("_cache"), "ifs.py:*",
+         "ifs.py:Ifs.__init__" + " ifs.py:derived.memo" * 3, True),
+    # a dataclass costs about 0.8 ms at import; records are Frozen or tuples
+    Rule("no_dataclasses[{module}]", dataclass_use, "*", ""),
+    # runners return reports, so a block that every report carries is added
+    # in main alone
+    Rule("main_reads_and_writes[load_input-callers0]", call("load_input"),
+         "*", "cli.py:main", True),
+    Rule("main_reads_and_writes[write_report-callers1]",
+         call("write_report"), "*", "cli.py:main", True),
+    Rule("main_reads_and_writes[_write_text-callers2]", call("_write_text"),
+         "*", "cli.py:main cli.py:write_report", True),
+    # a benchmark child's report must not land on stdout as well
+    Rule("quiet_library[{module}]", call("print"), "*", "cli.py:*"),
+    Rule("quiet_library[{module}]", attribute("stdout"), "*",
+         "cli.py:_write_text"),
+    # every seeded report depends on the bit generator, chosen once
+    Rule("one_bit_generator", call("Philox"), "*", "config.py:seeded_rng",
+         True),
+    # phi^s is ifs.log_svf alone; a copy of its branches would drift
+    Rule("one_singular_value_function", s_branch, "*", "ifs.py:log_svf",
+         True),
+    # the deepest level that fits a word count is found in one place
+    Rule("one_level_fit", power_loop, "*", "ifs.py:fit_level", True),
+    # a*d - b*c is ifs.det2 alone, the one determinant to round outward
+    Rule("one_determinant", determinant, "*", "ifs.py:det2", True),
+]
+TREES = {m: parsed(os.path.join(SRC_DIR, m)) for m in SOURCES}
+
+
+def selects(globs, name):
+    return any(fnmatchcase(name, g) or fnmatchcase(name, g + ".*")
+               for g in globs.split())
+
+
+def reads(rule, modules):
+    return [m for m in modules if any(fnmatchcase(m, g.partition(":")[0])
+                                      for g in rule.where.split())]
+
+
+def check_rule(rule, modules, trees=TREES):
+    """Check rule on the given modules of trees, a syntax tree by name."""
+    defined = [f"{m}:{o}" for m in reads(rule, trees)
+               for o in ("",) + tuple(owners(trees[m], DEFINITIONS))]
+    assert [g for g in rule.where.split()
+            if not any(selects(g, d) for d in defined)] == []
+    found = sorted(name for m in modules
+                   for name in (f"{m}:{o}" for o in owners(trees[m], rule.hit))
+                   if selects(rule.where, name))
+    if rule.exact:
+        assert found == sorted(a for a in rule.allowed.split()
+                               if a.partition(":")[0] in modules)
+    else:
+        assert [f for f in found if not selects(rule.allowed, f)] == []
+
+
+def bind(check, cases):
+    """Add to this module a test per name among cases, pairs of an id
+    "name" or "name[param]" and arguments of check.  A name with params is
+    parametrised over them, so that a failure names both, and a case calls
+    check on each argument tuple given under its id."""
+    runs = collections.defaultdict(lambda: collections.defaultdict(list))
+    for case, args in cases:
+        name, _, param = case.partition("[")
+        runs[name][param.rstrip("]")].append(args)
+    for name, by_param in runs.items():
+        globals()["test_" + name] = case_test(check, by_param)
+
+
+def case_test(check, by_param):
+    def test(case):
+        for args in by_param[case]:
+            check(*args)
+    if list(by_param) == [""]:
+        return lambda: test("")
+    return pytest.mark.parametrize("case", list(by_param))(test)
+
+
+bind(check_rule, [(rule.test.format(module=m), (rule, [m]))
+                  for rule in RULES if "{module}" in rule.test
+                  for m in reads(rule, SOURCES)]
+     + [(rule.test, (rule, reads(rule, SOURCES)))
+        for rule in RULES if "{module}" not in rule.test])
+
+# Sources for the hits, dense: a body follows its colon, a space indents
+NUMPY = ("import math\nimport numpy as np\nfrom numpy import einsum\n"
+         "x = np.einsum('ij->i', y); z = einsum('i->', x)\n"
+         "a = math.atan2(1.0, 2.0); b = np.arctan2(y, x)\n"
+         "c = np.ascontiguousarray(y.T); d = np.asarray(y)\n"
+         "e = np.power(y, s); f = np.float_power(y, s); g = y ** s\n"
+         "def rng(seed): return np.random.Generator(np.random.Philox(seed))\n"
+         "h = Philox(2)\n"
+         "# np.einsum, np.arctan2, np.ascontiguousarray, np.power, Philox\n")
+CALLS = "def f(a): return g(a) + g(h(a))\ndef k(a): return g(a)\n"
+WRITES = ("x = load(1)\ndef main(argv):\n print(argv, file=sys.stderr)\n"
+          " return write(load(argv))\nclass Sink:\n def write(self, text):\n"
+          "  self.print_usage(); return sys.stdout.write(text) or run.stderr\n"
+          "print('x')\n")
+# (case id, hit, source, the owners of its hits)
+CHECKS = [
+    ("checker_finds_imports_inside_functions", IMPORTS, "import os\n"
+     "def f():\n from math import pi\nclass C:\n def g(self):\n  def h():\n"
+     "   import sys\n", ["", "f", "C.g.h"]),
+    ("checker_finds_budget_knobs", budget_knob, "def f(x, cap=None): pass\n"
+     "def g(y, *, max_depth=3): return config.word_cap()\na = word_cap(5)\n"
+     "def h(x): return word_cap(cap=x)\n", ["", "f", "g", "h"]),
+    ("checker_finds_budget_knobs", (ast.arg,), "def word_cap(override=None):"
+     " return lambda k: k\nclass C:\n def f(self, *a, **b): pass\n",
+     ["word_cap", "word_cap", "C.f", "C.f", "C.f"]),
+    ("checker_finds_einsum_calls", call("einsum"), NUMPY, ["", ""]),
+    ("checker_finds_arctan2_calls", call("arctan2"), NUMPY, [""]),
+    ("checker_finds_ascontiguousarray_calls", call("ascontiguousarray"),
+     NUMPY, [""]),
+    ("checker_finds_power_calls", call("power"), NUMPY, [""]),
+    ("checker_finds_philox_calls", call("Philox"), NUMPY, ["rng", ""]),
+    ("checker_finds_calls_in_functions", call("g"), CALLS, ["f", "f", "k"]),
+    ("checker_finds_calls_in_functions", call("h"), CALLS, ["f"]),
+    ("checker_finds_decorator_owners", call("memo"), "@memo(3)\n"
+     "def f(): pass\nclass C:\n @memo(4)\n def g(self, x=memo(5)): pass\n",
+     ["f", "C.g", "C.g"]),
+    ("checker_finds_s_branches", s_branch, "def a(s):\n if s <= 1.0: return "
+     "0\n return 1 if s <= 2.0 else 2\ndef b(s, t): return s < 1.0 or t > 2."
+     "0\nclass C:\n def c(self, x):\n  def inner(s): return s <= 1.0 or 2.0"
+     " < s\n  return x > 1.0 and inner(x) > 2.0\n", ["a", "C.c.inner"]),
+    ("checker_finds_power_loops", power_loop, "def a(n, m):\n while n ** m "
+     "> 9 and m > 1: m -= 1\n while m < 3: m += 1\nclass C:\n def b(self, k)"
+     ":\n  while pow(2, k) > 5: k -= 1\n  def inner(j):\n   while 3 ** j < "
+     "9: j += 1\nwhile 2 ** 3 < 1: pass\n", ["", "C.b", "C.b.inner", "a"]),
+    ("checker_finds_entry_determinants", determinant, "def f(a, b, c, d): "
+     "return a * d - b * c\nclass C:\n def g(self, m): return m[:, 1, 1] * m"
+     "[:, 0, 0] - m[:, 0, 1] * m[:, 1, 0]\nx = -(b * c - d * a)\ncross = e["
+     "0] * o[:, 1] - e[1] * o[:, 0]\ny = a * b - c * d\nz = m[0, 0] * m[1, "
+     "1] + m[0, 1] * m[1, 0]\n", ["", "C.g", "f"]),
+    ("checker_finds_norms_and_axis0_reductions", call("norm"),
+     "d = np.linalg.norm(p - c, axis=1)\n", [""]),
+    ("checker_finds_norms_and_axis0_reductions", axis0, "lo = p.min(axis=0)"
+     "\nhi = p[:, 0].max(); d = np.hypot(p, q, axis=1)\n"
+     "n = np.sum(p, axis=0, keepdims=True)\n# p.max(axis=0)\n", ["", ""]),
+    ("checker_finds_loops", LOOPS, "def f(xs):\n for x in xs: pass\n ys = ["
+     "x for x in xs]\n return sum(x for x in ys)\ndef g(xs):\n while xs: xs"
+     " = {x: 1 for x in xs[1:]}\nfor y in range(3): pass\n",
+     ["", "f", "f", "f", "g"]),
+    ("checker_finds_matmuls", matmul, "class C:\n def f(self, a, b): return"
+     " a @ b\n def g(self, a):\n  a @= a\n  return [x @ x for x in a]\n"
+     "def f(a): return a @ a\n", ["C.f", "C.g", "C.g", "f"]),
+    ("checker_finds_matmuls_in_functions", matmul, "def f(a):\n b = a @ a\n"
+     "@derived\ndef g(a): return [x @ x for x in a]\n"
+     "def h(a): return mul2(a, a)\n", ["f", "g"]),
+    ("checker_finds_object_arrays", object_array, "y = x.astype(object)\n"
+     "z = np.array(x, dtype=object)\nw = x.astype(float)\n"
+     "v = np.empty(3, dtype=float)\nu = isinstance(x, object)\n", ["", ""]),
+    ("checker_finds_libm_loops", libm_loop, "def f(x, s): return np.fromite"
+     "r(map(math.pow, x, s), float)\nclass C:\n def g(self, y): return np.f"
+     "romiter(map(math.atan, y), float)\nz = np.fromiter(map(math.exp, [1.0"
+     "]), float)\nw = np.fromiter(map(abs, [1.0]), float)\n"
+     "ok = all(map(math.isfinite, [1.0]))\n", ["", "C.g", "f"]),
+    ("checker_finds_cache_accesses", attribute("_cache"), "x = ifs._cache["
+     "'key']\nifs._cache[1] = 2\n_cache = {}\ny = self._cache.get(3)\n",
+     ["", "", ""]),
+    ("checker_finds_cache_owners", attribute("_cache"), "x = ifs._cache\n"
+     "def derived(fn):\n def memo(ifs): return ifs._cache[fn]\nclass Ifs:\n"
+     " def __init__(self): self._cache = {}\n"
+     " def level(self, n): return self._cache.get(n)\n",
+     ["", "derived.memo", "Ifs.__init__", "Ifs.level"]),
+    ("checker_finds_call_owners", call("load"), WRITES, ["", "main"]),
+    ("checker_finds_call_owners", call("write"), WRITES,
+     ["Sink.write", "main"]),
+    ("checker_finds_writes_to_stdout", call("print"), WRITES, ["", "main"]),
+    ("checker_finds_writes_to_stdout", attribute("stdout"), WRITES,
+     ["Sink.write"]),
+    ("checker_finds_dataclasses", dataclass_use, "from dataclasses import "
+     "field\nimport dataclasses as dc\n@dataclass\nclass A: x: int\n@dc.dat"
+     "aclass(frozen=True)\nclass B: y: int = field()\n"
+     "class C(NamedTuple): z: int\n", ["", "", "A", "B"]),
+]
+
+
+def check_hit(hit, source, expected):
+    assert sorted(owners(ast.parse(source), hit)) == sorted(expected)
+
+
+bind(check_hit, [(case, args) for case, *args in CHECKS])
+
+
+def test_every_hit_is_checked():
+    # a hit that finds nothing in any source checks nothing; the hits that
+    # call or attribute make differ in a name alone and share their code
+    assert {getattr(rule.hit, "__code__", rule.hit) for rule in RULES} \
+        <= {getattr(hit, "__code__", hit) for _, hit, _, found in CHECKS
+            if found}
+
+
+def test_checker_reads_where():
+    # a rule reads the hits under the definitions its where names, nested
+    # ones too, and fails when a glob names no definition
+    trees = {"m.py": ast.parse("def f(a): return g(a) + g(h(a))\ndef k(a):\n"
+                               " def inner(): return g(a)\nclass C:\n"
+                               " def m(self): return g(h(1))\n")}
+    check_rule(Rule("", call("g"), "m.py:k", "m.py:k.inner", True), ["m.py"],
+               trees)
+    check_rule(Rule("", call("h"), "m.py:k *:C.m", "*.m"), ["m.py"], trees)
+    check_rule(Rule("", call("g"), "*", "m.py:f m.py:f", True), [], trees)
+    for where, allowed, exact in [("m.py:f", "", False),
+                                  ("m.py:k", "m.py:k", True),
+                                  ("m.py:k m.py:h", "", False),
+                                  ("m.py:C.n", "", False)]:
+        with pytest.raises(AssertionError):
+            check_rule(Rule("", call("h"), where, allowed, exact), ["m.py"],
+                       trees)
+
+
+def unused_imports(tree):
     """Names bound by import statements and never read in the module."""
-    tree = ast.parse(source)
-    imported = {}
-    for node in ast.walk(tree):
-        if isinstance(node, (ast.Import, ast.ImportFrom)):
-            for alias in node.names:
-                name = alias.asname or alias.name.split(".")[0]
-                imported[name] = node.lineno
+    imported = {alias.asname or alias.name.split(".")[0]
+                for node in ast.walk(tree) if isinstance(node, IMPORTS)
+                for alias in node.names}
     used = {node.id for node in ast.walk(tree)
             if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
-    return sorted(name for name in imported if name not in used)
+    return sorted(imported - used)
 
 
 def test_checker_finds_an_unused_import():
     src = "import os\nfrom math import pi, tau\nprint(os.sep, tau)\n"
-    assert unused_imports(src) == ["pi"]
+    assert unused_imports(ast.parse(src)) == ["pi"]
 
 
 @pytest.mark.parametrize("module", MODULES)
 def test_no_unused_imports(module):
-    with open(os.path.join(SRC_DIR, module)) as fh:
-        assert unused_imports(fh.read()) == []
+    assert unused_imports(TREES[module]) == []
 
 
-def function_imports(source):
-    """Line numbers of the import statements inside function bodies."""
-    return sorted({inner.lineno for node in ast.walk(ast.parse(source))
-                   if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
-                   for inner in ast.walk(node)
-                   if isinstance(inner, (ast.Import, ast.ImportFrom))})
-
-
-def test_checker_finds_imports_inside_functions():
-    src = ("import os\ndef f():\n    from math import pi\n    return pi\n"
-           "class C:\n    def g(self):\n        def h():\n"
-           "            import sys\n        return h\n")
-    assert function_imports(src) == [3, 8]
-
-
-@pytest.mark.parametrize("module", MODULES)
-def test_imports_at_module_level(module):
-    # an import inside a function hides an import cycle from the reader
-    with open(os.path.join(SRC_DIR, module)) as fh:
-        assert function_imports(fh.read()) == []
-
-
-# The word cap is one process-wide setting read by every guard; the one
-# explicit limit is the cap of Ifs.frontier, which geometry._proj_stopping
-# forwards for posc_check's short walks.  BudgetExceeded records the cap
-# it reports and sets none.
-BUDGET_PARAMETERS = {"cap", "max_intervals", "max_depth"}
-ALLOWED_BUDGET_PARAMETERS = {"ifs.py": ["frontier(cap)"],
-                             "geometry.py": ["_proj_stopping(cap)"],
-                             "errors.py": ["__init__(cap)"]}
-
-
-def budget_knobs(source):
-    """Every budget parameter a function takes, as "name(parameter)", any
-    parameter of word_cap, and every word_cap call given an argument, as
-    "word_cap(...) at line n"."""
-    found = []
-    for node in ast.walk(ast.parse(source)):
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            args = node.args
-            for arg in args.posonlyargs + args.args + args.kwonlyargs:
-                if arg.arg in BUDGET_PARAMETERS or node.name == "word_cap":
-                    found.append(f"{node.name}({arg.arg})")
-        elif isinstance(node, ast.Call):
-            name = getattr(node.func, "id", getattr(node.func, "attr", None))
-            if name == "word_cap" and (node.args or node.keywords):
-                found.append(f"word_cap(...) at line {node.lineno}")
-    return sorted(found)
-
-
-def test_checker_finds_budget_knobs():
-    src = ("def f(x, cap=None):\n    return word_cap(cap)\n"
-           "def word_cap(override=None):\n    return override\n"
-           "def g(y, *, max_depth=3):\n    return config.word_cap()\n")
-    assert budget_knobs(src) == ["f(cap)", "g(max_depth)",
-                                 "word_cap(...) at line 2",
-                                 "word_cap(override)"]
-
-
-@pytest.mark.parametrize("module", MODULES)
-def test_one_word_cap(module):
-    with open(os.path.join(SRC_DIR, module)) as fh:
-        assert budget_knobs(fh.read()) \
-            == ALLOWED_BUDGET_PARAMETERS.get(module, [])
-
-
-TEST_DIR = os.path.dirname(__file__)
-SRC_CALLERS = [os.path.join(SRC_DIR, f) for f in os.listdir(SRC_DIR)
-               if f.endswith(".py")]
-TEST_CALLERS = [os.path.join(TEST_DIR, f) for f in os.listdir(TEST_DIR)
-                if f.endswith(".py")]
-
-
-def call_table(callers):
+@functools.cache
+def call_table(trees):
     """For each callee name, the (positions, keywords) that each call in
-    the caller sources sets.  A starred argument sets every position and a
-    ** argument every keyword, marked by None among the keywords."""
+    the trees sets.  A starred argument sets every position and a **
+    argument every keyword, marked by None among the keywords."""
     calls = {}
-    for text in callers:
-        for node in ast.walk(ast.parse(text)):
-            if isinstance(node, ast.Call):
-                name = getattr(node.func, "id", getattr(node.func, "attr",
-                                                        None))
-                starred = any(isinstance(a, ast.Starred) for a in node.args)
-                calls.setdefault(name, []).append(
-                    (math.inf if starred else len(node.args),
-                     {k.arg for k in node.keywords}))
+    for node in (n for t in trees for n in ast.walk(t)):
+        if isinstance(node, ast.Call):
+            name = getattr(node.func, "id", getattr(node.func, "attr", None))
+            starred = any(isinstance(a, ast.Starred) for a in node.args)
+            calls.setdefault(name, []).append(
+                (math.inf if starred else len(node.args),
+                 {k.arg for k in node.keywords}))
     return calls
 
 
-def defaulted_parameters(source):
+def defaulted_parameters(tree):
     """(function name, position, parameter) of the defaulted parameters
-    of the functions defined in source; a keyword-only parameter has
+    of the functions defined in tree; a keyword-only parameter has
     position inf.  Calls match definitions by callee name, so a method's
     first parameter, its receiver, is not counted.  __init__ is left out,
     since its calls name the class."""
-    tree = ast.parse(source)
     methods = {id(f) for c in ast.walk(tree) if isinstance(c, ast.ClassDef)
                for f in c.body}
     for node in ast.walk(tree):
@@ -182,61 +492,41 @@ def defaulted_parameters(source):
                 yield node.name, math.inf, p.arg
 
 
-def call_sets(call, position, parameter):
-    given, named = call
-    return position < given or parameter in named or None in named
+def defaults_set(tree, calls):
+    """For each defaulted parameter of the functions defined in tree, as
+    "name(parameter)", whether each call in the call table sets it, by
+    keyword or by position."""
+    return sorted((f"{name}({p})", [position < given or p in named
+                                    or None in named
+                                    for given, named in calls.get(name, [])])
+                  for name, position, p in defaulted_parameters(tree))
 
 
-def dead_options(source, callers):
-    """Defaulted parameters of the functions defined in source, as
-    "name(parameter)", that no call in the caller sources sets, by keyword
-    or by position."""
-    calls = call_table(callers)
-    return sorted(f"{name}({p})"
-                  for name, k, p in defaulted_parameters(source)
-                  if not any(call_sets(c, k, p) for c in calls.get(name, [])))
+def dead_options(tree, calls):
+    return [p for p, sets in defaults_set(tree, calls) if not any(sets)]
 
 
-def unread_defaults(source, callers):
-    """Defaulted parameters of the functions defined in source, as
-    "name(parameter)", that every call in the caller sources sets, when
-    there is one."""
-    calls = call_table(callers)
-    return sorted(f"{name}({p})"
-                  for name, k, p in defaulted_parameters(source)
-                  if calls.get(name)
-                  and all(call_sets(c, k, p) for c in calls[name]))
+def unread_defaults(tree, calls):
+    return [p for p, sets in defaults_set(tree, calls) if sets and all(sets)]
 
 
-def read_all(paths):
-    texts = []
-    for path in paths:
-        with open(path) as fh:
-            texts.append(fh.read())
-    return texts
+DEFAULTS = ast.parse("def f(x, y=1, *, z=2): pass\nclass C:\n"
+                     " def m(self, a=0, b=1): pass\n"
+                     " def __init__(self, k=3): pass\ndef g(p, q=0): pass\n"
+                     "def h(r=0): pass\ndef t(u=0): pass\n")
 
 
 def test_checker_finds_dead_options():
-    src = ("def f(x, y=1, *, z=2):\n    return x\n"
-           "class C:\n    def m(self, a=0, b=1):\n        return a\n"
-           "    def __init__(self, k=3):\n        pass\n"
-           "def g(p, q=0):\n    return p\n"
-           "def h(r=0):\n    return r\n")
-    calls = ("f(1, 2)\nC().m(b=4)\nk(z=5)\ng(*[1, 2])\n"
-             "h(**{'r': 1})\n")
-    assert dead_options(src, [src, calls]) == ["f(z)", "m(a)"]
+    calls = ast.parse("f(1, 2)\nC().m(b=4)\nk(z=5)\ng(*[1, 2])\n"
+                      "h(**{'r': 1})\n")
+    assert dead_options(DEFAULTS, call_table((DEFAULTS, calls))) \
+        == ["f(z)", "m(a)", "t(u)"]
 
 
 def test_checker_finds_unread_defaults():
-    src = ("def f(x, y=1, *, z=2):\n    return x\n"
-           "class C:\n    def m(self, a=0, b=1):\n        return a\n"
-           "    def __init__(self, k=3):\n        pass\n"
-           "def g(p, q=0):\n    return p\n"
-           "def h(r=0):\n    return r\n"
-           "def t(u=0):\n    return u\n")
-    calls = ("f(1, 2, z=3)\nf(0, y=1)\nC().m(1)\nC(k=1).m(2, b=3)\n"
-             "g(*[1, 2])\nh(**{'r': 1})\n")
-    assert unread_defaults(src, [src, calls]) \
+    calls = ast.parse("f(1, 2, z=3)\nf(0, y=1)\nC().m(1)\nC(k=1).m(2, b=3)\n"
+                      "g(*[1, 2])\nh(**{'r': 1})\n")
+    assert unread_defaults(DEFAULTS, call_table((DEFAULTS, calls))) \
         == ["f(y)", "g(q)", "h(r)", "m(a)"]
 
 
@@ -252,577 +542,17 @@ ALLOWED_DEAD_OPTIONS = ("brentq(", "tangent_dimension_scan(resolution)",
 def test_no_dead_options(module):
     # a default no caller changes is a constant in disguise, and a test
     # is not a caller
-    with open(os.path.join(SRC_DIR, module)) as fh:
-        found = dead_options(fh.read(), read_all(SRC_CALLERS))
+    found = dead_options(TREES[module],
+                         call_table(tuple(TREES.values())))
     assert [f for f in found if not f.startswith(ALLOWED_DEAD_OPTIONS)] == []
 
 
 @pytest.mark.parametrize("module", MODULES)
 def test_no_unread_defaults(module):
     # a default that every call overrides is never read
-    with open(os.path.join(SRC_DIR, module)) as fh:
-        found = unread_defaults(fh.read(),
-                                read_all(SRC_CALLERS + TEST_CALLERS))
-    assert found == []
-
-
-def function_node(source, *path):
-    """The one function or class at the given path of names from module
-    level, such as ("Ifs", "frontier") for a method; the module itself
-    for an empty path."""
-    node = ast.parse(source)
-    for name in path:
-        [node] = [child for child in node.body
-                  if isinstance(child, (ast.FunctionDef, ast.ClassDef))
-                  and child.name == name]
-    return node
-
-
-def calls_of(source, name, *path):
-    """Line numbers of every call of a function with the given name, in
-    the body of the function at path if one is given."""
-    body = function_node(source, *path)
-    return sorted(node.lineno for node in ast.walk(body)
-                  if isinstance(node, ast.Call)
-                  and getattr(node.func, "attr",
-                              getattr(node.func, "id", None)) == name)
-
-
-def test_checker_finds_einsum_calls():
-    src = ("import numpy as np\nfrom numpy import einsum\n"
-           "x = np.einsum('ij->i', y)\nz = einsum('i->', x)\n"
-           "# np.einsum in a comment\n")
-    assert calls_of(src, "einsum") == [3, 4]
-
-
-@pytest.mark.parametrize("module", MODULES)
-def test_no_einsum(module):
-    # 2x2 products go through ifs.mul2, which equals einsum bit for bit
-    with open(os.path.join(SRC_DIR, module)) as fh:
-        assert calls_of(fh.read(), "einsum") == []
-
-
-def test_checker_finds_arctan2_calls():
-    src = ("import math\nimport numpy as np\n"
-           "a = math.atan2(1.0, 2.0)\nb = np.arctan2(y, x)\n"
-           "# np.arctan2 in a comment\n")
-    assert calls_of(src, "arctan2") == [4]
-
-
-def test_checker_finds_calls_in_functions():
-    src = ("def f(a):\n    return g(a) + g(h(a))\n"
-           "def k(a):\n    return g(a)\n")
-    assert calls_of(src, "g", "f") == [2, 2]
-    assert calls_of(src, "h", "k") == []
-    assert calls_of(src, "g") == [2, 2, 4]
-    with pytest.raises(ValueError):
-        calls_of(src, "g", "m")
-
-
-def test_irreducibility_tests_one_table():
-    # the candidate lines come from one stacked eig and their images from
-    # one act_angle table, each called at one place; the pairs are rows of
-    # that table, not itertools.combinations of the lines
-    with open(os.path.join(SRC_DIR, "projective.py")) as fh:
-        source = fh.read()
-    fn = "classify_irreducibility"
-    assert len(calls_of(source, "act_angle", fn)) == 1
-    assert len(calls_of(source, "_eigen_lines", fn)) == 1
-    assert calls_of(source, "combinations", fn) == []
-
-
-def test_no_arctan2_in_projective():
-    # the multicone and the limit directions take their angles from
-    # math.atan2; np.arctan2 differs from it in the last bit on some
-    # inputs, and those bits enter the certificates and the reports
-    with open(os.path.join(SRC_DIR, "projective.py")) as fh:
-        assert calls_of(fh.read(), "arctan2") == []
-
-
-def s_branch_functions(source):
-    """Dotted names of the functions whose own body (nested functions
-    aside) compares the name s with both 1.0 and 2.0."""
-    found = []
-
-    def visit(node, scope, consts):
-        for child in ast.iter_child_nodes(node):
-            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef,
-                                  ast.ClassDef)):
-                inner = set()
-                visit(child, scope + [child.name], inner)
-                if {1.0, 2.0} <= inner:
-                    found.append(".".join(scope + [child.name]))
-                continue
-            if isinstance(child, ast.Compare):
-                operands = [child.left] + child.comparators
-                if any(isinstance(o, ast.Name) and o.id == "s"
-                       for o in operands):
-                    consts.update(o.value for o in operands
-                                  if isinstance(o, ast.Constant))
-            visit(child, scope, consts)
-    visit(ast.parse(source), [], set())
-    return sorted(found)
-
-
-def test_checker_finds_s_branches():
-    src = ("def a(s):\n    if s <= 1.0:\n        return 0\n"
-           "    return 1 if s <= 2.0 else 2\n"
-           "def b(s, t):\n    return s < 1.0 or t > 2.0\n"
-           "class C:\n    def c(self, x):\n"
-           "        def inner(s):\n            return s <= 1.0 or 2.0 < s\n"
-           "        return x > 1.0 and inner(x) > 2.0\n")
-    assert s_branch_functions(src) == ["C.c.inner", "a"]
-
-
-def test_one_singular_value_function():
-    # phi^s is written once, in logs, as ifs.log_svf; a second copy of
-    # its three branches would have to stay in step with it
-    found = []
-    for module in MODULES:
-        with open(os.path.join(SRC_DIR, module)) as fh:
-            found += [f"{module}:{name}"
-                      for name in s_branch_functions(fh.read())]
-    assert found == ["ifs.py:log_svf"]
-
-
-def power_loops(source):
-    """Dotted names of the functions around every while loop whose test
-    takes a power, by ** or pow(), one entry per loop; a loop outside
-    every function is named "<module>"."""
-    found = []
-
-    def visit(node, scope):
-        for child in ast.iter_child_nodes(node):
-            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef,
-                                  ast.ClassDef)):
-                visit(child, scope + [child.name])
-                continue
-            if isinstance(child, ast.While) and any(
-                    isinstance(t, ast.BinOp) and isinstance(t.op, ast.Pow)
-                    or isinstance(t, ast.Call)
-                    and getattr(t.func, "id", None) == "pow"
-                    for t in ast.walk(child.test)):
-                found.append(".".join(scope) or "<module>")
-            visit(child, scope)
-    visit(ast.parse(source), [])
-    return sorted(found)
-
-
-def test_checker_finds_power_loops():
-    src = ("def a(n, m):\n    while n ** m > 9 and m > 1:\n        m -= 1\n"
-           "    while m < 3:\n        m += 1\n    return m\n"
-           "class C:\n    def b(self, k):\n"
-           "        while pow(2, k) > 5:\n            k -= 1\n"
-           "        def inner(j):\n            while 3 ** j < 9:\n"
-           "                j += 1\n            return j\n"
-           "        return inner(k)\n"
-           "while 2 ** 3 < 1:\n    pass\n")
-    assert power_loops(src) == ["<module>", "C.b", "C.b.inner", "a"]
-
-
-def test_one_level_fit():
-    # the deepest level that fits a word count is found in one place,
-    # ifs.fit_level; a second loop would have to stay in step with it
-    found = []
-    for module in MODULES:
-        with open(os.path.join(SRC_DIR, module)) as fh:
-            found += [f"{module}:{name}" for name in power_loops(fh.read())]
-    assert found == ["ifs.py:fit_level"]
-
-
-def entry_determinants(source):
-    """Dotted names of the functions around every a*d - b*c written from
-    the entries of a 2x2 matrix: the names a, b, c and d, or subscripts
-    whose last two indices are the constants (0, 0), (1, 1), (0, 1) and
-    (1, 0)."""
-    def entry(node):
-        if isinstance(node, ast.Name):
-            return node.id
-        if isinstance(node, ast.Subscript) \
-                and isinstance(node.slice, ast.Tuple):
-            index = [getattr(i, "value", None) for i in node.slice.elts[-2:]]
-            if index in ([0, 0], [0, 1], [1, 0], [1, 1]):
-                return "abcd"[2 * index[0] + index[1]]
-        return None
-
-    def factors(node):
-        if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Mult):
-            return {entry(node.left), entry(node.right)}
-        return None
-
-    found = []
-
-    def visit(node, scope):
-        for child in ast.iter_child_nodes(node):
-            if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
-                visit(child, scope + [child.name])
-                continue
-            if isinstance(child, ast.BinOp) and isinstance(child.op, ast.Sub) \
-                    and [factors(child.left), factors(child.right)] \
-                    in ([{"a", "d"}, {"b", "c"}], [{"b", "c"}, {"a", "d"}]):
-                found.append(".".join(scope))
-            visit(child, scope)
-    visit(ast.parse(source), [])
-    return found
-
-
-def test_checker_finds_entry_determinants():
-    src = ("def f(a, b, c, d):\n    return a * d - b * c\n"
-           "class C:\n    def g(self, m):\n"
-           "        return m[:, 1, 1] * m[:, 0, 0] - m[:, 0, 1] * m[:, 1, 0]\n"
-           "x = -(b * c - d * a)\n"
-           "cross = e[0] * o[:, 1] - e[1] * o[:, 0]\n"
-           "y = a * b - c * d\nz = m[0, 0] * m[1, 1] + m[0, 1] * m[1, 0]\n")
-    assert entry_determinants(src) == ["f", "C.g", ""]
-
-
-def test_one_determinant():
-    # a*d - b*c is ifs.det2 alone, so one expression has to be rounded
-    # outward for a certified determinant
-    found = []
-    for module in MODULES:
-        with open(os.path.join(SRC_DIR, module)) as fh:
-            found += [f"{module}:{name}"
-                      for name in entry_determinants(fh.read())]
-    assert found == ["ifs.py:det2"]
-
-
-def test_checker_finds_ascontiguousarray_calls():
-    src = ("import numpy as np\nx = np.ascontiguousarray(y.T)\n"
-           "z = np.asarray(y)\n# np.ascontiguousarray in a comment\n")
-    assert calls_of(src, "ascontiguousarray") == [2]
-
-
-@pytest.mark.parametrize("module", [m for m in MODULES
-                                    if m != "estimators.py"])
-def test_layout_stays_in_ifs(module):
-    # mul2, pull_back and det2 read a stack in any layout, so no module
-    # copies the entry-major products of ifs; the estimators copy a
-    # cloud's columns
-    with open(os.path.join(SRC_DIR, module)) as fh:
-        assert calls_of(fh.read(), "ascontiguousarray") == []
-
-
-def axis0_calls(source):
-    """Line numbers of every call given the keyword argument axis=0."""
-    return [node.lineno for node in ast.walk(ast.parse(source))
-            if isinstance(node, ast.Call)
-            and any(k.arg == "axis" and isinstance(k.value, ast.Constant)
-                    and k.value.value == 0 for k in node.keywords)]
-
-
-def test_checker_finds_norms_and_axis0_reductions():
-    src = ("import numpy as np\nd = np.linalg.norm(p - c, axis=1)\n"
-           "lo = p.min(axis=0)\nhi = p[:, 0].max()\n"
-           "n = np.sum(p, axis=0, keepdims=True)\n# p.max(axis=0)\n")
-    assert calls_of(src, "norm") == [2]
-    assert axis0_calls(src) == [3, 5]
-
-
-def test_estimators_read_columns():
-    # reductions along axis 0 of an (m, 2) cloud are strided and slow, and
-    # np.linalg.norm over the whole cloud once per scale pair repeats the
-    # same distances; the estimators read one column at a time instead
-    with open(os.path.join(SRC_DIR, "estimators.py")) as fh:
-        source = fh.read()
-    assert calls_of(source, "norm") == []
-    assert axis0_calls(source) == []
-
-
-def loops_in(source, function):
-    """Line numbers of every for statement and comprehension in the one
-    module-level function of the given name."""
-    fn = function_node(source, function)
-    loops = (ast.For, ast.ListComp, ast.SetComp, ast.DictComp,
-             ast.GeneratorExp)
-    return sorted(node.lineno for node in ast.walk(fn)
-                  if isinstance(node, loops))
-
-
-def test_checker_finds_loops():
-    src = ("def f(xs):\n    for x in xs:\n        pass\n"
-           "    ys = [x for x in xs]\n    return sum(x for x in ys)\n"
-           "def g(xs):\n    while xs:\n        xs = {x: 1 for x in xs[1:]}\n"
-           "    return xs\n"
-           "for y in range(3):\n    pass\n")
-    assert loops_in(src, "f") == [2, 4, 5]
-    assert loops_in(src, "g") == [8]
-    with pytest.raises(ValueError):
-        loops_in(src, "h")
-
-
-def test_interval_content_merges_in_rounds():
-    # a round merges every ready gap of the split tree at once, so the
-    # loop runs once per level; a Python loop over gaps or intervals would
-    # run once per interval
-    with open(os.path.join(SRC_DIR, "geometry.py")) as fh:
-        assert loops_in(fh.read(), "interval_content") == []
-
-
-def matmuls_in(source, *path):
-    """Line numbers of every @ in the body of the one function or class
-    at the given path of names from module level, such as ("Ifs",
-    "frontier") for a method."""
-    node = function_node(source, *path)
-    return sorted(inner.lineno for inner in ast.walk(node)
-                  if isinstance(inner, (ast.BinOp, ast.AugAssign))
-                  and isinstance(inner.op, ast.MatMult))
-
-
-def test_checker_finds_matmuls():
-    src = ("class C:\n    def f(self, a, b):\n        return a @ b\n"
-           "    def g(self, a):\n        a @= a\n        return [x @ x\n"
-           "                for x in a]\n"
-           "def f(a):\n    return a @ a\n")
-    assert matmuls_in(src, "C", "f") == [3]
-    assert matmuls_in(src, "C", "g") == [5, 6]
-    with pytest.raises(ValueError):
-        matmuls_in(src, "C", "h")
-
-
-def test_checker_finds_matmuls_in_functions():
-    src = ("def f(a):\n    b = a @ a\n    return b\n"
-           "@derived\ndef g(a):\n    return [x @ x for x in a]\n"
-           "def h(a):\n    return mul2(a, a)\n")
-    assert matmuls_in(src, "f") == [2]
-    assert matmuls_in(src, "g") == [6]
-    assert matmuls_in(src, "h") == []
-    with pytest.raises(ValueError):
-        matmuls_in(src, "k")
-
-
-@pytest.mark.parametrize("module, function", [
-    ("thermo.py", "_cylinder_directions"), ("thermo.py", "transfer_matrix"),
-    ("projective.py", "classify_irreducibility")])
-def test_products_come_from_ifs(module, function):
-    # the inverse products, the pulled-back axes and the pair products
-    # come from the kernels of ifs, whose bits do not depend on the layout
-    with open(os.path.join(SRC_DIR, module)) as fh:
-        assert matmuls_in(fh.read(), function) == []
-
-
-def test_frontier_has_one_product_rule():
-    # the cylinder walk multiplies only through mul2, whose bits do not
-    # depend on the layout of the products; a stacked @ rounds
-    # differently on its entry-major products
-    with open(os.path.join(SRC_DIR, "ifs.py")) as fh:
-        assert matmuls_in(fh.read(), "Ifs", "frontier") == []
-
-
-def object_arrays(source):
-    """Line numbers of every astype(object) call and every dtype=object
-    argument."""
-    found = []
-    for node in ast.walk(ast.parse(source)):
-        if not isinstance(node, ast.Call):
-            continue
-        args = list(node.args) if getattr(node.func, "attr", None) \
-            == "astype" else []
-        args += [k.value for k in node.keywords if k.arg == "dtype"]
-        if any(isinstance(a, ast.Name) and a.id == "object" for a in args):
-            found.append(node.lineno)
-    return found
-
-
-def test_checker_finds_object_arrays():
-    src = ("y = x.astype(object)\nz = np.array(x, dtype=object)\n"
-           "w = x.astype(float)\nv = np.empty(3, dtype=float)\n"
-           "u = isinstance(x, object)\n")
-    assert object_arrays(src) == [1, 2]
-
-
-@pytest.mark.parametrize("module", MODULES)
-def test_no_object_arrays(module):
-    # a float in an object array costs a Python float and a pointer, and
-    # a power over it a call per element
-    with open(os.path.join(SRC_DIR, module)) as fh:
-        assert object_arrays(fh.read()) == []
-
-
-def libm_loops(source):
-    """Names of the module-level functions, or "" for the module body,
-    that hold a np.fromiter call over map(math.<function>, ...)."""
-    found = []
-    for node in ast.parse(source).body:
-        name = getattr(node, "name", "") \
-            if isinstance(node, (ast.FunctionDef, ast.ClassDef)) else ""
-        for call in ast.walk(node):
-            if isinstance(call, ast.Call) \
-                    and getattr(call.func, "attr", None) == "fromiter" \
-                    and any(isinstance(a, ast.Call)
-                            and getattr(a.func, "id", None) == "map"
-                            and a.args
-                            and isinstance(a.args[0], ast.Attribute)
-                            and getattr(a.args[0].value, "id", None) == "math"
-                            for a in call.args):
-                found.append(name)
-    return found
-
-
-def test_checker_finds_libm_loops():
-    src = ("import math\nimport numpy as np\n"
-           "def f(x, s):\n    return np.fromiter(map(math.pow, x, s), "
-           "float)\n"
-           "class C:\n    def g(self, y):\n"
-           "        return np.fromiter(map(math.atan, y), float)\n"
-           "z = np.fromiter(map(math.exp, [1.0]), float)\n"
-           "w = np.fromiter(map(abs, [1.0]), float)\n"
-           "ok = all(map(math.isfinite, [1.0]))\n")
-    assert libm_loops(src) == ["f", "C", ""]
-
-
-@pytest.mark.parametrize("module", MODULES)
-def test_libm_loops_only_for_atan2(module):
-    # a libm call per element costs a Python call per float; numpy's
-    # ufuncs run them in C, and np.float_power runs libm pow itself.  No
-    # ufunc runs libm atan2 alone, so projective._atan2 keeps its loop
-    with open(os.path.join(SRC_DIR, module)) as fh:
-        assert libm_loops(fh.read()) \
-            == (["_atan2"] if module == "projective.py" else [])
-
-
-def cache_accesses(source):
-    """Line numbers of every read or write of an attribute named _cache."""
-    return [node.lineno for node in ast.walk(ast.parse(source))
-            if isinstance(node, ast.Attribute) and node.attr == "_cache"]
-
-
-def test_checker_finds_cache_accesses():
-    src = ("x = ifs._cache['key']\nifs._cache[1] = 2\n_cache = {}\n"
-           "y = self._cache.get(3)\n")
-    assert cache_accesses(src) == [1, 2, 4]
-
-
-@pytest.mark.parametrize("module", [m for m in MODULES if m != "ifs.py"])
-def test_cache_kept_by_ifs_alone(module):
-    # a value a family determines is kept by the one memo ifs.derived
-    with open(os.path.join(SRC_DIR, module)) as fh:
-        assert cache_accesses(fh.read()) == []
-
-
-def owners(source, hit):
-    """Dotted name of the function or class around every node of source
-    for which hit holds, "" at module level."""
-    found = []
-
-    def visit(node, scope):
-        for child in ast.iter_child_nodes(node):
-            if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
-                visit(child, scope + [child.name])
-                continue
-            if hit(child):
-                found.append(".".join(scope))
-            visit(child, scope)
-    visit(ast.parse(source), [])
-    return found
-
-
-def cache_owners(source):
-    """Dotted name of the function or class around every read or write of
-    an attribute named _cache, "" at module level."""
-    return owners(source, lambda node: isinstance(node, ast.Attribute)
-                  and node.attr == "_cache")
-
-
-def call_owners(source, name):
-    """Dotted name of the function or class around every call of a
-    function with the given name, "" at module level."""
-    return owners(source, lambda node: isinstance(node, ast.Call)
-                  and getattr(node.func, "attr",
-                              getattr(node.func, "id", None)) == name)
-
-
-def test_checker_finds_cache_owners():
-    src = ("x = ifs._cache\n"
-           "def derived(fn):\n    def memo(ifs):\n"
-           "        return ifs._cache[fn]\n    return memo\n"
-           "class Ifs:\n    def __init__(self):\n        self._cache = {}\n"
-           "    def level(self, n):\n        return self._cache.get(n)\n")
-    assert cache_owners(src) == ["", "derived.memo", "Ifs.__init__",
-                                 "Ifs.level"]
-
-
-def test_memo_is_the_only_cache():
-    # Ifs.__init__ makes the memo and derived alone reads and fills it
-    with open(os.path.join(SRC_DIR, "ifs.py")) as fh:
-        owners = cache_owners(fh.read())
-    assert set(owners) == {"derived.memo", "Ifs.__init__"}
-
-
-def test_checker_finds_call_owners():
-    src = ("x = load(1)\n"
-           "def main(argv):\n    return write(load(argv))\n"
-           "class Sink:\n    def write(self, text):\n"
-           "        return self.out.write(text)\n")
-    assert call_owners(src, "load") == ["", "main"]
-    assert call_owners(src, "write") == ["main", "Sink.write"]
-
-
-def src_call_owners(name):
-    """"module:owner" of every call of name in the package's sources."""
-    found = []
-    for path in sorted(SRC_CALLERS):
-        with open(path) as fh:
-            found += [f"{os.path.basename(path)}:{owner}"
-                      for owner in call_owners(fh.read(), name)]
-    return found
-
-
-@pytest.mark.parametrize("name, callers", [
-    ("load_input", ["cli.py:main"]),
-    ("write_report", ["cli.py:main"]),
-    ("_write_text", ["cli.py:main", "cli.py:write_report"]),
-])
-def test_main_reads_and_writes(name, callers):
-    # the runners take a loaded input and return their report, so a block
-    # that every report carries is added in main alone
-    assert sorted(src_call_owners(name)) == callers
-
-
-def test_checker_finds_philox_calls():
-    src = ("import numpy as np\ndef rng(seed):\n"
-           "    return np.random.Generator(np.random.Philox(key=seed))\n"
-           "from numpy.random import Philox\nb = Philox(2)\n"
-           "# np.random.Philox in a comment\n")
-    assert call_owners(src, "Philox") == ["rng", ""]
-
-
-def test_one_bit_generator():
-    # every seeded draw comes from config.seeded_rng, so the choice of bit
-    # generator, on which every seeded report depends, is made once
-    assert src_call_owners("Philox") == ["config.py:seeded_rng"]
-
-
-def dataclass_uses(source):
-    """Line numbers of every import of dataclasses and every use of a name
-    or attribute `dataclass`."""
-    found = set()
-    for node in ast.walk(ast.parse(source)):
-        if isinstance(node, ast.Import):
-            if any(a.name == "dataclasses" for a in node.names):
-                found.add(node.lineno)
-        elif isinstance(node, ast.ImportFrom):
-            if node.module == "dataclasses":
-                found.add(node.lineno)
-        elif getattr(node, "id", getattr(node, "attr", None)) == "dataclass":
-            found.add(node.lineno)
-    return sorted(found)
-
-
-def test_checker_finds_dataclasses():
-    src = ("from dataclasses import field\nimport dataclasses as dc\n"
-           "@dataclass\nclass A:\n    x: int\n"
-           "@dc.dataclass(frozen=True)\nclass B:\n    y: int = field()\n"
-           "class C(NamedTuple):\n    z: int\n")
-    assert dataclass_uses(src) == [1, 2, 3, 6]
-
-
-@pytest.mark.parametrize("module", MODULES)
-def test_no_dataclasses(module):
-    # a dataclass execs its generated methods at import, about 0.8 ms a
-    # class in every CLI process; records are NamedTuples or Frozen
-    with open(os.path.join(SRC_DIR, module)) as fh:
-        assert dataclass_uses(fh.read()) == []
+    calls = call_table(tuple(TREES.values())
+                       + tuple(map(parsed, TEST_PATHS)))
+    assert unread_defaults(TREES[module], calls) == []
 
 
 # one instance of every record class of the package
@@ -881,36 +611,36 @@ def test_records_refuse_rebinding(record):
         record.extra = 1
 
 
-def fresh_modules(*prefixes):
-    """The modules under the given prefixes that `import affinedim,
-    affinedim.cli` loads in a fresh interpreter; the test session itself
-    imports scipy and dataclasses."""
-    code = ("import sys, affinedim, affinedim.cli; "
-            f"print(sorted(m for m in sys.modules if m in {prefixes!r} "
-            f"or m.startswith(tuple(p + '.' for p in {prefixes!r}))))")
+def package_env(**extra):
+    """os.environ with the package's sources first on PYTHONPATH."""
     src = os.path.abspath(os.path.join(SRC_DIR, os.pardir))
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return dict(os.environ, PYTHONPATH=path, **extra)
+
+
+@functools.cache
+def fresh_packages():
+    """The top-level packages that `import affinedim, affinedim.cli` loads
+    in a fresh interpreter; the test session itself imports scipy and
+    dataclasses."""
+    code = "import sys, affinedim, affinedim.cli; print(*sys.modules)"
     out = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                         text=True, check=True,
-                         env=dict(os.environ, PYTHONPATH=path))
-    return out.stdout.strip()
+                         text=True, check=True, env=package_env()).stdout
+    return {m.partition(".")[0] for m in out.split()}
 
 
 def test_import_loads_no_scipy():
-    assert fresh_modules("scipy") == "[]"
+    assert "scipy" not in fresh_packages()
 
 
 def test_import_loads_no_dataclasses():
-    assert fresh_modules("dataclasses") == "[]"
+    assert "dataclasses" not in fresh_packages()
 
 
 def benchmark_tracer():
-    """perfbench/tracer.py as a module, loaded from its file without
-    adding perfbench to sys.path, writing its bytecode or installing its
-    wrappers."""
-    path = os.path.join(SRC_DIR, os.pardir, os.pardir, "perfbench",
-                        "tracer.py")
-    spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
+    """perfbench/tracer.py as a module, loaded from its file without adding
+    perfbench to sys.path, writing its bytecode or installing its wrappers."""
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER)
     tracer = importlib.util.module_from_spec(spec)
     writes, sys.dont_write_bytecode = sys.dont_write_bytecode, True
     try:
@@ -934,18 +664,13 @@ def test_traced_dims_counts_points(tmp_path):
     # the tracer binds `points` by name in grid_count and _covering_count
     # (tracer._arg), so a renamed parameter fails a traced pass and no
     # untraced one
-    tracer = os.path.join(SRC_DIR, os.pardir, os.pardir, "perfbench",
-                          "tracer.py")
-    src = os.path.abspath(os.path.join(SRC_DIR, os.pardir))
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     spans = tmp_path / "spans.json"
     run = subprocess.run(
-        [sys.executable, tracer, str(spans), "--", "dims", "--input",
+        [sys.executable, TRACER, str(spans), "--", "dims", "--input",
          "positive_pair.json", "--seed", "1", "--out",
          str(tmp_path / "dims.json")],
         capture_output=True, text=True, cwd=tmp_path,
-        env=dict(os.environ, PYTHONPATH=path, OMP_NUM_THREADS="1",
-                 PYTHONDONTWRITEBYTECODE="1"))
+        env=package_env(OMP_NUM_THREADS="1", PYTHONDONTWRITEBYTECODE="1"))
     assert run.returncode == 0, run.stderr
     with open(spans) as fh:
         traced = json.load(fh)["spans"]
