@@ -63,8 +63,8 @@ def owners(node, hit):
             if (isinstance(n, hit) if isinstance(hit, tuple) else hit(n))]
 
 
-# Hits: a tuple of node types, or a predicate on a syntax node; call and
-# attribute make one predicate per name.
+# Hits: a tuple of node types, or a predicate on a syntax node; call,
+# attribute and parameter make one predicate per name.
 DEFINITIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
 IMPORTS = (ast.Import, ast.ImportFrom)
 LOOPS = (ast.For, ast.AsyncFor, ast.ListComp, ast.SetComp, ast.DictComp,
@@ -82,10 +82,16 @@ def attribute(name):
     return lambda node: isinstance(node, ast.Attribute) and node.attr == name
 
 
+@functools.cache
+def parameter(name):
+    return lambda node: isinstance(node, ast.arg) and node.arg == name
+
+
 def budget_knob(node):
-    """A budget parameter, or a word_cap call given an argument."""
+    """A max_intervals or max_depth parameter, or a word_cap call given an
+    argument."""
     return isinstance(node, ast.arg) \
-        and node.arg in ("cap", "max_intervals", "max_depth") \
+        and node.arg in ("max_intervals", "max_depth") \
         or call("word_cap")(node) and bool(node.args or node.keywords)
 
 
@@ -179,9 +185,10 @@ RULES = [
     # an import inside a function hides an import cycle from the reader
     Rule("imports_at_module_level[{module}]", IMPORTS, "*", "*:"),
     # one word cap; Ifs.frontier alone takes a limit, for posc_check's walks
-    Rule("one_word_cap[{module}]", budget_knob, "*",
+    Rule("one_word_cap[{module}]", parameter("cap"), "*",
          "errors.py:BudgetExceeded.__init__ geometry.py:_proj_stopping "
          "ifs.py:Ifs.frontier", True),
+    Rule("one_word_cap[{module}]", budget_knob, "*", ""),
     Rule("one_word_cap[{module}]", (ast.arg,), "*:*word_cap", ""),
     # 2x2 products go through ifs.mul2, which equals einsum bit for bit
     Rule("no_einsum[{module}]", call("einsum"), "*", ""),
@@ -305,7 +312,8 @@ bind(check_rule, [(rule.test.format(module=m), (rule, [m]))
      + [(rule.test, (rule, reads(rule, SOURCES)))
         for rule in RULES if "{module}" not in rule.test])
 
-# Sources for the hits, dense: a body follows its colon, a space indents
+# Short sources for the self-tests: a body may follow its colon, and one
+# space indents a block
 NUMPY = ("import math\nimport numpy as np\nfrom numpy import einsum\n"
          "x = np.einsum('ij->i', y); z = einsum('i->', x)\n"
          "a = math.atan2(1.0, 2.0); b = np.arctan2(y, x)\n"
@@ -321,14 +329,20 @@ WRITES = ("x = load(1)\ndef main(argv):\n print(argv, file=sys.stderr)\n"
           "print('x')\n")
 # (case id, hit, source, the owners of its hits)
 CHECKS = [
-    ("checker_finds_imports_inside_functions", IMPORTS, "import os\n"
-     "def f():\n from math import pi\nclass C:\n def g(self):\n  def h():\n"
-     "   import sys\n", ["", "f", "C.g.h"]),
-    ("checker_finds_budget_knobs", budget_knob, "def f(x, cap=None): pass\n"
-     "def g(y, *, max_depth=3): return config.word_cap()\na = word_cap(5)\n"
-     "def h(x): return word_cap(cap=x)\n", ["", "f", "g", "h"]),
-    ("checker_finds_budget_knobs", (ast.arg,), "def word_cap(override=None):"
-     " return lambda k: k\nclass C:\n def f(self, *a, **b): pass\n",
+    ("checker_finds_imports_inside_functions", IMPORTS,
+     "import os\ndef f():\n from math import pi\n"
+     "class C:\n def g(self):\n  def h():\n   import sys\n",
+     ["", "f", "C.g.h"]),
+    ("checker_finds_budget_knobs", budget_knob,
+     "def f(x, cap=None): pass\n"
+     "def g(y, *, max_depth=3): return config.word_cap()\n"
+     "a = word_cap(5)\ndef h(x): return word_cap(cap=x)\n",
+     ["", "g", "h"]),
+    ("checker_finds_budget_knobs", parameter("cap"),
+     "def f(x, cap=None): return word_cap(cap=x)\n", ["f"]),
+    ("checker_finds_budget_knobs", (ast.arg,),
+     "def word_cap(override=None): return lambda k: k\n"
+     "class C:\n def f(self, *a, **b): pass\n",
      ["word_cap", "word_cap", "C.f", "C.f", "C.f"]),
     ("checker_finds_einsum_calls", call("einsum"), NUMPY, ["", ""]),
     ("checker_finds_arctan2_calls", call("arctan2"), NUMPY, [""]),
@@ -338,51 +352,64 @@ CHECKS = [
     ("checker_finds_philox_calls", call("Philox"), NUMPY, ["rng", ""]),
     ("checker_finds_calls_in_functions", call("g"), CALLS, ["f", "f", "k"]),
     ("checker_finds_calls_in_functions", call("h"), CALLS, ["f"]),
-    ("checker_finds_decorator_owners", call("memo"), "@memo(3)\n"
-     "def f(): pass\nclass C:\n @memo(4)\n def g(self, x=memo(5)): pass\n",
+    ("checker_finds_decorator_owners", call("memo"),
+     "@memo(3)\ndef f(): pass\n"
+     "class C:\n @memo(4)\n def g(self, x=memo(5)): pass\n",
      ["f", "C.g", "C.g"]),
-    ("checker_finds_s_branches", s_branch, "def a(s):\n if s <= 1.0: return "
-     "0\n return 1 if s <= 2.0 else 2\ndef b(s, t): return s < 1.0 or t > 2."
-     "0\nclass C:\n def c(self, x):\n  def inner(s): return s <= 1.0 or 2.0"
-     " < s\n  return x > 1.0 and inner(x) > 2.0\n", ["a", "C.c.inner"]),
-    ("checker_finds_power_loops", power_loop, "def a(n, m):\n while n ** m "
-     "> 9 and m > 1: m -= 1\n while m < 3: m += 1\nclass C:\n def b(self, k)"
-     ":\n  while pow(2, k) > 5: k -= 1\n  def inner(j):\n   while 3 ** j < "
-     "9: j += 1\nwhile 2 ** 3 < 1: pass\n", ["", "C.b", "C.b.inner", "a"]),
-    ("checker_finds_entry_determinants", determinant, "def f(a, b, c, d): "
-     "return a * d - b * c\nclass C:\n def g(self, m): return m[:, 1, 1] * m"
-     "[:, 0, 0] - m[:, 0, 1] * m[:, 1, 0]\nx = -(b * c - d * a)\ncross = e["
-     "0] * o[:, 1] - e[1] * o[:, 0]\ny = a * b - c * d\nz = m[0, 0] * m[1, "
-     "1] + m[0, 1] * m[1, 0]\n", ["", "C.g", "f"]),
+    ("checker_finds_s_branches", s_branch,
+     "def a(s):\n if s <= 1.0: return 0\n return 1 if s <= 2.0 else 2\n"
+     "def b(s, t): return s < 1.0 or t > 2.0\n"
+     "class C:\n def c(self, x):\n"
+     "  def inner(s): return s <= 1.0 or 2.0 < s\n"
+     "  return x > 1.0 and inner(x) > 2.0\n", ["a", "C.c.inner"]),
+    ("checker_finds_power_loops", power_loop,
+     "def a(n, m):\n while n ** m > 9 and m > 1: m -= 1\n"
+     " while m < 3: m += 1\n"
+     "class C:\n def b(self, k):\n  while pow(2, k) > 5: k -= 1\n"
+     "  def inner(j):\n   while 3 ** j < 9: j += 1\n"
+     "while 2 ** 3 < 1: pass\n", ["", "C.b", "C.b.inner", "a"]),
+    ("checker_finds_entry_determinants", determinant,
+     "def f(a, b, c, d): return a * d - b * c\n"
+     "class C:\n def g(self, m):\n"
+     "  return m[:, 1, 1] * m[:, 0, 0] - m[:, 0, 1] * m[:, 1, 0]\n"
+     "x = -(b * c - d * a)\ncross = e[0] * o[:, 1] - e[1] * o[:, 0]\n"
+     "y = a * b - c * d\nz = m[0, 0] * m[1, 1] + m[0, 1] * m[1, 0]\n",
+     ["", "C.g", "f"]),
     ("checker_finds_norms_and_axis0_reductions", call("norm"),
      "d = np.linalg.norm(p - c, axis=1)\n", [""]),
-    ("checker_finds_norms_and_axis0_reductions", axis0, "lo = p.min(axis=0)"
-     "\nhi = p[:, 0].max(); d = np.hypot(p, q, axis=1)\n"
+    ("checker_finds_norms_and_axis0_reductions", axis0,
+     "lo = p.min(axis=0)\nhi = p[:, 0].max(); d = np.hypot(p, q, axis=1)\n"
      "n = np.sum(p, axis=0, keepdims=True)\n# p.max(axis=0)\n", ["", ""]),
-    ("checker_finds_loops", LOOPS, "def f(xs):\n for x in xs: pass\n ys = ["
-     "x for x in xs]\n return sum(x for x in ys)\ndef g(xs):\n while xs: xs"
-     " = {x: 1 for x in xs[1:]}\nfor y in range(3): pass\n",
-     ["", "f", "f", "f", "g"]),
-    ("checker_finds_matmuls", matmul, "class C:\n def f(self, a, b): return"
-     " a @ b\n def g(self, a):\n  a @= a\n  return [x @ x for x in a]\n"
+    ("checker_finds_loops", LOOPS,
+     "def f(xs):\n for x in xs: pass\n ys = [x for x in xs]\n"
+     " return sum(x for x in ys)\n"
+     "def g(xs):\n while xs: xs = {x: 1 for x in xs[1:]}\n"
+     "for y in range(3): pass\n", ["", "f", "f", "f", "g"]),
+    ("checker_finds_matmuls", matmul,
+     "class C:\n def f(self, a, b): return a @ b\n"
+     " def g(self, a):\n  a @= a\n  return [x @ x for x in a]\n"
      "def f(a): return a @ a\n", ["C.f", "C.g", "C.g", "f"]),
-    ("checker_finds_matmuls_in_functions", matmul, "def f(a):\n b = a @ a\n"
-     "@derived\ndef g(a): return [x @ x for x in a]\n"
+    ("checker_finds_matmuls_in_functions", matmul,
+     "def f(a):\n b = a @ a\n@derived\ndef g(a): return [x @ x for x in a]\n"
      "def h(a): return mul2(a, a)\n", ["f", "g"]),
-    ("checker_finds_object_arrays", object_array, "y = x.astype(object)\n"
-     "z = np.array(x, dtype=object)\nw = x.astype(float)\n"
-     "v = np.empty(3, dtype=float)\nu = isinstance(x, object)\n", ["", ""]),
-    ("checker_finds_libm_loops", libm_loop, "def f(x, s): return np.fromite"
-     "r(map(math.pow, x, s), float)\nclass C:\n def g(self, y): return np.f"
-     "romiter(map(math.atan, y), float)\nz = np.fromiter(map(math.exp, [1.0"
-     "]), float)\nw = np.fromiter(map(abs, [1.0]), float)\n"
+    ("checker_finds_object_arrays", object_array,
+     "y = x.astype(object)\nz = np.array(x, dtype=object)\n"
+     "w = x.astype(float)\nv = np.empty(3, dtype=float)\n"
+     "u = isinstance(x, object)\n", ["", ""]),
+    ("checker_finds_libm_loops", libm_loop,
+     "def f(x, s): return np.fromiter(map(math.pow, x, s), float)\n"
+     "class C:\n def g(self, y):\n"
+     "  return np.fromiter(map(math.atan, y), float)\n"
+     "z = np.fromiter(map(math.exp, [1.0]), float)\n"
+     "w = np.fromiter(map(abs, [1.0]), float)\n"
      "ok = all(map(math.isfinite, [1.0]))\n", ["", "C.g", "f"]),
-    ("checker_finds_cache_accesses", attribute("_cache"), "x = ifs._cache["
-     "'key']\nifs._cache[1] = 2\n_cache = {}\ny = self._cache.get(3)\n",
-     ["", "", ""]),
-    ("checker_finds_cache_owners", attribute("_cache"), "x = ifs._cache\n"
-     "def derived(fn):\n def memo(ifs): return ifs._cache[fn]\nclass Ifs:\n"
-     " def __init__(self): self._cache = {}\n"
+    ("checker_finds_cache_accesses", attribute("_cache"),
+     "x = ifs._cache['key']\nifs._cache[1] = 2\n_cache = {}\n"
+     "y = self._cache.get(3)\n", ["", "", ""]),
+    ("checker_finds_cache_owners", attribute("_cache"),
+     "x = ifs._cache\n"
+     "def derived(fn):\n def memo(ifs): return ifs._cache[fn]\n"
+     "class Ifs:\n def __init__(self): self._cache = {}\n"
      " def level(self, n): return self._cache.get(n)\n",
      ["", "derived.memo", "Ifs.__init__", "Ifs.level"]),
     ("checker_finds_call_owners", call("load"), WRITES, ["", "main"]),
@@ -391,9 +418,10 @@ CHECKS = [
     ("checker_finds_writes_to_stdout", call("print"), WRITES, ["", "main"]),
     ("checker_finds_writes_to_stdout", attribute("stdout"), WRITES,
      ["Sink.write"]),
-    ("checker_finds_dataclasses", dataclass_use, "from dataclasses import "
-     "field\nimport dataclasses as dc\n@dataclass\nclass A: x: int\n@dc.dat"
-     "aclass(frozen=True)\nclass B: y: int = field()\n"
+    ("checker_finds_dataclasses", dataclass_use,
+     "from dataclasses import field\nimport dataclasses as dc\n"
+     "@dataclass\nclass A: x: int\n"
+     "@dc.dataclass(frozen=True)\nclass B: y: int = field()\n"
      "class C(NamedTuple): z: int\n", ["", "", "A", "B"]),
 ]
 
@@ -407,7 +435,8 @@ bind(check_hit, [(case, args) for case, *args in CHECKS])
 
 def test_every_hit_is_checked():
     # a hit that finds nothing in any source checks nothing; the hits that
-    # call or attribute make differ in a name alone and share their code
+    # call, attribute or parameter make differ in a name alone and share
+    # their code
     assert {getattr(rule.hit, "__code__", rule.hit) for rule in RULES} \
         <= {getattr(hit, "__code__", hit) for _, hit, _, found in CHECKS
             if found}
@@ -416,9 +445,9 @@ def test_every_hit_is_checked():
 def test_checker_reads_where():
     # a rule reads the hits under the definitions its where names, nested
     # ones too, and fails when a glob names no definition
-    trees = {"m.py": ast.parse("def f(a): return g(a) + g(h(a))\ndef k(a):\n"
-                               " def inner(): return g(a)\nclass C:\n"
-                               " def m(self): return g(h(1))\n")}
+    trees = {"m.py": ast.parse("def f(a): return g(a) + g(h(a))\n"
+                               "def k(a):\n def inner(): return g(a)\n"
+                               "class C:\n def m(self): return g(h(1))\n")}
     check_rule(Rule("", call("g"), "m.py:k", "m.py:k.inner", True), ["m.py"],
                trees)
     check_rule(Rule("", call("h"), "m.py:k *:C.m", "*.m"), ["m.py"], trees)
