@@ -22,14 +22,16 @@ from .errors import AffinedimError, BudgetExceeded, DegenerateRange, \
     NotConverged, NotDominated, NotSeparated, PlacementFailed
 from .estimators import assouad_two_scale, box_dim, lowest_exponent, \
     lower_two_scale, two_scale_exponents
-from .geometry import content_consistency, hausdorff_content_projection, \
-    posc_check, projected_gap, sampled_cylinder_directions, slice_points, \
-    slice_upper_bound, ssc_check, tangent_dimension_scan, \
-    transversality_derivative, transversality_tail_bound
+from .geometry import LIMIT_DEPTH, content_consistency, \
+    hausdorff_content_projection, posc_check, projected_gap, \
+    sampled_cylinder_directions, slice_points, slice_upper_bound, \
+    ssc_check, tangent_dimension_scan, transversality_derivative, \
+    transversality_tail_bound
 from .ifs import Ifs, batch_singular_values, fit_level, word_label
-from .projective import PI, ProjPoint, classify_irreducibility, \
+from .projective import PI, SCAN_DEPTH, ProjPoint, classify_irreducibility, \
     furstenberg_directions, is_dominated, strictly_affine
-from .thermo import affinity_dimension, gibbs_spread_by_depth
+from .thermo import AFFINITY_BUDGET, AFFINITY_TOL, affinity_dimension, \
+    gibbs_spread_by_depth
 
 EXIT_OK = 0
 EXIT_INPUT = 1
@@ -156,7 +158,7 @@ def write_report(report, out, default_name):
 
 
 def cmd_check(ifs, spec, args):
-    depth = _depth(args, 6)
+    depth = _depth(args, SCAN_DEPTH)
     dom = is_dominated(ifs, depth=max(depth, 3))
     report = {"domination": {
         "certified": dom["certified"],
@@ -189,7 +191,7 @@ def cmd_check(ifs, spec, args):
     try:
         if not dom["certified"]:
             raise NotDominated("no multicone certificate")
-        da = furstenberg_directions(ifs, depth=30)
+        da = furstenberg_directions(ifs, depth=LIMIT_DEPTH)
         n_intervals = len(da.cone.widths)
         width_bound = float(da.cone.widths.max())
         report["limit_directions"] = {
@@ -210,11 +212,12 @@ def cmd_check(ifs, spec, args):
 
 
 def cmd_dims(ifs, spec, args):
-    depth = _depth(args, 6)
+    depth = _depth(args, SCAN_DEPTH)
     warnings = []
 
-    s_star, bracket = affinity_dimension(ifs, tol=args.tol or 1e-10,
-                                         budget=args.budget or 200_000)
+    s_star, bracket = affinity_dimension(
+        ifs, tol=args.tol or AFFINITY_TOL,
+        budget=args.budget or AFFINITY_BUDGET)
     report = {"affinity": {"value": s_star, "bracket": list(bracket)}}
 
     cloud = ifs.attractor_sample(0.002)
@@ -269,7 +272,7 @@ def _suite_diml(ifs, spec, args):
         return _skip("diml", str(e))
     if cls.tag != "StronglyIrreducible":
         return _skip("diml", f"needs strong irreducibility, got {cls.tag}")
-    depth = _depth(args, 6)
+    depth = _depth(args, SCAN_DEPTH)
     ssc = ssc_check(ifs, depth)
     while ssc.separated == "Unknown" and depth < 14:
         # inconclusive just means the cylinder balls are still too fat

@@ -13,8 +13,9 @@ from .config import seeded_rng, word_cap
 from .errors import BudgetExceeded, DegenerateRange, HypothesisViolated, \
     NotDominated, NotSeparated
 from .estimators import PointCloud, box_dim, morton_keys
-from .ifs import batch_singular_values, compose, derived, mul2, pull_back
-from .projective import PI, ProjPoint, furstenberg_directions
+from .ifs import HULL_DEPTH, batch_singular_values, compose, derived, \
+    mul2, pull_back
+from .projective import PI, SCAN_DEPTH, ProjPoint, furstenberg_directions
 from .roots import brentq
 from .thermo import _cylinder_directions, affinity_dimension, \
     equilibrium_state
@@ -24,18 +25,22 @@ from .thermo import _cylinder_directions, affinity_dimension, \
 
 # angles on the grid of DiameterTable
 DIAM_GRID = 720
+# inverse steps of the limit directions that `check`, posc_check and
+# bochi_morris_scan read, one memo entry of furstenberg_directions
+LIMIT_DEPTH = 30
 
 
 class DiameterTable:
     """diam(proj_u X) indexed by the angle of the projection axis u.
 
-    Precomputed on a uniform grid from a certified cylinder cloud; the
-    map is 2*diam-Lipschitz in the angle, which gives a certified upper
-    bound between grid nodes.
+    Precomputed on a uniform grid from the certified cylinder cloud of
+    depth HULL_DEPTH, the hull that `Ifs.diam_bounds` reads; the map is
+    2*diam-Lipschitz in the angle, which gives a certified upper bound
+    between grid nodes.
     """
 
-    def __init__(self, ifs, depth=8):
-        depth = ifs._fit_depth(depth)
+    def __init__(self, ifs):
+        depth = ifs._fit_depth(HULL_DEPTH)
         hull, radius = ifs._hull(depth)
         # the suffix-level centres, which the hull never reads;
         # perfbench's tracer sizes the table from the first
@@ -201,7 +206,7 @@ def _pair_scan(ifs, depth):
     return min(g[0] for g in gaps), min(g[1] for g in gaps)
 
 
-def ssc_check(ifs, depth=6):
+def ssc_check(ifs, depth=SCAN_DEPTH):
     """Tri-state strong separation check from cylinder-center clouds.
 
     Certified: the least gap of `_pair_scan` is positive, so the cylinder
@@ -280,7 +285,7 @@ def _least_pair(projs):
     return order[a], order[a + d + 1], vals[a, d]
 
 
-def posc_check(ifs, depth=6):
+def posc_check(ifs, depth=SCAN_DEPTH):
     """Empirical projective open set condition scan.
 
     For POSC_DIRECTIONS directions V on a grid over the limit-direction
@@ -292,7 +297,7 @@ def posc_check(ifs, depth=6):
     negative slope is evidence it fails.  A zero separation fails it and
     has no trend (None).
     """
-    da = furstenberg_directions(ifs, depth=30)
+    da = furstenberg_directions(ifs, depth=LIMIT_DEPTH)
     per_interval = POSC_DIRECTIONS // len(da.cone.starts) + 1
     directions = [ProjPoint(angle) for angle
                   in da.sample_angles(per_interval)[:POSC_DIRECTIONS]]
@@ -382,7 +387,7 @@ def slice_points(ifs, v, x, tube_width, resolution):
     return PointCloud(coords[:, None], cloud.resolution)
 
 
-def slice_upper_bound(ifs, depth=6):
+def slice_upper_bound(ifs, depth=SCAN_DEPTH):
     """Upper bound < 1 for slice dimensions from the separation gap of
     `ssc_check` at depth: the root of M^(1-s) (1 - (M-1) q)^s = 1 with
     q = delta/(3 diam + 2 delta), maximized over the number of first-level
@@ -762,6 +767,13 @@ def transversality_derivative(matrices, w, word_i, word_j, depth=30):
     Words are extended periodically; the truncation tail is at most
     (max norm)^depth / (1 - max norm).  Requires max norm < 1/2 and
     distinct first letters.
+
+    The gap is linear in the translations, so the derivative is u . (S_i
+    - S_j) with u the unit vector along w and S the sum of A_{x|k} u over
+    the positions k < depth where the periodic word x has the shifted
+    letter, the running product A_{x|k} taken letter by letter.  It is
+    summed here, apart from `projected_gap`, which `verify trans`
+    differentiates against it.
     """
     arrs = np.asarray(matrices, dtype=float)
     a = batch_singular_values(arrs)[0].max()
@@ -771,11 +783,16 @@ def transversality_derivative(matrices, w, word_i, word_j, depth=30):
     if wi[0] == wj[0]:
         raise ValueError("words must differ in the first letter")
     w = np.asarray(w, dtype=float)
-    # the gap is linear in the translations: the unit vector along w at
-    # the first letter of word_i, 0 elsewhere, gives its derivative
-    vs = np.zeros((len(arrs), 2))
-    vs[wi[0] - 1] = w / np.linalg.norm(w)
-    return abs(projected_gap(arrs, vs, w, wi, wj, depth))
+    u = w / np.linalg.norm(w)
+
+    def series(word):
+        acc, prod = np.zeros(2), np.eye(2)
+        for letter in itertools.islice(itertools.cycle(word), depth):
+            if letter == wi[0]:
+                acc = acc + prod @ u
+            prod = prod @ arrs[letter - 1]
+        return acc
+    return abs(float(u @ (series(wi) - series(wj))))
 
 
 def transversality_tail_bound(matrices, depth):
@@ -786,8 +803,8 @@ def transversality_tail_bound(matrices, depth):
 def projected_gap(matrices, translations, w, word_i, word_j, depth):
     """Signed coordinate along w of the difference of the two canonical
     points, with words extended periodically.  It is linear in the
-    translations; `verify trans` checks the derivative above against its
-    finite difference."""
+    translations; `verify trans` checks the series of the derivative above
+    against its finite difference."""
     arrs = np.asarray(matrices, dtype=float)
     w = np.asarray(w, dtype=float)
     w = w / np.linalg.norm(w)
@@ -804,7 +821,7 @@ def bochi_morris_scan(ifs, depth):
     """Empirical constant D in alpha1(A_w) <= D * norm of A_w^T on the
     perpendicular of limit directions; the reverse inequality is an exact
     norm bound and is asserted on every sample."""
-    angles = furstenberg_directions(ifs, depth=30).sample_angles(3)
+    angles = furstenberg_directions(ifs, depth=LIMIT_DEPTH).sample_angles(3)
     if len(angles) > 64:
         angles = angles[:: len(angles) // 64 + 1]
     perps = (angles + PI / 2.0) % PI

@@ -24,6 +24,9 @@ _DET_EPS = 1e-14
 # most words in one block of `Ifs._level_walk` (more only for level 1 of
 # a family with more maps than this)
 LEVEL_BLOCK = 2 ** 14
+# depth of the cylinder-centre hull that the certified diameter and
+# `geometry.DiameterTable` read, before it is fitted to the word cap
+HULL_DEPTH = 8
 
 
 def fit_level(n_maps, n, words, least):
@@ -354,10 +357,10 @@ class Ifs:
 
     @derived
     def diam_bounds(self):
-        """Certified (lower, upper) bounds for diam(X) from the depth-8
-        cylinder-center cloud, fitted to the word cap: cloud diameter -/+
-        twice the largest error radius."""
-        hull, radius = self._hull(self._fit_depth(8))
+        """Certified (lower, upper) bounds for diam(X) from the
+        cylinder-center cloud of depth HULL_DEPTH, fitted to the word cap:
+        cloud diameter -/+ twice the largest error radius."""
+        hull, radius = self._hull(self._fit_depth(HULL_DEPTH))
         d = _cloud_diameter(hull)
         e = 2.0 * radius
         return max(d - e, 0.0), d + e

@@ -29,6 +29,12 @@ LINE_TOL = 1e-8
 DEFAULT_MARGIN = 1e-6
 # most intervals a level of furstenberg_directions may hold before merging
 MAX_INTERVALS = 3000
+# default depth, before it is fitted to the word cap, of the scans of
+# `check`, `dims` and `verify diml`: is_dominated's fit and the separation
+# scans of geometry
+SCAN_DEPTH = 6
+# deepest level, before it is fitted, of strictly_affine's search
+PROXIMAL_DEPTH = 6
 
 
 def _mod_pi(theta):
@@ -217,7 +223,7 @@ def certify_invariance(cone, arrs):
     return bool(inside.any(axis=1).all())
 
 
-def is_dominated(ifs, depth=6):
+def is_dominated(ifs, depth=SCAN_DEPTH):
     """Domination report: certificate via multicone search, plus a
     least-squares (C, tau) fit of alpha2/alpha1 <= C tau^n over all words
     up to depth, fitted by `Ifs._fit_depth`.  The fit is a diagnostic only
@@ -252,12 +258,13 @@ class IrreducibilityClass(NamedTuple):
     witness: tuple = ()
 
 
-def strictly_affine(ifs, depth=6):
+def strictly_affine(ifs):
     """Search for a proximal product (two real eigenvalues of different
     modulus): trace^2 > 4 det together with nonzero trace, up to depth
-    fitted by `Ifs._fit_depth`.  Level by level in lexicographic order, so
-    the witness is the least proximal word of the shortest length."""
-    for n in range(1, ifs._fit_depth(depth) + 1):
+    PROXIMAL_DEPTH fitted by `Ifs._fit_depth`.  Level by level in
+    lexicographic order, so the witness is the least proximal word of the
+    shortest length."""
+    for n in range(1, ifs._fit_depth(PROXIMAL_DEPTH) + 1):
         p = ifs.level_products(n)
         tr = p[:, 0, 0] + p[:, 1, 1]
         hits = np.flatnonzero((tr * tr > 4.0 * det2(p) + 1e-14)
@@ -302,12 +309,12 @@ def classify_irreducibility(ifs):
                 "IrreducibleNotStrongly",
                 (ProjPoint(cands[k]), ProjPoint(rest[hit[0]])))
 
-    depth = ifs._fit_depth(6)
-    found, witness = strictly_affine(ifs, depth)
+    found, witness = strictly_affine(ifs)
     if not found:
         raise Inconclusive(
-            f"no proximal product up to depth {depth}; strong "
-            "irreducibility not certified")
+            "no proximal product up to depth "
+            f"{ifs._fit_depth(PROXIMAL_DEPTH)}; strong irreducibility not "
+            "certified")
     return IrreducibilityClass("StronglyIrreducible", (witness,))
 
 

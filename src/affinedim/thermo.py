@@ -24,6 +24,10 @@ EIG_TOL = 1e-12
 # most words of a chunk of the pressure sum: the size of its one buffer
 # and of its suffix table of letter sums
 PRESSURE_CHUNK = 4 * LEVEL_BLOCK
+# default root tolerance and most words of a level of affinity_dimension,
+# which `dims --tol` and `--budget` replace
+AFFINITY_TOL = 1e-10
+AFFINITY_BUDGET = 200_000
 
 
 class PressureSample(NamedTuple):
@@ -109,7 +113,7 @@ def is_similarity(ifs):
 
 
 @derived
-def affinity_dimension(ifs, tol=1e-10, budget=200_000):
+def affinity_dimension(ifs, tol=AFFINITY_TOL, budget=AFFINITY_BUDGET):
     """Root of the finite-level pressure at the largest affordable level.
 
     The level-n pressure dominates the limit, so its root is an upper
@@ -126,12 +130,11 @@ def affinity_dimension(ifs, tol=1e-10, budget=200_000):
         raise ValueError("tol must be positive")
 
     def solve(p):
-        a, b = 0.0, 4.0
-        if p(a) <= 0:
-            return 0.0
-        if p(b) >= 0:
+        # every pressure solved here is log N > 0 at s = 0, as an Ifs has
+        # N >= 2 maps, so the bracket's sign change rests on p(4) alone
+        if p(4.0) >= 0:
             raise DegenerateRange("pressure does not change sign on [0, 4]")
-        return brentq(p, a, b, xtol=tol)
+        return brentq(p, 0.0, 4.0, xtol=tol)
 
     if is_similarity(ifs):
         root_hi = solve(_pressure_fn(ifs, 1))

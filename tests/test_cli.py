@@ -11,12 +11,12 @@ from hypothesis import HealthCheck, given, reject, settings, strategies as st
 import numpy as np
 import pytest
 
-from affinedim import cli, estimators, projective
+from affinedim import cli, estimators, geometry, projective
 from affinedim.cli import ERROR_EXITS, EXIT_BUDGET, EXIT_CONDITION, \
     EXIT_INPUT, EXIT_OK, InputError, fixture_path, load_input, main
 from affinedim.errors import AffinedimError, DegenerateRange
 from affinedim.geometry import PoscReport
-from affinedim.ifs import LEVEL_BLOCK, Ifs
+from affinedim.ifs import LEVEL_BLOCK, Ifs, compose
 
 from conftest import FIXTURE_DIR, kept_arrays, twenty_maps
 
@@ -634,6 +634,27 @@ class TestCommands:
                      "--out", str(out)]) == EXIT_OK
         rep = json.loads(out.read_text())
         assert rep["status"] == "Skipped"
+
+    @pytest.mark.parametrize("name", ["cantor2", "cone", "sim3", "carpet"])
+    def test_verify_trans_fails_on_a_wrong_series(self, tmp_path,
+                                                  monkeypatch, name):
+        # the suite differentiates projected_gap against the derivative's
+        # own series; a gap that drops the periodic extension of its
+        # words must fail it, by 0.007 to 0.056 at seed 1
+        def run():
+            out = tmp_path / "v.json"
+            code = main(["verify", "trans", "--input", fx(f"{name}.json"),
+                         "--seed", "1", "--out", str(out)])
+            return code, json.loads(out.read_text())
+
+        code, rep = run()
+        assert (code, rep["status"]) == (EXIT_OK, "Pass")
+        monkeypatch.setattr(geometry, "_periodic_point",
+                            lambda arrs, vs, word, depth:
+                            compose(arrs, vs, word)[1])
+        code, rep = run()
+        assert (code, rep["status"]) == (EXIT_CONDITION, "Fail")
+        assert rep["measured"]["max_fd_error"] > 1e-3
 
 
 class TestOutDirectory:

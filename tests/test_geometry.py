@@ -19,8 +19,8 @@ from affinedim.geometry import DiameterTable, approximate_square_counts, \
     projected_gap, sigma_count, slice_points, slice_root, slice_upper_bound, \
     ssc_check, tangent_dimension_scan, transversality_derivative, \
     transversality_tail_bound, weak_tangent
-from affinedim.ifs import Ifs, batch_singular_values, hull_vertices, \
-    pull_back
+from affinedim.ifs import HULL_DEPTH, Ifs, batch_singular_values, \
+    hull_vertices, pull_back
 from affinedim.projective import PI, ProjPoint, furstenberg_directions
 from affinedim.thermo import _cylinder_directions, affinity_dimension
 from conftest import FIXTURE_DIR, load_fixture, twenty_maps
@@ -464,11 +464,19 @@ class TestDiameterTable:
         # the hull is taken over the images of the level above's hull
         # vertices, and the image of an inner point can round past it: at
         # sim3 depth 5 one width comes out 1.1e-16 (one ulp) short, as
-        # with Qhull's vertex set, which drops an extreme point there
+        # with Qhull's vertex set, which drops an extreme point there.
+        # Each depth's hull is projected on the table's grid as the table
+        # projects its own, which is the one at HULL_DEPTH
         ifs = request.getfixturevalue(name)
+        table = DiameterTable(ifs)
+        dirs = np.stack([np.cos(table.thetas), np.sin(table.thetas)])
         for depth in range(2, 9):
-            table = DiameterTable(ifs, depth=depth)
-            pts, _ = ifs._cylinder_centers(ifs._fit_depth(depth))
+            fitted = ifs._fit_depth(depth)
+            proj = ifs._hull(fitted)[0] @ dirs
+            widths = proj.max(axis=0) - proj.min(axis=0)
+            if fitted == ifs._fit_depth(HULL_DEPTH):
+                assert np.array_equal(table.widths, widths)
+            pts, _ = ifs._cylinder_centers(fitted)
             if name == "cantor2":
                 # a flat cloud: its hull is the two ends
                 with pytest.raises(QhullError):
@@ -476,12 +484,11 @@ class TestDiameterTable:
                 assert len(hull_vertices(pts)) == 2
             want = full_cloud_widths(pts, table.thetas)
             if (name, depth) == ("sim3", 5):
-                off = np.flatnonzero(table.widths != want)
+                off = np.flatnonzero(widths != want)
                 assert len(off) == 1
-                assert abs(table.widths[off] - want[off]) \
-                    <= np.spacing(want[off])
+                assert abs(widths[off] - want[off]) <= np.spacing(want[off])
             else:
-                assert np.array_equal(table.widths, want)
+                assert np.array_equal(widths, want)
 
 
 def as_set(pts):

@@ -481,15 +481,31 @@ def test_no_unused_imports(module):
     assert unused_imports(TREES[module]) == []
 
 
+def constructors(tree):
+    """{id(call): class name} for the calls of cls in the classmethods of
+    the classes defined in tree: each builds an instance of its class."""
+    return {id(n): c.name for c in ast.walk(tree)
+            if isinstance(c, ast.ClassDef) for f in c.body
+            if any(getattr(d, "id", None) == "classmethod"
+                   for d in getattr(f, "decorator_list", ()))
+            for n in ast.walk(f) if isinstance(n, ast.Call)
+            and getattr(n.func, "id", None) == "cls"}
+
+
 @functools.cache
 def call_table(trees):
     """For each callee name, the (positions, keywords) that each call in
-    the trees sets.  A starred argument sets every position and a **
-    argument every keyword, marked by None among the keywords."""
+    the trees sets; a call of cls in a classmethod names its class.  A
+    starred argument sets every position and a ** argument every keyword,
+    marked by None among the keywords."""
     calls = {}
-    for node in (n for t in trees for n in ast.walk(t)):
-        if isinstance(node, ast.Call):
-            name = getattr(node.func, "id", getattr(node.func, "attr", None))
+    for tree in trees:
+        made = constructors(tree)
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Call):
+                continue
+            name = made.get(id(node), getattr(
+                node.func, "id", getattr(node.func, "attr", None)))
             starred = any(isinstance(a, ast.Starred) for a in node.args)
             calls.setdefault(name, []).append(
                 (math.inf if starred else len(node.args),
@@ -501,24 +517,25 @@ def defaulted_parameters(tree):
     """(function name, position, parameter) of the defaulted parameters
     of the functions defined in tree; a keyword-only parameter has
     position inf.  Calls match definitions by callee name, so a method's
-    first parameter, its receiver, is not counted.  __init__ is left out,
-    since its calls name the class."""
-    methods = {id(f) for c in ast.walk(tree) if isinstance(c, ast.ClassDef)
-               for f in c.body}
+    first parameter, its receiver, is not counted, and an __init__ goes
+    by the name of its class, which its calls name."""
+    methods = {id(f): c.name for c in ast.walk(tree)
+               if isinstance(c, ast.ClassDef) for f in c.body}
     for node in ast.walk(tree):
-        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) \
-                or node.name == "__init__":
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
             continue
+        name = methods.get(id(node), node.name) if node.name == "__init__" \
+            else node.name
         args = node.args
         params = args.posonlyargs + args.args
         if id(node) in methods:
             params = params[1:]
         first = len(params) - len(args.defaults)
         for k in range(first, len(params)):
-            yield node.name, k, params[k].arg
+            yield name, k, params[k].arg
         for p, d in zip(args.kwonlyargs, args.kw_defaults):
             if d is not None:
-                yield node.name, math.inf, p.arg
+                yield name, math.inf, p.arg
 
 
 def defaults_set(tree, calls):
@@ -549,7 +566,20 @@ def test_checker_finds_dead_options():
     calls = ast.parse("f(1, 2)\nC().m(b=4)\nk(z=5)\ng(*[1, 2])\n"
                       "h(**{'r': 1})\n")
     assert dead_options(DEFAULTS, call_table((DEFAULTS, calls))) \
-        == ["f(z)", "m(a)", "t(u)"]
+        == ["C(k)", "f(z)", "m(a)", "t(u)"]
+
+
+def test_checker_reads_constructor_calls():
+    # an __init__ is set by calls of its class and, in the class's
+    # classmethods, by calls of cls; a cls that is only a parameter name
+    # builds nothing
+    src = ast.parse("class A:\n def __init__(self, x, y=0, z=1): pass\n"
+                    " @classmethod\n def make(cls, d): return cls(d, 2)\n"
+                    "class B:\n def __init__(self, w=0): pass\n"
+                    " def f(self, cls): return cls(1)\n"
+                    " @staticmethod\n def g(cls): return cls(2)\n"
+                    "a = A(1)\n")
+    assert dead_options(src, call_table((src,))) == ["A(z)", "B(w)"]
 
 
 def test_checker_finds_unread_defaults():

@@ -10,9 +10,9 @@ from affinedim.config import word_cap
 from affinedim.errors import BudgetExceeded, IndexOutOfRange
 from affinedim.geometry import DIAM_GRID, DiameterTable, _misses, \
     _proj_stop, _proj_stopping, projected_diameter_bound
-from affinedim.ifs import LEVEL_BLOCK, Cylinders, Ifs, _cloud_diameter, \
-    batch_singular_values, det2, derived, fit_level, hull_vertices, \
-    log_svf, mul2, word_label
+from affinedim.ifs import HULL_DEPTH, LEVEL_BLOCK, Cylinders, Ifs, \
+    _cloud_diameter, batch_singular_values, det2, derived, fit_level, \
+    hull_vertices, log_svf, mul2, word_label
 from affinedim.projective import ProjPoint, strictly_affine
 from affinedim.thermo import PRESSURE_CHUNK, _letter_sums, \
     affinity_dimension
@@ -759,10 +759,16 @@ class TestStreamedHull:
         ifs = Ifs.from_json(whole.to_json())
         walked, radius = ifs._hull(depth)
         assert (_cloud_diameter(walked), 2.0 * radius) == (d, e)
-        table = DiameterTable(ifs, depth=depth)
-        assert table.err == float(e)
-        assert np.array_equal(table.widths,
-                              proj.max(axis=0) - proj.min(axis=0))
+        # the walked hull on the grid of DiameterTable, projected as the
+        # table projects it
+        widths = proj.max(axis=0) - proj.min(axis=0)
+        on_grid = walked @ np.stack([np.cos(thetas), np.sin(thetas)])
+        assert np.array_equal(on_grid.max(axis=0) - on_grid.min(axis=0),
+                              widths)
+        if depth == HULL_DEPTH:
+            table = DiameterTable(ifs)
+            assert table.err == float(e)
+            assert np.array_equal(table.widths, widths)
         assert max(len(part) for part in kept_arrays(ifs)) <= LEVEL_BLOCK
 
     def test_carpet_diameter_holds_no_level(self, carpet_ifs):

@@ -8,9 +8,14 @@ import json
 import math
 import os
 
+import numpy as np
 import pytest
 
+from affinedim import carpets
 from affinedim.cli import main
+from affinedim.projective import classify_irreducibility, \
+    find_invariant_multicone
+from affinedim.thermo import affinity_dimension
 
 from conftest import FIXTURE_DIR
 
@@ -76,3 +81,27 @@ def test_claim5_assouad_above_affinity(dims):
     upper = rep["affinity"]["bracket"][1]
     assert round(mackay, 4) == 1.4751 and round(upper, 4) == 1.1386
     assert mackay > upper
+
+
+def test_claim5_beyond_carpets():
+    # the 4 x 5 example carpet plus the map B = 0.1 [[0.6, 0.3], [0.2,
+    # 0.5]] is not a carpet: it is strongly irreducible and certified
+    # dominated.  Its first five maps are the carpet's, so the carpet, the
+    # attractor of that sub-family, lies in its attractor, and Assouad
+    # dimension is monotone under inclusion: the new set's is at least
+    # Mackay's 1.475087.  The affinity upper edge is a level-n pressure
+    # root, which bounds the affinity dimension from above, and it lies
+    # below that
+    spec = carpets.EXAMPLE_SPEC
+    ifs = carpets.example_fixture(spec, 0.1)["ifs"]
+    sub = carpets.to_ifs(spec)
+    assert np.array_equal(ifs.lins[:-1], sub.lins)
+    assert np.array_equal(ifs.vs[:-1], sub.vs)
+    assert classify_irreducibility(ifs).tag == "StronglyIrreducible"
+    assert find_invariant_multicone(ifs) is not None
+    value, (lo, hi) = affinity_dimension(ifs)
+    assert value == hi
+    assert (round(lo, 6), round(hi, 6)) == (1.161734, 1.163175)
+    mackay = carpets.mackay_assouad(spec)
+    assert round(mackay, 6) == 1.475087
+    assert hi < mackay

@@ -459,8 +459,7 @@ class TestIrreducibility:
         assert tr * tr > 4.0 * np.linalg.det(arr)
 
     def test_no_proximal_in_conformal_family(self):
-        found, witness = strictly_affine(rotation_ifs(angle=math.pi / 2),
-                                         depth=4)
+        found, witness = strictly_affine(rotation_ifs(angle=math.pi / 2))
         assert not found
         assert witness is None
 

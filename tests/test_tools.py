@@ -10,9 +10,9 @@ import sys
 REPO = os.path.join(os.path.dirname(__file__), os.pardir)
 
 
-def load_tool():
-    path = os.path.join(REPO, "tools", "compare_reports.py")
-    spec = importlib.util.spec_from_file_location("compare_reports", path)
+def load_tool(name="compare_reports"):
+    path = os.path.join(REPO, "tools", f"{name}.py")
+    spec = importlib.util.spec_from_file_location(name, path)
     tool = importlib.util.module_from_spec(spec)
     writes, sys.dont_write_bytecode = sys.dont_write_bytecode, True
     try:
@@ -106,6 +106,22 @@ def test_a_render_is_compared_as_its_svg(tmp_path):
                                    "sim3", 1, str(tmp_path))
     assert parent == change
     assert parent[3] == 0 and parent[0].count(b"<polygon") == 27
+
+
+def test_children_start_as_the_benchmark_starts_them(tmp_path,
+                                                     monkeypatch):
+    # perfbench/run.py drops a word cap set in the shell and pins three
+    # thread counts; a cap of 10 words would make `check sim3` exit 3
+    monkeypatch.setenv("AFFINEDIM_WORD_CAP", "10")
+    for name in ("compare_reports", "import_times", "peak_rss"):
+        env = load_tool(name).environment(REPO)
+        assert "AFFINEDIM_WORD_CAP" not in env, name
+        assert [env[k] for k in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",
+                                 "MKL_NUM_THREADS",
+                                 "PYTHONDONTWRITEBYTECODE")] == ["1"] * 4
+    parent, change = load_tool().run_both((REPO, REPO), ("check",), "sim3",
+                                          1, str(tmp_path))
+    assert parent == change and parent[3] == 0
 
 
 def test_import_times_lists_every_module():

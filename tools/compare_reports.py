@@ -9,9 +9,9 @@ this tool, loaded without writing bytecode), then `check`, `dims`,
 every `verify` suite, `render --depth 3`, `render --depth 6
 --directions`, `carpet` and `carpet --eps 0.01` on each shipped fixture,
 each invocation once; a render's SVG is compared as its report.  Each
-run is a fresh process with OMP_NUM_THREADS=1 and the checkout's src
-first on PYTHONPATH; the two checkouts run side by side, one process
-each.
+run is a fresh process started as the benchmark starts its children
+(`environment`), with the checkout's src first on PYTHONPATH; the two
+checkouts run side by side, one process each.
 
 Every invocation whose report, stdout, stderr or exit code differs is
 printed with a diff of what differs; a report that parses as JSON in
@@ -55,10 +55,17 @@ def load_workloads():
 
 
 def environment(checkout):
+    """os.environ as the benchmark's runner starts a child: the
+    checkout's src first on PYTHONPATH, OMP_NUM_THREADS,
+    OPENBLAS_NUM_THREADS and MKL_NUM_THREADS at 1, no bytecode written,
+    and no AFFINEDIM_WORD_CAP from the shell."""
     src = os.path.join(os.path.abspath(checkout), "src")
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    return dict(os.environ, PYTHONPATH=path, OMP_NUM_THREADS="1",
-                PYTHONDONTWRITEBYTECODE="1")
+    env = dict(os.environ, PYTHONPATH=path, OMP_NUM_THREADS="1",
+               OPENBLAS_NUM_THREADS="1", MKL_NUM_THREADS="1",
+               PYTHONDONTWRITEBYTECODE="1")
+    env.pop("AFFINEDIM_WORD_CAP", None)
+    return env
 
 
 def fixtures(checkout):

@@ -5,11 +5,11 @@
 CHECKOUT is a directory that holds src/affinedim, such as a `git
 archive` checkout.  Each of the N runs is a fresh
 `python -X importtime -c "import affinedim.cli"` with the checkout's src
-first on PYTHONPATH, OMP_NUM_THREADS=1 and PYTHONDONTWRITEBYTECODE=1, as
-every CLI child of the benchmark starts.  For each affinedim.* module the
-least self time over the runs is printed, then their sum: the start-up
-cost of the package's own code, compiling its source included, which no
-span of a traced run covers.
+first on PYTHONPATH, started as every CLI child of the benchmark starts
+(`environment`).  For each affinedim.* module the least self time over
+the runs is printed, then their sum: the start-up cost of the package's
+own code, compiling its source included, which no span of a traced run
+covers.
 """
 
 import argparse
@@ -21,10 +21,17 @@ CODE = "import affinedim.cli"
 
 
 def environment(checkout):
+    """os.environ as the benchmark's runner starts a child: the
+    checkout's src first on PYTHONPATH, OMP_NUM_THREADS,
+    OPENBLAS_NUM_THREADS and MKL_NUM_THREADS at 1, no bytecode written,
+    and no AFFINEDIM_WORD_CAP from the shell."""
     src = os.path.join(os.path.abspath(checkout), "src")
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    return dict(os.environ, PYTHONPATH=path, OMP_NUM_THREADS="1",
-                PYTHONDONTWRITEBYTECODE="1")
+    env = dict(os.environ, PYTHONPATH=path, OMP_NUM_THREADS="1",
+               OPENBLAS_NUM_THREADS="1", MKL_NUM_THREADS="1",
+               PYTHONDONTWRITEBYTECODE="1")
+    env.pop("AFFINEDIM_WORD_CAP", None)
+    return env
 
 
 def self_times(env):

@@ -5,8 +5,8 @@
 CHECKOUT is a directory that holds src/affinedim, such as a `git archive`
 checkout.  Each of the runs is a fresh `python3 -c` child that calls
 `affinedim.cli.main` with the arguments after `--`, with the checkout's
-src first on PYTHONPATH, OMP_NUM_THREADS=1, OPENBLAS_NUM_THREADS=1 and
-PYTHONDONTWRITEBYTECODE=1, as the benchmark starts its children.  Each
+src first on PYTHONPATH, started as the benchmark starts its children
+(`environment`).  Each
 child's own ru_maxrss, from os.wait4, is printed, then the least of them.
 
 A child's ru_maxrss counts what the parent held when the child was
@@ -25,10 +25,17 @@ CLI = "import sys; from affinedim.cli import main; sys.exit(main())"
 
 
 def environment(checkout):
+    """os.environ as the benchmark's runner starts a child: the
+    checkout's src first on PYTHONPATH, OMP_NUM_THREADS,
+    OPENBLAS_NUM_THREADS and MKL_NUM_THREADS at 1, no bytecode written,
+    and no AFFINEDIM_WORD_CAP from the shell."""
     src = os.path.join(os.path.abspath(checkout), "src")
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    return dict(os.environ, PYTHONPATH=path, OMP_NUM_THREADS="1",
-                OPENBLAS_NUM_THREADS="1", PYTHONDONTWRITEBYTECODE="1")
+    env = dict(os.environ, PYTHONPATH=path, OMP_NUM_THREADS="1",
+               OPENBLAS_NUM_THREADS="1", MKL_NUM_THREADS="1",
+               PYTHONDONTWRITEBYTECODE="1")
+    env.pop("AFFINEDIM_WORD_CAP", None)
+    return env
 
 
 def child_peak(args, env):
